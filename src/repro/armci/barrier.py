@@ -378,17 +378,15 @@ def _auto_select(armci: "Armci") -> str:
         "linear": estimate_linear_us(params, nprocs, len(armci.dirty_nodes)),
         "exchange": estimate_exchange_us(params, nprocs),
     }
+    topology = armci.topology
+    ppn = topology.procs_per_node
     if params.nic_offload:
-        topology = armci.topology
-        ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
         estimates["nic"] = estimate_nic_us(params, nprocs, topology.nnodes, ppn)
     if params.hierarchy is not None:
         # Topology-aware candidates join the comparison only under a
         # hierarchy, so flat auto-selections stay byte-identical.  ppn
         # and the hierarchy are globally agreed, preserving the
         # symmetric-decision contract.
-        topology = armci.topology
-        ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
         estimates["exchange"] = estimate_exchange_us(params, nprocs, ppn=ppn)
         estimates["kary"] = estimate_kary_us(params, nprocs, ppn=ppn)
         estimates["dissemination"] = estimate_dissemination_us(
@@ -420,9 +418,13 @@ def _nic(armci: "Armci"):
     epoch = armci._nic_barrier_seq
     armci._nic_barrier_seq = epoch + 1
     membership = armci.membership
-    if membership is not None and membership.epoch > 0:
+
+    def degrade():
         armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
-        yield from _exchange_resilient(armci)
+        return _exchange_resilient(armci)
+
+    if membership is not None and membership.epoch > 0:
+        yield from degrade()
         return
     engines = ensure_engines(armci)
     engine = engines[armci.node]
@@ -431,8 +433,7 @@ def _nic(armci: "Armci"):
         # nowhere to land, so the host notices immediately and falls back
         # to the resilient host exchange.  Peers with live NICs discover
         # the silence through retry exhaustion (-> view change) instead.
-        armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
-        yield from _exchange_resilient(armci)
+        yield from degrade()
         return
     params = armci.params
     if params.nic_doorbell_us > 0.0:
@@ -442,8 +443,7 @@ def _nic(armci: "Armci"):
         # Fenced at the doorbell: this rank is partition-excluded from the
         # current view.  Degrade to the resilient exchange, whose freeze
         # gate queues the rank until it rejoins.
-        armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
-        yield from _exchange_resilient(armci)
+        yield from degrade()
         return
     if membership is None:
         yield release
@@ -459,8 +459,7 @@ def _nic(armci: "Armci"):
             _on_view()
         yield release | view_changed
         if not release.triggered:
-            armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
-            yield from _exchange_resilient(armci)
+            yield from degrade()
             return
     armci._chaos_barrier_info = {"nic_epoch": epoch}
 
@@ -477,10 +476,18 @@ def _exchange(armci: "Armci"):
     """The new three-stage operation."""
     # Stage 1: binary-exchange sum of op_init[] (Figure 2).
     totals = yield from collectives.allreduce_sum(armci.comm, armci.op_init)
-
     # Stage 2: poll the server's op_done counter for our own slot.
+    yield from _stage2_wait(armci, totals[armci.rank])
+    # Stage 3: binary-exchange barrier synchronization.  Ranks that fell
+    # back in stage 2 still join the same collective, so mixed outcomes
+    # cannot deadlock.
+    yield from collectives.barrier(armci.comm)
+
+
+def _stage2_wait(armci: "Armci", target: int):
+    """Per-rank stage 2 of every fault-free host algorithm: poll the local
+    server's ``op_done`` counter until it reaches ``target``."""
     region, addr = armci.server.op_done_cell(armci.rank)
-    target = totals[armci.rank]
     watchdog_us = armci.params.watchdog_timeout_us
     if watchdog_us > 0.0:
         done = yield from _stage2_wait_with_watchdog(
@@ -504,11 +511,6 @@ def _exchange(armci: "Armci"):
             addr, lambda v: v >= target, poll_detect_us=armci.params.poll_detect_us
         )
 
-    # Stage 3: binary-exchange barrier synchronization.  Ranks that fell
-    # back in stage 2 still join the same collective, so mixed outcomes
-    # cannot deadlock.
-    yield from collectives.barrier(armci.comm)
-
 
 def _exchange_resilient(armci: "Armci"):
     """The three-stage barrier under a crash-stop fault plan.
@@ -529,7 +531,7 @@ def _exchange_resilient(armci: "Armci"):
     yield from membership.freeze_gate(armci.rank)
     inst = armci._chaos_barrier_seq
     armci._chaos_barrier_seq = inst + 1
-    if membership._transient:
+    if membership.transient:
         entry = membership.ledger_get(("allreduce", inst))
         if entry is not None and entry[1] < membership.epoch:
             # This instance completed in the majority while we were cut

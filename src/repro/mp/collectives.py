@@ -8,6 +8,11 @@ The paper's new ``ARMCI_Barrier()`` leans on two collectives:
   realized here as a dissemination barrier, which has the identical
   ``ceil(log2 N)`` one-latency phases and also handles non-powers-of-two.
 
+Both, and the combining tree the topology-aware and NIC barriers use, are
+written once as transport-agnostic *patterns* (:func:`sum_pattern`,
+:func:`dissemination_pattern`, :func:`tree_pattern`) and run over a *port*
+(see :func:`host_port`).
+
 All collectives are sub-generators over a :class:`~repro.mp.comm.Comm` and
 assume SPMD call order (every rank invokes the same collectives in the same
 order); a per-communicator sequence number keeps concurrent invocations'
@@ -21,6 +26,10 @@ from typing import Any, List, Optional, Sequence
 from .comm import Comm
 
 __all__ = [
+    "host_port",
+    "sum_pattern",
+    "dissemination_pattern",
+    "tree_pattern",
     "barrier",
     "allreduce_sum",
     "allreduce_sum_fig2",
@@ -62,13 +71,130 @@ def _tag(base: int, seq: int, round_no: int) -> int:
     return base + (seq % 4096) * _ROUND_STRIDE + round_no
 
 
-def barrier(comm: Comm):
-    """Dissemination barrier: ceil(log2 N) overlapped sendrecv phases.
+def host_port(comm: Comm, base: int, seq: int, round0: int = 0):
+    """The blocking host port: ``(send, recv)`` over ``comm``.
+
+    A *port* is how a pattern below moves one message: ``send(dst, vector,
+    round_no)`` and ``recv(src, round_no)`` each return a sub-generator,
+    and what ``recv`` delivers carries the sender's vector as ``.payload``.
+    Both are plain functions handing back ``comm``'s own generators, so a
+    pattern's ``yield from`` delegates straight into the communicator (every
+    generator frame in between is paid again on each resume of the rank).
+    Round ``r`` of the pattern travels under tag round ``round0 + r``.
+    """
+
+    def send(dst, vector, round_no):
+        return comm.send(
+            dst, vector, tag=_tag(base, seq, round0 + round_no),
+            payload_bytes=0 if vector is None else 8 * len(vector),
+        )
+
+    def recv(src, round_no):
+        return comm.recv(source=src, tag=_tag(base, seq, round0 + round_no))
+
+    return send, recv
+
+
+# -- the three message patterns ----------------------------------------------------
+#
+# Every combined fence+barrier in the repo (host exchange, its crash-resilient
+# twin, the topology-aware algorithms, the NIC offload) is built from these
+# three schedules.  Each is written once, as a sub-generator for member
+# ``vrank`` of the agreed list ``ranks``, and is run over a port: the
+# blocking host port above, the resilient host port (receives that raise
+# ``_EpochChanged``), or the NIC engine's frame port.  None of them copies
+# ``acc``: partial sums are always new lists, never updated in place.
+
+
+def sum_pattern(vrank: int, ranks: Sequence[int], send, recv, acc):
+    """Recursive-doubling elementwise sum (paper Figure 2), any ``len(ranks)``.
+
+    For powers of two this is exactly the paper's binary exchange: in phase
+    ``x`` every member exchanges its partial vector with ``vrank XOR x`` and
+    adds.  Otherwise the standard fold: the ``rem = n - 2**k`` highest
+    "extra" members first fold their vectors into a partner, the
+    power-of-two core runs binary exchange, then results are copied back
+    out to the extras (two extra latencies, preserving O(log N)).
+    Returns the fully reduced vector.
+    """
+    n = len(ranks)
+    pof2 = 1 << (n.bit_length() - 1)
+    rem = n - pof2
+    round_no = 0
+    if rem:
+        # Extras are members [pof2, n); extra i folds into partner i - pof2
+        # and sits out the core's log2(pof2) rounds.
+        if vrank >= pof2:
+            partner = ranks[vrank - pof2]
+            yield from send(partner, acc, 0)
+            msg = yield from recv(partner, pof2.bit_length())
+            return list(msg.payload)
+        if vrank < rem:
+            msg = yield from recv(ranks[vrank + pof2], 0)
+            acc = [a + b for a, b in zip(acc, msg.payload)]
+        round_no = 1
+    x = 1
+    while x < pof2:
+        partner = ranks[vrank ^ x]
+        yield from send(partner, acc, round_no)
+        msg = yield from recv(partner, round_no)
+        acc = [a + b for a, b in zip(acc, msg.payload)]
+        x *= 2
+        round_no += 1
+    if vrank < rem:
+        yield from send(ranks[vrank + pof2], acc, round_no)
+    return acc
+
+
+def dissemination_pattern(vrank: int, ranks: Sequence[int], send, recv, acc=None):
+    """Dissemination barrier: ``ceil(log2 n)`` overlapped send+recv rounds.
 
     Equivalent in cost to the paper's binary-exchange ``MPI_Barrier``:
-    each phase is one overlapped exchange, so the communication time is
-    ``log2(N)`` one-way latencies.
+    each round is one overlapped exchange, so the communication time is
+    ``log2(n)`` one-way latencies, for every ``n``.  Given a vector, round
+    ``d`` ships the partial sum to ``vrank + d`` and adds the one from
+    ``vrank - d``; for power-of-two ``n`` (only) every contribution is
+    counted exactly once and the full sum is returned.
     """
+    n = len(ranks)
+    distance = 1
+    round_no = 0
+    while distance < n:
+        yield from send(ranks[(vrank + distance) % n], acc, round_no)
+        msg = yield from recv(ranks[(vrank - distance) % n], round_no)
+        if acc is not None:
+            acc = [a + b for a, b in zip(acc, msg.payload)]
+        distance *= 2
+        round_no += 1
+    return acc
+
+
+def tree_pattern(vrank: int, ranks: Sequence[int], send, recv, acc, radix: int):
+    """Combining tree in heap order, root member 0: up (round 0), down (round 1).
+
+    Member ``i``'s parent is ``(i - 1) // radix``.  With a vector the up
+    pass reduces it and the down pass hands every member the root's totals
+    (shared, not copied); with ``acc=None`` the same two passes are a
+    gather + release barrier of zero-byte messages.
+    """
+    first = radix * vrank + 1
+    children = ranks[first:first + radix]
+    for child in children:
+        msg = yield from recv(child, 0)
+        if acc is not None:
+            acc = [a + b for a, b in zip(acc, msg.payload)]
+    if vrank:
+        parent = ranks[(vrank - 1) // radix]
+        yield from send(parent, acc, 0)
+        msg = yield from recv(parent, 1)
+        acc = msg.payload
+    for child in children:
+        yield from send(child, acc, 1)
+    return acc
+
+
+def barrier(comm: Comm):
+    """The message-passing barrier: :func:`dissemination_pattern` over all ranks."""
     n = comm.nprocs
     if n == 1:
         return
@@ -76,97 +202,28 @@ def barrier(comm: Comm):
     monitor = _san_monitor(comm)
     if monitor is not None:
         monitor.emit("coll_enter", coll="barrier", epoch=seq)
-    rank = comm.rank
-    distance = 1
-    round_no = 0
-    while distance < n:
-        dst = (rank + distance) % n
-        src = (rank - distance) % n
-        tag = _tag(_TAG_BARRIER, seq, round_no)
-        yield from comm.sendrecv(dst, None, source=src, tag=tag, payload_bytes=0)
-        distance *= 2
-        round_no += 1
+    send, recv = host_port(comm, _TAG_BARRIER, seq)
+    yield from dissemination_pattern(comm.rank, range(n), send, recv)
     if monitor is not None:
         monitor.emit("coll_exit", coll="barrier", epoch=seq)
 
 
 def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
-    """Elementwise-sum allreduce of a vector (paper Figure 2).
+    """Elementwise-sum allreduce of a vector: :func:`sum_pattern` over all ranks.
 
-    For powers of two this is exactly the paper's binary exchange: in phase
-    ``x`` every process exchanges its partial vector with ``rank XOR x`` and
-    adds.  Non-powers-of-two use the standard fold: the ``rem = N - 2**k``
-    highest "extra" ranks first fold their vectors into a partner, the
-    power-of-two core runs binary exchange, then results are copied back
-    out to the extras (two extra latencies, preserving O(log N)).
     Returns the fully reduced vector (a new list).
     """
     n = comm.nprocs
-    acc = list(values)
     if n == 1:
-        return acc
+        return list(values)
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
         monitor.emit("coll_enter", coll="allreduce", epoch=seq)
-    rank = comm.rank
-    nbytes = 8 * len(acc)
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-
-    round_no = 0
-    core_rank: Optional[int] = rank  # rank within the power-of-two core
-    if rem:
-        # Extras are ranks [pof2, n); extra i folds into partner i - pof2.
-        if rank >= pof2:
-            partner = rank - pof2
-            yield from comm.send(
-                partner, acc, tag=_tag(_TAG_ALLREDUCE, seq, round_no), payload_bytes=nbytes
-            )
-            core_rank = None
-        elif rank < rem:
-            msg = yield from comm.recv(
-                source=rank + pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-        round_no += 1
-
-    if core_rank is not None:
-        x = 1
-        while x < pof2:
-            partner = rank ^ x
-            msg = yield from comm.sendrecv(
-                partner,
-                acc,
-                tag=_tag(_TAG_ALLREDUCE, seq, round_no),
-                payload_bytes=nbytes,
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-            x *= 2
-            round_no += 1
-    else:
-        # Extras skip the core's log2(pof2) rounds.
-        x = 1
-        while x < pof2:
-            x *= 2
-            round_no += 1
-
-    if rem:
-        if rank < rem:
-            yield from comm.send(
-                rank + pof2,
-                acc,
-                tag=_tag(_TAG_ALLREDUCE, seq, round_no),
-                payload_bytes=nbytes,
-            )
-        elif rank >= pof2:
-            msg = yield from comm.recv(
-                source=rank - pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
-            )
-            acc = list(msg.payload)
+    send, recv = host_port(comm, _TAG_ALLREDUCE, seq)
+    # The one copy of the caller's vector; no reference to it stays in this
+    # frame, so it is freed as soon as the pattern's first partial sum exists.
+    acc = yield from sum_pattern(comm.rank, range(n), send, recv, list(values))
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
     return acc
@@ -367,16 +424,6 @@ def _chaos_tag(inst: int, epoch: int, round_no: int) -> int:
     return _TAG_CHAOS | ((inst % 1024) << 14) | ((epoch % 256) << 6) | (round_no % 64)
 
 
-def _adoption_check(membership, key, epoch0):
-    """True once the instance completed under an epoch older than ours."""
-
-    def check() -> bool:
-        entry = membership.ledger_get(key)
-        return entry is not None and entry[1] < epoch0
-
-    return check
-
-
 def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, restart_check):
     """Receive that polls liveness instead of blocking indefinitely.
 
@@ -397,17 +444,16 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
         yield env.timeout(poll_us)
 
 
-def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst: int):
-    """Crash-aware elementwise-sum allreduce over the survivor view.
+def _resilient(comm: Comm, membership, key, attempt):
+    """Run ``attempt(epoch0)`` to completion under one view, or adopt.
 
-    ``inst`` must be agreed across ranks (SPMD call order).  Returns
-    ``(totals, epoch)`` where ``epoch`` is the membership epoch the totals
-    were computed under.  The totals stay cumulative over the *original*
-    universe: the lowest survivor folds in dead ranks' kill-time snapshot
-    contributions, and the caller subtracts their never-applied operations
-    via ``membership.written_off``.
+    ``attempt`` returns the sub-generator of one try over the view of
+    ``epoch0``; it is abandoned and retried when that view changes
+    (:class:`_EpochChanged`).  A completed value goes into the membership
+    ledger under ``key``; a rank that finds the instance already completed
+    under an older epoch adopts the recorded value.  Returns ``(value,
+    epoch)``.  Vectors are copied into and out of the ledger.
     """
-    key = ("allreduce", inst)
     while True:
         if not membership.in_view(comm.rank):
             # Excluded (partition minority): wait out the freeze instead of
@@ -420,126 +466,82 @@ def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst:
         epoch0 = membership.epoch
         entry = membership.ledger_get(key)
         if entry is not None and entry[1] < epoch0:
-            return list(entry[0]), entry[1]
+            return _copied(entry[0]), entry[1]
         try:
-            totals = yield from _allreduce_survivors(
-                comm, membership, values, inst, epoch0
-            )
+            value = yield from attempt(epoch0)
         except _EpochChanged:
             continue
-        membership.ledger_put(key, list(totals), epoch=epoch0)
-        return totals, epoch0
+        membership.ledger_put(key, _copied(value), epoch=epoch0)
+        return value, epoch0
 
 
-def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int):
+def _copied(value):
+    return None if value is None else list(value)
+
+
+def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
+    """The resilient host port: ``(vrank, ranks, send, recv)`` over the view.
+
+    Same shape as :func:`host_port`, but compacted over ``epoch0``'s
+    survivor view, tagged with the epoch, and with receives that abandon
+    the attempt instead of blocking on a dead partner.
+    """
     ranks = membership.view(epoch0)
-    me = comm.rank
-    if me not in ranks:  # pragma: no cover - dead ranks' processes are killed
+    if comm.rank not in ranks:  # pragma: no cover - dead ranks' processes are killed
         raise _EpochChanged()
-    acc = list(values)
-    vrank = ranks.index(me)
-    if vrank == 0:
-        # The lowest survivor contributes the dead ranks' snapshots so the
-        # totals remain comparable with the targets' cumulative op_done.
-        extra = membership.dead_contribution(epoch0)
-        acc = [a + b for a, b in zip(acc, extra)]
-    n = len(ranks)
-    if n == 1:
-        return acc
-    restart = _adoption_check(membership, ("allreduce", inst), epoch0)
-    nbytes = 8 * len(acc)
-    chan = 2 * inst  # distinct tag channel from this instance's barrier
 
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
+    def restart() -> bool:
+        # True once the instance completed under an epoch older than ours.
+        entry = membership.ledger_get(key)
+        return entry is not None and entry[1] < epoch0
 
-    round_no = 0
-    in_core = True
-    if rem:
-        if vrank >= pof2:
-            yield from comm.send(
-                ranks[vrank - pof2], acc,
-                tag=_chaos_tag(chan, epoch0, round_no), payload_bytes=nbytes,
-            )
-            in_core = False
-        elif vrank < rem:
-            msg = yield from _resilient_recv(
-                comm, membership, ranks[vrank + pof2],
-                _chaos_tag(chan, epoch0, round_no), epoch0, restart,
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-        round_no += 1
+    def send(dst, vector, round_no):
+        return comm.send(
+            dst, vector, tag=_chaos_tag(chan, epoch0, round_no),
+            payload_bytes=0 if vector is None else 8 * len(vector),
+        )
 
-    x = 1
-    while x < pof2:
-        if in_core:
-            partner = ranks[vrank ^ x]
-            tag = _chaos_tag(chan, epoch0, round_no)
-            yield from comm.send(partner, acc, tag=tag, payload_bytes=nbytes)
-            msg = yield from _resilient_recv(
-                comm, membership, partner, tag, epoch0, restart
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-        x *= 2
-        round_no += 1
+    def recv(src, round_no):
+        return _resilient_recv(
+            comm, membership, src, _chaos_tag(chan, epoch0, round_no), epoch0, restart
+        )
 
-    if rem:
-        tag = _chaos_tag(chan, epoch0, round_no)
-        if vrank < rem:
-            yield from comm.send(
-                ranks[vrank + pof2], acc, tag=tag, payload_bytes=nbytes
-            )
-        elif vrank >= pof2:
-            msg = yield from _resilient_recv(
-                comm, membership, ranks[vrank - pof2], tag, epoch0, restart
-            )
-            acc = list(msg.payload)
-    return acc
+    return ranks.index(comm.rank), ranks, send, recv
+
+
+def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst: int):
+    """Crash-aware elementwise-sum allreduce over the survivor view.
+
+    ``inst`` must be agreed across ranks (SPMD call order).  Returns
+    ``(totals, epoch)`` where ``epoch`` is the membership epoch the totals
+    were computed under.  The totals stay cumulative over the *original*
+    universe: the lowest survivor folds in dead ranks' kill-time snapshot
+    contributions, and the caller subtracts their never-applied operations
+    via ``membership.written_off``.
+    """
+    key = ("allreduce", inst)
+
+    def attempt(epoch0):
+        # Tag channel 2*inst: distinct from this instance's barrier.
+        vrank, ranks, send, recv = _survivor_port(comm, membership, key, 2 * inst, epoch0)
+        acc = list(values)
+        if vrank == 0:
+            # The lowest survivor contributes the dead ranks' snapshots so the
+            # totals remain comparable with the targets' cumulative op_done.
+            extra = membership.dead_contribution(epoch0)
+            acc = [a + b for a, b in zip(acc, extra)]
+        return sum_pattern(vrank, ranks, send, recv, acc)
+
+    return _resilient(comm, membership, key, attempt)
 
 
 def resilient_barrier(comm: Comm, membership, inst: int):
     """Crash-aware dissemination barrier over the survivor view."""
     key = ("barrier", inst)
-    while True:
-        if not membership.in_view(comm.rank):
-            # See resilient_allreduce_sum: an excluded rank freezes here
-            # rather than busy-looping on a view it is not part of.
-            yield from membership.freeze_gate(comm.rank)
-            continue
-        epoch0 = membership.epoch
-        entry = membership.ledger_get(key)
-        if entry is not None and entry[1] < epoch0:
-            return
-        try:
-            yield from _barrier_survivors(comm, membership, inst, epoch0)
-        except _EpochChanged:
-            continue
-        membership.ledger_put(key, True, epoch=epoch0)
-        return
 
+    def attempt(epoch0):
+        return dissemination_pattern(
+            *_survivor_port(comm, membership, key, 2 * inst + 1, epoch0)
+        )
 
-def _barrier_survivors(comm: Comm, membership, inst: int, epoch0: int):
-    ranks = membership.view(epoch0)
-    me = comm.rank
-    if me not in ranks:  # pragma: no cover - dead ranks' processes are killed
-        raise _EpochChanged()
-    n = len(ranks)
-    if n <= 1:
-        return
-    restart = _adoption_check(membership, ("barrier", inst), epoch0)
-    vrank = ranks.index(me)
-    chan = 2 * inst + 1
-    distance = 1
-    round_no = 0
-    while distance < n:
-        tag = _chaos_tag(chan, epoch0, round_no)
-        yield from comm.send(
-            ranks[(vrank + distance) % n], None, tag=tag, payload_bytes=0
-        )
-        yield from _resilient_recv(
-            comm, membership, ranks[(vrank - distance) % n], tag, epoch0, restart
-        )
-        distance *= 2
-        round_no += 1
+    return _resilient(comm, membership, key, attempt)

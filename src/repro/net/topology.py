@@ -52,20 +52,20 @@ class Topology:
                     f"node ids must be dense 0..k-1, got {used}"
                 )
             self._node_of = placement
-            self.procs_per_node = max(
-                placement.count(n) for n in used
-            )
         else:
             if procs_per_node < 1:
                 raise ValueError(
                     f"procs_per_node must be >= 1, got {procs_per_node}"
                 )
-            self.procs_per_node = procs_per_node
             self._node_of = [r // procs_per_node for r in range(nprocs)]
         self.nnodes = max(self._node_of) + 1
         self._ranks_on: List[List[int]] = [[] for _ in range(self.nnodes)]
         for rank, node in enumerate(self._node_of):
             self._ranks_on[node].append(rank)
+        #: The most ranks any one node hosts.
+        self.procs_per_node = max(len(ranks) for ranks in self._ranks_on)
+        #: The lowest rank of each node, indexed by node.
+        self.leaders: Tuple[int, ...] = tuple(ranks[0] for ranks in self._ranks_on)
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,8 @@ the three stages of the combined fence+barrier among themselves:
 
 1. each NIC folds the doorbell rows of its hosted ranks and runs an
    elementwise-sum over nodes (pairwise recursive doubling, or a binary
-   combining tree with ``nic_algorithm="tree"``);
+   combining tree with ``nic_algorithm="tree"`` — the host algorithms'
+   own patterns from :mod:`repro.mp.collectives`, run over NIC frames);
 2. stage 2 is satisfied against a NIC-resident *mirror* of the server's
    ``op_done`` counters, pushed down over DMA by the server thread on
    every completion (see :meth:`mirror_push`);
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..mp.collectives import dissemination_pattern, sum_pattern, tree_pattern
 from ..net.message import nic_endpoint
 from ..sim.core import Event
 from ..sim.primitives import Broadcast, FilterStore
@@ -51,7 +53,9 @@ class NicFrame:
     epoch: int
     phase: str
     src_node: int
-    values: Optional[List[int]] = None
+    #: The vector, or None for a control frame (named as on
+    #: :class:`~repro.mp.comm.MPMessage`: the shared patterns read it).
+    payload: Optional[List[int]] = None
 
 
 class _EpochState:
@@ -146,7 +150,7 @@ class NicEngine:
         membership = getattr(self.fabric, "_membership", None)
         if (
             membership is not None
-            and getattr(membership, "_transient", False)
+            and membership.transient
             and not membership.in_view(rank)
         ):
             # Fencing at the doorbell: a partition-excluded rank must not
@@ -275,10 +279,12 @@ class NicEngine:
             )
 
         # Stage 1: elementwise sum over nodes.
+        nodes = range(self.topology.nnodes)
+        send, recv = self._port(epoch, "s1")
         if p.nic_algorithm == "tree":
-            totals = yield from self._tree_sum(epoch, partial)
+            totals = yield from tree_pattern(self.node, nodes, send, recv, partial, 2)
         else:
-            totals = yield from self._exchange_sum(epoch, partial)
+            totals = yield from sum_pattern(self.node, nodes, send, recv, partial)
         state.totals = list(totals)
 
         # Stage 2: wait on the op_done mirror for every hosted rank.
@@ -293,10 +299,11 @@ class NicEngine:
             )
 
         # Stage 3: node-level barrier among the NICs.
+        send, recv = self._port(epoch, "s3")
         if p.nic_algorithm == "tree":
-            yield from self._tree_barrier(epoch)
+            yield from tree_pattern(self.node, nodes, send, recv, None, 2)
         else:
-            yield from self._dissemination_barrier(epoch)
+            yield from dissemination_pattern(self.node, nodes, send, recv)
 
         # Release: DMA the completion back to each hosted rank.  Committing
         # first means a view change landing inside the DMA window still
@@ -365,73 +372,14 @@ class NicEngine:
         )
         return envelope.payload
 
-    # -- stage-1 / stage-3 algorithms ----------------------------------------
+    def _port(self, epoch: int, stage: str):
+        """The NIC port of the shared patterns: round ``r`` of ``stage``
+        travels as frame phase ``"<stage>-<r>"`` (an opaque match key)."""
 
-    def _exchange_sum(self, epoch: int, values: List[int]):
-        """Recursive-doubling elementwise sum over nodes (non-pow2 folds)."""
-        nodes = self.topology.nnodes
-        me = self.node
-        vec = list(values)
-        if nodes == 1:
-            return vec
-        pow2 = 1 << (nodes.bit_length() - 1)
-        rem = nodes - pow2
-        if me >= pow2:
-            yield from self._send_frame(epoch, "s1-fold", me - pow2, vec)
-            frame = yield from self._recv_frame(epoch, "s1-res", me - pow2)
-            return list(frame.values)
-        if me < rem:
-            frame = yield from self._recv_frame(epoch, "s1-fold", me + pow2)
-            vec = [a + b for a, b in zip(vec, frame.values)]
-        dist, phase = 1, 0
-        while dist < pow2:
-            peer = me ^ dist
-            yield from self._send_frame(epoch, f"s1-x{phase}", peer, vec)
-            frame = yield from self._recv_frame(epoch, f"s1-x{phase}", peer)
-            vec = [a + b for a, b in zip(vec, frame.values)]
-            dist <<= 1
-            phase += 1
-        if me < rem:
-            yield from self._send_frame(epoch, "s1-res", me + pow2, vec)
-        return vec
+        def send(dst_node, vector, round_no):
+            return self._send_frame(epoch, f"{stage}-{round_no}", dst_node, vector)
 
-    def _dissemination_barrier(self, epoch: int):
-        nodes = self.topology.nnodes
-        me = self.node
-        dist, phase = 1, 0
-        while dist < nodes:
-            yield from self._send_frame(epoch, f"s3-d{phase}", (me + dist) % nodes)
-            yield from self._recv_frame(epoch, f"s3-d{phase}", (me - dist) % nodes)
-            dist <<= 1
-            phase += 1
+        def recv(src_node, round_no):
+            return self._recv_frame(epoch, f"{stage}-{round_no}", src_node)
 
-    def _children(self) -> List[int]:
-        nodes = self.topology.nnodes
-        return [c for c in (2 * self.node + 1, 2 * self.node + 2) if c < nodes]
-
-    def _tree_sum(self, epoch: int, values: List[int]):
-        """Binary combining tree (heap order, root = node 0): up then down."""
-        me = self.node
-        vec = list(values)
-        for child in self._children():
-            frame = yield from self._recv_frame(epoch, "t-up", child)
-            vec = [a + b for a, b in zip(vec, frame.values)]
-        if me != 0:
-            parent = (me - 1) // 2
-            yield from self._send_frame(epoch, "t-up", parent, vec)
-            frame = yield from self._recv_frame(epoch, "t-dn", parent)
-            vec = list(frame.values)
-        for child in self._children():
-            yield from self._send_frame(epoch, "t-dn", child, vec)
-        return vec
-
-    def _tree_barrier(self, epoch: int):
-        me = self.node
-        for child in self._children():
-            yield from self._recv_frame(epoch, "t-rdy", child)
-        if me != 0:
-            parent = (me - 1) // 2
-            yield from self._send_frame(epoch, "t-rdy", parent)
-            yield from self._recv_frame(epoch, "t-go", parent)
-        for child in self._children():
-            yield from self._send_frame(epoch, "t-go", child)
+        return send, recv

@@ -251,6 +251,11 @@ class MembershipService:
 
     # -- views ----------------------------------------------------------------
 
+    @property
+    def transient(self) -> bool:
+        """Does the plan schedule recoverable faults (partitions / pauses)?"""
+        return self._transient
+
     def is_alive(self, rank: int) -> bool:
         return rank in self._alive
 

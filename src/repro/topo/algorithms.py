@@ -30,9 +30,10 @@ completion, synchronize — and the same fence-inclusion guarantee:
   Stage 2 stays per-rank: every rank polls its own server's
   ``op_done`` counter.
 
-All three run over the :class:`~repro.mp.comm.Comm` point-to-point layer
-(so link faults and the reliable delivery layer apply unchanged) and are
-only entered crash-free: under an active membership service
+All three run the shared message patterns of :mod:`repro.mp.collectives`
+over the :class:`~repro.mp.comm.Comm` point-to-point layer (so link faults
+and the reliable delivery layer apply unchanged) and are only entered
+crash-free: under an active membership service
 ``armci_barrier`` routes every host algorithm to the resilient exchange,
 exactly as it does for ``linear``.  SPMD call order is assumed; a
 per-Armci sequence number (``_topo_barrier_seq``) keeps successive
@@ -42,9 +43,12 @@ stage inside one barrier.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING
 
+from ..armci.barrier import _stage2_wait
 from ..mp import collectives
+from ..mp.collectives import dissemination_pattern, host_port, sum_pattern, tree_pattern
+from ..mp.comm import ANY_SOURCE
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.api import Armci
@@ -66,199 +70,51 @@ _R_STAGE3 = 34
 _R_RELEASE = 63
 
 
-def _tag(base: int, seq: int, round_no: int) -> int:
-    return base + (seq % 4096) * 64 + round_no
+def _three_stage(armci: "Armci", coll: str, stage1, stage3):
+    """The skeleton all three algorithms share.
 
-
-def _bump_seq(armci: "Armci") -> int:
+    ``stage1(seq)`` is a sub-generator returning this rank's stage-2
+    target (the system-wide count of operations destined for it);
+    ``stage3(seq)`` is the synchronization that follows the local
+    ``op_done`` wait.  ``seq`` is this barrier's tag sequence number.
+    """
     seq = armci._topo_barrier_seq
     armci._topo_barrier_seq = seq + 1
-    return seq
-
-
-def _stage2_wait(armci: "Armci", target: int):
-    """Per-rank stage 2: poll the local server's op_done counter.
-
-    Identical contract to the flat exchange's stage 2, including the
-    watchdog degrade to the conservative AllFence path.
-    """
-    from ..armci.barrier import _stage2_wait_with_watchdog
-
-    region, addr = armci.server.op_done_cell(armci.rank)
-    watchdog_us = armci.params.watchdog_timeout_us
-    if watchdog_us > 0.0:
-        done = yield from _stage2_wait_with_watchdog(
-            armci, region, addr, target, watchdog_us
-        )
-        if not done:
-            from ..armci import fence as fence_mod
-
-            armci.stats["barrier_fallbacks"] = (
-                armci.stats.get("barrier_fallbacks", 0) + 1
-            )
-            yield from fence_mod.allfence_linear(armci)
-    else:
-        yield from region.wait_until(
-            addr, lambda v: v >= target, poll_detect_us=armci.params.poll_detect_us
-        )
-
-
-# -- generic subset collectives ----------------------------------------------------
-
-
-def _allreduce_over(
-    comm,
-    values: Sequence,
-    ranks: Sequence[int],
-    base: int,
-    seq: int,
-    round0: int,
-):
-    """Recursive-doubling elementwise sum over the ``ranks`` subset.
-
-    Mirrors :func:`repro.mp.collectives.allreduce_sum` (power-of-two
-    core plus fold for the remainder), but over an arbitrary agreed rank
-    list — the leaders of the two-level barrier.  Only members call it.
-    """
-    n = len(ranks)
-    acc = list(values)
-    if n == 1:
-        return acc
-    vrank = ranks.index(comm.rank)
-    nbytes = 8 * len(acc)
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-
-    round_no = round0
-    in_core = True
-    if rem:
-        if vrank >= pof2:
-            yield from comm.send(
-                ranks[vrank - pof2], acc,
-                tag=_tag(base, seq, round_no), payload_bytes=nbytes,
-            )
-            in_core = False
-        elif vrank < rem:
-            msg = yield from comm.recv(
-                source=ranks[vrank + pof2], tag=_tag(base, seq, round_no)
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-        round_no += 1
-
-    x = 1
-    while x < pof2:
-        if in_core:
-            partner = ranks[vrank ^ x]
-            msg = yield from comm.sendrecv(
-                partner, acc, tag=_tag(base, seq, round_no), payload_bytes=nbytes
-            )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-        x *= 2
-        round_no += 1
-
-    if rem:
-        tag = _tag(base, seq, round_no)
-        if vrank < rem:
-            yield from comm.send(
-                ranks[vrank + pof2], acc, tag=tag, payload_bytes=nbytes
-            )
-        elif vrank >= pof2:
-            msg = yield from comm.recv(source=ranks[vrank - pof2], tag=tag)
-            acc = list(msg.payload)
-    return acc
-
-
-def _barrier_over(comm, ranks: Sequence[int], base: int, seq: int, round0: int):
-    """Dissemination barrier over the ``ranks`` subset."""
-    n = len(ranks)
-    if n <= 1:
-        return
-    vrank = ranks.index(comm.rank)
-    distance = 1
-    round_no = round0
-    while distance < n:
-        tag = _tag(base, seq, round_no)
-        yield from comm.sendrecv(
-            ranks[(vrank + distance) % n],
-            None,
-            source=ranks[(vrank - distance) % n],
-            tag=tag,
-            payload_bytes=0,
-        )
-        distance *= 2
-        round_no += 1
-
-
-# -- k-ary combining tree ----------------------------------------------------------
-
-
-def _kary_children(rank: int, radix: int, nprocs: int) -> List[int]:
-    first = radix * rank + 1
-    return list(range(first, min(first + radix, nprocs)))
+    monitor = armci._monitor
+    if monitor is not None:
+        # All-to-all dependence holds (each is a full barrier), so joining
+        # every enter at each exit is sound for the happens-before engine.
+        monitor.emit("coll_enter", coll=coll, epoch=seq)
+    target = yield from stage1(seq)
+    yield from _stage2_wait(armci, target)
+    yield from stage3(seq)
+    if monitor is not None:
+        monitor.emit("coll_exit", coll=coll, epoch=seq)
 
 
 def kary_sync(armci: "Armci"):
-    """Three-stage barrier over a k-ary combining tree rooted at rank 0."""
+    """Three-stage barrier over a k-ary combining tree rooted at rank 0.
+
+    Stage 1 reduces the ``op_init`` vectors up the tree and hands the
+    totals back down; stage 3 is the same tree with zero-byte messages.
+    """
     comm = armci.comm
     rank = armci.rank
-    n = armci.nprocs
+    ranks = range(armci.nprocs)
     radix = armci.params.tree_radix
-    seq = _bump_seq(armci)
-    monitor = armci._monitor
-    if monitor is not None:
-        # All-to-all dependence holds (it is a full barrier), so joining
-        # every enter at each exit is sound for the happens-before engine.
-        monitor.emit("coll_enter", coll="kary", epoch=seq)
-    children = _kary_children(rank, radix, n)
-    parent = (rank - 1) // radix
-    nbytes = 8 * n
 
-    # Stage 1a: reduce op_init vectors up the tree.
-    acc = list(armci.op_init)
-    for child in children:
-        msg = yield from comm.recv(
-            source=child, tag=_tag(_TAG_KARY, seq, _R_GATHER)
+    def stage1(seq):
+        send, recv = host_port(comm, _TAG_KARY, seq, _R_GATHER)
+        totals = yield from tree_pattern(
+            rank, ranks, send, recv, list(armci.op_init), radix
         )
-        acc = [a + b for a, b in zip(acc, msg.payload)]
-    if rank != 0:
-        yield from comm.send(
-            parent, acc, tag=_tag(_TAG_KARY, seq, _R_GATHER), payload_bytes=nbytes
-        )
-        # Stage 1b: totals come back down.
-        msg = yield from comm.recv(
-            source=parent, tag=_tag(_TAG_KARY, seq, _R_ALLREDUCE)
-        )
-        totals = msg.payload
-    else:
-        totals = acc
-    for child in children:
-        yield from comm.send(
-            child, totals, tag=_tag(_TAG_KARY, seq, _R_ALLREDUCE), payload_bytes=nbytes
-        )
+        return totals[rank]
 
-    # Stage 2: local completion.
-    yield from _stage2_wait(armci, totals[rank])
+    def stage3(seq):
+        send, recv = host_port(comm, _TAG_KARY, seq, _R_STAGE3)
+        return tree_pattern(rank, ranks, send, recv, None, radix)
 
-    # Stage 3: zero-byte gather + release over the same tree.
-    for child in children:
-        yield from comm.recv(source=child, tag=_tag(_TAG_KARY, seq, _R_STAGE3))
-    if rank != 0:
-        yield from comm.send(
-            parent, None, tag=_tag(_TAG_KARY, seq, _R_STAGE3), payload_bytes=0
-        )
-        yield from comm.recv(source=parent, tag=_tag(_TAG_KARY, seq, _R_RELEASE))
-    for child in children:
-        yield from comm.send(
-            child, None, tag=_tag(_TAG_KARY, seq, _R_RELEASE), payload_bytes=0
-        )
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="kary", epoch=seq)
-
-
-# -- dissemination ----------------------------------------------------------------
+    return _three_stage(armci, "kary", stage1, stage3)
 
 
 def dissemination_sync(armci: "Armci"):
@@ -272,38 +128,20 @@ def dissemination_sync(armci: "Armci"):
     comm = armci.comm
     rank = armci.rank
     n = armci.nprocs
-    seq = _bump_seq(armci)
-    monitor = armci._monitor
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="dissemination", epoch=seq)
-    if n & (n - 1):
-        totals = yield from collectives.allreduce_sum(comm, armci.op_init)
-    else:
-        acc = list(armci.op_init)
-        nbytes = 8 * n
-        distance = 1
-        round_no = _R_ALLREDUCE
-        while distance < n:
-            msg = yield from comm.sendrecv(
-                (rank + distance) % n,
-                acc,
-                source=(rank - distance) % n,
-                tag=_tag(_TAG_DISSEM, seq, round_no),
-                payload_bytes=nbytes,
+
+    def stage1(seq):
+        if n & (n - 1):
+            totals = yield from collectives.allreduce_sum(comm, armci.op_init)
+        else:
+            send, recv = host_port(comm, _TAG_DISSEM, seq, _R_ALLREDUCE)
+            totals = yield from dissemination_pattern(
+                rank, range(n), send, recv, list(armci.op_init)
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
-            distance *= 2
-            round_no += 1
-        totals = acc
+        return totals[rank]
 
-    yield from _stage2_wait(armci, totals[rank])
-
-    yield from collectives.barrier(comm)
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="dissemination", epoch=seq)
-
-
-# -- two-level leader-based --------------------------------------------------------
+    return _three_stage(
+        armci, "dissemination", stage1, lambda seq: collectives.barrier(comm)
+    )
 
 
 def twolevel_sync(armci: "Armci"):
@@ -314,62 +152,43 @@ def twolevel_sync(armci: "Armci"):
     among themselves (one vector per node on the wire), then hand each
     local rank its own slot of the totals.  Stage 2 is per-rank.  Stage
     3: locals signal the leader, leaders run a dissemination barrier,
-    leaders release locals.
+    leaders release locals.  The leader takes its locals' messages in
+    arrival order (any-source receives).
     """
     comm = armci.comm
-    topology = armci.topology
     rank = armci.rank
-    seq = _bump_seq(armci)
-    monitor = armci._monitor
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="twolevel", epoch=seq)
-    locals_ = topology.ranks_on(armci.node)
-    leader = locals_[0]
-    nbytes = 8 * armci.nprocs
+    node = armci.node
+    leaders = armci.topology.leaders
+    leader = leaders[node]
+    followers = armci.topology.ranks_on(node)[1:]
 
-    if rank == leader:
+    def stage1(seq):
+        send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
+        if rank != leader:
+            yield from send(leader, armci.op_init, _R_GATHER)
+            msg = yield from recv(leader, _R_SCATTER)
+            return msg.payload[0]
         acc = list(armci.op_init)
-        for _ in range(len(locals_) - 1):
-            msg = yield from comm.recv(tag=_tag(_TAG_TWOLEVEL, seq, _R_GATHER))
+        for _ in followers:
+            msg = yield from recv(ANY_SOURCE, _R_GATHER)
             acc = [a + b for a, b in zip(acc, msg.payload)]
-        leaders = [topology.ranks_on(node)[0] for node in range(topology.nnodes)]
-        totals = yield from _allreduce_over(
-            comm, acc, leaders, _TAG_TWOLEVEL, seq, _R_ALLREDUCE
-        )
-        for r in locals_:
-            if r != leader:
-                yield from comm.send(
-                    r, totals[r], tag=_tag(_TAG_TWOLEVEL, seq, _R_SCATTER),
-                    payload_bytes=8,
-                )
-        target = totals[rank]
-    else:
-        yield from comm.send(
-            leader, armci.op_init, tag=_tag(_TAG_TWOLEVEL, seq, _R_GATHER),
-            payload_bytes=nbytes,
-        )
-        msg = yield from comm.recv(
-            source=leader, tag=_tag(_TAG_TWOLEVEL, seq, _R_SCATTER)
-        )
-        target = msg.payload
+        exchange = host_port(comm, _TAG_TWOLEVEL, seq, _R_ALLREDUCE)
+        totals = yield from sum_pattern(node, leaders, *exchange, acc)
+        for r in followers:
+            yield from send(r, totals[r:r + 1], _R_SCATTER)
+        return totals[rank]
 
-    yield from _stage2_wait(armci, target)
+    def stage3(seq):
+        send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
+        if rank != leader:
+            yield from send(leader, None, _R_SIGNAL)
+            yield from recv(leader, _R_RELEASE)
+            return
+        for _ in followers:
+            yield from recv(ANY_SOURCE, _R_SIGNAL)
+        exchange = host_port(comm, _TAG_TWOLEVEL, seq, _R_STAGE3)
+        yield from dissemination_pattern(node, leaders, *exchange)
+        for r in followers:
+            yield from send(r, None, _R_RELEASE)
 
-    if rank == leader:
-        for _ in range(len(locals_) - 1):
-            yield from comm.recv(tag=_tag(_TAG_TWOLEVEL, seq, _R_SIGNAL))
-        leaders = [topology.ranks_on(node)[0] for node in range(topology.nnodes)]
-        yield from _barrier_over(comm, leaders, _TAG_TWOLEVEL, seq, _R_STAGE3)
-        for r in locals_:
-            if r != leader:
-                yield from comm.send(
-                    r, None, tag=_tag(_TAG_TWOLEVEL, seq, _R_RELEASE),
-                    payload_bytes=0,
-                )
-    else:
-        yield from comm.send(
-            leader, None, tag=_tag(_TAG_TWOLEVEL, seq, _R_SIGNAL), payload_bytes=0
-        )
-        yield from comm.recv(source=leader, tag=_tag(_TAG_TWOLEVEL, seq, _R_RELEASE))
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="twolevel", epoch=seq)
+    return _three_stage(armci, "twolevel", stage1, stage3)

@@ -85,3 +85,22 @@ class TestAutoSelection:
         """No dirty servers: the bare MPI barrier beats even the NIC."""
         rt = make_cluster(nprocs=16, params=myrinet2000(nic_offload=True))
         assert set(rt.run_spmd(selector_program(0))) == {"linear"}
+
+    def test_uneven_placement_prices_the_fullest_node(self, make_cluster, monkeypatch):
+        """``auto`` reads ppn off the topology; it is the fullest node's count."""
+        from repro.armci import barrier as barrier_mod
+
+        seen = []
+        plain = barrier_mod.estimate_nic_us
+
+        def spy(params, nprocs, nnodes, ppn=1):
+            seen.append((nnodes, ppn))
+            return plain(params, nprocs, nnodes, ppn)
+
+        monkeypatch.setattr(barrier_mod, "estimate_nic_us", spy)
+        rt = make_cluster(
+            nprocs=6, placement=[0, 0, 0, 1, 2, 2],
+            params=myrinet2000(nic_offload=True),
+        )
+        assert len(set(rt.run_spmd(selector_program(5)))) == 1
+        assert set(seen) == {(3, 3)}

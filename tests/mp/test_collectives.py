@@ -1,14 +1,18 @@
 """Unit and property tests for the collective operations."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mp import collectives
+from repro.net.faults import FaultPlan, ProcessCrash
 from repro.net.params import myrinet2000
+from repro.nic.engine import NicEngine
 from repro.runtime.cluster import ClusterRuntime
+from repro.runtime.memory import GlobalAddress
 
 ALL_SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16]
 
@@ -239,3 +243,92 @@ class TestChaosTag:
         a = {collectives._chaos_tag(1, e, r) for e in range(256) for r in range(64)}
         b = {collectives._chaos_tag(2, e, r) for e in range(256) for r in range(64)}
         assert not (a & b)
+
+
+class TestCrossPortParity:
+    """One schedule, three ports: the blocking host port, the resilient
+    host port under a view that never changes, and the NIC frame port
+    (one rank per node) move the same vectors along the same edges."""
+
+    @staticmethod
+    def _puts_then(ctx, collect):
+        base = ctx.region.alloc(ctx.nprocs, initial=0)
+        for peer in range(ctx.nprocs):
+            if peer != ctx.rank:
+                for _ in range(ctx.rank + 1):
+                    yield from ctx.armci.put(GlobalAddress(peer, base), [1])
+        result = yield from collect(ctx)
+        return result
+
+    @staticmethod
+    def _host_run(nprocs, params, sum_fn, barrier_fn):
+        """Per-stage ``(round, src, dst)`` edges and each rank's totals."""
+        edges = {"sum": Counter(), "barrier": Counter()}
+
+        def collect(ctx):
+            comm, sent = ctx.comm, []
+            plain_send = comm.send
+
+            def recording_send(dst, payload, tag=0, payload_bytes=None):
+                # Both tag layouts keep the round in the low six bits.
+                sent.append((tag % 64, comm.rank, dst))
+                return plain_send(dst, payload, tag=tag, payload_bytes=payload_bytes)
+
+            comm.send = recording_send
+            totals = yield from sum_fn(ctx)
+            in_sum = len(sent)
+            yield from barrier_fn(ctx)
+            edges["sum"].update(sent[:in_sum])
+            edges["barrier"].update(sent[in_sum:])
+            return list(totals)
+
+        rt = ClusterRuntime(nprocs, params=params)
+        procs = rt.spawn(TestCrossPortParity._puts_then, collect)
+        rt.run(until=rt.env.all_of(procs.values()))
+        return edges, [procs[rank].value for rank in range(nprocs)]
+
+    @pytest.mark.parametrize("nprocs", [3, 4, 6, 8])
+    def test_same_edges_and_totals(self, nprocs, monkeypatch):
+        blocking = self._host_run(
+            nprocs, myrinet2000(),
+            lambda ctx: collectives.allreduce_sum(ctx.comm, ctx.armci.op_init),
+            lambda ctx: collectives.barrier(ctx.comm),
+        )
+
+        def resilient_sum(ctx):
+            totals, epoch = yield from collectives.resilient_allreduce_sum(
+                ctx.comm, ctx.membership, ctx.armci.op_init, 0
+            )
+            assert epoch == 0
+            return totals
+
+        # A membership service exists, but its one planned crash lies far
+        # beyond the end of the run: the view stays range(nprocs).
+        never = FaultPlan(crashes=(ProcessCrash(at_us=1e12, rank=1),), seed=7)
+        resilient = self._host_run(
+            nprocs, myrinet2000(faults=never), resilient_sum,
+            lambda ctx: collectives.resilient_barrier(ctx.comm, ctx.membership, 0),
+        )
+
+        nic_edges = {"s1": Counter(), "s3": Counter()}
+        plain_send_frame = NicEngine._send_frame
+
+        def recording_send_frame(self, epoch, phase, dst_node, values=None):
+            stage, round_no = phase.split("-")
+            nic_edges[stage][(int(round_no), self.node, dst_node)] += 1
+            return plain_send_frame(self, epoch, phase, dst_node, values)
+
+        monkeypatch.setattr(NicEngine, "_send_frame", recording_send_frame)
+        rt = ClusterRuntime(nprocs, params=myrinet2000())
+        rt.run_spmd(self._puts_then, lambda ctx: ctx.armci.barrier(algorithm="nic"))
+        nic_totals = [
+            engine._epochs[0].totals for engine in rt.fabric._nic_engines.values()
+        ]
+
+        # Rank s issued s + 1 puts to every other rank.
+        sums = [sum(s + 1 for s in range(nprocs) if s != r) for r in range(nprocs)]
+        assert blocking[1] == resilient[1] == nic_totals == [sums] * nprocs
+        assert blocking[0] == resilient[0]
+        assert blocking[0]["sum"] == nic_edges["s1"]
+        assert blocking[0]["barrier"] == nic_edges["s3"]
+        assert sum(blocking[0]["sum"].values()) > 0

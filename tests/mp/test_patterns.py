@@ -1,0 +1,174 @@
+"""The three message patterns, driven without a simulator.
+
+Every member of a pattern runs against an in-memory recording port: ``send``
+files the vector under ``(src, dst, round)`` and returns at once, ``recv``
+yields until a matching vector is filed.  No ``Environment``, no ``Comm``:
+what is checked is the schedule itself — who sends what to whom in which
+round — which is the same for every port the patterns run over.
+"""
+
+import math
+from collections import Counter, deque
+from types import SimpleNamespace
+
+import pytest
+
+from repro.mp.collectives import dissemination_pattern, sum_pattern, tree_pattern
+
+SIZES = range(1, 41)
+RADICES = range(2, 6)
+
+
+class RecordingPort:
+    """Mailboxes keyed ``(src, dst, round)`` plus a log of every send."""
+
+    def __init__(self):
+        self.queued = {}
+        self.sent = []
+
+    def port(self, me):
+        def send(dst, vector, round_no):
+            self.sent.append((round_no, me, dst))
+            self.queued.setdefault((me, dst, round_no), deque()).append(vector)
+            return ()
+
+        def recv(src, round_no):
+            box = self.queued.setdefault((src, me, round_no), deque())
+            while not box:
+                yield
+            return SimpleNamespace(payload=box.popleft())
+
+        return send, recv
+
+    def undelivered(self):
+        return {key: list(box) for key, box in self.queued.items() if box}
+
+
+def run_members(pattern, ranks, vectors, *extra):
+    """Run ``pattern`` for every member to completion, round-robin.
+
+    Returns ``(results by member, the RecordingPort)``; fails on deadlock.
+    """
+    rec = RecordingPort()
+    members = {
+        v: pattern(v, ranks, *rec.port(ranks[v]), vectors[v], *extra)
+        for v in range(len(ranks))
+    }
+    results = {}
+    while members:
+        sent_before, left_before = len(rec.sent), len(members)
+        for v, gen in list(members.items()):
+            try:
+                next(gen)
+            except StopIteration as stop:
+                results[v] = stop.value
+                del members[v]
+        # A sweep in which nobody sent and nobody finished can never unblock.
+        assert (len(rec.sent), len(members)) != (sent_before, left_before), (
+            f"deadlock: members {sorted(members)} blocked"
+        )
+    return results, rec
+
+
+def spread(n):
+    """An agreed rank list that is not ``range(n)``, to exercise the mapping."""
+    return [7 * i + 3 for i in range(n)]
+
+
+def vectors_for(n):
+    return [[v + 1, 100 * v, 1] for v in range(n)]
+
+
+def elementwise_sum(vectors):
+    return [sum(col) for col in zip(*vectors)]
+
+
+def rounds_used(rec):
+    return len({round_no for round_no, _src, _dst in rec.sent})
+
+
+class TestSumPattern:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_member_gets_the_full_sum(self, n):
+        vectors = vectors_for(n)
+        results, rec = run_members(sum_pattern, spread(n), vectors)
+        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+        assert rec.undelivered() == {}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_round_count(self, n):
+        _results, rec = run_members(sum_pattern, range(n), vectors_for(n))
+        log2 = n.bit_length() - 1
+        # Fold, core, copy-back: two rounds more than the power-of-two core.
+        assert rounds_used(rec) == (log2 if n == 1 << log2 else log2 + 2)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_power_of_two_is_the_papers_binary_exchange(self, n):
+        _results, rec = run_members(sum_pattern, range(n), vectors_for(n))
+        assert Counter(rec.sent) == Counter(
+            (r, v, v ^ (1 << r)) for r in range(n.bit_length() - 1) for v in range(n)
+        )
+
+    def test_inputs_are_not_modified(self):
+        vectors = vectors_for(6)
+        run_members(sum_pattern, range(6), vectors)
+        assert vectors == vectors_for(6)
+
+
+class TestDisseminationPattern:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_barrier_rounds_and_edges(self, n):
+        ranks = spread(n)
+        results, rec = run_members(dissemination_pattern, ranks, [None] * n)
+        rounds = math.ceil(math.log2(n)) if n > 1 else 0
+        assert rounds_used(rec) == rounds
+        assert Counter(rec.sent) == Counter(
+            (r, ranks[v], ranks[(v + (1 << r)) % n])
+            for r in range(rounds) for v in range(n)
+        )
+        assert rec.undelivered() == {}
+        assert set(results.values()) == {None}
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    def test_with_a_vector_it_sums_for_powers_of_two(self, n):
+        vectors = vectors_for(n)
+        results, _rec = run_members(dissemination_pattern, range(n), vectors)
+        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+
+
+class TestTreePattern:
+    @pytest.mark.parametrize("radix", RADICES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sum_and_edges(self, n, radix):
+        vectors = vectors_for(n)
+        results, rec = run_members(tree_pattern, range(n), vectors, radix)
+        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+        assert rec.undelivered() == {}
+        # One up edge (round 0) and one down edge (round 1) per non-root
+        # member, each joining i to (i - 1) // radix.
+        assert Counter(rec.sent) == Counter(
+            edge
+            for i in range(1, n)
+            for edge in ((0, i, (i - 1) // radix), (1, (i - 1) // radix, i))
+        )
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_radix_two_is_the_nic_heap_order(self, n):
+        _results, rec = run_members(tree_pattern, range(n), [None] * n, 2)
+        children = {}
+        for round_no, src, dst in rec.sent:
+            if round_no == 1:
+                children.setdefault(src, []).append(dst)
+        for i in range(n):
+            assert children.get(i, []) == [
+                c for c in (2 * i + 1, 2 * i + 2) if c < n
+            ]
+
+    @pytest.mark.parametrize("radix", RADICES)
+    def test_zero_byte_pass_has_the_same_edges(self, radix):
+        n = 23
+        ranks = spread(n)
+        _r, with_vector = run_members(tree_pattern, ranks, vectors_for(n), radix)
+        results, without = run_members(tree_pattern, ranks, [None] * n, radix)
+        assert Counter(without.sent) == Counter(with_vector.sent)
+        assert set(results.values()) == {None}

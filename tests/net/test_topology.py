@@ -58,6 +58,24 @@ class TestExplicitPlacement:
             Topology(2, placement=[0, -1])
 
 
+class TestDerivedLayout:
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            Topology(8, procs_per_node=2),
+            Topology(5, procs_per_node=2),
+            Topology(3, procs_per_node=4),
+            Topology(6, placement=[0, 0, 0, 1, 2, 2]),
+            Topology(5, placement=[2, 0, 1, 1, 1]),
+        ],
+        ids=repr,
+    )
+    def test_procs_per_node_and_leaders_match_a_scan(self, topo):
+        nodes = range(topo.nnodes)
+        assert topo.procs_per_node == max(len(topo.ranks_on(n)) for n in nodes)
+        assert topo.leaders == tuple(topo.ranks_on(n)[0] for n in nodes)
+
+
 class TestValidation:
     def test_zero_procs_rejected(self):
         with pytest.raises(ValueError):
