@@ -39,6 +39,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..mp import collectives
+from ..mp.vector import CountVector
 from ..net.params import MSG_HEADER_BYTES, SMALL_MSG_BYTES
 from ..sim.core import Event
 
@@ -438,7 +439,7 @@ def _nic(armci: "Armci"):
     params = armci.params
     if params.nic_doorbell_us > 0.0:
         yield armci.env.timeout(params.nic_doorbell_us)
-    release = engine.post_doorbell(epoch, armci.rank, armci.op_init)
+    release = engine.post_doorbell(epoch, armci.rank, CountVector(armci.op_init))
     if release is None:
         # Fenced at the doorbell: this rank is partition-excluded from the
         # current view.  Degrade to the resilient exchange, whose freeze
@@ -475,7 +476,9 @@ def _linear(armci: "Armci"):
 def _exchange(armci: "Armci"):
     """The new three-stage operation."""
     # Stage 1: binary-exchange sum of op_init[] (Figure 2).
-    totals = yield from collectives.allreduce_sum(armci.comm, armci.op_init)
+    totals = yield from collectives.allreduce_vector(
+        armci.comm, CountVector(armci.op_init)
+    )
     # Stage 2: poll the server's op_done counter for our own slot.
     yield from _stage2_wait(armci, totals[armci.rank])
     # Stage 3: binary-exchange barrier synchronization.  Ranks that fell

@@ -315,7 +315,10 @@ def run_scalebench(
                     f"coalesce requires nprocs divisible by procs_per_node "
                     f"(got N={nprocs}, ppn={cfg.procs_per_node})"
                 )
-    title = "Barrier scaling: GA_Sync() time, host vs NIC, N up to 1024"
+    title = (
+        "Barrier scaling: GA_Sync() time, host vs NIC, "
+        f"N up to {max(cfg.nprocs_list)}"
+    )
     if base.hierarchy is not None:
         title = (
             "Barrier scaling: GA_Sync() time under hierarchical topology "

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from .comm import Comm
+from .vector import CountVector, ValueVector
 
 __all__ = [
     "host_port",
@@ -31,6 +32,7 @@ __all__ = [
     "dissemination_pattern",
     "tree_pattern",
     "barrier",
+    "allreduce_vector",
     "allreduce_sum",
     "allreduce_sum_fig2",
     "bcast",
@@ -102,8 +104,9 @@ def host_port(comm: Comm, base: int, seq: int, round0: int = 0):
 # three schedules.  Each is written once, as a sub-generator for member
 # ``vrank`` of the agreed list ``ranks``, and is run over a port: the
 # blocking host port above, the resilient host port (receives that raise
-# ``_EpochChanged``), or the NIC engine's frame port.  None of them copies
-# ``acc``: partial sums are always new lists, never updated in place.
+# ``_EpochChanged``), or the NIC engine's frame port.  ``acc`` and every
+# payload are vectors of one kind (see :mod:`repro.mp.vector`): immutable, so
+# nothing here copies one, and combined only with ``+``.
 
 
 def sum_pattern(vrank: int, ranks: Sequence[int], send, recv, acc):
@@ -128,17 +131,17 @@ def sum_pattern(vrank: int, ranks: Sequence[int], send, recv, acc):
             partner = ranks[vrank - pof2]
             yield from send(partner, acc, 0)
             msg = yield from recv(partner, pof2.bit_length())
-            return list(msg.payload)
+            return msg.payload
         if vrank < rem:
             msg = yield from recv(ranks[vrank + pof2], 0)
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = acc + msg.payload
         round_no = 1
     x = 1
     while x < pof2:
         partner = ranks[vrank ^ x]
         yield from send(partner, acc, round_no)
         msg = yield from recv(partner, round_no)
-        acc = [a + b for a, b in zip(acc, msg.payload)]
+        acc = acc + msg.payload
         x *= 2
         round_no += 1
     if vrank < rem:
@@ -163,7 +166,7 @@ def dissemination_pattern(vrank: int, ranks: Sequence[int], send, recv, acc=None
         yield from send(ranks[(vrank + distance) % n], acc, round_no)
         msg = yield from recv(ranks[(vrank - distance) % n], round_no)
         if acc is not None:
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = acc + msg.payload
         distance *= 2
         round_no += 1
     return acc
@@ -182,7 +185,7 @@ def tree_pattern(vrank: int, ranks: Sequence[int], send, recv, acc, radix: int):
     for child in children:
         msg = yield from recv(child, 0)
         if acc is not None:
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = acc + msg.payload
     if vrank:
         parent = ranks[(vrank - 1) // radix]
         yield from send(parent, acc, 0)
@@ -208,28 +211,32 @@ def barrier(comm: Comm):
         monitor.emit("coll_exit", coll="barrier", epoch=seq)
 
 
-def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
+def allreduce_vector(comm: Comm, vector):
     """Elementwise-sum allreduce of a vector: :func:`sum_pattern` over all ranks.
 
-    Returns the fully reduced vector (a new list).
+    Returns the fully reduced vector, of the kind it was given.
     """
     n = comm.nprocs
     if n == 1:
-        return list(values)
+        return vector
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
         monitor.emit("coll_enter", coll="allreduce", epoch=seq)
     send, recv = host_port(comm, _TAG_ALLREDUCE, seq)
-    # The one copy of the caller's vector; no reference to it stays in this
-    # frame, so it is freed as soon as the pattern's first partial sum exists.
-    acc = yield from sum_pattern(comm.rank, range(n), send, recv, list(values))
+    total = yield from sum_pattern(comm.rank, range(n), send, recv, vector)
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
-    return acc
+    return total
 
 
-def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
+def allreduce_sum(comm: Comm, values: Sequence[Any]) -> List[Any]:
+    """:func:`allreduce_vector` of any sequence of numbers; returns a new list."""
+    total = yield from allreduce_vector(comm, ValueVector(values))
+    return total.tolist()
+
+
+def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> List[Any]:
     """The paper's Figure 2, line by line (power-of-two process counts).
 
     ::
@@ -249,9 +256,9 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
     n = comm.nprocs
     if n & (n - 1):
         raise ValueError(f"Figure 2 requires a power-of-two process count, got {n}")
-    acc = list(values)
+    acc = ValueVector(values)
     if n == 1:
-        return acc
+        return acc.tolist()
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
@@ -265,12 +272,12 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
             partner, acc, tag=_tag(_TAG_ALLREDUCE, seq, round_no),
             payload_bytes=nbytes,
         )
-        acc = [a + b for a, b in zip(acc, msg.payload)]
+        acc = acc + msg.payload
         x //= 2
         round_no += 1
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
-    return acc
+    return acc.tolist()
 
 
 def bcast(comm: Comm, value: Any = None, root: int = 0) -> Any:
@@ -452,7 +459,7 @@ def _resilient(comm: Comm, membership, key, attempt):
     (:class:`_EpochChanged`).  A completed value goes into the membership
     ledger under ``key``; a rank that finds the instance already completed
     under an older epoch adopts the recorded value.  Returns ``(value,
-    epoch)``.  Vectors are copied into and out of the ledger.
+    epoch)``.
     """
     while True:
         if not membership.in_view(comm.rank):
@@ -466,17 +473,13 @@ def _resilient(comm: Comm, membership, key, attempt):
         epoch0 = membership.epoch
         entry = membership.ledger_get(key)
         if entry is not None and entry[1] < epoch0:
-            return _copied(entry[0]), entry[1]
+            return entry[0], entry[1]
         try:
             value = yield from attempt(epoch0)
         except _EpochChanged:
             continue
-        membership.ledger_put(key, _copied(value), epoch=epoch0)
+        membership.ledger_put(key, value, epoch=epoch0)
         return value, epoch0
-
-
-def _copied(value):
-    return None if value is None else list(value)
 
 
 def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
@@ -509,27 +512,27 @@ def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
     return ranks.index(comm.rank), ranks, send, recv
 
 
-def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst: int):
-    """Crash-aware elementwise-sum allreduce over the survivor view.
+def resilient_allreduce_sum(comm: Comm, membership, counts: Sequence[int], inst: int):
+    """Crash-aware elementwise-sum allreduce of ``op_init`` over the survivor view.
 
+    ``counts`` is the caller's live list, snapshotted at each attempt;
     ``inst`` must be agreed across ranks (SPMD call order).  Returns
-    ``(totals, epoch)`` where ``epoch`` is the membership epoch the totals
-    were computed under.  The totals stay cumulative over the *original*
-    universe: the lowest survivor folds in dead ranks' kill-time snapshot
-    contributions, and the caller subtracts their never-applied operations
-    via ``membership.written_off``.
+    ``(totals, epoch)`` where ``totals`` is a :class:`CountVector` and
+    ``epoch`` the membership epoch it was computed under.  The totals stay
+    cumulative over the *original* universe: the lowest survivor folds in
+    dead ranks' kill-time snapshot contributions, and the caller subtracts
+    their never-applied operations via ``membership.written_off``.
     """
     key = ("allreduce", inst)
 
     def attempt(epoch0):
         # Tag channel 2*inst: distinct from this instance's barrier.
         vrank, ranks, send, recv = _survivor_port(comm, membership, key, 2 * inst, epoch0)
-        acc = list(values)
+        acc = CountVector(counts)
         if vrank == 0:
             # The lowest survivor contributes the dead ranks' snapshots so the
             # totals remain comparable with the targets' cumulative op_done.
-            extra = membership.dead_contribution(epoch0)
-            acc = [a + b for a, b in zip(acc, extra)]
+            acc = acc + membership.dead_contribution(epoch0)
         return sum_pattern(vrank, ranks, send, recv, acc)
 
     return _resilient(comm, membership, key, attempt)

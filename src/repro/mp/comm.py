@@ -20,6 +20,7 @@ from ..net.params import SMALL_MSG_BYTES, NetworkParams
 from ..net.topology import Topology
 from ..sim.core import Environment
 from ..sim.primitives import FilterStore
+from .vector import CountVector
 
 __all__ = ["Comm", "MPMessage", "ANY_SOURCE", "ANY_TAG"]
 
@@ -141,7 +142,7 @@ def _estimate_bytes(payload: Any) -> int:
     """Rough wire size of a payload: 8 bytes per scalar element."""
     if payload is None:
         return 0
-    if isinstance(payload, (list, tuple)):
+    if isinstance(payload, (list, tuple, CountVector)):
         return max(8 * len(payload), 8)
     if isinstance(payload, (int, float, bool)):
         return 8

@@ -30,9 +30,10 @@ never request the NIC path construct nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..mp.collectives import dissemination_pattern, sum_pattern, tree_pattern
+from ..mp.vector import CountVector
 from ..net.message import nic_endpoint
 from ..sim.core import Event
 from ..sim.primitives import Broadcast, FilterStore
@@ -55,7 +56,7 @@ class NicFrame:
     src_node: int
     #: The vector, or None for a control frame (named as on
     #: :class:`~repro.mp.comm.MPMessage`: the shared patterns read it).
-    payload: Optional[List[int]] = None
+    payload: Optional[CountVector] = None
 
 
 class _EpochState:
@@ -64,13 +65,13 @@ class _EpochState:
     __slots__ = ("rows", "release", "all_rows", "proc", "totals")
 
     def __init__(self, env):
-        self.rows: Dict[int, List[int]] = {}
+        self.rows: Dict[int, CountVector] = {}
         self.release: Dict[int, Event] = {}
         self.all_rows = env.event()
         self.proc = None
         #: Stage-1 result, published so crash recovery can complete a
         #: committed epoch on behalf of an engine wedged in stage 3.
-        self.totals: Optional[List[int]] = None
+        self.totals: Optional[CountVector] = None
 
 
 def ensure_engines(armci: "Armci") -> Dict[int, "NicEngine"]:
@@ -138,7 +139,7 @@ class NicEngine:
 
     # -- host side -----------------------------------------------------------
 
-    def post_doorbell(self, epoch: int, rank: int, row) -> Event:
+    def post_doorbell(self, epoch: int, rank: int, row: CountVector) -> Event:
         """Ring the doorbell for ``rank``'s barrier ``epoch``.
 
         Called from the host process after it charged ``nic_doorbell_us``.
@@ -171,12 +172,9 @@ class NicEngine:
         state = self._epoch_state(epoch)
         release = self.env.event()
         state.release[rank] = release
-        row_copy = list(row)
-        delay = p.nic_dma_us + SLOT_BYTES * len(row_copy) * p.nic_dma_per_byte_us
+        delay = p.nic_dma_us + SLOT_BYTES * len(row) * p.nic_dma_per_byte_us
         arrive = self.env.timeout(delay)
-        arrive.callbacks.append(
-            lambda _ev, r=rank, v=row_copy: self._row_arrived(epoch, r, v)
-        )
+        arrive.callbacks.append(lambda _ev: self._row_arrived(epoch, rank, row))
         if state.proc is None:
             state.proc = self.env.process(
                 self._run_epoch(epoch, state), name=f"nic{self.node}.e{epoch}"
@@ -236,7 +234,7 @@ class NicEngine:
             state = self._epochs[epoch] = _EpochState(self.env)
         return state
 
-    def _row_arrived(self, epoch: int, rank: int, row: List[int]) -> None:
+    def _row_arrived(self, epoch: int, rank: int, row: CountVector) -> None:
         if self.dead:
             return
         state = self._epochs.get(epoch)
@@ -267,12 +265,10 @@ class NicEngine:
         yield state.all_rows
 
         # Local combine: fold each hosted rank's doorbell row.
-        partial = [0] * self.nprocs
+        partial = CountVector.zeros(self.nprocs)
         for rank in sorted(state.rows):
             yield from self._proc_step()
-            row = state.rows[rank]
-            for i, v in enumerate(row):
-                partial[i] += v
+            partial = partial + state.rows[rank]
             self._emit(
                 "nic_combine", epoch=epoch, node=self.node,
                 src="doorbell", rank=rank,
@@ -285,7 +281,7 @@ class NicEngine:
             totals = yield from tree_pattern(self.node, nodes, send, recv, partial, 2)
         else:
             totals = yield from sum_pattern(self.node, nodes, send, recv, partial)
-        state.totals = list(totals)
+        state.totals = totals
 
         # Stage 2: wait on the op_done mirror for every hosted rank.
         for rank in self.hosted:
@@ -339,10 +335,7 @@ class NicEngine:
             "nic_combine", epoch=epoch, node=self.node,
             src="send", phase=phase, peer=dst_node,
         )
-        payload = NicFrame(
-            epoch, phase, self.node,
-            list(values) if values is not None else None,
-        )
+        payload = NicFrame(epoch, phase, self.node, values)
         nbytes = SLOT_BYTES * (len(values) if values is not None else 1)
         # src identity ("nic", node) keeps reliable-delivery channels (and
         # their retransmit state) distinct per sending NIC, and is invisible

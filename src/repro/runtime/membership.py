@@ -65,6 +65,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..mp.vector import CountVector
 from ..net.message import Endpoint
 from ..sim.core import Process
 
@@ -148,7 +149,7 @@ class MembershipService:
         #: Per-(src, dst) count of remote write ops applied at the server.
         self._applied: Dict[Tuple[int, int], int] = {}
         #: Dead ranks' op_init arrays, snapshotted at kill time.
-        self._op_init_snapshot: Dict[int, List[int]] = {}
+        self._op_init_snapshot: Dict[int, CountVector] = {}
 
         #: Completion ledger for crash-resilient collectives:
         #: instance key -> (value, epoch the instance completed under).
@@ -444,7 +445,7 @@ class MembershipService:
         self.crashed_at[rank] = self.env.now
         armci = self.runtime.armcis.get(rank)
         if armci is not None:
-            self._op_init_snapshot[rank] = list(armci.op_init)
+            self._op_init_snapshot[rank] = CountVector(armci.op_init)
         self.fabric.mark_dead(("mp", rank))
         if self.fabric.reliable is not None:
             # Fail-stop includes the rank's sender-side transport state:
@@ -683,7 +684,7 @@ class MembershipService:
         # frozen traffic will not deliver until heal.
         armci = self.runtime.armcis.get(rank)
         if armci is not None:
-            self._op_init_snapshot[rank] = list(armci.op_init)
+            self._op_init_snapshot[rank] = CountVector(armci.op_init)
         self.epoch += 1
         self._excluded_epoch[rank] = self.epoch
         view = tuple(sorted(self._alive - self._excluded))
@@ -1032,7 +1033,7 @@ class MembershipService:
                 total += owed
         return total
 
-    def dead_contribution(self, epoch: int) -> List[int]:
+    def dead_contribution(self, epoch: int) -> CountVector:
         """Elementwise sum of kill-time ``op_init`` snapshots of ranks dead
         in ``epoch``'s view.
 
@@ -1041,14 +1042,11 @@ class MembershipService:
         the targets' ``op_done`` counters are lifetime-cumulative and
         already include everything dead ranks completed before crashing.
         """
-        acc = [0] * self.topology.nprocs
         view = set(self._views.get(epoch, ()))
-        for dead, snapshot in self._op_init_snapshot.items():
-            if dead in view:
-                continue  # will contribute live (or force a view change)
-            for i, v in enumerate(snapshot):
-                acc[i] += v
-        return acc
+        # A snapshotted rank still in the view contributes live (or forces a
+        # view change).
+        gone = [s for dead, s in self._op_init_snapshot.items() if dead not in view]
+        return sum(gone, CountVector.zeros(self.topology.nprocs))
 
     # -- completion ledger -------------------------------------------------------
 

@@ -49,6 +49,7 @@ from ..armci.barrier import _stage2_wait
 from ..mp import collectives
 from ..mp.collectives import dissemination_pattern, host_port, sum_pattern, tree_pattern
 from ..mp.comm import ANY_SOURCE
+from ..mp.vector import CountVector
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.api import Armci
@@ -106,7 +107,7 @@ def kary_sync(armci: "Armci"):
     def stage1(seq):
         send, recv = host_port(comm, _TAG_KARY, seq, _R_GATHER)
         totals = yield from tree_pattern(
-            rank, ranks, send, recv, list(armci.op_init), radix
+            rank, ranks, send, recv, CountVector(armci.op_init), radix
         )
         return totals[rank]
 
@@ -131,11 +132,13 @@ def dissemination_sync(armci: "Armci"):
 
     def stage1(seq):
         if n & (n - 1):
-            totals = yield from collectives.allreduce_sum(comm, armci.op_init)
+            totals = yield from collectives.allreduce_vector(
+                comm, CountVector(armci.op_init)
+            )
         else:
             send, recv = host_port(comm, _TAG_DISSEM, seq, _R_ALLREDUCE)
             totals = yield from dissemination_pattern(
-                rank, range(n), send, recv, list(armci.op_init)
+                rank, range(n), send, recv, CountVector(armci.op_init)
             )
         return totals[rank]
 
@@ -165,17 +168,17 @@ def twolevel_sync(armci: "Armci"):
     def stage1(seq):
         send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
         if rank != leader:
-            yield from send(leader, armci.op_init, _R_GATHER)
+            yield from send(leader, CountVector(armci.op_init), _R_GATHER)
             msg = yield from recv(leader, _R_SCATTER)
             return msg.payload[0]
-        acc = list(armci.op_init)
+        acc = CountVector(armci.op_init)
         for _ in followers:
             msg = yield from recv(ANY_SOURCE, _R_GATHER)
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = acc + msg.payload
         exchange = host_port(comm, _TAG_TWOLEVEL, seq, _R_ALLREDUCE)
         totals = yield from sum_pattern(node, leaders, *exchange, acc)
         for r in followers:
-            yield from send(r, totals[r:r + 1], _R_SCATTER)
+            yield from send(r, [totals[r]], _R_SCATTER)
         return totals[rank]
 
     def stage3(seq):

@@ -5,6 +5,10 @@ files the vector under ``(src, dst, round)`` and returns at once, ``recv``
 yields until a matching vector is filed.  No ``Environment``, no ``Comm``:
 what is checked is the schedule itself — who sends what to whom in which
 round — which is the same for every port the patterns run over.
+
+Each class runs with the packed stage-1 counts; its ``...Generic`` subclass
+reruns every case with the generic vector kind (floats), since the patterns
+must not care which one they carry.
 """
 
 import math
@@ -14,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.mp.collectives import dissemination_pattern, sum_pattern, tree_pattern
+from repro.mp.vector import CountVector, ValueVector
 
 SIZES = range(1, 41)
 RADICES = range(2, 6)
@@ -75,12 +80,21 @@ def spread(n):
     return [7 * i + 3 for i in range(n)]
 
 
-def vectors_for(n):
-    return [[v + 1, 100 * v, 1] for v in range(n)]
+def halves(row):
+    """The generic kind, on floats whose sums are exact in any order."""
+    return ValueVector(x / 2 for x in row)
+
+
+def vectors_for(n, kind):
+    return [kind([v + 1, 100 * v, 1]) for v in range(n)]
 
 
 def elementwise_sum(vectors):
     return [sum(col) for col in zip(*vectors)]
+
+
+def all_hold(results, expected):
+    return all(result.tolist() == expected for result in results.values())
 
 
 def rounds_used(rec):
@@ -88,34 +102,38 @@ def rounds_used(rec):
 
 
 class TestSumPattern:
+    kind = CountVector
+
     @pytest.mark.parametrize("n", SIZES)
     def test_every_member_gets_the_full_sum(self, n):
-        vectors = vectors_for(n)
+        vectors = vectors_for(n, self.kind)
         results, rec = run_members(sum_pattern, spread(n), vectors)
-        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+        assert all_hold(results, elementwise_sum(vectors))
         assert rec.undelivered() == {}
 
     @pytest.mark.parametrize("n", SIZES)
     def test_round_count(self, n):
-        _results, rec = run_members(sum_pattern, range(n), vectors_for(n))
+        _results, rec = run_members(sum_pattern, range(n), vectors_for(n, self.kind))
         log2 = n.bit_length() - 1
         # Fold, core, copy-back: two rounds more than the power-of-two core.
         assert rounds_used(rec) == (log2 if n == 1 << log2 else log2 + 2)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_power_of_two_is_the_papers_binary_exchange(self, n):
-        _results, rec = run_members(sum_pattern, range(n), vectors_for(n))
+        _results, rec = run_members(sum_pattern, range(n), vectors_for(n, self.kind))
         assert Counter(rec.sent) == Counter(
             (r, v, v ^ (1 << r)) for r in range(n.bit_length() - 1) for v in range(n)
         )
 
     def test_inputs_are_not_modified(self):
-        vectors = vectors_for(6)
+        vectors = vectors_for(6, self.kind)
         run_members(sum_pattern, range(6), vectors)
-        assert vectors == vectors_for(6)
+        assert vectors == vectors_for(6, self.kind)
 
 
 class TestDisseminationPattern:
+    kind = CountVector
+
     @pytest.mark.parametrize("n", SIZES)
     def test_barrier_rounds_and_edges(self, n):
         ranks = spread(n)
@@ -131,18 +149,20 @@ class TestDisseminationPattern:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
     def test_with_a_vector_it_sums_for_powers_of_two(self, n):
-        vectors = vectors_for(n)
+        vectors = vectors_for(n, self.kind)
         results, _rec = run_members(dissemination_pattern, range(n), vectors)
-        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+        assert all_hold(results, elementwise_sum(vectors))
 
 
 class TestTreePattern:
+    kind = CountVector
+
     @pytest.mark.parametrize("radix", RADICES)
     @pytest.mark.parametrize("n", SIZES)
     def test_sum_and_edges(self, n, radix):
-        vectors = vectors_for(n)
+        vectors = vectors_for(n, self.kind)
         results, rec = run_members(tree_pattern, range(n), vectors, radix)
-        assert all(results[v] == elementwise_sum(vectors) for v in range(n))
+        assert all_hold(results, elementwise_sum(vectors))
         assert rec.undelivered() == {}
         # One up edge (round 0) and one down edge (round 1) per non-root
         # member, each joining i to (i - 1) // radix.
@@ -168,7 +188,19 @@ class TestTreePattern:
     def test_zero_byte_pass_has_the_same_edges(self, radix):
         n = 23
         ranks = spread(n)
-        _r, with_vector = run_members(tree_pattern, ranks, vectors_for(n), radix)
+        _r, with_vector = run_members(tree_pattern, ranks, vectors_for(n, self.kind), radix)
         results, without = run_members(tree_pattern, ranks, [None] * n, radix)
         assert Counter(without.sent) == Counter(with_vector.sent)
         assert set(results.values()) == {None}
+
+
+class TestSumPatternGeneric(TestSumPattern):
+    kind = staticmethod(halves)
+
+
+class TestDisseminationPatternGeneric(TestDisseminationPattern):
+    kind = staticmethod(halves)
+
+
+class TestTreePatternGeneric(TestTreePattern):
+    kind = staticmethod(halves)

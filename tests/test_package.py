@@ -1,6 +1,9 @@
 """Package-level contract tests: exports, versioning, registry coherence."""
 
 import importlib
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -107,3 +110,21 @@ class TestMultiProgramSpawn:
         rt = make_cluster(nprocs=2)
         with pytest.raises(DeadlockError, match="main"):
             rt.run_spmd(main)
+
+
+class TestNumpyFreeCore:
+    """The barrier, NIC, topology, fuzz and model-checker stacks start without
+    numpy (it costs ~12 MiB and ~0.13 s per process; only ``repro.ga`` and the
+    experiments that use it need it)."""
+
+    def test_core_imports_leave_numpy_out(self):
+        code = (
+            f"import sys; sys.path.insert(0, {str(pathlib.Path(repro.__file__).parents[1])!r})\n"
+            "import repro, repro.armci.api, repro.nic.engine, repro.topo.algorithms\n"
+            "import repro.fuzz.runner, repro.mc.explore\n"
+            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
