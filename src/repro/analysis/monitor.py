@@ -61,7 +61,7 @@ class SyncMonitor:
                 self._actors.setdefault(proc, parent)
             return proc
 
-        env._process_factory = process_with_inheritance
+        env.process_factory = process_with_inheritance
         return self
 
     @classmethod

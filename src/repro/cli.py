@@ -652,7 +652,7 @@ def _chaos(args) -> int:
         overrides["stalls"] = tuple(_parse_stall(spec) for spec in args.stall)
     if (args.partition or args.stall) and not args.kill:
         # A transient-only run: measure freeze/heal/rejoin without the
-        # stock crash schedule (which assumes the default process count).
+        # stock crash schedule.
         overrides.setdefault("barrier_kills", ())
         overrides.setdefault("lock_kills", ())
     params = _preset(args.network)

@@ -74,10 +74,12 @@ class ChaosBenchConfig:
     lock_home: int = 0
     #: ``(rank, at_us)`` kills fired while the rank is inside the combined
     #: barrier's exchange (all ``at_us`` must precede ``barrier_hold_us``).
-    barrier_kills: Tuple[Tuple[int, float], ...] = ((5, 60.0),)
+    #: ``None``: the stock script, rank ``nprocs - 3`` at 60us.
+    barrier_kills: Optional[Tuple[Tuple[int, float], ...]] = None
     #: ``(rank, at_us)`` kills fired while the rank holds the lock (all
-    #: ``at_us`` must follow ``barrier_hold_us``).
-    lock_kills: Tuple[Tuple[int, float], ...] = ((6, 900.0),)
+    #: ``at_us`` must follow ``barrier_hold_us``).  ``None``: the stock
+    #: script, rank ``nprocs - 2`` at 900us.
+    lock_kills: Optional[Tuple[Tuple[int, float], ...]] = None
     #: Absolute sim time before which no non-victim enters the phase-1
     #: barrier: late enough that the victims are already dead inside the
     #: exchange, early enough that they are not yet *declared* dead — so
@@ -101,6 +103,14 @@ class ChaosBenchConfig:
     #: resumes (no crash).
     stalls: Tuple[Tuple[int, float, float], ...] = ()
     params: Optional[NetworkParams] = None
+
+    def __post_init__(self) -> None:
+        # The stock victims are placed relative to the process count (5 and
+        # 6 of the default 8) so the script names ranks that exist.
+        if self.barrier_kills is None:
+            object.__setattr__(self, "barrier_kills", ((self.nprocs - 3, 60.0),))
+        if self.lock_kills is None:
+            object.__setattr__(self, "lock_kills", ((self.nprocs - 2, 900.0),))
 
     def victims(self) -> Tuple[int, ...]:
         return tuple(r for r, _t in self.barrier_kills) + tuple(
@@ -344,11 +354,11 @@ def _validate(cfg: ChaosBenchConfig) -> None:
     victims = cfg.victims()
     if len(set(victims)) != len(victims):
         raise ValueError(f"victim ranks must be distinct, got {victims}")
+    if len(victims) >= cfg.nprocs - 1:
+        raise ValueError("need at least two survivors")
     for rank in victims:
         if not (0 <= rank < cfg.nprocs):
             raise ValueError(f"victim rank {rank} out of range 0..{cfg.nprocs - 1}")
-    if len(victims) >= cfg.nprocs - 1:
-        raise ValueError("need at least two survivors")
     for _rank, at_us in cfg.barrier_kills:
         if at_us >= cfg.barrier_hold_us:
             raise ValueError(
@@ -362,10 +372,13 @@ def _validate(cfg: ChaosBenchConfig) -> None:
                 f"barrier_hold_us={cfg.barrier_hold_us}us"
             )
     if cfg.partitions:
-        procs_per_node = (
-            cfg.nprocs if cfg.lock_kind in _LOCAL_KINDS else cfg.procs_per_node
-        )
-        nnodes = cfg.nprocs // procs_per_node
+        if cfg.lock_kind in _LOCAL_KINDS:
+            raise ValueError(
+                f"single-node lock kinds ({', '.join(_LOCAL_KINDS)}) place "
+                "every rank on one node and cannot be partitioned "
+                f"(got --lock {cfg.lock_kind})"
+            )
+        nnodes = cfg.nprocs // cfg.procs_per_node
         for nodes, from_us, until_us in cfg.partitions:
             if until_us <= from_us:
                 raise ValueError(

@@ -185,26 +185,37 @@ class BaseLock:
 
         The survivors' regeneration already handed the lock onward; this
         handle must land back in its idle state without touching shared
-        words or sending protocol messages.  Resets are by-attribute so
-        every flavor (ticket/_my_ticket, LH-MCS/_phase, Naimi/in_cs+
-        requesting, Raymond/using) reaches idle through one generic hook.
+        words or sending protocol messages.  Each flavor resets its own
+        queue-position fields.
         """
-        for attr, value in (
-            ("_phase", "idle"),
-            ("in_cs", False),
-            ("requesting", False),
-            ("using", False),
-            ("_my_ticket", -1),
-        ):
-            if hasattr(self, attr):
-                setattr(self, attr, value)
 
     def _san_ticket(self):
-        """FIFO-checkable grant number, for ticket-based algorithms."""
-        ticket = getattr(self, "_my_ticket", None)
-        if isinstance(ticket, int) and ticket >= 0:
-            return ticket
+        """FIFO-checkable grant number (ticket-based algorithms only)."""
         return None
+
+    # -- crash recovery ------------------------------------------------------------
+
+    #: Do the lock's protocol words live in the home process's region (so
+    #: recovery needs that region reachable)?  False for message-based
+    #: algorithms, which recover wherever a quorum of daemons is.
+    lock_words_at_home = True
+
+    @classmethod
+    def recover(cls, svc, handles, dead: int, transient: bool):
+        """Sub-generator: repair this lock after ``dead`` left the view.
+
+        Started by the membership service ``svc`` once per (lock, departed
+        rank), after any lease ``dead`` held was revoked and fenced.
+        ``handles`` maps rank -> this lock's handle on that rank — the
+        queue layout *is* the algorithm (paper §3.2), so each flavor
+        splices or regenerates its own.  ``transient`` marks a partition /
+        stall exclusion: ``dead`` is alive, held the lock, and will rejoin.
+        What a coordinator may ask of ``svc``: ``is_alive``, ``in_view``,
+        ``epoch``, ``node_dead``, ``alive_ranks``, ``lease_holder``,
+        ``lock_key``, ``revoke_ticket`` and ``record_token_regen``.
+        """
+        return
+        yield  # make it a generator
 
     def _mark_sync_cells(self, region, addr: int, count: int = 1) -> None:
         """Tag lock protocol words as release/acquire cells for RMCSan."""

@@ -23,25 +23,18 @@ from __future__ import annotations
 
 from ..armci.requests import LockRequest, UnlockRequest
 from ..net.message import server_endpoint
-from ..sim.core import Event
-from .base import BaseLock
+from .ticket import TicketFamilyLock
 
 __all__ = ["HybridLock"]
 
 
-class HybridLock(BaseLock):
+class HybridLock(TicketFamilyLock):
     """Original ARMCI ticket + server-queue hybrid lock."""
 
     kind = "hybrid"
 
     def __init__(self, ctx, home_rank: int, name: str = "hybrid"):
-        super().__init__(ctx, home_rank, name)
-        region = ctx.regions[home_rank]
-        #: [ticket, counter] in the home process's region.
-        self.base_addr = region.alloc_named(f"hybrid:{name}", 2, initial=0)
-        self._mark_sync_cells(region, self.base_addr, 2)
-        self._home_region = region
-        self._my_ticket = -1
+        super().__init__(ctx, home_rank, name, cells=f"hybrid:{name}")
 
     def _acquire(self):
         if self.is_home_local:

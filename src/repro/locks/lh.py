@@ -109,3 +109,29 @@ class LHLock(BaseLock):
         self._region.write(self._spin_cell, _GRANTED)
         self._phase = "idle"
         self.stats.handoffs += 1
+
+    def _fence_reset(self) -> None:
+        self._phase = "idle"
+
+    @classmethod
+    def recover(cls, svc, handles, dead: int, transient: bool):
+        """Ghost-release for a departed holder; for a dead waiter, chain a
+        ghost forwarder (the grant flows through its cell).  An excluded
+        waiter keeps its queue slot and resumes spinning after heal."""
+        handle = handles[dead]
+        region, p = handle._region, handle.params
+        if handle._phase == "held":
+            if p.shm_access_us > 0.0:
+                yield handle.env.timeout(p.shm_access_us)
+            region.write(handle._spin_cell, _GRANTED)
+        elif handle._phase == "waiting" and not transient:
+            # When the predecessor eventually grants the dead waiter,
+            # forward the grant to whoever spins on the cell it published.
+            yield from region.wait_until(
+                handle._prev_cell,
+                lambda v: v == _GRANTED,
+                poll_detect_us=p.poll_detect_us,
+            )
+            if p.shm_access_us > 0.0:
+                yield handle.env.timeout(p.shm_access_us)
+            region.write(handle._published_cell, _GRANTED)

@@ -227,3 +227,163 @@ class MCSLock(BaseLock):
                 self._pending_release = None
             done.succeed()
         return None
+
+    # -- crash recovery ------------------------------------------------------------
+
+    def _fence_reset(self) -> None:
+        self._phase = "idle"
+
+    @classmethod
+    def recover(cls, svc, handles, dead: int, transient: bool):
+        """Splice a departed rank out of the chain by direct region surgery.
+
+        An excluded (``transient``) waiter keeps its chain position and
+        resumes after heal; only a holder is ghost-released."""
+        handle = handles[dead]
+        if handle._phase in ("held", "releasing"):
+            # "releasing": killed mid-release — after entering _release()
+            # but before the handoff put / tail CAS completed.  The ghost
+            # release observes the region first and only repairs what is
+            # still missing, so it is safe for every partial outcome.
+            yield from cls._ghost_release(svc, handles, handle)
+            return
+        if transient or handle._phase != "waiting":
+            return
+        prev = handle._prev_ptr
+        if prev is None or prev == NULL_PTR:
+            return  # died before entering the queue
+        prev_rank, prev_base = prev
+        p, regions = handle.params, handle.ctx.regions
+        prev_region, dead_region = regions[prev_rank], regions[dead]
+        nbase = handle.node_struct.base
+        if p.shm_access_us > 0.0:
+            yield handle.env.timeout(p.shm_access_us)
+        link = (
+            prev_region.read(prev_base + _OFF_NEXT),
+            prev_region.read(prev_base + _OFF_NEXT + 1),
+        )
+        if link != handle._my_ptr:
+            # The dead rank swapped the tail but never finished linking:
+            # complete its enqueue so the predecessor's release can find a
+            # successor (and arm the locked flag the handoff will clear).
+            dead_region.write(nbase + _OFF_LOCKED, _TRUE)
+            prev_region.write(prev_base + _OFF_NEXT, dead)
+            prev_region.write(prev_base + _OFF_NEXT + 1, nbase)
+        # Wait for the predecessor's (eventual) handoff, then pass it on.
+        yield from dead_region.wait_until(
+            nbase + _OFF_LOCKED,
+            lambda v: v == _FALSE,
+            poll_detect_us=p.poll_detect_us,
+        )
+        yield from cls._ghost_release(svc, handles, handle)
+
+    @staticmethod
+    def _lost_linker(svc, handles, dead_handle):
+        """The live waiter whose enqueue link targeted the dead node, if its
+        locked flag is already armed (so a ghost handoff cannot race the
+        arming store).  At most one waiter can have swapped the tail to
+        find the dead node as its predecessor."""
+        for rank, h in handles.items():
+            if h is dead_handle or h._phase != "waiting":
+                continue
+            if h._prev_ptr != dead_handle._my_ptr or not svc.is_alive(rank):
+                continue
+            base = h.node_struct.base
+            if h.ctx.region.read(base + _OFF_LOCKED) == _TRUE:
+                return (rank, base)
+        return None
+
+    @classmethod
+    def _ghost_release(cls, svc, handles, handle):
+        """Perform (or finish) the departed rank's release on its behalf.
+
+        Idempotent against a release the dead rank had already begun: every
+        branch observes the region state first and only repairs what is
+        still missing — a handoff put or tail CAS that was applied before
+        the crash is never redone (rewriting a successor's ``locked`` flag
+        after it moved on would grant a later acquisition spuriously).
+        """
+        p, env, topology = handle.params, handle.env, handle.ctx.topology
+        dead = handle.ctx.rank
+        dead_region = handle.ctx.region
+        nbase = handle.node_struct.base
+        my_ptr = handle._my_ptr
+        home_region = handle.ctx.regions[handle.home_rank]
+        lock_addr = handle.lock_addr
+
+        def read_next():
+            return (
+                dead_region.read(nbase + _OFF_NEXT),
+                dead_region.read(nbase + _OFF_NEXT + 1),
+            )
+
+        def linker_pending() -> bool:
+            """Will anyone still write a link into the dead node's next?
+
+            True for a waiter that enqueued directly behind the dead node
+            (its own spin code or crash recovery will complete the link),
+            and for a live waiter whose tail swap has not resolved yet —
+            it may still turn out to have swapped behind the dead node.
+            """
+            for rank, h in handles.items():
+                if h is handle or h._phase != "waiting":
+                    continue
+                if h._prev_ptr == my_ptr:
+                    return True
+                if h._prev_ptr is None and svc.is_alive(rank):
+                    return True
+            return False
+
+        if p.shm_access_us > 0.0:
+            yield env.timeout(p.shm_access_us)
+        next_ptr = read_next()
+        if next_ptr == NULL_PTR:
+            if p.shm_atomic_us > 0.0:
+                yield env.timeout(p.shm_atomic_us)
+            tail = (home_region.read(lock_addr), home_region.read(lock_addr + 1))
+            if tail == my_ptr:
+                # Still the tail with no successor: the dead rank's release
+                # CAS never applied (or was never issued); perform it.
+                home_region.write(lock_addr, NULL_PTR[0])
+                home_region.write(lock_addr + 1, NULL_PTR[1])
+                return
+            if tail == NULL_PTR:
+                # The dead rank's own release CAS already applied.
+                return
+            # The tail moved past the dead node.  Either a successor
+            # swapped in behind it and has not linked yet (the link will
+            # come), or the dead rank completed its release CAS before
+            # crashing and the tail belongs to a fresh chain that owes the
+            # dead node nothing.  Resolve by watching the link cell and
+            # the waiting handles until one of the two becomes certain.
+            dead_node = topology.node_of(dead)
+            while True:
+                next_ptr = read_next()
+                if next_ptr != NULL_PTR:
+                    break
+                if svc.node_dead(dead_node):
+                    # The dead rank's whole node is down, so a live
+                    # successor's link write — routed through that node's
+                    # server — can never be applied; waiting for it would
+                    # spin forever.  Complete the enqueue on the linker's
+                    # behalf (idempotent: the original write is provably
+                    # lost).  Only once the linker has armed its own
+                    # locked flag, or the handoff below could race the
+                    # arming store and be overwritten.
+                    linker = cls._lost_linker(svc, handles, handle)
+                    if linker is not None:
+                        dead_region.write(nbase + _OFF_NEXT, linker[0])
+                        dead_region.write(nbase + _OFF_NEXT + 1, linker[1])
+                        continue
+                if not linker_pending() or svc.node_dead(handle.home_node):
+                    return  # nobody will ever link: release already done
+                yield env.timeout(p.membership_poll_us)
+        # Hand off — unless the dead rank's own handoff already landed and
+        # the successor moved on (its locked flag may since be re-armed).
+        succ = handles.get(next_ptr[0])
+        if succ is not None and succ._phase != "waiting":
+            return
+        if p.shm_access_us > 0.0:
+            yield env.timeout(p.shm_access_us)
+        next_rank, next_base = next_ptr
+        handle.ctx.regions[next_rank].write(next_base + _OFF_LOCKED, _FALSE)

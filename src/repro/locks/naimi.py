@@ -116,6 +116,18 @@ class NaimiTrehelLock(TokenLockBase):
 
     # -- crash recovery ----------------------------------------------------------
 
+    token_message = "token"
+
+    def _holds_token(self) -> bool:
+        return self.has_token
+
+    def _wants_token(self) -> bool:
+        return self.requesting
+
+    def _fence_reset(self) -> None:
+        self.in_cs = False
+        self.requesting = False
+
     def _apply_view_change(self, info):
         """Crash reconfiguration injected by the membership service.
 

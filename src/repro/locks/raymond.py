@@ -131,6 +131,17 @@ class RaymondLock(TokenLockBase):
 
     # -- crash recovery ------------------------------------------------------------------
 
+    token_message = "privilege"
+
+    def _holds_token(self) -> bool:
+        return self.holder == Self
+
+    def _wants_token(self) -> bool:
+        return Self in self.request_q or self.using
+
+    def _fence_reset(self) -> None:
+        self.using = False
+
     def _apply_view_change(self, info) -> None:
         """Crash reconfiguration injected by the membership service.
 

@@ -13,25 +13,20 @@ from __future__ import annotations
 
 from ..armci.requests import LockRequest, UnlockRequest
 from ..net.message import server_endpoint
-from ..sim.core import Event
-from .base import BaseLock
+from .ticket import TicketFamilyLock
 
 __all__ = ["ServerQueueLock"]
 
 
-class ServerQueueLock(BaseLock):
+class ServerQueueLock(TicketFamilyLock):
     """Server-mediated ticket queue lock, no shared-memory fast path."""
 
     kind = "server"
 
     def __init__(self, ctx, home_rank: int, name: str = "server"):
-        super().__init__(ctx, home_rank, name)
-        region = ctx.regions[home_rank]
         # Shares the [ticket, counter] layout (and server handlers) with the
         # hybrid lock.
-        self.base_addr = region.alloc_named(f"hybrid:{name}", 2, initial=0)
-        self._mark_sync_cells(region, self.base_addr, 2)
-        self._my_ticket = -1
+        super().__init__(ctx, home_rank, name, cells=f"hybrid:{name}")
 
     def _acquire(self):
         reply = self.env.event()

@@ -122,8 +122,91 @@ class TokenLockBase(BaseLock):
         grant, self._pending_grant = self._pending_grant, None
         grant.succeed()
 
+    # -- crash recovery ---------------------------------------------------------------
+
+    lock_words_at_home = False
+
+    @classmethod
+    def recover(cls, svc, handles, dead: int, transient: bool):
+        """Coordinator-led reconfiguration: regenerate the token at a
+        deterministic survivor and reset every survivor's pointers via
+        injected ``view_change`` messages (star re-request topology)."""
+        alive = {r: h for r, h in handles.items() if svc.in_view(r)}
+        if not alive:
+            return
+
+        def requested_at(rank: int) -> float:
+            h = alive[rank]
+            return h._requested_at if h._wants_token() else float("inf")
+
+        # The survivor that holds (or is about to receive) the token.
+        new_holder = next((r for r in sorted(alive) if alive[r]._token_here()), None)
+        token_lost = new_holder is None
+        if token_lost:
+            # Regenerate at the earliest requester (else the lowest rank).
+            new_holder = min(alive, key=lambda r: (requested_at(r), r))
+        payload = {
+            "epoch": svc.epoch,
+            "holder": new_holder,
+            "alive": sorted(alive),
+            "token_lost": token_lost,
+        }
+        svc.record_token_regen(svc.lock_key(alive[new_holder]), payload)
+        # Deliver the view change holder-first, then earliest requester
+        # first, so the rebuilt request chain preserves arrival order of
+        # the surviving requests.
+        order = sorted(alive, key=lambda r: (r != new_holder, requested_at(r), r))
+        sender = alive[new_holder]
+        for rank in order:
+            yield from sender.comm.send(
+                rank, LockMessage("view_change", new_holder, payload), tag=sender.tag
+            )
+
+    def replay_view_change(self, svc, payload):
+        """Rejoin resync: re-send a regeneration this rank missed while
+        excluded *from its own comm* (an intra-node self-send).  Per-pair
+        FIFO delivery then guarantees the daemon applies it before any
+        ``local_request`` the application can post after the freeze gate
+        opens, closing the stale-token window without a handshake.
+        """
+        me = self.ctx.rank
+        # Point the rejoiner at the *current* holder when a lease exists —
+        # the token may have moved since regeneration — and keep the
+        # regeneration epoch so its request/floor epochs stay consistent
+        # with what the majority daemons applied.
+        target = svc.lease_holder(svc.lock_key(self))
+        if target is None or target == me or not svc.in_view(target):
+            target = payload["holder"]
+        if target == me or not svc.in_view(target):
+            target = min((v for v in svc.alive_ranks() if v != me), default=me)
+        refreshed = dict(
+            payload, holder=target, alive=sorted(set(payload["alive"]) | {me})
+        )
+        yield from self.comm.send(
+            me, LockMessage("view_change", target, refreshed), tag=self.tag
+        )
+
+    def _token_here(self) -> bool:
+        """Does this daemon hold the token, or is it already delivered to
+        its mailbox (not yet processed — still counts as safe)?"""
+        return self._holds_token() or any(
+            self._is_mine(envelope)
+            and envelope.payload.payload.kind == self.token_message
+            for envelope in self.comm.mailbox.items
+        )
+
     # -- to implement ------------------------------------------------------------------
+
+    #: Kind of the protocol message that carries the token.
+    token_message: str
 
     def _daemon_loop(self):  # pragma: no cover - abstract
         raise NotImplementedError
         yield
+
+    def _holds_token(self) -> bool:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _wants_token(self) -> bool:  # pragma: no cover - abstract
+        """Is a local request outstanding (or being served)?"""
+        raise NotImplementedError

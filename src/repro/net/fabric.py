@@ -168,6 +168,9 @@ class Fabric:
         #: fault plan schedules crashes; every accepted post refreshes the
         #: sender's liveness (heartbeat piggybacking).
         self._membership = None
+        #: Per-node NIC co-processors (node -> engine), attached by
+        #: :func:`repro.nic.engine.ensure_engines` at the first NIC barrier.
+        self._nic_engines = None
         #: RMCheck per-stream ordinals: message identity that is stable
         #: across schedule reorderings (a global counter would shift with
         #: the interleaving).  Only touched when a scheduler strategy is
@@ -183,6 +186,14 @@ class Fabric:
 
     def attach_membership(self, membership) -> None:
         self._membership = membership
+
+    @property
+    def nic_engines(self):
+        """node -> NIC engine, or ``None`` before the first NIC barrier."""
+        return self._nic_engines
+
+    def attach_nic_engines(self, engines) -> None:
+        self._nic_engines = engines
 
     def mark_dead(self, endpoint: Endpoint) -> None:
         """Refuse all future traffic from/to ``endpoint``.

@@ -81,7 +81,7 @@ def ensure_engines(armci: "Armci") -> Dict[int, "NicEngine"]:
     mirror seeds and the server hooks cannot race with in-flight bumps.
     """
     fabric = armci.fabric
-    engines = getattr(fabric, "_nic_engines", None)
+    engines = fabric.nic_engines
     if engines is None:
         engines = {}
         for node in range(armci.topology.nnodes):
@@ -99,7 +99,7 @@ def ensure_engines(armci: "Armci") -> Dict[int, "NicEngine"]:
             if fabric.endpoint_dead(nic_endpoint(node)):
                 engine.dead = True
             engines[node] = engine
-        fabric._nic_engines = engines
+        fabric.attach_nic_engines(engines)
     return engines
 
 

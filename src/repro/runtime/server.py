@@ -187,6 +187,11 @@ class ServerThread:
             self._monitor.register_process(self._proc, f"s{self.node}")
         return self._proc
 
+    def kill(self) -> None:
+        """Machine crash: stop serving for good (no-op once stopped)."""
+        if self._proc is not None:
+            self._proc.kill()
+
     def _run(self):
         p = self.params
         env = self.env
@@ -438,8 +443,7 @@ class ServerThread:
             self.stats.grants += 1
             yield from self._reply(req.src_rank, req.reply, value=ticket)
         else:
-            key = (req.home_rank, req.base_addr)
-            self._lock_waiters.setdefault(key, {})[ticket] = req
+            self.lock_waiters(req.home_rank, req.base_addr)[ticket] = req
 
     def _handle_unlock(self, req: UnlockRequest):
         """Increment the counter; grant the queued head if it now holds it."""
@@ -454,22 +458,29 @@ class ServerThread:
             new_counter = self._membership.skip_revoked(
                 req.home_rank, req.base_addr, new_counter
             )
+        yield from self.advance_lock_counter(req.home_rank, req.base_addr, new_counter)
+
+    def advance_lock_counter(self, home_rank: int, base_addr: int, new_counter: int):
+        """Pass the lock on: write ``counter``, grant the queued head if it
+        now holds it.  The one grant path — a release and crash recovery's
+        ghost-advance past dead tickets both end here."""
         # The write wakes local pollers through the region watcher.
-        region.write(counter_addr, new_counter)
-        key = (req.home_rank, req.base_addr)
-        waiters = self._lock_waiters.get(key)
-        if waiters:
-            pending = waiters.pop(new_counter, None)
-            if pending is not None:
-                if not waiters:
-                    del self._lock_waiters[key]
-                self.stats.grants += 1
-                yield from self._reply(
-                    pending.src_rank, pending.reply, value=new_counter
-                )
+        self.regions[home_rank].write(base_addr + 1, new_counter)
+        pending = self.lock_waiters(home_rank, base_addr).pop(new_counter, None)
+        if pending is not None:
+            self.stats.grants += 1
+            if self.env.active_process is not self._proc:
+                # Out of band (lock recovery): no request of ours is being
+                # dispatched, so there is no key to cache this reply under.
+                self._current_key = None
+            yield from self._reply(pending.src_rank, pending.reply, value=new_counter)
 
     # -- introspection -----------------------------------------------------------
 
+    def lock_waiters(self, home_rank: int, base_addr: int) -> Dict[int, LockRequest]:
+        """The live wait queue of one lock: ticket -> queued request."""
+        return self._lock_waiters.setdefault((home_rank, base_addr), {})
+
     def queued_lock_waiters(self, home_rank: int, base_addr: int) -> List[int]:
         """Tickets currently queued for a lock (diagnostics/tests)."""
-        return sorted(self._lock_waiters.get((home_rank, base_addr), {}))
+        return sorted(self.lock_waiters(home_rank, base_addr))

@@ -32,7 +32,7 @@ the ARMCI reproduction:
   barrier, lock algorithms) readable and close to the paper's pseudocode.
 
 * **A fast hot path.** ``Environment.run`` drives an inlined pop/dispatch
-  loop (no per-event ``peek()``/``step()`` call pair), keeps the schedule
+  loop (no method call per event), keeps the schedule
   sequence as a plain int, skips the ``on_event`` trace branch entirely when
   no tracer is attached, and recycles :class:`Event`/:class:`Timeout`
   objects through per-environment free lists (see ``docs/performance.md``).
@@ -596,7 +596,7 @@ class Environment:
         "on_event",
         "events_processed",
         "_sync_monitor",
-        "_process_factory",
+        "process_factory",
         "_event_pool",
         "_timeout_pool",
         "_mc_strategy",
@@ -623,7 +623,7 @@ class Environment:
         self._sync_monitor = None
         #: Optional override for :meth:`process` (monitors wrap process
         #: creation to inherit actor labels).
-        self._process_factory: Optional[Callable] = None
+        self.process_factory: Optional[Callable] = None
         # Free lists of recycled plain Events / Timeouts (slab reuse; see
         # the run loop).
         self._event_pool: list = []
@@ -658,44 +658,26 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process one event; raises :class:`EmptySchedule` if none left."""
-        try:
-            when, _prio, _seq, event = _heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        self.events_processed += 1
-        if self.on_event is not None:
-            self.on_event(when, event)
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+    def _until(self, until: Any):
+        """Split ``run(until=...)`` into ``(stop_at, stop_ev)``: a time to
+        stop at, or an event to stop on (already validated)."""
+        if until is None:
+            return None, None
+        if isinstance(until, Event):
+            return None, until
+        stop_at = float(until)
+        if stop_at < self._now:
+            raise ValueError(f"until={stop_at} is in the past (now={self._now})")
+        return stop_at, None
 
-    def _recycle(self, event: Event, callbacks: list) -> None:
-        """Return a processed, provably unreferenced event to its free list.
-
-        Only called from the run loop, and only for plain ``Event`` /
-        ``Timeout`` instances whose refcount proves nothing else can ever
-        observe them again.  The detached callbacks list is cleared and
-        reattached so the recycled event is indistinguishable from a fresh
-        pending one.
-        """
-        if event.__class__ is Timeout:
-            pool = self._timeout_pool
-        else:
-            pool = self._event_pool
-        if len(pool) < _POOL_LIMIT:
-            callbacks.clear()
-            event.callbacks = callbacks
-            event._value = _PENDING
-            event._ok = True
-            event._defused = False
-            event._mc_label = None
-            pool.append(event)
+    @staticmethod
+    def _outcome(stop_ev: Optional[Event]) -> Any:
+        """What ``run(until=stop_ev)`` returns (or raises) once it stops."""
+        if stop_ev is None or not stop_ev.triggered:
+            return None
+        if not stop_ev._ok:
+            raise stop_ev._value
+        return stop_ev._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -704,23 +686,11 @@ class Environment:
         (run until that simulated time), or an :class:`Event` (run until it
         is processed; its value is returned).
         """
+        stop_at, stop_ev = self._until(until)
+        if stop_ev is not None and stop_ev.callbacks is None:
+            return self._outcome(stop_ev)
         if self._mc_strategy is not None:
-            return self._run_controlled(until)
-        stop_at: Optional[float] = None
-        stop_ev: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop_ev = until
-                if stop_ev.callbacks is None:
-                    if not stop_ev._ok:
-                        raise stop_ev._value
-                    return stop_ev._value
-            else:
-                stop_at = float(until)
-                if stop_at < self._now:
-                    raise ValueError(
-                        f"until={stop_at} is in the past (now={self._now})"
-                    )
+            return self._run_controlled(stop_at, stop_ev)
 
         queue = self._queue
         pop = _heappop
@@ -728,8 +698,8 @@ class Environment:
         refcount = _getrefcount
 
         if stop_ev is None and stop_at is None and on_event is None:
-            # No-trace fast path: drain the queue with an inlined step loop
-            # (no peek()/step() call pair, no on_event branch) and recycle
+            # No-trace fast path: drain the queue with an inlined loop (no
+            # method call per event, no on_event branch) and recycle
             # unreachable Event/Timeout objects through the free lists.
             event_pool = self._event_pool
             timeout_pool = self._timeout_pool
@@ -754,7 +724,9 @@ class Environment:
                         # to reuse.
                         and refcount(event) == 2
                     ):
-                        # _recycle(), inlined: this runs once per event.
+                        # Recycle: clear and reattach the detached callbacks
+                        # list so the event is indistinguishable from a
+                        # fresh pending one.
                         pool = timeout_pool if cls is Timeout else event_pool
                         if len(pool) < _POOL_LIMIT:
                             callbacks.clear()
@@ -799,15 +771,9 @@ class Environment:
                 cb(event)
             if not event._ok and not event._defused:
                 raise event._value
-        if stop_ev is not None:
-            if not stop_ev.triggered:
-                return None
-            if not stop_ev._ok:
-                raise stop_ev._value
-            return stop_ev._value
-        return None
+        return self._outcome(stop_ev)
 
-    def _run_controlled(self, until: Any = None) -> Any:
+    def _run_controlled(self, stop_at: Optional[float], stop_ev: Optional[Event]) -> Any:
         """Run loop with the :class:`SchedulerStrategy` hook engaged.
 
         Semantics match :meth:`run` except: (1) at each step all co-enabled
@@ -825,22 +791,6 @@ class Environment:
         sequence is identical to :meth:`run`'s.
         """
         strategy = self._mc_strategy
-        stop_at: Optional[float] = None
-        stop_ev: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop_ev = until
-                if stop_ev.callbacks is None:
-                    if not stop_ev._ok:
-                        raise stop_ev._value
-                    return stop_ev._value
-            else:
-                stop_at = float(until)
-                if stop_at < self._now:
-                    raise ValueError(
-                        f"until={stop_at} is in the past (now={self._now})"
-                    )
-
         queue = self._queue
         pop = _heappop
         push = _heappush
@@ -911,13 +861,7 @@ class Environment:
                 raise event._value
             if strategy.abort:
                 break
-        if stop_ev is not None:
-            if not stop_ev.triggered:
-                return None
-            if not stop_ev._ok:
-                raise stop_ev._value
-            return stop_ev._value
-        return None
+        return self._outcome(stop_ev)
 
     # -- factories ---------------------------------------------------------
 
@@ -945,7 +889,7 @@ class Environment:
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
-        factory = self._process_factory
+        factory = self.process_factory
         if factory is not None:
             return factory(generator, name=name)
         return Process(self, generator, name=name)
@@ -955,7 +899,3 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-
-class EmptySchedule(Exception):
-    """Internal: the event queue is empty."""

@@ -127,6 +127,28 @@ class TestChaosCommand:
         assert main(["chaos", "--kill", "banana"]) == 2
         assert "bad --kill spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nprocs", [4, 5, 6])
+    def test_chaos_stock_kills_follow_procs(self, capsys, nprocs):
+        # The stock kill script is placed relative to --procs, so a bare
+        # `chaos --procs N` never names a rank the user did not type.
+        assert main(["chaos", "--procs", str(nprocs)]) == 0
+        out = capsys.readouterr().out
+        assert f"dead: [{nprocs - 3}, {nprocs - 2}]" in out
+        assert "ALL CHECKS PASSED" in out
+
+    def test_chaos_too_few_procs_for_stock_kills(self, capsys):
+        assert main(["chaos", "--procs", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "need at least two survivors" in err and "rank" not in err
+
+    @pytest.mark.parametrize("kind", ["ticket", "lh"])
+    def test_chaos_single_node_lock_cannot_be_partitioned(self, capsys, kind):
+        assert main(["chaos", "--lock", kind,
+                     "--partition", "5:200:1400"]) == 2
+        err = capsys.readouterr().err
+        assert "single-node lock kinds (ticket, lh)" in err
+        assert "out of range" not in err and err.count("\n") == 1
+
     def test_check_chaos_target(self, capsys):
         assert main(["check", "chaos"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Package-level contract tests: exports, versioning, registry coherence."""
 
+import ast
 import importlib
 import pathlib
 import subprocess
@@ -128,3 +129,54 @@ class TestNumpyFreeCore:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestMembershipKeepsToItself:
+    """``runtime/membership.py`` knows no lock layout and reaches into no
+    other module's private state (lock recovery lives with each lock; the
+    fabric, server and kernel expose what the service needs)."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        import repro.runtime.membership as membership
+
+        return ast.parse(pathlib.Path(membership.__file__).read_text())
+
+    def test_imports_nothing_from_locks_or_nic(self, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                assert "locks" not in parts and "nic" not in parts, (
+                    f"line {node.lineno}: import of {name}"
+                )
+
+    def test_no_private_getattr_probes(self, tree):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr", "setattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                assert not node.args[1].value.startswith("_"), (
+                    f"line {node.lineno}: {ast.unparse(node)}"
+                )
+
+    def test_private_attributes_only_on_self(self, tree):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                assert isinstance(node.value, ast.Name) and node.value.id == "self", (
+                    f"line {node.lineno}: {ast.unparse(node)}"
+                )
