@@ -63,14 +63,11 @@ RULE_CS_LEASE = "cs-yield-no-lease"
 RULE_CREDIT = "credit-mutation"
 RULE_VIEW_READ = "unguarded-view-read"
 
-#: Raw credit-pool state: only the home module may reference it.
+#: Raw credit-pool state and its instrumented setters: only the module
+#: that issues the operations (every form of them) may reference either.
 _CREDIT_RAW = {"_credits", "_credit_pool"}
-_CREDIT_RAW_HOME = ("armci/api.py",)
-
-#: Instrumented setters: callable from the home module and the
-#: split-phase (nonblocking) paths, nowhere else.
 _CREDIT_HELPERS = {"_take_credit", "_return_credit"}
-_CREDIT_HELPER_HOMES = ("armci/api.py", "armci/nonblocking.py")
+_CREDIT_HOME = "armci/api.py"
 
 #: Membership-view accessors whose result can be stale inside a handler.
 _VIEW_READS = {
@@ -187,11 +184,7 @@ class _ShapeChecker(ast.NodeVisitor):
         self.path = path
         self.handled_kinds = handled_kinds
         self.findings: List[RawFinding] = []
-        norm = path.replace("\\", "/")
-        self.credit_raw_home = any(norm.endswith(s) for s in _CREDIT_RAW_HOME)
-        self.credit_helper_home = any(
-            norm.endswith(s) for s in _CREDIT_HELPER_HOMES
-        )
+        self.credit_home = path.replace("\\", "/").endswith(_CREDIT_HOME)
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -221,19 +214,19 @@ class _ShapeChecker(ast.NodeVisitor):
 
     # credit-mutation: raw pool / helper references outside their homes.
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in _CREDIT_RAW and not self.credit_raw_home:
+        if node.attr in _CREDIT_RAW and not self.credit_home:
             self._add(
                 node,
                 RULE_CREDIT,
                 f"reference to {node.attr} outside armci/api.py; only the "
                 "instrumented credit setters may touch the pool state",
             )
-        elif node.attr in _CREDIT_HELPERS and not self.credit_helper_home:
+        elif node.attr in _CREDIT_HELPERS and not self.credit_home:
             self._add(
                 node,
                 RULE_CREDIT,
-                f"call to {node.attr} outside the armci credit paths can "
-                "unbalance the send-credit pool",
+                f"call to {node.attr} outside armci/api.py can unbalance "
+                "the send-credit pool",
             )
         self.generic_visit(node)
 

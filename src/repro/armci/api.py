@@ -186,12 +186,6 @@ class Armci:
             return
         self._credit_pool(node).release()
 
-    def _credit_returning_event(self, node: int) -> Event:
-        """An event whose completion returns a send credit."""
-        ev = self.env.event()
-        ev.callbacks.append(lambda _ev: self._return_credit(node))
-        return ev
-
     def _attach_credit_return(
         self, node: int, ack: Optional[Event]
     ) -> Optional[Event]:
@@ -202,10 +196,10 @@ class Armci:
         """
         if self.params.send_credits <= 0:
             return ack
-        if ack is not None:
-            ack.callbacks.append(lambda _ev: self._return_credit(node))
-            return ack
-        return self._credit_returning_event(node)
+        if ack is None:
+            ack = self.env.event()
+        ack.callbacks.append(lambda _ev: self._return_credit(node))
+        return ack
 
     def _san_issue(self, op: str, req, dst_rank: int, node: int) -> None:
         """RMCSan: tag a shipped request and record its issue point."""
@@ -243,35 +237,12 @@ class Armci:
     def put(self, dst: GlobalAddress, values: Sequence[Any]):
         """Non-blocking put of ``values`` starting at ``dst``.
 
+        A contiguous put is the one-run case of :meth:`put_segments`, except
+        that ``values`` is copied (the caller may reuse its buffer at once).
         Returns once the operation is injected (locally complete); use
         :meth:`fence`/:meth:`allfence`/:meth:`barrier` for remote completion.
         """
-        values = list(values)
-        if not values:
-            return
-        yield from self._api()
-        p = self.params
-        if self.is_local(dst):
-            region = self.regions[dst.rank]
-            cost = p.shm_access_us + len(values) * Region.CELL_BYTES * p.mem_copy_per_byte_us
-            yield from self._shm(cost)
-            region.write_many(dst.addr, values)
-            self.stats["puts_local"] += 1
-            return
-        node = self.topology.node_of(dst.rank)
-        yield from self._take_credit(node)
-        ack = self._attach_credit_return(node, self._account_remote_op(dst.rank, node))
-        req = PutRequest(
-            src_rank=self.rank, dst_rank=dst.rank, addr=dst.addr, values=values, ack=ack
-        )
-        self._san_issue("put", req, dst.rank, node)
-        self.stats["puts_remote"] += 1
-        yield from self.fabric.send(
-            self.rank,
-            server_endpoint(node),
-            req,
-            payload_bytes=len(values) * Region.CELL_BYTES,
-        )
+        return self._put(dst.rank, [(dst.addr, list(values))])
 
     def put_segments(
         self, dst_rank: int, segments: List[Tuple[int, Sequence[Any]]]
@@ -284,6 +255,14 @@ class Armci:
         Ownership of the per-segment value lists transfers to the call (the
         request ships them as-is; callers build fresh lists, so a defensive
         copy here would only burn the hot path).
+        """
+        return self._put(dst_rank, segments)
+
+    def _put(self, dst_rank: int, segments, handle=None):
+        """The one put: contiguous, vector and handle-based puts are all this.
+
+        ``handle`` (:meth:`nb_put`) is an ``NbHandle`` to bind to the shipped
+        request's completion; a put that completes locally leaves it done.
         """
         # One pass: normalize non-list values, drop empty runs, and total
         # the cells (vector puts dominate the GA workloads).
@@ -317,7 +296,14 @@ class Armci:
             return
         if p.send_credits > 0:
             yield from self._take_credit(node)
-        ack = self._attach_credit_return(node, self._account_remote_op(dst_rank, node))
+        # In ack mode the fence-accounting ack doubles as a handle's event
+        # (its bookkeeping callback was registered first, so by the time a
+        # waiter resumes, the outstanding-ack counter is already settled); in
+        # confirm mode a handle gets a dedicated per-operation ack.
+        ack = self._account_remote_op(dst_rank, node)
+        if handle is not None and ack is None:
+            ack = env.event()
+        ack = self._attach_credit_return(node, ack)
         req = PutRequest(
             src_rank=self.rank, dst_rank=dst_rank, segments=segments, ack=ack
         )
@@ -332,37 +318,31 @@ class Armci:
             payload_bytes=total * Region.CELL_BYTES,
             src_node=self.node,
         )
+        if handle is not None:
+            handle.bind(req, ack)
 
     def get(self, src: GlobalAddress, count: int = 1):
-        """Blocking get of ``count`` cells; returns the list of values."""
+        """Blocking get of ``count`` cells; returns the list of values.
+
+        A contiguous get is the one-run case of :meth:`get_segments`.
+        """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        yield from self._api()
-        p = self.params
-        if self.is_local(src):
-            region = self.regions[src.rank]
-            cost = p.shm_access_us + count * Region.CELL_BYTES * p.mem_copy_per_byte_us
-            yield from self._shm(cost)
-            self.stats["gets_local"] += 1
-            return region.read_many(src.addr, count)
-        node = self.topology.node_of(src.rank)
-        yield from self._take_credit(node)
-        reply = self.env.event()
-        req = GetRequest(
-            src_rank=self.rank, dst_rank=src.rank, addr=src.addr, count=count, reply=reply
-        )
-        self._san_issue("get", req, src.rank, node)
-        self.stats["gets_remote"] += 1
-        yield from self.fabric.send(self.rank, server_endpoint(node), req)
-        values = yield reply
-        self._san_complete(req)
-        self._return_credit(node)
-        return values
+        return self._get(src.rank, [(src.addr, count)])
 
     def get_segments(self, src_rank: int, segments: List[Tuple[int, int]]):
         """Vector (non-contiguous) get: several ``(addr, count)`` runs in one op.
 
         Returns the concatenated values in segment order.
+        """
+        return self._get(src_rank, segments)
+
+    def _get(self, src_rank: int, segments, handle=None):
+        """The one get: returns the fetched values.
+
+        With ``handle`` (:meth:`nb_get`) a remote get stops short of the
+        blocking wait: it binds the ``NbHandle`` to the shipped request's
+        reply and returns None.
         """
         segments = [(addr, count) for addr, count in segments if count > 0]
         if not segments:
@@ -370,7 +350,8 @@ class Armci:
         yield from self._api()
         p = self.params
         total = sum(count for _a, count in segments)
-        if self.topology.node_of(src_rank) == self.node:
+        node = self.topology.node_of(src_rank)
+        if node == self.node:
             region = self.regions[src_rank]
             cost = p.shm_access_us + total * Region.CELL_BYTES * p.mem_copy_per_byte_us
             yield from self._shm(cost)
@@ -379,18 +360,19 @@ class Armci:
             for addr, count in segments:
                 values.extend(region.read_many(addr, count))
             return values
-        node = self.topology.node_of(src_rank)
         yield from self._take_credit(node)
-        reply = self.env.event()
+        reply = self._attach_credit_return(node, self.env.event())
         req = GetRequest(
             src_rank=self.rank, dst_rank=src_rank, segments=segments, reply=reply
         )
         self._san_issue("get", req, src_rank, node)
         self.stats["gets_remote"] += 1
         yield from self.fabric.send(self.rank, server_endpoint(node), req)
+        if handle is not None:
+            handle.bind(req, reply)
+            return None
         values = yield reply
         self._san_complete(req)
-        self._return_credit(node)
         return values
 
     def acc(self, dst: GlobalAddress, values: Sequence[Any], scale: Any = 1):
@@ -445,7 +427,7 @@ class Armci:
             region = self.regions[dst.rank]
             yield from self._shm(p.shm_atomic_us)
             self.stats["rmws_local"] += 1
-            return _apply_rmw(region, dst.addr, op, args)
+            return atomics.apply_rmw(region, dst.addr, op, args)
         node = self.topology.node_of(dst.rank)
         yield from self._take_credit(node)
         reply = self.env.event()
@@ -515,9 +497,11 @@ class Armci:
 
         ``algorithm`` selects between the new 3-stage binary-exchange
         operation (``"exchange"``), the original ``allfence`` + MPI barrier
-        (``"linear"``), or the paper's suggested programmer-selectable
-        ``"auto"`` which picks linear when puts touched fewer than
-        ``log2(N)/2`` servers (§3.1.2's crossover note).
+        (``"linear"``), or the programmer-selectable ``"auto"`` the paper
+        suggests (§3.1.2's crossover note): the argmin of the calibrated
+        cost estimates of every algorithm the configuration offers, the
+        linear one priced from this rank's dirty-server count (see
+        :func:`repro.armci.barrier._auto_select`).
         """
         yield from self._api()
         self.stats["barriers"] += 1
@@ -529,15 +513,15 @@ class Armci:
         """Explicit non-blocking put; returns an ``NbHandle`` (ARMCI_NbPut)."""
         from . import nonblocking
 
-        handle = yield from nonblocking.nb_put(self, dst, values)
-        return handle
+        return nonblocking.nb_put(self, dst, values)
 
     def nb_get(self, src: GlobalAddress, count: int = 1):
         """Explicit non-blocking get; returns an ``NbHandle`` (ARMCI_NbGet)."""
         from . import nonblocking
 
-        handle = yield from nonblocking.nb_get(self, src, count)
-        return handle
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        return nonblocking.nb_get(self, src, count)
 
     def put_strided(self, dst_rank, base_addr, strides, counts, values):
         """Strided put (ARMCI_PutS): one message for the whole patch."""
@@ -588,20 +572,3 @@ class Armci:
         """Ack-mode: block until no unacknowledged ops remain for ``node``."""
         while self._outstanding.get(node, 0) > 0:
             yield self._ack_signal.wait()
-
-
-def _apply_rmw(region: Region, addr: int, op: str, args: Tuple[Any, ...]):
-    """Execute an rmw opcode directly on a region (same-node fast path)."""
-    if op == "fetch_add":
-        return atomics.fetch_and_add(region, addr, *args)
-    if op == "swap":
-        return atomics.swap(region, addr, *args)
-    if op == "cas":
-        return atomics.compare_and_swap(region, addr, *args)
-    if op == "swap_pair":
-        return atomics.swap_pair(region, addr, *args)
-    if op == "cas_pair":
-        return atomics.compare_and_swap_pair(region, addr, *args)
-    if op == "read_pair":
-        return atomics.read_pair(region, addr)
-    raise ValueError(f"unknown rmw op {op!r}")

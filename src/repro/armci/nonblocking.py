@@ -5,23 +5,21 @@ the message is injected; completion is only observable through fences.
 Real ARMCI additionally offers *explicit* handles (``ARMCI_NbPut`` /
 ``ARMCI_NbGet`` + ``ARMCI_Wait``/``ARMCI_Test``), which let an application
 overlap a specific transfer with computation and then wait for just that
-transfer.  This module provides that interface on top of the same
-request protocol.
+transfer.  A handle-based operation is not a second implementation: it
+is the one put or get of :mod:`repro.armci.api` with its completion event
+handed back instead of left to a fence (put) or waited on inline (get).
 
-A non-blocking *get* ships the request and exposes the reply event; a
-non-blocking *put* requests a completion acknowledgement for that specific
-operation (this works in both fence modes — the per-op ack rides alongside
-the normal accounting, like ARMCI's handle-based completion on GM).
+A non-blocking *get* exposes the reply event; a non-blocking *put*
+requests a completion acknowledgement for that specific operation (this
+works in both fence modes — the per-op ack rides alongside the normal
+accounting, like ARMCI's handle-based completion on GM).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
-from ..net.message import server_endpoint
-from ..runtime.memory import GlobalAddress, Region
-from ..sim.core import Event
-from .requests import GetRequest, PutRequest
+from ..runtime.memory import GlobalAddress
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
@@ -30,38 +28,53 @@ __all__ = ["NbHandle", "nb_put", "nb_get"]
 
 
 class NbHandle:
-    """Completion handle for one explicit non-blocking operation."""
+    """Completion handle for one explicit non-blocking operation.
 
-    def __init__(self, armci: "Armci", event: Optional[Event], kind: str):
+    A handle is the *same* put or get as the implicit form
+    (:meth:`Armci._put` / :meth:`Armci._get`) with its completion event
+    exposed; it is born done and stays so unless the operation is shipped
+    to a server, which binds it to the request's ack or reply.
+    """
+
+    def __init__(self, armci: "Armci", kind: str):
         self.armci = armci
-        self._event = event
         #: "put" or "get".
         self.kind = kind
-        self._done = event is None
+        #: The shipped request and its completion event while outstanding.
+        self._req: Any = None
+        self._event: Any = None
         self._value: Any = None
 
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return f"<NbHandle {self.kind} {state}>"
 
+    def bind(self, req, event) -> None:
+        """The operation went remote: ``event`` succeeds when it completes."""
+        self._req = req
+        self._event = event
+
+    def _complete(self, value: Any) -> None:
+        self._value = value
+        self._event = None
+        # RMCSan: the completion edge a blocking get's reply carries.
+        self.armci._san_complete(self._req)
+
     @property
     def done(self) -> bool:
         """Non-blocking completion test (``ARMCI_Test``)."""
-        if not self._done and self._event is not None and self._event.processed:
-            self._value = self._event.value
-            self._done = True
-        return self._done
+        if self._event is not None and self._event.processed:
+            self._complete(self._event.value)
+        return self._event is None
 
     def wait(self):
         """Sub-generator: block until the operation completes (``ARMCI_Wait``).
 
         For a get, returns the fetched values; for a put, returns None.
         """
-        if self.armci.params.api_call_us > 0.0:
-            yield self.armci.env.timeout(self.armci.params.api_call_us)
-        if self._event is not None and not self.done:
-            self._value = yield self._event
-            self._done = True
+        yield from self.armci._api()
+        if not self.done:
+            self._complete((yield self._event))
         return self._value if self.kind == "get" else None
 
 
@@ -72,37 +85,9 @@ def nb_put(armci: "Armci", dst: GlobalAddress, values) -> Any:
     per-operation acknowledgement so the handle can be waited on without a
     full fence.
     """
-    values = list(values)
-    yield from armci._api()
-    p = armci.params
-    if not values:
-        return NbHandle(armci, None, "put")
-    if armci.is_local(dst):
-        region = armci.regions[dst.rank]
-        cost = p.shm_access_us + len(values) * Region.CELL_BYTES * p.mem_copy_per_byte_us
-        yield from armci._shm(cost)
-        region.write_many(dst.addr, values)
-        armci.stats["puts_local"] += 1
-        return NbHandle(armci, None, "put")
-    node = armci.topology.node_of(dst.rank)
-    yield from armci._take_credit(node)
-    # Keep the normal fence accounting AND expose per-op completion.  In ack
-    # mode the implicit accounting event doubles as the handle's event (its
-    # bookkeeping callback was registered first, so by the time a waiter
-    # resumes, the outstanding-ack counter is already settled).
-    implicit_ack = armci._account_remote_op(dst.rank, node)
-    handle_ev = implicit_ack if implicit_ack is not None else armci.env.event()
-    handle_ev = armci._attach_credit_return(node, handle_ev)
-    req = PutRequest(
-        src_rank=armci.rank, dst_rank=dst.rank, addr=dst.addr,
-        values=values, ack=handle_ev,
-    )
-    armci.stats["puts_remote"] += 1
-    yield from armci.fabric.send(
-        armci.rank, server_endpoint(node), req,
-        payload_bytes=len(values) * Region.CELL_BYTES,
-    )
-    return NbHandle(armci, handle_ev, "put")
+    handle = NbHandle(armci, "put")
+    yield from armci._put(dst.rank, [(dst.addr, list(values))], handle)
+    return handle
 
 
 def nb_get(armci: "Armci", src: GlobalAddress, count: int = 1) -> Any:
@@ -110,26 +95,6 @@ def nb_get(armci: "Armci", src: GlobalAddress, count: int = 1) -> Any:
 
     ``handle.wait()`` yields the fetched list of values.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    yield from armci._api()
-    p = armci.params
-    if armci.is_local(src):
-        region = armci.regions[src.rank]
-        cost = p.shm_access_us + count * Region.CELL_BYTES * p.mem_copy_per_byte_us
-        yield from armci._shm(cost)
-        armci.stats["gets_local"] += 1
-        handle = NbHandle(armci, None, "get")
-        handle._value = region.read_many(src.addr, count)
-        return handle
-    node = armci.topology.node_of(src.rank)
-    yield from armci._take_credit(node)
-    reply = armci.env.event()
-    reply.callbacks.append(lambda _ev: armci._return_credit(node))
-    req = GetRequest(
-        src_rank=armci.rank, dst_rank=src.rank, addr=src.addr,
-        count=count, reply=reply,
-    )
-    armci.stats["gets_remote"] += 1
-    yield from armci.fabric.send(armci.rank, server_endpoint(node), req)
-    return NbHandle(armci, reply, "get")
+    handle = NbHandle(armci, "get")
+    handle._value = yield from armci._get(src.rank, [(src.addr, count)], handle)
+    return handle

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from ..runtime.atomics import RMW
 from ..sim.core import Event
 
 __all__ = [
@@ -27,17 +28,9 @@ __all__ = [
     "RMW_OPS",
 ]
 
-#: Read-modify-write opcodes the server understands.  ``swap_pair`` and
-#: ``cas_pair`` are the operations the paper added for (rank, address)
-#: global pointers; ``cas`` is the added plain compare&swap.
-RMW_OPS = (
-    "fetch_add",
-    "swap",
-    "cas",
-    "swap_pair",
-    "cas_pair",
-    "read_pair",
-)
+#: Read-modify-write opcodes the server understands (the keys of the one
+#: opcode table, :data:`repro.runtime.atomics.RMW`).
+RMW_OPS = tuple(RMW)
 
 
 @dataclass(slots=True)

@@ -51,10 +51,10 @@ class GlobalArray:
             f"ga:{name}", max(my_block.cells, 1), initial=0.0
         )
         self._base_by_rank = {ctx.rank: self.base_addr}
-        # Per-section transfer plans (decompose() output + resolved bases).
-        # Sections repeat every iteration in the paper's workloads; the
-        # decomposition is a pure function of the section, so caching it
-        # cannot change what gets transferred.
+        # Per-section transfer plans (see _plan).  Sections repeat every
+        # iteration in the paper's workloads; the decomposition is a pure
+        # function of the section, so caching it cannot change what gets
+        # transferred.
         self._plan_cache: dict = {}
 
     def __repr__(self) -> str:
@@ -80,19 +80,7 @@ class GlobalArray:
         vector put per owning process.  Completion is observed via
         :meth:`sync` (or an explicit fence).
         """
-        section = tuple(section)
-        plan = self._plan_cache.get(section)
-        if plan is None:
-            plan = self._build_plan(section)
-        r0, r1, c0, c1 = section
-        data = np.asarray(data, dtype=float)
-        expected = (r1 - r0, c1 - c0)
-        if data.shape != expected:
-            raise ValueError(f"data shape {data.shape} != section shape {expected}")
-        for rank, runs in plan:
-            segments = [
-                (dest, data[li, lj0:lj1].tolist()) for dest, li, lj0, lj1 in runs
-            ]
+        for rank, segments in self._prepared_transfers(section, data):
             yield from self.ctx.armci.put_segments(rank, segments)
 
     def prepare_put(self, section: Section, data) -> "PreparedPut":
@@ -107,34 +95,34 @@ class GlobalArray:
         """
         return PreparedPut(self, section, data)
 
-    def _build_plan(self, section: Section):
-        """Resolve a section's per-owner runs to absolute destination cells.
+    def _plan(self, section: Section):
+        """A section's per-owner runs, resolved to absolute cells (cached).
 
-        Entries are ``(rank, [(dest_addr, local_row, local_c0, local_c1)])``
-        with the data indices pre-shifted into section-local coordinates.
+        Entries are ``(rank, [(addr, local_row, local_c0, local_c1)])`` with
+        the data indices pre-shifted into section-local coordinates; every
+        section transfer — put, get, acc — walks this one plan.
         """
-        r0, _r1, c0, _c1 = self.dist.check_section(section)
-        plan = []
-        for rank, runs in self.dist.decompose(section).items():
-            base = self._base_of(rank)
-            plan.append(
-                (
-                    rank,
-                    [
-                        (base + addr, i - r0, j0 - c0, j1 - c0)
-                        for addr, _count, (i, _i1, j0, j1) in runs
-                    ],
+        section = tuple(section)
+        plan = self._plan_cache.get(section)
+        if plan is None:
+            r0, _r1, c0, _c1 = section
+            plan = self._plan_cache[section] = []
+            for rank, runs in self.dist.decompose(section).items():
+                base = self._base_of(rank)
+                plan.append(
+                    (
+                        rank,
+                        [
+                            (base + addr, i - r0, j0 - c0, j1 - c0)
+                            for addr, _count, (i, _i1, j0, j1) in runs
+                        ],
+                    )
                 )
-            )
-        self._plan_cache[section] = plan
         return plan
 
     def _prepared_transfers(self, section: Section, data):
         """The per-owner ``(rank, segments)`` list a put of ``data`` ships."""
-        section = tuple(section)
-        plan = self._plan_cache.get(section)
-        if plan is None:
-            plan = self._build_plan(section)
+        plan = self._plan(section)
         r0, r1, c0, c1 = section
         data = np.asarray(data, dtype=float)
         expected = (r1 - r0, c1 - c0)
@@ -143,40 +131,31 @@ class GlobalArray:
         return [
             (
                 rank,
-                [(dest, data[li, lj0:lj1].tolist()) for dest, li, lj0, lj1 in runs],
+                [(addr, data[li, lj0:lj1].tolist()) for addr, li, lj0, lj1 in runs],
             )
             for rank, runs in plan
         ]
 
     def get(self, section: Section):
         """Blocking one-sided read of ``section``; returns a numpy array."""
-        r0, r1, c0, c1 = self.dist.check_section(section)
+        plan = self._plan(section)
+        r0, r1, c0, c1 = section
         out = np.zeros((r1 - r0, c1 - c0), dtype=float)
-        for rank, runs in self.dist.decompose(section).items():
-            base = self._base_of(rank)
-            segments = [(base + addr, count) for addr, count, _sec in runs]
-            values = yield from self.ctx.armci.get_segments(rank, segments)
+        for rank, runs in plan:
+            values = yield from self.ctx.armci.get_segments(
+                rank, [(addr, lj1 - lj0) for addr, _li, lj0, lj1 in runs]
+            )
             pos = 0
-            for _addr, count, (i, _i1, j0, j1) in runs:
-                out[i - r0, j0 - c0 : j1 - c0] = values[pos : pos + count]
-                pos += count
+            for _addr, li, lj0, lj1 in runs:
+                out[li, lj0:lj1] = values[pos : pos + lj1 - lj0]
+                pos += lj1 - lj0
         return out
 
     def acc(self, section: Section, data, scale: float = 1.0):
         """Non-blocking atomic accumulate of ``scale * data`` into ``section``."""
-        r0, r1, c0, c1 = self.dist.check_section(section)
-        data = np.asarray(data, dtype=float)
-        expected = (r1 - r0, c1 - c0)
-        if data.shape != expected:
-            raise ValueError(f"data shape {data.shape} != section shape {expected}")
-        for rank, runs in self.dist.decompose(section).items():
-            base = self._base_of(rank)
-            for addr, count, (i, _i1, j0, j1) in runs:
-                yield from self.ctx.armci.acc(
-                    GlobalAddress(rank, base + addr),
-                    data[i - r0, j0 - c0 : j1 - c0].tolist(),
-                    scale,
-                )
+        for rank, segments in self._prepared_transfers(section, data):
+            for addr, values in segments:
+                yield from self.ctx.armci.acc(GlobalAddress(rank, addr), values, scale)
 
     def read_inc(self, i: int, j: int, inc: int = 1):
         """Atomic fetch-and-add on element ``(i, j)`` (GA_Read_inc).
@@ -201,7 +180,9 @@ class GlobalArray:
         ``mode="current"`` is the original implementation (linear
         ``ARMCI_AllFence`` followed by the message-passing barrier);
         ``mode="new"`` is the paper's combined ``ARMCI_Barrier``;
-        ``mode="auto"`` picks per the §3.1.2 crossover heuristic.
+        ``mode="auto"`` is ``ARMCI_Barrier("auto")``: the cheapest algorithm
+        by the calibrated cost estimates (§3.1.2's crossover, computed
+        rather than thresholded).
         """
         from .sync import ga_sync  # local import: sync also usable standalone
 

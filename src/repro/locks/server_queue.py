@@ -11,44 +11,19 @@ studies and tests.
 
 from __future__ import annotations
 
-from ..armci.requests import LockRequest, UnlockRequest
-from ..net.message import server_endpoint
-from .ticket import TicketFamilyLock
+from .hybrid import HybridLock
 
 __all__ = ["ServerQueueLock"]
 
 
-class ServerQueueLock(TicketFamilyLock):
-    """Server-mediated ticket queue lock, no shared-memory fast path."""
+class ServerQueueLock(HybridLock):
+    """The hybrid lock with its shared-memory fast path off.
+
+    Same ``[ticket, counter]`` cells, server handlers, release and crash
+    recovery as :class:`HybridLock`; only the acquire differs.
+    """
 
     kind = "server"
 
-    def __init__(self, ctx, home_rank: int, name: str = "server"):
-        # Shares the [ticket, counter] layout (and server handlers) with the
-        # hybrid lock.
-        super().__init__(ctx, home_rank, name, cells=f"hybrid:{name}")
-
     def _acquire(self):
-        reply = self.env.event()
-        req = LockRequest(
-            src_rank=self.ctx.rank,
-            home_rank=self.home_rank,
-            base_addr=self.base_addr,
-            reply=reply,
-        )
-        self.stats.bump("server_requests")
-        yield from self.ctx.fabric.send(
-            self.ctx.rank, server_endpoint(self.home_node), req
-        )
-        self._my_ticket = yield reply
-
-    def _release(self):
-        req = UnlockRequest(
-            src_rank=self.ctx.rank,
-            home_rank=self.home_rank,
-            base_addr=self.base_addr,
-        )
-        self.stats.bump("unlock_messages")
-        yield from self.ctx.fabric.send(
-            self.ctx.rank, server_endpoint(self.home_node), req
-        )
+        return self._acquire_remote()

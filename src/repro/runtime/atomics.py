@@ -31,6 +31,8 @@ __all__ = [
     "swap_pair",
     "compare_and_swap_pair",
     "accumulate",
+    "RMW",
+    "apply_rmw",
 ]
 
 Pair = Tuple[Any, Any]
@@ -125,3 +127,27 @@ def accumulate(region: Region, addr: int, values, scale: Any = 1) -> None:
     for offset, value in enumerate(values):
         old = region.read(addr + offset)
         region.write(addr + offset, old + scale * value)
+
+
+#: The read-modify-write opcodes, named once: opcode -> the function that
+#: executes it.  ``swap_pair`` and ``cas_pair`` are the operations the paper
+#: added for (rank, address) global pointers; ``cas`` is the added plain
+#: compare&swap.  Requests validate against it, and both executors — the
+#: server and the same-node fast path — go through :func:`apply_rmw`.
+RMW = {
+    "fetch_add": fetch_and_add,
+    "swap": swap,
+    "cas": compare_and_swap,
+    "swap_pair": swap_pair,
+    "cas_pair": compare_and_swap_pair,
+    "read_pair": read_pair,
+}
+
+
+def apply_rmw(region: Region, addr: int, op: str, args: Tuple[Any, ...] = ()):
+    """Execute rmw opcode ``op`` on ``region`` at ``addr``; returns its result."""
+    try:
+        fn = RMW[op]
+    except KeyError:
+        raise ValueError(f"unknown rmw op {op!r}; known: {tuple(RMW)}") from None
+    return fn(region, addr, *args)

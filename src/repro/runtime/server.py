@@ -40,7 +40,7 @@ from ..armci.requests import (
     UnlockRequest,
 )
 from ..net.fabric import Fabric
-from ..net.message import Envelope, server_endpoint
+from ..net.message import server_endpoint
 from ..net.params import NetworkParams
 from ..net.topology import Topology
 from ..sim.core import Environment
@@ -49,6 +49,18 @@ from . import atomics
 from .memory import Region
 
 __all__ = ["ServerThread", "ServerStats"]
+
+#: Request type -> the :class:`ServerThread` method serving it (a put is
+#: applied in the server loop itself).  Resolved by name per request, so a
+#: handler can be replaced on the class or on one server.
+_HANDLERS = {
+    GetRequest: "_handle_get",
+    AccRequest: "_handle_acc",
+    RmwRequest: "_handle_rmw",
+    FenceRequest: "_handle_fence",
+    LockRequest: "_handle_lock",
+    UnlockRequest: "_handle_unlock",
+}
 
 
 @dataclass
@@ -202,6 +214,8 @@ class ServerThread:
         proc_us = p.server_proc_us
         shm_us = p.shm_access_us
         o_recv_us = p.o_recv_us
+        dedup = self._dedup
+        monitor = self._monitor
         while True:
             get_ev = mailbox.get()
             if not get_ev.triggered and spin_us > 0.0:
@@ -236,73 +250,57 @@ class ServerThread:
                 yield env.timeout(proc_us)
             stats.requests += 1
             req = envelope.payload
-            name = type(req).__name__
+            kind = type(req)
+            name = kind.__name__
             stats.by_type[name] = stats.by_type.get(name, 0) + 1
-            if (
-                type(req) is PutRequest
-                and not self._dedup
-                and self._monitor is None
-            ):
-                # _dispatch/_handle_put, inlined for the dominant request
-                # type on the fault-free, unmonitored fast path (two fewer
-                # generator frames per yield while applying the put).
-                region = self._hosted_region(req.dst_rank)
-                ncells = req.total_cells()
-                cost = self._copy_cost(ncells)
-                if cost > 0.0:
-                    yield env.timeout(cost)
-                if req.segments is not None:
-                    for addr, values in req.segments:
-                        region.write_many(addr, values)
-                else:
-                    region.write_many(req.addr, req.values)
-                self._bump_op_done(req.dst_rank)
-                if self._membership is not None:
-                    self._membership.note_apply(req.src_rank, req.dst_rank)
-                stats.puts += 1
-                if req.ack is not None:
-                    yield from self._reply(req.src_rank, req.ack, value=ncells)
+            key = (envelope.src_rank, envelope.seq) if dedup else None
+            if key is not None and key in self._applied:
+                stats.dup_requests += 1
+                yield from self._replay_reply(key)
             else:
-                yield from self._dispatch(envelope)
+                if key is not None:
+                    self._applied.add(key)
+                    self._current_key = key
+                # RMCSan: bracket the application of an identified remote
+                # memory operation — "apply" joins the issuer's clock (program
+                # order at issue time orders the server's writes),
+                # "apply_done" snapshots the server clock for the
+                # fence/barrier/completion edges.
+                op_id = None if monitor is None else getattr(req, "san_id", None)
+                if op_id is not None:
+                    monitor.emit("apply", op_id=op_id)
+                if kind is PutRequest:
+                    # The put — the dominant request — is applied here, in
+                    # the loop's own frame (no handler generator between the
+                    # kernel and its yields).  The client only ships
+                    # ``segments``; a contiguous addr/values request is the
+                    # one-run case.
+                    region = self._hosted_region(req.dst_rank)
+                    segments = req.segments
+                    if segments is None:
+                        segments = ((req.addr, req.values),)
+                    ncells = req.total_cells()
+                    cost = self._copy_cost(ncells)
+                    if cost > 0.0:
+                        yield env.timeout(cost)
+                    for addr, values in segments:
+                        region.write_many(addr, values)
+                    self._bump_op_done(req.dst_rank)
+                    if self._membership is not None:
+                        self._membership.note_apply(req.src_rank, req.dst_rank)
+                    stats.puts += 1
+                    if req.ack is not None:
+                        yield from self._reply(req.src_rank, req.ack, value=ncells)
+                else:
+                    handler = _HANDLERS.get(kind)
+                    if handler is None:
+                        raise TypeError(f"server {self.node}: unknown request {req!r}")
+                    yield from getattr(self, handler)(req)
+                if op_id is not None:
+                    monitor.emit("apply_done", op_id=op_id)
             stats.busy_us += env.now - busy_from
 
     # -- request handlers -----------------------------------------------------
-
-    def _dispatch(self, envelope: Envelope):
-        if self._dedup:
-            key = (envelope.src_rank, envelope.seq)
-            if key in self._applied:
-                self.stats.dup_requests += 1
-                yield from self._replay_reply(key)
-                return
-            self._applied.add(key)
-            self._current_key = key
-        req = envelope.payload
-        # RMCSan: bracket the application of an identified remote memory
-        # operation — "apply" joins the issuer's clock (program order at
-        # issue time orders the server's writes), "apply_done" snapshots the
-        # server clock for the fence/barrier/completion edges.
-        op_id = getattr(req, "san_id", None)
-        if self._monitor is not None and op_id is not None:
-            self._monitor.emit("apply", op_id=op_id)
-        if isinstance(req, PutRequest):
-            yield from self._handle_put(req)
-        elif isinstance(req, GetRequest):
-            yield from self._handle_get(req)
-        elif isinstance(req, AccRequest):
-            yield from self._handle_acc(req)
-        elif isinstance(req, RmwRequest):
-            yield from self._handle_rmw(req)
-        elif isinstance(req, FenceRequest):
-            yield from self._handle_fence(req)
-        elif isinstance(req, LockRequest):
-            yield from self._handle_lock(req)
-        elif isinstance(req, UnlockRequest):
-            yield from self._handle_unlock(req)
-        else:
-            raise TypeError(f"server {self.node}: unknown request {req!r}")
-        if self._monitor is not None and op_id is not None:
-            self._monitor.emit("apply_done", op_id=op_id)
 
     def _copy_cost(self, ncells: int) -> float:
         return ncells * Region.CELL_BYTES * self.params.mem_copy_per_byte_us
@@ -349,24 +347,6 @@ class ServerThread:
             payload_bytes=payload_cells * Region.CELL_BYTES,
         )
 
-    def _handle_put(self, req: PutRequest):
-        region = self._hosted_region(req.dst_rank)
-        ncells = req.total_cells()
-        cost = self._copy_cost(ncells)
-        if cost > 0.0:
-            yield self.env.timeout(cost)
-        if req.segments is not None:
-            for addr, values in req.segments:
-                region.write_many(addr, values)
-        else:
-            region.write_many(req.addr, req.values)
-        self._bump_op_done(req.dst_rank)
-        if self._membership is not None:
-            self._membership.note_apply(req.src_rank, req.dst_rank)
-        self.stats.puts += 1
-        if req.ack is not None:
-            yield from self._reply(req.src_rank, req.ack, value=ncells)
-
     def _handle_get(self, req: GetRequest):
         region = self._hosted_region(req.dst_rank)
         ncells = req.total_cells()
@@ -401,21 +381,7 @@ class ServerThread:
     def _handle_rmw(self, req: RmwRequest):
         region = self._hosted_region(req.dst_rank)
         self.stats.rmws += 1
-        op, args = req.op, req.args
-        if op == "fetch_add":
-            result = atomics.fetch_and_add(region, req.addr, *args)
-        elif op == "swap":
-            result = atomics.swap(region, req.addr, *args)
-        elif op == "cas":
-            result = atomics.compare_and_swap(region, req.addr, *args)
-        elif op == "swap_pair":
-            result = atomics.swap_pair(region, req.addr, *args)
-        elif op == "cas_pair":
-            result = atomics.compare_and_swap_pair(region, req.addr, *args)
-        elif op == "read_pair":
-            result = atomics.read_pair(region, req.addr)
-        else:  # pragma: no cover - validated at request construction
-            raise ValueError(f"unknown rmw op {op!r}")
+        result = atomics.apply_rmw(region, req.addr, req.op, req.args)
         yield from self._reply(req.src_rank, req.reply, value=result, payload_cells=2)
 
     def _handle_fence(self, req: FenceRequest):

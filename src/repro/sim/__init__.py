@@ -12,7 +12,6 @@ from .core import (
     ConditionValue,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     StopProcess,
@@ -34,7 +33,6 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
-    "Interrupt",
     "Interval",
     "Timeline",
     "Process",

@@ -52,7 +52,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "Condition",
     "AllOf",
     "AnyOf",
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 #: Priority for events that must run before ordinary events at the same time
-#: (e.g. interrupts).
+#: (e.g. a killed process's termination).
 PRIORITY_URGENT = 0
 #: Default event priority.
 PRIORITY_NORMAL = 1
@@ -120,18 +119,6 @@ class StopProcess(Exception):
     def __init__(self, value: Any = None):
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries the
-    value passed to ``interrupt``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class SchedulerStrategy:
@@ -349,26 +336,13 @@ class Process(Event):
         """The event the process is currently waiting for."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_ev = self.env.event()
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev._defused = True
-        interrupt_ev.callbacks.append(self._resume)
-        self.env.schedule(interrupt_ev, 0.0, PRIORITY_URGENT)
-
     def kill(self, value: Any = CRASHED) -> None:
         """Terminate the process immediately (crash-stop semantics).
 
-        Unlike :meth:`interrupt`, the generator is never resumed: it is
-        closed in place (running any ``finally`` blocks) and the process
-        event succeeds with ``value`` so joiners observe a terminated —
-        not failed — process.  Killing a finished process is a no-op.
+        The generator is never resumed: it is closed in place (running any
+        ``finally`` blocks) and the process event succeeds with ``value`` so
+        joiners observe a terminated — not failed — process.  Killing a
+        finished process is a no-op.
         """
         if not self.is_alive:
             return
@@ -402,19 +376,6 @@ class Process(Event):
         send = generator.send
         while True:
             env._active_proc = self
-            # Detach from the old target: if we were interrupted while
-            # waiting, the original target may still fire later; drop our
-            # callback.
-            target = self._target
-            if (
-                target is not event
-                and target is not None
-                and target.callbacks is not None
-            ):
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
             self._target = None
             try:
                 if event._ok:

@@ -162,25 +162,20 @@ class TestCreditMutation:
         assert _rules(findings) == [RULE_CREDIT]
 
     def test_home_modules_clean(self):
-        raw = """
-        class Armci:
-            def _credit_pool(self, node):
-                return self._credits[node]
-        """
-        assert (
-            lint_source(textwrap.dedent(raw), path="src/repro/armci/api.py")
-            == []
+        """One home: the module that issues every form of the operations."""
+        source = textwrap.dedent(
+            """
+            class Armci:
+                def _credit_pool(self, node):
+                    return self._credits[node]
+
+                def _get(self, node):
+                    yield from self._take_credit(node)
+            """
         )
-        helper = """
-        def wait(armci, node):
-            yield from armci._take_credit(node)
-        """
-        assert (
-            lint_source(
-                textwrap.dedent(helper), path="src/repro/armci/nonblocking.py"
-            )
-            == []
-        )
+        assert lint_source(source, path="src/repro/armci/api.py") == []
+        findings = lint_source(source, path="src/repro/armci/nonblocking.py")
+        assert _rules(findings) == [RULE_CREDIT] * 2
 
 
 class TestUnguardedViewRead:

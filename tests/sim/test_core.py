@@ -7,7 +7,6 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     StopProcess,
@@ -262,83 +261,6 @@ class TestProcess:
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
             Process(env, lambda: None)
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-
-        def interrupter(target):
-            yield env.timeout(5)
-            target.interrupt("wakeup")
-
-        p = env.process(sleeper())
-        env.process(interrupter(p))
-        env.run()
-        assert p.value == ("interrupted", "wakeup", 5.0)
-
-    def test_interrupted_process_can_continue(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(10)
-            return env.now
-
-        def interrupter(target):
-            yield env.timeout(5)
-            target.interrupt()
-
-        p = env.process(sleeper())
-        env.process(interrupter(p))
-        env.run()
-        assert p.value == 15.0
-
-    def test_interrupted_target_firing_later_does_not_resume_twice(self, env):
-        resumes = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                resumes.append(("interrupt", env.now))
-            yield env.timeout(200)
-            resumes.append(("final", env.now))
-
-        def interrupter(target):
-            yield env.timeout(5)
-            target.interrupt()
-
-        p = env.process(sleeper())
-        env.process(interrupter(p))
-        env.run()
-        # The original 100us timeout still fires at t=100 but must not
-        # resume the process again; the process continues on its own clock.
-        assert resumes == [("interrupt", 5.0), ("final", 205.0)]
-
-    def test_self_interrupt_rejected(self, env):
-        def proc():
-            me = env.active_process
-            with pytest.raises(SimulationError, match="cannot interrupt itself"):
-                me.interrupt()
-            yield env.timeout(0)
-
-        env.process(proc())
-        env.run()
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError, match="terminated"):
-            p.interrupt()
 
 
 class TestConditions:

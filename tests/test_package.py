@@ -180,3 +180,65 @@ class TestMembershipKeepsToItself:
                 assert isinstance(node.value, ast.Name) and node.value.id == "self", (
                     f"line {node.lineno}: {ast.unparse(node)}"
                 )
+
+
+class TestOneBodyPerOneSidedOperation:
+    """Put, get and rmw are each written once: one request construction on
+    the client, one put-apply in the server loop, one opcode table."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    @classmethod
+    def _trees(cls, subdir=""):
+        for path in sorted((cls.SRC / subdir).rglob("*.py")):
+            yield path.relative_to(cls.SRC).as_posix(), ast.parse(path.read_text())
+
+    @staticmethod
+    def _calls(tree, name):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+        ]
+
+    @pytest.mark.parametrize("request_type", ["PutRequest", "GetRequest"])
+    def test_client_builds_each_request_once(self, request_type):
+        sites = [
+            f"{path}:{call.lineno}"
+            for path, tree in self._trees("armci")
+            for call in self._calls(tree, request_type)
+        ]
+        assert len(sites) == 1, sites
+
+    def test_server_applies_a_put_in_one_place(self):
+        tree = ast.parse((self.SRC / "runtime/server.py").read_text())
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & {"_dispatch", "_handle_put"}
+        writing_loops = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.For)
+            and "segments" in ast.unparse(node.iter)
+            and self._calls(node, "write_many")
+        ]
+        assert len(writing_loops) == 1, writing_loops
+        assert len(self._calls(tree, "write_many")) == 1
+
+    def test_rmw_opcodes_are_compared_nowhere_but_the_table(self):
+        from repro.runtime.atomics import RMW
+
+        offenders = [
+            f"{path}:{branch.lineno}"
+            for path, tree in self._trees()
+            if path != "runtime/atomics.py"
+            for branch in ast.walk(tree)
+            if isinstance(branch, ast.If)
+            for node in ast.walk(branch.test)
+            if isinstance(node, ast.Compare)
+            for operand in [node.left, *node.comparators]
+            if isinstance(operand, ast.Constant) and operand.value in RMW
+        ]
+        assert offenders == []
