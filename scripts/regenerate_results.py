@@ -47,7 +47,7 @@ from repro.experiments.ablations import (
     run_wake_cost,
 )
 from repro.experiments.app_scaling import AppScalingConfig, run_app_scaling
-from repro.experiments.lockbench import comparison_from_series
+from repro.experiments.lockbench import LOCK_FIGURES, comparison_from_series
 from repro.experiments.microbench import run_microbench
 from repro.experiments.report import (
     comparison_to_csv,
@@ -70,12 +70,12 @@ def generate(out: pathlib.Path, jobs: int = 1) -> None:
     write_csv(comparison_to_csv(fig7), out, "fig7_ga_sync")
 
     series = run_lock_series(LockBenchConfig(iterations=400))
-    for key, metric, title in (
-        ("fig8_lock_total", "roundtrip", "Figure 8: time to request and release a lock"),
-        ("fig9_lock_acquire", "acquire", "Figure 9: time to request and acquire a lock"),
-        ("fig10_lock_release", "release", "Figure 10: time to release a lock"),
+    for figure, key in (
+        ("fig8", "fig8_lock_total"),
+        ("fig9", "fig9_lock_acquire"),
+        ("fig10", "fig10_lock_release"),
     ):
-        save(key, comparison_from_series(series, metric, title).render())
+        save(key, comparison_from_series(series, *LOCK_FIGURES[figure]).render())
     write_csv(lock_series_to_csv(series), out, "figs8_9_10_locks")
 
     crossover = run_crossover(nprocs=16, iterations=20)

@@ -16,7 +16,8 @@ called is printed as ``file  qualname  lines``.
     python scripts/unreached.py --only chaos     # entries whose name matches
     python scripts/unreached.py --out unreached.txt
 
-Standard library only.  Unreached is evidence, not a verdict: fault
+Standard library plus ``repro.cli.COMMANDS`` (every command must have an
+entry).  Unreached is evidence, not a verdict: fault
 handling that no stock scenario triggers, and reference implementations
 that only tests compare against, are expected on the list.
 """
@@ -58,7 +59,8 @@ def entries() -> List[Tuple[str, List[str]]]:
         "fig10 --procs 2 4 --iterations 3",
         "locks --procs 2 4 --iterations 3",
         "locks --procs 4 --ppn 2 --iterations 3 --network gige",
-        "ablations --procs 4 --iterations 3",
+        # Full size (~15 s unprofiled): the studies fix their own sweeps.
+        "ablations",
         "app --procs 2 4",
         "microbench",
         "fairness --procs 4 --iterations 10",
@@ -84,7 +86,14 @@ def entries() -> List[Tuple[str, List[str]]]:
         "check partition",
         "check topo",
         "check --lint --strict",
+        "all --procs 2 4 --iterations 3",
     ]
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.cli import COMMANDS
+
+    missing = set(COMMANDS) - {line.split()[0] for line in cli}
+    if missing:
+        raise SystemExit(f"unreached.py: no entry runs repro {sorted(missing)}")
     out = [(f"repro {line}", ["-m", "repro", *line.split()]) for line in cli]
     out.append(
         ("regenerate_results --check", ["scripts/regenerate_results.py", "--check"])

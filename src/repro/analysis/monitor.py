@@ -31,7 +31,7 @@ class SyncMonitor:
     """Collects structured protocol events from an instrumented run."""
 
     def __init__(self, tracer: Optional[Tracer] = None):
-        self.tracer = tracer if tracer is not None else Tracer(limit=0)
+        self.tracer = tracer if tracer is not None else Tracer()
         self.env = None
         self._actors: Dict[Any, str] = {}
         self._next_op = 0

@@ -38,6 +38,31 @@ def _sanitized_spmd(nprocs: int, main, *args, **runtime_kwargs):
     return monitor.analyze()
 
 
+def _shared_audit() -> dict:
+    """The cross-rank lock audit record the chaos and fuzz workloads fill in."""
+    return {
+        "requests": [],
+        "grants": [],
+        "preemptions": [],
+        "cs_owner": None,
+        "mutex_ok": True,
+    }
+
+
+def _sanitized_scenario(scenario) -> SanReport:
+    """Run one fuzz :class:`~repro.fuzz.scenario.Scenario` under a monitor."""
+    from ..fuzz.runner import _fuzz_workload, _make_params
+
+    return _sanitized_spmd(
+        scenario.nprocs,
+        _fuzz_workload,
+        scenario,
+        _shared_audit(),
+        procs_per_node=scenario.procs_per_node,
+        params=_make_params(scenario),
+    )
+
+
 def _check_fig7() -> List[Tuple[str, SanReport]]:
     """GA_Sync workload, both fence implementations (paper Figure 7)."""
     from ..experiments.common import default_params
@@ -114,18 +139,11 @@ def _check_chaos() -> List[Tuple[str, SanReport]]:
             lock_kills=((5, 900.0),),
             lock_iters=2,
         )
-        shared = {
-            "requests": [],
-            "grants": [],
-            "preemptions": [],
-            "cs_owner": None,
-            "mutex_ok": True,
-        }
         report = _sanitized_spmd(
             cfg.nprocs,
             chaos_workload,
             cfg,
-            shared,
+            _shared_audit(),
             procs_per_node=cfg.procs_per_node,
             params=_make_params(cfg),
         )
@@ -147,7 +165,6 @@ def _check_nic() -> List[Tuple[str, SanReport]]:
     """
     from ..experiments.common import default_params
     from ..experiments.fig7_sync import Fig7Config, sync_workload
-    from ..fuzz.runner import _fuzz_workload, _make_params
     from ..fuzz.scenario import Scenario
 
     cfg = Fig7Config(iterations=2, shape=(16, 16), strip_rows=2)
@@ -171,22 +188,7 @@ def _check_nic() -> List[Tuple[str, SanReport]]:
             cells=4,
             crashes=((kind, target, 40.0),),
         )
-        shared = {
-            "requests": [],
-            "grants": [],
-            "preemptions": [],
-            "cs_owner": None,
-            "mutex_ok": True,
-        }
-        report = _sanitized_spmd(
-            scenario.nprocs,
-            _fuzz_workload,
-            scenario,
-            shared,
-            procs_per_node=scenario.procs_per_node,
-            params=_make_params(scenario),
-        )
-        out.append((label, report))
+        out.append((label, _sanitized_scenario(scenario)))
     return out
 
 
@@ -203,7 +205,6 @@ def _check_partition() -> List[Tuple[str, SanReport]]:
     rejoin resync replays the regenerated token view, so no split-brain
     rule should ever fire here.
     """
-    from ..fuzz.runner import _fuzz_workload, _make_params
     from ..fuzz.scenario import Scenario
 
     out = []
@@ -220,22 +221,7 @@ def _check_partition() -> List[Tuple[str, SanReport]]:
             lock_iters=2,
             partitions=(((2,), 80.0, 700.0),),
         )
-        shared = {
-            "requests": [],
-            "grants": [],
-            "preemptions": [],
-            "cs_owner": None,
-            "mutex_ok": True,
-        }
-        report = _sanitized_spmd(
-            scenario.nprocs,
-            _fuzz_workload,
-            scenario,
-            shared,
-            procs_per_node=scenario.procs_per_node,
-            params=_make_params(scenario),
-        )
-        out.append((label, report))
+        out.append((label, _sanitized_scenario(scenario)))
     return out
 
 
@@ -250,7 +236,6 @@ def _check_topo() -> List[Tuple[str, SanReport]]:
     epoch's reads regardless of which level the completing message
     crossed.
     """
-    from ..fuzz.runner import _fuzz_workload, _make_params
     from ..fuzz.scenario import Scenario
 
     out = []
@@ -265,22 +250,7 @@ def _check_topo() -> List[Tuple[str, SanReport]]:
             cells=4,
             hier_arity=2,
         )
-        shared = {
-            "requests": [],
-            "grants": [],
-            "preemptions": [],
-            "cs_owner": None,
-            "mutex_ok": True,
-        }
-        report = _sanitized_spmd(
-            scenario.nprocs,
-            _fuzz_workload,
-            scenario,
-            shared,
-            procs_per_node=scenario.procs_per_node,
-            params=_make_params(scenario),
-        )
-        out.append((f"topo[{algorithm}]", report))
+        out.append((f"topo[{algorithm}]", _sanitized_scenario(scenario)))
     return out
 
 

@@ -7,7 +7,7 @@ Usage (installed as ``armci-repro``, or ``python -m repro``)::
     armci-repro fig9                # lock acquire (Figure 9)
     armci-repro fig10               # lock release (Figure 10)
     armci-repro locks               # Figures 8-10 from one run
-    armci-repro ablations           # all five ablation studies
+    armci-repro ablations           # the six ablation studies
     armci-repro faults              # sync cost + retry volume vs drop rate
     armci-repro chaos               # crash-stop kills + membership recovery
     armci-repro nic                 # host vs NIC-offloaded barrier ablation
@@ -27,11 +27,14 @@ Usage (installed as ``armci-repro``, or ``python -m repro``)::
     armci-repro mc --schedule ce.json   # replay a counterexample
     armci-repro mc --self-test      # find the seeded mutants by exploration
 
+Every command has its own ``--help`` and accepts exactly the flags it acts
+on (the ``COMMANDS`` table below); anything else is rejected with exit 2.
+
 Fault options: ``--drop-rate`` enables seeded link-fault injection (with
-the reliable ACK/retransmit layer) on *any* experiment — with the
-``faults`` experiment it selects the sweep's single non-zero point;
-``--fault-seed`` pins the fault RNG stream and ``--retry-timeout`` the
-first retransmission timeout.
+the reliable ACK/retransmit layer) on every experiment that takes the
+cost-model flags — with the ``faults`` experiment it selects the sweep's
+single non-zero point; ``--fault-seed`` pins the fault RNG stream and
+``--retry-timeout`` the first retransmission timeout.
 
 Chaos options: each ``--kill RANK:AT_US`` schedules a permanent crash-stop
 failure of RANK at AT_US simulated microseconds.  Kills before the barrier
@@ -50,353 +53,256 @@ reliable layer estimates its retransmission timeout adaptively
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .experiments import (
-    Fig7Config,
-    LockBenchConfig,
-    run_fig7,
-    run_lock_series,
-)
-from .experiments.ablations import (
-    render_release_opt,
-    run_crossover,
-    run_fence_modes,
-    run_release_opt,
-    run_smp_handoff,
-    run_wake_cost,
-)
-from .experiments.lockbench import comparison_from_series
+from .experiments import Fig7Config, LockBenchConfig, run_fig7, run_lock_series
+from .experiments.lockbench import LOCK_FIGURES, comparison_from_series
 from .net.params import _preset
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "FLAGS", "main"]
 
 
 class _CliError(Exception):
     """A user-input problem: reported as one line on stderr, exit 2."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="armci-repro",
-        description=(
-            "Reproduce the figures of 'Optimizing Synchronization Operations "
-            "for Remote Memory Communication Systems' (IPPS 2003) on a "
-            "simulated Myrinet cluster."
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        choices=["fig7", "fig8", "fig9", "fig10", "locks", "ablations", "app",
-                 "microbench", "fairness", "faults", "chaos", "nic",
-                 "scalebench", "fuzz", "mc", "validate", "check", "all"],
-        help="which experiment to regenerate (or 'check' to run RMCSan, "
-        "'fuzz' to run the scenario fuzzer, 'mc' to run RMCheck schedule "
-        "exploration)",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help=(
-            "for 'check': which workload to sanitize "
-            "(fig7, locks, faultbench, chaos, nic, partition; default all); "
-            "for 'mc': which model-checking target to explore "
-            "(see repro.mc.targets; default all)"
-        ),
-    )
-    parser.add_argument(
-        "--lint",
-        action="store_true",
-        help="with 'check': run the static lint pass instead of the "
-        "dynamic happens-before checker",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="with 'check --lint': exit nonzero when there are findings "
-        "(CI mode; the default is report-only)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "dump the RMCSan protocol-event trace of every simulated run "
-            "to PATH as JSON lines (enables event collection)"
-        ),
-    )
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="timed iterations per configuration (default: fig7 100, locks 400)",
-    )
-    parser.add_argument(
-        "--network",
-        default="myrinet2000",
+@contextlib.contextmanager
+def _user_input():
+    """A legality check an experiment raises as ``ValueError`` is user input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
+
+
+# -- the flag table ----------------------------------------------------------
+
+
+def _ranged(kind, low, strict: bool = False):
+    """argparse ``type=``: a ``kind`` that is ``>= low`` (``> low`` if strict)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+_COUNT = _ranged(int, 1)
+
+
+def _flag(*names: str, **kwargs):
+    return names, kwargs
+
+
+#: Every flag's argparse definition, once.  A command's subparser gets the
+#: entries its ``Command.flags`` names (plus ``trace_out``) and no others.
+FLAGS = {
+    "target": _flag(
+        "target", nargs="?",
+        help="check: which workload to sanitize (fig7, locks, faultbench, chaos, nic, "
+        "partition, topo; default all); mc: which model-checking target to explore "
+        "(see repro.mc.targets; default all)",
+    ),
+    "lint": _flag(
+        "--lint", action="store_true",
+        help="run the static lint pass instead of the dynamic happens-before checker",
+    ),
+    "strict": _flag(
+        "--strict", action="store_true",
+        help="with --lint: exit nonzero when there are findings (CI mode; the default "
+        "is report-only)",
+    ),
+    "trace_out": _flag(
+        "--trace-out", metavar="PATH",
+        help="dump the RMCSan protocol-event trace of every simulated run to PATH as "
+        "JSON lines (enables event collection)",
+    ),
+    "iterations": _flag(
+        "--iterations", type=_COUNT,
+        help="timed iterations per configuration (default: the experiment's)",
+    ),
+    "network": _flag(
+        "--network", default="myrinet2000",
         help="network preset: myrinet2000 (default), gige, quadrics",
-    )
-    parser.add_argument(
-        "--procs",
-        type=int,
-        nargs="+",
-        default=None,
+    ),
+    "procs": _flag(
+        "--procs", type=_COUNT, nargs="+",
         help="process counts to sweep (default: paper's)",
-    )
-    parser.add_argument(
-        "--ppn",
-        type=int,
-        default=1,
+    ),
+    # The same flag on the commands that run at one process count.
+    "nprocs": _flag(
+        "--procs", type=_COUNT, nargs=1, metavar="N",
+        help="process count (default: the experiment's)",
+    ),
+    "ppn": _flag(
+        "--ppn", type=_COUNT, default=1,
         help="processes per SMP node (default 1, as in the paper's runs)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "shard independent sweep cells over N worker processes "
-            "(0 = one per core); simulated results are identical to a "
-            "serial run (applies to fig7, nic, scalebench)"
-        ),
-    )
-    parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
+    ),
+    "jobs": _flag(
+        "--jobs", type=_ranged(int, 0), default=1, metavar="N",
+        help="shard independent sweep cells over N worker processes (0 = one per "
+        "core); simulated results are identical to a serial run",
+    ),
+    "csv": _flag(
+        "--csv", metavar="DIR",
         help="also write tidy CSV series for plotting into DIR",
-    )
-    parser.add_argument(
-        "--drop-rate",
-        type=float,
-        default=None,
-        metavar="P",
-        help=(
-            "inject seeded link faults: drop each inter-node transmission "
-            "with probability P (reliable delivery layer enabled); for the "
-            "'faults' experiment this picks the sweep's non-zero point"
-        ),
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
+    ),
+    "drop_rate": _flag(
+        "--drop-rate", type=float, metavar="P",
+        help="inject seeded link faults: drop each inter-node transmission with "
+        "probability P (reliable delivery layer enabled); for the 'faults' experiment "
+        "this picks the sweep's non-zero point",
+    ),
+    "fault_seed": _flag(
+        "--fault-seed", type=int, metavar="SEED",
         help="seed for the fault-injection RNG stream (independent of jitter)",
-    )
-    parser.add_argument(
-        "--retry-timeout",
-        type=float,
-        default=None,
-        metavar="US",
+    ),
+    "retry_timeout": _flag(
+        "--retry-timeout", type=float, metavar="US",
         help="reliable layer: first retransmission timeout in simulated us",
-    )
-    parser.add_argument(
-        "--kill",
-        action="append",
-        default=None,
-        metavar="RANK:AT_US",
-        help=(
-            "chaos: kill RANK at AT_US simulated microseconds (repeatable); "
-            "kills before the barrier hold point hit the barrier exchange, "
-            "later ones hit the lock holder"
-        ),
-    )
-    parser.add_argument(
-        "--kill-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="chaos: seed for the heartbeat/failure-detector RNG stream",
-    )
-    parser.add_argument(
-        "--partition",
-        action="append",
-        default=None,
-        metavar="NODES:FROM_US:UNTIL_US",
-        help=(
-            "chaos: cut the comma-separated node group off the fabric for "
-            "the simulated-time window (repeatable); the minority freezes "
-            "on quorum loss and rejoins with a state resync at the heal"
-        ),
-    )
-    parser.add_argument(
-        "--stall",
-        action="append",
-        default=None,
-        metavar="RANK:FROM_US:UNTIL_US",
-        help="chaos: pause RANK for the window, then resume it (no crash)",
-    )
-    parser.add_argument(
-        "--lock",
-        default=None,
-        metavar="KIND",
-        help=(
-            "chaos: lock algorithm to recover "
-            "(ticket, lh, server, hybrid, mcs, naimi, raymond; default hybrid)"
-        ),
-    )
-    topo = parser.add_argument_group("topology options")
-    topo.add_argument(
-        "--topo",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "hierarchical network topology, innermost level first: "
-            "comma-separated NAME:ARITY[:LATENCY_US[:PER_BYTE_US"
-            "[:CONTENTION]]] (empty numeric field = inherit the preset's "
-            "flat figure), e.g. 'switch:8:26,spine:512:48::2.0'; enables "
-            "the topology-aware barrier algorithms"
-        ),
-    )
-    topo.add_argument(
-        "--radix",
-        type=int,
-        default=None,
-        metavar="K",
+    ),
+    "kill": _flag(
+        "--kill", action="append", metavar="RANK:AT_US",
+        help="kill RANK at AT_US simulated microseconds (repeatable); kills before the "
+        "barrier hold point hit the barrier exchange, later ones hit the lock holder",
+    ),
+    "kill_seed": _flag(
+        "--kill-seed", type=int, metavar="SEED",
+        help="seed for the heartbeat/failure-detector RNG stream",
+    ),
+    "partition": _flag(
+        "--partition", action="append", metavar="NODES:FROM_US:UNTIL_US",
+        help="cut the comma-separated node group off the fabric for the simulated-time "
+        "window (repeatable); the minority freezes on quorum loss and rejoins with a "
+        "state resync at the heal",
+    ),
+    "stall": _flag(
+        "--stall", action="append", metavar="RANK:FROM_US:UNTIL_US",
+        help="pause RANK for the window, then resume it (no crash)",
+    ),
+    "lock": _flag(
+        "--lock", metavar="KIND",
+        help="lock algorithm to recover (ticket, lh, server, hybrid, mcs, naimi, "
+        "raymond; default hybrid)",
+    ),
+    "topo": _flag(
+        "--topo", metavar="SPEC",
+        help="hierarchical network topology, innermost level first: comma-separated "
+        "NAME:ARITY[:LATENCY_US[:PER_BYTE_US[:CONTENTION]]] (empty numeric field = "
+        "inherit the preset's flat figure), e.g. 'switch:8:26,spine:512:48::2.0'; "
+        "enables the topology-aware barrier algorithms",
+    ),
+    "radix": _flag(
+        "--radix", type=int, metavar="K",
         help="k-ary combining-tree radix for the 'kary' barrier (default 4)",
-    )
-    topo.add_argument(
-        "--coalesce",
-        action="store_true",
-        help=(
-            "scalebench: one simulator actor per node instead of per rank "
-            "(requires --ppn > 1); intra-node phases are charged "
-            "analytically, inter-node phases simulated — what makes "
-            "N=16384 tractable"
-        ),
-    )
-    fuzz = parser.add_argument_group("fuzz options")
-    fuzz.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fuzz: number of consecutive seeds to run (default 50, or "
-        "unlimited when --time-budget is given)",
-    )
-    fuzz.add_argument(
-        "--start-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="fuzz: first seed of the campaign (default 0)",
-    )
-    fuzz.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        metavar="S",
-        help="fuzz: stop starting new seeds after S wall-clock seconds; "
-        "scalebench: skip remaining cells once S seconds have elapsed",
-    )
-    fuzz.add_argument(
-        "--replay",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="fuzz: re-expand and run one seed (byte-identical, nonzero "
-        "exit iff it reports violations)",
-    )
-    fuzz.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="fuzz: report the first failure without shrinking it",
-    )
-    fuzz.add_argument(
-        "--self-test",
-        action="store_true",
-        help="fuzz/mc: plant the three seeded bug mutants and require the "
-        "oracle to catch each (fuzz: within the seed budget; mc: by "
-        "exploration at minimal N)",
-    )
-    fuzz.add_argument(
-        "--self-test-budget",
-        type=int,
-        default=12,
-        metavar="N",
-        help="fuzz: seeds tried per mutant in --self-test (default 12)",
-    )
-    fuzz.add_argument(
-        "--corpus",
-        metavar="DIR",
-        default=None,
-        help="fuzz: replay every corpus schedule in DIR instead of "
-        "generating seeds (nonzero exit iff any entry fails)",
-    )
-    fuzz.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="fuzz/mc/scalebench: also write the campaign/replay/"
-        "exploration/scaling result as JSON to PATH",
-    )
-    mc = parser.add_argument_group("mc options")
-    mc.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="mc: max complete schedules per exploration (default: the "
-        "target's tuned budget)",
-    )
-    mc.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="US",
-        help="mc: commutation window in simulated us — deliveries within "
-        "it of the queue head count as co-enabled (default: the target's)",
-    )
-    mc.add_argument(
-        "--cap",
-        type=float,
-        default=None,
-        metavar="US",
-        help="mc: simulated-time cap per explored run (default: the "
-        "target's)",
-    )
-    mc.add_argument(
-        "--scenario",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="mc: explore the fuzzer-generated scenario for SEED instead "
-        "of a named target",
-    )
-    mc.add_argument(
-        "--schedule",
-        metavar="PATH",
-        default=None,
-        help="mc: replay a serialized counterexample (nonzero exit iff it "
-        "still fails)",
-    )
-    mc.add_argument(
-        "--ce-out",
-        metavar="DIR",
-        default=None,
-        help="mc: write any counterexample found to DIR as JSON",
-    )
-    return parser
+    ),
+    "coalesce": _flag(
+        "--coalesce", action="store_true",
+        help="one simulator actor per node instead of per rank (requires --ppn > 1); "
+        "intra-node phases are charged analytically, inter-node phases simulated — "
+        "what makes N=16384 tractable",
+    ),
+    "seeds": _flag(
+        "--seeds", type=_COUNT, metavar="N",
+        help="number of consecutive seeds to run (default 50, or unlimited when "
+        "--time-budget is given)",
+    ),
+    "start_seed": _flag(
+        "--start-seed", type=_ranged(int, 0), default=0, metavar="SEED",
+        help="first seed of the campaign (default 0)",
+    ),
+    "time_budget": _flag(
+        "--time-budget", type=_ranged(float, 0), metavar="S",
+        help="fuzz: stop starting new seeds after S wall-clock seconds; scalebench: "
+        "skip remaining cells once S seconds have elapsed",
+    ),
+    "replay": _flag(
+        "--replay", type=int, metavar="SEED",
+        help="re-expand and run one seed (byte-identical, nonzero exit iff it reports "
+        "violations)",
+    ),
+    "no_shrink": _flag(
+        "--no-shrink", action="store_true",
+        help="report the first failure without shrinking it",
+    ),
+    "self_test": _flag(
+        "--self-test", action="store_true",
+        help="plant the three seeded bug mutants and require the oracle to catch each "
+        "(fuzz: within the seed budget; mc: by exploration at minimal N)",
+    ),
+    "self_test_budget": _flag(
+        "--self-test-budget", type=_COUNT, default=12, metavar="N",
+        help="seeds tried per mutant in --self-test (default 12)",
+    ),
+    "corpus": _flag(
+        "--corpus", metavar="DIR",
+        help="replay every corpus schedule in DIR instead of generating seeds (nonzero "
+        "exit iff any entry fails)",
+    ),
+    "json_out": _flag(
+        "--json-out", metavar="PATH",
+        help="also write the campaign/replay/exploration/scaling result as JSON to "
+        "PATH",
+    ),
+    "budget": _flag(
+        "--budget", type=_COUNT, metavar="N",
+        help="max complete schedules per exploration (default: the target's tuned "
+        "budget)",
+    ),
+    "window": _flag(
+        "--window", type=_ranged(float, 0), metavar="US",
+        help="commutation window in simulated us — deliveries within it of the queue "
+        "head count as co-enabled (default: the target's)",
+    ),
+    "cap": _flag(
+        "--cap", type=_ranged(float, 0, strict=True), metavar="US",
+        help="simulated-time cap per explored run (default: the target's)",
+    ),
+    "scenario": _flag(
+        "--scenario", type=int, metavar="SEED",
+        help="explore the fuzzer-generated scenario for SEED instead of a named target",
+    ),
+    "schedule": _flag(
+        "--schedule", metavar="PATH",
+        help="replay a serialized counterexample (nonzero exit iff it still fails)",
+    ),
+    "ce_out": _flag(
+        "--ce-out", metavar="DIR",
+        help="write any counterexample found to DIR as JSON",
+    ),
+}
+
+#: The two recurring flag groups.
+SWEEP = ("procs", "ppn", "iterations")
+COST_MODEL = ("network", "drop_rate", "fault_seed", "retry_timeout", "topo", "radix")
 
 
-def _validate_fault_args(args) -> None:
-    """Reject nonsense fault options with a one-line error (satellites).
+# -- spec parsing and shared builders ----------------------------------------
+
+
+def _check_fault_ranges(drop_rate=None, retry_timeout=None) -> None:
+    """Reject nonsense fault options with a one-line error.
 
     argparse already type-checks ``--drop-rate``/``--fault-seed``; value
     *ranges* are checked here so a typo like ``--drop-rate 15`` fails up
     front instead of as a mid-simulation traceback.
     """
-    drop = getattr(args, "drop_rate", None)
-    if drop is not None and not (0.0 <= drop < 1.0):
+    if drop_rate is not None and not (0.0 <= drop_rate < 1.0):
         raise _CliError(
-            f"--drop-rate must be a probability in [0, 1), got {drop!r}"
+            f"--drop-rate must be a probability in [0, 1), got {drop_rate!r}"
         )
-    retry = getattr(args, "retry_timeout", None)
-    if retry is not None and not retry > 0.0:
-        raise _CliError(f"--retry-timeout must be > 0 us, got {retry!r}")
+    if retry_timeout is not None and not retry_timeout > 0.0:
+        raise _CliError(f"--retry-timeout must be > 0 us, got {retry_timeout!r}")
 
 
 def _parse_kill(spec: str):
@@ -465,34 +371,26 @@ def _parse_stall(spec: str):
     return rank, from_us, until_us
 
 
-def _parse_topo(args):
-    """Resolve ``--topo`` to a :class:`~repro.topo.Hierarchy` (or None)."""
-    spec = getattr(args, "topo", None)
-    if spec is None:
-        return None
-    from .topo import parse_topo_spec
-
-    try:
-        return parse_topo_spec(spec)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+def _network(args):
+    with _user_input():
+        return _preset(args.network)
 
 
 def _network_params(args):
-    """Resolve the preset plus any fault/reliability/topology options."""
+    """Resolve the cost-model flags: preset plus fault/reliability/topology."""
     from .net.faults import FaultPlan
+    from .topo import parse_topo_spec
 
-    _validate_fault_args(args)
-    params = _preset(args.network)
+    _check_fault_ranges(args.drop_rate, args.retry_timeout)
+    params = _network(args)
     overrides = {}
-    hierarchy = _parse_topo(args)
-    if hierarchy is not None:
-        overrides["hierarchy"] = hierarchy
-    radix = getattr(args, "radix", None)
-    if radix is not None:
-        if radix < 2:
-            raise _CliError(f"--radix must be >= 2, got {radix!r}")
-        overrides["tree_radix"] = radix
+    if args.topo is not None:
+        with _user_input():
+            overrides["hierarchy"] = parse_topo_spec(args.topo)
+    if args.radix is not None:
+        if args.radix < 2:
+            raise _CliError(f"--radix must be >= 2, got {args.radix!r}")
+        overrides["tree_radix"] = args.radix
     if args.retry_timeout is not None:
         overrides["retry_timeout_us"] = args.retry_timeout
     if args.drop_rate:
@@ -509,64 +407,81 @@ def _network_params(args):
     return params.with_(**overrides) if overrides else params
 
 
+def _given(**fields) -> dict:
+    """The fields the user set; the rest stay the experiment's defaults."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _sweep_config(config_cls, args, **fields):
+    """``config_cls`` from the sweep and cost-model flags."""
+    return config_cls(
+        procs_per_node=args.ppn,
+        params=_network_params(args),
+        **_given(
+            nprocs_list=args.procs and tuple(args.procs),
+            iterations=args.iterations,
+        ),
+        **fields,
+    )
+
+
+def _write_csv(args, result, name: str) -> None:
+    from .experiments.report import to_csv, write_csv
+
+    if args.csv:
+        print(f"csv written: {write_csv(to_csv(result), args.csv, name)}")
+
+
+def _write_json(args, text: str) -> None:
+    if args.json_out:
+        Path(args.json_out).write_text(text + "\n")
+        print(f"json written: {args.json_out}")
+
+
+def _print_verdicts(results, summary=lambda result: "") -> int:
+    """One ``[ok]``/``[FAIL]`` line per (label, result), failures rendered in
+    full; returns the exit code."""
+    rc = 0
+    for label, result in results:
+        print(f"[{'ok' if result.ok() else 'FAIL'}] {label}{summary(result)}")
+        if not result.ok():
+            print(result.render())
+            rc = 1
+    return rc
+
+
+# -- the commands ------------------------------------------------------------
+
+
 def _fig7(args) -> None:
-    from .experiments.report import comparison_to_csv, write_csv
-
-    cfg = Fig7Config(
-        nprocs_list=tuple(args.procs) if args.procs else Fig7Config.nprocs_list,
-        iterations=args.iterations or 100,
-        procs_per_node=args.ppn,
-        params=_network_params(args),
-    )
-    comparison = run_fig7(cfg, jobs=args.jobs)
+    comparison = run_fig7(_sweep_config(Fig7Config, args), jobs=args.jobs)
     print(comparison.render())
-    if args.csv:
-        path = write_csv(comparison_to_csv(comparison), args.csv, "fig7_ga_sync")
-        print(f"csv written: {path}")
+    _write_csv(args, comparison, "fig7_ga_sync")
 
 
-def _lock_cfg(args) -> LockBenchConfig:
-    return LockBenchConfig(
-        nprocs_list=tuple(args.procs) if args.procs else LockBenchConfig.nprocs_list,
-        iterations=args.iterations or 400,
-        procs_per_node=args.ppn,
-        params=_network_params(args),
-    )
-
-
-def _locks(args, which: Optional[str] = None) -> None:
-    from .experiments.report import lock_series_to_csv, write_csv
-
-    series = run_lock_series(_lock_cfg(args))
-    figs = {
-        "fig8": ("roundtrip", "Figure 8: time to request and release a lock"),
-        "fig9": ("acquire", "Figure 9: time to request and acquire a lock"),
-        "fig10": ("release", "Figure 10: time to release a lock"),
-    }
-    selected = [which] if which else list(figs)
-    for key in selected:
-        metric, title = figs[key]
-        print(comparison_from_series(series, metric, title).render())
+def _locks(args) -> None:
+    """Figures 8-10 from one run; ``fig8``/``fig9``/``fig10`` print their own."""
+    series = run_lock_series(_sweep_config(LockBenchConfig, args))
+    for name in [args.command] if args.command in LOCK_FIGURES else LOCK_FIGURES:
+        print(comparison_from_series(series, *LOCK_FIGURES[name]).render())
         print()
-    if args.csv:
-        path = write_csv(lock_series_to_csv(series), args.csv, "figs8_9_10_locks")
-        print(f"csv written: {path}")
+    _write_csv(args, series, "figs8_9_10_locks")
 
 
 def _ablations(args) -> None:
-    from .experiments.ablations import render_lock_algorithms, run_lock_algorithms
+    from .experiments import ablations as ab
 
-    print(run_crossover(params=_network_params(args)).render())
-    print()
-    print(run_fence_modes(params=_network_params(args)).render())
-    print()
-    print(run_smp_handoff(params=_network_params(args)).render())
-    print()
-    print(run_wake_cost().render())
-    print()
-    print(render_release_opt(run_release_opt()))
-    print()
-    print(render_lock_algorithms(run_lock_algorithms()))
+    params = _network_params(args)
+    locks = LockBenchConfig(iterations=300, params=params)
+    tables = [
+        ab.run_crossover(params=params).render(),
+        ab.run_fence_modes(params=params).render(),
+        ab.run_smp_handoff(params=params).render(),
+        ab.run_wake_cost(cfg=locks).render(),
+        ab.render_release_opt(ab.run_release_opt(cfg=locks)),
+        ab.render_lock_algorithms(ab.run_lock_algorithms(cfg=locks)),
+    ]
+    print("\n\n".join(tables))
 
 
 def _microbench(args) -> None:
@@ -579,9 +494,8 @@ def _fairness(args) -> None:
     from .experiments.ablations import render_lock_fairness, run_lock_fairness
 
     data = run_lock_fairness(
-        nprocs=(args.procs[0] if args.procs else 8),
-        iterations=args.iterations or 200,
         params=_network_params(args),
+        **_given(nprocs=args.procs and args.procs[0], iterations=args.iterations),
     )
     print(render_lock_fairness(data))
 
@@ -589,34 +503,22 @@ def _fairness(args) -> None:
 def _app(args) -> None:
     from .experiments.app_scaling import AppScalingConfig, run_app_scaling
 
-    cfg = AppScalingConfig(
-        nprocs_list=tuple(args.procs) if args.procs else AppScalingConfig.nprocs_list,
-        iterations=args.iterations or 10,
-        procs_per_node=args.ppn,
-        params=_network_params(args),
-    )
-    print(run_app_scaling(cfg).render())
+    print(run_app_scaling(_sweep_config(AppScalingConfig, args)).render())
 
 
 def _faults(args) -> None:
     from .experiments.faultbench import FaultBenchConfig, run_faultbench
 
-    _validate_fault_args(args)
+    _check_fault_ranges(args.drop_rate, args.retry_timeout)
     cfg = FaultBenchConfig(
-        nprocs=(args.procs[0] if args.procs else FaultBenchConfig.nprocs),
         procs_per_node=args.ppn,
-        drop_rates=(
-            (0.0, args.drop_rate)
-            if args.drop_rate
-            else FaultBenchConfig.drop_rates
-        ),
-        fault_seed=(
-            args.fault_seed
-            if args.fault_seed is not None
-            else FaultBenchConfig.fault_seed
-        ),
         retry_timeout_us=args.retry_timeout,
-        params=_preset(args.network),
+        params=_network(args),
+        **_given(
+            nprocs=args.procs and args.procs[0],
+            drop_rates=(0.0, args.drop_rate) if args.drop_rate else None,
+            fault_seed=args.fault_seed,
+        ),
     )
     print(run_faultbench(cfg).render())
 
@@ -624,129 +526,71 @@ def _faults(args) -> None:
 def _chaos(args) -> int:
     from .experiments.chaosbench import ChaosBenchConfig, run_chaosbench
 
-    defaults = ChaosBenchConfig()
-    overrides = {}
-    if args.procs:
-        overrides["nprocs"] = args.procs[0]
-    if args.ppn != 1:
-        overrides["procs_per_node"] = args.ppn
-    if args.lock:
-        overrides["lock_kind"] = args.lock
-    if args.kill_seed is not None:
-        overrides["kill_seed"] = args.kill_seed
+    overrides = _given(
+        nprocs=args.procs and args.procs[0],
+        lock_kind=args.lock or None,
+        kill_seed=args.kill_seed,
+    )
     if args.kill:
-        barrier_kills, lock_kills = [], []
-        for spec in args.kill:
-            rank, at_us = _parse_kill(spec)
-            if at_us < defaults.barrier_hold_us:
-                barrier_kills.append((rank, at_us))
-            else:
-                lock_kills.append((rank, at_us))
-        overrides["barrier_kills"] = tuple(barrier_kills)
-        overrides["lock_kills"] = tuple(lock_kills)
+        hold_us = ChaosBenchConfig.barrier_hold_us
+        kills = [_parse_kill(spec) for spec in args.kill]
+        overrides["barrier_kills"] = tuple(k for k in kills if k[1] < hold_us)
+        overrides["lock_kills"] = tuple(k for k in kills if k[1] >= hold_us)
+    elif args.partition or args.stall:
+        # A transient-only run: measure freeze/heal/rejoin without the
+        # stock crash schedule.
+        overrides["barrier_kills"] = overrides["lock_kills"] = ()
     if args.partition:
         overrides["partitions"] = tuple(
             _parse_partition(spec) for spec in args.partition
         )
     if args.stall:
         overrides["stalls"] = tuple(_parse_stall(spec) for spec in args.stall)
-    if (args.partition or args.stall) and not args.kill:
-        # A transient-only run: measure freeze/heal/rejoin without the
-        # stock crash schedule.
-        overrides.setdefault("barrier_kills", ())
-        overrides.setdefault("lock_kills", ())
-    params = _preset(args.network)
-    retry = getattr(args, "retry_timeout", None)
-    if retry is not None:
-        _validate_fault_args(args)
-        params = params.with_(retry_timeout_us=retry)
+    params = _network(args)
+    if args.retry_timeout is not None:
+        _check_fault_ranges(retry_timeout=args.retry_timeout)
+        params = params.with_(retry_timeout_us=args.retry_timeout)
     elif args.kill or args.partition or args.stall:
         # Same default as _network_params: under injected faults the
         # retransmission timeout is RTT-estimated unless pinned.
         params = params.with_(adaptive_retry=True)
-    overrides["params"] = params
-    try:
-        result = run_chaosbench(ChaosBenchConfig(**overrides))
-    except ValueError as exc:
-        # Topology-level legality (node 0 stays, strict majority, rank 0
-        # never stalled) is checked by chaosbench against --procs/--ppn.
-        raise _CliError(str(exc))
+    # Topology-level legality (node 0 stays, strict majority, rank 0 never
+    # stalled) is checked by chaosbench against --procs/--ppn.
+    with _user_input():
+        result = run_chaosbench(
+            ChaosBenchConfig(procs_per_node=args.ppn, params=params, **overrides)
+        )
     print(result.render())
     return 0 if result.all_ok() else 1
 
 
 def _nic(args) -> None:
     from .experiments.nicbench import NicBenchConfig, run_nicbench
-    from .experiments.report import nicbench_to_csv, write_csv
 
-    cfg = NicBenchConfig(
-        nprocs_list=(
-            tuple(args.procs) if args.procs else NicBenchConfig.nprocs_list
-        ),
-        iterations=args.iterations or 100,
-        procs_per_node=args.ppn,
-        params=_network_params(args),
-    )
-    result = run_nicbench(cfg, jobs=args.jobs)
+    result = run_nicbench(_sweep_config(NicBenchConfig, args), jobs=args.jobs)
     print(result.render())
-    if args.csv:
-        path = write_csv(nicbench_to_csv(result), args.csv, "ablation_nic")
-        print(f"csv written: {path}")
+    _write_csv(args, result, "ablation_nic")
 
 
 def _scalebench(args) -> None:
-    import json
-    from pathlib import Path
-
-    from .experiments.report import scalebench_to_csv, write_csv
     from .experiments.scalebench import ScaleBenchConfig, run_scalebench
 
     if args.coalesce and args.ppn < 2:
         raise _CliError("--coalesce requires --ppn > 1")
-    cfg = ScaleBenchConfig(
-        nprocs_list=(
-            tuple(args.procs) if args.procs else ScaleBenchConfig.nprocs_list
-        ),
-        iterations=args.iterations or ScaleBenchConfig.iterations,
-        procs_per_node=args.ppn,
-        params=_network_params(args),
-        coalesce=args.coalesce,
-        wall_budget_s=args.time_budget,
+    cfg = _sweep_config(
+        ScaleBenchConfig, args, coalesce=args.coalesce, wall_budget_s=args.time_budget
     )
-    try:
+    # Variant/coalesce legality (divisibility, coalescible variants) is
+    # checked by scalebench against --procs/--ppn.
+    with _user_input():
         result = run_scalebench(cfg, jobs=args.jobs)
-    except ValueError as exc:
-        # Variant/coalesce legality (divisibility, coalescible variants)
-        # is checked by scalebench against --procs/--ppn.
-        raise _CliError(str(exc))
     print(result.render())
-    if args.csv:
-        path = write_csv(scalebench_to_csv(result), args.csv, "scalebench")
-        print(f"csv written: {path}")
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(result.to_json(), indent=2) + "\n"
-        )
-        print(f"json written: {args.json_out}")
-
-
-def _chaos_defaults(args) -> int:
-    """Chaos summary for ``repro all``: stock kills regardless of --procs.
-
-    The default victim ranks assume the default process count, so the
-    sweep flags that resize other experiments are deliberately ignored.
-    """
-    from .experiments.chaosbench import ChaosBenchConfig, run_chaosbench
-
-    result = run_chaosbench(ChaosBenchConfig(params=_preset(args.network)))
-    print(result.render())
-    return 0 if result.all_ok() else 1
+    _write_csv(args, result, "scalebench")
+    _write_json(args, json.dumps(result.to_json(), indent=2))
 
 
 def _fuzz(args) -> int:
     """``repro fuzz``: campaigns, replay, corpus replay, oracle self-test."""
-    from pathlib import Path
-
     from .fuzz import replay_corpus, replay_seed, run_campaign
     from .fuzz.selftest import run_self_test
 
@@ -762,43 +606,27 @@ def _fuzz(args) -> int:
         results = replay_corpus(corpus_dir)
         if not results:
             raise _CliError(f"--corpus {args.corpus!r} holds no *.json entries")
-        failed = False
-        for name, outcome in results:
-            print(f"[{'ok' if outcome.ok() else 'FAIL'}] {name}")
-            if not outcome.ok():
-                print(outcome.render())
-                failed = True
-        return 1 if failed else 0
+        return _print_verdicts(results)
 
     if args.replay is not None:
         outcome = replay_seed(args.replay)
-        print(outcome.render())
-        if args.json_out:
-            Path(args.json_out).write_text(outcome.to_json() + "\n")
-            print(f"json written: {args.json_out}")
-        return 0 if outcome.ok() else 1
-
-    num_seeds = args.seeds
-    if num_seeds is None:
-        num_seeds = None if args.time_budget is not None else 50
-    campaign = run_campaign(
-        start_seed=args.start_seed,
-        num_seeds=num_seeds,
-        time_budget_s=args.time_budget,
-        do_shrink=not args.no_shrink,
-    )
-    print(campaign.render())
-    if args.json_out:
-        Path(args.json_out).write_text(campaign.to_json() + "\n")
-        print(f"json written: {args.json_out}")
-    return 0 if campaign.ok() else 1
+    else:
+        num_seeds = args.seeds
+        if num_seeds is None and args.time_budget is None:
+            num_seeds = 50
+        outcome = run_campaign(
+            start_seed=args.start_seed,
+            num_seeds=num_seeds,
+            time_budget_s=args.time_budget,
+            do_shrink=not args.no_shrink,
+        )
+    print(outcome.render())
+    _write_json(args, outcome.to_json())
+    return 0 if outcome.ok() else 1
 
 
 def _mc(args) -> int:
     """``repro mc``: RMCheck schedule exploration over named targets."""
-    import json
-    from pathlib import Path
-
     from .mc import (
         TARGETS,
         explore,
@@ -806,7 +634,6 @@ def _mc(args) -> int:
         load_counterexample,
         replay_counterexample,
     )
-    from .mc.explore import MC_SIM_CAP_US
 
     if args.self_test:
         from .mc.selftest import run_mc_self_test
@@ -820,46 +647,28 @@ def _mc(args) -> int:
         print(outcome.render())
         return 0 if outcome.ok() else 1
 
-    # (name, scenario, window, budget, cap, expect_exhaustive) per job.
-    jobs = []
+    # (name, scenario, its tuned knobs, expect_exhaustive) per job; a fuzzer
+    # scenario has no tuned knobs and explores at explore()'s defaults.
     if args.scenario is not None:
         from .fuzz.scenario import generate
 
-        scenario = generate(args.scenario)
-        jobs.append(
-            (
-                None,
-                scenario,
-                args.window if args.window is not None else 0.0,
-                args.budget if args.budget is not None else 2000,
-                args.cap if args.cap is not None else MC_SIM_CAP_US,
-                False,
-            )
-        )
+        jobs = [(None, generate(args.scenario), {}, False)]
     else:
-        names = [args.target] if args.target else sorted(TARGETS)
-        for name in names:
+        jobs = []
+        for name in [args.target] if args.target else sorted(TARGETS):
             try:
                 t = get_target(name)
             except KeyError as exc:
                 raise _CliError(str(exc))
-            jobs.append(
-                (
-                    t.name,
-                    t.scenario,
-                    args.window if args.window is not None else t.window,
-                    args.budget if args.budget is not None else t.budget,
-                    args.cap if args.cap is not None else t.sim_cap_us,
-                    t.expect_exhaustive,
-                )
-            )
+            knobs = {"window": t.window, "budget": t.budget, "sim_cap_us": t.sim_cap_us}
+            jobs.append((t.name, t.scenario, knobs, t.expect_exhaustive))
 
     rc = 0
     results = []
-    for name, scenario, window, budget, cap, expect_exhaustive in jobs:
-        result = explore(
-            scenario, window=window, budget=budget, sim_cap_us=cap, target=name
-        )
+    given = _given(window=args.window, budget=args.budget, sim_cap_us=args.cap)
+    for name, scenario, knobs, expect_exhaustive in jobs:
+        knobs.update(given)
+        result = explore(scenario, target=name, **knobs)
         results.append(result)
         print(result.render())
         if not result.ok():
@@ -869,24 +678,25 @@ def _mc(args) -> int:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 label = name or f"seed{scenario.seed}"
                 path = out_dir / f"counterexample-{label}.json"
-                path.write_text(
-                    json.dumps(result.counterexample, indent=2) + "\n"
-                )
+                path.write_text(json.dumps(result.counterexample, indent=2) + "\n")
                 print(f"counterexample written: {path}")
         elif expect_exhaustive and not result.exhausted:
             rc = 1
             print(
                 f"armci-repro: mc: {name} no longer exhausts within its "
-                f"budget ({budget}) — schedule space regression",
+                f"budget ({knobs['budget']}) — schedule space regression",
                 file=sys.stderr,
             )
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps([json.loads(r.to_json()) for r in results], indent=2)
-            + "\n"
-        )
-        print(f"json written: {args.json_out}")
+    _write_json(args, json.dumps([json.loads(r.to_json()) for r in results], indent=2))
     return rc
+
+
+def _validate(args) -> int:
+    from .experiments.validate import run_validation
+
+    checks, report = run_validation(quick=True)
+    print(report)
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _check(args) -> int:
@@ -901,17 +711,120 @@ def _check(args) -> int:
 
     from .analysis import run_sanitized_target
 
-    failed = False
-    for label, report in run_sanitized_target(args.target or "all"):
-        total = sum(report.counts.values())
-        print(
-            f"[{'ok' if report.ok() else 'FAIL'}] {label}: "
-            f"{report.events_analyzed} events, {total} violation(s)"
-        )
-        if not report.ok():
-            print(report.render())
-            failed = True
-    return 1 if failed else 0
+    with _user_input():
+        reports = run_sanitized_target(args.target or "all")
+    return _print_verdicts(
+        reports,
+        lambda report: f": {report.events_analyzed} events, "
+        f"{sum(report.counts.values())} violation(s)",
+    )
+
+
+def _all(args) -> int:
+    """Every experiment above, one after the other.
+
+    ``chaos`` runs its own defaults on the requested network: its stock
+    victim ranks assume its default process count, so the sweep flags that
+    resize the other experiments do not reach it.
+    """
+    _fig7(args)
+    print()
+    _locks(args)
+    _ablations(args)
+    print()
+    _app(args)
+    print()
+    _faults(args)
+    print()
+    rc = _chaos(_build_parser().parse_args(["chaos", "--network", args.network]))
+    print()
+    _nic(args)
+    return rc
+
+
+class Command(NamedTuple):
+    """One ``armci-repro`` command."""
+
+    #: Handler; returns the exit code (``None`` = 0).
+    run: Callable[[argparse.Namespace], Optional[int]]
+    #: ``FLAGS`` keys: exactly the flags the handler acts on.
+    flags: Tuple[str, ...]
+    help: str
+
+
+_LOCK_FLAGS = SWEEP + COST_MODEL + ("csv",)
+_FIG7_FLAGS = SWEEP + COST_MODEL + ("jobs", "csv")
+
+COMMANDS: Dict[str, Command] = {
+    "fig7": Command(_fig7, _FIG7_FLAGS, "GA_Sync time + factor (Figure 7)"),
+    "fig8": Command(_locks, _LOCK_FLAGS, "lock request+release (Figure 8)"),
+    "fig9": Command(_locks, _LOCK_FLAGS, "lock acquire (Figure 9)"),
+    "fig10": Command(_locks, _LOCK_FLAGS, "lock release (Figure 10)"),
+    "locks": Command(_locks, _LOCK_FLAGS, "Figures 8-10 from one run"),
+    "ablations": Command(_ablations, COST_MODEL, "the ablation studies"),
+    "app": Command(_app, SWEEP + COST_MODEL, "application-level scalability impact"),
+    "microbench": Command(_microbench, COST_MODEL, "the substrate calibration table"),
+    "fairness": Command(
+        _fairness, ("nprocs", "iterations") + COST_MODEL,
+        "per-rank lock fairness profile",
+    ),
+    "faults": Command(
+        _faults,
+        ("nprocs", "ppn", "network", "drop_rate", "fault_seed", "retry_timeout"),
+        "sync cost + retry volume vs drop rate",
+    ),
+    "chaos": Command(
+        _chaos,
+        ("nprocs", "ppn", "network", "retry_timeout", "lock", "kill",
+         "kill_seed", "partition", "stall"),
+        "crash-stop kills, partitions and stalls + membership recovery",
+    ),
+    "nic": Command(_nic, _FIG7_FLAGS, "host vs NIC-offloaded barrier ablation"),
+    "scalebench": Command(
+        _scalebench,
+        SWEEP + COST_MODEL + ("coalesce", "jobs", "time_budget", "csv", "json_out"),
+        "barrier scaling to 1024 processes (16384 with --topo --coalesce)",
+    ),
+    "fuzz": Command(
+        _fuzz,
+        ("seeds", "start_seed", "time_budget", "no_shrink", "replay", "corpus",
+         "self_test", "self_test_budget", "json_out"),
+        "randomized fault/crash scenario fuzzing",
+    ),
+    "mc": Command(
+        _mc,
+        ("target", "budget", "window", "cap", "scenario", "schedule", "ce_out",
+         "self_test", "json_out"),
+        "RMCheck: schedule exploration of the named targets",
+    ),
+    "validate": Command(_validate, (), "9-point reproduction self-check"),
+    "check": Command(
+        _check, ("target", "lint", "strict"),
+        "RMCSan sanitized runs, or the static lint with --lint",
+    ),
+    "all": Command(
+        _all, _FIG7_FLAGS, "fig7, locks, ablations, app, faults, chaos and nic"
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``COMMANDS`` entry, holding the flags it declares."""
+    parser = argparse.ArgumentParser(
+        prog="armci-repro",
+        description=(
+            "Reproduce the figures of 'Optimizing Synchronization Operations "
+            "for Remote Memory Communication Systems' (IPPS 2003) on a "
+            "simulated Myrinet cluster.  Each command has its own --help."
+        ),
+    )
+    commands = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help, description=command.help)
+        for key in command.flags + ("trace_out",):
+            names, kwargs = FLAGS[key]
+            sub.add_argument(*names, **kwargs)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -921,71 +834,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         capture.enable(args.trace_out)
     try:
-        rc = _dispatch(args)
+        rc = COMMANDS[args.command].run(args) or 0
     except _CliError as exc:
         print(f"armci-repro: error: {exc}", file=sys.stderr)
         rc = 2
     finally:
         if args.trace_out:
-            from .analysis import capture
-
-            flushed = capture.flush()
-            if flushed is not None:
-                path, runs, events = flushed
-                print(f"trace written: {path} ({runs} run(s), {events} event(s))")
+            path, runs, events = capture.flush()
+            print(f"trace written: {path} ({runs} run(s), {events} event(s))")
     return rc
-
-
-def _dispatch(args) -> int:
-    if args.experiment == "fig7":
-        _fig7(args)
-    elif args.experiment in ("fig8", "fig9", "fig10"):
-        _locks(args, args.experiment)
-    elif args.experiment == "locks":
-        _locks(args)
-    elif args.experiment == "ablations":
-        _ablations(args)
-    elif args.experiment == "app":
-        _app(args)
-    elif args.experiment == "microbench":
-        _microbench(args)
-    elif args.experiment == "fairness":
-        _fairness(args)
-    elif args.experiment == "faults":
-        _faults(args)
-    elif args.experiment == "chaos":
-        return _chaos(args)
-    elif args.experiment == "nic":
-        _nic(args)
-    elif args.experiment == "scalebench":
-        _scalebench(args)
-    elif args.experiment == "fuzz":
-        return _fuzz(args)
-    elif args.experiment == "mc":
-        return _mc(args)
-    elif args.experiment == "validate":
-        from .experiments.validate import run_validation
-
-        checks, report = run_validation(quick=True)
-        print(report)
-        return 0 if all(c.passed for c in checks) else 1
-    elif args.experiment == "check":
-        return _check(args)
-    elif args.experiment == "all":
-        _fig7(args)
-        print()
-        _locks(args)
-        _ablations(args)
-        print()
-        _app(args)
-        print()
-        _faults(args)
-        print()
-        rc = _chaos_defaults(args)
-        print()
-        _nic(args)
-        return rc
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,7 @@ Five studies (see DESIGN.md's ablation table):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -205,12 +205,11 @@ def run_smp_handoff(
     )
     for kind, variant in (("hybrid", "current"), ("mcs", "new")):
         for ppn in ppn_list:
-            point_cfg = LockBenchConfig(
-                iterations=base_cfg.iterations,
-                warmup=base_cfg.warmup,
-                op_gap_us=base_cfg.op_gap_us,
+            point_cfg = replace(
+                base_cfg,
                 procs_per_node=ppn,
                 params=params if params is not None else base_cfg.params,
+                mcs_kwargs=None,
             )
             point = run_lock_point(kind, nprocs, point_cfg)
             comparison.record(variant, ppn, point.roundtrip_us)
@@ -242,12 +241,10 @@ def run_wake_cost(
     base_params = default_params(base_cfg.params)
     for kind, variant in (("hybrid", "current"), ("mcs", "new")):
         for wake in wake_list:
-            point_cfg = LockBenchConfig(
-                iterations=base_cfg.iterations,
-                warmup=base_cfg.warmup,
-                op_gap_us=base_cfg.op_gap_us,
-                procs_per_node=base_cfg.procs_per_node,
+            point_cfg = replace(
+                base_cfg,
                 params=base_params.with_(server_wake_us=wake),
+                mcs_kwargs=None,
             )
             point = run_lock_point(kind, nprocs, point_cfg)
             comparison.record(variant, int(wake), point.roundtrip_us)
@@ -277,16 +274,8 @@ def run_release_opt(
     out: Dict[str, Dict[int, LockPoint]] = {"mcs": {}, "mcs-opt": {}}
     for variant, kwargs in (("mcs", None), ("mcs-opt", {"optimistic_release": True})):
         for nprocs in nprocs_list:
-            point_cfg = LockBenchConfig(
-                iterations=base_cfg.iterations,
-                warmup=base_cfg.warmup,
-                op_gap_us=base_cfg.op_gap_us,
-                procs_per_node=base_cfg.procs_per_node,
-                params=base_cfg.params,
-                mcs_kwargs=kwargs,
-            )
-            point = run_lock_point("mcs", nprocs, point_cfg)
-            out[variant][nprocs] = point
+            point_cfg = replace(base_cfg, mcs_kwargs=kwargs)
+            out[variant][nprocs] = run_lock_point("mcs", nprocs, point_cfg)
     return out
 
 
@@ -399,18 +388,11 @@ def run_lock_algorithms(
     *user* processes' progress engines, MCS handoffs are one-sided puts
     through the node servers).
     """
-    base_cfg = cfg or LockBenchConfig(iterations=300)
+    point_cfg = replace(cfg or LockBenchConfig(iterations=300), mcs_kwargs=None)
     out: Dict[str, Dict[int, LockPoint]] = {}
     for kind in kinds:
         out[kind] = {}
         for nprocs in nprocs_list:
-            point_cfg = LockBenchConfig(
-                iterations=base_cfg.iterations,
-                warmup=base_cfg.warmup,
-                op_gap_us=base_cfg.op_gap_us,
-                procs_per_node=base_cfg.procs_per_node,
-                params=base_cfg.params,
-            )
             out[kind][nprocs] = run_lock_point(kind, nprocs, point_cfg)
     return out
 

@@ -32,6 +32,14 @@ __all__ = ["LockBenchConfig", "LockPoint", "run_lock_point", "run_lock_series"]
 #: Process counts of the lock figures (1 is the special two-case average).
 LOCK_NPROCS: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
+#: Figures 8-10 as projections of one lock series: the ``(metric, title)``
+#: that :func:`comparison_from_series` takes.
+LOCK_FIGURES: Dict[str, Tuple[str, str]] = {
+    "fig8": ("roundtrip", "Figure 8: time to request and release a lock"),
+    "fig9": ("acquire", "Figure 9: time to request and acquire a lock"),
+    "fig10": ("release", "Figure 10: time to release a lock"),
+}
+
 
 @dataclass(frozen=True)
 class LockBenchConfig:

@@ -19,13 +19,11 @@ exceeds the doorbell + DMA cost of shipping the ``op_init`` row down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Tuple
 
-from ..net.params import NetworkParams
-from ..runtime.cluster import ClusterRuntime
-from .common import DEFAULT_NPROCS, default_params, format_table
-from .fig7_sync import Fig7Config, sync_workload
+from .common import default_params, format_table
+from .fig7_sync import Fig7Config, _fig7_cell
 from .parallel import run_cells
 
 __all__ = ["NicBenchConfig", "NicBenchResult", "run_nicbench", "VARIANTS"]
@@ -34,16 +32,8 @@ __all__ = ["NicBenchConfig", "NicBenchResult", "run_nicbench", "VARIANTS"]
 VARIANTS: Tuple[str, ...] = ("host-exchange", "nic-exchange", "nic-tree")
 
 
-@dataclass(frozen=True)
-class NicBenchConfig:
-    """Workload parameters for the NIC ablation (Figure 7 workload)."""
-
-    nprocs_list: Tuple[int, ...] = DEFAULT_NPROCS
-    iterations: int = 100
-    shape: Tuple[int, int] = (256, 256)
-    strip_rows: int = 4
-    procs_per_node: int = 1
-    params: Optional[NetworkParams] = None
+#: The NIC ablation runs the Figure 7 workload, so it takes its parameters.
+NicBenchConfig = Fig7Config
 
 
 @dataclass
@@ -98,31 +88,6 @@ class NicBenchResult:
         return "\n".join(lines)
 
 
-def _mean_sync_us(
-    cfg: NicBenchConfig, nprocs: int, mode: str, params: NetworkParams
-) -> float:
-    fig7_cfg = Fig7Config(
-        nprocs_list=(nprocs,),
-        iterations=cfg.iterations,
-        shape=cfg.shape,
-        strip_rows=cfg.strip_rows,
-        procs_per_node=cfg.procs_per_node,
-        params=params,
-    )
-    runtime = ClusterRuntime(
-        nprocs, procs_per_node=cfg.procs_per_node, params=params
-    )
-    per_rank = runtime.run_spmd(sync_workload, mode, fig7_cfg)
-    pooled = [s for samples in per_rank for s in samples]
-    return sum(pooled) / len(pooled)
-
-
-def _nic_cell(cell) -> float:
-    """One (variant, nprocs) point (picklable sweep cell)."""
-    cfg, nprocs, mode, params = cell
-    return _mean_sync_us(cfg, nprocs, mode, params)
-
-
 def run_nicbench(
     cfg: NicBenchConfig = NicBenchConfig(), jobs: int = 1
 ) -> NicBenchResult:
@@ -143,11 +108,11 @@ def run_nicbench(
         ("nic-tree", "nic", base.with_(nic_algorithm="tree")),
     )
     cells = [
-        (cfg, nprocs, mode, params)
+        (replace(cfg, params=params), mode, nprocs)
         for _variant, mode, params in plans
         for nprocs in cfg.nprocs_list
     ]
-    means = run_cells(_nic_cell, cells, jobs=jobs)
+    means = run_cells(_fig7_cell, cells, jobs=jobs)
     flat = iter(means)
     for variant, _mode, _params in plans:
         for nprocs in cfg.nprocs_list:

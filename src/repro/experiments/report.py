@@ -22,12 +22,13 @@ __all__ = [
     "lock_series_to_csv",
     "nicbench_to_csv",
     "scalebench_to_csv",
+    "to_csv",
     "write_csv",
 ]
 
 
-def comparison_to_csv(comparison: Comparison) -> str:
-    """Tidy CSV for a two-series comparison: variant,nprocs,us + factor rows."""
+def comparison_to_csv(comparison: Union[Comparison, NicBenchResult]) -> str:
+    """Tidy CSV for a per-variant comparison: variant,nprocs,us + factor rows."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["variant", "nprocs", "microseconds"])
@@ -61,17 +62,8 @@ def lock_series_to_csv(series: Dict[str, Dict[int, LockPoint]]) -> str:
     return buffer.getvalue()
 
 
-def nicbench_to_csv(result: NicBenchResult) -> str:
-    """Tidy CSV for the NIC ablation: variant,nprocs,us + factor rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["variant", "nprocs", "microseconds"])
-    for variant, series in result.values.items():
-        for nprocs in sorted(series):
-            writer.writerow([variant, nprocs, f"{series[nprocs]:.3f}"])
-    for nprocs in result.nprocs_list():
-        writer.writerow(["factor", nprocs, f"{result.factor(nprocs):.4f}"])
-    return buffer.getvalue()
+#: The NIC ablation has the same shape: per-variant series plus a factor.
+nicbench_to_csv = comparison_to_csv
 
 
 def scalebench_to_csv(result: ScaleBenchResult) -> str:
@@ -95,6 +87,15 @@ def scalebench_to_csv(result: ScaleBenchResult) -> str:
                 ]
             )
     return buffer.getvalue()
+
+
+def to_csv(result) -> str:
+    """Tidy CSV of any experiment result the CLI's ``--csv`` can export."""
+    if isinstance(result, ScaleBenchResult):
+        return scalebench_to_csv(result)
+    if isinstance(result, dict):
+        return lock_series_to_csv(result)
+    return comparison_to_csv(result)
 
 
 def write_csv(

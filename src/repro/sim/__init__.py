@@ -22,7 +22,7 @@ from .core import (
 )
 from .primitives import Broadcast, FilterStore, Resource, Store
 from .timeline import Interval, Timeline
-from .trace import SampleStats, Stopwatch, Tracer, TraceRecord
+from .trace import SampleStats, Stopwatch, Tracer
 
 __all__ = [
     "AllOf",
@@ -44,7 +44,6 @@ __all__ = [
     "Store",
     "Timeout",
     "Tracer",
-    "TraceRecord",
     "PRIORITY_LAZY",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",

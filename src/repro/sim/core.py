@@ -33,8 +33,7 @@ the ARMCI reproduction:
 
 * **A fast hot path.** ``Environment.run`` drives an inlined pop/dispatch
   loop (no method call per event), keeps the schedule
-  sequence as a plain int, skips the ``on_event`` trace branch entirely when
-  no tracer is attached, and recycles :class:`Event`/:class:`Timeout`
+  sequence as a plain int, and recycles :class:`Event`/:class:`Timeout`
   objects through per-environment free lists (see ``docs/performance.md``).
 
 The kernel knows nothing about networks, servers, or ARMCI; those live in
@@ -554,7 +553,6 @@ class Environment:
         "_queue",
         "_seq",
         "_active_proc",
-        "on_event",
         "events_processed",
         "_sync_monitor",
         "process_factory",
@@ -574,10 +572,6 @@ class Environment:
         self._queue: list = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
-        #: Optional callable ``(time, event)`` invoked on every processed
-        #: event; used by :mod:`repro.sim.trace`.  Sampled at the top of
-        #: :meth:`run`: attach tracers before calling ``run``.
-        self.on_event: Optional[Callable[[float, Event], None]] = None
         #: Count of processed events (cheap global progress metric).
         self.events_processed = 0
         #: RMCSan monitor hook (see :mod:`repro.analysis.monitor`).
@@ -655,13 +649,12 @@ class Environment:
 
         queue = self._queue
         pop = _heappop
-        on_event = self.on_event
         refcount = _getrefcount
 
-        if stop_ev is None and stop_at is None and on_event is None:
-            # No-trace fast path: drain the queue with an inlined loop (no
-            # method call per event, no on_event branch) and recycle
-            # unreachable Event/Timeout objects through the free lists.
+        if stop_ev is None and stop_at is None:
+            # Fast path: drain the queue with an inlined loop (no method
+            # call per event) and recycle unreachable Event/Timeout objects
+            # through the free lists.
             event_pool = self._event_pool
             timeout_pool = self._timeout_pool
             processed = 0
@@ -726,8 +719,6 @@ class Environment:
             callbacks = event.callbacks
             event.callbacks = None
             self.events_processed += 1
-            if on_event is not None:
-                on_event(when, event)
             for cb in callbacks:
                 cb(event)
             if not event._ok and not event._defused:
@@ -755,7 +746,6 @@ class Environment:
         queue = self._queue
         pop = _heappop
         push = _heappush
-        on_event = self.on_event
         hit: list = []
         if stop_ev is not None:
             stop_ev.callbacks.append(hit.append)
@@ -811,8 +801,6 @@ class Environment:
             callbacks = event.callbacks
             event.callbacks = None
             self.events_processed += 1
-            if on_event is not None:
-                on_event(t0, event)
             label = event._mc_label
             if label is not None:
                 strategy.executed(label)

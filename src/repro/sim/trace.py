@@ -2,18 +2,18 @@
 
 The experiment harness measures *simulated* time.  :class:`Stopwatch`
 accumulates interval samples in virtual microseconds; :class:`Tracer`
-optionally records every processed kernel event for debugging.
+collects the structured protocol events a run emits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from .core import Environment, Event
+from .core import Environment
 
-__all__ = ["Stopwatch", "SampleStats", "Tracer", "TraceRecord"]
+__all__ = ["Stopwatch", "SampleStats", "Tracer"]
 
 
 @dataclass
@@ -93,49 +93,16 @@ class Stopwatch:
 
 
 @dataclass
-class TraceRecord:
-    """One processed kernel event."""
-
-    time: float
-    kind: str
-    detail: str
-
-
-@dataclass
 class Tracer:
-    """Records every processed event via ``Environment.on_event``.
+    """Collects *structured protocol events* pushed explicitly via :meth:`emit`.
 
-    Intended for debugging small runs; do not enable for full benchmarks.
-
-    Besides raw kernel events (:class:`TraceRecord`), a tracer can collect
-    *structured protocol events* — objects with ``kind``/``time``/``actor``
-    attributes and a ``to_dict()`` method (see ``repro.analysis.events``) —
-    pushed explicitly via :meth:`emit`.  These feed the RMCSan
-    happens-before engine and the ``--trace-out`` JSONL dump.
+    An event is any object with ``kind``/``time``/``actor`` attributes and a
+    ``to_dict()`` method (see ``repro.analysis.events``).  These feed the
+    RMCSan happens-before engine and the ``--trace-out`` JSONL dump.
     """
 
-    records: List[TraceRecord] = field(default_factory=list)
-    limit: int = 100_000
     events: List[Any] = field(default_factory=list)
     event_limit: int = 2_000_000
-
-    def install(self, env: Environment) -> None:
-        env.on_event = self._on_event
-
-    def _on_event(self, when: float, event: Event) -> None:
-        if len(self.records) >= self.limit:
-            return
-        self.records.append(
-            TraceRecord(when, type(event).__name__, repr(event))
-        )
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def between(self, t0: float, t1: float) -> List[TraceRecord]:
-        return [r for r in self.records if t0 <= r.time <= t1]
-
-    # -- structured protocol events -----------------------------------------
 
     def emit(self, event: Any) -> None:
         """Append one structured protocol event (order = emission order)."""

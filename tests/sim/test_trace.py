@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.sim.core import Environment
 from repro.sim.trace import SampleStats, Stopwatch, Tracer
 
 
@@ -102,60 +101,6 @@ class TestSampleStats:
     def test_two_samples(self):
         stats = SampleStats.from_samples([1.0, 3.0])
         assert stats.stddev == pytest.approx(math.sqrt(2.0))
-
-
-class TestTracer:
-    def test_records_processed_events(self):
-        env = Environment()
-        tracer = Tracer()
-        tracer.install(env)
-        env.timeout(1.0)
-        env.timeout(2.0)
-        env.run()
-        assert len(tracer.records) == 2
-        assert [r.time for r in tracer.records] == [1.0, 2.0]
-        assert all(r.kind == "Timeout" for r in tracer.records)
-
-    def test_of_kind_and_between(self):
-        env = Environment()
-        tracer = Tracer()
-        tracer.install(env)
-
-        def proc():
-            yield env.timeout(3.0)
-
-        env.process(proc())
-        env.run()
-        assert len(tracer.of_kind("Timeout")) == 1
-        assert len(tracer.between(2.0, 4.0)) >= 1
-
-    def test_limit_caps_records(self):
-        env = Environment()
-        tracer = Tracer(limit=3)
-        tracer.install(env)
-        for i in range(10):
-            env.timeout(i)
-        env.run()
-        assert len(tracer.records) == 3
-
-    def test_of_kind_filters_exactly(self):
-        env = Environment()
-        tracer = Tracer()
-        tracer.install(env)
-        env.timeout(1.0)
-        env.run()
-        assert tracer.of_kind("Timeout")
-        assert tracer.of_kind("NoSuchKind") == []
-
-    def test_between_is_inclusive(self):
-        env = Environment()
-        tracer = Tracer()
-        tracer.install(env)
-        for t in (1.0, 2.0, 3.0):
-            env.timeout(t)
-        env.run()
-        assert [r.time for r in tracer.between(1.0, 2.0)] == [1.0, 2.0]
-        assert tracer.between(3.5, 9.0) == []
 
 
 class TestStructuredEvents:

@@ -1,8 +1,24 @@
-"""CLI smoke tests."""
+"""CLI smoke tests, and the COMMANDS table as the command line's contract."""
+
+import ast
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import COMMANDS, FLAGS, main
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _one_error_line(err: str) -> bool:
+    return (
+        err.startswith("armci-repro: error:")
+        and err.count("\n") == 1
+        and "Traceback" not in err
+    )
 
 
 class TestCli:
@@ -32,10 +48,11 @@ class TestCli:
                      "--network", "quadrics"]) == 0
         assert "Figure 7" in capsys.readouterr().out
 
-    def test_bad_network_preset(self):
-        with pytest.raises(ValueError, match="unknown network preset"):
-            main(["fig7", "--iterations", "2", "--procs", "2",
-                  "--network", "carrier-pigeon"])
+    def test_bad_network_preset(self, capsys):
+        assert main(["fig7", "--iterations", "2", "--procs", "2",
+                     "--network", "carrier-pigeon"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown network preset" in err and _one_error_line(err)
 
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -87,9 +104,10 @@ class TestCheckCommand:
         assert "[ok] fig7[current]" in out and "[ok] fig7[new]" in out
         assert "FAIL" not in out
 
-    def test_check_unknown_target(self):
-        with pytest.raises(ValueError, match="unknown check target"):
-            main(["check", "fig99"])
+    def test_check_unknown_target(self, capsys):
+        assert main(["check", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown check target" in err and _one_error_line(err)
 
     def test_check_lint_mode(self, capsys):
         assert main(["check", "--lint"]) == 0
@@ -524,3 +542,252 @@ class TestScalebenchCommand:
         assert main(["scalebench", "--procs", "8", "16", "--iterations", "1",
                      "--time-budget", "0"]) == 0
         assert "wall budget" in capsys.readouterr().out
+
+
+def _spelling(key: str) -> str:
+    return FLAGS[key][0][0]
+
+
+def _dest(key: str) -> str:
+    return FLAGS[key][1].get("dest") or _spelling(key).lstrip("-").replace("-", "_")
+
+
+def _declared(name: str, what=_dest) -> set:
+    """What command ``name`` declares: dests, or (``what=_spelling``) spellings."""
+    return {what(key) for key in COMMANDS[name].flags + ("trace_out",)}
+
+
+class TestTableIsTheContract:
+    """A flag either reaches the command's handler or is rejected."""
+
+    @pytest.fixture(scope="class")
+    def parser(self):
+        return cli._build_parser()
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_help_exits_zero(self, parser, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([name, "--help"])
+        assert excinfo.value.code == 0
+        assert COMMANDS[name].help in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_every_undeclared_flag_is_rejected(self, parser, capsys, name):
+        declared = _declared(name, _spelling)
+        for key, (names, kwargs) in FLAGS.items():
+            if names[0] in declared:
+                continue
+            # "1" is a legal value of every valued flag, so the only thing
+            # wrong with the line is that the command does not take the flag.
+            positional = not names[0].startswith("--")
+            argv = [name] if positional else [name, names[0]]
+            if positional or kwargs.get("action") != "store_true":
+                argv.append("1")
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+    def test_parser_holds_exactly_the_declared_flags(self, parser):
+        [subparsers] = [
+            a for a in parser._actions if isinstance(a.choices, dict)
+        ]
+        assert list(subparsers.choices) == list(COMMANDS)
+        for name, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions} - {"help"}
+            assert dests == _declared(name), name
+
+    # -- handlers read what they declare, and nothing else -------------------
+
+    @pytest.fixture(scope="class")
+    def functions(self):
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        return {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    def _reads(self, functions, name, seen):
+        """``args.<dest>`` reads of ``name`` and of every same-module
+        function it hands ``args`` to."""
+        if name in seen:
+            return set()
+        seen.add(name)
+        reads = set()
+        for node in ast.walk(functions[name]):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"
+            ):
+                reads.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in functions
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+            ):
+                reads |= self._reads(functions, node.func.id, seen)
+        return reads
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_handler_reads_exactly_its_declared_flags(self, functions, name):
+        handler = COMMANDS[name].run.__name__
+        # ``command`` is the subparser's own dest; ``trace_out`` is main()'s.
+        reads = self._reads(functions, handler, set()) - {"command"}
+        assert reads == _declared(name) - {"trace_out"}
+
+    def test_main_reads_only_the_universal_dests(self, functions):
+        assert self._reads(functions, "main", set()) == {"command", "trace_out"}
+
+    def test_no_dispatch_chain_or_defensive_getattr(self):
+        source = pathlib.Path(cli.__file__).read_text()
+        for relic in ("_dispatch", "_chaos_defaults", "args.experiment", "getattr(args"):
+            assert relic not in source, relic
+
+    # -- the regressions, by name --------------------------------------------
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "chaos --drop-rate 0.5",
+            "faults --topo switch:2",
+            "locks --jobs 4",
+            "fig7 --kill 3:900",
+            "ablations --procs 4",
+            "validate --network gige",
+            "fairness --procs 4 8",
+            "faults --procs 4 8",
+            "chaos --procs 4 8",
+            "locks --lock banana --schedule /nonexistent --kill 3:900",
+        ],
+    )
+    def test_flag_that_did_nothing_now_exits_2(self, capsys, line):
+        with pytest.raises(SystemExit) as excinfo:
+            main(line.split())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, phrase",
+        [
+            ("fig7 --iterations -1", "must be >= 1"),
+            ("fig7 --iterations 0", "must be >= 1"),
+            ("fig7 --procs 0", "must be >= 1"),
+            ("fig7 --procs 2 -4", "must be >= 1"),
+            ("fig7 --ppn 0", "must be >= 1"),
+            ("chaos --procs 0", "must be >= 1"),
+            ("fuzz --seeds -3", "must be >= 1"),
+            ("fuzz --seeds 0", "must be >= 1"),
+            ("fuzz --self-test --self-test-budget 0", "must be >= 1"),
+            ("mc --budget 0", "must be >= 1"),
+            ("fig7 --jobs -1", "must be >= 0"),
+            ("fuzz --start-seed -1", "must be >= 0"),
+            ("scalebench --time-budget -1", "must be >= 0"),
+            ("fuzz --time-budget nan", "must be >= 0"),
+            ("mc --window -0.5", "must be >= 0"),
+            ("mc --cap 0", "must be > 0"),
+            ("fig7 --iterations many", "invalid int value"),
+            ("mc --cap soon", "invalid float value"),
+        ],
+    )
+    def test_numeric_flag_out_of_range_is_argparse_error(self, capsys, line, phrase):
+        with pytest.raises(SystemExit) as excinfo:
+            main(line.split())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert phrase in err and "Traceback" not in err
+
+    def test_zero_is_in_range_where_it_means_something(self, parser):
+        args = parser.parse_args(["scalebench", "--time-budget", "0", "--jobs", "0"])
+        assert args.time_budget == 0.0 and args.jobs == 0
+        assert parser.parse_args(["mc", "--window", "0"]).window == 0.0
+        assert parser.parse_args(["fuzz", "--start-seed", "0"]).start_seed == 0
+
+    def test_ablations_prices_all_six_studies_on_the_requested_network(
+        self, capsys, monkeypatch
+    ):
+        import repro.experiments.ablations as ab
+        from repro.net.params import gige
+
+        priced = {}
+
+        class Table:
+            def render(self):
+                return ""
+
+        def study(name):
+            def run(params=None, cfg=None):
+                priced[name] = params if cfg is None else cfg.params
+                return Table()
+
+            return run
+
+        for name in ("run_crossover", "run_fence_modes", "run_smp_handoff",
+                     "run_wake_cost", "run_release_opt", "run_lock_algorithms"):
+            monkeypatch.setattr(ab, name, study(name))
+        monkeypatch.setattr(ab, "render_release_opt", lambda series: "")
+        monkeypatch.setattr(ab, "render_lock_algorithms", lambda series: "")
+        assert main(["ablations", "--network", "gige", "--retry-timeout", "40"]) == 0
+        assert len(priced) == 6
+        assert set(priced.values()) == {gige().with_(retry_timeout_us=40.0)}
+
+    # -- every documented command line still parses --------------------------
+
+    DOCUMENTS = [
+        REPO / "README.md",
+        REPO / "EXPERIMENTS.md",
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / ".github" / "workflows").glob("*.yml")),
+        REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+        pathlib.Path(cli.__file__),
+    ]
+
+    @staticmethod
+    def _command_lines(text: str):
+        """Every ``armci-repro ...`` / ``python -m repro ...`` line of ``text``
+        that is a literal command (templates with <>, [], {} or a/b are not)."""
+        lines = text.splitlines()
+        matrix = re.findall(r'- args: "([^"]+)"', text)
+        for i, line in enumerate(lines):
+            match = re.search(r"(?:armci-repro|python3? -m repro)[ \t]+(\S.*)", line)
+            if match is None:
+                continue
+            rest = match.group(1)
+            nxt = i + 1
+            # Continuations: a trailing backslash, a YAML-folded line of
+            # flags, or a backticked mention wrapped by the prose.
+            while nxt < len(lines) and (
+                rest.endswith("\\")
+                or re.match(r"--[a-z]", lines[nxt].strip())
+                or (line[: match.start()].endswith("`") and "`" not in rest)
+            ):
+                rest = rest.rstrip("\\") + " " + lines[nxt].strip()
+                nxt += 1
+            rest = re.split(r"`|\s#|\s—|—", rest)[0].strip()
+            # Not a command: "the armci-repro CLI", or a template.
+            if not re.match(r"[a-z][a-z0-9]*\b", rest) or re.search(
+                r"[<\[{]| / ", rest.replace("${{", "")
+            ):
+                continue
+            expansions = (
+                [rest.replace("${{ matrix.args }}", args) for args in matrix]
+                if "${{ matrix.args }}" in rest
+                else [rest]
+            )
+            for expanded in expansions:
+                yield shlex.split(re.sub(r"\$\{\{.*?\}\}", "1", expanded))
+
+    def test_documented_command_lines_parse(self, parser):
+        seen = 0
+        for path in self.DOCUMENTS:
+            for argv in self._command_lines(path.read_text()):
+                try:
+                    parser.parse_args(argv)
+                except SystemExit as exc:  # --help exits 0
+                    where = path.relative_to(REPO)
+                    assert exc.code == 0, f"{where}: stale command line {argv}"
+                seen += 1
+        assert seen >= 50
