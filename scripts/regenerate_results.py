@@ -25,7 +25,12 @@ import pathlib
 import sys
 import tempfile
 
-from repro.experiments import (
+# Runs from a checkout that is not pip-installed, as perfbench/run.py does.
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+if str(_SRC) not in sys.path:
+    sys.path.insert(0, str(_SRC))
+
+from repro.experiments import (  # noqa: E402
     Fig7Config,
     LockBenchConfig,
     NicBenchConfig,
@@ -33,7 +38,7 @@ from repro.experiments import (
     run_lock_series,
     run_nicbench,
 )
-from repro.experiments.ablations import (
+from repro.experiments.ablations import (  # noqa: E402
     render_lock_algorithms,
     render_lock_fairness,
     render_release_opt,
@@ -46,10 +51,10 @@ from repro.experiments.ablations import (
     run_smp_handoff,
     run_wake_cost,
 )
-from repro.experiments.app_scaling import AppScalingConfig, run_app_scaling
-from repro.experiments.lockbench import LOCK_FIGURES, comparison_from_series
-from repro.experiments.microbench import run_microbench
-from repro.experiments.report import (
+from repro.experiments.app_scaling import AppScalingConfig, run_app_scaling  # noqa: E402
+from repro.experiments.lockbench import LOCK_FIGURES, comparison_from_series  # noqa: E402
+from repro.experiments.microbench import run_microbench  # noqa: E402
+from repro.experiments.report import (  # noqa: E402
     comparison_to_csv,
     lock_series_to_csv,
     nicbench_to_csv,

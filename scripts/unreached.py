@@ -37,6 +37,9 @@ from typing import Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+# Runs from a checkout that is not pip-installed, as perfbench/run.py does.
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
 LOCK_KINDS = ["ticket", "lh", "server", "hybrid", "mcs", "raymond", "naimi"]
 CHAOS_MATRIX = [
@@ -88,7 +91,6 @@ def entries() -> List[Tuple[str, List[str]]]:
         "check --lint --strict",
         "all --procs 2 4 --iterations 3",
     ]
-    sys.path.insert(0, str(ROOT / "src"))
     from repro.cli import COMMANDS
 
     missing = set(COMMANDS) - {line.split()[0] for line in cli}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..mp.vector import OpCounts
 from ..net.fabric import Fabric
 from ..net.message import server_endpoint
 from ..net.params import SMALL_MSG_BYTES, NetworkParams
@@ -80,8 +81,9 @@ class Armci:
         self.server = servers[self.node]
         nprocs = topology.nprocs
         #: Cumulative count of server-shipped memory ops per target rank —
-        #: the paper's ``op_init[]`` array.
-        self.op_init: List[int] = [0] * nprocs
+        #: the paper's ``op_init[]`` array (reads as a list of ``nprocs``
+        #: ints, stores only the ranks this process wrote to).
+        self.op_init = OpCounts(nprocs)
         #: Nodes with ops issued since the last fence covering them.
         self._dirty_nodes: set = set()
         #: Ack-mode: outstanding unacknowledged ops per node.

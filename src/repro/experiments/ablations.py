@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..ga.array import GlobalArray
 from ..mp import collectives
 from ..net.params import NetworkParams
@@ -301,7 +299,7 @@ def _skew_workload(ctx, mode: str, skew_us: float, iterations: int, pre_barrier:
             blk = ga.dist.block(peer)
             yield from ga.put(
                 (blk.row0, blk.row0 + 1, blk.col0, blk.col1),
-                np.full((1, blk.ncols), 1.0),
+                [[1.0] * blk.ncols],
             )
         # Injected skew: ranks arrive at the sync at different times.
         yield ctx.compute(rng.uniform(0.0, skew_us))

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..ga.array import GlobalArray
 from ..ga.operations import dot
 from ..net.params import NetworkParams
@@ -82,10 +80,8 @@ def _mini_app(ctx, mode: str, cfg: AppScalingConfig):
             blk = ga.dist.block(peer)
             strip_rows = min(2, blk.nrows)
             section = (blk.row0, blk.row0 + strip_rows, blk.col0, blk.col1)
-            data = np.full(
-                (strip_rows, blk.ncols),
-                float((ctx.rank + 1) * (iteration + 1)),
-            )
+            value = float((ctx.rank + 1) * (iteration + 1))
+            data = [[value] * blk.ncols] * strip_rows
             yield from ga.put(section, data)
         # Synchronize: the operation under study.
         t0 = ctx.now

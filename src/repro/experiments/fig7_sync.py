@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..ga.array import GlobalArray
 from ..mp import collectives
 from ..net.params import NetworkParams
@@ -59,7 +57,7 @@ def sync_workload(ctx, mode: str, cfg: Fig7Config):
         blk = ga.dist.block(rank)
         rows = min(cfg.strip_rows, blk.nrows)
         section = (blk.row0, blk.row0 + rows, blk.col0, blk.col1)
-        data = np.full((rows, blk.ncols), float(ctx.rank))
+        data = [[float(ctx.rank)] * blk.ncols] * rows
         strips.append(ga.prepare_put(section, data))
     for _iteration in range(cfg.iterations):
         # Write values into remote portions of the array.

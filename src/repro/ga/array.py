@@ -10,14 +10,30 @@ selectable ``current`` (AllFence + message-passing barrier) and ``new``
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..runtime.memory import GlobalAddress
 from .distribution import BlockDistribution, Section, default_pgrid
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 __all__ = ["GlobalArray", "PreparedPut", "SYNC_MODES"]
+
+
+@cache
+def _numpy():
+    """numpy, loaded by the first call that builds or returns an array.
+
+    Importing :mod:`repro.ga` — and with it every experiment module and the
+    command line — stays free of numpy's ~12 MiB and ~0.13 s; a program pays
+    them when it first moves array data.
+    """
+    import numpy
+
+    return numpy
+
 
 #: ``current``: original GA_Sync (linear AllFence, then MP barrier).
 #: ``new``: the paper's combined operation.  ``auto``: §3.1.2's suggestion.
@@ -124,7 +140,7 @@ class GlobalArray:
         """The per-owner ``(rank, segments)`` list a put of ``data`` ships."""
         plan = self._plan(section)
         r0, r1, c0, c1 = section
-        data = np.asarray(data, dtype=float)
+        data = _numpy().asarray(data, dtype=float)
         expected = (r1 - r0, c1 - c0)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} != section shape {expected}")
@@ -140,7 +156,7 @@ class GlobalArray:
         """Blocking one-sided read of ``section``; returns a numpy array."""
         plan = self._plan(section)
         r0, r1, c0, c1 = section
-        out = np.zeros((r1 - r0, c1 - c0), dtype=float)
+        out = _numpy().zeros((r1 - r0, c1 - c0), dtype=float)
         for rank, runs in plan:
             values = yield from self.ctx.armci.get_segments(
                 rank, [(addr, lj1 - lj0) for addr, _li, lj0, lj1 in runs]
@@ -198,7 +214,7 @@ class GlobalArray:
         """Copy of this rank's own block (direct memory read, no messages)."""
         blk = self.dist.block(self.ctx.rank)
         values = self.ctx.region.read_many(self.base_addr, blk.cells)
-        return np.asarray(values, dtype=float).reshape(blk.nrows, blk.ncols)
+        return _numpy().asarray(values, dtype=float).reshape(blk.nrows, blk.ncols)
 
     def to_numpy_via_gets(self):
         """Gather the whole array with one-sided gets (tests/examples)."""

@@ -16,11 +16,12 @@ fence+barrier territory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+from .array import GlobalArray, _numpy
 
-from .array import GlobalArray
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["GhostArray"]
 
@@ -88,7 +89,7 @@ class GhostArray:
     def local_with_ghosts(self) -> np.ndarray:
         """Copy of this rank's halo-extended buffer as a 2-D array."""
         values = self.ctx.region.read_many(self.halo_base, self.hrows * self.hcols)
-        return np.asarray(values, dtype=float).reshape(self.hrows, self.hcols)
+        return _numpy().asarray(values, dtype=float).reshape(self.hrows, self.hcols)
 
     def local_interior(self) -> np.ndarray:
         """This rank's owned block (the interior of the halo buffer)."""
@@ -98,7 +99,7 @@ class GhostArray:
     def set_local(self, block: np.ndarray):
         """Sub-generator: overwrite this rank's owned block (local write)."""
         blk = self.dist.block(self.ctx.rank)
-        block = np.asarray(block, dtype=float)
+        block = _numpy().asarray(block, dtype=float)
         if block.shape != (blk.nrows, blk.ncols):
             raise ValueError(
                 f"block shape {block.shape} != {(blk.nrows, blk.ncols)}"

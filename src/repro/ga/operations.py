@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..mp import collectives
+from .array import _numpy
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .array import GlobalArray
 
 __all__ = ["fill", "scale", "add", "copy", "dot"]
@@ -47,7 +48,9 @@ def _write_own_block(ga: "GlobalArray", block: np.ndarray):
 def fill(ga: "GlobalArray", value: float, sync: str = "new"):
     """Collective: set every element to ``value`` (GA_Fill)."""
     blk = ga.dist.block(ga.ctx.rank)
-    yield from _write_own_block(ga, np.full((blk.nrows, blk.ncols), float(value)))
+    yield from _write_own_block(
+        ga, _numpy().full((blk.nrows, blk.ncols), float(value))
+    )
     yield from ga.sync(sync)
 
 

@@ -60,7 +60,12 @@ class NicFrame:
 
 
 class _EpochState:
-    """Per-barrier-epoch NIC state: doorbell rows and release events."""
+    """Per-barrier-epoch NIC state: doorbell rows and release events.
+
+    It lives while the epoch owes a host something: the rows go once the
+    local combine has folded them, the state itself with its last release
+    (``NicEngine.committed`` is what remembers a finished epoch).
+    """
 
     __slots__ = ("rows", "release", "all_rows", "proc", "totals")
 
@@ -132,7 +137,6 @@ class NicEngine:
         #: committed an epoch, every engine had drained stage 2, so peers
         #: wedged in stage 3 by a crashed NIC can be released too.
         self.committed: set = set()
-        self._procs: list = []
 
     def __repr__(self) -> str:
         return f"<NicEngine node={self.node} hosted={self.hosted}>"
@@ -172,6 +176,7 @@ class NicEngine:
         state = self._epoch_state(epoch)
         release = self.env.event()
         state.release[rank] = release
+        release.callbacks.append(lambda _ev: self._released(epoch, state))
         delay = p.nic_dma_us + SLOT_BYTES * len(row) * p.nic_dma_per_byte_us
         arrive = self.env.timeout(delay)
         arrive.callbacks.append(lambda _ev: self._row_arrived(epoch, rank, row))
@@ -181,7 +186,6 @@ class NicEngine:
             )
             if self._monitor is not None:
                 self._monitor.register_process(state.proc, f"n{self.node}")
-            self._procs.append(state.proc)
         return release
 
     def mirror_push(self, rank: int, value: int) -> None:
@@ -196,15 +200,15 @@ class NicEngine:
     def shutdown(self) -> None:
         """Node/NIC crash: stop the co-processor, abandon in-flight epochs.
 
-        Epoch *state* (release events, stage-1 totals) is kept so that
-        :meth:`force_release` can still complete a globally-committed
-        epoch for hosted ranks that survive a NIC-only crash.
+        The *state* of every epoch that still owes a release (its release
+        events, its stage-1 totals) is kept so that :meth:`force_release`
+        can complete a globally-committed epoch for hosted ranks that
+        survive a NIC-only crash.
         """
         self.dead = True
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.kill()
-        self._procs.clear()
+        for state in self._epochs.values():
+            if state.proc.is_alive:
+                state.proc.kill()
 
     def force_release(self, epoch: int) -> None:
         """Complete ``epoch`` on behalf of the (wedged or dead) engine.
@@ -233,6 +237,12 @@ class NicEngine:
         if state is None:
             state = self._epochs[epoch] = _EpochState(self.env)
         return state
+
+    def _released(self, epoch: int, state: _EpochState) -> None:
+        """A release fired (by DMA completion or by force): drop the
+        epoch's state with the last one."""
+        if all(release.processed for release in state.release.values()):
+            del self._epochs[epoch]
 
     def _row_arrived(self, epoch: int, rank: int, row: CountVector) -> None:
         if self.dead:
@@ -273,6 +283,7 @@ class NicEngine:
                 "nic_combine", epoch=epoch, node=self.node,
                 src="doorbell", rank=rank,
             )
+        state.rows.clear()
 
         # Stage 1: elementwise sum over nodes.
         nodes = range(self.topology.nnodes)

@@ -78,7 +78,7 @@ class TestHostAlgorithms:
 
 
 class TestNicAndResilient:
-    def test_nic_frames_and_release_values(self, monkeypatch):
+    def test_nic_frames_and_release_values(self, monkeypatch, nic_epoch_states):
         frames = []
         plain_send_frame = NicEngine._send_frame
 
@@ -91,8 +91,8 @@ class TestNicAndResilient:
         rt.run_spmd(puts_then_barrier, "nic")
         assert any(isinstance(f, CountVector) for f in frames)
         assert all(f is None or isinstance(f, CountVector) for f in frames)
-        for engine in rt.fabric._nic_engines.values():
-            state = engine._epochs[0]
+        assert len(nic_epoch_states) == len(rt.fabric._nic_engines)
+        for state in nic_epoch_states:
             assert isinstance(state.totals, CountVector)
             for release in state.release.values():
                 assert release.value == 6 and type(release.value) is int

@@ -288,7 +288,7 @@ class TestCrossPortParity:
         return edges, [procs[rank].value for rank in range(nprocs)]
 
     @pytest.mark.parametrize("nprocs", [3, 4, 6, 8])
-    def test_same_edges_and_totals(self, nprocs, monkeypatch):
+    def test_same_edges_and_totals(self, nprocs, monkeypatch, nic_epoch_states):
         blocking = self._host_run(
             nprocs, myrinet2000(),
             lambda ctx: collectives.allreduce_sum(ctx.comm, ctx.armci.op_init),
@@ -321,9 +321,7 @@ class TestCrossPortParity:
         monkeypatch.setattr(NicEngine, "_send_frame", recording_send_frame)
         rt = ClusterRuntime(nprocs, params=myrinet2000())
         rt.run_spmd(self._puts_then, lambda ctx: ctx.armci.barrier(algorithm="nic"))
-        nic_totals = [
-            engine._epochs[0].totals for engine in rt.fabric._nic_engines.values()
-        ]
+        nic_totals = [state.totals for state in nic_epoch_states]
 
         # Rank s issued s + 1 puts to every other rank.
         sums = [sum(s + 1 for s in range(nprocs) if s != r) for r in range(nprocs)]

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mp import collectives
 from repro.mp.comm import _estimate_bytes
-from repro.mp.vector import CountVector, ValueVector
+from repro.mp.vector import CountVector, OpCounts, ValueVector
+from repro.net.params import myrinet2000
+from repro.runtime.cluster import ClusterRuntime
+from repro.runtime.memory import GlobalAddress
 
 LANE_MAX = 2**64 - 1
 # Two of these still fit a lane; the edges are the values worth hitting.
@@ -119,6 +123,115 @@ class TestCountVector:
 
     def test_repr_shows_the_slots(self):
         assert repr(CountVector([3, 0, 4])) == "CountVector([3, 0, 4])"
+
+
+@st.composite
+def touched_counts(draw, values=counts):
+    """``(n, {slot: value})``: from one touched slot to every one of them."""
+    n = draw(st.integers(1, 300))
+    most = draw(st.sampled_from([1, 4, 16, 17, n]))
+    slots = st.integers(0, n - 1)
+    return n, draw(st.dictionaries(slots, values, max_size=min(most, n)))
+
+
+def counted(n, assigned):
+    """The pair under comparison: an ``OpCounts`` and the list it replaced,
+    each slot reached half by ``=`` and half by ``+=``."""
+    sparse, dense = OpCounts(n), [0] * n
+    for target in (sparse, dense):
+        for slot, value in assigned.items():
+            target[slot] = value // 2
+            target[slot] += value - value // 2
+    return sparse, dense
+
+
+class TestOpCounts:
+    @given(touched_counts())
+    def test_reads_as_the_list_it_replaced(self, case):
+        n, assigned = case
+        sparse, dense = counted(n, assigned)
+        assert len(sparse) == n and len(sparse.items()) == len(assigned)
+        assert list(sparse) == sparse.tolist() == dense
+        assert sparse == dense and dense == sparse and not sparse != dense
+        assert sparse != dense + [0] and sparse != [1] + dense[1:] + [1]
+        assert [sparse[i] for i in range(-n, n)] == [dense[i] for i in range(-n, n)]
+        assert all(type(sparse[i]) is int for i in range(n))
+        assert repr(sparse) == f"OpCounts({dense})"
+        assert len(sparse.items()) == len(assigned)  # reading stores nothing
+
+    @given(touched_counts())
+    def test_snapshot_is_the_snapshot_of_the_list(self, case):
+        n, assigned = case
+        sparse, dense = counted(n, assigned)
+        packed, reference = CountVector(sparse), CountVector(dense)
+        assert packed == reference and packed.tolist() == dense
+        assert packed._bound == reference._bound
+        assert CountVector(sparse) == CountVector(sparse.tolist())
+        # A snapshot: counting on does not reach it.
+        sparse[0] += 1
+        assert packed.tolist() == dense
+
+    @given(touched_counts(st.integers(0, 2**40)), touched_counts(st.integers(0, 2**40)))
+    def test_sums_agree_slot_for_slot(self, a, b):
+        n = min(a[0], b[0])
+        (sparse_a, dense_a), (sparse_b, dense_b) = (
+            counted(n, {slot: v for slot, v in assigned.items() if slot < n})
+            for _n, assigned in (a, b)
+        )
+        total = CountVector(sparse_a) + CountVector(sparse_b)
+        assert total.tolist() == [x + y for x, y in zip(dense_a, dense_b)]
+        assert total._bound == (CountVector(dense_a) + CountVector(dense_b))._bound
+
+    @given(touched_counts(), st.sampled_from([-1, 2**64, -(2**70), 1.5]), st.data())
+    def test_a_value_no_lane_holds_is_refused_as_for_a_list(self, case, bad, data):
+        n, assigned = case
+        sparse, dense = counted(n, assigned)
+        slot = data.draw(st.integers(0, n - 1))
+        sparse[slot] = dense[slot] = bad
+        with pytest.raises(Exception) as from_list:
+            CountVector(dense)
+        with pytest.raises(type(from_list.value)) as from_counts:
+            CountVector(sparse)
+        assert type(from_counts.value) is type(from_list.value)
+        assert type(from_list.value) in (OverflowError, TypeError)
+
+    @given(st.integers(1, 300))
+    def test_indices_a_list_refuses_are_refused(self, n):
+        sparse = OpCounts(n)
+        sparse[n - 1] += 2
+        assert sparse[-1] == 2 and sparse[-n] == (2 if n == 1 else 0)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                sparse[i]
+            with pytest.raises(IndexError):
+                sparse[i] += 1
+        assert sparse.tolist() == [0] * (n - 1) + [2]
+
+    @pytest.mark.parametrize("slot", [-1, 5, -6])
+    def test_a_slot_is_written_by_its_index_in_range(self, slot):
+        # ``+=`` refuses on the spot (above); a plain store of any other key
+        # cannot be stopped without a Python-level ``__setitem__`` on the
+        # put path, so the next read-out refuses it instead.
+        sparse = OpCounts(5)
+        sparse[slot] = 1
+        with pytest.raises(IndexError):
+            CountVector(sparse)
+        with pytest.raises(IndexError):
+            sparse.tolist()
+
+    @pytest.mark.parametrize("nprocs", [4, 7])
+    def test_generic_allreduce_takes_it_as_it_took_the_list(self, nprocs):
+        def main(ctx):
+            base = ctx.region.alloc(1, initial=0)
+            for peer in range(ctx.rank):
+                yield from ctx.armci.put(GlobalAddress(peer, base), [1])
+            assert type(ctx.armci.op_init) is OpCounts
+            total = yield from collectives.allreduce_sum(ctx.comm, ctx.armci.op_init)
+            return total
+
+        rt = ClusterRuntime(nprocs, params=myrinet2000())
+        expected = [nprocs - 1 - rank for rank in range(nprocs)]
+        assert rt.run_spmd(main) == [expected] * nprocs
 
 
 class TestValueVector:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import SyncMonitor
+from repro.experiments.scalebench import ScaleBenchConfig, scale_workload
 from repro.net.faults import FaultPlan, ProcessCrash
 from repro.net.params import NetworkParams, myrinet2000
 from repro.nic import engine as engine_mod
@@ -235,3 +237,67 @@ class TestFaults:
         if engines is not None:
             assert engines[3].dead
         assert rt.fabric.endpoint_dead(("nic", 3))
+
+
+class TestEpochStateFreed:
+    """An engine keeps an epoch's state while it owes a host a release and
+    no longer; ``committed`` is what remembers the finished epochs."""
+
+    @pytest.mark.parametrize("iterations", [1, 5])
+    def test_no_state_outlives_its_releases(self, iterations):
+        cfg = ScaleBenchConfig(iterations=iterations)
+        rt = ClusterRuntime(32, params=myrinet2000())
+        rt.run_spmd(scale_workload, "nic", cfg)
+        engines = rt.fabric.nic_engines.values()
+        assert len(engines) == 32
+        assert sum(len(engine._epochs) for engine in engines) == 0
+        assert all(engine.committed == set(range(iterations)) for engine in engines)
+
+    def test_dead_nic_keeps_the_state_force_release_needs(self):
+        """NIC 1 dies after its ``nic_commit`` and before it schedules a
+        completion DMA: its two hosts sit in the barrier until the view
+        change an unrelated death brings, and leave it by force."""
+
+        def main(ctx):
+            base = ctx.region.alloc(1, initial=0)
+            peer = (ctx.rank + 2) % ctx.nprocs
+            yield from ctx.armci.put(GlobalAddress(peer, base), [1])
+            yield from ctx.armci.barrier(algorithm="nic")
+            return ctx.now, ctx.armci.stats.get("nic_degraded", 0)
+
+        def run(*crashes):
+            monitor = SyncMonitor()
+            plan = FaultPlan(crashes=crashes, seed=7)
+            rt = ClusterRuntime(
+                8, procs_per_node=2, params=myrinet2000(faults=plan), monitor=monitor
+            )
+            procs = rt.spawn(main)
+            rt.run(until=rt.env.all_of(procs.values()))  # the detector never idles
+            return rt, monitor, [procs[rank].value for rank in range(8)]
+
+        # Same plan shape, death beyond the end of the run: when NIC 1 commits.
+        rt, monitor, _results = run(ProcessCrash(at_us=1e12, rank=7))
+        (commit,) = [
+            ev for ev in monitor.events
+            if ev.kind == "nic_commit" and ev.data["node"] == 1
+        ]
+        at_us = commit.time + rt.params.nic_proc_us / 2
+
+        rt, monitor, results = run(
+            ProcessCrash(at_us=at_us, nic=1), ProcessCrash(at_us=at_us, rank=7)
+        )
+        (view_change,) = [ev for ev in monitor.events if ev.kind == "view_change"]
+        assert results[7] is CRASHED
+        # Hosts of the dead NIC: released at the view change, not degraded.
+        assert results[2] == results[3] == (view_change.time, 0)
+        assert all(left < at_us + 10.0 for left, _degraded in results[:2] + results[4:7])
+        forced = [
+            ev.data["rank"] for ev in monitor.events
+            if ev.kind == "nic_release" and ev.data.get("forced")
+        ]
+        assert forced == [2, 3]
+        engines = rt.fabric.nic_engines
+        assert engines[1].dead
+        assert all(not engine._epochs for engine in engines.values())
+        assert all(engine.committed == {0} for engine in engines.values())
+        assert monitor.analyze().ok()

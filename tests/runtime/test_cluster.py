@@ -1,7 +1,11 @@
 """Unit tests for the cluster runtime and process contexts."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.experiments.scalebench import ScaleBenchConfig, scale_workload
 from repro.runtime.cluster import ClusterRuntime, DeadlockError, simulate
 from repro.runtime.memory import GlobalAddress
 
@@ -38,6 +42,38 @@ class TestConstruction:
     def test_invalid_fence_mode(self, make_cluster):
         with pytest.raises(ValueError, match="fence_mode"):
             make_cluster(nprocs=2, fence_mode="magic")
+
+
+class TestPerRankStateIsConstantInN:
+    """What one more rank costs the host does not grow with the cluster: no
+    rank is born with an N-slot anything (the paper's ``op_init[]`` stores
+    the slots a rank touched)."""
+
+    @staticmethod
+    def _bytes_per_rank(make_cluster, nprocs):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            rt = make_cluster(nprocs=nprocs)
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rt.nprocs == nprocs
+        return (after - before) / nprocs
+
+    def test_construction_bytes_per_rank(self, make_cluster):
+        self._bytes_per_rank(make_cluster, 16)  # first-use caches, once
+        small = self._bytes_per_rank(make_cluster, 256)
+        large = self._bytes_per_rank(make_cluster, 512)
+        assert abs(large - small) / small < 0.10, (small, large)
+
+    def test_a_ring_put_workload_stores_one_count_per_rank(self, make_cluster):
+        rt = make_cluster(nprocs=256)
+        rt.run_spmd(scale_workload, "new", ScaleBenchConfig(iterations=3))
+        stored = [len(armci.op_init.items()) for armci in rt.armcis.values()]
+        assert stored == [1] * 256
+        assert all(list(a.op_init).count(3) == 1 for a in rt.armcis.values())
 
 
 class TestRunSpmd:

@@ -1,13 +1,18 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
+from repro.net.params import myrinet2000
+from repro.runtime.cluster import ClusterRuntime, DeadlockError
 from repro.sim.core import (
     AllOf,
     AnyOf,
     Environment,
     Event,
     Process,
+    SchedulerStrategy,
     SimulationError,
     StopProcess,
     Timeout,
@@ -470,3 +475,103 @@ class TestCoEnabledOrderingContract:
         s = SchedulerStrategy()
         assert s.window == 0.0
         assert s.choose(0.0, [object(), object()]) == 0
+
+
+class TestCollectorParkedDuringRun:
+    """``run`` parks the cyclic collector and puts it back as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_restored(self):
+        # The switch is process-wide: a failure here must not leave the
+        # rest of the session without a collector.
+        assert gc.isenabled()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _ticker(env, seen, ticks=3):
+        for _ in range(ticks):
+            yield env.timeout(1.0)
+            seen.append(gc.isenabled())
+
+    def _drained(self, seen):
+        env = Environment()
+        env.process(self._ticker(env, seen))
+        env.run()
+
+    def _until_time(self, seen):
+        env = Environment()
+        env.process(self._ticker(env, seen, ticks=10))
+        env.run(until=3.5)
+
+    def _until_event(self, seen):
+        env = Environment()
+        assert env.run(until=env.process(self._ticker(env, seen))) is None
+
+    def _until_processed_event(self, seen):
+        env = Environment()
+        proc = env.process(self._ticker(env, seen))
+        env.run()
+        env.run(until=proc)  # returns before any loop starts
+
+    def _process_raises(self, seen):
+        env = Environment()
+
+        def boom():
+            yield from self._ticker(env, seen)
+            raise RuntimeError("boom")
+
+        env.process(boom())
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+
+    def _awaited_event_never_fires(self, seen):
+        env = Environment()
+        env.process(self._ticker(env, seen))
+        with pytest.raises(SimulationError, match="drained"):
+            env.run(until=env.event())
+
+    def _deadlock_out_of_run_spmd(self, seen):
+        def main(ctx):
+            seen.append(gc.isenabled())
+            if ctx.rank == 0:
+                yield from ctx.comm.recv(source=1)  # never sent
+
+        with pytest.raises(DeadlockError):
+            ClusterRuntime(2, params=myrinet2000()).run_spmd(main)
+
+    def _under_a_scheduler_strategy(self, seen):
+        class Env(Environment):
+            strategy_factory = SchedulerStrategy
+
+        env = Env()
+        env.process(self._ticker(env, seen))
+        env.run()
+
+    WAYS_OUT = [
+        "_drained",
+        "_until_time",
+        "_until_event",
+        "_until_processed_event",
+        "_process_raises",
+        "_awaited_event_never_fires",
+        "_deadlock_out_of_run_spmd",
+        "_under_a_scheduler_strategy",
+    ]
+
+    @pytest.mark.parametrize("way", WAYS_OUT)
+    def test_enabled_again_after_every_way_out(self, way):
+        seen = []
+        getattr(self, way)(seen)
+        assert gc.isenabled()
+        assert seen and not any(seen)  # parked inside every process body
+
+    @pytest.mark.parametrize("way", WAYS_OUT)
+    def test_a_caller_that_disabled_it_finds_it_disabled(self, way):
+        gc.disable()
+        seen = []
+        getattr(self, way)(seen)
+        assert not gc.isenabled()
+        assert not any(seen)

@@ -114,21 +114,61 @@ class TestMultiProgramSpawn:
 
 
 class TestNumpyFreeCore:
-    """The barrier, NIC, topology, fuzz and model-checker stacks start without
-    numpy (it costs ~12 MiB and ~0.13 s per process; only ``repro.ga`` and the
-    experiments that use it need it)."""
+    """Everything starts without numpy (it costs ~12 MiB and ~0.13 s per
+    process): the barrier, NIC, topology, fuzz and model-checker stacks, and
+    also the command line, every experiment module and ``repro.ga`` itself.
+    Only a program that moves array data through a ``GlobalArray`` or
+    ``GhostArray`` (fig7, ``ablations``, ``app``, the GA examples) loads it,
+    at its first put/get."""
 
-    def test_core_imports_leave_numpy_out(self):
-        code = (
-            f"import sys; sys.path.insert(0, {str(pathlib.Path(repro.__file__).parents[1])!r})\n"
-            "import repro, repro.armci.api, repro.nic.engine, repro.topo.algorithms\n"
-            "import repro.fuzz.runner, repro.mc.explore\n"
-            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n"
+    @staticmethod
+    def _numpy_loaded_after(*lines):
+        code = "\n".join(
+            (
+                f"import sys; sys.path.insert(0, {str(pathlib.Path(repro.__file__).parents[1])!r})",
+                *lines,
+                "sys.exit(3 if 'numpy' in sys.modules else 0)",
+            )
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
-        assert done.returncode == 0, done.stderr
+        assert done.returncode in (0, 3), done.stderr
+        return done.returncode == 3
+
+    def test_core_imports_leave_numpy_out(self):
+        assert not self._numpy_loaded_after(
+            "import repro, repro.armci.api, repro.nic.engine, repro.topo.algorithms",
+            "import repro.fuzz.runner, repro.mc.explore",
+        )
+
+    def test_cli_experiments_and_ga_imports_leave_numpy_out(self):
+        assert not self._numpy_loaded_after(
+            "import repro.cli, repro.experiments, repro.ga",
+            "import repro.experiments.scalebench, repro.experiments.lockbench",
+            "import repro.experiments.faultbench, repro.experiments.nicbench",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locks", "--procs", "2", "--iterations", "5"],
+            ["scalebench", "--procs", "64", "--iterations", "1"],
+        ],
+        ids=["locks", "scalebench"],
+    )
+    def test_commands_without_array_data_run_without_numpy(self, argv):
+        assert not self._numpy_loaded_after(
+            "import repro.cli", f"assert repro.cli.main({argv!r}) == 0"
+        )
+
+    def test_fig7_loads_numpy_when_it_fills_its_blocks(self):
+        argv = ["fig7", "--procs", "2", "--iterations", "2"]
+        assert self._numpy_loaded_after(
+            "import repro.cli",
+            "assert 'numpy' not in sys.modules",
+            f"assert repro.cli.main({argv!r}) == 0",
+        )
 
 
 class TestMembershipKeepsToItself:
