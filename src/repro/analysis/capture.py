@@ -26,10 +26,10 @@ _captures: List[Tuple[int, SyncMonitor]] = []
 def enable(path: str) -> None:
     """Start capturing: truncate ``path`` and attach to future runtimes."""
     global _path
-    _path = path
-    _captures.clear()
     with open(path, "w", encoding="utf-8"):
         pass
+    _path = path
+    _captures.clear()
 
 
 def disable() -> None:

@@ -38,26 +38,16 @@ def _sanitized_spmd(nprocs: int, main, *args, **runtime_kwargs):
     return monitor.analyze()
 
 
-def _shared_audit() -> dict:
-    """The cross-rank lock audit record the chaos and fuzz workloads fill in."""
-    return {
-        "requests": [],
-        "grants": [],
-        "preemptions": [],
-        "cs_owner": None,
-        "mutex_ok": True,
-    }
-
-
 def _sanitized_scenario(scenario) -> SanReport:
     """Run one fuzz :class:`~repro.fuzz.scenario.Scenario` under a monitor."""
     from ..fuzz.runner import _fuzz_workload, _make_params
+    from ..locks import lock_audit
 
     return _sanitized_spmd(
         scenario.nprocs,
         _fuzz_workload,
         scenario,
-        _shared_audit(),
+        lock_audit(),
         procs_per_node=scenario.procs_per_node,
         params=_make_params(scenario),
     )
@@ -129,6 +119,7 @@ def _check_chaos() -> List[Tuple[str, SanReport]]:
         _make_params,
         chaos_workload,
     )
+    from ..locks import lock_audit
 
     out = []
     for kind in ("hybrid", "mcs"):
@@ -143,7 +134,7 @@ def _check_chaos() -> List[Tuple[str, SanReport]]:
             cfg.nprocs,
             chaos_workload,
             cfg,
-            _shared_audit(),
+            lock_audit(),
             procs_per_node=cfg.procs_per_node,
             params=_make_params(cfg),
         )

@@ -79,6 +79,16 @@ def _user_input():
         raise _CliError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _user_path(key: str, path: str):
+    """An ``OSError`` on a path the user named with flag ``key`` is user input."""
+    try:
+        yield
+    except OSError as exc:
+        flag = FLAGS[key][0][0]
+        raise _CliError(f"{flag} {path!r}: {exc.strerror or exc}") from None
+
+
 # -- the flag table ----------------------------------------------------------
 
 
@@ -425,6 +435,40 @@ def _sweep_config(config_cls, args, **fields):
     )
 
 
+def _make_dir(path: str) -> None:
+    Path(path).mkdir(parents=True, exist_ok=True)
+
+
+def _touch(path: str) -> None:
+    with open(path, "a", encoding="utf-8"):
+        pass
+
+
+def _enable_capture(path: str) -> None:
+    from .analysis import capture
+
+    capture.enable(path)
+
+
+#: The flags that name a destination this program writes, and how ``main``
+#: claims it before the command runs: a bad path then costs no simulation
+#: and loses no result.
+_OUTPUTS: Dict[str, Callable[[str], None]] = {
+    "trace_out": _enable_capture,
+    "csv": _make_dir,
+    "ce_out": _make_dir,
+    "json_out": _touch,
+}
+
+
+def _claim_outputs(command: "Command", args) -> None:
+    given = vars(args)
+    for key in ("trace_out",) + command.flags:
+        if key in _OUTPUTS and given[key]:
+            with _user_path(key, given[key]):
+                _OUTPUTS[key](given[key])
+
+
 def _write_csv(args, result, name: str) -> None:
     from .experiments.report import to_csv, write_csv
 
@@ -643,7 +687,9 @@ def _mc(args) -> int:
         return 0 if result.all_caught() else 1
 
     if args.schedule is not None:
-        outcome = replay_counterexample(load_counterexample(args.schedule))
+        with _user_path("schedule", args.schedule):
+            counterexample = load_counterexample(args.schedule)
+        outcome = replay_counterexample(counterexample)
         print(outcome.render())
         return 0 if outcome.ok() else 1
 
@@ -659,7 +705,7 @@ def _mc(args) -> int:
             try:
                 t = get_target(name)
             except KeyError as exc:
-                raise _CliError(str(exc))
+                raise _CliError(exc.args[0])
             knobs = {"window": t.window, "budget": t.budget, "sim_cap_us": t.sim_cap_us}
             jobs.append((t.name, t.scenario, knobs, t.expect_exhaustive))
 
@@ -674,10 +720,8 @@ def _mc(args) -> int:
         if not result.ok():
             rc = 1
             if args.ce_out:
-                out_dir = Path(args.ce_out)
-                out_dir.mkdir(parents=True, exist_ok=True)
                 label = name or f"seed{scenario.seed}"
-                path = out_dir / f"counterexample-{label}.json"
+                path = Path(args.ce_out) / f"counterexample-{label}.json"
                 path.write_text(json.dumps(result.counterexample, indent=2) + "\n")
                 print(f"counterexample written: {path}")
         elif expect_exhaustive and not result.exhausted:
@@ -829,19 +873,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.trace_out:
-        from .analysis import capture
-
-        capture.enable(args.trace_out)
+    command = COMMANDS[args.command]
     try:
-        rc = COMMANDS[args.command].run(args) or 0
+        _claim_outputs(command, args)
+        rc = command.run(args) or 0
     except _CliError as exc:
         print(f"armci-repro: error: {exc}", file=sys.stderr)
         rc = 2
     finally:
         if args.trace_out:
-            path, runs, events = capture.flush()
-            print(f"trace written: {path} ({runs} run(s), {events} event(s))")
+            from .analysis import capture
+
+            written = capture.flush()  # None: the path could not be opened
+            if written:
+                path, runs, events = written
+                print(f"trace written: {path} ({runs} run(s), {events} event(s))")
     return rc
 
 

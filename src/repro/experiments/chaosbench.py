@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..locks import make_lock
+from ..locks import FIFO_KINDS, lock_audit, make_lock
 from ..net.faults import FaultPlan, Partition, ProcessCrash, ProcessStall
 from ..net.params import NetworkParams
 from ..runtime.cluster import ClusterRuntime
@@ -55,10 +55,6 @@ __all__ = [
     "run_chaosbench",
     "FIFO_KINDS",
 ]
-
-#: Lock algorithms whose grant order is FIFO in request-arrival order (the
-#: token algorithms serve in tree/forwarding order instead).
-FIFO_KINDS = ("ticket", "lh", "server", "hybrid", "mcs")
 
 #: Lock algorithms that require every rank on the lock's home node.
 _LOCAL_KINDS = ("ticket", "lh")
@@ -422,13 +418,7 @@ def run_chaosbench(
         params=_make_params(cfg),
         **kwargs,
     )
-    shared: Dict[str, Any] = {
-        "requests": [],
-        "grants": [],
-        "preemptions": [],
-        "cs_owner": None,
-        "mutex_ok": True,
-    }
+    shared = lock_audit()
     per_rank = runtime.run_spmd(chaos_workload, cfg, shared)
 
     membership = runtime.membership

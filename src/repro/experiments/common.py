@@ -16,6 +16,7 @@ from ..net.params import NetworkParams, myrinet2000
 __all__ = [
     "Comparison",
     "DEFAULT_NPROCS",
+    "SeriesTable",
     "format_table",
     "geometric_mean",
 ]
@@ -24,8 +25,35 @@ __all__ = [
 DEFAULT_NPROCS: Tuple[int, ...] = (2, 4, 8, 16)
 
 
+class SeriesTable:
+    """What every per-variant result table does with its series.
+
+    Mixed into a dataclass with ``title``, ``metric``, ``notes`` and
+    ``values[variant][nprocs] -> microseconds`` fields and a ``to_rows()``.
+    """
+
+    def record(self, variant: str, nprocs: int, value_us: float) -> None:
+        self.values.setdefault(variant, {})[nprocs] = value_us
+
+    def nprocs_list(self) -> List[int]:
+        keys = set()
+        for series in self.values.values():
+            keys.update(series)
+        return sorted(keys)
+
+    def get(self, variant: str, nprocs: int) -> float:
+        return self.values[variant][nprocs]
+
+    def render(self) -> str:
+        lines = [f"== {self.title} ==", f"metric: {self.metric}"]
+        lines.append(format_table(self.to_rows()))
+        for note in self.notes:
+            lines.append(f"note: {note}")
+        return "\n".join(lines)
+
+
 @dataclass
-class Comparison:
+class Comparison(SeriesTable):
     """Two series over process counts + derived improvement factors.
 
     ``values[variant][nprocs] -> microseconds``.  ``baseline`` names the
@@ -40,18 +68,6 @@ class Comparison:
     values: Dict[str, Dict[int, float]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
-    def record(self, variant: str, nprocs: int, value_us: float) -> None:
-        self.values.setdefault(variant, {})[nprocs] = value_us
-
-    def nprocs_list(self) -> List[int]:
-        keys = set()
-        for series in self.values.values():
-            keys.update(series)
-        return sorted(keys)
-
-    def get(self, variant: str, nprocs: int) -> float:
-        return self.values[variant][nprocs]
-
     def factor(self, nprocs: int) -> float:
         """Baseline / improved (the paper's "factor of improvement")."""
         return self.get(self.baseline, nprocs) / self.get(self.improved, nprocs)
@@ -61,8 +77,6 @@ class Comparison:
 
     def max_factor(self) -> float:
         return max(self.factors().values())
-
-    # -- rendering ---------------------------------------------------------------
 
     def to_rows(self) -> List[List[str]]:
         header = ["procs", f"{self.baseline} (us)", f"{self.improved} (us)", "factor"]
@@ -77,13 +91,6 @@ class Comparison:
                 ]
             )
         return rows
-
-    def render(self) -> str:
-        lines = [f"== {self.title} ==", f"metric: {self.metric}"]
-        lines.append(format_table(self.to_rows()))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
 
 
 def format_table(rows: Sequence[Sequence[str]]) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
-from .common import default_params, format_table
+from .common import SeriesTable, default_params
 from .fig7_sync import Fig7Config, _fig7_cell
 from .parallel import run_cells
 
@@ -37,25 +37,13 @@ NicBenchConfig = Fig7Config
 
 
 @dataclass
-class NicBenchResult:
+class NicBenchResult(SeriesTable):
     """``values[variant][nprocs] -> mean GA_Sync time (us)``."""
 
     title: str
     metric: str
     values: Dict[str, Dict[int, float]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
-
-    def record(self, variant: str, nprocs: int, value_us: float) -> None:
-        self.values.setdefault(variant, {})[nprocs] = value_us
-
-    def nprocs_list(self) -> List[int]:
-        keys = set()
-        for series in self.values.values():
-            keys.update(series)
-        return sorted(keys)
-
-    def get(self, variant: str, nprocs: int) -> float:
-        return self.values[variant][nprocs]
 
     def best(self, nprocs: int) -> str:
         """Winning variant at ``nprocs`` (deterministic tie-break)."""
@@ -79,13 +67,6 @@ class NicBenchResult:
                 + [self.best(n), f"{self.factor(n):.2f}"]
             )
         return rows
-
-    def render(self) -> str:
-        lines = [f"== {self.title} ==", f"metric: {self.metric}"]
-        lines.append(format_table(self.to_rows()))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
 
 
 def run_nicbench(

@@ -45,9 +45,6 @@ __all__ = ["FuzzOutcome", "SIM_CAP_US", "run_scenario"]
 #: finish within a few ms).  A program still running at the cap is hung.
 SIM_CAP_US = 50_000.0
 
-#: Lock algorithms whose grant order is FIFO in request-arrival order.
-_FIFO_LOCKS = ("ticket", "lh", "server", "hybrid", "mcs")
-
 #: Spacing between lock requests so request-send order equals
 #: queue-arrival order on a fault-free network (see chaosbench).
 _LOCK_STAGGER_US = 40.0
@@ -305,6 +302,7 @@ def run_scenario(
     smaller cap since explored scenarios are tiny).
     """
     from ..analysis.monitor import SyncMonitor
+    from ..locks import FIFO_KINDS, lock_audit
     from ..runtime.cluster import ClusterRuntime
 
     cap = SIM_CAP_US if sim_cap_us is None else sim_cap_us
@@ -318,13 +316,7 @@ def run_scenario(
     )
     if strategy is not None:
         runtime.env._mc_strategy = strategy
-    shared: Dict[str, Any] = {
-        "requests": [],
-        "grants": [],
-        "preemptions": [],
-        "cs_owner": None,
-        "mutex_ok": True,
-    }
+    shared = lock_audit()
     procs = runtime.spawn(_fuzz_workload, scenario, shared)
     try:
         runtime.env.run(until=cap)
@@ -435,7 +427,7 @@ def run_scenario(
             "(critical-section owner cell was overwritten)",
         )
     if (
-        scenario.lock_kind in _FIFO_LOCKS
+        scenario.lock_kind in FIFO_KINDS
         and not scenario.reorders_messages()
         and not scenario.has_transients()
         and not stuck

@@ -24,21 +24,25 @@ from ..mp import collectives
 __all__ = ["ga_sync"]
 
 
+#: GA_Sync mode -> ``ARMCI_Barrier()`` algorithm.  ``current`` is the one mode
+#: that is not a combined barrier.
+_BARRIER_ALGORITHM = {
+    "new": "exchange",
+    "auto": "auto",
+    "nic": "nic",
+    "kary": "kary",
+    "dissemination": "dissemination",
+    "twolevel": "twolevel",
+}
+
+
 def ga_sync(ctx, mode: str = "new"):
     """Sub-generator implementing GA_Sync in the selected mode."""
     if mode == "current":
         yield from ctx.armci.allfence()
         yield from collectives.barrier(ctx.comm)
-    elif mode == "new":
-        yield from ctx.armci.barrier(algorithm="exchange")
-    elif mode == "auto":
-        yield from ctx.armci.barrier(algorithm="auto")
-    elif mode == "nic":
-        yield from ctx.armci.barrier(algorithm="nic")
-    elif mode in ("kary", "dissemination", "twolevel"):
-        yield from ctx.armci.barrier(algorithm=mode)
+    elif mode in _BARRIER_ALGORITHM:
+        yield from ctx.armci.barrier(algorithm=_BARRIER_ALGORITHM[mode])
     else:
-        raise ValueError(
-            f"unknown GA_Sync mode {mode!r}; use "
-            "current/new/auto/nic/kary/dissemination/twolevel"
-        )
+        modes = "/".join(("current", *_BARRIER_ALGORITHM))
+        raise ValueError(f"unknown GA_Sync mode {mode!r}; use {modes}")

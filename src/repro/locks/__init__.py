@@ -20,6 +20,7 @@ from .ticket import TicketLock
 
 __all__ = [
     "BaseLock",
+    "FIFO_KINDS",
     "HybridLock",
     "LHLock",
     "LOCK_KINDS",
@@ -29,6 +30,7 @@ __all__ = [
     "RaymondLock",
     "ServerQueueLock",
     "TicketLock",
+    "lock_audit",
     "make_lock",
 ]
 
@@ -42,6 +44,21 @@ LOCK_KINDS = {
     "raymond": RaymondLock,
     "naimi": NaimiTrehelLock,
 }
+
+#: Lock algorithms whose grant order is FIFO in request-arrival order (the
+#: token algorithms serve in tree/forwarding order instead).
+FIFO_KINDS = ("ticket", "lh", "server", "hybrid", "mcs")
+
+
+def lock_audit() -> dict:
+    """The cross-rank lock audit record the chaos and fuzz workloads fill in."""
+    return {
+        "requests": [],
+        "grants": [],
+        "preemptions": [],
+        "cs_owner": None,
+        "mutex_ok": True,
+    }
 
 
 def make_lock(kind: str, ctx: Any, home_rank: int, name: str = "lock", **kwargs) -> BaseLock:

@@ -42,23 +42,6 @@ class HybridLock(TicketFamilyLock):
         else:
             yield from self._acquire_remote()
 
-    def _acquire_local(self):
-        """Figure 3, left: direct fetch&increment, then poll the counter."""
-        p = self.params
-        yield self.env.timeout(p.shm_atomic_us)
-        ticket = self._home_region.read(self.base_addr)
-        self._home_region.write(self.base_addr, ticket + 1)
-        self._my_ticket = ticket
-        yield self.env.timeout(p.shm_access_us)
-        counter_addr = self.base_addr + 1
-        if self._home_region.read(counter_addr) == ticket:
-            self.stats.uncontended_acquires += 1
-            return
-        self.stats.bump("local_waits")
-        yield from self._home_region.wait_until(
-            counter_addr, lambda v: v == ticket, poll_detect_us=p.poll_detect_us
-        )
-
     def _acquire_remote(self):
         """Figure 3, right: the server takes a ticket on our behalf."""
         reply = self.env.event()

@@ -39,6 +39,25 @@ class TicketFamilyLock(BaseLock):
     def _san_ticket(self):
         return self._my_ticket if self._my_ticket >= 0 else None
 
+    def _acquire_local(self):
+        """Figure 3, left: direct fetch&increment, then poll the counter."""
+        p = self.params
+        # Atomic fetch&increment on ticket.
+        yield self.env.timeout(p.shm_atomic_us)
+        ticket = self._home_region.read(self.base_addr)
+        self._home_region.write(self.base_addr, ticket + 1)
+        self._my_ticket = ticket
+        # Spin on counter.
+        yield self.env.timeout(p.shm_access_us)
+        counter_addr = self.base_addr + 1
+        if self._home_region.read(counter_addr) == ticket:
+            self.stats.uncontended_acquires += 1
+            return
+        self.stats.bump("local_waits")
+        yield from self._home_region.wait_until(
+            counter_addr, lambda v: v == ticket, poll_detect_us=p.poll_detect_us
+        )
+
     @classmethod
     def recover(cls, svc, handles, dead: int, transient: bool):
         """Skip dead ticket numbers; ghost-advance if the dead rank held it.
@@ -106,22 +125,7 @@ class TicketLock(TicketFamilyLock):
                 "HybridLock or MCSLock for remote locks"
             )
 
-    def _acquire(self):
-        p = self.params
-        # Atomic fetch&increment on ticket.
-        yield self.env.timeout(p.shm_atomic_us)
-        ticket = self._home_region.read(self.base_addr)
-        self._home_region.write(self.base_addr, ticket + 1)
-        self._my_ticket = ticket
-        # Spin on counter.
-        yield self.env.timeout(p.shm_access_us)
-        counter_addr = self.base_addr + 1
-        if self._home_region.read(counter_addr) == ticket:
-            self.stats.uncontended_acquires += 1
-            return
-        yield from self._home_region.wait_until(
-            counter_addr, lambda v: v == ticket, poll_detect_us=p.poll_detect_us
-        )
+    _acquire = TicketFamilyLock._acquire_local
 
     def _release(self):
         # Write ticket+1 into counter, passing the lock to the next waiter.

@@ -179,8 +179,21 @@ class ProcessCrash:
         return ("nic", self.nic)
 
 
+class _TransientWindow:
+    """The ``[from_us, until_us)`` window of a fault that heals."""
+
+    def _check_window(self) -> None:
+        if self.from_us < 0.0 or self.until_us <= self.from_us:
+            raise ValueError(
+                f"need 0 <= from_us < until_us, got [{self.from_us}, {self.until_us})"
+            )
+
+    def covers(self, when: float) -> bool:
+        return self.from_us <= when < self.until_us
+
+
 @dataclass(frozen=True)
-class Partition:
+class Partition(_TransientWindow):
     """A transient network partition: one side of a full bipartite cut.
 
     During ``[from_us, until_us)`` no inter-node transmission crosses
@@ -207,13 +220,7 @@ class Partition:
             raise ValueError(f"partition nodes must be non-negative, got {self.nodes}")
         if normalized != self.nodes:
             object.__setattr__(self, "nodes", normalized)
-        if self.from_us < 0.0 or self.until_us <= self.from_us:
-            raise ValueError(
-                f"need 0 <= from_us < until_us, got [{self.from_us}, {self.until_us})"
-            )
-
-    def covers(self, when: float) -> bool:
-        return self.from_us <= when < self.until_us
+        self._check_window()
 
     def separates(self, node_a: int, node_b: int, when: float) -> bool:
         """True when the cut is active and the two nodes sit on opposite sides."""
@@ -221,7 +228,7 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class ProcessStall:
+class ProcessStall(_TransientWindow):
     """A transient pause of one rank: descheduled, not killed.
 
     During ``[from_us, until_us)`` every delivery addressed to the rank's
@@ -240,13 +247,7 @@ class ProcessStall:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
-        if self.from_us < 0.0 or self.until_us <= self.from_us:
-            raise ValueError(
-                f"need 0 <= from_us < until_us, got [{self.from_us}, {self.until_us})"
-            )
-
-    def covers(self, when: float) -> bool:
-        return self.from_us <= when < self.until_us
+        self._check_window()
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,12 @@ the ARMCI reproduction:
   with ``yield from`` sub-generators, which keeps protocol code (fence,
   barrier, lock algorithms) readable and close to the paper's pseudocode.
 
-* **A fast hot path.** ``Environment.run`` drives an inlined pop/dispatch
-  loop (no method call per event), keeps the schedule
-  sequence as a plain int, and recycles :class:`Event`/:class:`Timeout`
-  objects through per-environment free lists (see ``docs/performance.md``).
+* **Two loops.** ``Environment.run()`` drains the queue with an inlined
+  pop/dispatch loop (no method call per event, the schedule sequence a
+  plain int); ``run(until=...)`` and every run under a
+  :class:`SchedulerStrategy` take one *stepping* loop with the same
+  per-event body.  An event object is never reused (see
+  ``docs/performance.md``).
 
 The kernel knows nothing about networks, servers, or ARMCI; those live in
 :mod:`repro.net` and :mod:`repro.runtime`.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import sys
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -77,14 +78,6 @@ _PENDING = object()
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-# CPython exposes reference counts; the run loop uses them to prove that a
-# just-processed Event/Timeout is unreachable and can be recycled.  On other
-# interpreters recycling is simply disabled.
-_getrefcount = getattr(sys, "getrefcount", None)
-
-#: Cap on each per-environment free list (slab) of recycled events.
-_POOL_LIMIT = 1024
 
 
 class _Crashed:
@@ -142,7 +135,7 @@ class SchedulerStrategy:
     #: Commutation window (µs) for near-tie labeled deliveries; 0 disables.
     window: float = 0.0
     #: Set True (e.g. from :meth:`choose`/:meth:`executed`) to abandon the
-    #: run after the current event; the controlled loop checks it each step.
+    #: run after the current event; the stepping loop checks it each step.
     abort: bool = False
 
     def choose(self, now: float, candidates: list) -> int:
@@ -557,8 +550,6 @@ class Environment:
         "events_processed",
         "_sync_monitor",
         "process_factory",
-        "_event_pool",
-        "_timeout_pool",
         "_mc_strategy",
     )
 
@@ -580,10 +571,6 @@ class Environment:
         #: Optional override for :meth:`process` (monitors wrap process
         #: creation to inherit actor labels).
         self.process_factory: Optional[Callable] = None
-        # Free lists of recycled plain Events / Timeouts (slab reuse; see
-        # the run loop).
-        self._event_pool: list = []
-        self._timeout_pool: list = []
         #: Controlled-scheduler hook (see :class:`SchedulerStrategy`).
         factory = type(self).strategy_factory
         self._mc_strategy: Optional[SchedulerStrategy] = (
@@ -661,115 +648,58 @@ class Environment:
         stop_at, stop_ev = self._until(until)
         if stop_ev is not None and stop_ev.callbacks is None:
             return self._outcome(stop_ev)
-        if self._mc_strategy is not None:
-            return self._run_controlled(stop_at, stop_ev)
+        if until is not None or self._mc_strategy is not None:
+            return self._step(stop_at, stop_ev)
 
+        # Drain the queue with an inlined loop: no method call per event.
         queue = self._queue
         pop = _heappop
-        refcount = _getrefcount
+        processed = 0
+        try:
+            while queue:
+                when, _prio, _seq, event = pop(queue)
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = None
+                processed += 1
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            # The counter is only observed between run() calls; batching
+            # the per-event increment out of the loop is measurable.
+            self.events_processed += processed
+        return None
 
-        if stop_ev is None and stop_at is None:
-            # Fast path: drain the queue with an inlined loop (no method
-            # call per event) and recycle unreachable Event/Timeout objects
-            # through the free lists.
-            event_pool = self._event_pool
-            timeout_pool = self._timeout_pool
-            processed = 0
-            try:
-                while queue:
-                    when, _prio, _seq, event = pop(queue)
-                    self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    processed += 1
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    cls = event.__class__
-                    if (
-                        (cls is Timeout or cls is Event)
-                        and refcount is not None
-                        # 2 == the loop local + getrefcount's argument:
-                        # nothing else references the event, so it is safe
-                        # to reuse.
-                        and refcount(event) == 2
-                    ):
-                        # Recycle: clear and reattach the detached callbacks
-                        # list so the event is indistinguishable from a
-                        # fresh pending one.
-                        pool = timeout_pool if cls is Timeout else event_pool
-                        if len(pool) < _POOL_LIMIT:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._value = _PENDING
-                            event._ok = True
-                            event._defused = False
-                            event._mc_label = None
-                            pool.append(event)
-            finally:
-                # The counter is only observed between run() calls; batching
-                # the per-event increment out of the loop is measurable.
-                self.events_processed += processed
-            return None
+    def _step(self, stop_at: Optional[float], stop_ev: Optional[Event]) -> Any:
+        """The stepping loop: one event at a time, a stop test before each.
 
-        hit: list = []
-        if stop_ev is not None:
-            stop_ev.callbacks.append(hit.append)
-        while True:
-            if stop_ev is not None and hit:
-                break
-            if not queue:
-                if stop_ev is not None:
-                    raise SimulationError(
-                        "simulation queue drained before the awaited event "
-                        f"{stop_ev!r} triggered (deadlock?)"
-                    )
-                if stop_at is not None:
-                    self._now = stop_at
-                break
-            if stop_at is not None and queue[0][0] > stop_at:
-                self._now = stop_at
-                break
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            self.events_processed += 1
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        return self._outcome(stop_ev)
-
-    def _run_controlled(self, stop_at: Optional[float], stop_ev: Optional[Event]) -> Any:
-        """Run loop with the :class:`SchedulerStrategy` hook engaged.
-
-        Semantics match :meth:`run` except: (1) at each step all co-enabled
-        heap entries (equal ``(time, priority)``; plus, when the head is a
-        labeled delivery and ``strategy.window > 0``, labeled
-        ``PRIORITY_NORMAL`` deliveries within the window) are collected and
-        the strategy picks which one to process; (2) a window pick with a
-        later timestamp is processed clamped to the head's timestamp, so
-        simulated time never runs backwards; (3) no event recycling, so
-        labels and identities stay stable for the exploring strategy;
-        (4) ``strategy.executed(label)`` fires after each labeled event and
-        ``strategy.abort`` abandons the run.
+        Runs ``run(until=...)`` and every run with a
+        :class:`SchedulerStrategy` installed.  Without a strategy it
+        processes the same ``(time, priority, seq)`` sequence the drain loop
+        does.  With one: (1) at each step all co-enabled heap entries (equal
+        ``(time, priority)``; plus, when the head is a labeled delivery and
+        ``strategy.window > 0``, labeled ``PRIORITY_NORMAL`` deliveries
+        within the window) are collected and the strategy picks which one to
+        process; (2) a window pick with a later timestamp is processed
+        clamped to the head's timestamp, so simulated time never runs
+        backwards; (3) ``strategy.executed(label)`` fires for each labeled
+        event and ``strategy.abort`` abandons the run.
 
         With the base strategy (window 0, choose→0) the processed event
-        sequence is identical to :meth:`run`'s.
+        sequence is again the drain loop's.
         """
         strategy = self._mc_strategy
+        controlled = strategy is not None
+        window = strategy.window if controlled else 0.0
         queue = self._queue
         pop = _heappop
         push = _heappush
         hit: list = []
         if stop_ev is not None:
             stop_ev.callbacks.append(hit.append)
-        window = strategy.window
-        while True:
-            if stop_ev is not None and hit:
-                break
+        while not hit:
             if not queue:
                 if stop_ev is not None:
                     raise SimulationError(
@@ -782,75 +712,59 @@ class Environment:
             if stop_at is not None and queue[0][0] > stop_at:
                 self._now = stop_at
                 break
-            root = pop(queue)
-            t0 = root[0]
-            prio0 = root[1]
-            candidates = [root]
-            # Exact (time, priority) ties are always co-enabled.
-            while queue and queue[0][0] == t0 and queue[0][1] == prio0:
-                candidates.append(pop(queue))
-            # Commutation window: near-tie labeled deliveries are co-enabled
-            # too, but only when the head itself is a labeled delivery —
-            # pulling a delivery ahead of an unlabeled internal step would
-            # not correspond to a legal reordering of the network.
-            if window > 0.0 and root[3]._mc_label is not None:
-                horizon = t0 + window
-                spill = []
-                while queue and queue[0][0] <= horizon:
-                    entry = pop(queue)
-                    if entry[1] == PRIORITY_NORMAL and entry[3]._mc_label is not None:
-                        candidates.append(entry)
-                    else:
-                        spill.append(entry)
-                for entry in spill:
-                    push(queue, entry)
-            if len(candidates) > 1:
-                idx = strategy.choose(t0, candidates)
-                chosen = candidates[idx]
-                for i, entry in enumerate(candidates):
-                    if i != idx:
+            chosen = pop(queue)
+            # Also clamps a window pick to the head timestamp (monotonic time).
+            self._now = t0 = chosen[0]
+            if controlled:
+                prio0 = chosen[1]
+                candidates = [chosen]
+                # Exact (time, priority) ties are always co-enabled.
+                while queue and queue[0][0] == t0 and queue[0][1] == prio0:
+                    candidates.append(pop(queue))
+                # Commutation window: near-tie labeled deliveries are
+                # co-enabled too, but only when the head itself is a labeled
+                # delivery — pulling a delivery ahead of an unlabeled
+                # internal step would not correspond to a legal reordering
+                # of the network.
+                if window > 0.0 and chosen[3]._mc_label is not None:
+                    horizon = t0 + window
+                    spill = []
+                    while queue and queue[0][0] <= horizon:
+                        entry = pop(queue)
+                        if entry[1] == PRIORITY_NORMAL and entry[3]._mc_label is not None:
+                            candidates.append(entry)
+                        else:
+                            spill.append(entry)
+                    for entry in spill:
                         push(queue, entry)
-            else:
-                chosen = root
+                if len(candidates) > 1:
+                    idx = strategy.choose(t0, candidates)
+                    chosen = candidates[idx]
+                    for i, entry in enumerate(candidates):
+                        if i != idx:
+                            push(queue, entry)
             event = chosen[3]
-            # Clamp window picks to the head timestamp (monotonic time).
-            self._now = t0
             callbacks = event.callbacks
             event.callbacks = None
             self.events_processed += 1
-            label = event._mc_label
-            if label is not None:
-                strategy.executed(label)
+            if controlled and event._mc_label is not None:
+                strategy.executed(event._mc_label)
             for cb in callbacks:
                 cb(event)
             if not event._ok and not event._defused:
                 raise event._value
-            if strategy.abort:
+            if controlled and strategy.abort:
                 break
         return self._outcome(stop_ev)
 
     # -- factories ---------------------------------------------------------
 
     def event(self) -> Event:
-        """Create a fresh pending event (recycled from the slab if possible)."""
-        pool = self._event_pool
-        if pool:
-            return pool.pop()
+        """Create a fresh pending event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` time units from now."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = value
-            seq = self._seq
-            self._seq = seq + 1
-            _heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, t))
-            return t
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:

@@ -30,6 +30,14 @@ class TestGaSyncFunction:
         with pytest.raises(ValueError, match="GA_Sync mode"):
             rt.run_spmd(main)
 
+    def test_unknown_mode_message_lists_every_mode(self):
+        with pytest.raises(ValueError) as excinfo:
+            next(ga_sync(None, "turbo"))
+        assert str(excinfo.value) == (
+            "unknown GA_Sync mode 'turbo'; use "
+            "current/new/auto/nic/kary/dissemination/twolevel"
+        )
+
     def test_current_mode_uses_allfence(self, make_cluster):
         def main(ctx):
             base = ctx.region.alloc(1)

@@ -1,8 +1,9 @@
 """Default-strategy byte-identity: the controlled scheduler must change nothing.
 
 Installing the base :class:`~repro.sim.core.SchedulerStrategy` (FIFO
-choice, zero window) routes every simulation step through
-``_run_controlled`` instead of the fast path.  The contract is that this
+choice, zero window) routes every simulation step through the kernel's
+stepping loop, candidate collection engaged, instead of the drain loop.
+The contract is that this
 is *observationally identical*: every experiment family must render the
 exact same results either way, or the model checker would be exploring a
 different system than the one the benchmarks measure.
@@ -17,7 +18,7 @@ from repro.sim.core import Environment, SchedulerStrategy
 
 @pytest.fixture
 def controlled():
-    """Route every Environment in the block through the controlled loop."""
+    """Route every Environment in the block through the stepping loop."""
     assert Environment.strategy_factory is None
     Environment.strategy_factory = SchedulerStrategy
     try:

@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import gc
+import heapq
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import core
 
 from repro.net.params import myrinet2000
 from repro.runtime.cluster import ClusterRuntime, DeadlockError
@@ -441,8 +447,21 @@ class TestCoEnabledOrderingContract:
         assert env._seq == seq_after_first + 1
 
     @staticmethod
-    def _trace_run(strategy_factory):
-        from repro.sim.core import SchedulerStrategy
+    def _tied_workers(env, trace):
+        def worker(wid):
+            # Deliberate exact ties: every worker fires at the same times.
+            for i in range(4):
+                yield env.timeout(2.0)
+                trace.append((env.now, wid, i))
+
+        return [env.process(worker(w)) for w in range(5)]
+
+    @staticmethod
+    def _trace_run(strategy_factory, program=None, drive=lambda env, procs: env.run()):
+        """What ``program(env, trace)`` (default: the tied workers) does when
+        ``drive(env, procs)`` runs it: the program's own entries, one
+        ``("event", now, priority, seq, event class)`` row per event the
+        kernel processed, and the kernel's final state."""
 
         class Env(Environment):
             pass
@@ -450,16 +469,25 @@ class TestCoEnabledOrderingContract:
         Env.strategy_factory = strategy_factory
         env = Env()
         trace = []
+        scheduled = set()
 
-        def worker(wid):
-            # Deliberate exact ties: every worker fires at the same times.
-            for i in range(4):
-                yield env.timeout(2.0)
-                trace.append((env.now, wid, i))
+        def recording_push(queue, entry):
+            # Every scheduling goes through the module's ``_heappush``; slip
+            # in a first callback that notes when the event is processed.
+            # The stepping loop pushes unchosen candidates back: once each.
+            _when, priority, seq, event = entry
+            if seq not in scheduled:
+                scheduled.add(seq)
+                row = (priority, seq, type(event).__name__)
+                event.callbacks.insert(
+                    0, lambda _ev: trace.append(("event", env.now) + row)
+                )
+            heapq.heappush(queue, entry)
 
-        for w in range(5):
-            env.process(worker(w))
-        env.run()
+        with mock.patch.object(core, "_heappush", recording_push):
+            procs = (program or TestCoEnabledOrderingContract._tied_workers)(env, trace)
+            drive(env, procs)
+        trace.append(("end", env.events_processed, env.now, gc.isenabled()))
         return trace
 
     def test_default_strategy_is_byte_identical_to_fifo(self):
@@ -475,6 +503,138 @@ class TestCoEnabledOrderingContract:
         s = SchedulerStrategy()
         assert s.window == 0.0
         assert s.choose(0.0, [object(), object()]) == 0
+
+    # -- one program, every way of running it ---------------------------------
+
+    DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+    STEPS = st.one_of(
+        st.tuples(st.just("timeout"), DELAYS),
+        st.tuples(st.just("event")),
+        st.tuples(st.sampled_from(["any", "all"]), st.lists(DELAYS, max_size=3)),
+        st.tuples(st.just("signal")),
+        st.tuples(st.just("await"), DELAYS),
+    )
+    PROGRAMS = st.fixed_dictionaries(
+        {
+            "workers": st.lists(st.lists(STEPS, max_size=5), min_size=1, max_size=4),
+            "kill": st.tuples(DELAYS, st.integers(0, 3)),
+            "fail_after": DELAYS,
+        }
+    )
+
+    @staticmethod
+    def _program(spec, kept):
+        """Workers over timeouts (zero-delay too), fresh events, ``AnyOf`` /
+        ``AllOf`` and one shared signal; a killer that kills one of them; a
+        guardian that catches its failing child.  Every event the program
+        creates goes into ``kept`` with the value it must report."""
+
+        def program(env, trace):
+            signal = env.event()
+
+            def keep(event, value):
+                kept.append((event, value))
+                return event
+
+            def worker(wid, steps):
+                for i, (kind, *args) in enumerate(steps):
+                    tag = (wid, i)
+                    if kind == "timeout":
+                        got = yield keep(env.timeout(args[0], value=tag), tag)
+                    elif kind == "event":
+                        got = yield keep(env.event(), tag).succeed(tag)
+                    elif kind in ("any", "all"):
+                        subs = [
+                            keep(env.timeout(delay, value=tag + (j,)), tag + (j,))
+                            for j, delay in enumerate(args[0])
+                        ]
+                        done = yield (AnyOf if kind == "any" else AllOf)(env, subs)
+                        got = [event.value for event in done]
+                    elif kind == "signal":
+                        if not signal.triggered:
+                            keep(signal, tag).succeed(tag)
+                        continue
+                    else:  # await the signal, but not forever
+                        done = yield signal | keep(env.timeout(args[0], value=tag), tag)
+                        got = [event.value for event in done]
+                    trace.append((env.now, wid, i, got))
+
+            workers = [
+                env.process(worker(wid, steps))
+                for wid, steps in enumerate(spec["workers"])
+            ]
+
+            def killer(after, victim):
+                yield keep(env.timeout(after, value="kill"), "kill")
+                workers[victim % len(workers)].kill()
+                trace.append((env.now, "killed", victim % len(workers)))
+
+            def failing(after):
+                yield keep(env.timeout(after, value="fail"), "fail")
+                raise ValueError("boom")
+
+            def guardian(after):
+                try:
+                    yield env.process(failing(after))
+                except ValueError as exc:
+                    trace.append((env.now, "caught", str(exc)))
+
+            return workers + [
+                env.process(killer(*spec["kill"])),
+                env.process(guardian(spec["fail_after"])),
+            ]
+
+        return program
+
+    @given(
+        spec=PROGRAMS,
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        awaited=st.integers(0, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_loop_processes_the_same_events(self, spec, cuts, awaited):
+        """``run()`` takes the drain loop; ``run(until=...)`` and a run under
+        a strategy take the stepping loop.  Same keys, same order, same end."""
+
+        def run(strategy_factory=None, **how):
+            return self._trace_run(strategy_factory, self._program(spec, []), **how)
+
+        drained = run()
+        _end, processed, end_time, collecting = drained[-1]
+        assert processed == len([row for row in drained if row[0] == "event"])
+        assert collecting
+
+        def in_slices(env, procs):
+            for cut in sorted(cuts):
+                env.run(until=cut * end_time)
+            env.run()
+
+        def until_a_process(env, procs):
+            env.run(until=procs[awaited % len(procs)])
+            env.run()
+
+        assert run(drive=in_slices) == drained
+        assert run(drive=until_a_process) == drained
+        assert run(SchedulerStrategy) == drained
+        assert run(SchedulerStrategy, drive=in_slices) == drained
+
+    @given(spec=PROGRAMS, cut=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_an_event_object_is_never_handed_out_twice(self, spec, cut):
+        """What the free lists' reference-count test stood in for, as a
+        property of both loops: every event the program created and kept is
+        its own object and still reports the value it was triggered with."""
+
+        def in_two_halves(env, procs):
+            env.run(until=cut * 8.0)
+            env.run()
+
+        for how in ({}, {"drive": in_two_halves}):
+            kept = []
+            self._trace_run(None, self._program(spec, kept), **how)
+            assert len({id(event) for event, _value in kept}) == len(kept)
+            assert all(event.processed for event, _value in kept)
+            assert [event.value for event, _value in kept] == [v for _e, v in kept]
 
 
 class TestCollectorParkedDuringRun:

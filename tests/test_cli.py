@@ -357,6 +357,70 @@ class TestCliRobustness:
         assert excinfo.value.code == 2
         assert "invalid float value" in capsys.readouterr().err
 
+    # A path the program cannot open or create: refused before any simulation
+    # starts.  ``{dir}`` is an empty directory, ``{file}`` a regular file.
+    @pytest.mark.parametrize(
+        "line, flag",
+        [
+            ("fig7 --procs 2 --iterations 2 --trace-out {dir}/missing/x.jsonl",
+             "--trace-out"),
+            ("scalebench --procs 8 --iterations 1 --json-out {dir}/missing/x.json",
+             "--json-out"),
+            ("fuzz --seeds 1 --json-out {dir}", "--json-out"),
+            ("fig7 --procs 2 --iterations 2 --csv {file}/sub", "--csv"),
+            ("fig7 --procs 2 --iterations 2 --csv /proc/nope", "--csv"),
+            ("nic --procs 2 --iterations 1 --csv {file}", "--csv"),
+            ("mc ticket-handoff --ce-out {file}/sub", "--ce-out"),
+            ("mc --schedule {dir}/missing.json", "--schedule"),
+        ],
+        ids=["trace-out", "json-out", "json-out-is-a-dir", "csv-under-a-file",
+             "csv-proc", "csv-is-a-file", "ce-out-under-a-file", "schedule"],
+    )
+    def test_unusable_path_is_one_line_before_any_run(
+        self, capsys, monkeypatch, tmp_path, line, flag
+    ):
+        from repro.sim.core import Environment
+
+        monkeypatch.setattr(
+            Environment, "run", lambda *a, **k: pytest.fail("a simulation started")
+        )
+        empty, regular = tmp_path / "dir", tmp_path / "file"
+        empty.mkdir()
+        regular.write_text("mine\n")
+        argv = line.format(dir=empty, file=regular).split()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert _one_error_line(captured.err)
+        path = argv[argv.index(flag) + 1]
+        assert f"{flag} {path!r}: " in captured.err
+        assert captured.out == ""
+        # Nothing was created and nothing of the user's was overwritten.
+        assert list(empty.iterdir()) == []
+        assert regular.read_text() == "mine\n"
+        assert not pathlib.Path("/proc/nope").exists()
+
+    def test_a_refused_trace_path_does_not_leave_capture_enabled(self, tmp_path):
+        from repro.analysis import capture
+
+        assert main(["validate", "--trace-out", str(tmp_path / "missing" / "t")]) == 2
+        assert not capture.enabled()
+
+    def test_usable_output_paths_are_claimed_then_written(self, capsys, tmp_path):
+        out_dir, json_path = tmp_path / "new" / "csv", tmp_path / "scale.json"
+        line = f"scalebench --procs 4 --iterations 1 --csv {out_dir} --json-out {json_path}"
+        assert main(line.split()) == 0
+        assert (out_dir / "scalebench.csv").read_text().startswith("variant,")
+        assert json_path.read_text().startswith("{")
+
+    def test_unknown_mc_target_message_is_not_a_repr(self, capsys):
+        assert main(["mc", "nosuchtarget"]) == 2
+        captured = capsys.readouterr()
+        assert _one_error_line(captured.err)
+        assert captured.err.startswith(
+            "armci-repro: error: unknown mc target 'nosuchtarget' (known: "
+        )
+        assert captured.out == ""
+
 
 class TestFuzzCommand:
     def test_small_campaign_clean(self, capsys):

@@ -222,6 +222,60 @@ class TestMembershipKeepsToItself:
                 )
 
 
+class TestKernelIsTwoLoopsAndNoFreeLists:
+    """``sim/core.py`` pops its heap in two loops — the inlined drain loop and
+    the stepping loop — and never hands an event object out twice: no free
+    lists, so no reference-count argument for when one may be reused."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        import repro.sim.core as core
+
+        return ast.parse(pathlib.Path(core.__file__).read_text())
+
+    def test_no_reference_counts(self, tree):
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not [name for name in named if "getrefcount" in name]
+
+    def test_environment_keeps_no_pool(self):
+        from repro.sim.core import Environment
+
+        assert len(Environment.__slots__) == 8
+        assert not [slot for slot in Environment.__slots__ if "pool" in slot]
+
+    def test_exactly_two_loops_pop_the_heap(self, tree):
+        # A loop nested in another (the stepping loop gathering co-enabled
+        # candidates) is part of the outer one.
+        def outer_whiles(node):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.While):
+                    yield child
+                else:
+                    yield from outer_whiles(child)
+
+        def pops_the_heap(loop):
+            return any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("pop", "_heappop")
+                for node in ast.walk(loop)
+            )
+
+        # ``pop`` is the loops' local name for the module's ``_heappop``.
+        aliases = {
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and ast.unparse(node.value) == "_heappop"
+        }
+        assert aliases == {"pop = _heappop"}
+        loops = [loop for loop in outer_whiles(tree) if pops_the_heap(loop)]
+        assert len(loops) == 2, [loop.lineno for loop in loops]
+
+
 class TestOneBodyPerOneSidedOperation:
     """Put, get and rmw are each written once: one request construction on
     the client, one put-apply in the server loop, one opcode table."""
