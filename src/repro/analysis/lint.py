@@ -1,7 +1,8 @@
 """Static lint for simulation-specific hazards (``repro check --lint``).
 
-Three ``ast``-based rules, each targeting a bug class that the dynamic
-checker cannot see (the buggy run never happens, or happens silently):
+Four ``ast``-based rules; the first three each target a bug class that the
+dynamic checker cannot see (the buggy run never happens, or happens
+silently), the fourth keeps one spelling of a sleep:
 
 ``missing-yield-from``
     A *bare expression statement* calling a known sub-generator —
@@ -25,6 +26,13 @@ checker cannot see (the buggy run never happens, or happens silently):
     ``_bump_op_done`` / ``_op_done_addr`` outside ``runtime/server.py``
     is flagged.
 
+``self-sleep-as-event``
+    ``yield env.timeout(cost)`` as a statement allocates a ``Timeout``, a
+    callbacks list and a bound method to wake exactly the process that
+    made it.  A process sleeps by yielding the delay (``yield cost``);
+    ``env.timeout()`` is for a timer something else attaches to or
+    combines.
+
 Four further *protocol-shape* rules (``send-unhandled-kind``,
 ``cs-yield-no-lease``, ``credit-mutation``, ``unguarded-view-read``) live
 in :mod:`repro.analysis.protoshape` and run through the same entry
@@ -47,6 +55,7 @@ __all__ = [
     "RULE_YIELD_FROM",
     "RULE_UNSEEDED",
     "RULE_OP_DONE",
+    "RULE_SELF_SLEEP",
     "collect_generator_names",
     "lint_source",
     "lint_paths",
@@ -57,6 +66,7 @@ __all__ = [
 RULE_YIELD_FROM = "missing-yield-from"
 RULE_UNSEEDED = "unseeded-nondeterminism"
 RULE_OP_DONE = "op-done-mutation"
+RULE_SELF_SLEEP = "self-sleep-as-event"
 
 #: ``(module, attribute)`` calls that read the wall clock.
 _WALL_CLOCK: Set[Tuple[str, str]] = {
@@ -188,6 +198,20 @@ class _Checker(ast.NodeVisitor):
                     f"bare call to sub-generator {name}() discards it; "
                     f"use 'yield from {name}(...)'",
                 )
+        elif (
+            isinstance(value, ast.Yield)
+            and isinstance(value.value, ast.Call)
+            and isinstance(value.value.func, ast.Attribute)
+            and value.value.func.attr == "timeout"
+        ):
+            args = value.value.args
+            delay = ast.unparse(args[0]) if args else "<delay>"
+            self._add(
+                node,
+                RULE_SELF_SLEEP,
+                f"a process sleeps by yielding the delay: 'yield {delay}', "
+                "not a timeout event nobody else can wait on",
+            )
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:

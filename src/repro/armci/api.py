@@ -151,11 +151,11 @@ class Armci:
 
     def _api(self):
         if self.params.api_call_us > 0.0:
-            yield self.env.timeout(self.params.api_call_us)
+            yield self.params.api_call_us
 
     def _shm(self, cost: float):
         if cost > 0.0:
-            yield self.env.timeout(cost)
+            yield cost
 
     def _credit_pool(self, node: int):
         from ..sim.primitives import Resource
@@ -285,13 +285,13 @@ class Armci:
         env = self.env
         p = self.params
         if p.api_call_us > 0.0:
-            yield env.timeout(p.api_call_us)
+            yield p.api_call_us
         node = self.topology.node_of(dst_rank)
         if node == self.node:
             region = self.regions[dst_rank]
             cost = p.shm_access_us + total * Region.CELL_BYTES * p.mem_copy_per_byte_us
             if cost > 0.0:
-                yield env.timeout(cost)
+                yield cost
             for addr, vals in segments:
                 region.write_many(addr, vals)
             self.stats["puts_local"] += 1
@@ -312,7 +312,7 @@ class Armci:
         self._san_issue("put", req, dst_rank, node)
         self.stats["puts_remote"] += 1
         if p.o_send_us > 0.0:
-            yield env.timeout(p.o_send_us)
+            yield p.o_send_us
         self.fabric.post(
             self.rank,
             server_endpoint(node),

@@ -438,7 +438,7 @@ def _nic(armci: "Armci"):
         return
     params = armci.params
     if params.nic_doorbell_us > 0.0:
-        yield armci.env.timeout(params.nic_doorbell_us)
+        yield params.nic_doorbell_us
     release = engine.post_doorbell(epoch, armci.rank, CountVector(armci.op_init))
     if release is None:
         # Fenced at the doorbell: this rank is partition-excluded from the
@@ -575,7 +575,7 @@ def _stage2_wait_resilient(armci: "Armci", region, addr, totals):
         deadline = env.timeout(poll_us)
         yield wake | deadline
         if wake.triggered and poll_detect_us > 0.0:
-            yield env.timeout(poll_detect_us)
+            yield poll_detect_us
 
 
 def _stage2_wait_with_watchdog(armci: "Armci", region, addr, target, watchdog_us):
@@ -594,7 +594,7 @@ def _stage2_wait_with_watchdog(armci: "Armci", region, addr, target, watchdog_us
         deadline = env.timeout(watchdog_us)
         yield wake | deadline
         if wake.triggered and poll_detect_us > 0.0:
-            yield env.timeout(poll_detect_us)
+            yield poll_detect_us
         value = region.read(addr)
         if value >= target:
             break

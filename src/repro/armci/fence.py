@@ -77,7 +77,7 @@ def fence_node(armci: "Armci", node: int):
         # node is remote here, so the sender pays o_send_us).
         p = armci.params
         if p.o_send_us > 0.0:
-            yield armci.env.timeout(p.o_send_us)
+            yield p.o_send_us
         armci.fabric.post(
             armci.rank, server_endpoint(node), req, src_node=armci.node
         )

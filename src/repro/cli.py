@@ -245,6 +245,11 @@ FLAGS = {
         "--no-shrink", action="store_true",
         help="report the first failure without shrinking it",
     ),
+    "keep_going": _flag(
+        "--keep-going", action="store_true",
+        help="run every seed of the budget: list all failing seeds with a "
+        "kind x lock x barrier histogram, shrink none",
+    ),
     "self_test": _flag(
         "--self-test", action="store_true",
         help="plant the three seeded bug mutants and require the oracle to catch each "
@@ -663,6 +668,7 @@ def _fuzz(args) -> int:
             num_seeds=num_seeds,
             time_budget_s=args.time_budget,
             do_shrink=not args.no_shrink,
+            keep_going=args.keep_going,
         )
     print(outcome.render())
     _write_json(args, outcome.to_json())
@@ -831,8 +837,8 @@ COMMANDS: Dict[str, Command] = {
     ),
     "fuzz": Command(
         _fuzz,
-        ("seeds", "start_seed", "time_budget", "no_shrink", "replay", "corpus",
-         "self_test", "self_test_budget", "json_out"),
+        ("seeds", "start_seed", "time_budget", "no_shrink", "keep_going", "replay",
+         "corpus", "self_test", "self_test_budget", "json_out"),
         "randomized fault/crash scenario fuzzing",
     ),
     "mc": Command(

@@ -243,7 +243,7 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, shared: Dict[str, Any]):
     if ctx.rank not in barrier_victims and env.now < cfg.barrier_hold_us:
         # Hold back so the barrier victims are blocked inside the exchange
         # when their kills fire (a completed barrier can't be disrupted).
-        yield env.timeout(cfg.barrier_hold_us - env.now)
+        yield cfg.barrier_hold_us - env.now
     yield from ctx.armci.barrier()
     barrier_done_us = env.now
 
@@ -290,19 +290,19 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, shared: Dict[str, Any]):
     if ctx.rank in lock_victims:
         idx = lock_victim_order.index(ctx.rank)
         if idx:
-            yield env.timeout(cfg.lock_stagger_us * idx)
+            yield cfg.lock_stagger_us * idx
         shared["requests"].append((env.now, ctx.rank, -1))
         yield from lock.acquire()
         note_grant(-1)
         while True:  # "compute" in the CS until the scheduled kill fires
-            yield env.timeout(cfg.cs_us)
+            yield cfg.cs_us
 
-    yield env.timeout(cfg.lock_stagger_us * (len(lock_victim_order) + 1 + ctx.rank))
+    yield cfg.lock_stagger_us * (len(lock_victim_order) + 1 + ctx.rank)
     for it in range(cfg.lock_iters):
         shared["requests"].append((env.now, ctx.rank, it))
         yield from lock.acquire()
         note_grant(it)
-        yield env.timeout(cfg.cs_us)
+        yield cfg.cs_us
         if shared["cs_owner"] == ctx.rank:
             shared["cs_owner"] = None
         elif membership is None or membership.in_view(ctx.rank):

@@ -91,10 +91,10 @@ def lock_workload(ctx, kind: str, home_rank: int, cfg: LockBenchConfig, active=N
     lock.total_sw.reset()
     for _i in range(cfg.iterations):
         if cfg.op_gap_us > 0.0:
-            yield ctx.env.timeout(cfg.op_gap_us)
+            yield cfg.op_gap_us
         yield from lock.acquire()
         if cfg.op_gap_us > 0.0:
-            yield ctx.env.timeout(cfg.op_gap_us)
+            yield cfg.op_gap_us
         yield from lock.release()
     return (lock.acquire_sw.samples, lock.release_sw.samples)
 

@@ -5,6 +5,9 @@ scenario until one fails, the seed budget runs out, or the wall-clock
 budget expires.  The first failure is (optionally) shrunk to a minimal
 still-failing schedule; both the original and shrunken outcomes land in
 the :class:`CampaignResult` and can be serialized for the CI artifact.
+With ``keep_going`` it does not stop at a failure (and shrinks nothing):
+the result lists every failing seed with its violation kinds, which is
+what the ``tests/fuzz/known_failing.json`` ratchet is compared against.
 
 The **corpus** (``tests/fuzz/corpus/*.json``) holds full scenario JSON
 — not bare seeds, because shrunken scenarios are hand-edited data no
@@ -17,9 +20,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .runner import FuzzOutcome, run_scenario
 from .scenario import Scenario, generate, scenario_from_json, scenario_to_json
@@ -44,9 +48,28 @@ class CampaignResult:
     elapsed_s: float = 0.0
     failure: Optional[FuzzOutcome] = None
     shrunk: Optional[ShrinkResult] = None
+    #: Every failing outcome, in seed order, of a campaign that kept going.
+    failures: List[FuzzOutcome] = field(default_factory=list)
 
     def ok(self) -> bool:
-        return self.failure is None
+        return self.failure is None and not self.failures
+
+    def failing(self) -> Dict[str, List[str]]:
+        """``{seed: [violation kinds]}`` — the shape of the ratchet file."""
+        return {str(o.scenario.seed): list(o.kinds()) for o in self.failures}
+
+    def histogram(self) -> List[Tuple[str, str, str, int]]:
+        """Failing seeds per (violation kind, lock, barrier), most first; a
+        seed with two kinds counts under both."""
+        counts = Counter(
+            (kind, o.scenario.lock_kind or "-", o.scenario.barrier_algorithm)
+            for o in self.failures
+            for kind in o.kinds()
+        )
+        return [
+            key + (n,)
+            for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        ]
 
     def to_json(self) -> str:
         data = {
@@ -54,6 +77,9 @@ class CampaignResult:
             "seeds_run": self.seeds_run,
             "ok": self.ok(),
         }
+        if self.failures:
+            data["failing"] = self.failing()
+            data["histogram"] = self.histogram()
         if self.failure is not None:
             data["failing_seed"] = self.failure.scenario.seed
             data["failure"] = json.loads(self.failure.to_json())
@@ -73,6 +99,17 @@ class CampaignResult:
         ]
         if self.ok():
             lines.append("no invariant violations found")
+            return "\n".join(lines)
+        if self.failures:
+            from ..experiments.common import format_table
+
+            lines.append(
+                f"{len(self.failures)} failing seed(s): "
+                + " ".join(self.failing())
+            )
+            rows = [("kind", "lock", "barrier", "seeds")]
+            rows += [row[:3] + (str(row[3]),) for row in self.histogram()]
+            lines.append(format_table(rows))
             return "\n".join(lines)
         lines.append(self.failure.render())
         if self.shrunk is not None:
@@ -95,8 +132,10 @@ def run_campaign(
     num_seeds: Optional[int] = 100,
     time_budget_s: Optional[float] = None,
     do_shrink: bool = True,
+    keep_going: bool = False,
 ) -> CampaignResult:
-    """Fuzz consecutive seeds until failure or budget exhaustion."""
+    """Fuzz consecutive seeds until failure or budget exhaustion — or, with
+    ``keep_going``, through every failure to the end of the budget."""
     result = CampaignResult(start_seed=start_seed)
     t0 = time.monotonic()
     seed = start_seed
@@ -111,10 +150,13 @@ def run_campaign(
         outcome = run_scenario(generate(seed))
         result.seeds_run += 1
         if not outcome.ok():
-            result.failure = outcome
-            if do_shrink:
-                result.shrunk = shrink(outcome.scenario, outcome)
-            break
+            if keep_going:
+                result.failures.append(outcome)
+            else:
+                result.failure = outcome
+                if do_shrink:
+                    result.shrunk = shrink(outcome.scenario, outcome)
+                break
         seed += 1
     result.elapsed_s = time.monotonic() - t0
     return result

@@ -214,7 +214,7 @@ def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
                     [value] * cells,
                 )
         elif phase == "lock" and lock is not None:
-            yield env.timeout(_LOCK_STAGGER_US * (ctx.rank + 1))
+            yield _LOCK_STAGGER_US * (ctx.rank + 1)
             for it in range(scenario.lock_iters):
                 shared["requests"].append((env.now, ctx.rank, it))
                 yield from lock.acquire()
@@ -231,7 +231,7 @@ def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
                         shared["mutex_ok"] = False
                 shared["cs_owner"] = ctx.rank
                 shared["grants"].append((env.now, ctx.rank, it))
-                yield env.timeout(_CS_US)
+                yield _CS_US
                 if shared["cs_owner"] == ctx.rank:
                     shared["cs_owner"] = None
                 elif membership is None or membership.in_view(ctx.rank):
@@ -254,7 +254,7 @@ def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
             membership.is_alive(p) and not membership.in_view(p)
             for p in range(ctx.nprocs)
         ):
-            yield env.timeout(50.0)
+            yield 50.0
         yield from ctx.armci.barrier(algorithm=scenario.barrier_algorithm)
 
     # Post-barrier memory audit: the final phase is always a barrier, so
@@ -297,7 +297,9 @@ def run_scenario(
     ``strategy`` optionally installs a
     :class:`~repro.sim.core.SchedulerStrategy` on the runtime's
     environment before the run — RMCheck's handle for steering the
-    schedule; ``None`` keeps the ordinary uncontrolled scheduler.
+    schedule; ``None`` keeps the ordinary uncontrolled scheduler.  A run the
+    strategy aborts comes back with the single finding ``aborted`` and no
+    oracle verdict.
     ``sim_cap_us`` overrides :data:`SIM_CAP_US` (model-checking runs use a
     smaller cap since explored scenarios are tiny).
     """
@@ -327,6 +329,16 @@ def run_scenario(
             f"{type(exc).__name__}: {exc}",
         )
     outcome.finished_us = runtime.env.now
+    if strategy is not None and strategy.abort:
+        # Abandoned part-way (RMCheck: sleep-pruned, or a forced prefix that
+        # diverged).  A partial event stream is not a run to judge; whoever
+        # installed the strategy reads why off the strategy.
+        outcome.add(
+            "aborted",
+            f"the scheduler strategy abandoned the run at "
+            f"{runtime.env.now:.1f}us; not judged",
+        )
+        return outcome
 
     membership = runtime.membership
     alive = {

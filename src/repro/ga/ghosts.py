@@ -110,7 +110,7 @@ class GhostArray:
             + block.size * 8 * ctx.params.mem_copy_per_byte_us
         )
         if cost > 0.0:
-            yield ctx.env.timeout(cost)
+            yield cost
         w = self.width
         for r in range(blk.nrows):
             ctx.region.write_many(

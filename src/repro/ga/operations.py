@@ -41,7 +41,7 @@ def _write_own_block(ga: "GlobalArray", block: np.ndarray):
         + len(cells) * 8 * ctx.params.mem_copy_per_byte_us
     )
     if cost > 0.0:
-        yield ctx.env.timeout(cost)
+        yield cost
     ctx.region.write_many(ga.base_addr, cells)
 
 
@@ -103,6 +103,6 @@ def dot(ga_a: "GlobalArray", ga_b: "GlobalArray"):
     partial = float((ga_a.local_block() * ga_b.local_block()).sum())
     # Model the local multiply-accumulate cost.
     blk = ga_a.dist.block(ctx.rank)
-    yield ctx.env.timeout(blk.cells * 8 * ctx.params.mem_copy_per_byte_us)
+    yield blk.cells * 8 * ctx.params.mem_copy_per_byte_us
     total = yield from collectives.allreduce_sum(ctx.comm, [partial])
     return total[0]

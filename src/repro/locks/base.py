@@ -104,7 +104,7 @@ class BaseLock:
             # resynced.  Immediate no-op on crash-only and healthy runs.
             yield from self._membership_svc.freeze_gate(self.ctx.rank)
         if self.params.api_call_us > 0.0:
-            yield self.env.timeout(self.params.api_call_us)
+            yield self.params.api_call_us
         if self._monitor is not None:
             self._monitor.emit("lock_req", lock=self._san_key)
         self.acquire_sw.start()
@@ -133,7 +133,7 @@ class BaseLock:
         if not self._held:
             raise RuntimeError(f"{self!r}: release without acquire")
         if self.params.api_call_us > 0.0:
-            yield self.env.timeout(self.params.api_call_us)
+            yield self.params.api_call_us
         if self._membership_svc is not None:
             current = self._membership_svc.fence_token(
                 self._membership_svc.lock_key(self)

@@ -78,17 +78,17 @@ class LHLock(BaseLock):
         p = self.params
         region = self._region
         # 1. my cell := PENDING  (successors will spin on it)
-        yield self.env.timeout(p.shm_access_us)
+        yield p.shm_access_us
         region.write(self.my_cell, _PENDING)
         # 2. prev := swap(tail, my cell)
-        yield self.env.timeout(p.shm_atomic_us)
+        yield p.shm_atomic_us
         prev = region.read(self._tail_addr)
         region.write(self._tail_addr, self.my_cell)
         self._published_cell = self.my_cell
         self._prev_cell = prev
         self._phase = "waiting"
         # 3. spin on the predecessor's cell.
-        yield self.env.timeout(p.shm_access_us)
+        yield p.shm_access_us
         if region.read(prev) != _GRANTED:
             self.stats.bump("spins")
             yield from region.wait_until(
@@ -105,7 +105,7 @@ class LHLock(BaseLock):
 
     def _release(self):
         # GRANTED into the cell my successor spins on (the one I published).
-        yield self.env.timeout(self.params.shm_access_us)
+        yield self.params.shm_access_us
         self._region.write(self._spin_cell, _GRANTED)
         self._phase = "idle"
         self.stats.handoffs += 1
@@ -122,7 +122,7 @@ class LHLock(BaseLock):
         region, p = handle._region, handle.params
         if handle._phase == "held":
             if p.shm_access_us > 0.0:
-                yield handle.env.timeout(p.shm_access_us)
+                yield p.shm_access_us
             region.write(handle._spin_cell, _GRANTED)
         elif handle._phase == "waiting" and not transient:
             # When the predecessor eventually grants the dead waiter,
@@ -133,5 +133,5 @@ class LHLock(BaseLock):
                 poll_detect_us=p.poll_detect_us,
             )
             if p.shm_access_us > 0.0:
-                yield handle.env.timeout(p.shm_access_us)
+                yield p.shm_access_us
             region.write(handle._published_cell, _GRANTED)

@@ -257,7 +257,7 @@ class MCSLock(BaseLock):
         prev_region, dead_region = regions[prev_rank], regions[dead]
         nbase = handle.node_struct.base
         if p.shm_access_us > 0.0:
-            yield handle.env.timeout(p.shm_access_us)
+            yield p.shm_access_us
         link = (
             prev_region.read(prev_base + _OFF_NEXT),
             prev_region.read(prev_base + _OFF_NEXT + 1),
@@ -303,7 +303,7 @@ class MCSLock(BaseLock):
         the crash is never redone (rewriting a successor's ``locked`` flag
         after it moved on would grant a later acquisition spuriously).
         """
-        p, env, topology = handle.params, handle.env, handle.ctx.topology
+        p, topology = handle.params, handle.ctx.topology
         dead = handle.ctx.rank
         dead_region = handle.ctx.region
         nbase = handle.node_struct.base
@@ -335,11 +335,11 @@ class MCSLock(BaseLock):
             return False
 
         if p.shm_access_us > 0.0:
-            yield env.timeout(p.shm_access_us)
+            yield p.shm_access_us
         next_ptr = read_next()
         if next_ptr == NULL_PTR:
             if p.shm_atomic_us > 0.0:
-                yield env.timeout(p.shm_atomic_us)
+                yield p.shm_atomic_us
             tail = (home_region.read(lock_addr), home_region.read(lock_addr + 1))
             if tail == my_ptr:
                 # Still the tail with no successor: the dead rank's release
@@ -377,13 +377,13 @@ class MCSLock(BaseLock):
                         continue
                 if not linker_pending() or svc.node_dead(handle.home_node):
                     return  # nobody will ever link: release already done
-                yield env.timeout(p.membership_poll_us)
+                yield p.membership_poll_us
         # Hand off — unless the dead rank's own handoff already landed and
         # the successor moved on (its locked flag may since be re-armed).
         succ = handles.get(next_ptr[0])
         if succ is not None and succ._phase != "waiting":
             return
         if p.shm_access_us > 0.0:
-            yield env.timeout(p.shm_access_us)
+            yield p.shm_access_us
         next_rank, next_base = next_ptr
         handle.ctx.regions[next_rank].write(next_base + _OFF_LOCKED, _FALSE)

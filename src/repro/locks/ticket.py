@@ -43,12 +43,12 @@ class TicketFamilyLock(BaseLock):
         """Figure 3, left: direct fetch&increment, then poll the counter."""
         p = self.params
         # Atomic fetch&increment on ticket.
-        yield self.env.timeout(p.shm_atomic_us)
+        yield p.shm_atomic_us
         ticket = self._home_region.read(self.base_addr)
         self._home_region.write(self.base_addr, ticket + 1)
         self._my_ticket = ticket
         # Spin on counter.
-        yield self.env.timeout(p.shm_access_us)
+        yield p.shm_access_us
         counter_addr = self.base_addr + 1
         if self._home_region.read(counter_addr) == ticket:
             self.stats.uncontended_acquires += 1
@@ -70,7 +70,7 @@ class TicketFamilyLock(BaseLock):
         key = svc.lock_key(lock)
         home_rank, base_addr = lock.home_rank, lock.base_addr
         cells = (home_rank, base_addr)
-        env, p, region = lock.env, lock.params, lock._home_region
+        p, region = lock.params, lock._home_region
         server = lock.ctx.runtime.servers[lock.home_node]
         waiters = server.lock_waiters(home_rank, base_addr)
         # Drop queued requests from dead ranks.
@@ -79,7 +79,7 @@ class TicketFamilyLock(BaseLock):
                 svc.revoke_ticket(key, cells, ticket, req.src_rank)
                 del waiters[ticket]
         if p.server_lock_op_us > 0.0:
-            yield env.timeout(p.server_lock_op_us)
+            yield p.server_lock_op_us
         counter = region.read(base_addr + 1)
         next_ticket = region.read(base_addr)
         # A dead shm-spinner's ticket may sit *behind* a live holder or
@@ -107,7 +107,7 @@ class TicketFamilyLock(BaseLock):
         if new == counter:
             return
         if p.shm_access_us > 0.0:
-            yield env.timeout(p.shm_access_us)
+            yield p.shm_access_us
         yield from server.advance_lock_counter(home_rank, base_addr, new)
 
 
@@ -129,7 +129,7 @@ class TicketLock(TicketFamilyLock):
 
     def _release(self):
         # Write ticket+1 into counter, passing the lock to the next waiter.
-        yield self.env.timeout(self.params.shm_access_us)
+        yield self.params.shm_access_us
         new_counter = self._my_ticket + 1
         if self._membership_svc is not None:
             # Skip ticket numbers revoked by crash recovery (dead waiters).

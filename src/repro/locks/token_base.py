@@ -94,7 +94,7 @@ class TokenLockBase(BaseLock):
         msg = yield from self.comm.recv(tag=self.tag)
         if was_idle and self.params.server_wake_us > 0.0:
             self.stats.bump("daemon_wakes")
-            yield self.env.timeout(self.params.server_wake_us)
+            yield self.params.server_wake_us
         return msg.payload
 
     def _is_mine(self, envelope) -> bool:

@@ -29,11 +29,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..fuzz.runner import FuzzOutcome, run_scenario
 from ..fuzz.scenario import Scenario, scenario_from_json, scenario_to_json
 from .strategy import (
+    Label,
     RecordingStrategy,
     canonical_trace_hash,
     independent,
     label_key,
 )
+
+#: A forced prefix / schedule inside the explorer: labels, not their keys.
+Schedule = Tuple[Label, ...]
 
 __all__ = [
     "MCResult",
@@ -142,7 +146,7 @@ class MCResult:
 
 def _run_once(
     scenario: Scenario,
-    prefix: Tuple[str, ...],
+    prefix: Schedule,
     sleep: Tuple,
     window: float,
     sim_cap_us: float,
@@ -178,10 +182,10 @@ def explore(
     )
     started = time.perf_counter()
     # DFS work stack of (forced prefix, sleep set at the branch state).
-    stack: List[Tuple[Tuple[str, ...], Tuple]] = [((), ())]
+    stack: List[Tuple[Schedule, Tuple]] = [((), ())]
     seen_traces: set = set()
     end_states: set = set()
-    first_failure: Optional[Tuple[Tuple[str, ...], FuzzOutcome]] = None
+    first_failure: Optional[Tuple[Schedule, FuzzOutcome]] = None
 
     while stack and result.schedules_run < budget:
         prefix, sleep = stack.pop()
@@ -207,14 +211,14 @@ def explore(
         if progress is not None and result.schedules_run % 200 == 0:
             progress(result)
         if not outcome.ok() and first_failure is None:
-            first_failure = (strategy.chosen_schedule(), outcome)
+            first_failure = (strategy.chosen(), outcome)
             break  # counterexample found: stop exploring, go minimize
 
         # Enqueue the uncovered siblings of every fresh choice point.
         # Reverse order keeps the DFS visiting the first alternative of
         # the deepest choice point next.
-        children: List[Tuple[Tuple[str, ...], Tuple]] = []
-        chosen_keys = strategy.chosen_schedule()
+        children: List[Tuple[Schedule, Tuple]] = []
+        taken = strategy.chosen()
         for d in range(len(prefix), len(strategy.decisions)):
             options, chosen, sleep_at_state = strategy.decisions[d]
             done: List = [chosen]
@@ -227,9 +231,7 @@ def explore(
                     for u in (base | set(done))
                     if independent(u, alt)
                 )
-                children.append(
-                    (chosen_keys[:d] + (label_key(alt),), child_sleep)
-                )
+                children.append((taken[:d] + (alt,), child_sleep))
                 done.append(alt)
         for child in reversed(children):
             stack.append(child)
@@ -248,7 +250,7 @@ def explore(
             "scenario": json.loads(scenario_to_json(scenario)),
             "window": window,
             "sim_cap_us": sim_cap_us,
-            "schedule": list(schedule),
+            "schedule": [label_key(label) for label in schedule],
             "violation_kinds": list(result.violation_kinds),
         }
     result.elapsed_s = time.perf_counter() - started
@@ -257,7 +259,7 @@ def explore(
 
 def _fails(
     scenario: Scenario,
-    schedule: Tuple[str, ...],
+    schedule: Schedule,
     window: float,
     sim_cap_us: float,
 ) -> bool:
@@ -267,10 +269,10 @@ def _fails(
 
 def _minimize(
     scenario: Scenario,
-    schedule: Tuple[str, ...],
+    schedule: Schedule,
     window: float,
     sim_cap_us: float,
-) -> Tuple[str, ...]:
+) -> Schedule:
     """Greedy minimization: shortest failing truncation, then deletions.
 
     Mirrors the fuzzer's shrinker: every probe is a deterministic full

@@ -20,16 +20,17 @@ frame's ``acked`` flag and the retransmit timer.  This is exactly the
 relation the explorer's sleep sets and the canonical trace form use.
 
 A :class:`RecordingStrategy` drives one simulation run: it replays a
-tuple of forced choices (the DFS prefix), then resolves every further
-choice point first-come-first-served among candidates *not* in its sleep
-set, recording the options it saw so the explorer can enqueue the
-siblings afterwards.
+tuple of forced choices (the DFS prefix, as labels), then resolves every
+further choice point first-come-first-served among candidates *not* in
+its sleep set, recording the options it saw so the explorer can enqueue
+the siblings afterwards.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Tuple, Union
 
 from ..sim.core import SchedulerStrategy
 
@@ -49,7 +50,9 @@ def independent(a: Label, b: Label) -> bool:
 
 
 def label_key(label: Label) -> str:
-    """Canonical string form of a label (serialization + forced matching)."""
+    """Canonical string form of a label: what a counterexample's JSON holds.
+    A forced prefix given in this form is parsed back once, when the
+    :class:`RecordingStrategy` is built."""
     return repr(label)
 
 
@@ -66,17 +69,19 @@ def canonical_trace_hash(trace: Iterable[Label]) -> str:
     uses this for *reporting* redundantly explored schedules, never for
     pruning — sleep sets are the sound reduction mechanism.
     """
-    t: List[Label] = list(trace)
+    # (sort key, dst_key) per label; the digest is over ``repr`` of the
+    # sorted label list, spelled from the keys.
+    t = [(repr(label), label[1]) for label in trace]
     changed = True
     while changed:
         changed = False
         for i in range(len(t) - 1):
             a, b = t[i], t[i + 1]
-            if a[1] != b[1] and repr(b) < repr(a):
+            if a[1] != b[1] and b[0] < a[0]:
                 t[i], t[i + 1] = b, a
                 changed = True
-    blob = repr(t).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    blob = "[" + ", ".join(key for key, _dst in t) + "]"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class RecordingStrategy(SchedulerStrategy):
@@ -104,13 +109,16 @@ class RecordingStrategy(SchedulerStrategy):
 
     def __init__(
         self,
-        prefix: Tuple[str, ...] = (),
+        prefix: Iterable[Union[Label, str]] = (),
         sleep: Iterable[Label] = (),
         window: float = 0.0,
     ):
         self.window = float(window)
         self.abort = False
-        self.prefix = tuple(prefix)
+        self.prefix: Tuple[Label, ...] = tuple(
+            ast.literal_eval(want) if isinstance(want, str) else want
+            for want in prefix
+        )
         self.sleep = set(sleep)
         #: Per choice point: (options, chosen_label, sleep_at_state).
         self.decisions: List[Tuple[List[Label], Label, Tuple[Label, ...]]] = []
@@ -146,7 +154,7 @@ class RecordingStrategy(SchedulerStrategy):
         if d < len(self.prefix):
             want = self.prefix[d]
             for i, label in labeled:
-                if label_key(label) == want:
+                if label == want:
                     self.depth = d + 1
                     self.decisions.append((options, label, sleep_snapshot))
                     return i
@@ -170,9 +178,14 @@ class RecordingStrategy(SchedulerStrategy):
 
     # -- explorer helpers -------------------------------------------------
 
+    def chosen(self) -> Tuple[Label, ...]:
+        """The schedule this run actually took: the label chosen at each
+        choice point."""
+        return tuple(chosen for _opts, chosen, _z in self.decisions)
+
     def chosen_schedule(self) -> Tuple[str, ...]:
-        """The schedule this run actually took, as forced-choice keys."""
-        return tuple(label_key(chosen) for _opts, chosen, _z in self.decisions)
+        """:meth:`chosen` as forced-choice keys (the serialized form)."""
+        return tuple(label_key(label) for label in self.chosen())
 
     def branching_product(self) -> int:
         """Naive interleaving count along this run (Π branching factors)."""

@@ -438,7 +438,6 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
     ``epoch0`` — or if ``restart_check`` reports the whole instance already
     completed — while no matching message has arrived.
     """
-    env = comm.env
     poll_us = membership.params.membership_poll_us
     while True:
         for envelope in comm.mailbox.items:
@@ -448,7 +447,7 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
                 return received
         if membership.epoch != epoch0 or restart_check():
             raise _EpochChanged()
-        yield env.timeout(poll_us)
+        yield poll_us
 
 
 def _resilient(comm: Comm, membership, key, attempt):

@@ -85,7 +85,7 @@ class Comm:
         self.sent += 1
         p = self.params
         if p.mp_call_us > 0.0:
-            yield self.env.timeout(p.mp_call_us)
+            yield p.mp_call_us
         # fabric.send, inlined (sends sit under every collective phase and
         # each delegated frame taxes every later resume of the caller).
         fabric = self.fabric
@@ -93,7 +93,7 @@ class Comm:
         src_node = rank_node[self.rank]
         overhead = p.shm_access_us if src_node == rank_node[dst] else p.o_send_us
         if overhead > 0.0:
-            yield self.env.timeout(overhead)
+            yield overhead
         fabric.post(
             self.rank, mp_endpoint(dst), msg,
             payload_bytes=payload_bytes, src_node=src_node,
@@ -109,12 +109,12 @@ class Comm:
             )
 
         if self.params.mp_call_us > 0.0:
-            yield self.env.timeout(self.params.mp_call_us)
+            yield self.params.mp_call_us
         envelope = yield self.mailbox.get(matches)
         p = self.params
         cost = p.shm_access_us if envelope.intra_node else p.o_recv_us
         if cost > 0.0:
-            yield self.env.timeout(cost)
+            yield cost
         self.received += 1
         return envelope.payload
 

@@ -410,7 +410,7 @@ class Fabric:
         p = self.params
         overhead = p.shm_access_us if src_node == dst_node else p.o_send_us
         if overhead > 0.0:
-            yield self.env.timeout(overhead)
+            yield overhead
         return self.post(src_rank, dst, payload, payload_bytes, src_node=src_node)
 
     def post_reply(

@@ -265,10 +265,6 @@ class NicEngine:
         if self._monitor is not None:
             self._monitor.emit(kind, **data)
 
-    def _proc_step(self):
-        if self.params.nic_proc_us > 0.0:
-            yield self.env.timeout(self.params.nic_proc_us)
-
     def _run_epoch(self, epoch: int, state: _EpochState):
         """Coordinator for one barrier epoch on this node's NIC."""
         p = self.params
@@ -277,7 +273,8 @@ class NicEngine:
         # Local combine: fold each hosted rank's doorbell row.
         partial = CountVector.zeros(self.nprocs)
         for rank in sorted(state.rows):
-            yield from self._proc_step()
+            if p.nic_proc_us > 0.0:
+                yield p.nic_proc_us
             partial = partial + state.rows[rank]
             self._emit(
                 "nic_combine", epoch=epoch, node=self.node,
@@ -299,7 +296,8 @@ class NicEngine:
             target = totals[rank]
             while self.mirror[rank] < target:
                 yield self._mirror_signal.wait()
-            yield from self._proc_step()
+            if p.nic_proc_us > 0.0:
+                yield p.nic_proc_us
             self._emit(
                 "nic_combine", epoch=epoch, node=self.node,
                 src="mirror", rank=rank, value=self.mirror[rank],
@@ -318,7 +316,8 @@ class NicEngine:
         self.committed.add(epoch)
         self._emit("nic_commit", epoch=epoch, node=self.node, n=self.nprocs)
         for rank in self.hosted:
-            yield from self._proc_step()
+            if p.nic_proc_us > 0.0:
+                yield p.nic_proc_us
             self._emit(
                 "nic_release", epoch=epoch, node=self.node, rank=rank,
                 n=self.nprocs,
@@ -341,7 +340,8 @@ class NicEngine:
 
     def _send_frame(self, epoch: int, phase: str, dst_node: int, values=None):
         """Build a descriptor (``nic_proc_us``) and inject one frame."""
-        yield from self._proc_step()
+        if self.params.nic_proc_us > 0.0:
+            yield self.params.nic_proc_us
         self._emit(
             "nic_combine", epoch=epoch, node=self.node,
             src="send", phase=phase, peer=dst_node,
@@ -369,7 +369,8 @@ class NicEngine:
             )
 
         envelope = yield self.mailbox.get(match)
-        yield from self._proc_step()
+        if self.params.nic_proc_us > 0.0:
+            yield self.params.nic_proc_us
         self._emit(
             "nic_combine", epoch=epoch, node=self.node,
             src="recv", phase=phase, peer=src_node,

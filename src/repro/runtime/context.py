@@ -50,9 +50,13 @@ class ProcessContext:
         """Current simulated time in microseconds."""
         return self.env.now
 
-    def compute(self, us: float):
-        """Event modeling ``us`` microseconds of local computation."""
-        return self.env.timeout(us)
+    def compute(self, us: float) -> float:
+        """``us`` microseconds of local computation: ``yield ctx.compute(us)``
+        sleeps that long (a delay, not an event — see
+        :class:`~repro.sim.core.Process`)."""
+        if not us >= 0:
+            raise ValueError(f"compute({us!r}): not a duration")
+        return us
 
     def stopwatch(self, name: str = "sw") -> Stopwatch:
         """A fresh virtual-time stopwatch."""

@@ -393,7 +393,7 @@ class MembershipService:
     # -- crash execution -------------------------------------------------------
 
     def _crash_executor(self, crash):
-        yield self.env.timeout(crash.at_us)
+        yield crash.at_us
         if crash.rank is not None:
             self._kill_rank(crash.rank)
         elif crash.node is not None:
@@ -488,7 +488,7 @@ class MembershipService:
         if interval <= 0.0:  # heartbeats disabled: rely on traffic + retries
             return
         while not self._loops_done():
-            yield self.env.timeout(interval * (0.75 + 0.5 * rng.random()))
+            yield interval * (0.75 + 0.5 * rng.random())
             if rank in self._dead:
                 return
             self.heartbeat(rank, self.env.now)
@@ -499,7 +499,7 @@ class MembershipService:
         if check <= 0.0:  # pragma: no cover - degenerate configuration
             return
         while not self._loops_done():
-            yield self.env.timeout(check)
+            yield check
             now = self.env.now
             for rank in sorted(self._alive):
                 if rank in self._excluded:
@@ -670,7 +670,7 @@ class MembershipService:
     def _heal_executor(self, part):
         """Runs at a partition's ``until_us``: reset silence clocks and
         rejoin every excluded rank that is back in a majority component."""
-        yield self.env.timeout(part.until_us)
+        yield part.until_us
         now = self.env.now
         # The disruption is over; pre-heal silence must not be
         # misattributed to post-heal crash suspicion.
@@ -702,7 +702,7 @@ class MembershipService:
     def _resume_executor(self, pause):
         """Runs at a process stall's ``until_us``: the rank starts making
         progress again, so clear its silence clock and rejoin it."""
-        yield self.env.timeout(pause.until_us)
+        yield pause.until_us
         rank = pause.rank
         now = self.env.now
         if rank in self._alive:
@@ -799,7 +799,7 @@ class MembershipService:
         start = self.env.now
         self._emit("sync_frozen", rank=rank, frozen_at=start)
         while not clear():
-            yield self.env.timeout(self._freeze_wait_us(rank))
+            yield self._freeze_wait_us(rank)
         now = self.env.now
         self.freeze_log.append(
             {

@@ -195,7 +195,7 @@ class Region:
         while not predicate(value):
             yield self.watcher(addr).wait()
             if poll_detect_us > 0.0:
-                yield self.env.timeout(poll_detect_us)
+                yield poll_detect_us
             value = self._cells[addr]
         if self._monitor is not None:
             # The satisfying poll-loop read (bypasses read() and its

@@ -239,15 +239,15 @@ class ServerThread:
                 self.sleeping = False
                 stats.wakes += 1
                 if wake_us > 0.0:
-                    yield env.timeout(wake_us)
+                    yield wake_us
             else:
                 envelope = yield get_ev
             busy_from = env.now
             dequeue_cost = shm_us if envelope.intra_node else o_recv_us
             if dequeue_cost > 0.0:
-                yield env.timeout(dequeue_cost)
+                yield dequeue_cost
             if proc_us > 0.0:
-                yield env.timeout(proc_us)
+                yield proc_us
             stats.requests += 1
             req = envelope.payload
             kind = type(req)
@@ -282,7 +282,7 @@ class ServerThread:
                     ncells = req.total_cells()
                     cost = self._copy_cost(ncells)
                     if cost > 0.0:
-                        yield env.timeout(cost)
+                        yield cost
                     for addr, values in segments:
                         region.write_many(addr, values)
                     self._bump_op_done(req.dst_rank)
@@ -331,7 +331,7 @@ class ServerThread:
         same_node = self.topology.node_of(req_src_rank) == self.node
         overhead = p.shm_access_us if same_node else p.o_send_us
         if overhead > 0.0:
-            yield self.env.timeout(overhead)
+            yield overhead
         if self._dedup and self._current_key is not None:
             self._reply_cache[self._current_key] = (
                 req_src_rank,
@@ -352,7 +352,7 @@ class ServerThread:
         ncells = req.total_cells()
         cost = self._copy_cost(ncells)
         if cost > 0.0:
-            yield self.env.timeout(cost)
+            yield cost
         if req.segments is not None:
             values: List[Any] = []
             for addr, count in req.segments:
@@ -369,7 +369,7 @@ class ServerThread:
         # Accumulate reads and writes each cell: charge both directions.
         cost = 2 * self._copy_cost(len(req.values))
         if cost > 0.0:
-            yield self.env.timeout(cost)
+            yield cost
         atomics.accumulate(region, req.addr, req.values, req.scale)
         self._bump_op_done(req.dst_rank)
         if self._membership is not None:
@@ -392,7 +392,7 @@ class ServerThread:
         # case).
         self.stats.fences += 1
         if self.params.server_fence_check_us > 0.0:
-            yield self.env.timeout(self.params.server_fence_check_us)
+            yield self.params.server_fence_check_us
         yield from self._reply(req.src_rank, req.reply, value=True)
 
     # -- hybrid lock server side ------------------------------------------------
@@ -402,7 +402,7 @@ class ServerThread:
         region = self._hosted_region(req.home_rank)
         self.stats.locks += 1
         if self.params.server_lock_op_us > 0.0:
-            yield self.env.timeout(self.params.server_lock_op_us)
+            yield self.params.server_lock_op_us
         ticket = atomics.fetch_and_add(region, req.base_addr, 1)
         counter = region.read(req.base_addr + 1)
         if ticket == counter:
@@ -416,7 +416,7 @@ class ServerThread:
         region = self._hosted_region(req.home_rank)
         self.stats.unlocks += 1
         if self.params.server_lock_op_us > 0.0:
-            yield self.env.timeout(self.params.server_lock_op_us)
+            yield self.params.server_lock_op_us
         counter_addr = req.base_addr + 1
         new_counter = region.read(counter_addr) + 1
         if self._membership is not None:

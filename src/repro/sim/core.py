@@ -27,9 +27,16 @@ the ARMCI reproduction:
   in microseconds of simulated time, matching the units the paper reports.
 
 * **Processes are generators.** A simulated activity is an ordinary Python
-  generator that ``yield``\\ s :class:`Event` objects; composition is done
+  generator that ``yield``\\ s :class:`Event` objects to wait for them and
+  plain non-negative numbers to *sleep* that long; composition is done
   with ``yield from`` sub-generators, which keeps protocol code (fence,
   barrier, lock algorithms) readable and close to the paper's pseudocode.
+
+* **A sleep allocates nothing.** ``yield delay`` pushes the heap key a
+  ``Timeout(env, delay)`` made at that instant would push (same time,
+  priority and ``seq``) on the process's one :class:`_WakeRow`.
+  ``env.timeout()`` is for what is genuinely an event: a timer that carries
+  a callback or a label, or one side of a composed wait.
 
 * **Two loops.** ``Environment.run()`` drains the queue with an inlined
   pop/dispatch loop (no method call per event, the schedule sequence a
@@ -252,14 +259,19 @@ class Event:
         return Condition(self.env, Condition.any_done, [self, other])
 
 
+def _bad_delay(delay: Any, who: str = "") -> ValueError:
+    what = "negative delay" if delay < 0 else "delay is not a time:"
+    return ValueError(f"{who}{what} {delay!r}")
+
+
 class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # negative, or NaN: the clock would become NaN
+            raise _bad_delay(delay)
         # Field-by-field init (no super() chain): Timeouts are the single
         # most allocated object in a simulation.
         self.env = env
@@ -290,15 +302,38 @@ class Initialize(Event):
         env.schedule(self, 0.0, PRIORITY_URGENT)
 
 
+class _WakeRow:
+    """What the heap holds while a process sleeps: the process's one wake row.
+
+    Not an :class:`Event`: built with its process, returned by no API and
+    never sent into a generator, so nothing else can hold it; and a blocked
+    process waits on one thing, so at most one heap entry names it.  It
+    answers what the loops and a :class:`SchedulerStrategy` read off an
+    entry: ``callbacks`` (``wake`` while asleep, emptied by
+    :meth:`Process.kill`, ``None`` once popped) and, as class constants, a
+    successful ``None`` outcome with no RMCheck label.
+    """
+
+    __slots__ = ("callbacks", "wake")
+    _ok = True
+    _value = None
+    _defused = False
+    _mc_label = None
+
+
 class Process(Event):
     """A running generator coroutine.
 
     The process itself is an :class:`Event` that triggers when the generator
     returns (value = return value) or raises (failure).  Other processes can
     therefore ``yield proc`` to join it.
+
+    The generator yields an :class:`Event` to wait for it, or a non-negative
+    number to sleep that long: ``env.timeout(delay)``'s place in the event
+    order without the event.
     """
 
-    __slots__ = ("_generator", "name", "_target", "started_at")
+    __slots__ = ("_generator", "name", "_target", "_row", "started_at")
 
     def __init__(
         self,
@@ -311,8 +346,10 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None if runnable).
+        #: The event this process is waiting on (None if runnable or asleep).
         self._target: Optional[Event] = None
+        self._row = row = _WakeRow()
+        row.wake = (self._resume,)
         self.started_at = env.now
         Initialize(env, self)
 
@@ -326,7 +363,8 @@ class Process(Event):
 
     @property
     def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for."""
+        """The event the process is currently waiting for (None while it
+        sleeps)."""
         return self._target
 
     def kill(self, value: Any = CRASHED) -> None:
@@ -347,6 +385,8 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
+        # A sleeper's heap entry stays where it is and pops as a no-op.
+        self._row.callbacks = ()
         self._generator.close()
         self._ok = True
         self._value = value
@@ -397,14 +437,29 @@ class Process(Event):
                 return
             env._active_proc = None
 
-            if not isinstance(next_ev, Event):
-                generator.throw(
-                    SimulationError(
-                        f"process {self.name!r} yielded {next_ev!r}, which is not "
-                        "an Event; protocol helpers must be delegated to with "
-                        "'yield from'"
+            if next_ev.__class__ is float or not isinstance(next_ev, Event):
+                # A delay is what adds to the clock and compares with zero.
+                try:
+                    when = env._now + next_ev
+                    valid = next_ev >= 0
+                except TypeError:
+                    generator.throw(
+                        SimulationError(
+                            f"process {self.name!r} yielded {next_ev!r}, which is "
+                            "not an Event or a delay; protocol helpers must be "
+                            "delegated to with 'yield from'"
+                        )
                     )
-                )
+                    return
+                if not valid:
+                    generator.throw(_bad_delay(next_ev, f"process {self.name!r}: "))
+                    return
+                # Sleep: Timeout(env, next_ev)'s heap key on this process's row.
+                row = self._row
+                row.callbacks = row.wake
+                seq = env._seq
+                env._seq = seq + 1
+                _heappush(env._queue, (when, PRIORITY_NORMAL, seq, row))
                 return
             if next_ev.env is not env:
                 generator.throw(

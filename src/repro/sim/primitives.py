@@ -197,7 +197,7 @@ class Resource:
         """
         yield self.acquire()
         try:
-            yield self.env.timeout(duration)
+            yield duration
         finally:
             self.release()
 

@@ -101,7 +101,6 @@ def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
     barrier among the actors.
     """
     params = ctx.armci.params
-    env = ctx.env
     nnodes = ctx.nprocs
     nprocs = nnodes * ppn
     right = (ctx.rank + 1) % nnodes
@@ -121,13 +120,13 @@ def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
     for _iteration in range(cfg.iterations):
         if cfg.put_cells > 0:
             if puts_charge > 0.0:
-                yield env.timeout(puts_charge)
+                yield puts_charge
             yield from ctx.armci.put_segments(right, [(addr, values)])
         sw.start()
         if pre_charge > 0.0:
-            yield env.timeout(pre_charge)
+            yield pre_charge
         yield from ctx.armci.barrier(algorithm=leaders_algorithm)
         if post_charge + inflation > 0.0:
-            yield env.timeout(post_charge + inflation)
+            yield post_charge + inflation
         sw.stop()
     return sw.samples

@@ -39,6 +39,7 @@ tier of the paper's machines is already modeled by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -69,19 +70,17 @@ class LevelSpec:
             raise ValueError(
                 f"level {self.name!r}: arity must be >= 2, got {self.arity}"
             )
-        if self.latency_us is not None and self.latency_us < 0:
+        # ``not lo <= x < inf`` also refuses NaN, which ``x < lo`` lets through.
+        for what in ("latency_us", "per_byte_us"):
+            value = getattr(self, what)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"level {self.name!r}: {what} must be non-negative and "
+                    f"finite, got {value}"
+                )
+        if not 1.0 <= self.contention < math.inf:
             raise ValueError(
-                f"level {self.name!r}: latency_us must be non-negative, "
-                f"got {self.latency_us}"
-            )
-        if self.per_byte_us is not None and self.per_byte_us < 0:
-            raise ValueError(
-                f"level {self.name!r}: per_byte_us must be non-negative, "
-                f"got {self.per_byte_us}"
-            )
-        if self.contention < 1.0:
-            raise ValueError(
-                f"level {self.name!r}: contention must be >= 1, "
+                f"level {self.name!r}: contention must be >= 1 and finite, "
                 f"got {self.contention}"
             )
 

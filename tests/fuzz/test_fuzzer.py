@@ -6,6 +6,7 @@ tier-1 suite — small seed windows, the checked-in corpus, and a short
 self-test budget that is still known to catch every seeded mutant.
 """
 
+import ast
 import dataclasses
 import json
 import pathlib
@@ -29,6 +30,7 @@ from repro.fuzz.selftest import MUTANTS, run_self_test
 from repro.fuzz.shrink import shrink
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
+KNOWN_FAILING = pathlib.Path(__file__).parent / "known_failing.json"
 
 
 class TestScenarioGeneration:
@@ -136,6 +138,54 @@ class TestReplay:
         result = run_campaign(start_seed=0, num_seeds=6, do_shrink=False)
         assert result.ok(), result.render()
         assert result.seeds_run == 6
+
+
+class TestKnownFailingRatchet:
+    """``known_failing.json`` is every red seed in 0-999 with its violation
+    kinds (ROADMAP item 1).  CI's ``fuzz-smoke`` sweeps all 1000 against it;
+    here the file is checked against the benchmark's exclusion list and a
+    sample of it is re-run."""
+
+    @pytest.fixture(scope="class")
+    def known(self):
+        return {int(s): kinds for s, kinds in json.loads(KNOWN_FAILING.read_text()).items()}
+
+    def test_file_is_well_formed(self, known):
+        assert all(0 <= seed < 1000 for seed in known)
+        assert all(kinds and kinds == sorted(set(kinds)) for kinds in known.values())
+
+    def test_benchmark_excludes_exactly_the_listed_seeds_of_its_pool(self, known):
+        workloads = pathlib.Path(__file__).parents[2] / "perfbench" / "workloads.py"
+        constants = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in ast.parse(workloads.read_text()).body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", "").startswith("FUZZ_")
+        }
+        end = constants["FUZZ_POOL_END"]
+        assert sorted(s for s in known if s < end) == list(constants["FUZZ_KNOWN_FAILING"])
+
+    @pytest.mark.parametrize("seed", [39, 62, 291, 714, 989])
+    def test_listed_seeds_still_fail_with_the_listed_kinds(self, known, seed):
+        assert list(replay_seed(seed).kinds()) == known[seed]
+
+    def test_keep_going_collects_every_failing_seed(self, known):
+        result = run_campaign(start_seed=30, num_seeds=50, keep_going=True)
+        assert result.seeds_run == 50 and not result.ok()
+        assert result.failure is None and result.shrunk is None
+        expected = {str(s): k for s, k in sorted(known.items()) if 30 <= s < 80}
+        assert result.failing() == expected and len(expected) == 4
+        data = json.loads(result.to_json())
+        assert data["failing"] == expected and data["ok"] is False
+        counted = {(kind, lock, barrier): n for kind, lock, barrier, n in data["histogram"]}
+        for outcome in result.failures:
+            sc = outcome.scenario
+            for kind in outcome.kinds():
+                assert counted[(kind, sc.lock_kind or "-", sc.barrier_algorithm)] >= 1
+        assert sum(counted.values()) == sum(len(k) for k in expected.values())
+        text = result.render()
+        assert "4 failing seed(s): 39 62 72 77" in text
+        assert text.splitlines()[2].split() == ["kind", "lock", "barrier", "seeds"]
 
 
 class TestShrink:

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import scenario_from_json, scenario_to_json
 from repro.mc import explore, get_target, load_counterexample, replay_counterexample
+from repro.mc.strategy import RecordingStrategy, canonical_trace_hash, label_key
 from repro.mc.explore import COUNTEREXAMPLE_FORMAT
 from repro.mc.selftest import MC_MUTANT_PINS, _mutant, pin_scenario
 
@@ -109,6 +111,64 @@ class TestCounterexample:
         path.write_text(json.dumps({"format": "not-a-counterexample"}))
         with pytest.raises(ValueError, match="not an RMCheck counterexample"):
             load_counterexample(str(path))
+
+
+class TestLabelsInsideKeysAtTheBoundary:
+    """The explorer carries a schedule as label tuples; a counterexample's
+    JSON carries their ``label_key`` strings.  Either form forces the same
+    run, and an abandoned run is not judged."""
+
+    @pytest.fixture(scope="class")
+    def free_run(self):
+        t = get_target("nic-barrier")
+        strategy = RecordingStrategy(window=t.window)
+        run_scenario(t.scenario, strategy=strategy, sim_cap_us=t.sim_cap_us)
+        assert len(strategy.chosen()) > 10
+        return t, strategy
+
+    def test_keys_and_labels_force_the_same_run(self, free_run):
+        t, free = free_run
+        # Take the *last* option at each of the first few choice points.
+        taken = ()
+        for _ in range(4):
+            probe = RecordingStrategy(prefix=taken, window=t.window)
+            run_scenario(t.scenario, strategy=probe, sim_cap_us=t.sim_cap_us)
+            taken += (probe.decisions[len(taken)][0][-1],)
+        assert taken != free.chosen()[:4]
+        keys = json.loads(json.dumps([label_key(label) for label in taken]))
+        runs = []
+        for prefix in (taken, keys):
+            strategy = RecordingStrategy(prefix=prefix, window=t.window)
+            outcome = run_scenario(t.scenario, strategy=strategy, sim_cap_us=t.sim_cap_us)
+            assert not strategy.diverged and strategy.chosen()[:4] == taken
+            assert strategy.chosen_schedule()[:4] == tuple(keys)
+            runs.append((strategy.trace, outcome.to_json(), outcome.end_state_hash))
+        assert runs[0] == runs[1]
+
+    def test_an_abandoned_run_is_not_judged(self, free_run):
+        t, free = free_run
+        unreachable = ("msg", ("srv", 99), (0, 0))
+        strategy = RecordingStrategy(prefix=(unreachable,), window=t.window)
+        outcome = run_scenario(t.scenario, strategy=strategy, sim_cap_us=t.sim_cap_us)
+        assert strategy.diverged and strategy.abort
+        assert outcome.kinds() == ("aborted",) and not outcome.ok()
+        assert outcome.events_analyzed == 0 and outcome.end_state_hash == ""
+
+    def test_trace_hash_is_the_digest_of_the_sorted_label_list(self, free_run):
+        import hashlib
+
+        _t, free = free_run
+        t = list(free.trace)
+        changed = True
+        while changed:  # the definition: repr-compare adjacent independent labels
+            changed = False
+            for i in range(len(t) - 1):
+                a, b = t[i], t[i + 1]
+                if a[1] != b[1] and repr(b) < repr(a):
+                    t[i], t[i + 1] = b, a
+                    changed = True
+        expected = hashlib.sha256(repr(t).encode("utf-8")).hexdigest()
+        assert canonical_trace_hash(free.trace) == expected
 
 
 class TestResultReporting:

@@ -17,6 +17,13 @@ class TestProcessContext:
         assert rt.run_spmd(main) == [42.5, 42.5]
         assert rt.fabric.stats.messages == 0
 
+    def test_compute_hands_back_the_delay_it_checked(self, make_cluster):
+        ctx = make_cluster(nprocs=1).context(0)
+        assert ctx.compute(3) == 3 and ctx.compute(0.0) == 0.0
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="not a duration"):
+                ctx.compute(bad)
+
     def test_now_tracks_environment(self, make_cluster):
         rt = make_cluster(nprocs=1)
         ctx = rt.context(0)

@@ -227,7 +227,7 @@ class TestProcess:
 
     def test_yield_non_event_raises(self, env):
         def proc():
-            yield 42
+            yield "42"  # a number would be a sleep
 
         env.process(proc())
         with pytest.raises(SimulationError, match="not.*an Event|not an Event"):
@@ -735,3 +735,242 @@ class TestCollectorParkedDuringRun:
         getattr(self, way)(seen)
         assert not gc.isenabled()
         assert not any(seen)
+
+
+def iter_of(*delays):
+    """A process body that sleeps each of ``delays`` in turn."""
+    for delay in delays:
+        yield delay
+
+
+class TestASleepIsAHeapRow:
+    """``yield delay`` is ``yield env.timeout(delay)`` without the event: the
+    same heap keys in the same order, the same resumed values, the same end
+    — on the process's one wake row, which nothing else ever holds."""
+
+    SPELLINGS = {
+        "number": lambda env, delay: delay,
+        "timeout": lambda env, delay: env.timeout(delay),
+    }
+
+    DELAYS = st.sampled_from([0, 0.0, 0.0, 0.5, 1, 1.0, 2.0])
+    STEPS = st.one_of(
+        st.tuples(st.just("sleep"), DELAYS),
+        st.tuples(st.just("get")),
+        st.tuples(st.just("put"), DELAYS),
+        st.tuples(st.just("any"), st.lists(DELAYS, min_size=1, max_size=3)),
+    )
+    PROGRAMS = st.fixed_dictionaries(
+        {
+            "workers": st.lists(st.lists(STEPS, max_size=6), min_size=1, max_size=4),
+            "kill_after": DELAYS,
+            "nap": st.sampled_from([0.5, 1.0, 3.0]),
+            "fail_after": DELAYS,
+        }
+    )
+
+    @staticmethod
+    def _program(spec, sleep):
+        """Workers that sleep, feed and drain one :class:`Store` (a ``get``
+        gives up after 4 µs) and wait on ``AnyOf``; a napper that only
+        sleeps, killed mid-nap and joined; a guardian that catches its
+        failing child.  ``sleep(env, delay)`` is what a process yields to
+        sleep; every resumed value goes into the trace."""
+        from repro.sim.primitives import Store
+
+        def program(env, trace):
+            store = Store(env)
+
+            def worker(wid, steps):
+                for i, (kind, *args) in enumerate(steps):
+                    if kind == "sleep":
+                        got = yield sleep(env, args[0])
+                    elif kind == "get":
+                        got = yield store.get() | env.timeout(4.0, value="gave up")
+                        got = [event.value for event in got]
+                    elif kind == "put":
+                        got = yield sleep(env, args[0])
+                        store.put((wid, i))
+                    else:
+                        done = yield AnyOf(
+                            env,
+                            [env.timeout(d, value=(wid, i, j)) for j, d in enumerate(args[0])],
+                        )
+                        got = [event.value for event in done]
+                    trace.append((env.now, wid, i, got))
+
+            def napper():
+                while True:
+                    trace.append((env.now, "nap", (yield sleep(env, spec["nap"]))))
+
+            def killer(victim):
+                yield sleep(env, spec["kill_after"])
+                victim.kill()
+                trace.append((env.now, "killed", victim.is_alive))
+                trace.append((env.now, "joined", (yield victim)))
+
+            def failing():
+                yield sleep(env, spec["fail_after"])
+                raise ValueError("boom")
+
+            def guardian():
+                try:
+                    yield env.process(failing())
+                except ValueError as exc:
+                    trace.append((env.now, "caught", str(exc)))
+
+            procs = [
+                env.process(worker(wid, steps))
+                for wid, steps in enumerate(spec["workers"])
+            ]
+            procs.append(env.process(killer(env.process(napper()))))
+            procs.append(env.process(guardian()))
+            return procs
+
+        return program
+
+    @staticmethod
+    def _run(program, strategy_factory=None, drive=lambda env: env.run()):
+        """The program's own trace, every ``(time, priority, seq)`` the kernel
+        popped, and the end state.  Checks as it goes that the heap never
+        holds two entries naming one wake row."""
+
+        class Env(Environment):
+            pass
+
+        Env.strategy_factory = strategy_factory
+        env = Env()
+        trace, popped = [], []
+
+        def checking_push(queue, entry):
+            if not isinstance(entry[3], Event):
+                assert not [e for e in queue if e[3] is entry[3]]
+            heapq.heappush(queue, entry)
+
+        def recording_pop(queue):
+            entry = heapq.heappop(queue)
+            popped.append(entry[:3])
+            return entry
+
+        with mock.patch.object(core, "_heappush", checking_push), mock.patch.object(
+            core, "_heappop", recording_pop
+        ):
+            program(env, trace)
+            drive(env)
+        return trace, popped, (env.events_processed, env.now)
+
+    @given(spec=PROGRAMS, cuts=st.lists(st.floats(0.0, 8.0), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_both_spellings_are_one_event_stream(self, spec, cuts):
+        def in_slices(env):
+            for cut in sorted(cuts):
+                env.run(until=cut)
+            env.run()
+
+        for how in (
+            {},
+            {"drive": in_slices},
+            {"strategy_factory": SchedulerStrategy},
+        ):
+            number, timeout = (
+                self._run(self._program(spec, sleep), **how)
+                for sleep in self.SPELLINGS.values()
+            )
+            assert number == timeout
+            trace, popped, (processed, _now) = number
+            if "strategy_factory" not in how:
+                # Without a strategy a pop is an event processed.
+                assert len(popped) == processed
+                assert len({seq for _when, _priority, seq in popped}) == processed
+            assert (mock.ANY, "killed", False) in trace
+            assert trace.count((mock.ANY, "joined", core.CRASHED)) == 1
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_a_killed_sleeper_is_never_resumed(self, env, spelling):
+        sleep = self.SPELLINGS[spelling]
+        woke = []
+
+        def sleeper():
+            try:
+                yield sleep(env, 5.0)
+                woke.append(env.now)
+            finally:
+                woke.append("closed")
+
+        def killer(victim):
+            yield sleep(env, 1.0)
+            victim.kill()
+
+        victim = env.process(sleeper())
+        env.process(killer(victim))
+        env.run(until=2.0)
+        assert woke == ["closed"] and victim.value is core.CRASHED
+        assert env.peek() == 5.0  # the orphan entry stays on the heap ...
+        before = env.events_processed
+        env.run()
+        assert env.events_processed == before + 1  # ... and pops as a no-op
+        assert woke == ["closed"] and env.now == 5.0
+
+    def test_a_process_killed_before_it_starts_never_runs(self, env):
+        ran = []
+
+        def never():
+            ran.append(True)
+            yield 1.0
+
+        env.process(never()).kill()
+        env.run()
+        assert not ran
+
+    def test_an_int_is_a_delay(self, env):
+        def proc():
+            got = yield 3
+            return (env.now, got)
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == (3.0, None)
+
+    def test_a_sleeping_process_has_no_target(self, env):
+        p = env.process(iter_of(2.0))
+        env.run(until=1.0)
+        assert p.is_alive and p.target is None
+
+    @pytest.mark.parametrize(
+        "bad, error, phrase",
+        [
+            (-1.0, ValueError, "negative delay -1.0"),
+            (float("nan"), ValueError, "not a time: nan"),
+            ("soon", SimulationError, "not an Event or a delay"),
+            (None, SimulationError, "not an Event or a delay"),
+            ([1.0], SimulationError, "not an Event or a delay"),
+        ],
+        ids=["negative", "nan", "str", "none", "list"],
+    )
+    def test_what_is_not_a_delay_raises_at_the_yield(self, env, bad, error, phrase):
+        def culprit():
+            yield 1.0
+            yield bad
+
+        env.process(culprit(), name="the-culprit")
+        with pytest.raises(error, match=phrase) as excinfo:
+            env.run()
+        assert "the-culprit" in str(excinfo.value)
+        assert excinfo.traceback[-1].name == "culprit"  # thrown in at the yield
+        assert env.now == 1.0 and not env._queue  # nothing was scheduled
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_timeout_refuses_what_a_sleep_refuses(self, env, bad):
+        with pytest.raises(ValueError):
+            env.timeout(bad)
+        assert not env._queue and env.now == 0.0
+
+    def test_the_row_is_not_public(self):
+        import repro.sim
+
+        row = type(Environment().process(iter_of(1.0))._row)
+        assert not issubclass(row, Event)
+        for namespace in (repro.sim, core):
+            assert row.__name__ not in namespace.__all__
+            assert row not in [getattr(namespace, name) for name in namespace.__all__]
+

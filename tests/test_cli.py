@@ -274,6 +274,19 @@ class TestCliRobustness:
     """Satellite: malformed fault/kill options exit 2 with one stderr line."""
 
     @pytest.mark.parametrize(
+        "spec",
+        ["switch:2:nan", "switch:2:inf", "switch:2:1:nan", "switch:2:::inf"],
+    )
+    def test_non_finite_topo_costs(self, capsys, spec):
+        # ``switch:2:nan`` used to print a table of nan microseconds, rc 0.
+        argv = ["scalebench", "--procs", "4", "--iterations", "1", "--ppn", "2"]
+        assert main(argv + ["--topo", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"armci-repro: error: bad --topo spec {spec!r}")
+        assert "finite" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "spec, phrase",
         [
             ("banana", "expected RANK:AT_US"),
@@ -461,6 +474,19 @@ class TestFuzzCommand:
 
         data = json.loads(out_path.read_text())
         assert data["ok"] is True and data["seeds_run"] == 2
+
+    def test_keep_going_exits_one_iff_a_seed_failed(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "sweep.json"
+        argv = ["fuzz", "--keep-going", "--json-out", str(out_path)]
+        assert main(argv + ["--start-seed", "36", "--seeds", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "Fuzz campaign: 6 seed(s) from 36" in out  # ran past seed 39
+        assert "1 failing seed(s): 39" in out and "shrunk" not in out
+        assert json.loads(out_path.read_text())["failing"] == {"39": ["deadlock"]}
+        assert main(argv + ["--seeds", "3"]) == 0
+        assert "no invariant violations found" in capsys.readouterr().out
 
 
 class TestLintStrict:

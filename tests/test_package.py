@@ -276,6 +276,45 @@ class TestKernelIsTwoLoopsAndNoFreeLists:
         assert len(loops) == 2, [loop.lineno for loop in loops]
 
 
+class TestOneWayToSleep:
+    """Inside ``src/`` a process sleeps by yielding the delay.  No statement
+    ``yield <anything>.timeout(...)`` — a ``Timeout`` made to wake only the
+    process that made it — may creep back in; ``repro check --lint`` reports
+    the same walk as ``self-sleep-as-event``."""
+
+    def test_the_walk_sees_the_old_spelling(self):
+        from repro.analysis.lint import RULE_SELF_SLEEP, lint_source
+
+        source = (
+            "def body(self, env, cost):\n"
+            "    yield env.timeout(cost)\n"
+            "    yield self.env.timeout(2 * cost)\n"
+            "    yield cost\n"
+            "    got = yield env.timeout(cost, value=1)\n"
+            "    yield env.timeout(cost) | env.event()\n"
+        )
+        found = [f for f in lint_source(source) if f.rule == RULE_SELF_SLEEP]
+        assert [f.line for f in found] == [2, 3]
+        assert "'yield 2 * cost'" in found[1].message
+
+    def test_no_self_sleep_is_spelled_as_an_event(self):
+        from repro.analysis.lint import RULE_SELF_SLEEP, run_lint
+
+        assert not [f.render() for f in run_lint() if f.rule == RULE_SELF_SLEEP]
+
+    def test_timeout_is_for_timers_and_composed_waits(self):
+        src = pathlib.Path(repro.__file__).parent
+        sites = [
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "timeout"
+        ]
+        assert len(sites) <= 20, sites
+
+
 class TestOneBodyPerOneSidedOperation:
     """Put, get and rmw are each written once: one request construction on
     the client, one put-apply in the server loop, one opcode table."""

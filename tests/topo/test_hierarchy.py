@@ -29,6 +29,13 @@ class TestLevelSpecValidation:
         with pytest.raises(ValueError, match="non-empty string"):
             LevelSpec(name="", arity=4)
 
+    @pytest.mark.parametrize("field", ["latency_us", "per_byte_us", "contention"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_costs_are_finite(self, field, value):
+        # NaN passes every ``< floor`` test; as a latency it becomes the clock.
+        with pytest.raises(ValueError, match=f"level 'switch': {field} must be .* finite"):
+            LevelSpec(name="switch", arity=4, **{field: value})
+
 
 class TestHierarchyValidation:
     def test_needs_levels(self):
