@@ -186,9 +186,7 @@ def _level_link(params, node_a: int, node_b: int):
     h = params.hierarchy
     if h is None or node_a == node_b:
         return params.inter_latency_us, params.per_byte_us
-    lat, per_byte = h.resolve(params.inter_latency_us, params.per_byte_us)
-    level = h.crossing_level(node_a, node_b)
-    return lat[level], per_byte[level]
+    return h.link(node_a, node_b, params.inter_latency_us, params.per_byte_us)
 
 
 def estimate_exchange_us(params, nprocs: int, ppn: int = 1) -> float:

@@ -29,6 +29,9 @@ Usage (installed as ``armci-repro``, or ``python -m repro``)::
 
 Every command has its own ``--help`` and accepts exactly the flags it acts
 on (the ``COMMANDS`` table below); anything else is rejected with exit 2.
+``fuzz``, ``mc`` and ``check`` have modes (``fuzz --replay``, ``mc
+--schedule``, ``check --lint``, ...): the table lists what each mode reads,
+and a flag of another mode is rejected the same way, before anything runs.
 
 Fault options: ``--drop-rate`` enables seeded link-fault injection (with
 the reliable ACK/retransmit layer) on every experiment that takes the
@@ -85,8 +88,7 @@ def _user_path(key: str, path: str):
     try:
         yield
     except OSError as exc:
-        flag = FLAGS[key][0][0]
-        raise _CliError(f"{flag} {path!r}: {exc.strerror or exc}") from None
+        raise _CliError(f"{_spelling(key)} {path!r}: {exc.strerror or exc}") from None
 
 
 # -- the flag table ----------------------------------------------------------
@@ -228,7 +230,7 @@ FLAGS = {
         "--time-budget is given)",
     ),
     "start_seed": _flag(
-        "--start-seed", type=_ranged(int, 0), default=0, metavar="SEED",
+        "--start-seed", type=_ranged(int, 0), metavar="SEED",
         help="first seed of the campaign (default 0)",
     ),
     "time_budget": _flag(
@@ -256,7 +258,7 @@ FLAGS = {
         "(fuzz: within the seed budget; mc: by exploration at minimal N)",
     ),
     "self_test_budget": _flag(
-        "--self-test-budget", type=_COUNT, default=12, metavar="N",
+        "--self-test-budget", type=_COUNT, metavar="N",
         help="seeds tried per mutant in --self-test (default 12)",
     ),
     "corpus": _flag(
@@ -296,6 +298,13 @@ FLAGS = {
         help="write any counterexample found to DIR as JSON",
     ),
 }
+
+
+def _spelling(key: str) -> str:
+    """How an error message names the flag: ``--replay``, ``<target>``."""
+    names = FLAGS[key][0]
+    return names[0] if names[0].startswith("--") else f"<{names[0]}>"
+
 
 #: The two recurring flag groups.
 SWEEP = ("procs", "ppn", "iterations")
@@ -644,7 +653,7 @@ def _fuzz(args) -> int:
     from .fuzz.selftest import run_self_test
 
     if args.self_test:
-        result = run_self_test(budget=args.self_test_budget)
+        result = run_self_test(**_given(budget=args.self_test_budget))
         print(result.render())
         return 0 if result.all_caught() else 1
 
@@ -664,11 +673,11 @@ def _fuzz(args) -> int:
         if num_seeds is None and args.time_budget is None:
             num_seeds = 50
         outcome = run_campaign(
-            start_seed=args.start_seed,
             num_seeds=num_seeds,
             time_budget_s=args.time_budget,
             do_shrink=not args.no_shrink,
             keep_going=args.keep_going,
+            **_given(start_seed=args.start_seed),
         )
     print(outcome.render())
     _write_json(args, outcome.to_json())
@@ -800,9 +809,48 @@ class Command(NamedTuple):
     #: ``FLAGS`` keys: exactly the flags the handler acts on.
     flags: Tuple[str, ...]
     help: str
+    #: Mutually exclusive modes, for a command that has them: ``"default"``
+    #: and each selector flag's key -> the flags read in that mode.
+    modes: Dict[str, Tuple[str, ...]] = {}
+
+
+def _moded(run, help: str, **modes: Tuple[str, ...]) -> Command:
+    """A command whose flags are the selectors plus what each mode reads."""
+    flags = [mode for mode in modes if mode != "default"]
+    flags += [key for read in modes.values() for key in read]
+    return Command(run, tuple(dict.fromkeys(flags)), help, modes)
+
+
+def _check_mode(name: str, command: Command, args) -> None:
+    """A flag of another mode than the one selected is rejected, not ignored."""
+    values = vars(args)
+    # Every moded flag defaults to None (False for a switch), so this is
+    # "was given", --start-seed 0 included.
+    given = [
+        k for k in command.flags if values[k] is not None and values[k] is not False
+    ]
+    selected = [key for key in given if key in command.modes]
+    if len(selected) > 1:
+        raise _CliError(
+            f"{name}: {' and '.join(map(_spelling, selected))} are different "
+            "modes; give one"
+        )
+    mode = selected[0] if selected else "default"
+    stray = [k for k in given if k != mode and k not in command.modes[mode]]
+    if stray:
+        if selected:
+            how = f"with {_spelling(mode)}"
+        else:
+            owners = [m for m in command.modes if set(stray) & set(command.modes[m])]
+            how = f"without {' / '.join(map(_spelling, owners))}"
+        raise _CliError(
+            f"{name}: {', '.join(map(_spelling, stray))} "
+            f"{'has' if len(stray) == 1 else 'have'} no effect {how}"
+        )
 
 
 _LOCK_FLAGS = SWEEP + COST_MODEL + ("csv",)
+_MC_KNOBS = ("budget", "window", "cap", "ce_out", "json_out")
 _FIG7_FLAGS = SWEEP + COST_MODEL + ("jobs", "csv")
 
 COMMANDS: Dict[str, Command] = {
@@ -835,22 +883,29 @@ COMMANDS: Dict[str, Command] = {
         SWEEP + COST_MODEL + ("coalesce", "jobs", "time_budget", "csv", "json_out"),
         "barrier scaling to 1024 processes (16384 with --topo --coalesce)",
     ),
-    "fuzz": Command(
+    "fuzz": _moded(
         _fuzz,
-        ("seeds", "start_seed", "time_budget", "no_shrink", "keep_going", "replay",
-         "corpus", "self_test", "self_test_budget", "json_out"),
         "randomized fault/crash scenario fuzzing",
+        default=("seeds", "start_seed", "time_budget", "no_shrink", "keep_going",
+                 "json_out"),
+        replay=("json_out",),
+        corpus=(),
+        self_test=("self_test_budget",),
     ),
-    "mc": Command(
+    "mc": _moded(
         _mc,
-        ("target", "budget", "window", "cap", "scenario", "schedule", "ce_out",
-         "self_test", "json_out"),
         "RMCheck: schedule exploration of the named targets",
+        default=("target",) + _MC_KNOBS,
+        scenario=_MC_KNOBS,
+        schedule=(),
+        self_test=(),
     ),
     "validate": Command(_validate, (), "9-point reproduction self-check"),
-    "check": Command(
-        _check, ("target", "lint", "strict"),
+    "check": _moded(
+        _check,
         "RMCSan sanitized runs, or the static lint with --lint",
+        default=("target",),
+        lint=("strict",),
     ),
     "all": Command(
         _all, _FIG7_FLAGS, "fig7, locks, ablations, app, faults, chaos and nic"
@@ -881,6 +936,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
+        if command.modes:
+            _check_mode(args.command, command, args)
         _claim_outputs(command, args)
         rc = command.run(args) or 0
     except _CliError as exc:

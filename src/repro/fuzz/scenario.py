@@ -301,7 +301,8 @@ def _legalize(choice: Dict[str, Any]) -> Scenario:
     )
 
     # Crash schedule: assign targets sparing rank 0 / node 0 / NIC 0,
-    # keep >= 2 survivors, one crash per target.
+    # keep >= 2 survivors, one crash per target.  The generator's
+    # placeholder target 0 is never legal, so it always draws one.
     crashes = []
     used_targets = set()
     planned_dead = set()
@@ -312,6 +313,8 @@ def _legalize(choice: Dict[str, Any]) -> Scenario:
         if kind == "rank":
             candidates = [r for r in range(1, nprocs) if ("rank", r) not in used_targets]
             rng.shuffle(candidates)
+            if target in candidates:  # an explicit legal target stands
+                candidates.insert(0, target)
             picked = None
             for r in candidates:
                 if len(planned_dead | {r}) <= nprocs - 2:
@@ -327,6 +330,8 @@ def _legalize(choice: Dict[str, Any]) -> Scenario:
                 n for n in range(1, nnodes) if (kind, n) not in used_targets
             ]
             rng.shuffle(candidates)
+            if target in candidates:
+                candidates.insert(0, target)
             picked = None
             for n in candidates:
                 hosted = set(range(n * ppn, (n + 1) * ppn))

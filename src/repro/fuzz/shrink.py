@@ -1,8 +1,10 @@
 """Greedy minimization of a failing scenario.
 
 Given a scenario whose run produced violations, :func:`shrink` tries a
-fixed repertoire of *reductions* — remove a crash entry, drop a fault
-dimension (all drops, all dups, all delays, or one faulty link), delete
+fixed repertoire of *reductions* — remove a crash entry, a partition or
+a stall window, drop a fault dimension (all drops, all dups, all delays,
+or one faulty link), flatten the structure (no hierarchy, the default
+barrier, one workload family, one rank per node, one rank fewer), delete
 a workload phase, halve the lock iteration count or the put width — and
 keeps any reduction under which the failure *persists*: the shrunken
 run must still report at least one of the original violation kinds.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from .runner import FuzzOutcome, run_scenario
-from .scenario import Scenario
+from .scenario import Scenario, _legalize
 
 __all__ = ["ShrinkResult", "shrink"]
 
@@ -42,16 +44,53 @@ class ShrinkResult:
         return self.scenario != self.original
 
 
-def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
-    """Single-deletion reductions, cheapest-to-biggest-win first."""
-    for i, crash in enumerate(scenario.crashes):
+#: What each workload family's phase list may hold.
+_FAMILY_PHASES = {"locks": ("lock", "barrier"), "strips": ("puts", "barrier")}
+
+
+def _structural(scenario: Scenario) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Reductions of the scenario's shape, as field overrides.
+
+    They can strand a crash / partition / stall target or a lock's
+    placement rule, so :func:`_candidates` re-legalizes each one.
+    """
+    if scenario.hier_arity:
+        yield f"hier_arity {scenario.hier_arity} -> 0", {"hier_arity": 0}
+    if scenario.barrier_algorithm != "exchange":
         yield (
-            f"drop crash {crash}",
-            dataclasses.replace(
-                scenario,
-                crashes=scenario.crashes[:i] + scenario.crashes[i + 1:],
-            ),
+            f"barrier {scenario.barrier_algorithm} -> exchange",
+            {"barrier_algorithm": "exchange"},
         )
+    if scenario.workload == "mixed":
+        for family, allowed in _FAMILY_PHASES.items():
+            phases = tuple(p for p in scenario.phases if p in allowed)
+            yield f"workload mixed -> {family}", {"workload": family, "phases": phases}
+    if scenario.procs_per_node > 1:
+        yield f"ppn {scenario.procs_per_node} -> 1", {"procs_per_node": 1}
+    if scenario.nprocs > 3:  # the generator's smallest run
+        yield f"drop rank {scenario.nprocs - 1}", {"nprocs": scenario.nprocs - 1}
+
+
+def _relegalized(scenario: Scenario, **overrides: Any) -> Scenario:
+    """``scenario`` with ``overrides``, repaired by the generator's rules.
+
+    The identity on a legal scenario: explicit legal targets stand.
+    """
+    fields = dataclasses.asdict(scenario)
+    # _legalize reads a stall's rank as a hint: rank = 1 + hint % (N - 1).
+    fields["stalls"] = tuple((r - 1, f, u) for r, f, u in scenario.stalls)
+    return _legalize({**fields, **overrides})
+
+
+def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
+    """Single-step reductions, cheapest-to-biggest-win first."""
+    for what, field in (("crash", "crashes"), ("partition", "partitions"), ("stall", "stalls")):
+        entries = getattr(scenario, field)
+        for i, entry in enumerate(entries):
+            yield (
+                f"drop {what} {entry}",
+                dataclasses.replace(scenario, **{field: entries[:i] + entries[i + 1:]}),
+            )
     for i, link in enumerate(scenario.fault_links):
         yield (
             f"drop faulty link {link}",
@@ -65,6 +104,10 @@ def _candidates(scenario: Scenario) -> Iterator[Tuple[str, Scenario]]:
     for rate in ("drop_rate", "dup_rate", "delay_rate"):
         if getattr(scenario, rate) > 0.0:
             yield (f"zero {rate}", dataclasses.replace(scenario, **{rate: 0.0}))
+    for label, overrides in _structural(scenario):
+        candidate = _relegalized(scenario, **overrides)
+        if candidate != scenario:  # e.g. a ticket lock pins ppn = nprocs
+            yield label, candidate
     # Phases: never remove the final barrier (the memory audit needs it).
     for i in range(len(scenario.phases) - 1):
         phases = scenario.phases[:i] + scenario.phases[i + 1:]

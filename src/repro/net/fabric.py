@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional
 
-from ..sim.core import Environment, Event
+from ..sim.core import Environment, Event, Timeout
 from ..sim.primitives import FilterStore, Store
 from .faults import FaultInjector
 from .message import Endpoint, Envelope
@@ -92,26 +93,15 @@ class FabricStats:
     #: Jacobson estimator (first-attempt ACKs only, per Karn's rule).
     rtt_samples: int = 0
 
-    def record(self, envelope: Envelope) -> None:
-        self.messages += 1
-        self.bytes += envelope.size_bytes
-        if envelope.intra_node:
-            self.intra_node += 1
-        else:
-            self.inter_node += 1
-        key = type(envelope.payload).__name__
-        self.by_payload[key] = self.by_payload.get(key, 0) + 1
-
-    def record_reply(self, size_bytes: int, intra_node: bool) -> None:
-        """Count a reply like any other message (plus the reply counter)."""
-        self.replies += 1
+    def record(self, size_bytes: int, intra_node: bool, payload_kind: str) -> None:
+        """Count one logical message, post or reply alike."""
         self.messages += 1
         self.bytes += size_bytes
         if intra_node:
             self.intra_node += 1
         else:
             self.inter_node += 1
-        self.by_payload["Reply"] = self.by_payload.get("Reply", 0) + 1
+        self.by_payload[payload_kind] = self.by_payload.get(payload_kind, 0) + 1
 
 
 class Fabric:
@@ -125,14 +115,12 @@ class Fabric:
         self._nic_free = [0.0] * topology.nnodes
         #: Hierarchical topology (repro.topo): per-level latency/per-byte
         #: tables resolved once against the base params.  ``None`` (flat
-        #: model) keeps _path_delay on the exact pre-hierarchy arithmetic.
+        #: model) keeps transmit() on the exact pre-hierarchy arithmetic.
         if params.hierarchy is not None:
             self._hier_caps = params.hierarchy.caps
-            lat, per_byte = params.hierarchy.resolve(
+            self._hier_lat, self._hier_pb = params.hierarchy.resolve(
                 params.inter_latency_us, params.per_byte_us
             )
-            self._hier_lat = lat
-            self._hier_pb = per_byte
         else:
             self._hier_caps = None
         self._seq = 0
@@ -247,49 +235,79 @@ class Fabric:
             return index
         raise ValueError(f"unknown endpoint kind {kind!r}")
 
-    # -- path timing ---------------------------------------------------------
+    # -- the wire ------------------------------------------------------------
 
-    def _path_delay(
+    def transmit(
         self,
         src_node: int,
         dst_node: int,
         size_bytes: int,
+        label: Optional[tuple],
+        fault_dst: Optional[Endpoint] = None,
+        faulted: bool = True,
         latency_us: Optional[float] = None,
-    ) -> float:
-        """Delay from "message handed to transport" to "in dst mailbox".
+        extra_us: float = 0.0,
+    ) -> List[Timeout]:
+        """Put one physical copy on the wire; the only place that happens.
 
-        Inter-node sends account NIC availability on the source node
-        (serialization queueing) as part of the delay.  ``latency_us``
-        overrides the wire latency (NIC-to-NIC frames skip the host-side
-        bus crossings folded into ``inter_latency_us``).
-
-        With ``params.hierarchy`` set, latency and per-byte cost come
-        from the node pair's crossing level instead of the flat figures
-        (see :mod:`repro.topo.hierarchy`).  An explicit ``latency_us``
-        override (NIC-to-NIC frames) keeps the flat arithmetic: the NIC
-        engines model a dedicated flat inter-NIC fabric.
+        Prices the attempt — intra-node: the shared-memory latency;
+        inter-node: wait for the source NIC, occupy it for the
+        serialization time, then the wire latency (``latency_us``
+        overrides it for NIC-to-NIC frames, which ride a dedicated flat
+        fabric; otherwise a configured hierarchy prices the node pair's
+        crossing level, see :mod:`repro.topo.hierarchy`), plus jitter —
+        adds ``extra_us`` (receiver CPU folded into a reply), offers it to
+        the fault plan iff ``faulted`` (``fault_dst`` names the endpoint
+        whose stall / pause windows apply), and schedules one ``Timeout``
+        per surviving copy (``.delay`` is its offset from now).  Returns
+        those deliveries for the caller to hang its arrival on.  ``label``
+        is the RMCheck transition ``(kind, dst_key, uid)``, or ``None``
+        outside model checking; with a fault plan ``uid`` gains the copy
+        index.
         """
         p = self.params
-        now = self.env._now
+        env = self.env
+        now = env._now
         if src_node == dst_node:
-            return p.intra_latency_us
-        depart = max(now, self._nic_free[src_node])
-        if self._hier_caps is not None and latency_us is None:
-            level = len(self._hier_caps) - 1
-            for i, cap in enumerate(self._hier_caps):
-                if src_node // cap == dst_node // cap:
-                    level = i
-                    break
-            xfer = size_bytes * self._hier_pb[level]
-            latency = self._hier_lat[level]
+            delay = p.intra_latency_us + extra_us
         else:
-            xfer = p.xfer_time(size_bytes)
-            latency = p.inter_latency_us if latency_us is None else latency_us
-        self._nic_free[src_node] = depart + xfer
-        delay = (depart - now) + xfer + latency
-        if p.jitter_us > 0.0:
-            delay += self._jitter_rng.uniform(0.0, p.jitter_us)
-        return delay
+            depart = self._nic_free[src_node]
+            if depart < now:
+                depart = now
+            if self._hier_caps is not None and latency_us is None:
+                level = len(self._hier_caps) - 1
+                for i, cap in enumerate(self._hier_caps):
+                    if src_node // cap == dst_node // cap:
+                        level = i
+                        break
+                per_byte = self._hier_pb[level]
+                latency = self._hier_lat[level]
+            else:
+                per_byte = p.per_byte_us
+                latency = p.inter_latency_us if latency_us is None else latency_us
+            xfer = size_bytes * per_byte
+            self._nic_free[src_node] = depart + xfer
+            delay = (depart - now) + xfer + latency
+            if p.jitter_us > 0.0:
+                delay += self._jitter_rng.uniform(0.0, p.jitter_us)
+            delay += extra_us
+        faults = self.faults
+        if faults is None or not faulted:
+            deliveries = [Timeout(env, delay)]
+        else:
+            deliveries = [
+                Timeout(env, offset)
+                for offset in faults.delivery_offsets(
+                    src_node, dst_node, fault_dst, now, delay, src_node == dst_node
+                )
+            ]
+        if label is not None:
+            kind, dst_key, uid = label
+            for i, deliver in enumerate(deliveries):
+                deliver._mc_label = (
+                    label if faults is None else (kind, dst_key, uid + (i,))
+                )
+        return deliveries
 
     def wire_latency_override(self, src_rank: Any, dst: Endpoint) -> Optional[float]:
         """Reduced wire latency for NIC-to-NIC frames, else ``None``.
@@ -324,74 +342,57 @@ class Fabric:
         dst_node = self._dst_node(dst)
         size = payload_bytes + MSG_HEADER_BYTES
         env = self.env
+        now = env._now
+        intra_node = src_node == dst_node
+        # Envelopes are built positionally: post() runs once per message.
         if self._dead_endpoints and (
             dst in self._dead_endpoints or ("mp", src_rank) in self._dead_endpoints
         ):
             self.stats.dropped_dead += 1
-            return Envelope(
-                src_rank=src_rank,
-                dst=dst,
-                payload=payload,
-                size_bytes=size,
-                sent_at=env._now,
-                deliver_at=env._now,
-                seq=-1,
-                intra_node=(src_node == dst_node),
-            )
+            return Envelope(src_rank, dst, payload, size, now, now, -1, intra_node)
+        # Refuse before anything is counted: an unknown endpoint is the
+        # caller's bug, not traffic.
+        mailbox = self._mailboxes.get(dst)
+        if mailbox is None:
+            raise KeyError(f"no mailbox registered for endpoint {dst}")
         if self._membership is not None:
             self._membership.note_traffic(src_rank)
         seq = self._seq
         self._seq = seq + 1
-        now = env._now
-        # Positional construction: post() runs once per message.
-        envelope = Envelope(
-            src_rank, dst, payload, size, now, now, seq, src_node == dst_node
-        )
-        self.stats.record(envelope)
-        mailbox = self._mailboxes.get(dst)
-        if mailbox is None:
-            raise KeyError(f"no mailbox registered for endpoint {dst}")
-        if self.reliable is not None and not envelope.intra_node:
+        envelope = Envelope(src_rank, dst, payload, size, now, now, seq, intra_node)
+        self.stats.record(size, intra_node, type(payload).__name__)
+        if self.reliable is not None and not intra_node:
             self.reliable.send_envelope(envelope, src_node, dst_node)
             return envelope
-        delay = self._path_delay(
-            src_node,
-            dst_node,
-            size,
-            latency_us=self.wire_latency_override(src_rank, dst),
-        )
-        mc = env._mc_strategy is not None
-        if mc:
+        label = None
+        if env._mc_strategy is not None:
             # RMCheck identity: (sender, per-sender-stream ordinal) names
             # this message identically in every interleaving.
-            msg_id = (src_rank, self._mc_ordinal(("msg", src_rank, dst)))
-        if self.faults is None:
-            envelope.deliver_at = env._now + delay
-            deliver = env.timeout(delay)
-            if mc:
-                deliver._mc_label = ("msg", dst, msg_id)
-            deliver.callbacks.append(lambda _ev: mailbox.put(envelope))
-            return envelope
-        offsets = self.faults.delivery_offsets(
-            src_node, dst_node, dst, env._now, delay, intra_node=envelope.intra_node
+            label = ("msg", dst, (src_rank, self._mc_ordinal(("msg", src_rank, dst))))
+        deliveries = self.transmit(
+            src_node, dst_node, size, label, dst, True,
+            self.wire_latency_override(src_rank, dst),
         )
-        for i, offset in enumerate(offsets):
-            copy = envelope if i == 0 else replace(envelope)
-            copy.deliver_at = env._now + offset
-            deliver = env.timeout(offset)
-            if mc:
-                deliver._mc_label = ("msg", dst, msg_id + (i,))
-            deliver.callbacks.append(
-                lambda _ev, c=copy: self._deliver_unless_blackholed(mailbox, c)
-            )
+        for deliver in deliveries:
+            # The first copy is the envelope returned; a network duplicate
+            # is its own object with its own arrival time.
+            copy = envelope if deliver is deliveries[0] else replace(envelope)
+            copy.deliver_at = now + deliver.delay
+            deliver.callbacks.append(partial(self.land, mailbox, copy))
         return envelope
 
-    def _deliver_unless_blackholed(self, mailbox: Any, envelope: Envelope) -> None:
-        """Unreliable fault-path delivery: dead-NIC endpoints eat frames."""
-        if self._blackhole_endpoints and envelope.dst in self._blackhole_endpoints:
-            self.stats.blackholed += 1
+    def land(self, mailbox: Any, envelope: Envelope, _event: Optional[Event] = None) -> None:
+        """Arrival at a mailbox — unless a dead NIC eats the frame."""
+        if self._blackhole_endpoints and self.swallows(envelope.dst):
             return
         mailbox.put(envelope)
+
+    def swallows(self, endpoint: Endpoint) -> bool:
+        """Is ``endpoint`` a silent sink?  Counts the delivery it ate."""
+        if endpoint in self._blackhole_endpoints:
+            self.stats.blackholed += 1
+            return True
+        return False
 
     def send(
         self,
@@ -438,48 +439,34 @@ class Fabric:
         ):
             self.stats.dropped_dead += 1
             return
-        self.stats.record_reply(size, intra_node)
+        self.stats.replies += 1
+        self.stats.record(size, intra_node, "Reply")
         if self.reliable is not None and not intra_node:
             self.reliable.send_reply(
                 src_node, dst_node, dst_rank, reply_event, value, size
             )
             return
-        delay = self._path_delay(src_node, dst_node, size)
-        if intra_node:
-            delay += p.shm_access_us
-        else:
-            delay += p.o_recv_us
-        env = self.env
-        mc = env._mc_strategy is not None
-        if mc:
-            rep_id = (
-                src_node,
-                self._mc_ordinal(("rep", src_node, dst_rank)),
-            )
-        if self.faults is None:
-            deliver = env.timeout(delay)
-            if mc:
-                # RMCheck transition label: reply delivery to the requester.
-                deliver._mc_label = ("rep", ("mp", dst_rank), rep_id)
-            deliver.callbacks.append(lambda _ev: reply_event.succeed(value))
-            return
-        apply_faults = self.params.faults.apply_to_replies and not intra_node
-        if apply_faults:
-            offsets = self.faults.delivery_offsets(
-                src_node, dst_node, None, env.now, delay
-            )
-        else:
-            offsets = [delay]
-        for j, offset in enumerate(offsets):
-            deliver = env.timeout(offset)
-            if mc:
-                deliver._mc_label = ("rep", ("mp", dst_rank), rep_id + (j,))
-            deliver.callbacks.append(
-                lambda _ev: self._trigger_reply(reply_event, value)
-            )
+        label = None
+        if self.env._mc_strategy is not None:
+            # RMCheck transition label: reply delivery to the requester.
+            ordinal = self._mc_ordinal(("rep", src_node, dst_rank))
+            label = ("rep", ("mp", dst_rank), (src_node, ordinal))
+        # No endpoint's stall / pause windows hold a reply back; the link
+        # faults apply when the plan says so.  The blocked requester's
+        # receive overhead folds into the delay.
+        faulted = not intra_node and p.faults is not None and p.faults.apply_to_replies
+        extra_us = p.shm_access_us if intra_node else p.o_recv_us
+        arrive = partial(self.land_reply, reply_event, value)
+        for deliver in self.transmit(
+            src_node, dst_node, size, label, None, faulted, None, extra_us
+        ):
+            deliver.callbacks.append(arrive)
 
-    def _trigger_reply(self, reply_event: Event, value: Any) -> None:
-        """Succeed a reply event, suppressing network-duplicated copies."""
+    def land_reply(
+        self, reply_event: Event, value: Any, _event: Optional[Event] = None
+    ) -> None:
+        """Arrival of a reply: the event triggers once, later copies
+        (network duplicates, retransmissions) are suppressed."""
         if reply_event.triggered:
             self.stats.dup_suppressed += 1
         else:

@@ -94,7 +94,6 @@ class _Frame:
         size_bytes: int,
         src_node: int,
         dst_node: int,
-        dst: Optional[Endpoint],
         envelope: Optional[Envelope] = None,
         event: Optional[Event] = None,
         value: Any = None,
@@ -104,7 +103,8 @@ class _Frame:
         self.size_bytes = size_bytes
         self.src_node = src_node
         self.dst_node = dst_node
-        self.dst = dst
+        #: Mailbox endpoint of a msg frame; a reply frame has none.
+        self.dst: Optional[Endpoint] = envelope.dst if envelope is not None else None
         self.envelope = envelope
         self.event = event
         self.value = value
@@ -147,13 +147,12 @@ class ReliableDelivery:
         self.params = fabric.params
         self._send_channels: Dict[ChannelKey, _SendChannel] = {}
         self._recv_channels: Dict[ChannelKey, _RecvChannel] = {}
-        #: Destination endpoints declared dead (retry exhaustion or an
-        #: explicit crash): new frames to them are dropped on the floor.
-        self._dead_endpoints: set = set()
 
     def __repr__(self) -> str:
-        inflight = sum(len(ch.unacked) for ch in self._send_channels.values())
-        return f"<ReliableDelivery channels={len(self._send_channels)} inflight={inflight}>"
+        return (
+            f"<ReliableDelivery channels={len(self._send_channels)} "
+            f"inflight={self.in_flight()}>"
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -169,23 +168,8 @@ class ReliableDelivery:
 
     def send_envelope(self, envelope: Envelope, src_node: int, dst_node: int) -> None:
         """Ship a mailbox-bound envelope reliably and in order."""
-        if envelope.dst in self._dead_endpoints:
-            self.fabric.stats.dropped_dead += 1
-            return
         key: ChannelKey = (envelope.src_rank, envelope.dst)
-        channel = self._send_channels.setdefault(key, _SendChannel())
-        frame = _Frame(
-            seq=channel.next_seq,
-            kind="msg",
-            size_bytes=envelope.size_bytes,
-            src_node=src_node,
-            dst_node=dst_node,
-            dst=envelope.dst,
-            envelope=envelope,
-        )
-        channel.next_seq += 1
-        channel.unacked[frame.seq] = frame
-        self._transmit(key, channel, frame)
+        self._ship(key, "msg", envelope.size_bytes, src_node, dst_node, envelope)
 
     def send_reply(
         self,
@@ -197,21 +181,13 @@ class ReliableDelivery:
         size_bytes: int,
     ) -> None:
         """Ship a server response reliably (at-least-once + event dedup)."""
-        if ("mp", dst_rank) in self._dead_endpoints:
-            self.fabric.stats.dropped_dead += 1
-            return
         key: ChannelKey = (("reply", src_node), ("mp", dst_rank))
+        self._ship(key, "reply", size_bytes, src_node, dst_node, None, reply_event, value)
+
+    def _ship(self, key: ChannelKey, *frame_fields) -> None:
+        """Number a new frame on its channel and start transmitting it."""
         channel = self._send_channels.setdefault(key, _SendChannel())
-        frame = _Frame(
-            seq=channel.next_seq,
-            kind="reply",
-            size_bytes=size_bytes,
-            src_node=src_node,
-            dst_node=dst_node,
-            dst=None,
-            event=reply_event,
-            value=value,
-        )
+        frame = _Frame(channel.next_seq, *frame_fields)
         channel.next_seq += 1
         channel.unacked[frame.seq] = frame
         self._transmit(key, channel, frame)
@@ -220,42 +196,28 @@ class ReliableDelivery:
 
     def _transmit(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
         fabric = self.fabric
-        env = self.env
         frame.attempts += 1
-        frame.sent_at = env.now
-        latency = None
-        if frame.kind == "msg" and frame.dst is not None:
-            latency = fabric.wire_latency_override(
-                frame.envelope.src_rank, frame.dst
-            )
-        base = fabric._path_delay(
-            frame.src_node, frame.dst_node, frame.size_bytes, latency_us=latency
-        )
-        if frame.kind == "reply":
-            # As in Fabric.post_reply, the blocked requester's receive
-            # overhead folds into the delivery delay.
-            base += self.params.o_recv_us
-        plan = fabric.faults.plan if fabric.faults is not None else None
-        if fabric.faults is None or (frame.kind == "reply" and not plan.apply_to_replies):
-            offsets = [base]
+        frame.sent_at = self.env.now
+        label = None
+        if self.env._mc_strategy is not None:
+            # RMCheck transition label.  msg frames target their mailbox
+            # endpoint; reply frames target the requester rank (key[1]).
+            # Identity (channel, seq, attempt, copy) is stable across
+            # schedule reorderings.
+            label = ("frame", frame.dst or key[1], (key, frame.seq, frame.attempts))
+        if frame.kind == "msg":
+            # The mailbox endpoint's stall / pause windows apply.
+            latency = fabric.wire_latency_override(frame.envelope.src_rank, frame.dst)
+            wire = (frame.dst, True, latency)
         else:
-            offsets = fabric.faults.delivery_offsets(
-                frame.src_node, frame.dst_node, frame.dst, env.now, base
-            )
-        for j, offset in enumerate(offsets):
-            deliver = env.timeout(offset)
-            if env._mc_strategy is not None:
-                # RMCheck transition label.  msg frames target their mailbox
-                # endpoint; reply frames target the requester rank (key[1]).
-                # Identity (channel, seq, attempt, copy) is stable across
-                # schedule reorderings.
-                dst_key = frame.dst if frame.dst is not None else key[1]
-                deliver._mc_label = (
-                    "frame",
-                    dst_key,
-                    (key, frame.seq, frame.attempts, j),
-                )
-            deliver.callbacks.append(lambda _ev, k=key, f=frame: self._arrive(k, f))
+            # As in Fabric.post_reply: no endpoint's windows, link faults if
+            # the plan says so, and the blocked requester's receive overhead
+            # folds into the delivery delay.
+            wire = (None, self.params.faults.apply_to_replies, None, self.params.o_recv_us)
+        for deliver in fabric.transmit(
+            frame.src_node, frame.dst_node, frame.size_bytes, label, *wire
+        ):
+            deliver.callbacks.append(lambda _ev: self._arrive(key, frame))
         self._arm_timer(key, channel, frame)
 
     def _arm_timer(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
@@ -317,10 +279,9 @@ class ReliableDelivery:
         """When exhaustion is attributable to a transient fault, the time to
         resume retransmitting; ``None`` means the silence is unexplained
         (dead peer) and fail-stop declaration should proceed."""
-        faults = self.fabric.faults
-        if faults is None or not faults.plan.transient:
+        plan = self.params.faults
+        if not plan.transient:
             return None
-        plan = faults.plan
         now = self.env.now
         until = plan.partition_until(frame.src_node, frame.dst_node, now)
         endpoint = key[1]
@@ -359,7 +320,7 @@ class ReliableDelivery:
         timer.callbacks.append(lambda _ev: self._resume(key, channel, frame))
 
     def _resume(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
-        if frame.acked or key[1] in self._dead_endpoints:
+        if frame.acked:  # delivered meanwhile, or abandon()ed with its peer
             return
         if frame.attempts != 0:
             return  # a racing path already restarted this frame
@@ -384,12 +345,11 @@ class ReliableDelivery:
 
     def abandon(self, endpoint: Endpoint) -> None:
         """Discard all transport state destined for ``endpoint``."""
-        self._dead_endpoints.add(endpoint)
         for key, channel in self._send_channels.items():
             if key[1] != endpoint:
                 continue
             for frame in channel.unacked.values():
-                frame.acked = True  # disarms any pending retry timer
+                frame.acked = True  # disarms any pending retry / resume timer
             channel.unacked.clear()
         for key, channel in self._recv_channels.items():
             if key[1] == endpoint:
@@ -414,29 +374,21 @@ class ReliableDelivery:
     # -- receiver side ---------------------------------------------------------
 
     def _arrive(self, key: ChannelKey, frame: _Frame) -> None:
-        stats = self.fabric.stats
-        if (
-            frame.dst is not None
-            and self.fabric._blackhole_endpoints
-            and frame.dst in self.fabric._blackhole_endpoints
-        ):
-            # Silent device (crashed NIC): swallow the frame without an
-            # ACK so the sender's retry budget runs out and suspicion
-            # reaches the membership detector.
-            stats.blackholed += 1
-            return
+        fabric = self.fabric
         if frame.kind == "msg":
+            if fabric.swallows(frame.dst):
+                # Silent device (crashed NIC): no ACK, so the sender's retry
+                # budget runs out and suspicion reaches the membership
+                # detector.
+                return
             channel = self._recv_channels.setdefault(key, _RecvChannel())
             if frame.seq < channel.expected or frame.seq in channel.buffer:
-                stats.dup_suppressed += 1
+                fabric.stats.dup_suppressed += 1
             else:
                 channel.buffer[frame.seq] = frame.envelope
                 self._release_in_order(channel, frame.dst)
-        else:  # reply: the event can only trigger once
-            if frame.event.triggered:
-                stats.dup_suppressed += 1
-            else:
-                frame.event.succeed(frame.value)
+        else:
+            fabric.land_reply(frame.event, frame.value)
         self._send_ack(key, frame)
 
     def _release_in_order(self, channel: _RecvChannel, dst: Endpoint) -> None:
@@ -446,35 +398,23 @@ class ReliableDelivery:
             envelope = channel.buffer.pop(channel.expected)
             channel.expected += 1
             envelope.deliver_at = now
-            mailbox.put(envelope)
+            self.fabric.land(mailbox, envelope)
 
     # -- acknowledgements ------------------------------------------------------
 
     def _send_ack(self, key: ChannelKey, frame: _Frame) -> None:
-        fabric = self.fabric
-        env = self.env
-        fabric.stats.acks += 1
-        base = fabric._path_delay(frame.dst_node, frame.src_node, ACK_BYTES)
-        if fabric.faults is None:
-            offsets = [base]
-        else:
-            offsets = fabric.faults.delivery_offsets(
-                frame.dst_node, frame.src_node, None, env.now, base
-            )
-        if env._mc_strategy is not None:
+        self.fabric.stats.acks += 1
+        label = None
+        if self.env._mc_strategy is not None:
+            # ACKs for the same channel are mutually dependent (they race on
+            # frame.acked / the retry timer), so their dst_key is the
+            # channel itself rather than a mailbox endpoint.
             frame.acks_sent += 1
-        for j, offset in enumerate(offsets):
-            deliver = env.timeout(offset)
-            if env._mc_strategy is not None:
-                # ACKs for the same channel are mutually dependent (they
-                # race on frame.acked / the retry timer), so their dst_key
-                # is the channel itself rather than a mailbox endpoint.
-                deliver._mc_label = (
-                    "ack",
-                    ("ack-ch", key),
-                    (frame.seq, frame.acks_sent, j),
-                )
-            deliver.callbacks.append(lambda _ev, k=key, f=frame: self._on_ack(k, f))
+            label = ("ack", ("ack-ch", key), (frame.seq, frame.acks_sent))
+        for deliver in self.fabric.transmit(
+            frame.dst_node, frame.src_node, ACK_BYTES, label
+        ):
+            deliver.callbacks.append(lambda _ev: self._on_ack(key, frame))
 
     def _on_ack(self, key: ChannelKey, frame: _Frame) -> None:
         if frame.acked:

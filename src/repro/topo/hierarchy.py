@@ -39,6 +39,7 @@ tier of the paper's machines is already modeled by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -124,12 +125,15 @@ class Hierarchy:
                 return i
         return len(self.caps) - 1
 
+    @functools.lru_cache(maxsize=64, typed=True)
     def resolve(self, base_latency_us: float, base_per_byte_us: float):
         """Per-level ``(latency_us, per_byte_us)`` with inheritance applied.
 
         Returns two tuples indexed by level; ``contention`` is folded
         into the per-byte figure (an oversubscribed uplink serializes
-        proportionally more per payload byte).
+        proportionally more per payload byte).  Resolved once per
+        ``(hierarchy, base)``: the fabric and the analytic estimates read
+        the same tables.
         """
         lat = tuple(
             lv.latency_us if lv.latency_us is not None else base_latency_us
@@ -141,6 +145,18 @@ class Hierarchy:
             for lv in self.levels
         )
         return lat, per_byte
+
+    def link(
+        self,
+        node_a: int,
+        node_b: int,
+        base_latency_us: float,
+        base_per_byte_us: float,
+    ) -> Tuple[float, float]:
+        """``(latency_us, per_byte_us)`` of the node pair's crossing level."""
+        lat, per_byte = self.resolve(base_latency_us, base_per_byte_us)
+        level = self.crossing_level(node_a, node_b)
+        return lat[level], per_byte[level]
 
     def label(self) -> str:
         """Compact single-line form, e.g. ``switch:8 > cluster:4096``."""

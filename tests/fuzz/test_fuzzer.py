@@ -210,6 +210,119 @@ class TestShrink:
         assert again.to_json() == result.outcome.to_json()
 
 
+class TestShrinkAxes:
+    """The structural reductions: offered where the feature exists, legal,
+    absent where they do not apply (ROADMAP 1(a))."""
+
+    #: A legal scenario carrying every structural feature at once.
+    RICH = Scenario(
+        seed=7, nprocs=8, procs_per_node=2, workload="mixed",
+        barrier_algorithm="kary", lock_kind="mcs",
+        phases=("puts", "lock", "barrier", "lock", "barrier"),
+        crashes=(("rank", 7, 400.0), ("node", 1, 700.0)),
+        partitions=(((2,), 100.0, 220.0),),
+        stalls=((4, 50.0, 200.0),),
+        hier_arity=2,
+    )
+    #: The same run with every structural feature already at its floor.
+    PLAIN = Scenario(
+        seed=7, nprocs=3, workload="locks", lock_kind="mcs",
+        phases=("lock", "barrier"),
+    )
+
+    @staticmethod
+    def _offered(scenario):
+        from repro.fuzz.shrink import _candidates
+
+        return dict(_candidates(scenario))
+
+    @staticmethod
+    def _assert_legal(scenario):
+        from repro.fuzz.shrink import _relegalized
+
+        assert _relegalized(scenario) == scenario
+
+    def test_relegalizing_a_legal_scenario_changes_nothing(self):
+        self._assert_legal(self.RICH)
+        self._assert_legal(self.PLAIN)
+        for seed in range(200):
+            self._assert_legal(generate(seed))
+
+    @pytest.mark.parametrize(
+        "label, changed",
+        [
+            ("drop partition ((2,), 100.0, 220.0)", {"partitions": ()}),
+            ("drop stall (4, 50.0, 200.0)", {"stalls": ()}),
+            ("hier_arity 2 -> 0", {"hier_arity": 0}),
+            ("barrier kary -> exchange", {"barrier_algorithm": "exchange"}),
+            (
+                "workload mixed -> locks",
+                {"workload": "locks", "phases": ("lock", "barrier", "lock", "barrier")},
+            ),
+            (
+                "workload mixed -> strips",
+                {"workload": "strips", "lock_kind": None,
+                 "phases": ("puts", "barrier", "barrier")},
+            ),
+            ("ppn 2 -> 1", {"procs_per_node": 1}),
+        ],
+    )
+    def test_axis_is_a_single_legal_reduction(self, label, changed):
+        candidate = self._offered(self.RICH)[label]
+        assert candidate == dataclasses.replace(self.RICH, **changed)
+        self._assert_legal(candidate)
+
+    def test_dropping_the_highest_rank_relegalizes_what_pointed_at_it(self):
+        candidate = self._offered(self.RICH)["drop rank 7"]
+        self._assert_legal(candidate)
+        assert (candidate.nprocs, candidate.procs_per_node) == (7, 1)  # 7 % 2
+        # The crash that named rank 7 is retargeted at a live rank, none is lost.
+        assert sorted(c[2] for c in candidate.crashes) == [400.0, 700.0]
+        for _kind, target, _at in candidate.crashes:
+            assert 1 <= target < 7
+        assert candidate.stalls == self.RICH.stalls
+        assert candidate.partitions == self.RICH.partitions
+
+    def test_nothing_structural_is_offered_at_the_floor(self):
+        labels = set(self._offered(self.PLAIN))
+        assert labels == {"drop phase 0 (lock)", "lock_iters 2 -> 1", "cells 4 -> 2"}
+
+    def test_a_void_reduction_is_skipped(self):
+        # A ticket lock pins every rank to one node: "ppn -> 1" re-legalizes
+        # to the scenario it started from and is not offered.
+        pinned = Scenario(
+            seed=3, nprocs=4, procs_per_node=4, workload="locks",
+            lock_kind="ticket", phases=("lock", "barrier"),
+        )
+        self._assert_legal(pinned)
+        labels = set(self._offered(pinned))
+        assert "ppn 4 -> 1" not in labels
+        assert "drop rank 3" in labels
+        assert self._offered(pinned)["drop rank 3"].procs_per_node == 3
+
+    @pytest.mark.parametrize(
+        "seed, parent_minimum",
+        [
+            # What 120 runs left before the structural axes existed: cluster
+            # A's lock-fifo failures with nothing injected.
+            (62, {"barrier_algorithm": "linear", "workload": "mixed", "nprocs": 5}),
+            (146, {"procs_per_node": 2, "nprocs": 4}),
+            (418, {"barrier_algorithm": "kary", "hier_arity": 2, "nprocs": 5}),
+        ],
+    )
+    def test_cluster_a_seeds_shrink_structurally(self, seed, parent_minimum):
+        scenario = generate(seed)
+        result = shrink(scenario, run_scenario(scenario), max_runs=120)
+        shrunk = result.scenario
+        assert result.outcome.kinds() == ("lock-fifo",)
+        assert not (shrunk.crashes or shrunk.partitions or shrunk.stalls)
+        assert not shrunk.has_faults()
+        smaller = [f for f, before in parent_minimum.items() if getattr(shrunk, f) != before]
+        assert len(smaller) >= 2, (smaller, result.steps)
+        assert shrunk.nprocs == 3 and shrunk.procs_per_node == 1
+        assert shrunk.barrier_algorithm == "exchange" and shrunk.workload == "locks"
+
+
 class TestSelfTest:
     def test_all_mutants_caught_within_budget(self):
         result = run_self_test(budget=6)
@@ -319,3 +432,26 @@ class TestTopologyAxis:
                 assert outcome.ok(), f"seed {seed}: {outcome.violations}"
                 ran += 1
         assert ran == 3
+
+
+def test_event_stream_digest():
+    """sha256 over ``to_json()`` + ``end_state_hash`` of fuzz seeds 0-299.
+
+    Every outcome field is a function of the simulated event stream — which
+    message arrived when, in what order — so a refactor that claims "the
+    stream is the parent's" is checked here instead of by hand.  **Re-pin
+    rule:** a change that is *meant* to move outcomes (a runtime fix, an
+    oracle rule, a new scenario axis) re-pins the digest in the same commit
+    and says in its message which seeds moved and why; a change that is not
+    meant to and trips this test has changed simulated behaviour.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in range(300):
+        outcome = run_scenario(generate(seed))
+        digest.update(outcome.to_json().encode())
+        digest.update(str(outcome.end_state_hash).encode())
+    assert digest.hexdigest() == (
+        "2f48357dab2adea1bd93063137bb3f8e60fe871bbe25c3542c30b8cf082721ef"
+    )

@@ -166,6 +166,30 @@ class TestStats:
         assert fabric.stats.by_payload == {"str": 2}
         assert fabric.stats.bytes > 0
 
+    def test_refused_post_is_not_counted_as_sent(self):
+        # Regression: the mailbox lookup ran after stats.record, the seq
+        # bump and the membership refresh, so a post that raised still
+        # read as one message sent by a live rank.
+        import dataclasses
+
+        class Membership:
+            heard = []
+
+            def note_traffic(self, rank):
+                self.heard.append(rank)
+
+        env, fabric, _ = make_fabric()
+        fabric.attach_membership(Membership())
+        before = dataclasses.asdict(fabric.stats)
+        with pytest.raises(KeyError, match="no mailbox"):
+            fabric.post(0, mp_endpoint(3), "x")
+        assert dataclasses.asdict(fabric.stats) == before
+        assert fabric._seq == 0
+        assert fabric.nic_busy_until(0) == 0.0
+        assert Membership.heard == []
+        env.run()
+        assert env.events_processed == 0
+
     def test_reply_counter(self):
         env, fabric, _ = make_fabric()
         fabric.post_reply(0, 1, Event(env))

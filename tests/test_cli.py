@@ -736,6 +736,87 @@ class TestTableIsTheContract:
         for relic in ("_dispatch", "_chaos_defaults", "args.experiment", "getattr(args"):
             assert relic not in source, relic
 
+    # -- modes: a flag of another mode is rejected, not ignored ---------------
+
+    MODED = [name for name, command in COMMANDS.items() if command.modes]
+
+    @staticmethod
+    def _argv(key):
+        """``key`` on a command line, with "1" (legal for every valued flag)."""
+        names, kwargs = FLAGS[key]
+        if not names[0].startswith("--"):
+            return ["1"]
+        return [names[0]] if kwargs.get("action") == "store_true" else [names[0], "1"]
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch, tmp_path):
+        """Fails the test if a simulation starts or a file appears."""
+        from repro.sim.core import Environment
+
+        def run(*args, **kwargs):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(Environment, "run", run)
+        monkeypatch.chdir(tmp_path)
+        yield
+        assert not list(tmp_path.iterdir())
+
+    def _assert_one_error_line(self, capsys, argv):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"armci-repro: error: {argv[0]}: "), line
+        return line
+
+    def test_the_commands_that_have_modes(self):
+        assert self.MODED == ["fuzz", "mc", "check"]
+        assert list(COMMANDS["fuzz"].modes) == ["default", "replay", "corpus", "self_test"]
+        assert list(COMMANDS["mc"].modes) == ["default", "scenario", "schedule", "self_test"]
+        assert list(COMMANDS["check"].modes) == ["default", "lint"]
+
+    @pytest.mark.parametrize("name", MODED)
+    def test_modes_partition_the_declared_flags(self, parser, name):
+        command = COMMANDS[name]
+        selectors = set(command.modes) - {"default"}
+        read = {key for reads in command.modes.values() for key in reads}
+        assert selectors | read == set(command.flags)
+        assert not selectors & read
+        # "Was it given" is "is it not its default": the defaults say nothing.
+        for key in command.flags:
+            assert FLAGS[key][1].get("default") is None, key
+
+    @pytest.mark.parametrize("name", MODED)
+    def test_every_cross_mode_flag_exits_2(self, capsys, no_simulation, name):
+        command = COMMANDS[name]
+        selectors = [mode for mode in command.modes if mode != "default"]
+        for mode, reads in command.modes.items():
+            # Without a selector, naming one just selects its mode.
+            outside = set(command.flags) - set(reads) - {mode}
+            if mode == "default":
+                outside -= set(selectors)
+            assert outside or mode == "default", mode
+            for key in sorted(outside):
+                selector = [] if mode == "default" else self._argv(mode)
+                line = self._assert_one_error_line(
+                    capsys, [name, *selector, *self._argv(key)]
+                )
+                assert ("different modes" in line) == (key in selectors), line
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fuzz --corpus tests/fuzz/corpus --replay 39",
+            "fuzz --replay 5 --seeds 3 --keep-going --time-budget 1",
+            "fuzz --self-test --json-out x.json",
+            "mc --self-test reliable --budget 3",
+            "check --lint fig7",
+            "fuzz --replay 5 --start-seed 0",
+        ],
+    )
+    def test_mode_flag_that_silently_won_now_exits_2(self, capsys, no_simulation, line):
+        self._assert_one_error_line(capsys, line.split())
+
     # -- the regressions, by name --------------------------------------------
 
     @pytest.mark.parametrize(

@@ -375,3 +375,90 @@ class TestOneBodyPerOneSidedOperation:
             if isinstance(operand, ast.Constant) and operand.value in RMW
         ]
         assert offenders == []
+
+
+class TestOneWire:
+    """A physical transmission — message, reply, reliable frame, ACK — is
+    priced, offered to the fault plan, scheduled and labelled for RMCheck in
+    ``Fabric.transmit`` and nowhere else under ``repro/net``."""
+
+    NET = pathlib.Path(repro.__file__).parent / "net"
+
+    @pytest.fixture(scope="class")
+    def functions(self):
+        """``{"file.py:function": node}`` for every function under net/."""
+        return {
+            f"{path.name}:{node.name}": node
+            for path in sorted(self.NET.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    @staticmethod
+    def _sites(functions, wanted):
+        return sorted(
+            where
+            for where, function in functions.items()
+            for node in ast.walk(function)
+            if wanted(node)
+        )
+
+    def test_the_fault_plan_is_consulted_once(self, functions):
+        def calls_delivery_offsets(node):
+            return (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "delivery_offsets"
+            )
+
+        assert self._sites(functions, calls_delivery_offsets) == ["fabric.py:transmit"]
+
+    def test_deliveries_are_labelled_once(self, functions):
+        def assigns_mc_label(node):
+            return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+                getattr(target, "attr", None) == "_mc_label"
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+            )
+
+        assert self._sites(functions, assigns_mc_label) == ["fabric.py:transmit"]
+
+    def test_only_the_wire_and_the_retry_timers_schedule(self, functions):
+        def makes_a_timeout(node):
+            return isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "Timeout"
+                or getattr(node.func, "attr", None) == "timeout"
+            )
+
+        assert set(self._sites(functions, makes_a_timeout)) == {
+            "fabric.py:transmit",
+            "reliable.py:_arm_timer",
+            "reliable.py:_suspend",
+        }
+
+    def test_the_six_bodies_are_gone(self):
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for path in self.NET.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+        }
+        assert not named & {
+            "_path_delay", "_deliver_unless_blackholed", "_trigger_reply", "record_reply"
+        }
+
+    def test_one_dead_endpoint_set_and_the_reliable_layer_keeps_out(self):
+        tree = ast.parse((self.NET / "reliable.py").read_text())
+        private_fabric_reads = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and ast.unparse(node.value) in ("fabric", "self.fabric")
+        }
+        # The failure detector the runtime attached; nothing of the wire.
+        assert private_fabric_reads <= {"_membership"}
+        assert "_dead_endpoints" not in (self.NET / "reliable.py").read_text()
+
+    def test_one_frame_constructor(self, functions):
+        def builds_a_frame(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Frame"
+
+        assert self._sites(functions, builds_a_frame) == ["reliable.py:_ship"]
