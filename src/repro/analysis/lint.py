@@ -1,8 +1,8 @@
 """Static lint for simulation-specific hazards (``repro check --lint``).
 
-Four ``ast``-based rules; the first three each target a bug class that the
+Five ``ast``-based rules; the first three each target a bug class that the
 dynamic checker cannot see (the buggy run never happens, or happens
-silently), the fourth keeps one spelling of a sleep:
+silently), the last two keep one spelling of a sleep and of a timer:
 
 ``missing-yield-from``
     A *bare expression statement* calling a known sub-generator —
@@ -30,8 +30,14 @@ silently), the fourth keeps one spelling of a sleep:
     ``yield env.timeout(cost)`` as a statement allocates a ``Timeout``, a
     callbacks list and a bound method to wake exactly the process that
     made it.  A process sleeps by yielding the delay (``yield cost``);
-    ``env.timeout()`` is for a timer something else attaches to or
-    combines.
+    ``env.timeout()`` is for one side of a composed wait.
+
+``timer-as-event``
+    ``t = env.timeout(d)`` (or ``Timeout(env, d)``) whose only use is
+    ``t.callbacks.append(handler)`` builds an event, a callbacks list and
+    usually a closure for a timer nobody waits on.  Such a timer is a
+    ``Call`` row: ``env.call(d, callbacks, a, b)`` — same heap key, no
+    event (see :mod:`repro.sim.core`).
 
 Four further *protocol-shape* rules (``send-unhandled-kind``,
 ``cs-yield-no-lease``, ``credit-mutation``, ``unguarded-view-read``) live
@@ -56,6 +62,7 @@ __all__ = [
     "RULE_UNSEEDED",
     "RULE_OP_DONE",
     "RULE_SELF_SLEEP",
+    "RULE_TIMER_EVENT",
     "collect_generator_names",
     "lint_source",
     "lint_paths",
@@ -67,6 +74,7 @@ RULE_YIELD_FROM = "missing-yield-from"
 RULE_UNSEEDED = "unseeded-nondeterminism"
 RULE_OP_DONE = "op-done-mutation"
 RULE_SELF_SLEEP = "self-sleep-as-event"
+RULE_TIMER_EVENT = "timer-as-event"
 
 #: ``(module, attribute)`` calls that read the wall clock.
 _WALL_CLOCK: Set[Tuple[str, str]] = {
@@ -214,6 +222,43 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
+    # timer as event: a timeout whose only use is having callbacks appended.
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        timers = {}
+        stack: List[ast.AST] = list(node.body)
+        while stack:  # the function's own statements, nested defs excluded
+            child = stack.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (
+                isinstance(child, ast.Assign)
+                and len(child.targets) == 1
+                and isinstance(child.targets[0], ast.Name)
+                and _makes_timeout(child.value)
+            ):
+                timers[child.targets[0].id] = child
+            stack.extend(ast.iter_child_nodes(child))
+        if timers:
+            parents = {
+                child: parent
+                for parent in ast.walk(node)
+                for child in ast.iter_child_nodes(parent)
+            }
+            uses: dict = {name: [] for name in timers}
+            for use in ast.walk(node):
+                if isinstance(use, ast.Name) and isinstance(use.ctx, ast.Load) and use.id in uses:
+                    uses[use.id].append(_appends_callback(use, parents))
+            for name, assign in timers.items():
+                if uses[name] and all(uses[name]):
+                    self._add(
+                        assign,
+                        RULE_TIMER_EVENT,
+                        f"timer {name!r} is only given callbacks, nothing waits "
+                        "on it: schedule a Call row with env.call(delay, "
+                        "callbacks, a, b) instead of an event",
+                    )
+        self.generic_visit(node)
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
@@ -253,6 +298,29 @@ class _Checker(ast.NodeVisitor):
                 "the server thread may credit op_done counters",
             )
         self.generic_visit(node)
+
+
+def _makes_timeout(value: ast.AST) -> bool:
+    """``<x>.timeout(...)`` or ``Timeout(...)``."""
+    return isinstance(value, ast.Call) and (
+        (isinstance(value.func, ast.Attribute) and value.func.attr == "timeout")
+        or (isinstance(value.func, ast.Name) and value.func.id == "Timeout")
+    )
+
+
+def _appends_callback(name: ast.Name, parents: dict) -> bool:
+    """Is this use of ``name`` the receiver of ``name.callbacks.append(...)``?"""
+    callbacks = parents.get(name)
+    append = parents.get(callbacks)
+    call = parents.get(append)
+    return (
+        isinstance(callbacks, ast.Attribute)
+        and callbacks.attr == "callbacks"
+        and isinstance(append, ast.Attribute)
+        and append.attr == "append"
+        and isinstance(call, ast.Call)
+        and call.func is append
+    )
 
 
 # -- entry points ------------------------------------------------------------

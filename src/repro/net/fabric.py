@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
+from heapq import heappush as _heappush
 from typing import Any, Dict, List, Optional
 
-from ..sim.core import Environment, Event, Timeout
+from ..sim.core import PRIORITY_NORMAL, Call, Environment, Event, _bad_delay
 from ..sim.primitives import FilterStore, Store
 from .faults import FaultInjector
 from .message import Endpoint, Envelope
@@ -164,6 +164,10 @@ class Fabric:
         #: the interleaving).  Only touched when a scheduler strategy is
         #: installed.
         self._mc_ordinals: Dict[Any, int] = {}
+        #: Arrival handlers of raw delivery rows (a Call row's callbacks),
+        #: built once.
+        self._land_cbs = (self._landed,)
+        self._reply_cbs = (self._reply_landed,)
 
     def _mc_ordinal(self, ident: Any) -> int:
         n = self._mc_ordinals.get(ident, 0)
@@ -243,11 +247,14 @@ class Fabric:
         dst_node: int,
         size_bytes: int,
         label: Optional[tuple],
+        callbacks: tuple,
+        a: Any,
+        b: Any = None,
         fault_dst: Optional[Endpoint] = None,
         faulted: bool = True,
         latency_us: Optional[float] = None,
         extra_us: float = 0.0,
-    ) -> List[Timeout]:
+    ) -> List[Call]:
         """Put one physical copy on the wire; the only place that happens.
 
         Prices the attempt — intra-node: the shared-memory latency;
@@ -258,12 +265,13 @@ class Fabric:
         crossing level, see :mod:`repro.topo.hierarchy`), plus jitter —
         adds ``extra_us`` (receiver CPU folded into a reply), offers it to
         the fault plan iff ``faulted`` (``fault_dst`` names the endpoint
-        whose stall / pause windows apply), and schedules one ``Timeout``
-        per surviving copy (``.delay`` is its offset from now).  Returns
-        those deliveries for the caller to hang its arrival on.  ``label``
-        is the RMCheck transition ``(kind, dst_key, uid)``, or ``None``
-        outside model checking; with a fault plan ``uid`` gains the copy
-        index.
+        whose stall / pause windows apply), and schedules one
+        :class:`~repro.sim.core.Call` row per surviving copy: the arrival
+        ``callbacks`` with ``a`` and ``b`` on the row, ``.delay`` its
+        offset from now.  Returns those rows (a caller that gives each
+        copy its own argument swaps it in).  ``label`` is the RMCheck
+        transition ``(kind, dst_key, uid)``, or ``None`` outside model
+        checking; with a fault plan ``uid`` gains the copy index.
         """
         p = self.params
         env = self.env
@@ -293,21 +301,31 @@ class Fabric:
             delay += extra_us
         faults = self.faults
         if faults is None or not faulted:
-            deliveries = [Timeout(env, delay)]
+            offsets = (delay,)
         else:
-            deliveries = [
-                Timeout(env, offset)
-                for offset in faults.delivery_offsets(
-                    src_node, dst_node, fault_dst, now, delay, src_node == dst_node
-                )
-            ]
-        if label is not None:
-            kind, dst_key, uid = label
-            for i, deliver in enumerate(deliveries):
-                deliver._mc_label = (
-                    label if faults is None else (kind, dst_key, uid + (i,))
-                )
-        return deliveries
+            offsets = faults.delivery_offsets(
+                src_node, dst_node, fault_dst, now, delay, src_node == dst_node
+            )
+        rows = []
+        queue = env._queue
+        for i, offset in enumerate(offsets):
+            # env.call(offset, callbacks, a, b), inlined: one row per copy.
+            if not offset >= 0:
+                raise _bad_delay(offset)
+            row = Call()
+            row.callbacks = callbacks
+            row.delay = offset
+            row.a = a
+            row.b = b
+            row._mc_label = (
+                label if label is None or faults is None
+                else (label[0], label[1], label[2] + (i,))
+            )
+            seq = env._seq
+            env._seq = seq + 1
+            _heappush(queue, (now + offset, PRIORITY_NORMAL, seq, row))
+            rows.append(row)
+        return rows
 
     def wire_latency_override(self, src_rank: Any, dst: Endpoint) -> Optional[float]:
         """Reduced wire latency for NIC-to-NIC frames, else ``None``.
@@ -369,22 +387,27 @@ class Fabric:
             # RMCheck identity: (sender, per-sender-stream ordinal) names
             # this message identically in every interleaving.
             label = ("msg", dst, (src_rank, self._mc_ordinal(("msg", src_rank, dst))))
-        deliveries = self.transmit(
-            src_node, dst_node, size, label, dst, True,
-            self.wire_latency_override(src_rank, dst),
+        rows = self.transmit(
+            src_node, dst_node, size, label, self._land_cbs, mailbox, envelope,
+            dst, True, self.wire_latency_override(src_rank, dst),
         )
-        for deliver in deliveries:
+        for row in rows[1:]:
             # The first copy is the envelope returned; a network duplicate
             # is its own object with its own arrival time.
-            copy = envelope if deliver is deliveries[0] else replace(envelope)
-            copy.deliver_at = now + deliver.delay
-            deliver.callbacks.append(partial(self.land, mailbox, copy))
+            row.b = replace(envelope)
         return envelope
 
-    def land(self, mailbox: Any, envelope: Envelope, _event: Optional[Event] = None) -> None:
-        """Arrival at a mailbox — unless a dead NIC eats the frame."""
+    def _landed(self, row: Call) -> None:
+        """A raw delivery row pops: ``row.a`` is the mailbox, ``row.b`` the
+        envelope."""
+        self.land(row.a, row.b)
+
+    def land(self, mailbox: Any, envelope: Envelope) -> None:
+        """Arrival at a mailbox, stamped now — unless a dead NIC eats the
+        frame."""
         if self._blackhole_endpoints and self.swallows(envelope.dst):
             return
+        envelope.deliver_at = self.env._now
         mailbox.put(envelope)
 
     def swallows(self, endpoint: Endpoint) -> bool:
@@ -456,15 +479,17 @@ class Fabric:
         # receive overhead folds into the delay.
         faulted = not intra_node and p.faults is not None and p.faults.apply_to_replies
         extra_us = p.shm_access_us if intra_node else p.o_recv_us
-        arrive = partial(self.land_reply, reply_event, value)
-        for deliver in self.transmit(
-            src_node, dst_node, size, label, None, faulted, None, extra_us
-        ):
-            deliver.callbacks.append(arrive)
+        self.transmit(
+            src_node, dst_node, size, label, self._reply_cbs, reply_event, value,
+            None, faulted, None, extra_us,
+        )
 
-    def land_reply(
-        self, reply_event: Event, value: Any, _event: Optional[Event] = None
-    ) -> None:
+    def _reply_landed(self, row: Call) -> None:
+        """A raw reply row pops: ``row.a`` is the reply event, ``row.b`` its
+        value."""
+        self.land_reply(row.a, row.b)
+
+    def land_reply(self, reply_event: Event, value: Any) -> None:
         """Arrival of a reply: the event triggers once, later copies
         (network duplicates, retransmissions) are suppressed."""
         if reply_event.triggered:

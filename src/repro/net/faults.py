@@ -472,6 +472,16 @@ class FaultInjector:
         # stream which seeds random.Random(seed) directly.
         self._rng = random.Random(f"faults:{seed}")
         self._links: Dict[Tuple[int, int], LinkFaults] = dict(plan.links)
+        # The plan is frozen, so what an attempt consults is resolved here
+        # once: each link's faults, or None where they draw nothing, and
+        # whether any stall or pause window can hold a delivery back.
+        self._active_links: Dict[Tuple[int, int], Optional[LinkFaults]] = {
+            pair: faults if faults.active else None
+            for pair, faults in self._links.items()
+        }
+        self._active_default = plan.default if plan.default.active else None
+        self._stalls = bool(plan.stalls)
+        self._pauses = bool(plan.pauses)
         self.stats = FaultStats()
 
     def __repr__(self) -> str:
@@ -501,40 +511,43 @@ class FaultInjector:
         if intra_node:
             # The shared-memory queue is reliable; only an outage of the
             # server itself (or a pause of the destination rank) affects it.
-            return self._apply_pauses(
-                dst, now, self._apply_stalls(dst, now, [base_delay])
-            )
-        if self.plan.partitions and self.plan.partitioned(src_node, dst_node, now):
+            delays = [base_delay]
+        elif self.plan.partitions and self.plan.partitioned(src_node, dst_node, now):
             # Deterministic cut: no RNG draw, so the probabilistic link
             # fault stream is unperturbed by partition windows.
             self.stats.partition_dropped += 1
             return []
-        faults = self.link(src_node, dst_node)
-        delays: List[float] = []
-        if faults.active:
-            rng = self._rng
-            if faults.drop_rate > 0.0 and rng.random() < faults.drop_rate:
-                self.stats.dropped += 1
-            else:
-                delay = base_delay
-                if faults.delay_rate > 0.0 and rng.random() < faults.delay_rate:
-                    self.stats.delay_spikes += 1
-                    delay += faults.delay_spike_us
-                if faults.reorder_rate > 0.0 and rng.random() < faults.reorder_rate:
-                    self.stats.reordered += 1
-                    delay += rng.uniform(0.0, faults.reorder_window_us)
-                delays.append(delay)
-                if faults.dup_rate > 0.0 and rng.random() < faults.dup_rate:
-                    self.stats.duplicated += 1
-                    delays.append(delay + rng.uniform(0.0, faults.dup_lag_us))
         else:
-            delays.append(base_delay)
-        return self._apply_pauses(dst, now, self._apply_stalls(dst, now, delays))
+            faults = self._active_links.get((src_node, dst_node), self._active_default)
+            if faults is None:
+                delays = [base_delay]
+            else:
+                delays = []
+                rng = self._rng
+                if faults.drop_rate > 0.0 and rng.random() < faults.drop_rate:
+                    self.stats.dropped += 1
+                else:
+                    delay = base_delay
+                    if faults.delay_rate > 0.0 and rng.random() < faults.delay_rate:
+                        self.stats.delay_spikes += 1
+                        delay += faults.delay_spike_us
+                    if faults.reorder_rate > 0.0 and rng.random() < faults.reorder_rate:
+                        self.stats.reordered += 1
+                        delay += rng.uniform(0.0, faults.reorder_window_us)
+                    delays.append(delay)
+                    if faults.dup_rate > 0.0 and rng.random() < faults.dup_rate:
+                        self.stats.duplicated += 1
+                        delays.append(delay + rng.uniform(0.0, faults.dup_lag_us))
+        if self._stalls:
+            delays = self._apply_stalls(dst, now, delays)
+        if self._pauses:
+            delays = self._apply_pauses(dst, now, delays)
+        return delays
 
     def _apply_stalls(
         self, dst: Optional[Endpoint], now: float, delays: List[float]
     ) -> List[float]:
-        if not self.plan.stalls or dst is None or dst[0] != "srv":
+        if dst is None or dst[0] != "srv":
             return delays
         node = dst[1]
         out: List[float] = []
@@ -559,7 +572,7 @@ class FaultInjector:
         self, dst: Optional[Endpoint], now: float, delays: List[float]
     ) -> List[float]:
         """Hold deliveries addressed to a paused rank until it resumes."""
-        if not self.plan.pauses or dst is None or dst[0] != "mp":
+        if dst is None or dst[0] != "mp":
             return delays
         rank = dst[1]
         out: List[float] = []

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from ..sim.core import Event, SimulationError
+from ..sim.core import Call, Event, SimulationError
 from .message import Endpoint, Envelope
 from .params import MSG_HEADER_BYTES
 
@@ -72,6 +72,7 @@ class _Frame:
     """One logical message in flight, across all its transmission attempts."""
 
     __slots__ = (
+        "key",
         "seq",
         "kind",
         "envelope",
@@ -89,6 +90,7 @@ class _Frame:
 
     def __init__(
         self,
+        key: ChannelKey,
         seq: int,
         kind: str,
         size_bytes: int,
@@ -98,6 +100,9 @@ class _Frame:
         event: Optional[Event] = None,
         value: Any = None,
     ):
+        #: The channel the frame travels on: its timers and arrivals find
+        #: their channel from the frame alone.
+        self.key = key
         self.seq = seq
         self.kind = kind  # "msg" (mailbox envelope) | "reply" (bare event)
         self.size_bytes = size_bytes
@@ -147,6 +152,14 @@ class ReliableDelivery:
         self.params = fabric.params
         self._send_channels: Dict[ChannelKey, _SendChannel] = {}
         self._recv_channels: Dict[ChannelKey, _RecvChannel] = {}
+        #: Handlers of the layer's rows (a Call row's callbacks), built
+        #: once: frame and ACK arrival (``row.a`` the frame), the retry
+        #: timer (``row.b`` the attempt it was armed for) and the
+        #: suspension timer.
+        self._arrive_cbs = (self._arrive,)
+        self._ack_cbs = (self._on_ack,)
+        self._timer_cbs = (self._on_timer,)
+        self._resume_cbs = (self._resume,)
 
     def __repr__(self) -> str:
         return (
@@ -187,14 +200,14 @@ class ReliableDelivery:
     def _ship(self, key: ChannelKey, *frame_fields) -> None:
         """Number a new frame on its channel and start transmitting it."""
         channel = self._send_channels.setdefault(key, _SendChannel())
-        frame = _Frame(channel.next_seq, *frame_fields)
+        frame = _Frame(key, channel.next_seq, *frame_fields)
         channel.next_seq += 1
         channel.unacked[frame.seq] = frame
-        self._transmit(key, channel, frame)
+        self._transmit(frame)
 
     # -- transmission / retransmission ----------------------------------------
 
-    def _transmit(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
+    def _transmit(self, frame: _Frame) -> None:
         fabric = self.fabric
         frame.attempts += 1
         frame.sent_at = self.env.now
@@ -204,6 +217,7 @@ class ReliableDelivery:
             # endpoint; reply frames target the requester rank (key[1]).
             # Identity (channel, seq, attempt, copy) is stable across
             # schedule reorderings.
+            key = frame.key
             label = ("frame", frame.dst or key[1], (key, frame.seq, frame.attempts))
         if frame.kind == "msg":
             # The mailbox endpoint's stall / pause windows apply.
@@ -214,23 +228,20 @@ class ReliableDelivery:
             # the plan says so, and the blocked requester's receive overhead
             # folds into the delivery delay.
             wire = (None, self.params.faults.apply_to_replies, None, self.params.o_recv_us)
-        for deliver in fabric.transmit(
-            frame.src_node, frame.dst_node, frame.size_bytes, label, *wire
-        ):
-            deliver.callbacks.append(lambda _ev: self._arrive(key, frame))
-        self._arm_timer(key, channel, frame)
+        fabric.transmit(
+            frame.src_node, frame.dst_node, frame.size_bytes, label,
+            self._arrive_cbs, frame, None, *wire
+        )
+        self._arm_timer(frame)
 
-    def _arm_timer(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
+    def _arm_timer(self, frame: _Frame) -> None:
         p = self.params
         if p.adaptive_retry:
-            timeout = self._adaptive_rto(key, channel, frame.attempts)
+            key = frame.key
+            timeout = self._adaptive_rto(key, self._send_channels[key], frame.attempts)
         else:
             timeout = p.retry_timeout_us * (p.retry_backoff ** (frame.attempts - 1))
-        generation = frame.attempts
-        timer = self.env.timeout(timeout)
-        timer.callbacks.append(
-            lambda _ev: self._on_timer(key, channel, frame, generation)
-        )
+        self.env.call(timeout, self._timer_cbs, frame, frame.attempts)
 
     def _adaptive_rto(self, key: ChannelKey, channel: _SendChannel, attempt: int) -> float:
         """Jacobson-style RTO: ``srtt + 4 * rttvar``, backed off and capped.
@@ -256,26 +267,26 @@ class ReliableDelivery:
         cap = p.adaptive_rto_max_us * (1.0 + 0.1 * channel.cap_jitter)
         return min(timeout, cap)
 
-    def _on_timer(
-        self, key: ChannelKey, channel: _SendChannel, frame: _Frame, generation: int
-    ) -> None:
-        if frame.acked or frame.attempts != generation:
+    def _on_timer(self, row: Call) -> None:
+        """The retry timer of attempt ``row.b`` of frame ``row.a`` expired."""
+        frame = row.a
+        if frame.acked or frame.attempts != row.b:
             return
         stats = self.fabric.stats
         stats.timeouts += 1
         if frame.attempts > self.params.max_retries:
-            hold_until = self._transient_hold(key, frame)
+            hold_until = self._transient_hold(frame)
             if hold_until is not None:
-                self._suspend(key, channel, frame, hold_until)
+                self._suspend(frame, hold_until)
                 return
-            self._declare_dead(key, frame)
+            self._declare_dead(frame)
             return
         stats.retransmits += 1
-        self._transmit(key, channel, frame)
+        self._transmit(frame)
 
     # -- transient suspension (partitions / pauses) ---------------------------
 
-    def _transient_hold(self, key: ChannelKey, frame: _Frame) -> Optional[float]:
+    def _transient_hold(self, frame: _Frame) -> Optional[float]:
         """When exhaustion is attributable to a transient fault, the time to
         resume retransmitting; ``None`` means the silence is unexplained
         (dead peer) and fail-stop declaration should proceed."""
@@ -284,7 +295,7 @@ class ReliableDelivery:
             return None
         now = self.env.now
         until = plan.partition_until(frame.src_node, frame.dst_node, now)
-        endpoint = key[1]
+        endpoint = frame.key[1]
         if endpoint[0] == "mp":
             stall = plan.stall_until(endpoint[1], now)
             if stall is not None and (until is None or stall > until):
@@ -299,9 +310,7 @@ class ReliableDelivery:
             return now
         return None
 
-    def _suspend(
-        self, key: ChannelKey, channel: _SendChannel, frame: _Frame, until: float
-    ) -> None:
+    def _suspend(self, frame: _Frame, until: float) -> None:
         """Queue, do not fail: park the frame until the transient clears.
 
         The frame keeps its channel slot (in-order release at the receiver
@@ -313,28 +322,29 @@ class ReliableDelivery:
         self.fabric.stats.retry_suspended += 1
         membership = self.fabric._membership
         if membership is not None:
-            membership.suspect(key[1], reason="retry suspended (transient fault)")
+            membership.suspect(frame.key[1], reason="retry suspended (transient fault)")
         resume_at = max(until - self.env.now, 0.0) + self.params.membership_poll_us
         frame.attempts = 0
-        timer = self.env.timeout(resume_at)
-        timer.callbacks.append(lambda _ev: self._resume(key, channel, frame))
+        self.env.call(resume_at, self._resume_cbs, frame)
 
-    def _resume(self, key: ChannelKey, channel: _SendChannel, frame: _Frame) -> None:
+    def _resume(self, row: Call) -> None:
+        """The suspension of frame ``row.a`` is over."""
+        frame = row.a
         if frame.acked:  # delivered meanwhile, or abandon()ed with its peer
             return
         if frame.attempts != 0:
             return  # a racing path already restarted this frame
         self.fabric.stats.retransmits += 1
-        self._transmit(key, channel, frame)
+        self._transmit(frame)
 
-    def _declare_dead(self, key: ChannelKey, frame: _Frame) -> None:
+    def _declare_dead(self, frame: _Frame) -> None:
         """Retry budget exhausted: give up on the peer instead of raising.
 
         The destination endpoint is marked dead, every frame still queued
         for it (on any channel) is discarded so no timer re-arms, and the
         suspicion is handed to the membership detector if one is attached.
         """
-        endpoint = key[1]
+        endpoint = frame.key[1]
         self.fabric.stats.links_declared_dead += 1
         # mark_dead makes the fabric refuse follow-up posts at the source
         # and calls back into abandon() to drop the queued backlog.
@@ -355,17 +365,20 @@ class ReliableDelivery:
             if key[1] == endpoint:
                 channel.buffer.clear()
 
-    def abandon_sender(self, src_rank: int) -> None:
-        """Fail-stop a *sender*: its transport state dies with the process.
+    def abandon_sender(self, source: Any) -> None:
+        """Fail-stop a *sender*: its transport state dies with it.
 
-        Retry timers are environment callbacks, so without this a crashed
-        rank's unacknowledged frames would keep retransmitting from beyond
-        the grave and eventually land — ops the crash recovery already
-        wrote off must stay un-applied.  (Copies the fabric already has in
-        flight still arrive: only retransmission state is destroyed.)
+        ``source`` is any channel source: a rank, a node's server replies
+        ``("reply", node)`` or its NIC ``("nic", node)``.  Retry timers are
+        environment callbacks, so without this a crashed sender's
+        unacknowledged frames would keep retransmitting from beyond the
+        grave and eventually land — ops the crash recovery already wrote
+        off must stay un-applied, and a dead machine's server must not
+        answer.  (Copies the fabric already has in flight still arrive:
+        only retransmission state is destroyed.)
         """
         for key, channel in self._send_channels.items():
-            if key[0] != src_rank:
+            if key[0] != source:
                 continue
             for frame in channel.unacked.values():
                 frame.acked = True
@@ -373,7 +386,9 @@ class ReliableDelivery:
 
     # -- receiver side ---------------------------------------------------------
 
-    def _arrive(self, key: ChannelKey, frame: _Frame) -> None:
+    def _arrive(self, row: Call) -> None:
+        """A copy of frame ``row.a`` reached the receiver."""
+        frame = row.a
         fabric = self.fabric
         if frame.kind == "msg":
             if fabric.swallows(frame.dst):
@@ -381,7 +396,7 @@ class ReliableDelivery:
                 # budget runs out and suspicion reaches the membership
                 # detector.
                 return
-            channel = self._recv_channels.setdefault(key, _RecvChannel())
+            channel = self._recv_channels.setdefault(frame.key, _RecvChannel())
             if frame.seq < channel.expected or frame.seq in channel.buffer:
                 fabric.stats.dup_suppressed += 1
             else:
@@ -389,20 +404,18 @@ class ReliableDelivery:
                 self._release_in_order(channel, frame.dst)
         else:
             fabric.land_reply(frame.event, frame.value)
-        self._send_ack(key, frame)
+        self._send_ack(frame)
 
     def _release_in_order(self, channel: _RecvChannel, dst: Endpoint) -> None:
         mailbox = self.fabric.mailbox(dst)
-        now = self.env.now
         while channel.expected in channel.buffer:
             envelope = channel.buffer.pop(channel.expected)
             channel.expected += 1
-            envelope.deliver_at = now
             self.fabric.land(mailbox, envelope)
 
     # -- acknowledgements ------------------------------------------------------
 
-    def _send_ack(self, key: ChannelKey, frame: _Frame) -> None:
+    def _send_ack(self, frame: _Frame) -> None:
         self.fabric.stats.acks += 1
         label = None
         if self.env._mc_strategy is not None:
@@ -410,17 +423,18 @@ class ReliableDelivery:
             # frame.acked / the retry timer), so their dst_key is the
             # channel itself rather than a mailbox endpoint.
             frame.acks_sent += 1
-            label = ("ack", ("ack-ch", key), (frame.seq, frame.acks_sent))
-        for deliver in self.fabric.transmit(
-            frame.dst_node, frame.src_node, ACK_BYTES, label
-        ):
-            deliver.callbacks.append(lambda _ev: self._on_ack(key, frame))
+            label = ("ack", ("ack-ch", frame.key), (frame.seq, frame.acks_sent))
+        self.fabric.transmit(
+            frame.dst_node, frame.src_node, ACK_BYTES, label, self._ack_cbs, frame
+        )
 
-    def _on_ack(self, key: ChannelKey, frame: _Frame) -> None:
+    def _on_ack(self, row: Call) -> None:
+        """An ACK of frame ``row.a`` reached the sender."""
+        frame = row.a
         if frame.acked:
             return  # duplicate ACK
         frame.acked = True
-        channel = self._send_channels.get(key)
+        channel = self._send_channels.get(frame.key)
         if channel is not None:
             channel.unacked.pop(frame.seq, None)
             if self.params.adaptive_retry and frame.attempts == 1:

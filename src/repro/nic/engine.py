@@ -59,6 +59,52 @@ class NicFrame:
     payload: Optional[CountVector] = None
 
 
+# -- DMA completions -----------------------------------------------------------
+#
+# The engine's three DMA transfers are Call rows (``env.call``), not events:
+# nothing waits on them.  Their handlers are module functions and their
+# callbacks tuples exist once, not once per engine (one engine per node).
+
+
+def _doorbell_landed(dma) -> None:
+    """A doorbell row reached NIC ``dma.a``: ``dma.b`` is ``(epoch, rank,
+    row)``."""
+    engine = dma.a
+    if engine.dead:
+        return
+    epoch, rank, row = dma.b
+    state = engine._epochs.get(epoch)
+    if state is None:
+        return
+    state.rows[rank] = row
+    if len(state.rows) == len(engine.hosted) and not state.all_rows.triggered:
+        state.all_rows.succeed()
+
+
+def _mirror_landed(dma) -> None:
+    """A fresh ``op_done`` value reached NIC ``dma.a``: ``dma.b`` is
+    ``(rank, value)``."""
+    engine = dma.a
+    if engine.dead:
+        return
+    rank, value = dma.b
+    if value > engine.mirror.get(rank, 0):
+        engine.mirror[rank] = value
+        engine._mirror_signal.fire((rank, value))
+
+
+def _release_landed(dma) -> None:
+    """The completion write-back reached the host: ``dma.a`` is the rank's
+    release event, ``dma.b`` its value."""
+    if not dma.a.triggered:
+        dma.a.succeed(dma.b)
+
+
+_DOORBELL_DMA = (_doorbell_landed,)
+_MIRROR_DMA = (_mirror_landed,)
+_RELEASE_DMA = (_release_landed,)
+
+
 class _EpochState:
     """Per-barrier-epoch NIC state: doorbell rows and release events.
 
@@ -178,8 +224,7 @@ class NicEngine:
         state.release[rank] = release
         release.callbacks.append(lambda _ev: self._released(epoch, state))
         delay = p.nic_dma_us + SLOT_BYTES * len(row) * p.nic_dma_per_byte_us
-        arrive = self.env.timeout(delay)
-        arrive.callbacks.append(lambda _ev: self._row_arrived(epoch, rank, row))
+        self.env.call(delay, _DOORBELL_DMA, self, (epoch, rank, row))
         if state.proc is None:
             state.proc = self.env.process(
                 self._run_epoch(epoch, state), name=f"nic{self.node}.e{epoch}"
@@ -194,8 +239,7 @@ class NicEngine:
             return
         p = self.params
         delay = p.nic_dma_us + SLOT_BYTES * p.nic_dma_per_byte_us
-        push = self.env.timeout(delay)
-        push.callbacks.append(lambda _ev: self._mirror_arrived(rank, value))
+        self.env.call(delay, _MIRROR_DMA, self, (rank, value))
 
     def shutdown(self) -> None:
         """Node/NIC crash: stop the co-processor, abandon in-flight epochs.
@@ -243,23 +287,6 @@ class NicEngine:
         epoch's state with the last one."""
         if all(release.processed for release in state.release.values()):
             del self._epochs[epoch]
-
-    def _row_arrived(self, epoch: int, rank: int, row: CountVector) -> None:
-        if self.dead:
-            return
-        state = self._epochs.get(epoch)
-        if state is None:
-            return
-        state.rows[rank] = row
-        if len(state.rows) == len(self.hosted) and not state.all_rows.triggered:
-            state.all_rows.succeed()
-
-    def _mirror_arrived(self, rank: int, value: int) -> None:
-        if self.dead:
-            return
-        if value > self.mirror.get(rank, 0):
-            self.mirror[rank] = value
-            self._mirror_signal.fire((rank, value))
 
     def _emit(self, kind: str, **data) -> None:
         if self._monitor is not None:
@@ -328,13 +355,7 @@ class NicEngine:
             )
 
     def _schedule_release(self, release: Event, value: int, delay: float) -> None:
-        done = self.env.timeout(delay)
-
-        def _fire(_ev, ev=release, val=value):
-            if not ev.triggered:
-                ev.succeed(val)
-
-        done.callbacks.append(_fire)
+        self.env.call(delay, _RELEASE_DMA, release, value)
 
     # -- NIC-to-NIC transport ------------------------------------------------
 

@@ -428,6 +428,11 @@ class MembershipService:
         self._killed_nodes.add(node)
         self.runtime.servers[node].kill()
         self.fabric.mark_dead(("srv", node))
+        if self.fabric.reliable is not None:
+            # The machine's own senders die with it: no reply or NIC frame
+            # is retransmitted from a crashed node.
+            self.fabric.reliable.abandon_sender(("reply", node))
+            self.fabric.reliable.abandon_sender(("nic", node))
         # The node's NIC dies with it: refuse frames addressed to it and
         # stop its co-processor so degraded NIC barriers terminate.
         self._kill_nic(node)

@@ -8,6 +8,7 @@ See :mod:`repro.sim.core` for the event loop and process model,
 from .core import (
     AllOf,
     AnyOf,
+    Call,
     Condition,
     ConditionValue,
     Environment,
@@ -28,6 +29,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Broadcast",
+    "Call",
     "Condition",
     "ConditionValue",
     "Environment",

@@ -32,11 +32,15 @@ the ARMCI reproduction:
   with ``yield from`` sub-generators, which keeps protocol code (fence,
   barrier, lock algorithms) readable and close to the paper's pseudocode.
 
-* **A sleep allocates nothing.** ``yield delay`` pushes the heap key a
-  ``Timeout(env, delay)`` made at that instant would push (same time,
-  priority and ``seq``) on the process's one :class:`_WakeRow`.
-  ``env.timeout()`` is for what is genuinely an event: a timer that carries
-  a callback or a label, or one side of a composed wait.
+* **A sleep allocates nothing; a timer allocates no event.** ``yield
+  delay`` pushes the heap key a ``Timeout(env, delay)`` made at that
+  instant would push (same time, priority and ``seq``) on the process's
+  one :class:`_WakeRow`; a process's first step is that row too, at
+  ``PRIORITY_URGENT``.  A timer nobody waits on — a message delivery, an
+  ACK, a retry, a DMA completion — is a :class:`Call` row pushed by
+  :meth:`Environment.call` with the same key, carrying its handler and two
+  arguments.  ``env.timeout()`` is for what is genuinely an event: one
+  side of a composed wait.
 
 * **Two loops.** ``Environment.run()`` drains the queue with an inlined
   pop/dispatch loop (no method call per event, the schedule sequence a
@@ -59,6 +63,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "Call",
     "Process",
     "Condition",
     "AllOf",
@@ -166,10 +171,11 @@ class Event:
     environment pops it, the event is *processed*: its callbacks run, which is
     how waiting processes get resumed.
 
-    ``_mc_label`` is RMCheck metadata: message-delivery events get a
-    hashable label ``(kind, dst_key, uid)`` (set by the transport layers
-    only when a :class:`SchedulerStrategy` is installed) identifying the
-    transition for dependence analysis; ``None`` for all other events.
+    ``_mc_label`` is RMCheck metadata: message deliveries — :class:`Call`
+    rows — get a hashable label ``(kind, dst_key, uid)`` (set by the
+    transport layers only when a :class:`SchedulerStrategy` is installed)
+    identifying the transition for dependence analysis; it is ``None`` on
+    every event.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_mc_label")
@@ -272,8 +278,7 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if not delay >= 0:  # negative, or NaN: the clock would become NaN
             raise _bad_delay(delay)
-        # Field-by-field init (no super() chain): Timeouts are the single
-        # most allocated object in a simulation.
+        # Field-by-field init: no super() chain.
         self.env = env
         self.callbacks = []
         self._value = value
@@ -289,27 +294,15 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class Initialize(Event):
-    """Internal event that starts a new :class:`Process`."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, 0.0, PRIORITY_URGENT)
-
-
 class _WakeRow:
-    """What the heap holds while a process sleeps: the process's one wake row.
+    """What the heap holds while a process sleeps, or before its first step:
+    the process's one wake row.
 
     Not an :class:`Event`: built with its process, returned by no API and
     never sent into a generator, so nothing else can hold it; and a blocked
     process waits on one thing, so at most one heap entry names it.  It
     answers what the loops and a :class:`SchedulerStrategy` read off an
-    entry: ``callbacks`` (``wake`` while asleep, emptied by
+    entry: ``callbacks`` (``wake`` while queued, emptied by
     :meth:`Process.kill`, ``None`` once popped) and, as class constants, a
     successful ``None`` outcome with no RMCheck label.
     """
@@ -319,6 +312,27 @@ class _WakeRow:
     _value = None
     _defused = False
     _mc_label = None
+
+
+class Call:
+    """A timer nobody waits on: a heap row that runs a handler.
+
+    :meth:`Environment.call` pushes it with the key ``Timeout(env, delay)``
+    would have pushed at that instant.  When it pops, each of its
+    ``callbacks`` (a tuple, built once by the owner) is called with the row
+    and reads its arguments off ``a`` and ``b``; ``delay`` is its offset
+    from the instant it was pushed, and ``_mc_label`` its RMCheck
+    transition label or ``None``.  Like :class:`_WakeRow` it is not an
+    :class:`Event` — nothing can wait on it, and yielding one is a
+    :class:`SimulationError` — and it answers the loops with a successful
+    ``None`` outcome.  No ``__init__``: the pusher stores every slot, which
+    is half the cost of a constructor call.
+    """
+
+    __slots__ = ("callbacks", "_mc_label", "delay", "a", "b")
+    _ok = True
+    _value = None
+    _defused = False
 
 
 class Process(Event):
@@ -349,9 +363,13 @@ class Process(Event):
         #: The event this process is waiting on (None if runnable or asleep).
         self._target: Optional[Event] = None
         self._row = row = _WakeRow()
-        row.wake = (self._resume,)
+        row.callbacks = row.wake = (self._resume,)
         self.started_at = env.now
-        Initialize(env, self)
+        # The first step is the wake row, due now and ahead of ordinary
+        # events at this instant; a kill before it empties the row.
+        seq = env._seq
+        env._seq = seq + 1
+        _heappush(env._queue, (env._now, PRIORITY_URGENT, seq, row))
 
     def __repr__(self) -> str:
         return f"<Process {self.name} at {id(self):#x}>"
@@ -385,7 +403,8 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        # A sleeper's heap entry stays where it is and pops as a no-op.
+        # A sleeper's (or an unstarted process's) heap entry stays where it
+        # is and pops as a no-op.
         self._row.callbacks = ()
         self._generator.close()
         self._ok = True
@@ -821,6 +840,23 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def call(self, delay: float, callbacks: tuple, a: Any = None, b: Any = None) -> Call:
+        """Run ``callbacks`` on a :class:`Call` row ``delay`` time units from
+        now, with ``a`` and ``b`` on the row: a timer that allocates no
+        event, keyed where ``Timeout(self, delay)`` would be."""
+        if not delay >= 0:  # negative, or NaN: the clock would become NaN
+            raise _bad_delay(delay)
+        row = Call()
+        row.callbacks = callbacks
+        row._mc_label = None
+        row.delay = delay
+        row.a = a
+        row.b = b
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, row))
+        return row
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""

@@ -6,6 +6,7 @@ import textwrap
 
 from repro.analysis.lint import (
     RULE_OP_DONE,
+    RULE_TIMER_EVENT,
     RULE_UNSEEDED,
     RULE_YIELD_FROM,
     lint_source,
@@ -141,6 +142,62 @@ class TestOpDoneMutation:
             path="src/repro/runtime/server.py",
         )
         assert findings == []
+
+
+class TestTimerAsEvent:
+    def test_callback_only_timeout_flagged(self):
+        # The shape NicEngine.mirror_push had before its DMA became a row.
+        findings = _lint(
+            """
+            def mirror_push(self, rank, value):
+                p = self.params
+                delay = p.nic_dma_us + SLOT_BYTES * p.nic_dma_per_byte_us
+                push = self.env.timeout(delay)
+                push.callbacks.append(lambda _ev: self._mirror_arrived(rank, value))
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [(RULE_TIMER_EVENT, 5)]
+        assert "'push'" in findings[0].message
+
+    def test_timeout_class_flagged(self):
+        findings = _lint(
+            """
+            def arm(env, frame):
+                timer = Timeout(env, 5.0)
+                timer.callbacks.append(frame.expire)
+            """
+        )
+        assert [f.rule for f in findings] == [RULE_TIMER_EVENT]
+
+    def test_composed_wait_is_clean(self):
+        findings = _lint(
+            """
+            def serve(env, inbox, spin_us):
+                get_ev = inbox.get()
+                spin_deadline = env.timeout(spin_us)
+                got = yield get_ev | spin_deadline
+                return got
+
+            def serve_inline(env, inbox, spin_us):
+                get_ev = inbox.get()
+                yield get_ev | env.timeout(spin_us)
+            """
+        )
+        assert findings == []
+
+    def test_timer_that_is_also_waited_on_is_clean(self):
+        findings = _lint(
+            """
+            def watchdog(env, on_fire):
+                deadline = env.timeout(10.0)
+                deadline.callbacks.append(on_fire)
+                yield deadline
+            """
+        )
+        assert findings == []
+
+    def test_env_call_is_clean(self):
+        assert _lint("def arm(env, cbs, frame):\n    env.call(5.0, cbs, frame)\n") == []
 
 
 class TestRepoIsClean:

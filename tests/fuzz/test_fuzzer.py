@@ -452,6 +452,10 @@ def test_event_stream_digest():
         outcome = run_scenario(generate(seed))
         digest.update(outcome.to_json().encode())
         digest.update(str(outcome.end_state_hash).encode())
+    # Re-pinned when a machine crash started abandoning the node's own
+    # sender channels (server replies and NIC frames): in seeds 211 and 243
+    # a crashed node's NIC stops retransmitting barrier frames
+    # (events_analyzed 260 -> 275, 446 -> 447); both stay green.
     assert digest.hexdigest() == (
-        "2f48357dab2adea1bd93063137bb3f8e60fe871bbe25c3542c30b8cf082721ef"
+        "6eb24400d7783c7d2554a3a1d1b6af6a4ca5428d50a291a95d0044f4267c1241"
     )

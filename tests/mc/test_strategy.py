@@ -8,6 +8,7 @@ from repro.mc.strategy import (
     independent,
     label_key,
 )
+from repro.sim.core import Environment, SchedulerStrategy
 
 
 MSG_A0 = ("msg", ("srv", 0), (1, 0))
@@ -126,3 +127,66 @@ class TestRecordingStrategy:
         s.choose(0.0, [_Entry(MSG_A0), _Entry(MSG_B0)])
         s.choose(0.0, [_Entry(MSG_A1), _Entry(MSG_B0), _Entry(ACK_C)])
         assert s.branching_product() == 6
+
+
+class TestLabelledRowsInTheWindow:
+    """A labelled ``Call`` row is co-enabled in the commutation window
+    exactly as a labelled ``Timeout`` was: same candidates, same keys, same
+    clamped execution — the transport's deliveries became rows without
+    RMCheck seeing a different choice space."""
+
+    class _Picky(SchedulerStrategy):
+        """Window 3 µs; picks the last candidate; records what it saw."""
+
+        window = 3.0
+
+        def __init__(self):
+            self.seen = []
+
+        def choose(self, now, candidates):
+            self.seen.append(
+                (now, [entry[:3] + (entry[3]._mc_label,) for entry in candidates])
+            )
+            return len(candidates) - 1
+
+    @staticmethod
+    def _row(env, delay, label, fire):
+        env.call(delay, (lambda row: fire(row.a),), label)._mc_label = label
+
+    @staticmethod
+    def _timeout(env, delay, label, fire):
+        timer = env.timeout(delay)
+        timer._mc_label = label
+        timer.callbacks.append(lambda _ev: fire(label))
+
+    def _explore(self, arm):
+        class Env(Environment):
+            strategy_factory = self._Picky
+
+        env = Env()
+        fired = []
+
+        def fire(label):
+            fired.append((env.now, label))
+
+        # Labelled deliveries 0.5-1.5 µs apart, an unlabelled timer inside
+        # the window, and a process sleeping through it.
+        for i, delay in enumerate((1.0, 1.5, 2.5, 3.0, 5.5, 9.0)):
+            arm(env, delay, ("msg", ("srv", i % 2), (i, 0)), fire)
+        env.timeout(2.0).callbacks.append(lambda _ev: fired.append((env.now, "plain")))
+
+        def sleeper():
+            yield 1.25
+            fired.append((env.now, "woke"))
+
+        env.process(sleeper())
+        env.run()
+        return fired, env._mc_strategy.seen, env.events_processed
+
+    def test_same_candidates_same_picks(self):
+        rows = self._explore(self._row)
+        timeouts = self._explore(self._timeout)
+        assert rows == timeouts
+        fired, seen, _processed = rows
+        assert any(len(candidates) > 2 for _now, candidates in seen)
+        assert ("msg", ("srv", 1), (5, 0)) in [label for _at, label in fired]

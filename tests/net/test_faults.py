@@ -1,13 +1,19 @@
 """Unit tests for the fault-injection fabric (repro.net.faults)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.fabric import Fabric
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
     LinkFaults,
+    Partition,
     ProcessCrash,
+    ProcessStall,
     StallWindow,
 )
 from repro.net.message import server_endpoint
@@ -252,3 +258,142 @@ class TestCrashScheduleNormalization:
             for perm in itertools.permutations(entries)
         }
         assert len(schedules) == 1  # same normal form from any input order
+
+
+# -- the injector against its earlier body ------------------------------------
+#
+# ``FaultInjector.delivery_offsets`` resolves link activity once per plan and
+# skips the stall / pause passes a plan has nothing for.  The body it
+# replaced is kept here, verbatim but for ``self`` -> ``injector``, as the
+# oracle: same delays, same draws, same counters.
+
+
+def reference_delivery_offsets(injector, src_node, dst_node, dst, now, base_delay, intra_node):
+    if intra_node:
+        return _reference_pauses(
+            injector, dst, now, _reference_stalls(injector, dst, now, [base_delay])
+        )
+    if injector.plan.partitions and injector.plan.partitioned(src_node, dst_node, now):
+        injector.stats.partition_dropped += 1
+        return []
+    faults = injector.link(src_node, dst_node)
+    delays = []
+    if faults.active:
+        rng = injector._rng
+        if faults.drop_rate > 0.0 and rng.random() < faults.drop_rate:
+            injector.stats.dropped += 1
+        else:
+            delay = base_delay
+            if faults.delay_rate > 0.0 and rng.random() < faults.delay_rate:
+                injector.stats.delay_spikes += 1
+                delay += faults.delay_spike_us
+            if faults.reorder_rate > 0.0 and rng.random() < faults.reorder_rate:
+                injector.stats.reordered += 1
+                delay += rng.uniform(0.0, faults.reorder_window_us)
+            delays.append(delay)
+            if faults.dup_rate > 0.0 and rng.random() < faults.dup_rate:
+                injector.stats.duplicated += 1
+                delays.append(delay + rng.uniform(0.0, faults.dup_lag_us))
+    else:
+        delays.append(base_delay)
+    return _reference_pauses(injector, dst, now, _reference_stalls(injector, dst, now, delays))
+
+
+def _reference_stalls(injector, dst, now, delays):
+    if not injector.plan.stalls or dst is None or dst[0] != "srv":
+        return delays
+    node = dst[1]
+    out = []
+    for delay in delays:
+        window = injector._window_hit(node, now + delay)
+        if window is None:
+            out.append(delay)
+        elif window.mode == "crash":
+            injector.stats.crash_dropped += 1
+        else:
+            injector.stats.stall_held += 1
+            out.append(window.end_us - now)
+    return out
+
+
+def _reference_pauses(injector, dst, now, delays):
+    if not injector.plan.pauses or dst is None or dst[0] != "mp":
+        return delays
+    rank = dst[1]
+    out = []
+    for delay in delays:
+        until = injector.plan.stall_until(rank, now + delay)
+        if until is None:
+            out.append(delay)
+        else:
+            injector.stats.pause_held += 1
+            out.append(until - now)
+    return out
+
+
+INJECTOR_NODES = 3
+rates = st.sampled_from([0.0, 0.0, 0.3, 1.0])
+windows = st.tuples(
+    st.floats(min_value=0.0, max_value=80.0), st.floats(min_value=1.0, max_value=80.0)
+)
+any_link = st.builds(
+    LinkFaults,
+    drop_rate=rates,
+    dup_rate=rates,
+    delay_rate=rates,
+    delay_spike_us=st.floats(min_value=0.0, max_value=50.0),
+    reorder_rate=rates,
+    reorder_window_us=st.floats(min_value=0.0, max_value=20.0),
+)
+nodes = st.integers(0, INJECTOR_NODES - 1)
+
+
+@st.composite
+def fault_plans(draw):
+    return FaultPlan(
+        default=draw(any_link),
+        links=tuple(
+            draw(st.lists(st.tuples(st.tuples(nodes, nodes), any_link), max_size=3))
+        ),
+        stalls=tuple(
+            StallWindow(node, start, start + length, mode)
+            for node, (start, length), mode in draw(
+                st.lists(st.tuples(nodes, windows, st.sampled_from(["stall", "crash"])),
+                         max_size=2)
+            )
+        ),
+        partitions=tuple(
+            Partition((node,), start, start + length)
+            for node, (start, length) in draw(st.lists(st.tuples(nodes, windows), max_size=2))
+        ),
+        pauses=tuple(
+            ProcessStall(rank, start, start + length)
+            for rank, (start, length) in draw(st.lists(st.tuples(nodes, windows), max_size=2))
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+attempts = st.lists(
+    st.tuples(
+        nodes,
+        nodes,
+        st.one_of(st.none(), st.tuples(st.sampled_from(["srv", "mp", "nic"]), nodes)),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=30.0),
+        st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+@given(plan=fault_plans(), attempts=attempts)
+@settings(max_examples=200, deadline=None)
+def test_delivery_offsets_match_the_earlier_body(plan, attempts):
+    fast, slow = FaultInjector(plan, 0), FaultInjector(plan, 0)
+    for src, dst_node, dst, now, base, intra in attempts:
+        assert fast.delivery_offsets(src, dst_node, dst, now, base, intra) == (
+            reference_delivery_offsets(slow, src, dst_node, dst, now, base, intra)
+        )
+    assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
+    assert fast._rng.getstate() == slow._rng.getstate()

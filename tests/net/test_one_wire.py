@@ -124,7 +124,7 @@ def test_fabric_prices_the_level_the_hierarchy_names(arities, data):
     a, b = data.draw(st.tuples(nodes, nodes).filter(lambda pair: pair[0] != pair[1]))
     params = NetworkParams(hierarchy=hierarchy, per_byte_us=0.0, jitter_us=0.0)
     fabric = Fabric(Environment(), Topology(nnodes), params)
-    [delivery] = fabric.transmit(a, b, 64, None)
+    [delivery] = fabric.transmit(a, b, 64, None, (), None)
     level = hierarchy.crossing_level(a, b)
     assert delivery.delay == 10.0 * (level + 1)
     assert hierarchy.link(a, b, params.inter_latency_us, 0.0) == (delivery.delay, 0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.net.faults import FaultPlan, LinkFaults, StallWindow
+from repro.net.faults import FaultPlan, LinkFaults, Partition, StallWindow
 from repro.net.message import server_endpoint
 from repro.net.params import NetworkParams
 from repro.net.reliable import ReliabilityError
@@ -145,3 +145,47 @@ class TestReliableReplies:
         env.run()
         assert reply.processed and reply.value == "local"
         assert env.now == pytest.approx(0.6)
+
+
+class TestRetrySuspension:
+    """A partition outlasting the retry budget suspends the frame (no
+    fail-stop declaration) and the frame goes through once the cut heals."""
+
+    @staticmethod
+    def _partitioned_post():
+        env = Environment()
+        plan = FaultPlan(partitions=(Partition((1,), 0.0, 2e6),), seed=0)
+        fabric = Fabric(env, Topology(2), NetworkParams(faults=plan))
+        box = Store(env)
+        fabric.register(server_endpoint(0), Store(env))
+        fabric.register(server_endpoint(1), box)
+        arrivals = []
+
+        def reader():
+            envelope = yield box.get()
+            arrivals.append((env.now, envelope.payload))
+
+        env.process(reader())
+        fabric.post(0, server_endpoint(1), "through")
+        return env, fabric, box, arrivals
+
+    def test_exhaustion_inside_a_partition_suspends_then_delivers_once(self):
+        env, fabric, box, arrivals = self._partitioned_post()
+        env.run()
+        stats = fabric.stats
+        assert (stats.retry_suspended, stats.links_declared_dead) == (1, 0)
+        assert stats.retransmits == 13
+        assert arrivals == [(pytest.approx(2_000_011.884), "through")]
+        assert len(box) == 0
+        assert fabric.reliable.in_flight() == 0
+
+    def test_abandoned_sender_stops_retransmitting(self):
+        env, fabric, box, arrivals = self._partitioned_post()
+        env.run(until=100.0)
+        attempts = fabric.stats.retransmits
+        assert fabric.reliable.in_flight() == 1
+        fabric.reliable.abandon_sender(0)
+        env.run()
+        assert fabric.stats.retransmits == attempts
+        assert (fabric.stats.retry_suspended, fabric.reliable.in_flight()) == (0, 0)
+        assert arrivals == []

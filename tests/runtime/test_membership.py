@@ -505,3 +505,42 @@ class TestNicOnlyCrash:
         assert all(isinstance(r, float) for r in results)
         assert m.dead_ranks() == ()
         assert m.nic_dead(2)
+
+
+class TestCrashedMachineFallsSilent:
+    """A machine crash ends the retransmissions of the node's own senders:
+    its server's replies and its NIC's frames, not only its ranks'."""
+
+    @staticmethod
+    def _reply_in_flight(crash):
+        # Node 1's server answers rank 0 over a 90 %-lossy link; the first
+        # copy is lost, so only a retransmission could deliver it.
+        plan = FaultPlan(
+            default=LinkFaults(drop_rate=0.9),
+            crashes=(ProcessCrash(at_us=5.0, node=1),) if crash else (),
+            seed=0,
+        )
+        runtime = ClusterRuntime(2, params=NetworkParams(faults=plan))
+        env = runtime.env
+        reply = env.event()
+        landed = []
+        reply.callbacks.append(lambda _ev: landed.append(env.now))
+        runtime.fabric.post_reply(1, 0, reply, "ghost")
+
+        def idle(ctx):
+            yield 3000.0
+
+        results = runtime.run_spmd(idle)
+        return runtime, results, landed
+
+    def test_dead_server_reply_is_not_retransmitted(self):
+        runtime, results, landed = self._reply_in_flight(crash=True)
+        assert results[1] is CRASHED and runtime.membership.node_dead(1)
+        assert landed == []
+        assert runtime.fabric.stats.retransmits == 0
+        assert runtime.fabric.reliable.in_flight() == 0
+
+    def test_live_server_reply_lands_by_retransmission(self):
+        runtime, _results, landed = self._reply_in_flight(crash=False)
+        assert landed == [pytest.approx(907.384)]
+        assert runtime.fabric.stats.retransmits > 0

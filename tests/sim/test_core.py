@@ -479,9 +479,14 @@ class TestCoEnabledOrderingContract:
             if seq not in scheduled:
                 scheduled.add(seq)
                 row = (priority, seq, type(event).__name__)
-                event.callbacks.insert(
-                    0, lambda _ev: trace.append(("event", env.now) + row)
-                )
+
+                def note(_ev, row=row):
+                    trace.append(("event", env.now) + row)
+
+                if isinstance(event.callbacks, list):
+                    event.callbacks.insert(0, note)
+                else:  # a heap row's callbacks tuple
+                    event.callbacks = (note,) + event.callbacks
             heapq.heappush(queue, entry)
 
         with mock.patch.object(core, "_heappush", recording_push):
@@ -974,3 +979,126 @@ class TestASleepIsAHeapRow:
             assert row.__name__ not in namespace.__all__
             assert row not in [getattr(namespace, name) for name in namespace.__all__]
 
+
+class TestATimerIsAHeapRow:
+    """``env.call(delay, callbacks, a, b)`` is a callback ``env.timeout(delay)``
+    without the event: the same heap keys in the same order, the same
+    handlers run at the same instants, the same end — mixed with sleeps,
+    process starts and kills."""
+
+    @staticmethod
+    def _as_row(env, delay, fire, a, b):
+        env.call(delay, (lambda row: fire(row.a, row.b),), a, b)
+
+    @staticmethod
+    def _as_timeout(env, delay, fire, a, b):
+        env.timeout(delay).callbacks.append(lambda _ev: fire(a, b))
+
+    SPELLINGS = {"row": _as_row.__func__, "timeout": _as_timeout.__func__}
+
+    DELAYS = st.sampled_from([0, 0.0, 0.5, 1.0, 1.0, 2.0])
+    LEAF_STEPS = st.one_of(
+        st.tuples(st.just("sleep"), DELAYS),
+        st.tuples(st.just("call"), DELAYS, st.lists(DELAYS, max_size=2)),
+        st.tuples(st.just("kill"), st.integers(0, 7)),
+    )
+    STEPS = st.one_of(
+        LEAF_STEPS,
+        st.tuples(st.just("spawn"), st.lists(LEAF_STEPS, max_size=4)),
+        st.tuples(st.just("spawn-killed"), st.lists(LEAF_STEPS, max_size=2)),
+    )
+    PROGRAMS = st.lists(st.lists(STEPS, max_size=6), min_size=1, max_size=4)
+
+    @staticmethod
+    def _program(spec, schedule):
+        """Workers that sleep, arm timers (whose handlers arm more), spawn
+        workers (some killed before their first step) and kill each other;
+        ``schedule(env, delay, fire, a, b)`` arms a timer running
+        ``fire(a, b)``.  Every step and every firing goes into the trace."""
+
+        def program(env, trace):
+            procs = []
+
+            def fire(tag, children):
+                trace.append((env.now, "fired", tag))
+                for j, delay in enumerate(children):
+                    schedule(env, delay, fire, tag + (j,), ())
+
+            def worker(wid, steps):
+                for i, (kind, *args) in enumerate(steps):
+                    if kind == "sleep":
+                        yield args[0]
+                    elif kind == "call":
+                        schedule(env, args[0], fire, (wid, i), args[1])
+                    elif kind == "kill":
+                        victim = procs[args[0] % len(procs)]
+                        if victim is not env.active_process:
+                            victim.kill()
+                    else:
+                        child = env.process(worker(f"{wid}.{i}", args[0]))
+                        procs.append(child)
+                        if kind == "spawn-killed":
+                            child.kill()
+                    trace.append((env.now, wid, i, kind))
+
+            procs.extend(env.process(worker(str(w), steps)) for w, steps in enumerate(spec))
+            return procs
+
+        return program
+
+    @given(spec=PROGRAMS, cuts=st.lists(st.floats(0.0, 6.0), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_timeouts_are_one_event_stream(self, spec, cuts):
+        def in_slices(env):
+            for cut in sorted(cuts):
+                env.run(until=cut)
+            env.run()
+
+        for how in ({}, {"drive": in_slices}, {"strategy_factory": SchedulerStrategy}):
+            row, timeout = (
+                TestASleepIsAHeapRow._run(self._program(spec, schedule), **how)
+                for schedule in self.SPELLINGS.values()
+            )
+            assert row == timeout
+
+    def test_a_process_killed_before_its_first_step_pops_its_start_row(self, env):
+        ran = []
+
+        def never():
+            ran.append(True)
+            yield 1.0
+
+        proc = env.process(never())
+        [(when, priority, seq, row)] = env._queue
+        assert (when, priority, seq, row) == (0.0, PRIORITY_URGENT, 0, proc._row)
+        proc.kill()
+        assert row.callbacks == ()
+        env.run()
+        # The start row (a no-op) and the process's own end.
+        assert not ran and env.events_processed == 2
+
+    def test_call_keys_like_a_timeout_and_hands_the_row_its_arguments(self, env):
+        got = []
+        env.timeout(1.0)
+        row = env.call(2.5, (got.append,), "a", "b")
+        assert env._queue[-1] == (2.5, core.PRIORITY_NORMAL, 1, row)
+        assert (row.delay, row._mc_label) == (2.5, None)
+        env.run()
+        assert got == [row] and (row.a, row.b, row.callbacks) == ("a", "b", None)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_call_refuses_what_a_timeout_refuses(self, env, bad):
+        with pytest.raises(ValueError, match="negative delay|not a time"):
+            env.call(bad, ())
+        assert not env._queue and env._seq == 0
+
+    def test_a_row_cannot_be_waited_on(self, env):
+        row = env.call(1.0, ())
+
+        def waiter():
+            yield row
+
+        env.process(waiter(), name="waiter")
+        with pytest.raises(SimulationError, match="not an Event or a delay"):
+            env.run()
+        assert not isinstance(row, Event)

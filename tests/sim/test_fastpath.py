@@ -90,7 +90,7 @@ class TestFastResume:
         env.process(proc())
         env.run()
         assert results == [41]
-        # Exactly two schedules: the Initialize event and the process's own
+        # Exactly two schedules: the process's start row and its own
         # completion event.  A shim Event for the processed target would
         # make it three.
         assert env._seq - base_seq == 2
@@ -112,7 +112,7 @@ class TestFastResume:
         env.process(proc())
         env.run()
         assert seen == [0, 1, 2]
-        # Still only Initialize + completion, regardless of chain length.
+        # Still only the start row + completion, regardless of chain length.
         assert env._seq - base_seq == 2
         assert env.events_processed - base_processed == 2
 

@@ -315,6 +315,61 @@ class TestOneWayToSleep:
         assert len(sites) <= 20, sites
 
 
+class TestTimersAreRows:
+    """A timer nobody waits on — a delivery, an ACK, a retry, a NIC DMA —
+    is a ``Call`` row (``env.call``); an event timer is made only as one
+    side of a composed wait, and a process starts on its own wake row."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {
+            path.relative_to(self.SRC).as_posix(): ast.parse(path.read_text())
+            for path in sorted(self.SRC.rglob("*.py"))
+        }
+
+    @staticmethod
+    def _sites(trees, wanted):
+        """``"file:function"`` (innermost ``def``) of every call ``wanted``
+        accepts."""
+        found = []
+
+        def visit(node, path, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, path, child.name)
+                    continue
+                if isinstance(child, ast.Call) and wanted(child):
+                    found.append(f"{path}:{function}")
+                visit(child, path, function)
+
+        for path, tree in trees.items():
+            visit(tree, path, "<module>")
+        return sorted(found)
+
+    def test_event_timers_only_in_composed_waits(self, trees):
+        timeouts = self._sites(
+            trees, lambda call: getattr(call.func, "attr", None) == "timeout"
+        )
+        assert timeouts == [
+            "armci/barrier.py:_stage2_wait_resilient",
+            "armci/barrier.py:_stage2_wait_with_watchdog",
+            "armci/fence.py:_confirm_with_watchdog",
+            "runtime/server.py:_run",
+        ]
+        made = self._sites(
+            trees, lambda call: getattr(call.func, "id", None) == "Timeout"
+        )
+        assert {site.split(":")[0] for site in made} == {"sim/core.py"}
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        }
+        assert "Initialize" not in named
+
+
 class TestOneBodyPerOneSidedOperation:
     """Put, get and rmw are each written once: one request construction on
     the client, one put-apply in the server loop, one opcode table."""
@@ -420,19 +475,6 @@ class TestOneWire:
             )
 
         assert self._sites(functions, assigns_mc_label) == ["fabric.py:transmit"]
-
-    def test_only_the_wire_and_the_retry_timers_schedule(self, functions):
-        def makes_a_timeout(node):
-            return isinstance(node, ast.Call) and (
-                getattr(node.func, "id", None) == "Timeout"
-                or getattr(node.func, "attr", None) == "timeout"
-            )
-
-        assert set(self._sites(functions, makes_a_timeout)) == {
-            "fabric.py:transmit",
-            "reliable.py:_arm_timer",
-            "reliable.py:_suspend",
-        }
 
     def test_the_six_bodies_are_gone(self):
         named = {
