@@ -5,15 +5,15 @@ with 2x contention) the flat binary exchange pays the convoy effect —
 every phase pushes ``ppn`` vectors through each node's one NIC — while
 the two-level algorithm gathers locally over shared memory, exchanges
 one vector per *node*, and releases locally.  This bench locates the
-crossover on the (N, algorithm) grid and asserts the calibrated cost
-model (``estimate_exchange_us`` / ``estimate_twolevel_us``, which drive
-``algorithm="auto"`` under a hierarchy) predicts the empirical winner at
-every grid point — the PR's acceptance criterion.
+crossover on the (N, algorithm) grid and asserts the priced patterns
+(``estimate_us``, which drives ``algorithm="auto"``) predict the
+empirical winner at every grid point.
 """
 
-from repro.armci.barrier import estimate_exchange_us, estimate_twolevel_us
+from repro.armci.barrier import estimate_us
 from repro.experiments.scalebench import ScaleBenchConfig, run_scalebench
 from repro.net.params import myrinet2000
+from repro.net.topology import Topology
 from repro.topo import two_level
 
 from conftest import print_report
@@ -50,8 +50,9 @@ def test_topology_crossover(benchmark):
     for nprocs in NPROCS_GRID:
         flat = result.get("host-exchange", nprocs).sync_us
         two = result.get("twolevel", nprocs).sync_us
-        est_flat = estimate_exchange_us(params, nprocs, ppn=PPN)
-        est_two = estimate_twolevel_us(params, nprocs, ppn=PPN)
+        topology = Topology(nprocs, procs_per_node=PPN)
+        est_flat = estimate_us(params, topology, "exchange")
+        est_two = estimate_us(params, topology, "twolevel")
         benchmark.extra_info[f"n{nprocs}"] = {
             "flat_us": round(flat, 1),
             "twolevel_us": round(two, 1),

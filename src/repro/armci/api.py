@@ -500,10 +500,10 @@ class Armci:
         ``algorithm`` selects between the new 3-stage binary-exchange
         operation (``"exchange"``), the original ``allfence`` + MPI barrier
         (``"linear"``), or the programmer-selectable ``"auto"`` the paper
-        suggests (§3.1.2's crossover note): the argmin of the calibrated
-        cost estimates of every algorithm the configuration offers, the
-        linear one priced from this rank's dirty-server count (see
-        :func:`repro.armci.barrier._auto_select`).
+        suggests (§3.1.2's crossover note): the argmin of the priced
+        message patterns of every algorithm the configuration offers, the
+        linear one priced with this rank's dirty-server count (see
+        :func:`repro.armci.barrier.estimate_us`).
         """
         yield from self._api()
         self.stats["barriers"] += 1

@@ -35,13 +35,13 @@ conservative AllFence confirmation path and counts the fallback in
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import TYPE_CHECKING
 
 from ..mp import collectives
-from ..mp.vector import CountVector
-from ..net.params import MSG_HEADER_BYTES, SMALL_MSG_BYTES
-from ..sim.core import Event
+from ..mp.vector import CountVector, OpCounts
+from ..net.params import SMALL_MSG_BYTES
+from ..net.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
@@ -49,12 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "armci_barrier",
     "ALGORITHMS",
-    "estimate_linear_us",
-    "estimate_exchange_us",
-    "estimate_nic_us",
-    "estimate_kary_us",
-    "estimate_dissemination_us",
-    "estimate_twolevel_us",
+    "estimate_us",
     "predicted_crossover_targets",
 ]
 
@@ -72,10 +67,10 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
     :mod:`repro.nic.engine`); ``"kary"``, ``"dissemination"``, and
     ``"twolevel"`` are the topology-aware host algorithms of
     :mod:`repro.topo.algorithms`; ``"auto"`` implements the paper's closing
-    suggestion — compare the calibrated cost-model estimates of the
-    candidate algorithms (see :func:`estimate_linear_us` and friends) and
-    pick the cheapest.  The NIC path joins the comparison only when
-    ``params.nic_offload`` is set; it can always be requested explicitly.
+    suggestion — price the candidate algorithms' own message patterns
+    (see :func:`estimate_us`) and pick the cheapest.  The NIC path joins
+    the comparison only when ``params.nic_offload`` is set; it can always
+    be requested explicitly.
 
     .. warning::
        ``"auto"`` decides from the *local* count of servers touched since
@@ -127,14 +122,9 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
     elif algorithm == "linear":
         yield from _linear(armci)
     elif algorithm in ("kary", "dissemination", "twolevel"):
-        from ..topo import algorithms as topo_algorithms
+        from ..topo.algorithms import topo_sync
 
-        sync = {
-            "kary": topo_algorithms.kary_sync,
-            "dissemination": topo_algorithms.dissemination_sync,
-            "twolevel": topo_algorithms.twolevel_sync,
-        }[algorithm]
-        yield from sync(armci)
+        yield from topo_sync(armci, algorithm)
     else:
         yield from _exchange(armci)
     # After stage 3 every operation in the system has completed; all fence
@@ -146,254 +136,111 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
         monitor.emit("barrier_exit", epoch=epoch, **extra)
 
 
-def _mp_barrier_estimate_us(params, nprocs: int) -> float:
-    """Handbook cost of the log2(N)-phase message-passing barrier."""
-    if nprocs < 2:
-        return 0.0
-    phases = math.ceil(math.log2(nprocs))
-    return phases * (2 * params.mp_call_us + params.one_way(SMALL_MSG_BYTES))
+def estimate_us(params, topology, algorithm: str, dirty: int = 0) -> float:
+    """The price of one barrier ``algorithm`` on ``topology`` (µs).
 
-
-def estimate_linear_us(params, nprocs: int, dirty_count: int) -> float:
-    """Analytic estimate of AllFence + MPI_Barrier (µs).
-
-    One serial confirmation round trip per dirty server (the server pays
-    wake-up + dispatch + per-client fence verification), then the
-    message-passing barrier.  This is the §3.1.2 cost the crossover
-    trades against :func:`estimate_exchange_us`.
+    Each algorithm runs its own message patterns over a
+    :class:`~repro.mp.collectives.PricePort`, for the ranks as ``topology``
+    places them: ``exchange`` is the allreduce, the stage-2 poll and the
+    message-passing barrier; ``kary``, ``dissemination`` and ``twolevel``
+    the bodies of :mod:`repro.topo.algorithms` around that poll; ``nic`` the
+    doorbell DMA, the engines' folds, their stage-1 and stage-3 patterns
+    over nodes, the mirror checks and the release DMA.  ``linear`` is the
+    API call, one serial confirmation round trip per ``dirty`` server (the
+    server wakes, dispatches and checks the client's fence), then the
+    priced barrier.  Only ``linear`` reads ``dirty``; each schedule is run
+    once per ``(params, topology)``.
     """
+    if algorithm == "auto" or algorithm not in ALGORITHMS:
+        raise ValueError(f"cannot price algorithm {algorithm!r}")
+    price = _price(params, topology, algorithm)
+    if algorithm != "linear":
+        return price
     fence_rt = (
-        2 * params.api_call_us
-        + 2 * params.one_way(SMALL_MSG_BYTES)
+        2 * params.one_way(SMALL_MSG_BYTES)
         + params.server_wake_us
         + params.server_proc_us
         + params.server_fence_check_us
     )
-    return (
-        params.api_call_us
-        + dirty_count * fence_rt
-        + _mp_barrier_estimate_us(params, nprocs)
-    )
+    return params.api_call_us + dirty * fence_rt + price
 
 
-def _level_link(params, node_a: int, node_b: int):
-    """Analytic ``(latency_us, per_byte_us)`` for a node pair's link.
+@functools.lru_cache(maxsize=64)
+def _price(params, topology, algorithm: str) -> float:
+    """``algorithm``'s schedule run over a pricing port (``linear``: its
+    message-passing barrier alone)."""
+    from ..nic.engine import SLOT_BYTES, STAGE_PATTERNS
+    from ..topo.algorithms import SYNCS
 
-    Resolves the pair's crossing level when a hierarchy is configured;
-    flat params return the single inter-node figures.  Same-node pairs
-    are the caller's responsibility (intra-node costs differ in kind).
-    """
-    h = params.hierarchy
-    if h is None or node_a == node_b:
-        return params.inter_latency_us, params.per_byte_us
-    return h.link(node_a, node_b, params.inter_latency_us, params.per_byte_us)
+    n = topology.nprocs
+    port = collectives.PricePort(params, topology, nic=algorithm == "nic")
+    clock = port.clock
+    if algorithm == "nic":
+        stage1, stage3 = STAGE_PATTERNS[params.nic_algorithm]
+        nodes = range(topology.nnodes)
+        dma = SLOT_BYTES * n * params.nic_dma_per_byte_us
+        doorbell = params.nic_doorbell_us + params.nic_dma_us + dma
 
+        def engine(node):
+            # One NIC step per hosted rank to fold its row, to check its
+            # mirror and to release it.
+            local = len(topology.ranks_on(node)) * params.nic_proc_us
+            clock[node] += doorbell + local
+            yield from stage1(node, nodes, *port.port(node, 1), CountVector.zeros(n))
+            clock[node] += local
+            yield from stage3(node, nodes, *port.port(node, 3), None)
+            clock[node] += local + params.nic_dma_us + params.poll_detect_us
 
-def estimate_exchange_us(params, nprocs: int, ppn: int = 1) -> float:
-    """Analytic estimate of the host three-stage barrier (µs).
+        return port.run({node: engine(node) for node in nodes})
 
-    The default (flat, one rank per node) keeps the exact historical
-    closed form, so existing auto-selections are byte-identical.  With
-    ``ppn > 1`` or a hierarchy, each phase is priced from the partner
-    distance: phases below ``ppn`` stay intra-node; inter-node phases
-    charge the crossing level's latency and — the effect that dominates
-    at scale — the convoy of ``ppn`` per-rank vectors serializing on
-    each node's one NIC.
-    """
-    vec_bytes = 8 * nprocs
-    if ppn <= 1 and params.hierarchy is None:
-        allreduce = 0.0
-        if nprocs >= 2:
-            phases = math.ceil(math.log2(nprocs))
-            allreduce = phases * (2 * params.mp_call_us + params.one_way(vec_bytes))
-        stage2 = params.poll_detect_us
-        return allreduce + stage2 + _mp_barrier_estimate_us(params, nprocs)
-    ppn = max(1, ppn)
-    total = params.poll_detect_us
-    for stage_bytes in (vec_bytes, SMALL_MSG_BYTES):
-        distance = 1
-        while distance < nprocs:
-            if distance < ppn:
-                total += (
-                    2 * params.mp_call_us
-                    + params.shm_access_us
-                    + params.intra_latency_us
-                )
-            else:
-                lat, per_byte = _level_link(params, 0, distance // ppn)
-                xfer = ppn * (stage_bytes + MSG_HEADER_BYTES) * per_byte
-                total += (
-                    2 * params.mp_call_us
-                    + params.o_send_us
-                    + xfer
-                    + lat
-                    + params.o_recv_us
-                )
-            distance *= 2
-    return total
+    def member(rank):
+        comm = port.comm(rank)
+        if algorithm in SYNCS:
+            stage1, stage3 = SYNCS[algorithm](comm, OpCounts(n))
+            yield from stage1(0)
+            clock[rank] += params.poll_detect_us  # stage 2
+            yield from stage3(0)
+            return
+        if algorithm == "exchange":
+            yield from collectives.allreduce_vector(comm, CountVector.zeros(n))
+            clock[rank] += params.poll_detect_us  # stage 2
+        yield from collectives.barrier(comm)
 
-
-def estimate_dissemination_us(params, nprocs: int, ppn: int = 1) -> float:
-    """Analytic estimate of the dissemination barrier (µs).
-
-    Topology-oblivious: the shifted ``rank + d`` pattern makes some rank
-    cross a node boundary in *every* round (the critical path), with up
-    to ``min(d, ppn)`` vectors convoying per NIC.
-    """
-    if nprocs < 2:
-        return params.poll_detect_us
-    ppn = max(1, ppn)
-    vec_bytes = 8 * nprocs
-    total = params.poll_detect_us
-    for stage_bytes in (vec_bytes, SMALL_MSG_BYTES):
-        distance = 1
-        while distance < nprocs:
-            node_off = max(1, distance // ppn)
-            lat, per_byte = _level_link(params, 0, node_off)
-            xfer = min(distance, ppn) * (stage_bytes + MSG_HEADER_BYTES) * per_byte
-            total += (
-                2 * params.mp_call_us
-                + params.o_send_us
-                + xfer
-                + lat
-                + params.o_recv_us
-            )
-            distance *= 2
-    return total
-
-
-def estimate_kary_us(params, nprocs: int, ppn: int = 1) -> float:
-    """Analytic estimate of the k-ary combining-tree barrier (µs).
-
-    Per tree tier: the parent serializes ``k`` receives (reduce) and
-    ``k`` sends (broadcast) of the totals vector, then the same shape on
-    control messages for stage 3.  Tiers whose subtree fits in one SMP
-    node ride the intra-node queue.
-    """
-    if nprocs < 2:
-        return params.poll_detect_us
-    ppn = max(1, ppn)
-    k = params.tree_radix
-    vec = 8 * nprocs + MSG_HEADER_BYTES
-    ctl = SMALL_MSG_BYTES + MSG_HEADER_BYTES
-    total = params.poll_detect_us
-    span = 1
-    while span < nprocs:
-        node_off = span // ppn
-        if node_off == 0:
-            hop_lat = params.intra_latency_us + params.shm_access_us
-            vec_xfer = 0.0
-            ctl_xfer = 0.0
-        else:
-            lat, per_byte = _level_link(params, 0, node_off)
-            hop_lat = lat + params.o_send_us + params.o_recv_us
-            vec_xfer = vec * per_byte
-            ctl_xfer = ctl * per_byte
-        total += 2 * (k + 1) * params.mp_call_us + 2 * (k * vec_xfer + hop_lat)
-        total += 2 * (k + 1) * params.mp_call_us + 2 * (k * ctl_xfer + hop_lat)
-        span *= k
-    return total
-
-
-def estimate_twolevel_us(params, nprocs: int, ppn: int = 1) -> float:
-    """Analytic estimate of the two-level leader barrier (µs).
-
-    Intra-node phases are bounded by the leader serializing ``ppn - 1``
-    queue operations; the inter-node exchange and stage-3 barrier run
-    over one leader per node — a single vector per NIC, no convoy.
-    """
-    ppn = max(1, ppn)
-    nnodes = math.ceil(nprocs / ppn)
-    vec = 8 * nprocs + MSG_HEADER_BYTES
-    ctl = SMALL_MSG_BYTES + MSG_HEADER_BYTES
-    local_hop = params.mp_call_us + params.shm_access_us
-    local_round = (ppn - 1) * local_hop + params.intra_latency_us
-    # gather + scatter (stage 1) and signal + release (stage 3).
-    total = 4 * local_round + params.poll_detect_us
-    for stage_bytes in (vec, ctl):
-        distance = 1
-        while distance < nnodes:
-            lat, per_byte = _level_link(params, 0, distance)
-            total += (
-                2 * params.mp_call_us
-                + params.o_send_us
-                + stage_bytes * per_byte
-                + lat
-                + params.o_recv_us
-            )
-            distance *= 2
-    return total
-
-
-def estimate_nic_us(params, nprocs: int, nnodes: int, ppn: int = 1) -> float:
-    """Analytic estimate of the NIC-offloaded barrier (µs).
-
-    Doorbell + DMA down, per-hosted-rank NIC folds, two log2(nnodes)
-    frame waves (sum + barrier) at NIC processing cost instead of host
-    MPI calls, and the completion DMA back up.
-    """
-    vec_bytes = 8 * nprocs
-    doorbell = (
-        params.nic_doorbell_us
-        + params.nic_dma_us
-        + vec_bytes * params.nic_dma_per_byte_us
-    )
-    hop_v = (
-        2 * params.nic_proc_us
-        + params.xfer_time(vec_bytes + MSG_HEADER_BYTES)
-        + params.nic_wire_latency_us
-    )
-    hop_c = (
-        2 * params.nic_proc_us
-        + params.xfer_time(8 + MSG_HEADER_BYTES)
-        + params.nic_wire_latency_us
-    )
-    phases = math.ceil(math.log2(nnodes)) if nnodes >= 2 else 0
-    local = 3 * ppn * params.nic_proc_us  # fold + mirror check + release
-    release = params.nic_dma_us + params.poll_detect_us
-    return doorbell + local + phases * (hop_v + hop_c) + release
+    return port.run({rank: member(rank) for rank in range(n)})
 
 
 def predicted_crossover_targets(params, nprocs: int) -> int:
     """Smallest dirty-server count where the exchange beats AllFence."""
-    exchange = estimate_exchange_us(params, nprocs)
+    topology = Topology(nprocs)
+    exchange = estimate_us(params, topology, "exchange")
     for targets in range(nprocs + 1):
-        if estimate_linear_us(params, nprocs, targets) >= exchange:
+        if estimate_us(params, topology, "linear", targets) >= exchange:
             return targets
     return nprocs
 
 
 def _auto_select(armci: "Armci") -> str:
-    """Pick the cheapest algorithm from the calibrated cost model.
+    """The argmin of :func:`estimate_us`, ties broken alphabetically.
 
-    The exchange and NIC estimates depend only on globally-agreed values
-    (params, nprocs, node layout), and the linear estimate on the local
-    dirty-server count — the same symmetric-pattern contract the previous
-    fixed threshold carried (see the warning on :func:`armci_barrier`).
+    Only linear's price reads a local value (the dirty-server count): the
+    symmetric-pattern contract of the warning on :func:`armci_barrier`.
+    ``nic`` is a candidate with ``params.nic_offload``, the topology-aware
+    algorithms under a hierarchy (twolevel once a node hosts two ranks).
     """
     params = armci.params
-    nprocs = armci.nprocs
-    estimates = {
-        "linear": estimate_linear_us(params, nprocs, len(armci.dirty_nodes)),
-        "exchange": estimate_exchange_us(params, nprocs),
-    }
     topology = armci.topology
-    ppn = topology.procs_per_node
+    candidates = ["exchange", "linear"]
     if params.nic_offload:
-        estimates["nic"] = estimate_nic_us(params, nprocs, topology.nnodes, ppn)
+        candidates.append("nic")
     if params.hierarchy is not None:
-        # Topology-aware candidates join the comparison only under a
-        # hierarchy, so flat auto-selections stay byte-identical.  ppn
-        # and the hierarchy are globally agreed, preserving the
-        # symmetric-decision contract.
-        estimates["exchange"] = estimate_exchange_us(params, nprocs, ppn=ppn)
-        estimates["kary"] = estimate_kary_us(params, nprocs, ppn=ppn)
-        estimates["dissemination"] = estimate_dissemination_us(
-            params, nprocs, ppn=ppn
-        )
-        if ppn > 1:
-            estimates["twolevel"] = estimate_twolevel_us(params, nprocs, ppn=ppn)
-    return min(sorted(estimates), key=estimates.get)
+        candidates += ["dissemination", "kary"]
+        if topology.procs_per_node > 1:
+            candidates.append("twolevel")
+    dirty = len(armci.dirty_nodes)
+    return min(
+        sorted(candidates),
+        key=lambda algorithm: estimate_us(params, topology, algorithm, dirty),
+    )
 
 
 def _nic(armci: "Armci"):

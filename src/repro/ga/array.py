@@ -197,7 +197,7 @@ class GlobalArray:
         ``ARMCI_AllFence`` followed by the message-passing barrier);
         ``mode="new"`` is the paper's combined ``ARMCI_Barrier``;
         ``mode="auto"`` is ``ARMCI_Barrier("auto")``: the cheapest algorithm
-        by the calibrated cost estimates (§3.1.2's crossover, computed
+        by its priced message patterns (§3.1.2's crossover, computed
         rather than thresholded).
         """
         from .sync import ga_sync  # local import: sync also usable standalone

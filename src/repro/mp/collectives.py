@@ -16,18 +16,22 @@ written once as transport-agnostic *patterns* (:func:`sum_pattern`,
 All collectives are sub-generators over a :class:`~repro.mp.comm.Comm` and
 assume SPMD call order (every rank invokes the same collectives in the same
 order); a per-communicator sequence number keeps concurrent invocations'
-messages from cross-matching.
+messages from cross-matching.  :class:`PricePort` runs the same collectives
+without a simulator, to price them.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, List, Optional, Sequence
 
-from .comm import Comm
+from ..net.params import MSG_HEADER_BYTES
+from .comm import ANY_SOURCE, Comm, MPMessage
 from .vector import CountVector, ValueVector
 
 __all__ = [
     "host_port",
+    "PricePort",
     "sum_pattern",
     "dissemination_pattern",
     "tree_pattern",
@@ -104,7 +108,7 @@ def host_port(comm: Comm, base: int, seq: int, round0: int = 0):
 # three schedules.  Each is written once, as a sub-generator for member
 # ``vrank`` of the agreed list ``ranks``, and is run over a port: the
 # blocking host port above, the resilient host port (receives that raise
-# ``_EpochChanged``), or the NIC engine's frame port.  ``acc`` and every
+# ``_EpochChanged``), the NIC engine's frame port, or the pricing port below.  ``acc`` and every
 # payload are vectors of one kind (see :mod:`repro.mp.vector`): immutable, so
 # nothing here copies one, and combined only with ``+``.
 
@@ -194,6 +198,130 @@ def tree_pattern(vrank: int, ranks: Sequence[int], send, recv, acc, radix: int):
     for child in children:
         yield from send(child, acc, 1)
     return acc
+
+
+# -- the pricing port ----------------------------------------------------------------
+
+
+class PricePort:
+    """The pricing port: per-member clocks instead of an Environment.
+
+    A send stamps its message with the arrival the fabric would give it and
+    files it; a receive waits until a match is filed and moves the
+    receiver's clock past its arrival.  Host profile (``nic=False``, one
+    member per rank): ``mp_call_us`` + ``o_send_us`` to send,
+    ``mp_call_us`` posted before the wait and ``o_recv_us`` after it
+    (``shm_access_us`` within a node), a per-node NIC queue, and the
+    crossing level's latency and per-byte cost under a hierarchy.  NIC
+    profile (one member per node): ``nic_proc_us`` on each side,
+    ``nic_wire_latency_us`` at the flat per-byte cost, as
+    :meth:`~repro.net.fabric.Fabric.transmit` prices NIC frames.  Jitter
+    and faults are not priced.  Whatever runs over :meth:`comm` or
+    :meth:`port` — a pattern, a collective, a topology-aware barrier — is
+    priced by :meth:`run`.
+    """
+
+    def __init__(self, params, topology, nic: bool = False):
+        p = self.params = params
+        self.topology = topology
+        self._node_of = range(topology.nnodes) if nic else topology._node_of
+        # The profile: CPU per send and per receive, indexed by "same
+        # node"; CPU a receive posts before its wait; the inter-node wire
+        # ``(latency, per_byte)``, None when a hierarchy prices each pair;
+        # the smallest payload (a NIC control frame carries one slot).
+        self._min_bytes = 8 if nic else 0
+        if nic:
+            self._send_cpu = self._recv_cpu = (p.nic_proc_us, p.nic_proc_us)
+            self._posted = 0.0
+            self._wire = (p.nic_wire_latency_us, p.per_byte_us)
+        else:
+            self._send_cpu = (p.mp_call_us + p.o_send_us, p.mp_call_us + p.shm_access_us)
+            self._recv_cpu = (p.o_recv_us, p.shm_access_us)
+            self._posted = p.mp_call_us
+            self._wire = (
+                (p.inter_latency_us, p.per_byte_us) if p.hierarchy is None else None
+            )
+        self._nic_free = [0.0] * topology.nnodes
+        #: ``(dst, key)`` -> filed ``(arrival, src, payload)``, in filing order.
+        self._filed = {}
+        #: Member -> simulated µs; callers add work that sends nothing.
+        self.clock = [0.0] * len(self._node_of)
+        self.sends = 0
+
+    def _send(self, me, dst, key, payload, nbytes: int):
+        p = self.params
+        src_node = self._node_of[me]
+        dst_node = self._node_of[dst]
+        t = self.clock[me] = self.clock[me] + self._send_cpu[src_node == dst_node]
+        if src_node == dst_node:
+            arrival = t + p.intra_latency_us
+        else:
+            latency, per_byte = self._wire or p.hierarchy.link(
+                src_node, dst_node, p.inter_latency_us, p.per_byte_us
+            )
+            xfer = (max(nbytes, self._min_bytes) + MSG_HEADER_BYTES) * per_byte
+            depart = max(self._nic_free[src_node], t)
+            self._nic_free[src_node] = depart + xfer
+            arrival = depart + xfer + latency
+        self._filed.setdefault((dst, key), []).append((arrival, me, payload))
+        self.sends += 1
+        return (None,)  # one yield: a send ends the member's turn in the sweep
+
+    def _recv(self, me, src, key):
+        ready = self.clock[me] + self._posted
+        while True:
+            filed = self._filed.get((me, key), ())
+            if src == ANY_SOURCE:  # the earliest filed arrival
+                match = min(filed, key=lambda entry: entry[0], default=None)
+            else:
+                match = next((entry for entry in filed if entry[1] == src), None)
+            if match is not None:
+                break
+            yield
+        filed.remove(match)
+        arrival, sender, payload = match
+        same_node = self._node_of[sender] == self._node_of[me]
+        self.clock[me] = max(ready, arrival) + self._recv_cpu[same_node]
+        return MPMessage(sender, me, key, payload)
+
+    def comm(self, rank: int) -> SimpleNamespace:
+        """Member ``rank`` with the shape of its :class:`~repro.mp.comm.Comm`
+        (``env=None``: no simulator, so no RMCSan monitor either)."""
+        return SimpleNamespace(
+            rank=rank, nprocs=self.topology.nprocs, topology=self.topology,
+            params=self.params, env=None,
+            send=lambda dst, payload, tag, payload_bytes: self._send(
+                rank, dst, tag, payload, payload_bytes
+            ),
+            recv=lambda source, tag: self._recv(rank, source, tag),
+        )
+
+    def port(self, me, stage: int = 0):
+        """Member ``me``'s pattern port: :func:`host_port` over its
+        :meth:`comm`, with ``stage`` keeping one schedule's rounds apart
+        from another's."""
+        return host_port(self.comm(me), 0, stage)
+
+    def run(self, members) -> float:
+        """Drive ``{member: generator}`` in lockstep; the latest clock.
+
+        Each sweep resumes every member once and a send ends its turn, so
+        members advance round by round and claim each NIC in round order.
+        A sweep where nobody sends or finishes can never unblock: raises.
+        """
+        live = dict(members)
+        while live:
+            before = (self.sends, len(live))
+            for member, gen in list(live.items()):
+                try:
+                    next(gen)
+                except StopIteration:
+                    del live[member]
+            if (self.sends, len(live)) == before:
+                raise RuntimeError(
+                    f"unpriceable schedule: members {sorted(live)} can never unblock"
+                )
+        return max((self.clock[m] for m in members), default=0.0)
 
 
 def barrier(comm: Comm):

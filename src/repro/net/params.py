@@ -13,7 +13,8 @@ PCI, GM); see DESIGN.md §5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .faults import FaultPlan
@@ -248,49 +249,23 @@ class NetworkParams:
     tree_radix: int = 4
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "inter_latency_us",
-            "per_byte_us",
-            "o_send_us",
-            "o_recv_us",
-            "intra_latency_us",
-            "shm_access_us",
-            "shm_atomic_us",
-            "poll_detect_us",
-            "server_proc_us",
-            "server_wake_us",
-            "server_spin_us",
-            "mem_copy_per_byte_us",
-            "server_fence_check_us",
-            "server_lock_op_us",
-            "api_call_us",
-            "mp_call_us",
-            "jitter_us",
-        ):
+        # ``not lo <= x < inf`` also refuses NaN, which ``x < lo`` lets through.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{f.name} must be non-negative and finite, got {value}"
+                )
+        for field_name in ("send_credits", "max_retries", "tree_radix"):
             value = getattr(self, field_name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field_name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
-        if self.send_credits < 0:
+        if self.tree_radix < 2:
             raise ValueError(
-                f"send_credits must be non-negative, got {self.send_credits}"
+                f"tree_radix must be >= 2, got {self.tree_radix}"
             )
-        for field_name in (
-            "retry_timeout_us",
-            "adaptive_rto_min_us",
-            "watchdog_timeout_us",
-            "heartbeat_us",
-            "suspect_timeout_us",
-            "membership_check_us",
-            "membership_poll_us",
-            "nic_proc_us",
-            "nic_doorbell_us",
-            "nic_dma_us",
-            "nic_dma_per_byte_us",
-            "nic_wire_latency_us",
-        ):
-            value = getattr(self, field_name)
-            if value < 0:
-                raise ValueError(f"{field_name} must be non-negative, got {value}")
         if self.nic_algorithm not in ("exchange", "tree"):
             raise ValueError(
                 f"nic_algorithm must be 'exchange' or 'tree', got "
@@ -305,10 +280,6 @@ class NetworkParams:
                 f"adaptive_rto_max_us ({self.adaptive_rto_max_us}) must be >= "
                 f"adaptive_rto_min_us ({self.adaptive_rto_min_us})"
             )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan or None, got {self.faults!r}"
@@ -316,10 +287,6 @@ class NetworkParams:
         if self.hierarchy is not None and not isinstance(self.hierarchy, Hierarchy):
             raise TypeError(
                 f"hierarchy must be a Hierarchy or None, got {self.hierarchy!r}"
-            )
-        if self.tree_radix < 2:
-            raise ValueError(
-                f"tree_radix must be >= 2, got {self.tree_radix}"
             )
 
     def with_(self, **changes) -> "NetworkParams":

@@ -29,6 +29,7 @@ never request the NIC path construct nothing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -41,7 +42,7 @@ from ..sim.primitives import Broadcast, FilterStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.api import Armci
 
-__all__ = ["NicEngine", "NicFrame", "ensure_engines"]
+__all__ = ["NicEngine", "NicFrame", "ensure_engines", "STAGE_PATTERNS"]
 
 #: Bytes per counter slot in a doorbell/frame vector (one long each).
 SLOT_BYTES = 8
@@ -103,6 +104,14 @@ def _release_landed(dma) -> None:
 _DOORBELL_DMA = (_doorbell_landed,)
 _MIRROR_DMA = (_mirror_landed,)
 _RELEASE_DMA = (_release_landed,)
+
+
+#: ``nic_algorithm`` -> the NICs' ``(stage 1, stage 3)`` patterns, each called
+#: as ``(node, nodes, send, recv, vector or None)``.
+STAGE_PATTERNS = {
+    "exchange": (sum_pattern, dissemination_pattern),
+    "tree": (functools.partial(tree_pattern, radix=2),) * 2,
+}
 
 
 class _EpochState:
@@ -311,11 +320,9 @@ class NicEngine:
 
         # Stage 1: elementwise sum over nodes.
         nodes = range(self.topology.nnodes)
+        stage1, stage3 = STAGE_PATTERNS[p.nic_algorithm]
         send, recv = self._port(epoch, "s1")
-        if p.nic_algorithm == "tree":
-            totals = yield from tree_pattern(self.node, nodes, send, recv, partial, 2)
-        else:
-            totals = yield from sum_pattern(self.node, nodes, send, recv, partial)
+        totals = yield from stage1(self.node, nodes, send, recv, partial)
         state.totals = totals
 
         # Stage 2: wait on the op_done mirror for every hosted rank.
@@ -332,10 +339,7 @@ class NicEngine:
 
         # Stage 3: node-level barrier among the NICs.
         send, recv = self._port(epoch, "s3")
-        if p.nic_algorithm == "tree":
-            yield from tree_pattern(self.node, nodes, send, recv, None, 2)
-        else:
-            yield from dissemination_pattern(self.node, nodes, send, recv)
+        yield from stage3(self.node, nodes, send, recv, None)
 
         # Release: DMA the completion back to each hosted rank.  Committing
         # first means a view change landing inside the DMA window still

@@ -32,8 +32,9 @@ completion, synchronize — and the same fence-inclusion guarantee:
 
 All three run the shared message patterns of :mod:`repro.mp.collectives`
 over the :class:`~repro.mp.comm.Comm` point-to-point layer (so link faults
-and the reliable delivery layer apply unchanged) and are only entered
-crash-free: under an active membership service
+and the reliable delivery layer apply unchanged) — or, when ``auto``
+prices them, over a :class:`~repro.mp.collectives.PricePort` member: the
+same bodies either way.  They are only entered crash-free: under an active membership service
 ``armci_barrier`` routes every host algorithm to the resilient exchange,
 exactly as it does for ``linear``.  SPMD call order is assumed; a
 per-Armci sequence number (``_topo_barrier_seq``) keeps successive
@@ -54,7 +55,7 @@ from ..mp.vector import CountVector
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.api import Armci
 
-__all__ = ["kary_sync", "dissemination_sync", "twolevel_sync"]
+__all__ = ["topo_sync", "SYNCS", "kary_sync", "dissemination_sync", "twolevel_sync"]
 
 _TAG_TWOLEVEL = 8 << 24
 _TAG_KARY = 9 << 24
@@ -71,43 +72,47 @@ _R_STAGE3 = 34
 _R_RELEASE = 63
 
 
-def _three_stage(armci: "Armci", coll: str, stage1, stage3):
-    """The skeleton all three algorithms share.
+def topo_sync(armci: "Armci", algorithm: str):
+    """``armci``'s combined fence+barrier by one of :data:`SYNCS`.
 
-    ``stage1(seq)`` is a sub-generator returning this rank's stage-2
-    target (the system-wide count of operations destined for it);
-    ``stage3(seq)`` is the synchronization that follows the local
-    ``op_done`` wait.  ``seq`` is this barrier's tag sequence number.
+    The algorithm's ``stage1(seq)`` returns this rank's stage-2 target (the
+    system-wide count of operations destined for it), the local
+    ``op_done`` wait follows, then ``stage3(seq)`` synchronizes.  ``seq``
+    is this barrier's tag sequence number.
     """
+    stage1, stage3 = SYNCS[algorithm](armci.comm, armci.op_init)
     seq = armci._topo_barrier_seq
     armci._topo_barrier_seq = seq + 1
     monitor = armci._monitor
     if monitor is not None:
         # All-to-all dependence holds (each is a full barrier), so joining
         # every enter at each exit is sound for the happens-before engine.
-        monitor.emit("coll_enter", coll=coll, epoch=seq)
+        monitor.emit("coll_enter", coll=algorithm, epoch=seq)
     target = yield from stage1(seq)
     yield from _stage2_wait(armci, target)
     yield from stage3(seq)
     if monitor is not None:
-        monitor.emit("coll_exit", coll=coll, epoch=seq)
+        monitor.emit("coll_exit", coll=algorithm, epoch=seq)
 
 
-def kary_sync(armci: "Armci"):
+# Each algorithm is ``sync(comm, counts) -> (stage1, stage3)`` for one rank:
+# ``comm`` its Comm or PricePort member, ``counts`` its live ``op_init``.
+
+
+def kary_sync(comm, counts):
     """Three-stage barrier over a k-ary combining tree rooted at rank 0.
 
     Stage 1 reduces the ``op_init`` vectors up the tree and hands the
     totals back down; stage 3 is the same tree with zero-byte messages.
     """
-    comm = armci.comm
-    rank = armci.rank
-    ranks = range(armci.nprocs)
-    radix = armci.params.tree_radix
+    rank = comm.rank
+    ranks = range(comm.nprocs)
+    radix = comm.params.tree_radix
 
     def stage1(seq):
         send, recv = host_port(comm, _TAG_KARY, seq, _R_GATHER)
         totals = yield from tree_pattern(
-            rank, ranks, send, recv, CountVector(armci.op_init), radix
+            rank, ranks, send, recv, CountVector(counts), radix
         )
         return totals[rank]
 
@@ -115,10 +120,10 @@ def kary_sync(armci: "Armci"):
         send, recv = host_port(comm, _TAG_KARY, seq, _R_STAGE3)
         return tree_pattern(rank, ranks, send, recv, None, radix)
 
-    return _three_stage(armci, "kary", stage1, stage3)
+    return stage1, stage3
 
 
-def dissemination_sync(armci: "Armci"):
+def dissemination_sync(comm, counts):
     """Three-stage barrier with a dissemination-sum stage 1.
 
     For power-of-two N the dissemination pattern computes the exact
@@ -126,28 +131,23 @@ def dissemination_sync(armci: "Armci"):
     other N falls back to the binary exchange with the standard fold
     (same asymptotics, two extra latencies).
     """
-    comm = armci.comm
-    rank = armci.rank
-    n = armci.nprocs
+    rank = comm.rank
+    n = comm.nprocs
 
     def stage1(seq):
         if n & (n - 1):
-            totals = yield from collectives.allreduce_vector(
-                comm, CountVector(armci.op_init)
-            )
+            totals = yield from collectives.allreduce_vector(comm, CountVector(counts))
         else:
             send, recv = host_port(comm, _TAG_DISSEM, seq, _R_ALLREDUCE)
             totals = yield from dissemination_pattern(
-                rank, range(n), send, recv, CountVector(armci.op_init)
+                rank, range(n), send, recv, CountVector(counts)
             )
         return totals[rank]
 
-    return _three_stage(
-        armci, "dissemination", stage1, lambda seq: collectives.barrier(comm)
-    )
+    return stage1, lambda seq: collectives.barrier(comm)
 
 
-def twolevel_sync(armci: "Armci"):
+def twolevel_sync(comm, counts):
     """Node-leader gathers locally, leaders exchange, leaders release.
 
     Stage 1: non-leaders ship ``op_init`` to their node leader over the
@@ -158,20 +158,20 @@ def twolevel_sync(armci: "Armci"):
     leaders release locals.  The leader takes its locals' messages in
     arrival order (any-source receives).
     """
-    comm = armci.comm
-    rank = armci.rank
-    node = armci.node
-    leaders = armci.topology.leaders
+    rank = comm.rank
+    topology = comm.topology
+    node = topology.node_of(rank)
+    leaders = topology.leaders
     leader = leaders[node]
-    followers = armci.topology.ranks_on(node)[1:]
+    followers = topology.ranks_on(node)[1:]
 
     def stage1(seq):
         send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
         if rank != leader:
-            yield from send(leader, CountVector(armci.op_init), _R_GATHER)
+            yield from send(leader, CountVector(counts), _R_GATHER)
             msg = yield from recv(leader, _R_SCATTER)
             return msg.payload[0]
-        acc = CountVector(armci.op_init)
+        acc = CountVector(counts)
         for _ in followers:
             msg = yield from recv(ANY_SOURCE, _R_GATHER)
             acc = acc + msg.payload
@@ -194,4 +194,12 @@ def twolevel_sync(armci: "Armci"):
         for r in followers:
             yield from send(r, None, _R_RELEASE)
 
-    return _three_stage(armci, "twolevel", stage1, stage3)
+    return stage1, stage3
+
+
+#: The topology-aware algorithms by ``ARMCI_Barrier`` name.
+SYNCS = {
+    "kary": kary_sync,
+    "dissemination": dissemination_sync,
+    "twolevel": twolevel_sync,
+}

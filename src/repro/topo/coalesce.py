@@ -7,9 +7,10 @@ gather/scatter/signal/release phases serialize at the node leader with
 per-rank costs that are pure arithmetic.  Coalescing replaces the
 ``procs_per_node`` generators of a node with **one actor per node** that
 
-* charges the homogeneous intra-node phases analytically (one
-  ``timeout`` with the same per-rank cost formulas the calibrated
-  estimates use), and
+* charges the homogeneous intra-node phases analytically (one sleep
+  per phase, priced by the formulas below — ``auto``'s estimates are not
+  formulas but the patterns themselves, priced, see
+  :func:`repro.armci.barrier.estimate_us`), and
 * runs the *inter-node* phases for real: the actor is a rank in an
   ``nnodes``-process runtime (one rank per node, so actor rank == fabric
   node id and the hierarchy prices links exactly as in the full run),
@@ -32,8 +33,6 @@ infeasible.
 """
 
 from __future__ import annotations
-
-from ..armci.barrier import _level_link
 
 __all__ = [
     "intra_puts_charge_us",
@@ -64,7 +63,7 @@ def local_round_charge_us(params, ppn: int) -> float:
 
     The leader serializes ``ppn - 1`` queue operations (an MPI-layer
     call plus the shared-memory access each), after one intra-node
-    delivery latency — the same formula ``estimate_twolevel_us`` prices.
+    delivery latency.
     """
     return (ppn - 1) * (params.mp_call_us + params.shm_access_us) + params.intra_latency_us
 
@@ -82,10 +81,15 @@ def vector_inflation_us(params, nprocs: int, nnodes: int) -> float:
     extra_bytes = 8 * (nprocs - nnodes)
     if extra_bytes <= 0:
         return 0.0
+    hierarchy = params.hierarchy
     total = 0.0
     distance = 1
     while distance < nnodes:
-        _lat, per_byte = _level_link(params, 0, distance)
+        per_byte = params.per_byte_us
+        if hierarchy is not None:
+            _lat, per_byte = hierarchy.link(
+                0, distance, params.inter_latency_us, per_byte
+            )
         total += extra_bytes * per_byte
         distance *= 2
     return total

@@ -1,28 +1,31 @@
-"""Calibrated auto-selection: cost-model estimates and the crossover."""
+"""Auto-selection over priced patterns: the estimates and the crossover."""
 
 import pytest
 
 from repro.armci.barrier import (
     _auto_select,
-    estimate_exchange_us,
-    estimate_linear_us,
-    estimate_nic_us,
+    estimate_us,
     predicted_crossover_targets,
 )
 from repro.net.params import myrinet2000
+from repro.net.topology import Topology
 from repro.runtime.memory import GlobalAddress
+
+
+def flat_price(params, nprocs, algorithm, dirty=0):
+    return estimate_us(params, Topology(nprocs), algorithm, dirty)
 
 
 class TestEstimates:
     def test_linear_grows_with_dirty_count(self):
         p = myrinet2000()
-        costs = [estimate_linear_us(p, 16, d) for d in range(0, 16)]
+        costs = [flat_price(p, 16, "linear", d) for d in range(0, 16)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_exchange_independent_of_dirty_count(self):
         p = myrinet2000()
-        assert estimate_exchange_us(p, 16) == estimate_exchange_us(p, 16)
-        assert estimate_exchange_us(p, 16) > estimate_exchange_us(p, 4)
+        assert flat_price(p, 16, "exchange") == flat_price(p, 16, "exchange", 15)
+        assert flat_price(p, 16, "exchange") > flat_price(p, 4, "exchange")
 
     def test_predicted_crossover_in_paper_range(self):
         """§3.1.2: the linear path wins only for a handful of servers."""
@@ -36,12 +39,12 @@ class TestEstimates:
     def test_nic_estimate_beats_host_exchange_at_scale(self):
         p = myrinet2000()
         for n in (8, 16):
-            assert estimate_nic_us(p, n, n) < estimate_exchange_us(p, n)
+            assert flat_price(p, n, "nic") < flat_price(p, n, "exchange")
 
     def test_degenerate_sizes(self):
         p = myrinet2000()
-        assert estimate_exchange_us(p, 1) >= 0.0
-        assert estimate_nic_us(p, 1, 1) >= 0.0
+        assert flat_price(p, 1, "exchange") >= 0.0
+        assert flat_price(p, 1, "nic") >= 0.0
         assert predicted_crossover_targets(p, 1) >= 0
 
 
@@ -87,20 +90,27 @@ class TestAutoSelection:
         assert set(rt.run_spmd(selector_program(0))) == {"linear"}
 
     def test_uneven_placement_prices_the_fullest_node(self, make_cluster, monkeypatch):
-        """``auto`` reads ppn off the topology; it is the fullest node's count."""
+        """``auto`` prices the ranks where they are placed, not a block
+        placement at the fullest node's count."""
         from repro.armci import barrier as barrier_mod
 
         seen = []
-        plain = barrier_mod.estimate_nic_us
+        plain = barrier_mod.estimate_us
 
-        def spy(params, nprocs, nnodes, ppn=1):
-            seen.append((nnodes, ppn))
-            return plain(params, nprocs, nnodes, ppn)
+        def spy(params, topology, algorithm, dirty=0):
+            seen.append(tuple(topology.node_of(r) for r in range(topology.nprocs)))
+            return plain(params, topology, algorithm, dirty)
 
-        monkeypatch.setattr(barrier_mod, "estimate_nic_us", spy)
+        monkeypatch.setattr(barrier_mod, "estimate_us", spy)
+        placement = [0, 0, 0, 1, 2, 2]
         rt = make_cluster(
-            nprocs=6, placement=[0, 0, 0, 1, 2, 2],
-            params=myrinet2000(nic_offload=True),
+            nprocs=6, placement=placement, params=myrinet2000(nic_offload=True),
         )
         assert len(set(rt.run_spmd(selector_program(5)))) == 1
-        assert set(seen) == {(3, 3)}
+        assert set(seen) == {tuple(placement)}
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "bogus"])
+def test_estimate_refuses_what_it_cannot_price(algorithm):
+    with pytest.raises(ValueError, match="cannot price"):
+        flat_price(myrinet2000(), 4, algorithm)

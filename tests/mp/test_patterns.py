@@ -4,7 +4,9 @@ Every member of a pattern runs against an in-memory recording port: ``send``
 files the vector under ``(src, dst, round)`` and returns at once, ``recv``
 yields until a matching vector is filed.  No ``Environment``, no ``Comm``:
 what is checked is the schedule itself — who sends what to whom in which
-round — which is the same for every port the patterns run over.
+round — which is the same for every port the patterns run over.  The last
+class checks the pricing port, the one production port that runs without a
+simulator either.
 
 Each class runs with the packed stage-1 counts; its ``...Generic`` subclass
 reruns every case with the generic vector kind (floats), since the patterns
@@ -17,8 +19,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.mp.collectives import dissemination_pattern, sum_pattern, tree_pattern
+from repro.armci.barrier import ALGORITHMS, estimate_us
+from repro.mp.collectives import (
+    PricePort,
+    dissemination_pattern,
+    sum_pattern,
+    tree_pattern,
+)
+from repro.mp.comm import ANY_SOURCE
 from repro.mp.vector import CountVector, ValueVector
+from repro.net.params import myrinet2000
+from repro.net.topology import Topology
+from repro.topo import two_level
 
 SIZES = range(1, 41)
 RADICES = range(2, 6)
@@ -204,3 +216,77 @@ class TestDisseminationPatternGeneric(TestDisseminationPattern):
 
 class TestTreePatternGeneric(TestTreePattern):
     kind = staticmethod(halves)
+
+
+def price_pattern(pattern, nprocs, vectors, params=None, procs_per_node=1):
+    """Run ``pattern`` for every rank over one pricing port; the port."""
+    port = PricePort(params or myrinet2000(), Topology(nprocs, procs_per_node))
+    ranks = range(nprocs)
+    port.run({v: pattern(v, ranks, *port.port(v), vectors[v]) for v in ranks})
+    return port
+
+
+class TestPricePort:
+    def test_constructs_no_environment(self, monkeypatch):
+        from repro.sim import core
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the pricing port built an Environment")
+
+        monkeypatch.setattr(core.Environment, "__init__", refuse)
+        params = myrinet2000(
+            hierarchy=two_level(4), nic_offload=True, nic_algorithm="tree"
+        )
+        topology = Topology(24, procs_per_node=4)
+        for algorithm in [a for a in ALGORITHMS if a != "auto"]:
+            assert estimate_us(params, topology, algorithm, dirty=1) > 0.0
+
+    def test_deterministic(self):
+        vectors = [CountVector.zeros(12)] * 12
+        params = myrinet2000(hierarchy=two_level(2, uplink_contention=2.0))
+        first = price_pattern(sum_pattern, 12, vectors, params, procs_per_node=3)
+        again = price_pattern(sum_pattern, 12, vectors, params, procs_per_node=3)
+        assert first.clock == again.clock
+        # Four extras fold in, eight core members run three rounds, four
+        # copies go back out.
+        assert first.sends == again.sends == 4 + 8 * 3 + 4
+
+    def test_a_schedule_that_never_unblocks_raises(self):
+        port = PricePort(myrinet2000(), Topology(3))
+
+        def waits_for(me, src):
+            msg = yield from port.port(me)[1](src, 0)
+            return msg
+
+        members = {0: waits_for(0, 1), 1: waits_for(1, 0), 2: iter(())}
+        with pytest.raises(RuntimeError, match=r"members \[0, 1\] can never unblock"):
+            port.run(members)
+
+    def test_any_source_takes_the_earliest_arrival(self):
+        port = PricePort(myrinet2000(), Topology(3, procs_per_node=3))
+        comm = {rank: port.comm(rank) for rank in range(3)}
+        got = []
+
+        def leader():
+            for _ in range(2):
+                msg = yield from comm[0].recv(ANY_SOURCE, tag=5)
+                got.append(msg.src)
+
+        def late():  # files first, arrives last
+            port.clock[1] += 10.0
+            yield from comm[1].send(0, None, tag=5, payload_bytes=0)
+
+        def early():
+            yield from comm[2].send(0, None, tag=5, payload_bytes=0)
+
+        port.run({0: leader(), 1: late(), 2: early()})
+        assert got == [2, 1]
+
+    @pytest.mark.parametrize("nprocs", [2, 4, 8, 16, 32])
+    def test_flat_binary_exchange_prices_log2_n_equal_rounds(self, nprocs):
+        vectors = [CountVector.zeros(64)] * nprocs
+        one_round = price_pattern(sum_pattern, 2, vectors).clock
+        port = price_pattern(sum_pattern, nprocs, vectors)
+        rounds = nprocs.bit_length() - 1
+        assert port.clock[0] == pytest.approx(rounds * one_round[0])
+        assert len({round(t, 9) for t in port.clock}) == 1

@@ -39,6 +39,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             NetworkParams(**{field: -0.1})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["inter_latency_us", "mp_call_us", "per_byte_us", "nic_proc_us",
+         "retry_timeout_us", "retry_backoff", "adaptive_rto_max_us"],
+    )
+    def test_non_finite_costs_rejected(self, field, value):
+        """NaN passes ``value < 0`` and inf is not a time: a run would die
+        mid-flight scheduling either."""
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+            myrinet2000().with_(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tree_radix", "send_credits", "max_retries"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_integer_fields_take_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            myrinet2000().with_(**{field: value})
+
     def test_zero_costs_allowed(self):
         params = NetworkParams(
             inter_latency_us=0.0, o_send_us=0.0, server_wake_us=0.0

@@ -1,8 +1,7 @@
 """Per-node actor coalescing: determinism, accuracy, and scale.
 
-Coalescing is an *approximation* with a stated contract: the analytic
-intra-node charges use the same formulas as the calibrated estimates,
-the inter-node phases are simulated for real, and the leaders' vector
+Coalescing is an *approximation* with a stated contract: the intra-node
+phases are charged analytically, the inter-node phases are simulated for real, and the leaders' vector
 inflation is charged explicitly — so a coalesced run must stay within a
 tight band of the full per-rank two-level run, at a fraction of the
 simulated events.
