@@ -41,13 +41,13 @@ def _sanitized_spmd(nprocs: int, main, *args, **runtime_kwargs):
 def _sanitized_scenario(scenario) -> SanReport:
     """Run one fuzz :class:`~repro.fuzz.scenario.Scenario` under a monitor."""
     from ..fuzz.runner import _fuzz_workload, _make_params
-    from ..locks import lock_audit
+    from ..locks import LockAudit
 
     return _sanitized_spmd(
         scenario.nprocs,
         _fuzz_workload,
         scenario,
-        lock_audit(),
+        LockAudit(),
         procs_per_node=scenario.procs_per_node,
         params=_make_params(scenario),
     )
@@ -119,7 +119,7 @@ def _check_chaos() -> List[Tuple[str, SanReport]]:
         _make_params,
         chaos_workload,
     )
-    from ..locks import lock_audit
+    from ..locks import LockAudit
 
     out = []
     for kind in ("hybrid", "mcs"):
@@ -134,7 +134,7 @@ def _check_chaos() -> List[Tuple[str, SanReport]]:
             cfg.nprocs,
             chaos_workload,
             cfg,
-            lock_audit(),
+            LockAudit(),
             procs_per_node=cfg.procs_per_node,
             params=_make_params(cfg),
         )

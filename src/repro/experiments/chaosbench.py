@@ -25,11 +25,15 @@ The workload runs two phases over one shared lock:
 2. **Lock phase.**  Lock victims acquire first and "compute" until their
    kill fires mid-critical-section; survivors then contend for
    ``lock_iters`` acquire/compute/release rounds each.  A shared
-   observation dict records request order, grant order, and the
-   critical-section owner cell — a survivor that is granted the lock while
-   the cell still names a dead rank has *evidence* the holder died inside
-   its CS and the lease was revoked (recorded as a preemption, not a
-   violation).
+   :class:`~repro.locks.LockAudit` records request order, grant order and
+   the critical-section owner cell — a survivor that is granted the lock
+   while the cell still names a rank the view has dropped has *evidence*
+   the holder died inside its CS and the lease was revoked (recorded as a
+   preemption, not a violation).
+
+The checks are the workload oracle the fuzzer runs too: the lock rules in
+:mod:`repro.locks`, the slot rule in :func:`~repro.runtime.memory.audit_slots`
+(one puts round here), the fault plan from ``FaultPlan.scripted``.
 
 Everything is deterministic: the same ``kill_seed`` yields the same
 detection times, recovery actions, and grant order on every run.
@@ -40,11 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..locks import FIFO_KINDS, lock_audit, make_lock
-from ..net.faults import FaultPlan, Partition, ProcessCrash, ProcessStall
+from ..locks import FIFO_KINDS, LockAudit, fifo_judged, make_lock
+from ..net.faults import FaultPlan
 from ..net.params import NetworkParams
 from ..runtime.cluster import ClusterRuntime
-from ..runtime.memory import GlobalAddress
+from ..runtime.memory import GlobalAddress, audit_slots
 from ..sim.core import CRASHED
 from .common import default_params, format_table
 
@@ -216,13 +220,12 @@ class ChaosBenchResult:
         return "\n".join(lines)
 
 
-def chaos_workload(ctx, cfg: ChaosBenchConfig, shared: Dict[str, Any]):
+def chaos_workload(ctx, cfg: ChaosBenchConfig, audit: LockAudit):
     """Per-rank program: barrier phase, then lock phase (see module doc)."""
     env = ctx.env
     membership = ctx.membership
     barrier_victims = {r for r, _t in cfg.barrier_kills}
     lock_victim_order = [r for r, _t in cfg.lock_kills]
-    lock_victims = set(lock_victim_order)
     # The slot array must be the FIRST allocation so `base` is identical in
     # every region (lock construction allocates home-side cells and would
     # skew the home rank's offsets).
@@ -249,67 +252,28 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, shared: Dict[str, Any]):
 
     # Survivor memory check: every live peer's puts must be applied; a dead
     # peer's slot holds either its full value or nothing (puts are atomic).
-    slots_ok = True
-    dead_slots_ok = True
-    for peer in range(ctx.nprocs):
-        if peer == ctx.rank:
-            continue
-        cells = ctx.region.read_many(base + peer * slot_cells, slot_cells)
-        want = 100 * (peer + 1)
-        if membership is None or (
-            membership.is_alive(peer) and membership.in_view(peer)
-        ):
-            slots_ok = slots_ok and all(v == want for v in cells)
-        else:
-            dead_slots_ok = dead_slots_ok and (
-                all(v == want for v in cells) or all(v == 0 for v in cells)
-            )
+    slots_ok, dead_slots_ok, _slots = audit_slots(
+        ctx, base, slot_cells, lambda p: 100 * (p + 1), lambda p: {0, 100 * (p + 1)}
+    )
 
     # -- Phase 2: lock contention with mid-CS kills -----------------------
-    def note_grant(it: int):
-        prev = shared["cs_owner"]
-        if prev is not None:
-            if membership is not None and not membership.in_view(prev):
-                # The previous holder is on the minority side of an active
-                # partition; its lease was revoked and fenced.
-                shared["preemptions"].append(
-                    {"at_us": env.now, "dead_holder": prev, "granted_to": ctx.rank}
-                )
-            elif prev in lock_victims:
-                # The previous holder died inside its critical section and
-                # recovery revoked the lease — expected, and evidence the
-                # grant really was preempted from a dead holder.
-                shared["preemptions"].append(
-                    {"at_us": env.now, "dead_holder": prev, "granted_to": ctx.rank}
-                )
-            else:
-                shared["mutex_ok"] = False
-        shared["cs_owner"] = ctx.rank
-        shared["grants"].append((env.now, ctx.rank, it))
-
-    if ctx.rank in lock_victims:
+    if ctx.rank in lock_victim_order:
         idx = lock_victim_order.index(ctx.rank)
         if idx:
             yield cfg.lock_stagger_us * idx
-        shared["requests"].append((env.now, ctx.rank, -1))
+        audit.request(env.now, ctx.rank, -1)
         yield from lock.acquire()
-        note_grant(-1)
+        audit.enter(env.now, ctx.rank, -1, membership)
         while True:  # "compute" in the CS until the scheduled kill fires
             yield cfg.cs_us
 
     yield cfg.lock_stagger_us * (len(lock_victim_order) + 1 + ctx.rank)
     for it in range(cfg.lock_iters):
-        shared["requests"].append((env.now, ctx.rank, it))
+        audit.request(env.now, ctx.rank, it)
         yield from lock.acquire()
-        note_grant(it)
+        audit.enter(env.now, ctx.rank, it, membership)
         yield cfg.cs_us
-        if shared["cs_owner"] == ctx.rank:
-            shared["cs_owner"] = None
-        elif membership is None or membership.in_view(ctx.rank):
-            # A fenced (out-of-view) holder's stale CS exit is quarantined
-            # by design; anything else is a mutual-exclusion breach.
-            shared["mutex_ok"] = False  # someone entered our CS
-            shared["cs_owner"] = None
+        audit.leave(ctx.rank, membership)
         yield from lock.release()
 
     # -- Final combined barrier over the survivor view --------------------
@@ -324,23 +288,12 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, shared: Dict[str, Any]):
 
 
 def _make_params(cfg: ChaosBenchConfig) -> NetworkParams:
-    params = default_params(cfg.params)
-    crashes = tuple(
-        ProcessCrash(at_us=at_us, rank=rank)
-        for rank, at_us in tuple(cfg.barrier_kills) + tuple(cfg.lock_kills)
-    )
-    partitions = tuple(
-        Partition(nodes=tuple(nodes), from_us=f, until_us=u)
-        for nodes, f, u in cfg.partitions
-    )
-    pauses = tuple(
-        ProcessStall(rank=r, from_us=f, until_us=u) for r, f, u in cfg.stalls
-    )
-    return params.with_(
-        faults=FaultPlan(
-            crashes=crashes,
-            partitions=partitions,
-            pauses=pauses,
+    kills = tuple(cfg.barrier_kills) + tuple(cfg.lock_kills)
+    return default_params(cfg.params).with_(
+        faults=FaultPlan.scripted(
+            [("rank", rank, at_us) for rank, at_us in kills],
+            cfg.partitions,
+            cfg.stalls,
             seed=cfg.kill_seed,
         )
     )
@@ -409,22 +362,18 @@ def run_chaosbench(
     procs_per_node = cfg.procs_per_node
     if cfg.lock_kind in _LOCAL_KINDS:
         procs_per_node = cfg.nprocs  # these algorithms need a single node
-    kwargs: Dict[str, Any] = {}
-    if monitor is not None:
-        kwargs["monitor"] = monitor
+    params = _make_params(cfg)
     runtime = ClusterRuntime(
-        cfg.nprocs,
-        procs_per_node=procs_per_node,
-        params=_make_params(cfg),
-        **kwargs,
+        cfg.nprocs, procs_per_node=procs_per_node, params=params, monitor=monitor
     )
-    shared = lock_audit()
-    per_rank = runtime.run_spmd(chaos_workload, cfg, shared)
+    audit = LockAudit()
+    per_rank = runtime.run_spmd(chaos_workload, cfg, audit)
 
     membership = runtime.membership
     report = membership.report() if membership is not None else {}
     victims = set(cfg.victims())
     survivors = tuple(r for r in range(cfg.nprocs) if r not in victims)
+    survivor_set = set(survivors)
     lock_victims = {r for r, _t in cfg.lock_kills}
 
     result = ChaosBenchResult(
@@ -434,13 +383,11 @@ def run_chaosbench(
         final_epoch=report.get("epoch", 0),
         detections=report.get("detections", []),
         recoveries=report.get("recoveries", []),
-        preemptions=list(shared["preemptions"]),
+        preemptions=list(audit.preemptions),
         freezes=report.get("freezes", []),
         heals=report.get("heals", []),
         rejoins=report.get("rejoins", []),
-        survivor_grants=[
-            (rank, it) for _t, rank, it in shared["grants"] if rank in set(survivors)
-        ],
+        survivor_grants=audit.granted(survivor_set),
         finished_us=runtime.env.now,
     )
 
@@ -448,7 +395,7 @@ def run_chaosbench(
     checks["victims crashed"] = all(per_rank[r] is CRASHED for r in victims)
     checks["all victims declared"] = set(report.get("dead", ())) == victims
     survivor_results = [per_rank[r] for r in survivors]
-    checks["survivors finished"] = all(
+    checks["survivors finished"] = finished = all(
         isinstance(res, dict) for res in survivor_results
     )
     checks["survivor memory"] = all(
@@ -456,16 +403,14 @@ def run_chaosbench(
         for res in survivor_results
         if isinstance(res, dict)
     )
-    checks["mutual exclusion"] = bool(shared["mutex_ok"])
+    checks["mutual exclusion"] = audit.mutex_ok
     # Every lock victim that actually entered its critical section must be
     # observed as a preempted holder by a later grantee.  A victim that
     # died while still *queued* (e.g. the successor in a double-crash)
     # never held the lock, so no preemption evidence exists for it.
-    granted_victims = {
-        rank for _t, rank, _it in shared["grants"] if rank in lock_victims
-    }
+    granted_victims = {rank for rank, _it in audit.granted(lock_victims)}
     checks["dead holders preempted"] = granted_victims <= {
-        p["dead_holder"] for p in shared["preemptions"]
+        p["dead_holder"] for p in audit.preemptions
     }
     grants_per_survivor = {r: 0 for r in survivors}
     for rank, _it in result.survivor_grants:
@@ -473,20 +418,11 @@ def run_chaosbench(
     checks["every survivor served"] = all(
         n == cfg.lock_iters for n in grants_per_survivor.values()
     )
-    if cfg.lock_kind not in FIFO_KINDS:
-        checks["fifo among survivors"] = None  # token algorithms are not FIFO
-    elif cfg.partitions or cfg.stalls:
-        # A frozen rank's requests are queued across the window, so grant
-        # order legitimately diverges from request-send order.
-        checks["fifo among survivors"] = None
-    else:
-        survivor_set = set(survivors)
-        request_order = [
-            (rank, it)
-            for _t, rank, it in shared["requests"]
-            if rank in survivor_set
-        ]
-        checks["fifo among survivors"] = request_order == result.survivor_grants
+    checks["fifo among survivors"] = (
+        audit.fifo_ok(survivor_set)
+        if fifo_judged(cfg.lock_kind, params.faults, stuck=not finished)
+        else None
+    )
     checks["locks recovered"] = all(
         r.get("recovery_latency_us") is not None for r in result.recoveries
     )

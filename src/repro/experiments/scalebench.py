@@ -82,16 +82,13 @@ _VARIANT_MODES: Dict[str, Tuple[str, Dict[str, object]]] = {
 }
 
 #: Inter-node (leaders') barrier algorithm used when a variant runs
-#: coalesced.  ``twolevel`` coalesces to its own leaders' phase — the
-#: recursive-doubling exchange; ``kary``/``dissemination`` keep their
-#: algorithm among the leaders.  Variants absent here (the NIC offloads
-#: and the flat all-rank exchange) have no per-node decomposition to
-#: coalesce.
-COALESCE_VARIANTS: Dict[str, str] = {
-    "twolevel": "exchange",
-    "kary": "kary",
-    "dissemination": "dissemination",
-}
+#: coalesced.  Only ``twolevel`` has a per-node decomposition: its
+#: intra-node phases are what :mod:`repro.topo.coalesce` charges, around
+#: its own leaders' phase — the recursive-doubling exchange.  ``kary`` and
+#: ``dissemination`` are flat algorithms over every rank; the coalesced
+#: program would time twolevel's intra-node phases around them and report
+#: that as their time.
+COALESCE_VARIANTS: Dict[str, str] = {"twolevel": "exchange"}
 
 #: Default process counts (matches the 1024-participant related work).
 SCALE_NPROCS: Tuple[int, ...] = (64, 128, 256, 512, 1024)

@@ -15,6 +15,11 @@ The oracle layers two kinds of checks over a monitored run:
   request arrival, and every scheduled rank/node death is eventually
   declared by the membership service.
 
+The lock and slot invariants are the workload oracle ``repro chaos`` runs
+too (:class:`~repro.locks.LockAudit`, :func:`~repro.locks.fifo_judged`,
+:func:`~repro.runtime.memory.audit_slots`, ``FaultPlan.scripted``); only
+the parameter overrides below are this runner's own.
+
 Everything is deterministic: the scenario seeds the fault RNG, so one
 seed reproduces one outcome byte-for-byte (see
 :meth:`FuzzOutcome.to_json`).
@@ -27,13 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..net.faults import (
-    FaultPlan,
-    LinkFaults,
-    Partition,
-    ProcessCrash,
-    ProcessStall,
-)
+from ..net.faults import FaultPlan, LinkFaults
 from ..net.params import NetworkParams, myrinet2000
 from ..sim.core import CRASHED
 from .scenario import Scenario
@@ -122,43 +121,19 @@ class FuzzOutcome:
 
 
 def _make_params(scenario: Scenario) -> NetworkParams:
-    rates = dict(
+    rates = LinkFaults(
         drop_rate=scenario.drop_rate,
         dup_rate=scenario.dup_rate,
         delay_rate=scenario.delay_rate,
         delay_spike_us=scenario.delay_spike_us,
     )
-    crashes = tuple(
-        ProcessCrash(
-            at_us=at_us,
-            rank=target if kind == "rank" else None,
-            node=target if kind == "node" else None,
-            nic=target if kind == "nic" else None,
-        )
-        for kind, target, at_us in scenario.crashes
-    )
-    if scenario.fault_links:
-        default = LinkFaults()
-        links = tuple(
-            ((a, b), LinkFaults(**rates)) for a, b in scenario.fault_links
-        )
-    else:
-        default = LinkFaults(**rates)
-        links = ()
-    partitions = tuple(
-        Partition(nodes=tuple(nodes), from_us=f, until_us=u)
-        for nodes, f, u in scenario.partitions
-    )
-    pauses = tuple(
-        ProcessStall(rank=r, from_us=f, until_us=u)
-        for r, f, u in scenario.stalls
-    )
-    plan = FaultPlan(
-        default=default,
+    links = tuple(((a, b), rates) for a, b in scenario.fault_links)
+    plan = FaultPlan.scripted(
+        scenario.crashes,
+        scenario.partitions,
+        scenario.stalls,
+        default=LinkFaults() if links else rates,
         links=links,
-        crashes=crashes,
-        partitions=partitions,
-        pauses=pauses,
         seed=scenario.seed,
         reliable=True,
     )
@@ -186,10 +161,11 @@ def _make_params(scenario: Scenario) -> NetworkParams:
     return myrinet2000().with_(**overrides)
 
 
-def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
-    """Per-rank program: execute the scenario's phase list."""
+def _fuzz_workload(ctx, scenario: Scenario, audit):
+    """Per-rank program: execute the scenario's phase list, reporting each
+    critical section to ``audit`` (a :class:`~repro.locks.LockAudit`)."""
     from ..locks import make_lock
-    from ..runtime.memory import GlobalAddress
+    from ..runtime.memory import GlobalAddress, audit_slots
 
     env = ctx.env
     membership = ctx.membership
@@ -216,29 +192,11 @@ def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
         elif phase == "lock" and lock is not None:
             yield _LOCK_STAGGER_US * (ctx.rank + 1)
             for it in range(scenario.lock_iters):
-                shared["requests"].append((env.now, ctx.rank, it))
+                audit.request(env.now, ctx.rank, it)
                 yield from lock.acquire()
-                prev = shared["cs_owner"]
-                if prev is not None:
-                    if membership is not None and (
-                        not membership.is_alive(prev)
-                        or not membership.in_view(prev)
-                    ):
-                        # Holder died (or was partitioned away) in its CS;
-                        # the lease was revoked and its effects quarantined.
-                        shared["preemptions"].append((prev, ctx.rank, env.now))
-                    else:
-                        shared["mutex_ok"] = False
-                shared["cs_owner"] = ctx.rank
-                shared["grants"].append((env.now, ctx.rank, it))
+                audit.enter(env.now, ctx.rank, it, membership)
                 yield _CS_US
-                if shared["cs_owner"] == ctx.rank:
-                    shared["cs_owner"] = None
-                elif membership is None or membership.in_view(ctx.rank):
-                    # A fenced (out-of-view) holder's stale CS exit is the
-                    # expected quarantine, not a mutual-exclusion breach.
-                    shared["mutex_ok"] = False
-                    shared["cs_owner"] = None
+                audit.leave(ctx.rank, membership)
                 yield from lock.release()
         elif phase == "barrier":
             yield from ctx.armci.barrier(algorithm=scenario.barrier_algorithm)
@@ -258,26 +216,20 @@ def _fuzz_workload(ctx, scenario: Scenario, shared: Dict[str, Any]):
         yield from ctx.armci.barrier(algorithm=scenario.barrier_algorithm)
 
     # Post-barrier memory audit: the final phase is always a barrier, so
-    # every live peer's last puts round must be visible here.
+    # every live peer's last puts round must be visible here; a dead peer's
+    # slot may hold any round's whole value.
     rounds = scenario.phases.count("puts")
-    slots_ok = True
-    dead_slots_ok = True
-    slots: List[Any] = []
-    for peer in range(ctx.nprocs):
-        if peer == ctx.rank or rounds == 0:
-            continue
-        got = ctx.region.read_many(base + peer * cells, cells)
-        slots.append([peer, list(got)])
-        want = 100 * (peer + 1) + rounds
-        if membership is None or (
-            membership.is_alive(peer) and membership.in_view(peer)
-        ):
-            slots_ok = slots_ok and all(v == want for v in got)
-        else:
-            allowed = {0} | {100 * (peer + 1) + r for r in range(1, rounds + 1)}
-            dead_slots_ok = dead_slots_ok and (
-                got[0] in allowed and all(v == got[0] for v in got)
-            )
+    slots_ok, dead_slots_ok, slots = (
+        audit_slots(
+            ctx,
+            base,
+            cells,
+            lambda p: 100 * (p + 1) + rounds,
+            lambda p: {0} | {100 * (p + 1) + r for r in range(1, rounds + 1)},
+        )
+        if rounds
+        else (True, True, [])
+    )
     return {
         "rank": ctx.rank,
         "slots_ok": slots_ok,
@@ -304,22 +256,23 @@ def run_scenario(
     smaller cap since explored scenarios are tiny).
     """
     from ..analysis.monitor import SyncMonitor
-    from ..locks import FIFO_KINDS, lock_audit
+    from ..locks import LockAudit, fifo_judged
     from ..runtime.cluster import ClusterRuntime
 
     cap = SIM_CAP_US if sim_cap_us is None else sim_cap_us
     outcome = FuzzOutcome(scenario=scenario)
     monitor = SyncMonitor()
+    params = _make_params(scenario)
     runtime = ClusterRuntime(
         scenario.nprocs,
         procs_per_node=scenario.procs_per_node,
-        params=_make_params(scenario),
+        params=params,
         monitor=monitor,
     )
     if strategy is not None:
         runtime.env._mc_strategy = strategy
-    shared = lock_audit()
-    procs = runtime.spawn(_fuzz_workload, scenario, shared)
+    audit = LockAudit()
+    procs = runtime.spawn(_fuzz_workload, scenario, audit)
     try:
         runtime.env.run(until=cap)
     except Exception as exc:  # a daemon/server blew up: that IS a finding
@@ -432,34 +385,22 @@ def run_scenario(
             "barrier (missing live puts or torn dead puts)",
             ranks=bad_memory,
         )
-    if not shared["mutex_ok"]:
+    if not audit.mutex_ok:
         outcome.add(
             "lock",
             "two live ranks held the lock simultaneously "
             "(critical-section owner cell was overwritten)",
         )
-    if (
-        scenario.lock_kind in FIFO_KINDS
-        and not scenario.reorders_messages()
-        and not scenario.has_transients()
-        and not stuck
+    if fifo_judged(scenario.lock_kind, params.faults, stuck) and not audit.fifo_ok(
+        alive
     ):
-        request_order = [
-            (rank, it)
-            for _t, rank, it in shared["requests"]
-            if rank in alive
-        ]
-        grant_order = [
-            (rank, it) for _t, rank, it in shared["grants"] if rank in alive
-        ]
-        if request_order != grant_order:
-            outcome.add(
-                "lock-fifo",
-                f"{scenario.lock_kind} grant order diverged from request "
-                "order among survivors on an order-preserving network",
-                requests=request_order,
-                grants=grant_order,
-            )
+        outcome.add(
+            "lock-fifo",
+            f"{scenario.lock_kind} grant order diverged from request "
+            "order among survivors on an order-preserving network",
+            requests=audit.requested(alive),
+            grants=audit.granted(alive),
+        )
 
     # -- RMCSan verdict over the whole event stream ----------------------
     report = monitor.analyze()
@@ -477,14 +418,14 @@ def run_scenario(
         )
 
     outcome.violations.sort(key=lambda v: (v["kind"], v["message"]))
-    outcome.end_state_hash = _end_state_hash(outcome, finished, shared, alive)
+    outcome.end_state_hash = _end_state_hash(outcome, finished, audit, alive)
     return outcome
 
 
 def _end_state_hash(
     outcome: FuzzOutcome,
     finished: Dict[int, Dict[str, Any]],
-    shared: Dict[str, Any],
+    audit,
     alive: set,
 ) -> str:
     """Digest of the *timing-independent* observable end state.
@@ -502,8 +443,8 @@ def _end_state_hash(
             [rank, res["slots_ok"], res["dead_slots_ok"], res.get("slots", [])]
             for rank, res in sorted(finished.items())
         ],
-        "grants": [[r, it] for _t, r, it in shared["grants"] if r in alive],
-        "mutex_ok": shared["mutex_ok"],
+        "grants": audit.granted(alive),
+        "mutex_ok": audit.mutex_ok,
     }
     blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

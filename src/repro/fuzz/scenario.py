@@ -107,11 +107,6 @@ class Scenario:
         """Any partition or stall window (freeze/rejoin machinery active)."""
         return bool(self.partitions or self.stalls)
 
-    def reorders_messages(self) -> bool:
-        """Whether faults can reorder request arrival (unsoundness guard
-        for the FIFO-among-survivors check)."""
-        return self.drop_rate > 0.0 or self.dup_rate > 0.0 or self.delay_rate > 0.0
-
     def dead_ranks_planned(self) -> Tuple[int, ...]:
         """Ranks guaranteed dead by the schedule (nic kills excluded —
         NIC deaths only escalate to rank deaths when traffic hits them)."""

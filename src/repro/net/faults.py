@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .message import Endpoint
 
@@ -371,6 +371,33 @@ class FaultPlan:
             reliable=reliable,
         )
 
+    @classmethod
+    def scripted(
+        cls,
+        crashes: Iterable[Tuple[str, int, float]] = (),
+        partitions: Iterable[Tuple[Iterable[int], float, float]] = (),
+        stalls: Iterable[Tuple[int, float, float]] = (),
+        **fields: Any,
+    ) -> "FaultPlan":
+        """A plan from a workload script's plain tuples: crashes
+        ``(kind, target, at_us)`` with kind ``rank``/``node``/``nic``,
+        partitions ``(nodes, from_us, until_us)`` and stalls
+        ``(rank, from_us, until_us)``; ``fields`` sets the other fields."""
+        return cls(
+            crashes=tuple(
+                ProcessCrash(at_us=at_us, **{kind: target})
+                for kind, target, at_us in crashes
+            ),
+            partitions=tuple(
+                Partition(nodes=tuple(nodes), from_us=f, until_us=u)
+                for nodes, f, u in partitions
+            ),
+            pauses=tuple(
+                ProcessStall(rank=r, from_us=f, until_us=u) for r, f, u in stalls
+            ),
+            **fields,
+        )
+
     def link(self, src_node: int, dst_node: int) -> LinkFaults:
         for (src, dst), faults in self.links:
             if src == src_node and dst == dst_node:
@@ -383,6 +410,11 @@ class FaultPlan:
     def transient(self) -> bool:
         """Does the plan contain recoverable faults (partitions / pauses)?"""
         return bool(self.partitions or self.pauses)
+
+    @property
+    def reorders(self) -> bool:
+        """Can a link fault reorder message arrival (any active link)?"""
+        return self.default.active or any(f.active for _l, f in self.links)
 
     @property
     def transient_end_us(self) -> float:

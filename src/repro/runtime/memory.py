@@ -18,12 +18,12 @@ satisfies it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..sim.core import Environment
 from ..sim.primitives import Broadcast
 
-__all__ = ["GlobalAddress", "Region", "NULL_PTR"]
+__all__ = ["GlobalAddress", "Region", "NULL_PTR", "audit_slots"]
 
 
 class GlobalAddress(NamedTuple):
@@ -206,3 +206,28 @@ class Region:
     def _index_checked(self, addr: int) -> int:
         self._check(addr)
         return addr
+
+
+def audit_slots(
+    ctx, base: int, cells: int, want: Callable, allowed: Callable
+) -> Tuple[bool, bool, List[List[Any]]]:
+    """Post-barrier memory audit: peer ``p`` put ``want(p)`` into its
+    ``cells`` cells at ``base + p * cells`` of every region.  An in-view
+    peer's slot must hold it; any other's must be whole, one value of
+    ``allowed(p)`` (a dead peer's put lands or not, never torn).  Returns
+    ``(slots_ok, dead_slots_ok, slots)``, ``slots`` the ``[peer, cells]``
+    read, in peer order."""
+    membership = ctx.membership
+    slots_ok = dead_slots_ok = True
+    slots: List[List[Any]] = []
+    for peer in range(ctx.nprocs):
+        if peer == ctx.rank:
+            continue
+        got = ctx.region.read_many(base + peer * cells, cells)
+        slots.append([peer, list(got)])
+        if membership is None or membership.in_view(peer):
+            slots_ok = slots_ok and got == [want(peer)] * cells
+        else:
+            seen = set(got)
+            dead_slots_ok = dead_slots_ok and len(seen) <= 1 and seen <= allowed(peer)
+    return slots_ok, dead_slots_ok, slots

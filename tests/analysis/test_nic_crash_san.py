@@ -18,6 +18,7 @@ from repro.analysis import SyncMonitor
 from repro.analysis.sanitize import run_sanitized_target
 from repro.fuzz.runner import _fuzz_workload, _make_params
 from repro.fuzz.scenario import Scenario
+from repro.locks import LockAudit
 from repro.nic.engine import NicEngine
 from repro.runtime.cluster import ClusterRuntime
 
@@ -44,14 +45,7 @@ def _sanitized_scenario_run(scenario: Scenario):
         params=_make_params(scenario),
         monitor=monitor,
     )
-    shared = {
-        "requests": [],
-        "grants": [],
-        "preemptions": [],
-        "cs_owner": None,
-        "mutex_ok": True,
-    }
-    runtime.run_spmd(_fuzz_workload, scenario, shared)
+    runtime.run_spmd(_fuzz_workload, scenario, LockAudit())
     return monitor, monitor.analyze()
 
 

@@ -504,3 +504,57 @@ class TestOneWire:
             return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Frame"
 
         assert self._sites(functions, builds_a_frame) == ["reliable.py:_ship"]
+
+
+class TestOneWorkloadOracle:
+    """Mutual exclusion, preemption and lock FIFO are judged by
+    ``repro.locks.LockAudit`` / ``fifo_judged``, the post-barrier slot rule
+    by ``repro.runtime.memory.audit_slots``, and a script's crash, partition
+    and stall tuples become a plan in ``FaultPlan.scripted``; the workloads
+    that run the oracle only report to it."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+    RUNNERS = ("experiments/chaosbench.py", "fuzz/runner.py", "analysis/sanitize.py")
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {
+            path.relative_to(self.SRC).as_posix(): ast.parse(path.read_text())
+            for path in sorted(self.SRC.rglob("*.py"))
+        }
+
+    @staticmethod
+    def _name(node):
+        """``x.name`` -> ``name``; ``x["name"]`` -> ``"name"``."""
+        if isinstance(node, ast.Subscript):
+            return getattr(node.slice, "value", None)
+        return getattr(node, "attr", None)
+
+    def test_the_owner_cell_is_kept_once(self, trees):
+        stores = sorted(
+            path
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.ctx, ast.Store)
+            and self._name(node) in ("cs_owner", "mutex_ok")
+        )
+        assert set(stores) == {"locks/__init__.py"}
+
+    def test_runners_do_not_judge_fifo_themselves(self, trees):
+        for path in self.RUNNERS:
+            for node in ast.walk(trees[path]):
+                assert self._name(node) not in ("requests", "grants"), path
+                if isinstance(node, ast.Compare):
+                    text = ast.unparse(node)
+                    assert not ("request" in text and "grant" in text), (path, text)
+
+    def test_scripted_faults_are_translated_once(self, trees):
+        builders = {"ProcessCrash", "Partition", "ProcessStall"}
+        sites = {
+            path
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in builders
+        }
+        assert sites == {"net/faults.py"}

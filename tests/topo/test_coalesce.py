@@ -118,13 +118,16 @@ class TestValidation:
             )
 
     def test_uncoalescible_variant_rejected(self):
-        with pytest.raises(ValueError, match="cannot run coalesced"):
-            run_scalebench(
-                ScaleBenchConfig(
-                    nprocs_list=(64,),
-                    procs_per_node=8,
-                    params=hier_params(),
-                    variants=("nic-exchange",),
-                    coalesce=True,
+        # kary and dissemination have no per-node decomposition: coalesced,
+        # they would report twolevel's intra-node phases as their own time.
+        for variant in ("nic-exchange", "kary", "dissemination"):
+            with pytest.raises(ValueError, match="cannot run coalesced"):
+                run_scalebench(
+                    ScaleBenchConfig(
+                        nprocs_list=(64,),
+                        procs_per_node=8,
+                        params=hier_params(),
+                        variants=(variant,),
+                        coalesce=True,
+                    )
                 )
-            )
