@@ -1,6 +1,6 @@
 """Static lint for simulation-specific hazards (``repro check --lint``).
 
-Five ``ast``-based rules; the first three each target a bug class that the
+Six ``ast``-based rules; the first four each target a bug class that the
 dynamic checker cannot see (the buggy run never happens, or happens
 silently), the last two keep one spelling of a sleep and of a timer:
 
@@ -25,6 +25,14 @@ silently), the last two keep one spelling of a sleep and of a timer:
     truth; only the server thread may credit them.  Any reference to
     ``_bump_op_done`` / ``_op_done_addr`` outside ``runtime/server.py``
     is flagged.
+
+``op-done-wait``
+    Its sibling on the reading side: stage 2 of ``ARMCI_Barrier`` — wait
+    until the local ``op_done`` counter reaches the stage-1 total (paper
+    §3.1) — is written once, as ``_stage2`` in ``armci/barrier.py``, so
+    the invariant lives in one function.  Any reference to
+    ``op_done_cell`` outside ``runtime/server.py`` and that function is
+    flagged.
 
 ``self-sleep-as-event``
     ``yield env.timeout(cost)`` as a statement allocates a ``Timeout``, a
@@ -61,6 +69,7 @@ __all__ = [
     "RULE_YIELD_FROM",
     "RULE_UNSEEDED",
     "RULE_OP_DONE",
+    "RULE_OP_DONE_WAIT",
     "RULE_SELF_SLEEP",
     "RULE_TIMER_EVENT",
     "collect_generator_names",
@@ -73,6 +82,7 @@ __all__ = [
 RULE_YIELD_FROM = "missing-yield-from"
 RULE_UNSEEDED = "unseeded-nondeterminism"
 RULE_OP_DONE = "op-done-mutation"
+RULE_OP_DONE_WAIT = "op-done-wait"
 RULE_SELF_SLEEP = "self-sleep-as-event"
 RULE_TIMER_EVENT = "timer-as-event"
 
@@ -106,6 +116,10 @@ _RNG_EXEMPT_SUFFIX = (
 
 #: The only file allowed to touch the op_done machinery.
 _OP_DONE_HOME_SUFFIX = "runtime/server.py"
+
+#: The one stage-2 function, the only reader of ``op_done_cell`` outside
+#: the server: ``(path suffix, function name)``.
+_STAGE2_HOME = ("armci/barrier.py", "_stage2")
 
 
 @dataclass(frozen=True)
@@ -188,6 +202,9 @@ class _Checker(ast.NodeVisitor):
         norm = path.replace("\\", "/")
         self.rng_exempt = any(norm.endswith(s) for s in _RNG_EXEMPT_SUFFIX)
         self.op_done_home = norm.endswith(_OP_DONE_HOME_SUFFIX)
+        self.stage2_file = norm.endswith(_STAGE2_HOME[0])
+        #: Names of the enclosing ``def``s, innermost last.
+        self.functions: List[str] = []
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -257,7 +274,9 @@ class _Checker(ast.NodeVisitor):
                         "on it: schedule a Call row with env.call(delay, "
                         "callbacks, a, b) instead of an event",
                     )
+        self.functions.append(node.name)
         self.generic_visit(node)
+        self.functions.pop()
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -296,6 +315,16 @@ class _Checker(ast.NodeVisitor):
                 RULE_OP_DONE,
                 f"reference to {node.attr} outside runtime/server.py; only "
                 "the server thread may credit op_done counters",
+            )
+        elif node.attr == "op_done_cell" and not self.op_done_home and not (
+            self.stage2_file and _STAGE2_HOME[1] in self.functions
+        ):
+            self._add(
+                node,
+                RULE_OP_DONE_WAIT,
+                "reference to op_done_cell outside runtime/server.py and "
+                "armci/barrier.py:_stage2; the barrier's op_done wait is "
+                "written once",
             )
         self.generic_visit(node)
 

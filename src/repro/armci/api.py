@@ -102,17 +102,16 @@ class Armci:
         #: Crash-stop membership service (None unless the fault plan has
         #: ProcessCrash events); None keeps barriers/fences construct-free.
         self.membership = getattr(fabric, "_membership", None)
-        #: Collective-instance counter for crash-aware barriers (SPMD call
-        #: order makes equal counts identify the same instance across ranks).
-        self._chaos_barrier_seq = 0
+        #: Three-stage barrier sequence (every host algorithm but linear,
+        #: and the survivor-view exchange): one bump per barrier keeps
+        #: successive barriers' tags distinct across every rank regardless
+        #: of its role in the algorithm (SPMD call order makes equal counts
+        #: identify the same instance across ranks).
+        self._barrier_seq = 0
         #: Extra barrier_exit event data from the last resilient barrier.
         self._chaos_barrier_info: Optional[Dict[str, int]] = None
         #: NIC-offloaded barrier epoch counter (same SPMD-order contract).
         self._nic_barrier_seq = 0
-        #: Topology-aware barrier sequence (kary/dissemination/twolevel);
-        #: one bump per barrier keeps successive barriers' tags distinct
-        #: across every rank regardless of its role in the algorithm.
-        self._topo_barrier_seq = 0
         #: Operation counters (diagnostics / tests).
         self.stats: Dict[str, int] = {
             "puts_local": 0,

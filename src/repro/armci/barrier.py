@@ -21,6 +21,11 @@ Semantically equivalent to ``ARMCI_AllFence()`` followed by
 Total communication: ``2 * log2(N)`` one-way latencies, versus the original
 ``2(N-1) + log2(N)``.
 
+Every host algorithm but ``linear`` is these three stages:
+:func:`armci_barrier` runs its stage bodies (:data:`SYNCS`, or the
+exchange's over the survivor view under a membership service) around the
+one stage 2, :func:`_stage2`.
+
 Both counters are *cumulative* over the process lifetime, so repeated
 barriers need no reset protocol and the comparison in stage 2 is monotone
 (``op_done >= target``).
@@ -42,6 +47,8 @@ from ..mp import collectives
 from ..mp.vector import CountVector, OpCounts
 from ..net.params import SMALL_MSG_BYTES
 from ..net.topology import Topology
+from ..topo.algorithms import dissemination_sync, kary_sync, twolevel_sync
+from .fence import allfence_linear
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
@@ -49,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "armci_barrier",
     "ALGORITHMS",
+    "SYNCS",
     "estimate_us",
     "predicted_crossover_targets",
 ]
@@ -56,6 +64,34 @@ __all__ = [
 ALGORITHMS = (
     "exchange", "linear", "auto", "nic", "kary", "dissemination", "twolevel"
 )
+
+
+def exchange_sync(comm, counts):
+    """The paper's stages: the binary-exchange allreduce of ``op_init``
+    (Figure 2), then the binary-exchange barrier.
+
+    Both are whole collectives of :mod:`repro.mp.collectives`, which emit
+    their own RMCSan enter/exit pairs and number themselves.
+    """
+    rank = comm.rank
+
+    def stage1(seq):
+        totals = yield from collectives.allreduce_vector(comm, CountVector(counts))
+        return totals[rank]
+
+    return stage1, lambda seq: collectives.barrier(comm)
+
+
+#: Every three-stage algorithm by ``ARMCI_Barrier`` name:
+#: ``sync(comm, counts) -> (stage1, stage3)`` for one rank, ``comm`` its
+#: Comm or PricePort member and ``counts`` its live ``op_init`` (the
+#: topology-aware ones are in :mod:`repro.topo.algorithms`).
+SYNCS = {
+    "exchange": exchange_sync,
+    "kary": kary_sync,
+    "dissemination": dissemination_sync,
+    "twolevel": twolevel_sync,
+}
 
 
 def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
@@ -94,11 +130,12 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
         )
     if algorithm == "auto":
         algorithm = _auto_select(armci)
-    if armci.membership is not None:
+    membership = armci.membership
+    if membership is not None:
         # Partition tolerance: a minority-side rank queues here (it does
         # not fail) until it is back in a majority view and resynced.
         # Immediate no-op under crash-only plans.
-        yield from armci.membership.freeze_gate(armci.rank)
+        yield from membership.freeze_gate(armci.rank)
 
     monitor = armci._monitor
     epoch = 0
@@ -108,25 +145,45 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
         armci._san_barrier_epoch += 1
         epoch = armci._san_barrier_epoch
         monitor.emit("barrier_enter", epoch=epoch)
-    if algorithm == "nic":
-        # The NIC path owns its crash handling: it degrades to the
-        # resilient host exchange when a view change interrupts it.
-        yield from _nic(armci)
-    elif armci.membership is not None:
-        # Crash-stop fault plan active: every host algorithm routes to the
-        # resilient exchange (the linear path's MPI barrier has no
-        # survivor handling and would wedge on a dead rank).  This covers
-        # the topology-aware algorithms too: their fixed tree/leader roles
-        # have no survivor compaction story of their own.
-        yield from _exchange_resilient(armci)
-    elif algorithm == "linear":
-        yield from _linear(armci)
-    elif algorithm in ("kary", "dissemination", "twolevel"):
-        from ..topo.algorithms import topo_sync
-
-        yield from topo_sync(armci, algorithm)
+    if algorithm == "linear" and membership is None:
+        # The original semantics: AllFence, then the message-passing barrier.
+        yield from allfence_linear(armci)
+        yield from collectives.barrier(comm)
+    elif algorithm == "nic" and (yield from _nic(armci)):
+        pass  # the NIC engines ran all three stages
     else:
-        yield from _exchange(armci)
+        # The three stages.  Under a membership service every host
+        # algorithm (and a NIC barrier that degraded) runs the exchange's
+        # patterns over the survivor view: the linear path's MPI barrier
+        # and the tree algorithms' fixed roles have no survivor handling.
+        seq = armci._barrier_seq
+        armci._barrier_seq = seq + 1
+        if membership is None:
+            stage1, stage3 = SYNCS[algorithm](comm, armci.op_init)
+        else:
+            survivors = _Survivors(armci)
+            stage1, stage3 = survivors.stage1, survivors.stage3
+        # A topology-aware algorithm is one collective to the
+        # happens-before engine (all-to-all dependence, so joining every
+        # enter at each exit is sound); the exchange's stages are two
+        # collectives that emit their own pairs.
+        coll = monitor is not None and membership is None and algorithm != "exchange"
+        if coll:
+            monitor.emit("coll_enter", coll=algorithm, epoch=seq)
+        target = yield from stage1(seq)
+        counted = yield from _stage2(armci, target)
+        # A rank whose stage-2 watchdog fell back still joins stage 3, so
+        # mixed outcomes cannot deadlock.
+        yield from stage3(seq)
+        if coll:
+            monitor.emit("coll_exit", coll=algorithm, epoch=seq)
+        if membership is not None:
+            armci._chaos_barrier_info = {
+                "view_epoch": membership.epoch,
+                "result_epoch": survivors.result_epoch,
+                "counted": counted,
+                "written_off": target - counted,
+            }
     # After stage 3 every operation in the system has completed; all fence
     # state is clean.
     armci.dirty_nodes.clear()
@@ -141,9 +198,8 @@ def estimate_us(params, topology, algorithm: str, dirty: int = 0) -> float:
 
     Each algorithm runs its own message patterns over a
     :class:`~repro.mp.collectives.PricePort`, for the ranks as ``topology``
-    places them: ``exchange`` is the allreduce, the stage-2 poll and the
-    message-passing barrier; ``kary``, ``dissemination`` and ``twolevel``
-    the bodies of :mod:`repro.topo.algorithms` around that poll; ``nic`` the
+    places them: ``exchange``, ``kary``, ``dissemination`` and ``twolevel``
+    their stage bodies (:data:`SYNCS`) around the stage-2 poll; ``nic`` the
     doorbell DMA, the engines' folds, their stage-1 and stage-3 patterns
     over nodes, the mirror checks and the release DMA.  ``linear`` is the
     API call, one serial confirmation round trip per ``dirty`` server (the
@@ -170,7 +226,6 @@ def _price(params, topology, algorithm: str) -> float:
     """``algorithm``'s schedule run over a pricing port (``linear``: its
     message-passing barrier alone)."""
     from ..nic.engine import SLOT_BYTES, STAGE_PATTERNS
-    from ..topo.algorithms import SYNCS
 
     n = topology.nprocs
     port = collectives.PricePort(params, topology, nic=algorithm == "nic")
@@ -195,16 +250,13 @@ def _price(params, topology, algorithm: str) -> float:
 
     def member(rank):
         comm = port.comm(rank)
-        if algorithm in SYNCS:
-            stage1, stage3 = SYNCS[algorithm](comm, OpCounts(n))
-            yield from stage1(0)
-            clock[rank] += params.poll_detect_us  # stage 2
-            yield from stage3(0)
+        if algorithm == "linear":
+            yield from collectives.barrier(comm)
             return
-        if algorithm == "exchange":
-            yield from collectives.allreduce_vector(comm, CountVector.zeros(n))
-            clock[rank] += params.poll_detect_us  # stage 2
-        yield from collectives.barrier(comm)
+        stage1, stage3 = SYNCS[algorithm](comm, OpCounts(n))
+        yield from stage1(0)
+        clock[rank] += params.poll_detect_us  # stage 2
+        yield from stage3(0)
 
     return port.run({rank: member(rank) for rank in range(n)})
 
@@ -248,12 +300,14 @@ def _nic(armci: "Armci"):
 
     The host posts its ``op_init`` row in a single doorbell and blocks;
     the per-node NIC engines (built lazily on first use) execute all
-    three stages among themselves — see :mod:`repro.nic.engine`.  Under a
-    crash-stop fault plan the path degrades to the resilient host
-    exchange: immediately once any death has been declared, or on the
-    view change that interrupts an in-flight NIC barrier (crashed nodes'
-    NICs are marked dead by the membership service, so surviving NICs'
-    frames to them are refused rather than wedging the fabric).
+    three stages among themselves — see :mod:`repro.nic.engine`.  Returns
+    True once they released this rank.  Under a crash-stop fault plan the
+    path degrades instead — counted in ``armci.stats["nic_degraded"]``,
+    returning False so the caller runs the three stages over the survivor
+    view: immediately once any death has been declared, or on the view
+    change that interrupts an in-flight NIC barrier (crashed nodes' NICs
+    are marked dead by the membership service, so surviving NICs' frames
+    to them are refused rather than wedging the fabric).
     """
     from ..nic.engine import ensure_engines
 
@@ -264,36 +318,24 @@ def _nic(armci: "Armci"):
     epoch = armci._nic_barrier_seq
     armci._nic_barrier_seq = epoch + 1
     membership = armci.membership
-
-    def degrade():
-        armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
-        return _exchange_resilient(armci)
-
-    if membership is not None and membership.epoch > 0:
-        yield from degrade()
-        return
-    engines = ensure_engines(armci)
-    engine = engines[armci.node]
-    if engine.dead:
-        # NIC-only crash of the local co-processor: the doorbell PIO has
-        # nowhere to land, so the host notices immediately and falls back
-        # to the resilient host exchange.  Peers with live NICs discover
-        # the silence through retry exhaustion (-> view change) instead.
-        yield from degrade()
-        return
-    params = armci.params
-    if params.nic_doorbell_us > 0.0:
-        yield params.nic_doorbell_us
-    release = engine.post_doorbell(epoch, armci.rank, CountVector(armci.op_init))
-    if release is None:
-        # Fenced at the doorbell: this rank is partition-excluded from the
-        # current view.  Degrade to the resilient exchange, whose freeze
-        # gate queues the rank until it rejoins.
-        yield from degrade()
-        return
-    if membership is None:
-        yield release
-    else:
+    released = None
+    if membership is None or membership.epoch == 0:
+        engine = ensure_engines(armci)[armci.node]
+        # A dead engine is a NIC-only crash of the local co-processor: the
+        # doorbell PIO has nowhere to land, so the host notices
+        # immediately.  Peers with live NICs discover the silence through
+        # retry exhaustion (-> view change) instead.
+        if not engine.dead:
+            params = armci.params
+            if params.nic_doorbell_us > 0.0:
+                yield params.nic_doorbell_us
+            # None: fenced at the doorbell, this rank is partition-excluded
+            # from the current view; the survivor stages' freeze gate
+            # queues it until it rejoins.
+            released = engine.post_doorbell(epoch, armci.rank, CountVector(armci.op_init))
+    if released is not None and membership is None:
+        yield released
+    elif released is not None:
         view_changed = armci.env.event()
 
         def _on_view(_epoch=None):
@@ -303,147 +345,93 @@ def _nic(armci: "Armci"):
         membership.subscribe(_on_view)
         if membership.epoch > 0:  # declared between entry check and here
             _on_view()
-        yield release | view_changed
-        if not release.triggered:
-            yield from degrade()
-            return
+        yield released | view_changed
+        if not released.triggered:
+            released = None
+    if released is None:
+        armci.stats["nic_degraded"] = armci.stats.get("nic_degraded", 0) + 1
+        return False
     armci._chaos_barrier_info = {"nic_epoch": epoch}
+    return True
 
 
-def _linear(armci: "Armci"):
-    """Original semantics: AllFence, then the message-passing barrier."""
-    from . import fence as fence_mod  # local import to avoid cycle at import time
+class _Survivors:
+    """The exchange's stage 1 and stage 3 over the survivor view: both
+    :func:`~repro.mp.collectives.resilient_exchange`, restarted on view
+    changes and recorded in the membership ledger.  ``result_epoch`` is
+    the view epoch stage 1's totals were computed under."""
 
-    yield from fence_mod.allfence_linear(armci)
-    yield from collectives.barrier(armci.comm)
+    def __init__(self, armci: "Armci"):
+        self.armci = armci
+        self.result_epoch = None
 
-
-def _exchange(armci: "Armci"):
-    """The new three-stage operation."""
-    # Stage 1: binary-exchange sum of op_init[] (Figure 2).
-    totals = yield from collectives.allreduce_vector(
-        armci.comm, CountVector(armci.op_init)
-    )
-    # Stage 2: poll the server's op_done counter for our own slot.
-    yield from _stage2_wait(armci, totals[armci.rank])
-    # Stage 3: binary-exchange barrier synchronization.  Ranks that fell
-    # back in stage 2 still join the same collective, so mixed outcomes
-    # cannot deadlock.
-    yield from collectives.barrier(armci.comm)
-
-
-def _stage2_wait(armci: "Armci", target: int):
-    """Per-rank stage 2 of every fault-free host algorithm: poll the local
-    server's ``op_done`` counter until it reaches ``target``."""
-    region, addr = armci.server.op_done_cell(armci.rank)
-    watchdog_us = armci.params.watchdog_timeout_us
-    if watchdog_us > 0.0:
-        done = yield from _stage2_wait_with_watchdog(
-            armci, region, addr, target, watchdog_us
+    def stage1(self, inst: int):
+        armci = self.armci
+        membership = armci.membership
+        # Entered both directly and as the degrade target of the NIC path,
+        # so the freeze gate runs here too: an excluded rank must rejoin
+        # before it may participate in (or adopt results of) the collective.
+        yield from membership.freeze_gate(armci.rank)
+        if membership.transient:
+            entry = membership.ledger_get(("allreduce", inst))
+            if entry is not None and entry[1] < membership.epoch:
+                # This instance completed in the majority while we were cut
+                # off: we will adopt its recorded result instead of
+                # re-running the exchange, so the collective cannot
+                # transitively fence *our* outstanding operations (nobody
+                # waits on our op_init).  Fence them explicitly to keep the
+                # barrier's fence-inclusion guarantee for the rejoined rank.
+                yield from allfence_linear(armci)
+        totals, self.result_epoch = yield from collectives.resilient_exchange(
+            armci.comm, membership, inst, armci.op_init
         )
-        if not done:
-            # The op_done counter stopped making progress for a full
-            # watchdog window: a server is stalled, or (on an unreliable
-            # network without the retransmit layer) an operation was lost
-            # and the counter will never reach the target.  Degrade to the
-            # conservative path — explicit per-server confirmation round
-            # trips, which do not depend on the counter — and count it.
-            from . import fence as fence_mod
+        return totals[armci.rank]
 
-            armci.stats["barrier_fallbacks"] = (
-                armci.stats.get("barrier_fallbacks", 0) + 1
-            )
-            yield from fence_mod.allfence_linear(armci)
-    else:
-        yield from region.wait_until(
-            addr, lambda v: v >= target, poll_detect_us=armci.params.poll_detect_us
-        )
+    def stage3(self, inst: int):
+        return collectives.resilient_exchange(self.armci.comm, self.armci.membership, inst)
 
 
-def _exchange_resilient(armci: "Armci"):
-    """The three-stage barrier under a crash-stop fault plan.
+def _stage2(armci: "Armci", total: int):
+    """Stage 2 of every three-stage barrier: poll the local server's
+    ``op_done`` counter until it reaches this rank's stage-1 ``total``.
 
-    Stage 1 runs the allreduce compacted over the survivor view (restarting
-    on view changes; the lowest survivor folds in dead ranks' kill-time
-    ``op_init`` snapshots so totals stay cumulative over the original
-    universe).  Stage 2 subtracts dead ranks' issued-but-never-applied
-    operations from the target, re-checking every poll because deaths may
-    be declared while waiting.  Stage 3 is a survivor-only dissemination
-    barrier.  Completed stages are recorded in the membership ledger so a
-    rank that finishes before a view change cannot strand restarted peers.
+    Returns the target it reached.  Under a membership service the target
+    is ``total`` less the dead ranks' never-applied operations
+    (``membership.written_off``), re-evaluated at every check since deaths
+    may be declared while waiting, and a wait that sees no write for
+    ``membership_poll_us`` re-checks.  Otherwise, with
+    ``watchdog_timeout_us > 0``, a window with no write and no progress
+    means a stalled server or (on an unreliable network without the
+    retransmit layer) a lost operation: the rank degrades to the
+    conservative AllFence confirmation path, which does not depend on the
+    counter, and counts the fallback.  A slow but moving counter keeps
+    re-arming the watchdog.  With neither the wait is a plain poll.
     """
-    membership = armci.membership
-    # Entered both directly and as the degrade target of the NIC path, so
-    # the freeze gate runs here too: an excluded rank must rejoin before
-    # it may participate in (or adopt results of) the collective.
-    yield from membership.freeze_gate(armci.rank)
-    inst = armci._chaos_barrier_seq
-    armci._chaos_barrier_seq = inst + 1
-    if membership.transient:
-        entry = membership.ledger_get(("allreduce", inst))
-        if entry is not None and entry[1] < membership.epoch:
-            # This instance completed in the majority while we were cut
-            # off: we will adopt its recorded result instead of re-running
-            # the exchange, so the collective cannot transitively fence
-            # *our* outstanding operations (nobody waits on our op_init).
-            # Fence them explicitly to keep the barrier's fence-inclusion
-            # guarantee for the rejoined rank.
-            from .fence import allfence_linear
-
-            yield from allfence_linear(armci)
-    totals, result_epoch = yield from collectives.resilient_allreduce_sum(
-        armci.comm, membership, armci.op_init, inst
-    )
     region, addr = armci.server.op_done_cell(armci.rank)
-    counted = yield from _stage2_wait_resilient(armci, region, addr, totals)
-    yield from collectives.resilient_barrier(armci.comm, membership, inst)
-    armci._chaos_barrier_info = {
-        "view_epoch": membership.epoch,
-        "result_epoch": result_epoch,
-        "counted": counted,
-        "written_off": totals[armci.rank] - counted,
-    }
-
-
-def _stage2_wait_resilient(armci: "Armci", region, addr, totals):
-    """Stage-2 poll with crash write-offs; returns the final target."""
-    env = armci.env
+    params = armci.params
+    poll_detect_us = params.poll_detect_us
     membership = armci.membership
-    me = armci.rank
-    poll_detect_us = armci.params.poll_detect_us
-    poll_us = membership.params.membership_poll_us
+    window = params.watchdog_timeout_us if membership is None else params.membership_poll_us
+    if window <= 0.0:
+        yield from region.wait_until(
+            addr, lambda v: v >= total, poll_detect_us=poll_detect_us
+        )
+        return total
+    env = armci.env
+    value = region.read(addr)  # every check is a monitored read
+    stalled = False
     while True:
-        target = totals[me] - membership.written_off(me)
-        if region.read(addr) >= target:
+        target = total if membership is None else total - membership.written_off(armci.rank)
+        if value >= target:
+            return target
+        if stalled:
+            armci.stats["barrier_fallbacks"] = armci.stats.get("barrier_fallbacks", 0) + 1
+            yield from allfence_linear(armci)
             return target
         wake = region.watcher(addr).wait()
-        deadline = env.timeout(poll_us)
+        deadline = env.timeout(window)
         yield wake | deadline
         if wake.triggered and poll_detect_us > 0.0:
             yield poll_detect_us
-
-
-def _stage2_wait_with_watchdog(armci: "Armci", region, addr, target, watchdog_us):
-    """Stage-2 poll that gives up when the counter stops progressing.
-
-    Returns True once ``op_done >= target``; returns False if a full
-    watchdog window elapses with *no forward progress* (a slow-but-moving
-    counter keeps re-arming the watchdog rather than tripping it).
-    """
-    env = armci.env
-    poll_detect_us = armci.params.poll_detect_us
-    value = region.read(addr)
-    last_seen = value
-    while value < target:
-        wake = region.watcher(addr).wait()
-        deadline = env.timeout(watchdog_us)
-        yield wake | deadline
-        if wake.triggered and poll_detect_us > 0.0:
-            yield poll_detect_us
-        value = region.read(addr)
-        if value >= target:
-            break
-        if not wake.triggered and value <= last_seen:
-            return False
-        last_seen = value
-    return True
+        last_seen, value = value, region.read(addr)
+        stalled = membership is None and not wake.triggered and value <= last_seen

@@ -59,10 +59,10 @@ class CampaignResult:
         return {str(o.scenario.seed): list(o.kinds()) for o in self.failures}
 
     def histogram(self) -> List[Tuple[str, str, str, int]]:
-        """Failing seeds per (violation kind, lock, barrier), most first; a
-        seed with two kinds counts under both."""
+        """Failing seeds per (violation kind, lock, barrier body that ran),
+        most first; a seed with two kinds counts under both."""
         counts = Counter(
-            (kind, o.scenario.lock_kind or "-", o.scenario.barrier_algorithm)
+            (kind, o.scenario.lock_kind or "-", o.barrier_body)
             for o in self.failures
             for kind in o.kinds()
         )

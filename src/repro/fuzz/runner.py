@@ -65,6 +65,11 @@ class FuzzOutcome:
     #: deduplicate equivalent schedules; deliberately NOT part of
     #: :meth:`to_json` so replay byte-comparisons predating it still match.
     end_state_hash: str = ""
+    #: The barrier body that ran, for the campaign histogram: the named
+    #: algorithm fault-free, ``resilient`` under a membership service,
+    #: ``nic``, or ``nic→resilient`` once any rank's NIC barrier degraded.
+    #: Not part of :meth:`to_json` either: the event-stream digest hashes it.
+    barrier_body: str = ""
 
     def ok(self) -> bool:
         return not self.violations
@@ -282,6 +287,7 @@ def run_scenario(
             f"{type(exc).__name__}: {exc}",
         )
     outcome.finished_us = runtime.env.now
+    outcome.barrier_body = _barrier_body(scenario.barrier_algorithm, runtime)
     if strategy is not None and strategy.abort:
         # Abandoned part-way (RMCheck: sleep-pruned, or a forced prefix that
         # diverged).  A partial event stream is not a run to judge; whoever
@@ -420,6 +426,16 @@ def run_scenario(
     outcome.violations.sort(key=lambda v: (v["kind"], v["message"]))
     outcome.end_state_hash = _end_state_hash(outcome, finished, audit, alive)
     return outcome
+
+
+def _barrier_body(algorithm: str, runtime) -> str:
+    """Which barrier body ``runtime``'s ranks ran for ``algorithm``: under a
+    membership service every host algorithm is the survivor-view exchange,
+    and a NIC barrier may degrade to it."""
+    if algorithm == "nic":
+        degraded = any(a.stats.get("nic_degraded") for a in runtime.armcis.values())
+        return "nic→resilient" if degraded else "nic"
+    return algorithm if runtime.membership is None else "resilient"
 
 
 def _end_state_hash(

@@ -43,8 +43,7 @@ __all__ = [
     "gather",
     "allgather",
     "alltoall",
-    "resilient_allreduce_sum",
-    "resilient_barrier",
+    "resilient_exchange",
 ]
 
 _TAG_BARRIER = 1 << 24
@@ -103,14 +102,16 @@ def host_port(comm: Comm, base: int, seq: int, round0: int = 0):
 
 # -- the three message patterns ----------------------------------------------------
 #
-# Every combined fence+barrier in the repo (host exchange, its crash-resilient
-# twin, the topology-aware algorithms, the NIC offload) is built from these
-# three schedules.  Each is written once, as a sub-generator for member
-# ``vrank`` of the agreed list ``ranks``, and is run over a port: the
-# blocking host port above, the resilient host port (receives that raise
-# ``_EpochChanged``), the NIC engine's frame port, or the pricing port below.  ``acc`` and every
-# payload are vectors of one kind (see :mod:`repro.mp.vector`): immutable, so
-# nothing here copies one, and combined only with ``+``.
+# Every combined fence+barrier in the repo is built from these three
+# schedules: the host algorithms of repro.topo.algorithms (the exchange
+# among them), the exchange over the survivor view under a membership
+# service (resilient_exchange below) and the NIC offload.  Each is written
+# once, as a sub-generator for member ``vrank`` of the agreed list
+# ``ranks``, and is run over a port: the blocking host port above, the
+# resilient host port (receives that raise ``_EpochChanged``), the NIC engine's
+# frame port, or the pricing port below.  ``acc`` and every payload are
+# vectors of one kind (see :mod:`repro.mp.vector`): immutable, so nothing
+# here copies one, and combined only with ``+``.
 
 
 def sum_pattern(vrank: int, ranks: Sequence[int], send, recv, acc):
@@ -522,14 +523,14 @@ def alltoall(comm: Comm, values: Sequence[Any]) -> List[Any]:
     return result
 
 
-# -- crash-resilient variants ------------------------------------------------------
+# -- the exchange over the survivor view -------------------------------------------
 #
-# Used only when a crash-stop fault plan installs a MembershipService (see
-# repro.runtime.membership); fault-free runs never construct any of this.
-# The protocol per instance:
+# What every host ARMCI_Barrier runs once a fault plan installs a
+# MembershipService (see repro.runtime.membership); fault-free runs never
+# construct any of this.  The protocol per stage of one barrier instance:
 #
-# 1. run the usual recursive exchange, but *compacted over the survivor
-#    view* and with the membership epoch encoded in the tag;
+# 1. run the exchange's pattern, but *compacted over the survivor view*
+#    and with the membership epoch encoded in the tag;
 # 2. every receive is a peek-poll loop, so a partner's death cannot wedge
 #    the collective — when the view changes, all blocked survivors abandon
 #    the exchange and restart it under the new view (stale pre-crash
@@ -578,37 +579,6 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
         yield poll_us
 
 
-def _resilient(comm: Comm, membership, key, attempt):
-    """Run ``attempt(epoch0)`` to completion under one view, or adopt.
-
-    ``attempt`` returns the sub-generator of one try over the view of
-    ``epoch0``; it is abandoned and retried when that view changes
-    (:class:`_EpochChanged`).  A completed value goes into the membership
-    ledger under ``key``; a rank that finds the instance already completed
-    under an older epoch adopts the recorded value.  Returns ``(value,
-    epoch)``.
-    """
-    while True:
-        if not membership.in_view(comm.rank):
-            # Excluded (partition minority): wait out the freeze instead of
-            # spinning on a view that omits us.  The rejoin advances the
-            # epoch, so the adoption check below picks up the instance the
-            # majority completed in the meantime.  No-op for crash plans —
-            # a dead rank's process never runs.
-            yield from membership.freeze_gate(comm.rank)
-            continue
-        epoch0 = membership.epoch
-        entry = membership.ledger_get(key)
-        if entry is not None and entry[1] < epoch0:
-            return entry[0], entry[1]
-        try:
-            value = yield from attempt(epoch0)
-        except _EpochChanged:
-            continue
-        membership.ledger_put(key, value, epoch=epoch0)
-        return value, epoch0
-
-
 def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
     """The resilient host port: ``(vrank, ranks, send, recv)`` over the view.
 
@@ -639,39 +609,49 @@ def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
     return ranks.index(comm.rank), ranks, send, recv
 
 
-def resilient_allreduce_sum(comm: Comm, membership, counts: Sequence[int], inst: int):
-    """Crash-aware elementwise-sum allreduce of ``op_init`` over the survivor view.
+def resilient_exchange(comm: Comm, membership, inst: int, counts=None):
+    """One stage of the exchange over the survivor view; ``(value, epoch)``.
 
-    ``counts`` is the caller's live list, snapshotted at each attempt;
-    ``inst`` must be agreed across ranks (SPMD call order).  Returns
-    ``(totals, epoch)`` where ``totals`` is a :class:`CountVector` and
-    ``epoch`` the membership epoch it was computed under.  The totals stay
-    cumulative over the *original* universe: the lowest survivor folds in
-    dead ranks' kill-time snapshot contributions, and the caller subtracts
-    their never-applied operations via ``membership.written_off``.
+    With ``counts`` (the caller's live ``op_init``, snapshotted at each
+    attempt) stage 1, :func:`sum_pattern`: totals cumulative over the
+    *original* universe (the lowest survivor folds in dead ranks' kill-time
+    snapshots; the caller subtracts ``membership.written_off``).  Without,
+    stage 3, :func:`dissemination_pattern`.  ``inst`` is agreed by SPMD
+    call order.  An attempt over one epoch's view is retried when the view
+    changes (:class:`_EpochChanged`); the value goes into the membership
+    ledger, and a rank that finds it there under an older epoch adopts it.
+    ``epoch`` is the view epoch the value was computed under.
     """
-    key = ("allreduce", inst)
-
-    def attempt(epoch0):
-        # Tag channel 2*inst: distinct from this instance's barrier.
-        vrank, ranks, send, recv = _survivor_port(comm, membership, key, 2 * inst, epoch0)
-        acc = CountVector(counts)
-        if vrank == 0:
-            # The lowest survivor contributes the dead ranks' snapshots so the
-            # totals remain comparable with the targets' cumulative op_done.
-            acc = acc + membership.dead_contribution(epoch0)
-        return sum_pattern(vrank, ranks, send, recv, acc)
-
-    return _resilient(comm, membership, key, attempt)
-
-
-def resilient_barrier(comm: Comm, membership, inst: int):
-    """Crash-aware dissemination barrier over the survivor view."""
-    key = ("barrier", inst)
-
-    def attempt(epoch0):
-        return dissemination_pattern(
-            *_survivor_port(comm, membership, key, 2 * inst + 1, epoch0)
-        )
-
-    return _resilient(comm, membership, key, attempt)
+    if counts is None:
+        # Tag channel 2*inst+1: distinct from this instance's allreduce.
+        key, chan, pattern = ("barrier", inst), 2 * inst + 1, dissemination_pattern
+    else:
+        key, chan, pattern = ("allreduce", inst), 2 * inst, sum_pattern
+    while True:
+        if not membership.in_view(comm.rank):
+            # Excluded (partition minority): wait out the freeze instead of
+            # spinning on a view that omits us.  The rejoin advances the
+            # epoch, so the adoption check below picks up the instance the
+            # majority completed in the meantime.  No-op for crash plans —
+            # a dead rank's process never runs.
+            yield from membership.freeze_gate(comm.rank)
+            continue
+        epoch0 = membership.epoch
+        entry = membership.ledger_get(key)
+        if entry is not None and entry[1] < epoch0:
+            return entry
+        try:
+            vrank, ranks, send, recv = _survivor_port(comm, membership, key, chan, epoch0)
+            acc = None
+            if counts is not None:
+                acc = CountVector(counts)
+                if vrank == 0:
+                    # The lowest survivor contributes the dead ranks'
+                    # snapshots so the totals remain comparable with the
+                    # targets' cumulative op_done.
+                    acc = acc + membership.dead_contribution(epoch0)
+            value = yield from pattern(vrank, ranks, send, recv, acc)
+        except _EpochChanged:
+            continue
+        membership.ledger_put(key, value, epoch=epoch0)
+        return value, epoch0

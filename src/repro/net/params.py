@@ -156,7 +156,7 @@ class NetworkParams:
         Poll granularity used by epoch-aware (crash-resilient) waits:
         collective receives and the barrier's stage-2 wait re-check the
         membership epoch at this interval so survivors notice a view
-        change while blocked.
+        change while blocked.  Must be positive.
     nic_proc_us:
         NIC co-processor (LANai-style) CPU time per protocol step of the
         offloaded barrier: folding one contribution vector, building one
@@ -265,6 +265,12 @@ class NetworkParams:
         if self.tree_radix < 2:
             raise ValueError(
                 f"tree_radix must be >= 2, got {self.tree_radix}"
+            )
+        if self.membership_poll_us <= 0.0:
+            # Every epoch-aware wait sleeps this long between checks: zero
+            # would spin forever at one simulated instant.
+            raise ValueError(
+                f"membership_poll_us must be > 0, got {self.membership_poll_us}"
             )
         if self.nic_algorithm not in ("exchange", "tree"):
             raise ValueError(

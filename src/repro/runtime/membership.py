@@ -822,7 +822,7 @@ class MembershipService:
         """Sleep until the earliest fault window covering ``rank`` can end
         (then fall back to the membership poll period for the rejoin)."""
         now = self.env.now
-        poll = self.params.membership_poll_us or 1.0
+        poll = self.params.membership_poll_us
         ends = [p.until_us for p in self.plan.partitions if p.covers(now)]
         ends += [
             s.until_us

@@ -4,10 +4,10 @@ topology-aware synchronization algorithms.
 * :mod:`repro.topo.hierarchy` — the multi-level model
   (:class:`Hierarchy` / :class:`LevelSpec`) consumed by the fabric.
 * :mod:`repro.topo.spec` — ``--topo`` spec-string parsing.
-* :mod:`repro.topo.algorithms` — k-ary combining tree, dissemination,
-  and two-level leader-based combined fence+barriers (imported lazily
-  by ``repro.armci.barrier``; do not import it here, it would cycle
-  through ``net.params``).
+* :mod:`repro.topo.algorithms` — the stage bodies of the k-ary
+  combining tree, dissemination, and two-level leader-based combined
+  fence+barriers (imported by ``repro.armci.barrier``; do not import it
+  here, it would cycle through ``net.params``).
 * :mod:`repro.topo.coalesce` — per-node actor coalescing for scalebench
   runs at N=16384.
 """

@@ -1,9 +1,11 @@
-"""Topology-aware combined fence+barrier algorithms.
+"""The stage bodies of the topology-aware combined fence+barriers.
 
-Three first-class alternatives to the paper's flat binary exchange
-(:func:`repro.armci.barrier._exchange`), all with the same three-stage
-semantics — distribute ``op_init[]`` totals, wait for local ``op_done``
-completion, synchronize — and the same fence-inclusion guarantee:
+Three alternatives to the paper's flat binary exchange.
+:func:`repro.armci.barrier.armci_barrier` runs each, as it runs the
+exchange, as the paper's three stages (§3.1.2): ``stage1(seq)``
+distributes the ``op_init[]`` totals and returns this rank's stage-2
+target, the one ``op_done`` wait follows, ``stage3(seq)`` synchronizes —
+so all share one fence-inclusion guarantee:
 
 * ``kary`` — a k-ary combining tree (radix ``params.tree_radix``).
   Stage 1 reduces the ``op_init`` vectors up the tree and broadcasts the
@@ -30,32 +32,25 @@ completion, synchronize — and the same fence-inclusion guarantee:
   Stage 2 stays per-rank: every rank polls its own server's
   ``op_done`` counter.
 
-All three run the shared message patterns of :mod:`repro.mp.collectives`
-over the :class:`~repro.mp.comm.Comm` point-to-point layer (so link faults
-and the reliable delivery layer apply unchanged) — or, when ``auto``
-prices them, over a :class:`~repro.mp.collectives.PricePort` member: the
-same bodies either way.  They are only entered crash-free: under an active membership service
-``armci_barrier`` routes every host algorithm to the resilient exchange,
-exactly as it does for ``linear``.  SPMD call order is assumed; a
-per-Armci sequence number (``_topo_barrier_seq``) keeps successive
-barriers' messages from cross-matching, with distinct round offsets per
-stage inside one barrier.
+All three run the shared message patterns of :mod:`repro.mp.collectives` over
+the :class:`~repro.mp.comm.Comm` point-to-point layer (so link faults and
+the reliable delivery layer apply unchanged) — or, when ``auto`` prices
+them, over a :class:`~repro.mp.collectives.PricePort` member: the same
+bodies either way.  Under a membership service none of them runs: every
+host algorithm takes the exchange's patterns over the survivor view (see
+``docs/fault_model.md``).  SPMD call order is assumed; the barrier
+sequence number ``seq`` keeps successive barriers' messages from
+cross-matching, with distinct round offsets per stage inside one barrier.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..armci.barrier import _stage2_wait
 from ..mp import collectives
 from ..mp.collectives import dissemination_pattern, host_port, sum_pattern, tree_pattern
 from ..mp.comm import ANY_SOURCE
 from ..mp.vector import CountVector
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..armci.api import Armci
-
-__all__ = ["topo_sync", "SYNCS", "kary_sync", "dissemination_sync", "twolevel_sync"]
+__all__ = ["kary_sync", "dissemination_sync", "twolevel_sync"]
 
 _TAG_TWOLEVEL = 8 << 24
 _TAG_KARY = 9 << 24
@@ -70,29 +65,6 @@ _R_SCATTER = 32
 _R_SIGNAL = 33
 _R_STAGE3 = 34
 _R_RELEASE = 63
-
-
-def topo_sync(armci: "Armci", algorithm: str):
-    """``armci``'s combined fence+barrier by one of :data:`SYNCS`.
-
-    The algorithm's ``stage1(seq)`` returns this rank's stage-2 target (the
-    system-wide count of operations destined for it), the local
-    ``op_done`` wait follows, then ``stage3(seq)`` synchronizes.  ``seq``
-    is this barrier's tag sequence number.
-    """
-    stage1, stage3 = SYNCS[algorithm](armci.comm, armci.op_init)
-    seq = armci._topo_barrier_seq
-    armci._topo_barrier_seq = seq + 1
-    monitor = armci._monitor
-    if monitor is not None:
-        # All-to-all dependence holds (each is a full barrier), so joining
-        # every enter at each exit is sound for the happens-before engine.
-        monitor.emit("coll_enter", coll=algorithm, epoch=seq)
-    target = yield from stage1(seq)
-    yield from _stage2_wait(armci, target)
-    yield from stage3(seq)
-    if monitor is not None:
-        monitor.emit("coll_exit", coll=algorithm, epoch=seq)
 
 
 # Each algorithm is ``sync(comm, counts) -> (stage1, stage3)`` for one rank:
@@ -196,10 +168,3 @@ def twolevel_sync(comm, counts):
 
     return stage1, stage3
 
-
-#: The topology-aware algorithms by ``ARMCI_Barrier`` name.
-SYNCS = {
-    "kary": kary_sync,
-    "dissemination": dissemination_sync,
-    "twolevel": twolevel_sync,
-}

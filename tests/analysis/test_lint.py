@@ -6,6 +6,7 @@ import textwrap
 
 from repro.analysis.lint import (
     RULE_OP_DONE,
+    RULE_OP_DONE_WAIT,
     RULE_TIMER_EVENT,
     RULE_UNSEEDED,
     RULE_YIELD_FROM,
@@ -142,6 +143,46 @@ class TestOpDoneMutation:
             path="src/repro/runtime/server.py",
         )
         assert findings == []
+
+
+class TestOpDoneWait:
+    def test_second_stage2_loop_flagged(self):
+        # A stage-2 loop of a barrier algorithm's own, next to the one.
+        findings = _lint(
+            """
+            def my_stage2(armci, target):
+                region, addr = armci.server.op_done_cell(armci.rank)
+                yield from region.wait_until(addr, lambda v: v >= target)
+            """,
+            path="src/repro/topo/algorithms.py",
+        )
+        assert [f.rule for f in findings] == [RULE_OP_DONE_WAIT]
+
+    def test_flagged_in_barrier_module_outside_stage2(self):
+        findings = _lint(
+            """
+            def _stage2_wait_resilient(armci, totals):
+                region, addr = armci.server.op_done_cell(armci.rank)
+                return region.read(addr)
+            """,
+            path="src/repro/armci/barrier.py",
+        )
+        assert [f.rule for f in findings] == [RULE_OP_DONE_WAIT]
+
+    def test_the_one_stage2_and_the_server_are_clean(self):
+        stage2 = """
+            def _stage2(armci, total):
+                region, addr = armci.server.op_done_cell(armci.rank)
+                yield from region.wait_until(addr, lambda v: v >= total)
+                return total
+            """
+        assert _lint(stage2, path="src/repro/armci/barrier.py") == []
+        server = """
+            def op_done(self, rank):
+                region, addr = self.op_done_cell(rank)
+                return region.read(addr)
+            """
+        assert _lint(server, path="src/repro/runtime/server.py") == []
 
 
 class TestTimerAsEvent:

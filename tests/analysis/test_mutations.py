@@ -118,12 +118,13 @@ class TestEarlyBarrierRelease:
         """An ARMCI_Barrier without the op_done wait releases too early."""
         from repro.armci import barrier as barrier_mod
 
-        def hasty_exchange(armci):
-            # Stage 1 and stage 3 only: never waits for local completion.
-            yield from collectives.allreduce_sum(armci.comm, armci.op_init)
-            yield from collectives.barrier(armci.comm)
+        def hasty_stage2(armci, total):
+            # Stage 1 and stage 3 run; stage 2 never waits for local
+            # completion.
+            return total
+            yield
 
-        monkeypatch.setattr(barrier_mod, "_exchange", hasty_exchange)
+        monkeypatch.setattr(barrier_mod, "_stage2", hasty_stage2)
 
         def workload(ctx):
             n = 256  # bulk put: the apply outlives the two log2(N) stages

@@ -16,7 +16,6 @@ from repro.net.params import myrinet2000
 from repro.nic.engine import NicEngine
 from repro.runtime.cluster import ClusterRuntime
 from repro.runtime.memory import GlobalAddress
-from repro.topo import algorithms as topo_algorithms
 
 HOST_ALGORITHMS = ("exchange", "kary", "dissemination", "twolevel")
 
@@ -46,16 +45,15 @@ def sent(monkeypatch):
 
 @pytest.fixture
 def targets(monkeypatch):
-    """Every stage-2 target a fault-free host algorithm waits for."""
+    """Every stage-2 target a three-stage barrier waits for."""
     seen = []
-    plain_wait = barrier_mod._stage2_wait
+    plain_wait = barrier_mod._stage2
 
     def recording_wait(armci, target):
         seen.append(target)
         return plain_wait(armci, target)
 
-    monkeypatch.setattr(barrier_mod, "_stage2_wait", recording_wait)
-    monkeypatch.setattr(topo_algorithms, "_stage2_wait", recording_wait)
+    monkeypatch.setattr(barrier_mod, "_stage2", recording_wait)
     return seen
 
 

@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.fuzz.campaign import (
+    CampaignResult,
     load_corpus_entry,
     replay_corpus,
     replay_seed,
@@ -181,11 +182,49 @@ class TestKnownFailingRatchet:
         for outcome in result.failures:
             sc = outcome.scenario
             for kind in outcome.kinds():
-                assert counted[(kind, sc.lock_kind or "-", sc.barrier_algorithm)] >= 1
+                assert counted[(kind, sc.lock_kind or "-", outcome.barrier_body)] >= 1
         assert sum(counted.values()) == sum(len(k) for k in expected.values())
         text = result.render()
         assert "4 failing seed(s): 39 62 72 77" in text
         assert text.splitlines()[2].split() == ["kind", "lock", "barrier", "seeds"]
+
+
+class TestBarrierBody:
+    """The histogram's barrier column names the body that ran, not the one
+    the scenario drew."""
+
+    @staticmethod
+    def _first(algorithm, membership):
+        for seed in range(200):
+            scenario = generate(seed)
+            planned = bool(scenario.crashes or scenario.partitions or scenario.stalls)
+            if scenario.barrier_algorithm == algorithm and planned == membership:
+                return scenario
+        raise AssertionError(f"no {algorithm} scenario with membership={membership}")
+
+    def test_kary_under_membership_reports_resilient(self):
+        outcome = run_scenario(self._first("kary", membership=True))
+        assert outcome.barrier_body == "resilient"
+        outcome.violations.append({"kind": "deadlock", "message": "planted"})
+        result = CampaignResult(start_seed=0, failures=[outcome])
+        assert result.histogram() == [
+            ("deadlock", outcome.scenario.lock_kind or "-", "resilient", 1)
+        ]
+
+    def test_fault_free_kary_reports_kary(self):
+        assert run_scenario(self._first("kary", membership=False)).barrier_body == "kary"
+
+    def test_nic_reports_its_degrade(self):
+        assert run_scenario(self._first("nic", membership=False)).barrier_body == "nic"
+        degraded = run_scenario(self._first("nic", membership=True))
+        assert degraded.barrier_body == "nic→resilient"
+
+    def test_body_stays_out_of_the_digested_json(self):
+        outcome = run_scenario(self._first("kary", membership=True))
+        assert set(json.loads(outcome.to_json())) == {
+            "scenario", "violations", "survivors", "dead", "finished_us",
+            "events_analyzed",
+        }
 
 
 class TestShrink:

@@ -296,8 +296,8 @@ class TestCrossPortParity:
         )
 
         def resilient_sum(ctx):
-            totals, epoch = yield from collectives.resilient_allreduce_sum(
-                ctx.comm, ctx.membership, ctx.armci.op_init, 0
+            totals, epoch = yield from collectives.resilient_exchange(
+                ctx.comm, ctx.membership, 0, ctx.armci.op_init
             )
             assert epoch == 0
             return totals
@@ -307,7 +307,7 @@ class TestCrossPortParity:
         never = FaultPlan(crashes=(ProcessCrash(at_us=1e12, rank=1),), seed=7)
         resilient = self._host_run(
             nprocs, myrinet2000(faults=never), resilient_sum,
-            lambda ctx: collectives.resilient_barrier(ctx.comm, ctx.membership, 0),
+            lambda ctx: collectives.resilient_exchange(ctx.comm, ctx.membership, 0),
         )
 
         nic_edges = {"s1": Counter(), "s3": Counter()}

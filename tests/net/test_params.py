@@ -57,6 +57,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             myrinet2000().with_(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_membership_poll_must_be_positive(self, value):
+        """A zero poll period spins an epoch-aware wait forever at one
+        simulated instant (``yield 0`` in the resilient receive)."""
+        with pytest.raises(ValueError, match="membership_poll_us"):
+            NetworkParams(membership_poll_us=value)
+
     def test_zero_costs_allowed(self):
         params = NetworkParams(
             inter_latency_us=0.0, o_send_us=0.0, server_wake_us=0.0

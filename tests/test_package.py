@@ -353,8 +353,7 @@ class TestTimersAreRows:
             trees, lambda call: getattr(call.func, "attr", None) == "timeout"
         )
         assert timeouts == [
-            "armci/barrier.py:_stage2_wait_resilient",
-            "armci/barrier.py:_stage2_wait_with_watchdog",
+            "armci/barrier.py:_stage2",
             "armci/fence.py:_confirm_with_watchdog",
             "runtime/server.py:_run",
         ]
