@@ -28,8 +28,7 @@ def task_cost(task_id: int) -> float:
 
 def worker(ctx, strategy):
     # The NXTVAL counter and checksum live in rank 0's ARMCI memory (in
-    # full Global Arrays they'd be a 1-element array; see
-    # GlobalArray.read_inc for the GA-level wrapper of the same atomic).
+    # full Global Arrays they'd be a 1-element array).
     counter = ctx.regions[0].alloc_named("nxtval", 1, initial=0)
     checksum = ctx.regions[0].alloc_named("checksum", 1, initial=0.0)
 

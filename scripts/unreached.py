@@ -1,25 +1,29 @@
 #!/usr/bin/env python
 """Which functions under ``src/repro`` does no entry point ever call?
 
-The reachability pass behind the repo's deletion PRs, checked in so the
-next one starts from a measured list instead of a guess.  Every non-test
+The reachability gate behind the repo's deletion work.  Every non-test
 entry point — each CLI command (the CI chaos/partition matrix and every
-``--lock`` kind included), the fuzzer's self-test, corpus and a seed
-sweep, every RMCheck target, ``check`` and its lint, ``validate``,
-``regenerate_results.py --check``, the examples, ``benchmarks/``,
-``calibrate.py`` and the perfbench workloads — runs once at a small size
-in its own interpreter under a ``sys.setprofile`` hook that records
-function-call events for files under ``src/repro``.  What the union never
-called is printed as ``file  qualname  lines``.
+``--lock`` kind included, plus the output flags CI passes: ``fuzz
+--keep-going --json-out``, ``scalebench --csv --json-out``, ``mc
+--ce-out``), the fuzzer's self-test, corpus and a seed sweep, every
+RMCheck target and a counterexample round trip, ``check`` and its lint,
+``validate``, ``regenerate_results.py --check``, the examples,
+``benchmarks/``, ``calibrate.py`` and the perfbench workloads — runs once
+at a small size in its own interpreter under a ``sys.setprofile`` hook
+that records function-call events for files under ``src/repro``.  What
+the union never called is printed as ``file  qualname  lines``.
 
     python scripts/unreached.py                  # everything (tens of minutes)
     python scripts/unreached.py --only chaos     # entries whose name matches
     python scripts/unreached.py --out unreached.txt
 
-Standard library plus ``repro.cli.COMMANDS`` (every command must have an
-entry).  Unreached is evidence, not a verdict: fault
-handling that no stock scenario triggers, and reference implementations
-that only tests compare against, are expected on the list.
+Every function a full pass leaves unreached must be named in
+:data:`KEPT` with its reason.  The full pass exits 1 when an unreached
+function is not in ``KEPT``, when a ``KEPT`` entry no longer exists, when
+a ``KEPT`` entry is now reached, or when an entry point exits with a code
+other than the one it declares.  ``--only`` prints the report and judges
+only the exit codes.  Standard library plus ``repro.cli.COMMANDS`` (every
+command must have an entry).
 """
 
 from __future__ import annotations
@@ -53,10 +57,18 @@ CHAOS_MATRIX = [
 HIER = "--ppn 8 --topo switch:8:26::2.0 --radix 8"
 
 
-def entries() -> List[Tuple[str, List[str]]]:
-    """``(name, argv)`` per entry point; argv is what follows ``python``."""
+def entries(out: str) -> List[Tuple[str, List[str], int]]:
+    """``(name, argv, exit code)`` per entry point; argv is what follows
+    ``python``.  ``out`` is a scratch directory for the files entries write
+    (and a later entry may read)."""
+    ce_dir = os.path.join(out, "ce")
     cli = [
         "fig7 --procs 2 4 --iterations 3",
+        # At 32 ranks a barrier counts more dirty slots than the shift path
+        # packs.
+        "fig7 --procs 32 --iterations 1",
+        # A worker per core: the pool's workers run unobserved.
+        "fig7 --procs 2 --iterations 1 --jobs 0",
         "fig8 --procs 2 4 --iterations 3",
         "fig9 --procs 2 4 --iterations 3",
         "fig10 --procs 2 4 --iterations 3",
@@ -75,15 +87,21 @@ def entries() -> List[Tuple[str, List[str]]]:
         *(f"chaos {args}" for args in CHAOS_MATRIX),
         "nic --iterations 3 --procs 2 4",
         "scalebench --procs 64 --iterations 2",
+        f"scalebench --procs 8 --iterations 1 --csv {out} --json-out {out}/scale.json",
         f"scalebench --procs 64 256 --iterations 2 {HIER}",
         f"scalebench --procs 1024 --iterations 1 {HIER} --coalesce",
         "fuzz --seeds 25",
         "fuzz --self-test",
         "fuzz --corpus tests/fuzz/corpus",
         "fuzz --replay 7",
-        "fuzz --start-seed 39 --seeds 1",  # a red seed: the shrinker's caller
-        "mc",
+        ("fuzz --start-seed 39 --seeds 1", 1),  # a red seed: the shrinker's caller
+        # What CI's ratchet runs; seed 39 is red, so the exit is 1.
+        (f"fuzz --seeds 60 --keep-going --json-out {out}/fuzz.json", 1),
+        f"mc --ce-out {ce_dir}",
         "mc --self-test",
+        # A red seed explored to a counterexample, then replayed from its file.
+        (f"mc --scenario 39 --budget 20 --ce-out {ce_dir}", 1),
+        (f"mc --schedule {ce_dir}/counterexample-seed39.json", 1),
         "validate",
         "check",
         "check chaos",
@@ -92,36 +110,163 @@ def entries() -> List[Tuple[str, List[str]]]:
         "check --lint --strict",
         "all --procs 2 4 --iterations 3",
     ]
+    cli = [line if isinstance(line, tuple) else (line, 0) for line in cli]
     from repro.cli import COMMANDS
 
-    missing = set(COMMANDS) - {line.split()[0] for line in cli}
+    missing = set(COMMANDS) - {line.split()[0] for line, _rc in cli}
     if missing:
         raise SystemExit(f"unreached.py: no entry runs repro {sorted(missing)}")
-    out = [(f"repro {line}", ["-m", "repro", *line.split()]) for line in cli]
-    out.append(
-        ("regenerate_results --check", ["scripts/regenerate_results.py", "--check"])
+    result = [(f"repro {line}", ["-m", "repro", *line.split()], rc) for line, rc in cli]
+    result.append(
+        ("regenerate_results --check", ["scripts/regenerate_results.py", "--check"], 0)
     )
-    out.append(("calibrate", ["scripts/calibrate.py"]))
-    out += [
-        (f"examples/{path.name}", [str(path.relative_to(ROOT))])
+    result.append(("calibrate", ["scripts/calibrate.py"], 0))
+    result += [
+        (f"examples/{path.name}", [str(path.relative_to(ROOT))], 0)
         for path in sorted((ROOT / "examples").glob("*.py"))
     ]
     # --benchmark-disable: pytest-benchmark's timed rounds swap the profile
     # hook out, so the bodies would run unobserved.
-    out.append(
-        ("benchmarks", ["-m", "pytest", "benchmarks", "--benchmark-disable", "-q"])
+    result.append(
+        ("benchmarks", ["-m", "pytest", "benchmarks", "--benchmark-disable", "-q"], 0)
     )
     # The throughput gate means nothing under a profile hook, and the
     # report must not land on the checked-in BENCH_simkernel.json.
-    out.append(
+    result.append(
         (
             "bench_simkernel",
             ["benchmarks/perf/bench_simkernel.py", "--iterations", "2", "--repeats", "1",
              "--max-regression", "1.0", "--out", os.devnull],
+            0,
         )
     )
-    out.append(("perfbench --quick", ["perfbench/run.py", "--quick"]))
-    return out
+    result.append(("perfbench --quick", ["perfbench/run.py", "--quick"], 0))
+    return result
+
+
+# -- the kept remainder ----------------------------------------------------------
+
+#: Why an unreached function stays.
+FAULT = (
+    "fault handling no stock scenario reaches yet: reach it through a fuzz "
+    "axis or disprove it"
+)
+VALIDATION = (
+    "validation of outside input: runs only when the input (a CLI argument, "
+    "linted source, a checked run) is bad"
+)
+REFERENCE = "reference implementation the tests compare production code against"
+INTERFACE = "interface method: implements a protocol its callers use polymorphically"
+REPR = "__repr__"
+STOP = "test-harness stop condition"
+
+#: ``(file under src/repro, qualname, reason)`` of every function a full
+#: pass may leave unreached.
+KEPT: Tuple[Tuple[str, str, str], ...] = (
+    # Fault handling: lock recovery and fencing after a declared death, the
+    # transport's transient suspension, the server's reply replay, RMCSan's
+    # rejected-fence and lock-cycle paths.
+    ("analysis/hb.py", "HBAnalyzer._on_lock_fence_rejected", FAULT),
+    ("analysis/hb.py", "HBAnalyzer._deadlock_check.<locals>.visit", FAULT),
+    ("locks/base.py", "BaseLock._fence_reset", FAULT),
+    ("locks/base.py", "BaseLock.recover", FAULT),
+    ("locks/lh.py", "LHLock._fence_reset", FAULT),
+    ("locks/lh.py", "LHLock.recover.<locals>.<lambda>", FAULT),
+    ("locks/mcs.py", "MCSLock._fence_reset", FAULT),
+    ("locks/mcs.py", "MCSLock.recover.<locals>.<lambda>", FAULT),
+    ("locks/mcs.py", "MCSLock._ghost_release.<locals>.linker_pending", FAULT),
+    ("locks/naimi.py", "NaimiTrehelLock._fence_reset", FAULT),
+    ("locks/raymond.py", "RaymondLock._fence_reset", FAULT),
+    ("locks/ticket.py", "TicketFamilyLock._fence_reset", FAULT),
+    ("net/faults.py", "FaultPlan.partition_until", FAULT),
+    ("net/reliable.py", "ReliableDelivery._suspend", FAULT),
+    ("net/reliable.py", "ReliableDelivery._resume", FAULT),
+    ("runtime/server.py", "ServerThread._replay_reply", FAULT),
+    # Validation: the CLI's bad-argument wording, a run too big to trace, the
+    # linters' finding paths, RMCSan's and RMCheck's failure reports, the
+    # kernel's bad-delay error and the deadlock report's per-process target.
+    ("analysis/capture.py", "discard", VALIDATION),
+    ("analysis/hb.py", "Violation.render", VALIDATION),
+    ("analysis/hb.py", "SanReport.render", VALIDATION),
+    ("analysis/lint.py", "LintFinding.render", VALIDATION),
+    ("analysis/lint.py", "_Checker._add", VALIDATION),
+    ("analysis/lint.py", "lint_source.<locals>.<lambda>", VALIDATION),
+    ("analysis/lint.py", "lint_paths.<locals>.<lambda>", VALIDATION),
+    ("analysis/protoshape.py", "_yields", VALIDATION),
+    ("analysis/protoshape.py", "_ShapeChecker._add", VALIDATION),
+    ("cli.py", "_spelling", VALIDATION),
+    ("mc/strategy.py", "label_key", VALIDATION),
+    ("sim/core.py", "_bad_delay", VALIDATION),
+    ("sim/core.py", "Process.target", VALIDATION),
+    # The paper's Figure 2, verbatim; test_fig2_algorithm.py compares the
+    # production allreduce against it.
+    ("mp/collectives.py", "allreduce_sum_fig2", REFERENCE),
+    # Interface methods: abstract lock and strategy hooks, the vectors' and
+    # ConditionValue's list/mapping protocol, containers' len(), the failure
+    # half of Event, and estimate_us's price for "nic" (auto weighs it only
+    # under nic_offload, which no command sets).
+    ("armci/barrier.py", "_price.<locals>.engine", INTERFACE),
+    ("locks/base.py", "BaseLock._acquire", INTERFACE),
+    ("locks/base.py", "BaseLock._release", INTERFACE),
+    ("locks/token_base.py", "TokenLockBase._daemon_loop", INTERFACE),
+    ("locks/token_base.py", "TokenLockBase._holds_token", INTERFACE),
+    ("locks/token_base.py", "TokenLockBase._wants_token", INTERFACE),
+    ("mp/vector.py", "OpCounts.tolist", INTERFACE),
+    ("mp/vector.py", "OpCounts.__iter__", INTERFACE),
+    ("mp/vector.py", "OpCounts.__eq__", INTERFACE),
+    ("mp/vector.py", "OpCounts.__ne__", INTERFACE),
+    ("mp/vector.py", "CountVector.tolist", INTERFACE),
+    ("mp/vector.py", "CountVector.__iter__", INTERFACE),
+    ("mp/vector.py", "CountVector.__eq__", INTERFACE),
+    ("runtime/memory.py", "Region.__len__", INTERFACE),
+    ("sim/core.py", "_Crashed.__bool__", INTERFACE),
+    ("sim/core.py", "SchedulerStrategy.choose", INTERFACE),
+    ("sim/core.py", "SchedulerStrategy.executed", INTERFACE),
+    ("sim/core.py", "Event.fail", INTERFACE),
+    ("sim/core.py", "ConditionValue.__getitem__", INTERFACE),
+    ("sim/core.py", "ConditionValue.__contains__", INTERFACE),
+    ("sim/core.py", "ConditionValue.__iter__", INTERFACE),
+    ("sim/core.py", "ConditionValue.__len__", INTERFACE),
+    ("sim/core.py", "ConditionValue.__eq__", INTERFACE),
+    ("sim/core.py", "ConditionValue.todict", INTERFACE),
+    ("sim/primitives.py", "Store.__len__", INTERFACE),
+    ("sim/primitives.py", "FilterStore.__len__", INTERFACE),
+    # Tests stop runs whose failure detector never idles on all_of(programs).
+    ("sim/core.py", "Condition.all_done", STOP),
+    ("sim/core.py", "AllOf.__init__", STOP),
+    ("sim/core.py", "Environment.all_of", STOP),
+    # Debugging output.
+    ("analysis/events.py", "ProtoEvent.__repr__", REPR),
+    ("armci/api.py", "Armci.__repr__", REPR),
+    ("armci/nonblocking.py", "NbHandle.__repr__", REPR),
+    ("ga/array.py", "GlobalArray.__repr__", REPR),
+    ("ga/array.py", "PreparedPut.__repr__", REPR),
+    ("ga/distribution.py", "BlockDistribution.__repr__", REPR),
+    ("mp/comm.py", "Comm.__repr__", REPR),
+    ("mp/vector.py", "OpCounts.__repr__", REPR),
+    ("mp/vector.py", "CountVector.__repr__", REPR),
+    ("net/faults.py", "FaultInjector.__repr__", REPR),
+    ("net/message.py", "Envelope.__repr__", REPR),
+    ("net/reliable.py", "_Frame.__repr__", REPR),
+    ("net/reliable.py", "ReliableDelivery.__repr__", REPR),
+    ("net/topology.py", "Topology.__repr__", REPR),
+    ("nic/engine.py", "NicEngine.__repr__", REPR),
+    ("runtime/cluster.py", "ClusterRuntime.__repr__", REPR),
+    ("runtime/context.py", "ProcessContext.__repr__", REPR),
+    ("runtime/membership.py", "MembershipService.__repr__", REPR),
+    ("runtime/memory.py", "GlobalAddress.__repr__", REPR),
+    ("runtime/memory.py", "Region.__repr__", REPR),
+    ("runtime/server.py", "ServerThread.__repr__", REPR),
+    ("sim/core.py", "_Crashed.__repr__", REPR),
+    ("sim/core.py", "Event.__repr__", REPR),
+    ("sim/core.py", "Timeout.__repr__", REPR),
+    ("sim/core.py", "Process.__repr__", REPR),
+    ("sim/core.py", "ConditionValue.__repr__", REPR),
+    ("sim/primitives.py", "Store.__repr__", REPR),
+    ("sim/primitives.py", "FilterStore.__repr__", REPR),
+    ("sim/primitives.py", "Resource.__repr__", REPR),
+    ("sim/primitives.py", "Broadcast.__repr__", REPR),
+)
 
 
 # -- child: run one entry point under the hook ---------------------------------
@@ -189,6 +334,21 @@ def functions(path: Path) -> Iterator[Tuple[int, str, int, int]]:
     yield from walk(tree, "")
 
 
+def judge(unreached: Set[Tuple[str, str]], inventory: Set[Tuple[str, str]]) -> List[str]:
+    """What the full pass fails on: one line per unreached function missing
+    from :data:`KEPT`, per ``KEPT`` entry that no longer exists and per
+    ``KEPT`` entry that is now reached.  Keys are ``(file under
+    src/repro, qualname)``."""
+    kept = {(path, qualname) for path, qualname, _reason in KEPT}
+    problems = [f"not in KEPT: {p}  {q}" for p, q in sorted(unreached - kept)]
+    problems += [f"KEPT but gone: {p}  {q}" for p, q in sorted(kept - inventory)]
+    problems += [
+        f"KEPT but reached (delete the entry): {p}  {q}"
+        for p, q in sorted((kept & inventory) - unreached)
+    ]
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", help="run only entries whose name contains this")
@@ -198,7 +358,6 @@ def main() -> int:
     if args.child:
         return run_child(args.child, rest[1:] if rest[:1] == ["--"] else rest)
 
-    selected = [e for e in entries() if not args.only or args.only in e[0]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
@@ -206,7 +365,8 @@ def main() -> int:
     called: Set[Tuple[str, int]] = set()
     failed: List[str] = []
     with tempfile.TemporaryDirectory() as tmp:
-        for index, (name, argv) in enumerate(selected):
+        selected = [e for e in entries(tmp) if not args.only or args.only in e[0]]
+        for index, (name, argv, expected_rc) in enumerate(selected):
             calls = os.path.join(tmp, f"calls{index}.tsv")
             print(f"[{index + 1}/{len(selected)}] {name}", file=sys.stderr, flush=True)
             done = subprocess.run(
@@ -217,8 +377,8 @@ def main() -> int:
                 stderr=subprocess.PIPE,
                 text=True,
             )
-            if done.returncode != 0:
-                failed.append(f"{name} (exit {done.returncode})")
+            if done.returncode != expected_rc:
+                failed.append(f"{name} (exit {done.returncode}, expected {expected_rc})")
                 print(done.stderr[-2000:], file=sys.stderr)
             if os.path.exists(calls):
                 with open(calls, encoding="utf-8") as fh:
@@ -227,25 +387,27 @@ def main() -> int:
                         called.add((filename, int(lineno)))
 
     lines: List[str] = []
-    total = 0
+    unreached: Set[Tuple[str, str]] = set()
+    inventory: Set[Tuple[str, str]] = set()
     for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
         for first, qualname, start, end in sorted(functions(path)):
-            total += 1
+            inventory.add((rel, qualname))
             if (str(path), first) not in called:
+                unreached.add((rel, qualname))
                 lines.append(f"{path.relative_to(ROOT)}  {qualname}  {start}-{end}")
     header = (
-        f"# {len(lines)} of {total} functions under src/repro never called by "
+        f"# {len(lines)} of {len(inventory)} functions under src/repro never called by "
         f"{len(selected)} entry point(s)"
     )
+    problems = [] if args.only else judge(unreached, inventory)
     if failed:
-        header += "\n# entry points that exited nonzero: " + "; ".join(failed)
-    report = "\n".join([header, *lines]) + "\n"
+        header += "\n# entry points with an unexpected exit code: " + "; ".join(failed)
+    report = "\n".join([header, *lines, *(f"# {p}" for p in problems)]) + "\n"
     sys.stdout.write(report)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
-    # A report, not a gate: only a broken pass (an entry point that no
-    # longer runs) is an error.
-    return 1 if failed else 0
+    return 1 if failed or problems else 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ Quickstart::
 
 from .net.params import NetworkParams, gige, myrinet2000, quadrics_like
 from .net.topology import Topology
-from .runtime.cluster import ClusterRuntime, DeadlockError, simulate
+from .runtime.cluster import ClusterRuntime, DeadlockError
 from .runtime.memory import NULL_PTR, GlobalAddress, Region
 
 __version__ = "1.0.0"
@@ -47,5 +47,4 @@ __all__ = [
     "gige",
     "myrinet2000",
     "quadrics_like",
-    "simulate",
 ]

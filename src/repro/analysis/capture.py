@@ -13,11 +13,12 @@ sanitizer pass monitors explicitly.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .monitor import SyncMonitor
 
-__all__ = ["enable", "disable", "enabled", "attach", "flush"]
+__all__ = ["enable", "disable", "discard", "attach", "flush"]
 
 _path: Optional[str] = None
 _captures: List[Tuple[int, SyncMonitor]] = []
@@ -38,8 +39,13 @@ def disable() -> None:
     _captures.clear()
 
 
-def enabled() -> bool:
-    return _path is not None
+def discard() -> None:
+    """Disable capture and delete the file :func:`enable` created, so a run
+    that did not finish leaves no partial trace behind."""
+    path = _path
+    disable()
+    if path is not None:
+        Path(path).unlink(missing_ok=True)
 
 
 def attach(env) -> Optional[SyncMonitor]:

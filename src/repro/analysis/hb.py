@@ -84,9 +84,6 @@ class SanReport:
         else:
             self.suppressed += 1
 
-    def of_kind(self, kind: str) -> List[Violation]:
-        return [v for v in self.violations if v.kind == kind]
-
     def render(self) -> str:
         lines = [
             f"RMCSan: {self.events_analyzed} events analyzed, "

@@ -385,20 +385,13 @@ def lint_source(
 
 def lint_paths(paths: Sequence[str]) -> List[LintFinding]:
     """Lint a set of files with shared generator-name / kind pre-passes."""
-    parsed = []
-    for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        parsed.append((str(path), ast.parse(text, filename=str(path))))
-    names = collect_generator_names(tree for _, tree in parsed)
-    kinds = collect_handled_kinds(tree for _, tree in parsed)
+    texts = [(str(path), Path(path).read_text(encoding="utf-8")) for path in paths]
+    trees = [ast.parse(text, filename=path) for path, text in texts]
+    names = collect_generator_names(trees)
+    kinds = collect_handled_kinds(trees)
     findings: List[LintFinding] = []
-    for path, tree in parsed:
-        checker = _Checker(path, names)
-        checker.visit(tree)
-        findings.extend(checker.findings)
-        findings.extend(
-            LintFinding(*raw) for raw in check_tree(path, tree, kinds)
-        )
+    for path, text in texts:
+        findings.extend(lint_source(text, path, names, kinds))
     findings.sort(key=lambda f: (f.path, f.line))
     return findings
 

@@ -64,10 +64,6 @@ class SyncMonitor:
         env.process_factory = process_with_inheritance
         return self
 
-    @classmethod
-    def of(cls, env) -> Optional["SyncMonitor"]:
-        return getattr(env, MONITOR_ATTR, None)
-
     # -- actors --------------------------------------------------------------
 
     def register_process(self, proc, actor: str) -> None:
@@ -104,10 +100,6 @@ class SyncMonitor:
     @property
     def events(self):
         return self.tracer.events
-
-    @property
-    def sync_cells(self):
-        return frozenset(self._sync_cells)
 
     def analyze(self):
         """Run the happens-before engine over the collected events."""

@@ -125,9 +125,6 @@ class Armci:
             "fences": 0,
             "allfences": 0,
             "barriers": 0,
-            #: Watchdog activity (stays 0 with watchdog_timeout_us == 0).
-            "fence_retries": 0,
-            "barrier_fallbacks": 0,
         }
 
     def __repr__(self) -> str:
@@ -139,10 +136,6 @@ class Armci:
     def region(self) -> Region:
         """The caller's own memory region."""
         return self.regions[self.rank]
-
-    @property
-    def nprocs(self) -> int:
-        return self.topology.nprocs
 
     def is_local(self, ga: GlobalAddress) -> bool:
         """True if ``ga`` is on the caller's node (direct-access eligible)."""
@@ -445,13 +438,6 @@ class Armci:
 
     # -- raw same-node access (lock fast paths) -------------------------------------
 
-    def load(self, ga: GlobalAddress):
-        """Direct same-node read of one cell (asserts locality)."""
-        if not self.is_local(ga):
-            raise ValueError(f"load of non-local address {ga}")
-        yield from self._shm(self.params.shm_access_us)
-        return self.regions[ga.rank].read(ga.addr)
-
     def store(self, ga: GlobalAddress, value: Any):
         """Direct same-node write of one cell (asserts locality)."""
         if not self.is_local(ga):
@@ -565,9 +551,6 @@ class Armci:
     @property
     def dirty_nodes(self) -> set:
         return self._dirty_nodes
-
-    def outstanding_acks(self, node: int) -> int:
-        return self._outstanding.get(node, 0)
 
     def wait_acks_drained(self, node: int):
         """Ack-mode: block until no unacknowledged ops remain for ``node``."""

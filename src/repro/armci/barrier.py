@@ -29,13 +29,6 @@ one stage 2, :func:`_stage2`.
 Both counters are *cumulative* over the process lifetime, so repeated
 barriers need no reset protocol and the comparison in stage 2 is monotone
 (``op_done >= target``).
-
-With ``params.watchdog_timeout_us > 0`` the stage-2 wait is guarded: if the
-``op_done`` counter makes no progress for a full window (stalled server,
-or a lost operation on an unreliable network), the rank degrades to the
-conservative AllFence confirmation path and counts the fallback in
-``armci.stats["barrier_fallbacks"]`` — liveness over latency (see
-``docs/fault_model.md``).
 """
 
 from __future__ import annotations
@@ -172,8 +165,6 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
             monitor.emit("coll_enter", coll=algorithm, epoch=seq)
         target = yield from stage1(seq)
         counted = yield from _stage2(armci, target)
-        # A rank whose stage-2 watchdog fell back still joins stage 3, so
-        # mixed outcomes cannot deadlock.
         yield from stage3(seq)
         if coll:
             monitor.emit("coll_exit", coll=algorithm, epoch=seq)
@@ -240,10 +231,13 @@ def _price(params, topology, algorithm: str) -> float:
             # One NIC step per hosted rank to fold its row, to check its
             # mirror and to release it.
             local = len(topology.ranks_on(node)) * params.nic_proc_us
+            comm = port.comm(node)
             clock[node] += doorbell + local
-            yield from stage1(node, nodes, *port.port(node, 1), CountVector.zeros(n))
+            send, recv = collectives.host_port(comm, 0, 1)
+            yield from stage1(node, nodes, send, recv, CountVector.zeros(n))
             clock[node] += local
-            yield from stage3(node, nodes, *port.port(node, 3), None)
+            send, recv = collectives.host_port(comm, 0, 3)
+            yield from stage3(node, nodes, send, recv, None)
             clock[node] += local + params.nic_dma_us + params.poll_detect_us
 
         return port.run({node: engine(node) for node in nodes})
@@ -395,43 +389,31 @@ def _stage2(armci: "Armci", total: int):
     """Stage 2 of every three-stage barrier: poll the local server's
     ``op_done`` counter until it reaches this rank's stage-1 ``total``.
 
-    Returns the target it reached.  Under a membership service the target
-    is ``total`` less the dead ranks' never-applied operations
+    Returns the target it reached.  Without a membership service the wait
+    is a plain :meth:`~repro.runtime.memory.Region.wait_until`.  Under one
+    the target is ``total`` less the dead ranks' never-applied operations
     (``membership.written_off``), re-evaluated at every check since deaths
     may be declared while waiting, and a wait that sees no write for
-    ``membership_poll_us`` re-checks.  Otherwise, with
-    ``watchdog_timeout_us > 0``, a window with no write and no progress
-    means a stalled server or (on an unreliable network without the
-    retransmit layer) a lost operation: the rank degrades to the
-    conservative AllFence confirmation path, which does not depend on the
-    counter, and counts the fallback.  A slow but moving counter keeps
-    re-arming the watchdog.  With neither the wait is a plain poll.
+    ``membership_poll_us`` re-checks.
     """
     region, addr = armci.server.op_done_cell(armci.rank)
-    params = armci.params
-    poll_detect_us = params.poll_detect_us
+    poll_detect_us = armci.params.poll_detect_us
     membership = armci.membership
-    window = params.watchdog_timeout_us if membership is None else params.membership_poll_us
-    if window <= 0.0:
+    if membership is None:
         yield from region.wait_until(
             addr, lambda v: v >= total, poll_detect_us=poll_detect_us
         )
         return total
+    window = armci.params.membership_poll_us
     env = armci.env
     value = region.read(addr)  # every check is a monitored read
-    stalled = False
     while True:
-        target = total if membership is None else total - membership.written_off(armci.rank)
+        target = total - membership.written_off(armci.rank)
         if value >= target:
-            return target
-        if stalled:
-            armci.stats["barrier_fallbacks"] = armci.stats.get("barrier_fallbacks", 0) + 1
-            yield from allfence_linear(armci)
             return target
         wake = region.watcher(addr).wait()
         deadline = env.timeout(window)
         yield wake | deadline
         if wake.triggered and poll_detect_us > 0.0:
             yield poll_detect_us
-        last_seen, value = value, region.read(addr)
-        stalled = membership is None and not wake.triggered and value <= last_seen
+        value = region.read(addr)

@@ -65,6 +65,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .experiments import Fig7Config, LockBenchConfig, run_fig7, run_lock_series
 from .experiments.lockbench import LOCK_FIGURES, comparison_from_series
 from .net.params import _preset
+from .sim.trace import TraceOverflow
 
 __all__ = ["COMMANDS", "FLAGS", "main"]
 
@@ -239,7 +240,7 @@ FLAGS = {
         "skip remaining cells once S seconds have elapsed",
     ),
     "replay": _flag(
-        "--replay", type=int, metavar="SEED",
+        "--replay", type=_ranged(int, 0), metavar="SEED",
         help="re-expand and run one seed (byte-identical, nonzero exit iff it reports "
         "violations)",
     ),
@@ -943,6 +944,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _CliError as exc:
         print(f"armci-repro: error: {exc}", file=sys.stderr)
         rc = 2
+    except TraceOverflow as exc:
+        print(
+            f"armci-repro: error: {exc}; pass a smaller --iterations or --procs",
+            file=sys.stderr,
+        )
+        rc = 2
+        if args.trace_out:
+            from .analysis import capture
+
+            capture.discard()
     finally:
         if args.trace_out:
             from .analysis import capture

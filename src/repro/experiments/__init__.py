@@ -4,12 +4,9 @@ from .chaosbench import ChaosBenchConfig, ChaosBenchResult, run_chaosbench
 from .common import Comparison, format_table
 from .faultbench import FaultBenchConfig, run_faultbench
 from .fig7_sync import Fig7Config, run_fig7
-from .fig8_lock_total import run_fig8
-from .fig9_lock_acquire import run_fig9
-from .fig10_lock_release import run_fig10
 from .lockbench import LockBenchConfig, LockPoint, run_lock_point, run_lock_series
 from .nicbench import NicBenchConfig, NicBenchResult, run_nicbench
-from .parallel import cell_seed, default_jobs, run_cells
+from .parallel import default_jobs, run_cells
 from .scalebench import ScaleBenchConfig, ScaleBenchResult, run_scalebench
 
 __all__ = [
@@ -24,15 +21,11 @@ __all__ = [
     "NicBenchResult",
     "ScaleBenchConfig",
     "ScaleBenchResult",
-    "cell_seed",
     "default_jobs",
     "format_table",
     "run_chaosbench",
     "run_faultbench",
     "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_fig10",
     "run_cells",
     "run_lock_point",
     "run_lock_series",

@@ -9,7 +9,7 @@ series of the (b) panels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.params import NetworkParams, myrinet2000
 
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_NPROCS",
     "SeriesTable",
     "format_table",
-    "geometric_mean",
 ]
 
 #: The paper evaluates 1..16 processes on 16 nodes.
@@ -75,9 +74,6 @@ class Comparison(SeriesTable):
     def factors(self) -> Dict[int, float]:
         return {n: self.factor(n) for n in self.nprocs_list()}
 
-    def max_factor(self) -> float:
-        return max(self.factors().values())
-
     def to_rows(self) -> List[List[str]]:
         header = ["procs", f"{self.baseline} (us)", f"{self.improved} (us)", "factor"]
         rows = [header]
@@ -104,16 +100,6 @@ def format_table(rows: Sequence[Sequence[str]]) -> str:
         if idx == 0:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = list(values)
-    if not values:
-        return float("nan")
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))
 
 
 def default_params(params: Optional[NetworkParams]) -> NetworkParams:

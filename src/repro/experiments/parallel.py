@@ -13,10 +13,10 @@ few numbers.  Cells share no mutable state, so they can be farmed out to
   (``Pool.map`` preserves order), so serial and parallel runs emit
   byte-identical tables.  The ``--check`` mode of
   ``scripts/regenerate_results.py`` proves this on every CI run.
-* **Seeding.** Cells that need randomness (fault injection, jitter) must
-  derive their RNG stream from :func:`cell_seed`, a stable hash of the
-  cell descriptor — never from a worker-local or global counter, which
-  would make the result depend on how cells were sharded.
+* **Seeding.** Cells that need randomness (fault injection, jitter) take
+  their seed from the cell descriptor itself (its network parameters) —
+  never from a worker-local or global counter, which would make the
+  result depend on how cells were sharded.
 * **Fallback.** ``jobs <= 1`` runs the exact serial path (a plain loop in
   this process, no pool, no pickling), so the runner adds nothing to
   single-core environments.
@@ -28,12 +28,11 @@ worker function next to its ``run_*`` entry point.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-__all__ = ["cell_seed", "default_jobs", "run_cells"]
+__all__ = ["default_jobs", "run_cells"]
 
 C = TypeVar("C")
 R = TypeVar("R")
@@ -42,17 +41,6 @@ R = TypeVar("R")
 def default_jobs() -> int:
     """Worker count for ``--jobs 0`` / "use all cores" requests."""
     return os.cpu_count() or 1
-
-
-def cell_seed(*key) -> int:
-    """Deterministic 63-bit seed for a sweep cell.
-
-    Stable across processes, platforms, and Python versions (unlike
-    ``hash()``, which is salted per interpreter), so a cell draws the same
-    RNG stream whether it runs serially, in any worker, or in any order.
-    """
-    digest = hashlib.sha256(repr(key).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def run_cells(

@@ -131,9 +131,7 @@ class ScaleCell:
     #: Wall-clock seconds for the cell (machine-dependent).
     wall_s: float
 
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else float("inf")
+
 
 
 @dataclass

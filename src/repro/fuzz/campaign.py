@@ -35,7 +35,6 @@ __all__ = [
     "replay_corpus",
     "replay_seed",
     "run_campaign",
-    "save_corpus_entry",
 ]
 
 
@@ -165,14 +164,6 @@ def run_campaign(
 def replay_seed(seed: int) -> FuzzOutcome:
     """Re-expand ``seed`` and run it: byte-identical to the original run."""
     return run_scenario(generate(seed))
-
-
-def save_corpus_entry(path: Path, scenario: Scenario, note: str) -> None:
-    payload = {
-        "note": note,
-        "scenario": json.loads(scenario_to_json(scenario)),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_corpus_entry(path: Path) -> Tuple[str, Scenario]:

@@ -40,9 +40,6 @@ class ShrinkResult:
     steps: List[str]
     runs: int
 
-    def reduced(self) -> bool:
-        return self.scenario != self.original
-
 
 #: What each workload family's phase list may hold.
 _FAMILY_PHASES = {"locks": ("lock", "barrier"), "strips": ("puts", "barrier")}

@@ -2,21 +2,15 @@
 
 from .array import SYNC_MODES, GlobalArray
 from .distribution import BlockDistribution, Section, default_pgrid
-from .ghosts import GhostArray
-from .operations import add, copy, dot, fill, scale
+from .operations import dot
 from .sync import ga_sync
 
 __all__ = [
     "BlockDistribution",
-    "GhostArray",
     "GlobalArray",
     "SYNC_MODES",
     "Section",
-    "add",
-    "copy",
     "default_pgrid",
     "dot",
-    "fill",
     "ga_sync",
-    "scale",
 ]

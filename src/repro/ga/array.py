@@ -2,7 +2,7 @@
 
 A minimal Global-Arrays-style layer sufficient for the paper's evaluation
 workload and the examples: collective creation, one-sided section
-``put``/``get``/``acc`` decomposed into per-owner ARMCI vector transfers,
+``put``/``get`` decomposed into per-owner ARMCI vector transfers,
 and :meth:`GlobalArray.sync` — the ``GA_Sync()`` the paper modified, with
 selectable ``current`` (AllFence + message-passing barrier) and ``new``
 (combined ``ARMCI_Barrier``) implementations.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..runtime.memory import GlobalAddress
 from .distribution import BlockDistribution, Section, default_pgrid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,7 +115,7 @@ class GlobalArray:
 
         Entries are ``(rank, [(addr, local_row, local_c0, local_c1)])`` with
         the data indices pre-shifted into section-local coordinates; every
-        section transfer — put, get, acc — walks this one plan.
+        section transfer — put and get — walks this one plan.
         """
         section = tuple(section)
         plan = self._plan_cache.get(section)
@@ -167,27 +166,6 @@ class GlobalArray:
                 pos += lj1 - lj0
         return out
 
-    def acc(self, section: Section, data, scale: float = 1.0):
-        """Non-blocking atomic accumulate of ``scale * data`` into ``section``."""
-        for rank, segments in self._prepared_transfers(section, data):
-            for addr, values in segments:
-                yield from self.ctx.armci.acc(GlobalAddress(rank, addr), values, scale)
-
-    def read_inc(self, i: int, j: int, inc: int = 1):
-        """Atomic fetch-and-add on element ``(i, j)`` (GA_Read_inc).
-
-        The backbone of Global Arrays' dynamic load balancing (the NXTVAL
-        task counter): workers draw monotonically increasing task ids from
-        a shared element with one atomic op — no locks.  Returns the value
-        *before* the increment.
-        """
-        rank = self.dist.owner(i, j)
-        addr = self._base_of(rank) + self.dist.local_offset(rank, i, j)
-        old = yield from self.ctx.armci.rmw(
-            "fetch_add", GlobalAddress(rank, addr), inc
-        )
-        return old
-
     # -- synchronization -----------------------------------------------------------
 
     def sync(self, mode: str = "new"):
@@ -215,13 +193,6 @@ class GlobalArray:
         blk = self.dist.block(self.ctx.rank)
         values = self.ctx.region.read_many(self.base_addr, blk.cells)
         return _numpy().asarray(values, dtype=float).reshape(blk.nrows, blk.ncols)
-
-    def to_numpy_via_gets(self):
-        """Gather the whole array with one-sided gets (tests/examples)."""
-        rows, cols = self.shape
-        result = yield from self.get((0, rows, 0, cols))
-        return result
-
 
 class PreparedPut:
     """A reusable one-sided put: decomposition and data conversion done once.

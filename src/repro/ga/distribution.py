@@ -94,22 +94,6 @@ class BlockDistribution:
         c0, c1 = self._col_bounds[pj], self._col_bounds[pj + 1]
         return _Block(r0, r1, c0, c1)
 
-    def owner(self, i: int, j: int) -> int:
-        """Rank owning element ``(i, j)``."""
-        rows, cols = self.shape
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise IndexError(f"({i}, {j}) outside {self.shape}")
-        pi = _bisect_bounds(self._row_bounds, i)
-        pj = _bisect_bounds(self._col_bounds, j)
-        return pi * self.pgrid[1] + pj
-
-    def local_offset(self, rank: int, i: int, j: int) -> int:
-        """Row-major offset of global ``(i, j)`` inside ``rank``'s block."""
-        blk = self.block(rank)
-        if not (blk.row0 <= i < blk.row1 and blk.col0 <= j < blk.col1):
-            raise IndexError(f"({i}, {j}) not owned by rank {rank}")
-        return (i - blk.row0) * blk.ncols + (j - blk.col0)
-
     # -- section decomposition ---------------------------------------------------
 
     def check_section(self, section: Section) -> Section:
@@ -164,14 +148,3 @@ def _split(n: int, parts: int) -> List[int]:
         bounds.append(bounds[-1] + base + (1 if p < extra else 0))
     return bounds
 
-
-def _bisect_bounds(bounds: List[int], x: int) -> int:
-    """Index ``k`` with ``bounds[k] <= x < bounds[k+1]``."""
-    lo, hi = 0, len(bounds) - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if bounds[mid] <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

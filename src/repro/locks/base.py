@@ -83,11 +83,6 @@ class BaseLock:
         )
 
     @property
-    def held(self) -> bool:
-        """True while this process holds the lock."""
-        return self._held
-
-    @property
     def is_home_local(self) -> bool:
         """True if the lock's memory lives on this process's node."""
         return self.home_node == self.ctx.node
@@ -223,12 +218,6 @@ class BaseLock:
             self._monitor.mark_sync(region, addr, count)
 
     # -- timing accessors --------------------------------------------------------
-
-    def acquire_stats(self) -> SampleStats:
-        return self.acquire_sw.stats()
-
-    def release_stats(self) -> SampleStats:
-        return self.release_sw.stats()
 
     def total_stats(self) -> SampleStats:
         """Request+release round statistics (Figure 8's metric)."""

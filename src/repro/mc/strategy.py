@@ -183,10 +183,6 @@ class RecordingStrategy(SchedulerStrategy):
         choice point."""
         return tuple(chosen for _opts, chosen, _z in self.decisions)
 
-    def chosen_schedule(self) -> Tuple[str, ...]:
-        """:meth:`chosen` as forced-choice keys (the serialized form)."""
-        return tuple(label_key(label) for label in self.chosen())
-
     def branching_product(self) -> int:
         """Naive interleaving count along this run (Π branching factors)."""
         naive = 1

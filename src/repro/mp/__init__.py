@@ -1,6 +1,6 @@
 """MPI-like message passing over the simulated fabric."""
 
-from .collectives import allgather, allreduce_sum, alltoall, barrier, bcast, gather
+from .collectives import allgather, allreduce_sum, barrier
 from .comm import ANY_SOURCE, ANY_TAG, Comm, MPMessage
 
 __all__ = [
@@ -10,8 +10,5 @@ __all__ = [
     "MPMessage",
     "allgather",
     "allreduce_sum",
-    "alltoall",
     "barrier",
-    "bcast",
-    "gather",
 ]

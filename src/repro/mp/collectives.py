@@ -23,7 +23,7 @@ without a simulator, to price them.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from ..net.params import MSG_HEADER_BYTES
 from .comm import ANY_SOURCE, Comm, MPMessage
@@ -39,19 +39,13 @@ __all__ = [
     "allreduce_vector",
     "allreduce_sum",
     "allreduce_sum_fig2",
-    "bcast",
-    "gather",
     "allgather",
-    "alltoall",
     "resilient_exchange",
 ]
 
 _TAG_BARRIER = 1 << 24
 _TAG_ALLREDUCE = 2 << 24
-_TAG_BCAST = 3 << 24
-_TAG_GATHER = 4 << 24
 _TAG_ALLGATHER = 5 << 24
-_TAG_ALLTOALL = 6 << 24
 _ROUND_STRIDE = 64
 
 
@@ -67,7 +61,7 @@ def _san_monitor(comm: Comm):
     Only collectives with *all-to-all* dependence (every rank's exit
     transitively depends on every rank's enter) emit enter/exit events —
     joining all enters at an exit would be unsound for rooted collectives
-    like bcast/gather.
+    like a broadcast or a gather.
     """
     return getattr(comm.env, "_sync_monitor", None)
 
@@ -297,12 +291,6 @@ class PricePort:
             recv=lambda source, tag: self._recv(rank, source, tag),
         )
 
-    def port(self, me, stage: int = 0):
-        """Member ``me``'s pattern port: :func:`host_port` over its
-        :meth:`comm`, with ``stage`` keeping one schedule's rounds apart
-        from another's."""
-        return host_port(self.comm(me), 0, stage)
-
     def run(self, members) -> float:
         """Drive ``{member: generator}`` in lockstep; the latest clock.
 
@@ -409,63 +397,6 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> List[Any]:
     return acc.tolist()
 
 
-def bcast(comm: Comm, value: Any = None, root: int = 0) -> Any:
-    """Binomial-tree broadcast; returns the broadcast value on every rank.
-
-    Standard MPICH formulation in the space where ``root`` is virtual rank
-    0: each rank receives from the peer that clears its lowest set bit,
-    then relays down its subtree.
-    """
-    n = comm.nprocs
-    if not (0 <= root < n):
-        raise ValueError(f"root {root} out of range")
-    if n == 1:
-        return value
-    seq = _next_seq(comm)
-    tag = _tag(_TAG_BCAST, seq, 0)
-    vrank = (comm.rank - root) % n
-    result = value
-    # Receive phase: walk masks upward until this rank's lowest set bit.
-    mask = 1
-    while mask < n:
-        if vrank & mask:
-            src = ((vrank - mask) + root) % n
-            msg = yield from comm.recv(source=src, tag=tag)
-            result = msg.payload
-            break
-        mask *= 2
-    # Send phase: relay to vrank + m for each m below the receive mask.
-    mask //= 2
-    while mask >= 1:
-        peer = vrank + mask
-        if peer < n:
-            dst = (peer + root) % n
-            yield from comm.send(dst, result, tag=tag)
-        mask //= 2
-    return result
-
-
-def gather(comm: Comm, value: Any, root: int = 0) -> Optional[List[Any]]:
-    """Gather one value per rank to ``root`` (flat, N-1 messages).
-
-    Returns the list ordered by rank on the root, ``None`` elsewhere.
-    """
-    n = comm.nprocs
-    if not (0 <= root < n):
-        raise ValueError(f"root {root} out of range")
-    seq = _next_seq(comm)
-    tag = _tag(_TAG_GATHER, seq, 0)
-    if comm.rank == root:
-        result: List[Any] = [None] * n
-        result[root] = value
-        for _ in range(n - 1):
-            msg = yield from comm.recv(tag=tag)
-            result[msg.src] = msg.payload
-        return result
-    yield from comm.send(root, value, tag=tag)
-    return None
-
-
 def allgather(comm: Comm, value: Any) -> List[Any]:
     """Gather one value per rank to every rank (ring algorithm)."""
     n = comm.nprocs
@@ -488,38 +419,6 @@ def allgather(comm: Comm, value: Any) -> List[Any]:
         carried = (src_rank, src_value)
     if monitor is not None:
         monitor.emit("coll_exit", coll="allgather", epoch=seq)
-    return result
-
-
-def alltoall(comm: Comm, values: Sequence[Any]) -> List[Any]:
-    """Personalized all-to-all: ``values[i]`` goes to rank ``i``.
-
-    Pairwise-exchange algorithm (N-1 overlapped phases).  Returns the list
-    of received items indexed by source rank.
-    """
-    n = comm.nprocs
-    if len(values) != n:
-        raise ValueError(f"need {n} items, got {len(values)}")
-    result: List[Any] = [None] * n
-    result[comm.rank] = values[comm.rank]
-    if n == 1:
-        return result
-    seq = _next_seq(comm)
-    monitor = _san_monitor(comm)
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="alltoall", epoch=seq)
-    for step in range(1, n):
-        if n & (n - 1) == 0:
-            partner = comm.rank ^ step
-        else:
-            partner = (comm.rank + step) % n
-        recv_from = partner if n & (n - 1) == 0 else (comm.rank - step) % n
-        tag = _tag(_TAG_ALLTOALL, seq, step - 1)
-        yield from comm.send(partner, values[partner], tag=tag)
-        msg = yield from comm.recv(source=recv_from, tag=tag)
-        result[msg.src] = msg.payload
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="alltoall", epoch=seq)
     return result
 
 

@@ -1,7 +1,7 @@
 """Simulated cluster network: parameters, topology, fabric, faults, reliability."""
 
 from .fabric import Fabric, FabricStats
-from .faults import FaultInjector, FaultPlan, FaultStats, LinkFaults, StallWindow
+from .faults import FaultInjector, FaultPlan, FaultStats, LinkFaults
 from .message import Endpoint, Envelope, mp_endpoint, server_endpoint
 from .params import (
     MSG_HEADER_BYTES,
@@ -28,7 +28,6 @@ __all__ = [
     "ReliabilityError",
     "ReliableDelivery",
     "SMALL_MSG_BYTES",
-    "StallWindow",
     "Topology",
     "gige",
     "mp_endpoint",

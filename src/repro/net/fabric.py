@@ -20,7 +20,7 @@ that event.
 Fault injection and reliability.  With ``params.faults`` set, every
 physical transmission passes through a seeded
 :class:`~repro.net.faults.FaultInjector` (drops, duplicates, delay spikes,
-server stall windows), and — when the plan asks for it — the
+partitions, process pauses), and — when the plan asks for it — the
 :class:`~repro.net.reliable.ReliableDelivery` layer restores exactly-once,
 in-order delivery over the lossy links with ACKs, retransmissions, and a
 receiver-side resequencer.  With ``params.faults`` left ``None`` (the
@@ -265,7 +265,7 @@ class Fabric:
         crossing level, see :mod:`repro.topo.hierarchy`), plus jitter —
         adds ``extra_us`` (receiver CPU folded into a reply), offers it to
         the fault plan iff ``faulted`` (``fault_dst`` names the endpoint
-        whose stall / pause windows apply), and schedules one
+        whose pause windows apply), and schedules one
         :class:`~repro.sim.core.Call` row per surviving copy: the arrival
         ``callbacks`` with ``a`` and ``b`` on the row, ``.delay`` its
         offset from now.  Returns those rows (a caller that gives each
@@ -474,7 +474,7 @@ class Fabric:
             # RMCheck transition label: reply delivery to the requester.
             ordinal = self._mc_ordinal(("rep", src_node, dst_rank))
             label = ("rep", ("mp", dst_rank), (src_node, ordinal))
-        # No endpoint's stall / pause windows hold a reply back; the link
+        # No endpoint's pause windows hold a reply back; the link
         # faults apply when the plan says so.  The blocked requester's
         # receive overhead folds into the delay.
         faulted = not intra_node and p.faults is not None and p.faults.apply_to_replies
@@ -499,6 +499,3 @@ class Fabric:
 
     # -- introspection ---------------------------------------------------------
 
-    def nic_busy_until(self, node: int) -> float:
-        """Time at which ``node``'s NIC finishes its current backlog."""
-        return self._nic_free[node]

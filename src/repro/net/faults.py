@@ -4,9 +4,9 @@ The paper's protocols (the combined ``ARMCI_Barrier()``, the hybrid and MCS
 locks) are correct because GM guarantees reliable, in-order delivery
 (paper §3.1.1).  This module makes that assumption *falsifiable*: a
 :class:`FaultPlan` describes how a network misbehaves — per-link drop
-probability, duplication, delay spikes, reordering windows, and timed
-server stall/crash windows — and a :class:`FaultInjector` applies the plan
-to every physical transmission the fabric makes.
+probability, duplication, delay spikes, reordering windows, partitions,
+process pauses and crash-stop failures — and a :class:`FaultInjector`
+applies the plan to every physical transmission the fabric makes.
 
 Design rules:
 
@@ -21,13 +21,13 @@ Design rules:
   drops, duplicates, and delays on every run.
 
 * **The network lies; memory does not.**  Faults apply to inter-node
-  transmissions (and, for stall/crash windows, to deliveries addressed to
-  the stalled node's server).  The intra-node shared-memory queue stays
-  reliable, as real SMP request queues are.
+  transmissions (and, for process pauses, to deliveries addressed to the
+  paused rank).  The intra-node shared-memory queue stays reliable, as
+  real SMP request queues are.
 
 Recovery from injected faults is the job of :mod:`repro.net.reliable`
-(ACK/retransmit/resequencing) and the protocol watchdogs in
-:mod:`repro.armci.fence` / :mod:`repro.armci.barrier`.
+(ACK/retransmit/resequencing) and of the crash-stop membership service
+(:mod:`repro.runtime.membership`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .message import Endpoint
 
 __all__ = [
     "LinkFaults",
-    "StallWindow",
     "ProcessCrash",
     "Partition",
     "ProcessStall",
@@ -99,34 +98,6 @@ class LinkFaults:
             or self.delay_rate > 0.0
             or self.reorder_rate > 0.0
         )
-
-
-@dataclass(frozen=True)
-class StallWindow:
-    """A timed outage of one node's server.
-
-    A message due to arrive at ``("srv", node)`` inside ``[start_us,
-    end_us)`` is either *held* until the window closes (``mode="stall"``:
-    the server thread is descheduled / wedged, then resumes with its
-    backlog) or *dropped* (``mode="crash"``: the server restarts and loses
-    everything that was in flight to it).
-    """
-
-    node: int
-    start_us: float
-    end_us: float
-    mode: str = "stall"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("stall", "crash"):
-            raise ValueError(f"mode must be 'stall' or 'crash', got {self.mode!r}")
-        if self.start_us < 0.0 or self.end_us <= self.start_us:
-            raise ValueError(
-                f"need 0 <= start_us < end_us, got [{self.start_us}, {self.end_us})"
-            )
-
-    def covers(self, when: float) -> bool:
-        return self.start_us <= when < self.end_us
 
 
 @dataclass(frozen=True)
@@ -260,8 +231,6 @@ class FaultPlan:
         Fault rates applied to every inter-node link not overridden.
     links:
         Per-link overrides: ``(((src_node, dst_node), LinkFaults), ...)``.
-    stalls:
-        Timed server stall/crash windows.
     partitions:
         Transient network partitions (full bipartite cuts between node
         groups).  Require ``reliable=True``: healing relies on the
@@ -284,7 +253,6 @@ class FaultPlan:
 
     default: LinkFaults = LinkFaults()
     links: Tuple[Tuple[Tuple[int, int], LinkFaults], ...] = ()
-    stalls: Tuple[StallWindow, ...] = ()
     crashes: Tuple[ProcessCrash, ...] = ()
     partitions: Tuple[Partition, ...] = ()
     pauses: Tuple[ProcessStall, ...] = ()
@@ -346,7 +314,6 @@ class FaultPlan:
         delay_spike_us: float = 0.0,
         reorder_rate: float = 0.0,
         reorder_window_us: float = 0.0,
-        stalls: Tuple[StallWindow, ...] = (),
         crashes: Tuple[ProcessCrash, ...] = (),
         partitions: Tuple[Partition, ...] = (),
         pauses: Tuple[ProcessStall, ...] = (),
@@ -363,7 +330,6 @@ class FaultPlan:
                 reorder_rate=reorder_rate,
                 reorder_window_us=reorder_window_us,
             ),
-            stalls=stalls,
             crashes=crashes,
             partitions=partitions,
             pauses=pauses,
@@ -397,12 +363,6 @@ class FaultPlan:
             ),
             **fields,
         )
-
-    def link(self, src_node: int, dst_node: int) -> LinkFaults:
-        for (src, dst), faults in self.links:
-            if src == src_node and dst == dst_node:
-                return faults
-        return self.default
 
     # -- transient-fault queries (partitions and pauses) ---------------------
 
@@ -474,23 +434,8 @@ class FaultStats:
     duplicated: int = 0
     delay_spikes: int = 0
     reordered: int = 0
-    stall_held: int = 0
-    crash_dropped: int = 0
     partition_dropped: int = 0
     pause_held: int = 0
-
-    @property
-    def total(self) -> int:
-        return (
-            self.dropped
-            + self.duplicated
-            + self.delay_spikes
-            + self.reordered
-            + self.stall_held
-            + self.crash_dropped
-            + self.partition_dropped
-            + self.pause_held
-        )
 
 
 class FaultInjector:
@@ -506,21 +451,17 @@ class FaultInjector:
         self._links: Dict[Tuple[int, int], LinkFaults] = dict(plan.links)
         # The plan is frozen, so what an attempt consults is resolved here
         # once: each link's faults, or None where they draw nothing, and
-        # whether any stall or pause window can hold a delivery back.
+        # whether any pause window can hold a delivery back.
         self._active_links: Dict[Tuple[int, int], Optional[LinkFaults]] = {
             pair: faults if faults.active else None
             for pair, faults in self._links.items()
         }
         self._active_default = plan.default if plan.default.active else None
-        self._stalls = bool(plan.stalls)
         self._pauses = bool(plan.pauses)
         self.stats = FaultStats()
 
     def __repr__(self) -> str:
-        return f"<FaultInjector plan={self.plan!r} injected={self.stats.total}>"
-
-    def link(self, src_node: int, dst_node: int) -> LinkFaults:
-        return self._links.get((src_node, dst_node), self.plan.default)
+        return f"<FaultInjector plan={self.plan!r} stats={self.stats!r}>"
 
     # -- the one entry point the fabric calls --------------------------------
 
@@ -537,12 +478,12 @@ class FaultInjector:
 
         Returns zero (dropped), one, or two (duplicated) delays relative to
         ``now``.  ``dst`` is the destination endpoint when the transmission
-        targets a registered mailbox (stall windows key off server
-        endpoints); pass ``None`` for transport-internal traffic (ACKs).
+        targets a registered mailbox (pause windows key off rank
+        mailboxes); pass ``None`` for transport-internal traffic (ACKs).
         """
         if intra_node:
-            # The shared-memory queue is reliable; only an outage of the
-            # server itself (or a pause of the destination rank) affects it.
+            # The shared-memory queue is reliable; only a pause of the
+            # destination rank affects it.
             delays = [base_delay]
         elif self.plan.partitions and self.plan.partitioned(src_node, dst_node, now):
             # Deterministic cut: no RNG draw, so the probabilistic link
@@ -570,35 +511,9 @@ class FaultInjector:
                     if faults.dup_rate > 0.0 and rng.random() < faults.dup_rate:
                         self.stats.duplicated += 1
                         delays.append(delay + rng.uniform(0.0, faults.dup_lag_us))
-        if self._stalls:
-            delays = self._apply_stalls(dst, now, delays)
         if self._pauses:
             delays = self._apply_pauses(dst, now, delays)
         return delays
-
-    def _apply_stalls(
-        self, dst: Optional[Endpoint], now: float, delays: List[float]
-    ) -> List[float]:
-        if dst is None or dst[0] != "srv":
-            return delays
-        node = dst[1]
-        out: List[float] = []
-        for delay in delays:
-            window = self._window_hit(node, now + delay)
-            if window is None:
-                out.append(delay)
-            elif window.mode == "crash":
-                self.stats.crash_dropped += 1
-            else:
-                self.stats.stall_held += 1
-                out.append(window.end_us - now)
-        return out
-
-    def _window_hit(self, node: int, when: float) -> Optional[StallWindow]:
-        for window in self.plan.stalls:
-            if window.node == node and window.covers(when):
-                return window
-        return None
 
     def _apply_pauses(
         self, dst: Optional[Endpoint], now: float, delays: List[float]

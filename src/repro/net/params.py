@@ -90,7 +90,7 @@ class NetworkParams:
         ``[0, jitter_us]``, which can reorder messages between a pair.  GM
         delivers in order, so this is 0 by default; tests use it for
         failure injection.  Richer misbehaviour (drops, duplicates, delay
-        spikes, server stalls) lives in ``faults``, on its own RNG stream.
+        spikes, partitions, crashes) lives in ``faults``, on its own RNG stream.
     send_credits:
         GM-style sender flow control: each (process, server) pair holds
         this many send tokens; a request consumes one and the server's
@@ -106,7 +106,7 @@ class NetworkParams:
         means a perfect network — the fabric takes the exact same code
         path as before the fault subsystem existed, so all fault-free
         results are byte-identical.  When set, the fabric injects the
-        plan's drops/duplicates/delays/stalls and (if ``plan.reliable``)
+        plan's drops/duplicates/delays/partitions and (if ``plan.reliable``)
         runs the ACK/retransmit layer of :mod:`repro.net.reliable`.
     retry_timeout_us:
         Reliable layer: time to wait for an acknowledgement before the
@@ -115,9 +115,9 @@ class NetworkParams:
         Reliable layer: multiplicative backoff applied to the retry
         timeout on each successive retransmission (>= 1).
     max_retries:
-        Reliable layer and fence watchdog: attempts after which the
-        transport gives up and raises (declaring the link/server dead)
-        instead of retrying forever.
+        Reliable layer: attempts after which the transport gives up and
+        raises (declaring the link/server dead) instead of retrying
+        forever.
     adaptive_retry:
         Reliable layer: when True the retransmission timeout is estimated
         per channel from observed round-trip times (Jacobson-style EWMA of
@@ -133,12 +133,6 @@ class NetworkParams:
         Cap of the adaptive timeout *before* the per-channel jitter
         (which adds up to 10%); bounds how long a backed-off channel
         waits between probes during a long outage.
-    watchdog_timeout_us:
-        Protocol watchdogs (0 = disabled, the default): a fence waiting
-        this long without a confirmation retransmits its request, and a
-        barrier whose stage-2 ``op_done`` wait makes no progress for a
-        full window degrades to the conservative AllFence path (see
-        ``docs/fault_model.md``).
     heartbeat_us:
         Membership failure detector (active only when the fault plan
         schedules ``ProcessCrash`` events): interval at which each live
@@ -233,7 +227,6 @@ class NetworkParams:
     adaptive_retry: bool = False
     adaptive_rto_min_us: float = 20.0
     adaptive_rto_max_us: float = 2000.0
-    watchdog_timeout_us: float = 0.0
     heartbeat_us: float = 25.0
     suspect_timeout_us: float = 120.0
     membership_check_us: float = 20.0

@@ -162,20 +162,8 @@ class ReliableDelivery:
         self._resume_cbs = (self._resume,)
 
     def __repr__(self) -> str:
-        return (
-            f"<ReliableDelivery channels={len(self._send_channels)} "
-            f"inflight={self.in_flight()}>"
-        )
-
-    # -- introspection -------------------------------------------------------
-
-    def in_flight(self) -> int:
-        """Number of unacknowledged frames across all channels."""
-        return sum(len(ch.unacked) for ch in self._send_channels.values())
-
-    def resequencer_depth(self) -> int:
-        """Frames currently buffered out-of-order at receivers."""
-        return sum(len(ch.buffer) for ch in self._recv_channels.values())
+        inflight = sum(len(ch.unacked) for ch in self._send_channels.values())
+        return f"<ReliableDelivery channels={len(self._send_channels)} inflight={inflight}>"
 
     # -- sender entry points (called by Fabric) -------------------------------
 
@@ -220,7 +208,7 @@ class ReliableDelivery:
             key = frame.key
             label = ("frame", frame.dst or key[1], (key, frame.seq, frame.attempts))
         if frame.kind == "msg":
-            # The mailbox endpoint's stall / pause windows apply.
+            # The mailbox endpoint's pause windows apply.
             latency = fabric.wire_latency_override(frame.envelope.src_rank, frame.dst)
             wire = (frame.dst, True, latency)
         else:

@@ -84,12 +84,6 @@ class Topology:
             raise ValueError(f"node {node} out of range [0, {self.nnodes})")
         return tuple(self._ranks_on[node])
 
-    def same_node(self, a: int, b: int) -> bool:
-        """True if ranks ``a`` and ``b`` share an SMP node."""
-        self._check_rank(a)
-        self._check_rank(b)
-        return self._node_of[a] == self._node_of[b]
-
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nprocs):
             raise ValueError(f"rank {rank} out of range [0, {self.nprocs})")

@@ -183,13 +183,3 @@ class ClusterRuntime:
             results.append(proc.value)
         return results
 
-
-def simulate(
-    main: Callable,
-    nprocs: int,
-    *args: Any,
-    **runtime_kwargs: Any,
-) -> List[Any]:
-    """One-shot convenience: build a runtime, run ``main`` SPMD, return results."""
-    runtime = ClusterRuntime(nprocs, **runtime_kwargs)
-    return runtime.run_spmd(main, *args)

@@ -268,10 +268,6 @@ class MembershipService:
     def dead_ranks(self) -> Tuple[int, ...]:
         return tuple(sorted(self._dead))
 
-    def excluded_ranks(self) -> Tuple[int, ...]:
-        """Ranks transiently excluded from the view (alive, not dead)."""
-        return tuple(sorted(self._excluded))
-
     def in_view(self, rank: int) -> bool:
         """Is ``rank`` a member of the current view (alive and included)?"""
         return rank in self._alive and rank not in self._excluded
@@ -467,10 +463,6 @@ class MembershipService:
         if engines is not None and node in engines:
             engines[node].shutdown()
         self._emit("nic_crashed", node=node, at=self.env.now)
-
-    def nic_dead(self, node: int) -> bool:
-        """True once ``node``'s NIC co-processor has been killed."""
-        return node in self._dead_nics
 
     # -- detection -------------------------------------------------------------
 

@@ -446,7 +446,3 @@ class ServerThread:
     def lock_waiters(self, home_rank: int, base_addr: int) -> Dict[int, LockRequest]:
         """The live wait queue of one lock: ticket -> queued request."""
         return self._lock_waiters.setdefault((home_rank, base_addr), {})
-
-    def queued_lock_waiters(self, home_rank: int, base_addr: int) -> List[int]:
-        """Tickets currently queued for a lock (diagnostics/tests)."""
-        return sorted(self.lock_waiters(home_rank, base_addr))

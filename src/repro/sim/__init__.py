@@ -7,7 +7,6 @@ See :mod:`repro.sim.core` for the event loop and process model,
 
 from .core import (
     AllOf,
-    AnyOf,
     Call,
     Condition,
     ConditionValue,
@@ -15,19 +14,16 @@ from .core import (
     Event,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
     PRIORITY_LAZY,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
 from .primitives import Broadcast, FilterStore, Resource, Store
-from .timeline import Interval, Timeline
 from .trace import SampleStats, Stopwatch, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Broadcast",
     "Call",
     "Condition",
@@ -35,13 +31,10 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
-    "Interval",
-    "Timeline",
     "Process",
     "Resource",
     "SampleStats",
     "SimulationError",
-    "StopProcess",
     "Stopwatch",
     "Store",
     "Timeout",

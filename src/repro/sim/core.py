@@ -67,11 +67,9 @@ __all__ = [
     "Process",
     "Condition",
     "AllOf",
-    "AnyOf",
     "ConditionValue",
     "SchedulerStrategy",
     "SimulationError",
-    "StopProcess",
     "CRASHED",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
@@ -112,18 +110,6 @@ CRASHED = _Crashed()
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (not for modeled failures)."""
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to exit early with a value.
-
-    ``raise StopProcess(value)`` is equivalent to ``return value`` but can be
-    used from inside nested helpers.
-    """
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
 
 
 class SchedulerStrategy:
@@ -247,19 +233,7 @@ class Event:
         self.env.schedule(self, 0.0, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the same outcome as another (triggered) event."""
-        if event._value is _PENDING:
-            raise SimulationError("source event is not triggered")
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- composition -------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_done, [self, other])
 
     def __or__(self, other: "Event") -> "Condition":
         return Condition(self.env, Condition.any_done, [self, other])
@@ -441,13 +415,6 @@ class Process(Event):
                 self._value = getattr(exc, "value", None)
                 env.schedule(self, 0.0, PRIORITY_NORMAL)
                 return
-            except StopProcess as exc:
-                env._active_proc = None
-                generator.close()
-                self._ok = True
-                self._value = exc.value
-                env.schedule(self, 0.0, PRIORITY_NORMAL)
-                return
             except BaseException as exc:
                 env._active_proc = None
                 self._ok = False
@@ -604,15 +571,6 @@ class AllOf(Condition):
         super().__init__(env, Condition.all_done, events)
 
 
-class AnyOf(Condition):
-    """Succeeds as soon as any sub-event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, Condition.any_done, events)
-
-
 class Environment:
     """The simulation environment: a clock and a priority event queue."""
 
@@ -670,10 +628,6 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._queue, (self._now + delay, priority, seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def _until(self, until: Any):
         """Split ``run(until=...)`` into ``(stop_at, stop_ev)``: a time to
@@ -867,6 +821,3 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)

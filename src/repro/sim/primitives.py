@@ -16,7 +16,7 @@ These are the building blocks the cluster runtime uses:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque
 
 from .core import Environment, Event, SimulationError
 
@@ -45,11 +45,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def idle_waiters(self) -> int:
-        """Number of processes currently blocked in ``get``."""
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""
         self.total_put += 1
@@ -67,12 +62,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: the next item, or ``None`` if empty."""
-        if self.items:
-            return self.items.popleft()
-        return None
 
     def cancel_get(self, event: Event) -> bool:
         """Withdraw a pending ``get`` so it can never consume an item.
@@ -131,14 +120,6 @@ class FilterStore:
         self._getters.append((ev, predicate))
         return ev
 
-    def try_get(self, predicate: Callable[[Any], bool]) -> Optional[Any]:
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[i]
-                return item
-        return None
-
-
 class Resource:
     """A counted resource granted FIFO.
 
@@ -166,10 +147,6 @@ class Resource:
             f"queued={len(self._waiters)}>"
         )
 
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         ev = self.env.event()
         if self.in_use < self.capacity:
@@ -187,20 +164,6 @@ class Resource:
             ev.succeed()
         else:
             self.in_use -= 1
-
-    def hold(self, duration: float):
-        """Sub-generator: acquire, hold for ``duration``, release.
-
-        Models occupying the resource for a fixed service time::
-
-            yield from nic.hold(xfer_time)
-        """
-        yield self.acquire()
-        try:
-            yield duration
-        finally:
-            self.release()
-
 
 class Broadcast:
     """Re-armable broadcast signal.

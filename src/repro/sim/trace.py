@@ -13,7 +13,16 @@ from typing import Any, List, Optional
 
 from .core import Environment
 
-__all__ = ["Stopwatch", "SampleStats", "Tracer"]
+__all__ = ["EVENT_LIMIT", "SampleStats", "Stopwatch", "TraceOverflow", "Tracer"]
+
+#: Most structured events one :class:`Tracer` holds.  A run that emits more
+#: fails with :class:`TraceOverflow` rather than keeping a truncated trace
+#: that every consumer would take for the whole run.
+EVENT_LIMIT = 2_000_000
+
+
+class TraceOverflow(RuntimeError):
+    """A run emitted more than :data:`EVENT_LIMIT` structured events."""
 
 
 @dataclass
@@ -73,14 +82,6 @@ class Stopwatch:
         self.samples.append(dt)
         return dt
 
-    def discard(self) -> None:
-        """Abort the current interval without recording it."""
-        self._started_at = None
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
     def stats(self) -> SampleStats:
         return SampleStats.from_samples(self.samples)
 
@@ -102,16 +103,12 @@ class Tracer:
     """
 
     events: List[Any] = field(default_factory=list)
-    event_limit: int = 2_000_000
 
     def emit(self, event: Any) -> None:
         """Append one structured protocol event (order = emission order)."""
-        if len(self.events) >= self.event_limit:
-            return
+        if len(self.events) >= EVENT_LIMIT:
+            raise TraceOverflow(f"a run emitted more than {EVENT_LIMIT} protocol events")
         self.events.append(event)
-
-    def events_of(self, kind: str) -> List[Any]:
-        return [e for e in self.events if e.kind == kind]
 
     def dump_jsonl(self, path: str, header: Optional[dict] = None) -> int:
         """Append the structured events to ``path`` as JSON lines.

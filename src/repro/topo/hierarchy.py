@@ -109,10 +109,6 @@ class Hierarchy:
             caps.append(cap)
         object.__setattr__(self, "caps", tuple(caps))
 
-    @property
-    def nlevels(self) -> int:
-        return len(self.levels)
-
     def crossing_level(self, node_a: int, node_b: int) -> int:
         """Index of the innermost level whose group holds both nodes.
 
@@ -161,18 +157,6 @@ class Hierarchy:
     def label(self) -> str:
         """Compact single-line form, e.g. ``switch:8 > cluster:4096``."""
         return " > ".join(f"{lv.name}:{lv.arity}" for lv in self.levels)
-
-    def describe(self) -> str:
-        """One line per level, for CLI/doc output."""
-        lines = []
-        for lv, cap in zip(self.levels, self.caps):
-            lat = "inherit" if lv.latency_us is None else f"{lv.latency_us}us"
-            pb = "inherit" if lv.per_byte_us is None else f"{lv.per_byte_us}us/B"
-            lines.append(
-                f"{lv.name}: {cap} nodes/group, latency {lat}, "
-                f"per-byte {pb}, contention x{lv.contention}"
-            )
-        return "\n".join(lines)
 
 
 def two_level(

@@ -15,7 +15,7 @@ from repro.analysis import SyncMonitor
 from repro.mp import collectives
 from repro.net.params import myrinet2000
 from repro.runtime import server as server_mod
-from repro.runtime.cluster import ClusterRuntime
+from repro.runtime.cluster import ClusterRuntime, DeadlockError
 from repro.runtime import atomics
 
 
@@ -87,9 +87,9 @@ class TestDroppedCredit:
     def test_server_never_crediting_is_caught(self, monkeypatch):
         """A server that forgets op_done leaves applied ops uncredited.
 
-        The barrier's stage-2 watchdog keeps the run live (it falls back
-        to the linear AllFence path), so the analyzer gets a complete
-        trace and flags the missing credits at the end.
+        Stage 2 then waits for a credit that never comes and the run
+        wedges; the analyzer judges the trace it left and flags the
+        missing credits at the end.
         """
         monkeypatch.setattr(
             server_mod.ServerThread, "_bump_op_done", lambda self, rank: None
@@ -102,9 +102,11 @@ class TestDroppedCredit:
             yield from ctx.armci.put(ctx.ga(peer, addr), [ctx.rank])
             yield from ctx.armci.barrier()
 
-        report = sanitized_run(
-            2, workload, params=myrinet2000().with_(watchdog_timeout_us=100.0)
-        )
+        monitor = SyncMonitor()
+        runtime = ClusterRuntime(2, monitor=monitor, params=myrinet2000())
+        with pytest.raises(DeadlockError):
+            runtime.run_spmd(workload)
+        report = monitor.analyze()
         assert report.counts.get("fence", 0) >= 1
         assert any(
             "dropped op_done credit" in v.message

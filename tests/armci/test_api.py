@@ -235,23 +235,10 @@ class TestLoadStore:
             peer = ctx.rank ^ 1
             yield from ctx.armci.store(GlobalAddress(peer, base), ctx.rank + 100)
             yield ctx.compute(1)
-            value = yield from ctx.armci.load(GlobalAddress(ctx.rank, base))
-            return value
+            return ctx.region.read(base)
 
         rt = make_cluster(nprocs=2, procs_per_node=2)
         assert rt.run_spmd(main) == [101, 100]
-
-    def test_load_remote_rejected(self, make_cluster):
-        def main(ctx):
-            ctx.region.alloc(1)
-            if ctx.rank == 0:
-                yield from ctx.armci.load(GlobalAddress(1, 0))
-            else:
-                yield ctx.compute(1)
-
-        rt = make_cluster(nprocs=2)
-        with pytest.raises(ValueError, match="non-local"):
-            rt.run_spmd(main)
 
     def test_store_remote_rejected(self, make_cluster):
         def main(ctx):

@@ -89,7 +89,7 @@ class TestNbPut:
                 handle = yield from ctx.armci.nb_put(GlobalAddress(1, base), [9])
                 yield from handle.wait()
                 # The implicit fence accounting must also have been settled.
-                assert ctx.armci.outstanding_acks(ctx.topology.node_of(1)) == 0
+                assert ctx.armci._outstanding.get(ctx.topology.node_of(1), 0) == 0
                 yield from ctx.comm.send(1, "check")
                 return None
             yield from ctx.comm.recv(source=0)

@@ -86,9 +86,9 @@ class TestAckMode:
             if ctx.rank == 0:
                 yield from ctx.armci.put(GlobalAddress(1, base), [1])
                 yield from ctx.armci.put(GlobalAddress(1, base), [2])
-                before = ctx.armci.outstanding_acks(ctx.topology.node_of(1))
+                before = ctx.armci._outstanding.get(ctx.topology.node_of(1), 0)
                 yield from ctx.armci.fence(1)
-                after = ctx.armci.outstanding_acks(ctx.topology.node_of(1))
+                after = ctx.armci._outstanding.get(ctx.topology.node_of(1), 0)
                 return (before, after)
             yield ctx.compute(1)
             return None

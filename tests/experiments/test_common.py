@@ -1,14 +1,6 @@
 """Tests for the experiment-harness helpers."""
 
-import math
-
-import pytest
-
-from repro.experiments.common import (
-    Comparison,
-    format_table,
-    geometric_mean,
-)
+from repro.experiments.common import Comparison, format_table
 
 
 class TestFormatTable:
@@ -28,17 +20,6 @@ class TestFormatTable:
         assert row.endswith("22")
 
 
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_single(self):
-        assert geometric_mean([7.0]) == 7.0
-
-    def test_empty_is_nan(self):
-        assert math.isnan(geometric_mean([]))
-
-
 class TestComparison:
     def make(self):
         c = Comparison("title", "metric", baseline="current", improved="new")
@@ -55,7 +36,6 @@ class TestComparison:
     def test_factors(self):
         c = self.make()
         assert c.factors() == {2: 2.0, 4: 4.0}
-        assert c.max_factor() == 4.0
 
     def test_render_contains_everything(self):
         c = self.make()

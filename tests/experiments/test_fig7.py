@@ -69,7 +69,6 @@ class TestComparisonHelpers:
         c.record("current", 4, 100.0)
         c.record("new", 4, 25.0)
         assert c.factor(4) == 4.0
-        assert c.max_factor() == 4.0
 
     def test_missing_series_raises(self):
         c = Comparison("t", "m", baseline="current", improved="new")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.fig7_sync import Fig7Config, run_fig7
 from repro.experiments.nicbench import NicBenchConfig, run_nicbench
-from repro.experiments.parallel import cell_seed, default_jobs, run_cells
+from repro.experiments.parallel import default_jobs, run_cells
 from repro.experiments.scalebench import (
     SCALE_VARIANTS,
     ScaleBenchConfig,
@@ -42,30 +42,6 @@ class TestRunCells:
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
-
-
-class TestCellSeed:
-    def test_stable_and_distinct(self):
-        assert cell_seed("fig7", "new", 16, 0) == cell_seed("fig7", "new", 16, 0)
-        assert cell_seed("fig7", "new", 16, 0) != cell_seed("fig7", "new", 16, 1)
-
-    def test_fits_in_63_bits(self):
-        seed = cell_seed("variant", 1024, 3)
-        assert 0 <= seed < 2**63
-
-    def test_stable_across_worker_processes(self):
-        cells = [("fig7", "new", n, 0) for n in (2, 4, 8)]
-
-        def local(cell):
-            return cell_seed(*cell)
-
-        serial = [local(c) for c in cells]
-        parallel = run_cells(_cell_seed_of, cells, jobs=2)
-        assert serial == parallel
-
-
-def _cell_seed_of(cell):
-    return cell_seed(*cell)
 
 
 class TestParallelExperiments:

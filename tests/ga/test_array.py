@@ -109,73 +109,6 @@ class TestPutGet:
         assert sum(sums) == 64.0
 
 
-class TestAcc:
-    def test_concurrent_accumulates_sum(self, make_cluster):
-        def body(ctx, ga):
-            rows, cols = ga.shape
-            yield from ga.acc((0, rows, 0, cols), np.ones((rows, cols)), scale=2.0)
-            yield from ga.sync("new")
-            return float(ga.local_block().sum())
-
-        rt = make_cluster(nprocs=4)
-        sums = rt.run_spmd(make_ga_program((6, 6), body))
-        # 4 procs x 2.0 in every cell: each block sums to 8 * cells.
-        assert sum(sums) == 4 * 2.0 * 36
-
-    def test_acc_shape_mismatch(self, make_cluster):
-        def body(ctx, ga):
-            yield from ga.acc((0, 1, 0, 1), np.zeros((2, 2)))
-
-        rt = make_cluster(nprocs=1)
-        with pytest.raises(ValueError, match="shape"):
-            rt.run_spmd(make_ga_program((4, 4), body))
-
-
-class TestReadInc:
-    def test_counter_semantics(self, make_cluster):
-        """Every rank draws unique, gapless values (the NXTVAL contract)."""
-
-        def body(ctx, ga):
-            drawn = []
-            for _ in range(5):
-                value = yield from ga.read_inc(0, 0)
-                drawn.append(value)
-            yield from ga.sync("new")
-            return drawn
-
-        rt = make_cluster(nprocs=4)
-        results = rt.run_spmd(make_ga_program((4, 4), body))
-        all_drawn = sorted(v for per_rank in results for v in per_rank)
-        assert all_drawn == list(range(20))
-
-    def test_increment_amount(self, make_cluster):
-        def body(ctx, ga):
-            if ctx.rank == 0:
-                first = yield from ga.read_inc(1, 1, inc=10)
-                second = yield from ga.read_inc(1, 1, inc=10)
-                return (first, second)
-            yield ctx.compute(1)
-            return None
-
-        rt = make_cluster(nprocs=2)
-        assert rt.run_spmd(make_ga_program((4, 4), body))[0] == (0, 10)
-
-    def test_targets_owner_element(self, make_cluster):
-        """read_inc on an element owned by another rank updates it there."""
-
-        def body(ctx, ga):
-            rows, cols = ga.shape
-            i, j = rows - 1, cols - 1  # owned by the last grid process
-            yield from ga.read_inc(i, j)
-            yield from ga.sync("new")
-            got = yield from ga.get((i, i + 1, j, j + 1))
-            return float(got[0, 0])
-
-        rt = make_cluster(nprocs=4)
-        results = rt.run_spmd(make_ga_program((4, 4), body))
-        assert results == [4.0] * 4  # all four increments landed
-
-
 class TestSyncModes:
     @pytest.mark.parametrize("mode", ["current", "new", "auto"])
     def test_all_modes_complete_all_puts(self, make_cluster, mode):

@@ -45,34 +45,6 @@ class TestBlocks:
                     cells.add((i, j))
         assert len(cells) == 63
 
-    def test_owner_consistent_with_block(self):
-        dist = BlockDistribution((7, 9), (2, 3))
-        for i in range(7):
-            for j in range(9):
-                rank = dist.owner(i, j)
-                blk = dist.block(rank)
-                assert blk.row0 <= i < blk.row1
-                assert blk.col0 <= j < blk.col1
-
-    def test_owner_out_of_range(self):
-        dist = BlockDistribution((4, 4), (2, 2))
-        with pytest.raises(IndexError):
-            dist.owner(4, 0)
-        with pytest.raises(IndexError):
-            dist.owner(0, -1)
-
-    def test_local_offset_row_major(self):
-        dist = BlockDistribution((4, 6), (2, 2))
-        blk = dist.block(3)  # rows 2..4, cols 3..6
-        assert dist.local_offset(3, 2, 3) == 0
-        assert dist.local_offset(3, 2, 5) == 2
-        assert dist.local_offset(3, 3, 3) == 3
-
-    def test_local_offset_foreign_cell_rejected(self):
-        dist = BlockDistribution((4, 4), (2, 2))
-        with pytest.raises(IndexError):
-            dist.local_offset(0, 3, 3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockDistribution((0, 4), (1, 1))
@@ -127,9 +99,10 @@ class TestDecompose:
         for rank, runs in dist.decompose((r0, r1, c0, c1)).items():
             for addr, count, (i, i1, j0, j1) in runs:
                 assert i1 == i + 1 and count == j1 - j0 > 0
+                blk = dist.block(rank)
                 for off, j in enumerate(range(j0, j1)):
-                    assert dist.owner(i, j) == rank
-                    assert dist.local_offset(rank, i, j) == addr + off
+                    assert blk.row0 <= i < blk.row1 and blk.col0 <= j < blk.col1
+                    assert (i - blk.row0) * blk.ncols + (j - blk.col0) == addr + off
                     key = (i, j)
                     assert key not in covered
                     covered[key] = rank

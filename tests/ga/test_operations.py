@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ga import GlobalArray, add, copy, dot, fill, scale
+from repro.ga import GlobalArray, dot
 
 
 def spmd_ga(make_cluster, nprocs, body, shape=(8, 8)):
@@ -13,73 +13,6 @@ def spmd_ga(make_cluster, nprocs, body, shape=(8, 8)):
 
     rt = make_cluster(nprocs=nprocs)
     return rt, rt.run_spmd(main)
-
-
-class TestFillScale:
-    @pytest.mark.parametrize("sync", ["current", "new"])
-    def test_fill_sets_every_element(self, make_cluster, sync):
-        def body(ctx):
-            ga = GlobalArray(ctx, "F", (8, 8))
-            yield from fill(ga, 2.5, sync=sync)
-            got = yield from ga.get((0, 8, 0, 8))
-            return got
-
-        _rt, results = spmd_ga(make_cluster, 4, body)
-        for got in results:
-            np.testing.assert_array_equal(got, np.full((8, 8), 2.5))
-
-    def test_scale(self, make_cluster):
-        def body(ctx):
-            ga = GlobalArray(ctx, "S", (6, 6))
-            yield from fill(ga, 3.0)
-            yield from scale(ga, -2.0)
-            got = yield from ga.get((0, 6, 0, 6))
-            return float(got.sum())
-
-        _rt, results = spmd_ga(make_cluster, 4, body)
-        assert results == [-6.0 * 36] * 4
-
-
-class TestAddCopy:
-    def test_add_alpha_beta(self, make_cluster):
-        def body(ctx):
-            a = GlobalArray(ctx, "A", (6, 6))
-            b = GlobalArray(ctx, "B", (6, 6))
-            out = GlobalArray(ctx, "O", (6, 6))
-            yield from fill(a, 2.0)
-            yield from fill(b, 10.0)
-            yield from add(out, a, b, alpha=3.0, beta=0.5)
-            got = yield from out.get((0, 6, 0, 6))
-            return float(got[0, 0])
-
-        _rt, results = spmd_ga(make_cluster, 4, body)
-        assert results == [11.0] * 4  # 3*2 + 0.5*10
-
-    def test_copy(self, make_cluster):
-        def body(ctx):
-            src = GlobalArray(ctx, "src", (6, 6))
-            dst = GlobalArray(ctx, "dst", (6, 6))
-            yield from fill(src, 7.0)
-            yield from copy(src, dst)
-            got = yield from dst.get((2, 4, 2, 4))
-            return float(got.sum())
-
-        _rt, results = spmd_ga(make_cluster, 4, body)
-        assert results == [7.0 * 4] * 4
-
-    def test_distribution_mismatch_rejected(self, make_cluster):
-        def body(ctx):
-            a = GlobalArray(ctx, "A2", (6, 6))
-            b = GlobalArray(ctx, "B2", (8, 8))
-            yield from copy(a, b)
-
-        rt = make_cluster(nprocs=4)
-
-        def main(ctx):
-            yield from body(ctx)
-
-        with pytest.raises(ValueError, match="distribution mismatch"):
-            rt.run_spmd(main)
 
 
 class TestDot:
@@ -105,7 +38,8 @@ class TestDot:
     def test_same_value_on_every_rank(self, make_cluster):
         def body(ctx):
             a = GlobalArray(ctx, "DD", (5, 5))
-            yield from fill(a, 2.0)
+            yield from a.put(a.my_block_section(), np.full(a.local_block().shape, 2.0))
+            yield from a.sync("new")
             result = yield from dot(a, a)
             return result
 

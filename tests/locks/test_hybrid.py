@@ -144,7 +144,7 @@ class TestTiming:
         rt = make_cluster(nprocs=2)
         locks = rt.run_spmd(main)
         for lock in locks:
-            assert lock.acquire_stats().count == 5
-            assert lock.release_stats().count == 5
+            assert lock.acquire_sw.stats().count == 5
+            assert lock.release_sw.stats().count == 5
             assert lock.total_stats().count == 5
-            assert lock.total_stats().mean > lock.release_stats().mean
+            assert lock.total_stats().mean > lock.release_sw.stats().mean

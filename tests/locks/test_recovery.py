@@ -165,7 +165,7 @@ class TestTicketFamilyRecover:
         assert [(t, r) for _k, t, r in svc.revocations] == [(1, 1)]
         assert lock._home_region.read(lock.base_addr + 1) == 0
         assert svc.revoked == {(0, lock.base_addr): {1}}
-        assert 1 not in sc.rt.servers[0].queued_lock_waiters(0, lock.base_addr)
+        assert 1 not in sc.rt.servers[0].lock_waiters(0, lock.base_addr)
         assert 2 not in sc.granted
 
     def test_excluded_holder_is_advanced_past_but_keeps_running(
@@ -205,7 +205,7 @@ def test_queued_waiter_is_granted_through_the_server(make_cluster, kind):
     # local fast path), plus the recovery's grant: the same counter-advance
     # path a release takes.
     assert server.stats.grants == (2 if kind == "server" else 1)
-    assert server.queued_lock_waiters(0, lock.base_addr) == []
+    assert sorted(server.lock_waiters(0, lock.base_addr)) == []
     assert sc.handles[1]._my_ticket == 1 and 1 in sc.granted
 
 

@@ -73,8 +73,8 @@ class TestTokenMutualExclusion:
         rt = make_cluster(nprocs=2)
         locks = rt.run_spmd(main)
         for lock in locks:
-            assert lock.acquire_stats().count == 5
-            assert lock.release_stats().count == 5
+            assert lock.acquire_sw.stats().count == 5
+            assert lock.release_sw.stats().count == 5
 
 
 class TestTokenEconomy:

@@ -141,7 +141,7 @@ class TestLabelsInsideKeysAtTheBoundary:
             strategy = RecordingStrategy(prefix=prefix, window=t.window)
             outcome = run_scenario(t.scenario, strategy=strategy, sim_cap_us=t.sim_cap_us)
             assert not strategy.diverged and strategy.chosen()[:4] == taken
-            assert strategy.chosen_schedule()[:4] == tuple(keys)
+            assert tuple(label_key(label) for label in strategy.chosen()[:4]) == tuple(keys)
             runs.append((strategy.trace, outcome.to_json(), outcome.end_state_hash))
         assert runs[0] == runs[1]
 

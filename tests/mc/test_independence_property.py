@@ -44,7 +44,9 @@ def test_swapping_independent_deliveries_preserves_verdict_and_state():
         if swap is None:
             continue  # no exact-tie independent pair in this scenario
         depth, alt = swap
-        prefix = base_strategy.chosen_schedule()[:depth] + (label_key(alt),)
+        prefix = tuple(label_key(label) for label in base_strategy.chosen()[:depth]) + (
+            label_key(alt),
+        )
         swapped_strategy = RecordingStrategy(prefix=prefix, window=0.0)
         swapped = run_scenario(
             scenario, strategy=swapped_strategy, sim_cap_us=SIM_CAP_US

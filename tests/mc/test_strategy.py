@@ -83,7 +83,7 @@ class TestRecordingStrategy:
         s = RecordingStrategy(prefix=(label_key(MSG_B0),))
         idx = s.choose(0.0, [_Entry(MSG_A0), _Entry(MSG_B0)])
         assert idx == 1
-        assert s.chosen_schedule() == (label_key(MSG_B0),)
+        assert s.chosen() == (MSG_B0,)
 
     def test_unmatchable_prefix_diverges(self):
         s = RecordingStrategy(prefix=(label_key(ACK_C),))

@@ -141,57 +141,6 @@ class TestAllreduceSum:
             assert result == expected
 
 
-class TestBcast:
-    @pytest.mark.parametrize("nprocs", ALL_SIZES)
-    def test_all_ranks_receive(self, nprocs):
-        def main(ctx):
-            value = {"data": 42} if ctx.rank == 0 else None
-            result = yield from collectives.bcast(ctx.comm, value, root=0)
-            return result
-
-        _rt, results = spmd(nprocs, main)
-        assert all(r == {"data": 42} for r in results)
-
-    @pytest.mark.parametrize("root", [0, 1, 2, 4])
-    def test_nonzero_roots(self, root):
-        nprocs = 5
-
-        def main(ctx):
-            value = f"from-{ctx.rank}" if ctx.rank == root else None
-            result = yield from collectives.bcast(ctx.comm, value, root=root)
-            return result
-
-        _rt, results = spmd(nprocs, main)
-        assert all(r == f"from-{root}" for r in results)
-
-    def test_invalid_root(self):
-        def main(ctx):
-            yield from collectives.bcast(ctx.comm, 1, root=9)
-
-        with pytest.raises(ValueError, match="root"):
-            spmd(2, main)
-
-
-class TestGather:
-    @pytest.mark.parametrize("nprocs", [1, 2, 5, 8])
-    def test_root_collects_in_rank_order(self, nprocs):
-        def main(ctx):
-            result = yield from collectives.gather(ctx.comm, ctx.rank * 2, root=0)
-            return result
-
-        _rt, results = spmd(nprocs, main)
-        assert results[0] == [r * 2 for r in range(nprocs)]
-        assert all(r is None for r in results[1:])
-
-    def test_nonzero_root(self):
-        def main(ctx):
-            result = yield from collectives.gather(ctx.comm, ctx.rank, root=2)
-            return result
-
-        _rt, results = spmd(4, main)
-        assert results[2] == [0, 1, 2, 3]
-
-
 class TestAllgather:
     @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 7, 8])
     def test_everyone_gets_everything(self, nprocs):
@@ -202,26 +151,6 @@ class TestAllgather:
         _rt, results = spmd(nprocs, main)
         expected = [chr(65 + r) for r in range(nprocs)]
         assert all(r == expected for r in results)
-
-
-class TestAlltoall:
-    @pytest.mark.parametrize("nprocs", [1, 2, 4, 8, 3, 5])
-    def test_personalized_exchange(self, nprocs):
-        def main(ctx):
-            outgoing = [(ctx.rank, dst) for dst in range(ctx.nprocs)]
-            result = yield from collectives.alltoall(ctx.comm, outgoing)
-            return result
-
-        _rt, results = spmd(nprocs, main)
-        for rank, received in enumerate(results):
-            assert received == [(src, rank) for src in range(nprocs)]
-
-    def test_wrong_length_rejected(self):
-        def main(ctx):
-            yield from collectives.alltoall(ctx.comm, [1])
-
-        with pytest.raises(ValueError, match="items"):
-            spmd(3, main)
 
 
 class TestChaosTag:

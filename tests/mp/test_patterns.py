@@ -23,6 +23,7 @@ from repro.armci.barrier import ALGORITHMS, estimate_us
 from repro.mp.collectives import (
     PricePort,
     dissemination_pattern,
+    host_port,
     sum_pattern,
     tree_pattern,
 )
@@ -222,7 +223,9 @@ def price_pattern(pattern, nprocs, vectors, params=None, procs_per_node=1):
     """Run ``pattern`` for every rank over one pricing port; the port."""
     port = PricePort(params or myrinet2000(), Topology(nprocs, procs_per_node))
     ranks = range(nprocs)
-    port.run({v: pattern(v, ranks, *port.port(v), vectors[v]) for v in ranks})
+    port.run(
+        {v: pattern(v, ranks, *host_port(port.comm(v), 0, 0), vectors[v]) for v in ranks}
+    )
     return port
 
 
@@ -255,7 +258,7 @@ class TestPricePort:
         port = PricePort(myrinet2000(), Topology(3))
 
         def waits_for(me, src):
-            msg = yield from port.port(me)[1](src, 0)
+            msg = yield from host_port(port.comm(me), 0, 0)[1](src, 0)
             return msg
 
         members = {0: waits_for(0, 1), 1: waits_for(1, 0), 2: iter(())}

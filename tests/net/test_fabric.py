@@ -54,7 +54,7 @@ class TestDeliveryTiming:
         env.run()
         box = boxes[("srv", 1)]
         assert len(box) == 1
-        envelope = box.try_get()
+        envelope = box.items.popleft()
         assert envelope.deliver_at == pytest.approx(10.0)
         assert not envelope.intra_node
 
@@ -65,7 +65,7 @@ class TestDeliveryTiming:
         # rank 1 lives on node 0
         fabric.post(1, server_endpoint(0), "hi")
         env.run()
-        envelope = boxes[("srv", 0)].try_get()
+        envelope = boxes[("srv", 0)].items.popleft()
         assert envelope.deliver_at == pytest.approx(0.5)
         assert envelope.intra_node
 
@@ -75,7 +75,7 @@ class TestDeliveryTiming:
         )
         fabric.post(0, server_endpoint(1), "x", payload_bytes=68)
         env.run()
-        envelope = boxes[("srv", 1)].try_get()
+        envelope = boxes[("srv", 1)].items.popleft()
         assert envelope.size_bytes == 68 + MSG_HEADER_BYTES
         assert envelope.deliver_at == pytest.approx(0.1 * (68 + MSG_HEADER_BYTES))
 
@@ -89,11 +89,11 @@ class TestDeliveryTiming:
         fabric.post(0, server_endpoint(1), "b", payload_bytes=1000 - MSG_HEADER_BYTES)
         env.run()
         box = boxes[("srv", 1)]
-        first = box.try_get()
-        second = box.try_get()
+        first = box.items.popleft()
+        second = box.items.popleft()
         assert first.deliver_at == pytest.approx(10.0 + 1.0)
         assert second.deliver_at == pytest.approx(20.0 + 1.0)
-        assert fabric.nic_busy_until(0) == pytest.approx(20.0)
+        assert fabric._nic_free[0] == pytest.approx(20.0)
 
     def test_different_nodes_do_not_share_nic(self):
         env, fabric, boxes = make_fabric(
@@ -103,8 +103,8 @@ class TestDeliveryTiming:
         fabric.post(1, server_endpoint(2), "b", payload_bytes=1000 - MSG_HEADER_BYTES)
         env.run()
         box = boxes[("srv", 2)]
-        assert box.try_get().deliver_at == pytest.approx(11.0)
-        assert box.try_get().deliver_at == pytest.approx(11.0)
+        assert box.items.popleft().deliver_at == pytest.approx(11.0)
+        assert box.items.popleft().deliver_at == pytest.approx(11.0)
 
     def test_send_charges_sender_overhead(self):
         env, fabric, _boxes = make_fabric(o_send_us=2.5)
@@ -185,7 +185,7 @@ class TestStats:
             fabric.post(0, mp_endpoint(3), "x")
         assert dataclasses.asdict(fabric.stats) == before
         assert fabric._seq == 0
-        assert fabric.nic_busy_until(0) == 0.0
+        assert fabric._nic_free[0] == 0.0
         assert Membership.heard == []
         env.run()
         assert env.events_processed == 0
@@ -234,7 +234,7 @@ class TestJitter:
             fabric.post(0, server_endpoint(1), i, payload_bytes=0)
         env.run()
         box = boxes[("srv", 1)]
-        order = [box.try_get().payload for _ in range(20)]
+        order = [box.items.popleft().payload for _ in range(20)]
         assert sorted(order) == list(range(20))
         assert order != list(range(20)), "jitter should reorder some pair"
 
@@ -245,7 +245,7 @@ class TestJitter:
                 fabric.post(0, server_endpoint(1), i, payload_bytes=0)
             env.run()
             box = boxes[("srv", 1)]
-            return [box.try_get().payload for _ in range(10)]
+            return [box.items.popleft().payload for _ in range(10)]
 
         assert run(3) == run(3)
 
@@ -255,7 +255,7 @@ class TestJitter:
             fabric.post(0, server_endpoint(1), i, payload_bytes=0)
         env.run()
         box = boxes[("srv", 1)]
-        assert [box.try_get().payload for _ in range(20)] == list(range(20))
+        assert [box.items.popleft().payload for _ in range(20)] == list(range(20))
 
 
 class TestRngStreamSplit:
@@ -274,7 +274,7 @@ class TestRngStreamSplit:
         env.run()
         box = boxes[("srv", 1)]
         count = len(box)
-        out = [box.try_get() for _ in range(count)]
+        out = [box.items.popleft() for _ in range(count)]
         return [(e.payload, e.deliver_at) for e in out]
 
     def test_inactive_fault_plan_leaves_jitter_sequence_unchanged(self):

@@ -38,12 +38,7 @@ def test_delivery_never_beats_physics(sizes, latency, per_byte):
     for i, size in enumerate(sizes):
         fabric.post(0, server_endpoint(1), i, payload_bytes=size)
     env.run()
-    deliveries = []
-    while True:
-        envelope = boxes[1].try_get()
-        if envelope is None:
-            break
-        deliveries.append(envelope)
+    deliveries = list(boxes[1].items)
     assert len(deliveries) == len(sizes)
     for envelope in deliveries:
         floor = latency + envelope.size_bytes * per_byte
@@ -67,7 +62,7 @@ def test_nic_serialization_conserves_work(sizes):
     for i, size in enumerate(sizes):
         fabric.post(0, server_endpoint(1), i, payload_bytes=size)
     total_bytes = sum(size + MSG_HEADER_BYTES for size in sizes)
-    assert fabric.nic_busy_until(0) == _approx(total_bytes * per_byte)
+    assert fabric._nic_free[0] == _approx(total_bytes * per_byte)
     env.run()
 
 
@@ -92,11 +87,8 @@ def test_jitter_only_adds_delay(jitter, seed):
     for i in range(10):
         fabric.post(0, server_endpoint(1), i, payload_bytes=0)
     env.run()
-    while True:
-        envelope = boxes[1].try_get()
-        if envelope is None:
-            break
+    for envelope in boxes[1].items:
         floor = params.inter_latency_us + envelope.size_bytes * params.per_byte_us
         assert envelope.deliver_at >= envelope.sent_at + floor - 1e-9
         assert envelope.deliver_at <= envelope.sent_at + floor + jitter + \
-            fabric.nic_busy_until(0) + 1e-9
+            fabric._nic_free[0] + 1e-9

@@ -14,7 +14,6 @@ from repro.net.faults import (
     Partition,
     ProcessCrash,
     ProcessStall,
-    StallWindow,
 )
 from repro.net.message import server_endpoint
 from repro.net.params import NetworkParams
@@ -41,7 +40,7 @@ def make_fabric(plan, nprocs=4, ppn=1, **overrides):
 
 def drain(box):
     count = len(box)
-    return [box.try_get() for _ in range(count)]
+    return [box.items.popleft() for _ in range(count)]
 
 
 class TestValidation:
@@ -57,14 +56,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="dup_lag_us"):
             LinkFaults(dup_lag_us=-1.0)
 
-    def test_stall_window_ordering(self):
-        with pytest.raises(ValueError, match="start_us < end_us"):
-            StallWindow(node=0, start_us=5.0, end_us=5.0)
-
-    def test_stall_window_mode(self):
-        with pytest.raises(ValueError, match="stall.*crash"):
-            StallWindow(node=0, start_us=0.0, end_us=1.0, mode="reboot")
-
     def test_params_reject_non_plan(self):
         with pytest.raises((TypeError, ValueError)):
             NetworkParams(faults="drop everything")
@@ -77,10 +68,13 @@ class TestPlan:
         assert LinkFaults(reorder_rate=0.1).active
 
     def test_per_link_override(self):
-        special = LinkFaults(drop_rate=0.9)
-        plan = FaultPlan(links=(((0, 1), special),))
-        assert plan.link(0, 1) is special
-        assert plan.link(1, 0) == plan.default
+        plan = FaultPlan(links=(((0, 1), LinkFaults(drop_rate=1.0)),), reliable=False)
+        env, fabric, boxes = make_fabric(plan)
+        fabric.post(0, server_endpoint(1), "cut", payload_bytes=0)
+        fabric.post(1, server_endpoint(0), "kept", payload_bytes=0)
+        env.run()
+        assert len(boxes[("srv", 1)]) == 0
+        assert [e.payload for e in drain(boxes[("srv", 0)])] == ["kept"]
 
     def test_uniform_builder(self):
         plan = FaultPlan.uniform(drop_rate=0.2, dup_rate=0.1, seed=5)
@@ -121,7 +115,7 @@ class TestInjection:
         env, fabric, boxes = make_fabric(plan)
         fabric.post(0, server_endpoint(1), "late", payload_bytes=0)
         env.run()
-        envelope = boxes[("srv", 1)].try_get()
+        envelope = boxes[("srv", 1)].items.popleft()
         assert envelope.deliver_at == pytest.approx(101.0)
         assert fabric.faults.stats.delay_spikes == 1
 
@@ -144,50 +138,6 @@ class TestInjection:
 
         assert delivered(11) == delivered(11)
         assert delivered(11) != delivered(12)
-
-
-class TestStallWindows:
-    def test_stall_holds_delivery_until_window_end(self):
-        plan = FaultPlan(
-            stalls=(StallWindow(node=1, start_us=0.0, end_us=50.0),),
-            reliable=False,
-        )
-        env, fabric, boxes = make_fabric(plan)
-        fabric.post(0, server_endpoint(1), "held", payload_bytes=0)
-        env.run()
-        envelope = boxes[("srv", 1)].try_get()
-        assert envelope.deliver_at == pytest.approx(50.0)
-        assert fabric.faults.stats.stall_held == 1
-
-    def test_crash_drops_in_flight(self):
-        plan = FaultPlan(
-            stalls=(StallWindow(node=1, start_us=0.0, end_us=50.0, mode="crash"),),
-            reliable=False,
-        )
-        env, fabric, boxes = make_fabric(plan)
-        fabric.post(0, server_endpoint(1), "lost", payload_bytes=0)
-        env.run()
-        assert len(boxes[("srv", 1)]) == 0
-        assert fabric.faults.stats.crash_dropped == 1
-
-    def test_window_is_per_node_and_timed(self):
-        plan = FaultPlan(
-            stalls=(StallWindow(node=1, start_us=0.0, end_us=50.0),),
-            reliable=False,
-        )
-        env, fabric, boxes = make_fabric(plan)
-        fabric.post(0, server_endpoint(2), "other-node", payload_bytes=0)
-
-        # After the window closes, node 1 delivers normally again.
-        def late_sender():
-            yield env.timeout(60.0)
-            fabric.post(0, server_endpoint(1), "after", payload_bytes=0)
-
-        env.process(late_sender())
-        env.run()
-        assert boxes[("srv", 2)].try_get().deliver_at == pytest.approx(1.0)
-        assert boxes[("srv", 1)].try_get().deliver_at == pytest.approx(61.0)
-        assert fabric.faults.stats.stall_held == 0
 
 
 class TestCrashScheduleNormalization:
@@ -263,20 +213,18 @@ class TestCrashScheduleNormalization:
 # -- the injector against its earlier body ------------------------------------
 #
 # ``FaultInjector.delivery_offsets`` resolves link activity once per plan and
-# skips the stall / pause passes a plan has nothing for.  The body it
+# skips the pause pass a plan has nothing for.  The body it
 # replaced is kept here, verbatim but for ``self`` -> ``injector``, as the
 # oracle: same delays, same draws, same counters.
 
 
 def reference_delivery_offsets(injector, src_node, dst_node, dst, now, base_delay, intra_node):
     if intra_node:
-        return _reference_pauses(
-            injector, dst, now, _reference_stalls(injector, dst, now, [base_delay])
-        )
+        return _reference_pauses(injector, dst, now, [base_delay])
     if injector.plan.partitions and injector.plan.partitioned(src_node, dst_node, now):
         injector.stats.partition_dropped += 1
         return []
-    faults = injector.link(src_node, dst_node)
+    faults = injector._links.get((src_node, dst_node), injector.plan.default)
     delays = []
     if faults.active:
         rng = injector._rng
@@ -296,24 +244,7 @@ def reference_delivery_offsets(injector, src_node, dst_node, dst, now, base_dela
                 delays.append(delay + rng.uniform(0.0, faults.dup_lag_us))
     else:
         delays.append(base_delay)
-    return _reference_pauses(injector, dst, now, _reference_stalls(injector, dst, now, delays))
-
-
-def _reference_stalls(injector, dst, now, delays):
-    if not injector.plan.stalls or dst is None or dst[0] != "srv":
-        return delays
-    node = dst[1]
-    out = []
-    for delay in delays:
-        window = injector._window_hit(node, now + delay)
-        if window is None:
-            out.append(delay)
-        elif window.mode == "crash":
-            injector.stats.crash_dropped += 1
-        else:
-            injector.stats.stall_held += 1
-            out.append(window.end_us - now)
-    return out
+    return _reference_pauses(injector, dst, now, delays)
 
 
 def _reference_pauses(injector, dst, now, delays):
@@ -354,13 +285,6 @@ def fault_plans(draw):
         default=draw(any_link),
         links=tuple(
             draw(st.lists(st.tuples(st.tuples(nodes, nodes), any_link), max_size=3))
-        ),
-        stalls=tuple(
-            StallWindow(node, start, start + length, mode)
-            for node, (start, length), mode in draw(
-                st.lists(st.tuples(nodes, windows, st.sampled_from(["stall", "crash"])),
-                         max_size=2)
-            )
         ),
         partitions=tuple(
             Partition((node,), start, start + length)

@@ -24,9 +24,9 @@ class TestBlockPlacement:
 
     def test_same_node(self):
         topo = Topology(8, procs_per_node=2)
-        assert topo.same_node(0, 1)
-        assert not topo.same_node(1, 2)
-        assert topo.same_node(6, 7)
+        assert topo.node_of(0) == topo.node_of(1)
+        assert topo.node_of(1) != topo.node_of(2)
+        assert topo.node_of(6) == topo.node_of(7)
 
     def test_all_ranks_on_one_node(self):
         topo = Topology(6, procs_per_node=6)
@@ -39,7 +39,7 @@ class TestExplicitPlacement:
         topo = Topology(4, placement=[0, 1, 0, 1])
         assert topo.nnodes == 2
         assert topo.ranks_on(0) == (0, 2)
-        assert topo.same_node(0, 2)
+        assert topo.node_of(0) == topo.node_of(2)
 
     def test_placement_overrides_ppn(self):
         topo = Topology(3, procs_per_node=99, placement=[0, 0, 1])
@@ -92,7 +92,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             topo.node_of(-1)
         with pytest.raises(ValueError):
-            topo.same_node(0, 99)
+            topo.node_of(99)
 
     def test_node_out_of_range(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.experiments.scalebench import ScaleBenchConfig, scale_workload
-from repro.runtime.cluster import ClusterRuntime, DeadlockError, simulate
+from repro.runtime.cluster import ClusterRuntime, DeadlockError
 from repro.runtime.memory import GlobalAddress
 
 
@@ -126,14 +126,6 @@ class TestRunSpmd:
         rt.run()
         assert set(procs) == {1, 3}
         assert procs[1].value == 1 and procs[3].value == 3
-
-    def test_simulate_helper(self):
-        def main(ctx):
-            yield ctx.compute(2.0)
-            return ctx.now
-
-        results = simulate(main, 3)
-        assert results == [2.0, 2.0, 2.0]
 
     def test_compute_advances_only_virtual_time(self, make_cluster):
         def main(ctx):

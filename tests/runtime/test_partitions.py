@@ -77,7 +77,7 @@ class TestQuorumRule:
         assert not any(probes[r] for r in range(4))
         assert m.suspicions_discarded >= 1
         assert m.dead_ranks() == ()
-        assert m.excluded_ranks() == ()
+        assert not m._excluded
 
     def test_stalled_rank_lacks_quorum(self):
         params = transient_params(pauses=((2, 50.0, 300.0),))
@@ -320,7 +320,7 @@ class TestConcurrentViewChanges:
         m = runtime.membership
         assert results[2] is CRASHED and results[4] is CRASHED
         assert set(m.dead_ranks()) == {2, 4}
-        assert m.excluded_ranks() == ()
+        assert not m._excluded
         # Rank 5 (cut but alive) rejoined; rank 4 (cut and crashed) did not.
         assert sorted(m.rejoined_at) == [5]
         assert m.heal_log[0]["rejoined"] == [5]

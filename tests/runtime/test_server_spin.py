@@ -14,7 +14,7 @@ class TestCancelGet:
         assert store.cancel_get(ev)
         store.put("item")
         assert not ev.triggered
-        assert store.try_get() == "item"
+        assert store.items.popleft() == "item"
 
     def test_cancel_after_fire_returns_false(self, env):
         store = Store(env)

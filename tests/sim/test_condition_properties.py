@@ -1,9 +1,9 @@
-"""Property tests for composite events (AllOf/AnyOf trees)."""
+"""Property tests for composite events (all-of / any-of trees)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import AllOf, AnyOf, Environment
+from repro.sim.core import AllOf, Condition, Environment
 
 
 def tree_strategy(max_depth=3):
@@ -32,7 +32,7 @@ def build(env, node):
         times.append(t)
     if kind == "all":
         return AllOf(env, events), max(times)
-    return AnyOf(env, events), min(times)
+    return Condition(env, Condition.any_done, events), min(times)
 
 
 @given(tree=tree_strategy())
@@ -66,7 +66,7 @@ def test_anyof_value_contains_only_processed_events(delays):
     observed = {}
 
     def waiter():
-        result = yield AnyOf(env, timeouts)
+        result = yield Condition(env, Condition.any_done, timeouts)
         observed["fired"] = env.now
         observed["done"] = sorted(ev.value for ev in result)
 

@@ -14,13 +14,12 @@ from repro.net.params import myrinet2000
 from repro.runtime.cluster import ClusterRuntime, DeadlockError
 from repro.sim.core import (
     AllOf,
-    AnyOf,
+    Condition,
     Environment,
     Event,
     Process,
     SchedulerStrategy,
     SimulationError,
-    StopProcess,
     Timeout,
     PRIORITY_LAZY,
     PRIORITY_URGENT,
@@ -42,13 +41,6 @@ class TestEnvironmentClock:
         env.run(until=5.0)
         with pytest.raises(ValueError, match="in the past"):
             env.run(until=1.0)
-
-    def test_peek_empty_queue_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(3.5)
-        assert env.peek() == 3.5
 
     def test_events_processed_counter(self, env):
         env.timeout(1)
@@ -146,15 +138,7 @@ class TestEvent:
         with pytest.raises(RuntimeError, match="nobody caught me"):
             env.run()
 
-    def test_trigger_copies_outcome(self, env):
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered and dst.value == "payload"
 
-    def test_trigger_from_pending_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.event().trigger(env.event())
 
 
 class TestProcess:
@@ -214,16 +198,6 @@ class TestProcess:
         jp = env.process(joiner(bp))
         env.run()
         assert jp.value == "caught me"
-
-    def test_stop_process_returns_value(self, env):
-        def proc():
-            yield env.timeout(1)
-            raise StopProcess("early")
-            yield env.timeout(100)  # pragma: no cover
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == "early" and env.now == 1.0
 
     def test_yield_non_event_raises(self, env):
         def proc():
@@ -290,7 +264,7 @@ class TestConditions:
         t1, t2 = env.timeout(1, "fast"), env.timeout(5, "slow")
 
         def proc():
-            result = yield AnyOf(env, [t1, t2])
+            result = yield t1 | t2
             return (env.now, t1 in result, t2 in result)
 
         p = env.process(proc())
@@ -300,17 +274,6 @@ class TestConditions:
     def test_empty_all_of_succeeds_immediately(self, env):
         cond = AllOf(env, [])
         assert cond.triggered
-
-    def test_and_operator(self, env):
-        t1, t2 = env.timeout(2), env.timeout(3)
-
-        def proc():
-            yield t1 & t2
-            return env.now
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == 3.0
 
     def test_or_operator(self, env):
         t1, t2 = env.timeout(2), env.timeout(3)
@@ -529,9 +492,9 @@ class TestCoEnabledOrderingContract:
 
     @staticmethod
     def _program(spec, kept):
-        """Workers over timeouts (zero-delay too), fresh events, ``AnyOf`` /
-        ``AllOf`` and one shared signal; a killer that kills one of them; a
-        guardian that catches its failing child.  Every event the program
+        """Workers over timeouts (zero-delay too), fresh events, any-of and
+        all-of conditions and one shared signal; a killer that kills one of
+        them; a guardian that catches its failing child.  Every event the program
         creates goes into ``kept`` with the value it must report."""
 
         def program(env, trace):
@@ -553,7 +516,11 @@ class TestCoEnabledOrderingContract:
                             keep(env.timeout(delay, value=tag + (j,)), tag + (j,))
                             for j, delay in enumerate(args[0])
                         ]
-                        done = yield (AnyOf if kind == "any" else AllOf)(env, subs)
+                        done = yield (
+                            Condition(env, Condition.any_done, subs)
+                            if kind == "any"
+                            else AllOf(env, subs)
+                        )
                         got = [event.value for event in done]
                     elif kind == "signal":
                         if not signal.triggered:
@@ -777,8 +744,8 @@ class TestASleepIsAHeapRow:
     @staticmethod
     def _program(spec, sleep):
         """Workers that sleep, feed and drain one :class:`Store` (a ``get``
-        gives up after 4 µs) and wait on ``AnyOf``; a napper that only
-        sleeps, killed mid-nap and joined; a guardian that catches its
+        gives up after 4 µs) and wait on an any-of ``Condition``; a napper
+        that only sleeps, killed mid-nap and joined; a guardian that catches its
         failing child.  ``sleep(env, delay)`` is what a process yields to
         sleep; every resumed value goes into the trace."""
         from repro.sim.primitives import Store
@@ -797,8 +764,9 @@ class TestASleepIsAHeapRow:
                         got = yield sleep(env, args[0])
                         store.put((wid, i))
                     else:
-                        done = yield AnyOf(
+                        done = yield Condition(
                             env,
+                            Condition.any_done,
                             [env.timeout(d, value=(wid, i, j)) for j, d in enumerate(args[0])],
                         )
                         got = [event.value for event in done]
@@ -910,7 +878,7 @@ class TestASleepIsAHeapRow:
         env.process(killer(victim))
         env.run(until=2.0)
         assert woke == ["closed"] and victim.value is core.CRASHED
-        assert env.peek() == 5.0  # the orphan entry stays on the heap ...
+        assert env._queue[0][0] == 5.0  # the orphan entry stays on the heap ...
         before = env.events_processed
         env.run()
         assert env.events_processed == before + 1  # ... and pops as a no-op

@@ -194,7 +194,7 @@ class TestRunUntilEdgeCases:
         # stop_at, not beyond it.
         assert fired == [5.0]
         assert env.now == 5.0
-        assert env.peek() == float("inf")
+        assert not env._queue
 
     def test_drained_queue_advances_clock_to_stop_at(self, env):
         env.timeout(1.0)

@@ -57,13 +57,6 @@ class TestStore:
         env.run()
         assert served == [("first", 1), ("second", 2)]
 
-    def test_try_get_nonblocking(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-        store.put("x")
-        assert store.try_get() == "x"
-        assert store.try_get() is None
-
     def test_len_and_counters(self, env):
         store = Store(env)
         store.put(1)
@@ -72,16 +65,7 @@ class TestStore:
         store.get()
         assert len(store) == 1
 
-    def test_idle_waiters(self, env):
-        store = Store(env)
-        assert store.idle_waiters == 0
 
-        def getter():
-            yield store.get()
-
-        env.process(getter())
-        env.run()  # drains; getter still blocked
-        assert store.idle_waiters == 1
 
 
 class TestFilterStore:
@@ -142,16 +126,6 @@ class TestFilterStore:
         env.run()
         assert sorted(got) == [("any", 3), ("evens", 4)]
 
-    def test_try_get(self, env):
-        fs = FilterStore(env)
-        assert fs.try_get(lambda x: True) is None
-        fs.put(10)
-        assert fs.try_get(lambda x: x > 5) == 10
-        fs.put(1)
-        assert fs.try_get(lambda x: x > 5) is None
-        assert len(fs) == 1
-
-
 class TestResource:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -191,26 +165,7 @@ class TestResource:
         env.run()
         assert order == [("a", 0.0), ("b", 5.0), ("c", 8.0)]
 
-    def test_hold_helper_serializes(self, env):
-        res = Resource(env, capacity=1)
-        spans = []
 
-        def user():
-            start = env.now
-            yield from res.hold(4.0)
-            spans.append((start, env.now))
-
-        env.process(user())
-        env.process(user())
-        env.run()
-        assert spans == [(0.0, 4.0), (0.0, 8.0)]
-
-    def test_queued_count(self, env):
-        res = Resource(env, capacity=1)
-        res.acquire()
-        res.acquire()
-        res.acquire()
-        assert res.queued == 2
 
 
 class TestBroadcast:

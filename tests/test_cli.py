@@ -416,7 +416,24 @@ class TestCliRobustness:
         from repro.analysis import capture
 
         assert main(["validate", "--trace-out", str(tmp_path / "missing" / "t")]) == 2
-        assert not capture.enabled()
+        assert capture.flush() is None  # capture is off
+
+    def test_trace_over_the_event_limit_is_one_line_and_no_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.analysis import capture
+        from repro.sim import trace
+
+        monkeypatch.setattr(trace, "EVENT_LIMIT", 50)
+        path = tmp_path / "t.jsonl"
+        argv = f"fig7 --procs 2 --iterations 2 --trace-out {path}".split()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert _one_error_line(captured.err)
+        assert "more than 50 protocol events" in captured.err
+        assert "--iterations" in captured.err and "--procs" in captured.err
+        assert "trace written" not in captured.out
+        assert not path.exists() and capture.flush() is None
 
     def test_usable_output_paths_are_claimed_then_written(self, capsys, tmp_path):
         out_dir, json_path = tmp_path / "new" / "csv", tmp_path / "scale.json"
@@ -856,6 +873,7 @@ class TestTableIsTheContract:
             ("mc --budget 0", "must be >= 1"),
             ("fig7 --jobs -1", "must be >= 0"),
             ("fuzz --start-seed -1", "must be >= 0"),
+            ("fuzz --replay -1", "must be >= 0"),
             ("scalebench --time-budget -1", "must be >= 0"),
             ("fuzz --time-budget nan", "must be >= 0"),
             ("mc --window -0.5", "must be >= 0"),

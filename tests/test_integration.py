@@ -4,7 +4,7 @@ one-sided data movement, locks, collectives, and both sync algorithms."""
 import numpy as np
 import pytest
 
-from repro.ga import GlobalArray, dot, fill
+from repro.ga import GlobalArray, dot
 from repro.locks import make_lock
 from repro.mp import collectives
 from repro.runtime.memory import GlobalAddress
@@ -49,7 +49,11 @@ class TestMixedWorkloads:
 
         def main(ctx, mode):
             ga = GlobalArray(ctx, "det", (12, 12))
-            yield from fill(ga, float(ctx.nprocs), sync=mode)
+            yield from ga.put(
+                ga.my_block_section(),
+                np.full(ga.local_block().shape, float(ctx.nprocs)),
+            )
+            yield from ga.sync(mode)
             for peer in range(ctx.nprocs):
                 if peer != ctx.rank:
                     # Disjoint target cells per writer (same-cell writes
@@ -96,7 +100,8 @@ class TestDeterminism:
             for _ in range(3):
                 yield from lock.acquire()
                 yield from lock.release()
-            yield from fill(ga, 1.0)
+            yield from ga.put(ga.my_block_section(), np.ones(ga.local_block().shape))
+            yield from ga.sync("new")
             yield from ctx.armci.barrier()
             return ctx.now
 

@@ -117,9 +117,9 @@ class TestNumpyFreeCore:
     """Everything starts without numpy (it costs ~12 MiB and ~0.13 s per
     process): the barrier, NIC, topology, fuzz and model-checker stacks, and
     also the command line, every experiment module and ``repro.ga`` itself.
-    Only a program that moves array data through a ``GlobalArray`` or
-    ``GhostArray`` (fig7, ``ablations``, ``app``, the GA examples) loads it,
-    at its first put/get."""
+    Only a program that moves array data through a ``GlobalArray`` (fig7,
+    ``ablations``, ``app``, the GA examples) loads it, at its first
+    put/get."""
 
     @staticmethod
     def _numpy_loaded_after(*lines):
@@ -354,7 +354,6 @@ class TestTimersAreRows:
         )
         assert timeouts == [
             "armci/barrier.py:_stage2",
-            "armci/fence.py:_confirm_with_watchdog",
             "runtime/server.py:_run",
         ]
         made = self._sites(

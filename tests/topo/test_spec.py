@@ -10,7 +10,7 @@ from repro.topo import parse_topo_spec
 class TestGoodSpecs:
     def test_minimal(self):
         h = parse_topo_spec("switch:8")
-        assert h.nlevels == 1
+        assert len(h.levels) == 1
         assert h.levels[0].name == "switch"
         assert h.levels[0].arity == 8
         assert h.levels[0].latency_us is None
