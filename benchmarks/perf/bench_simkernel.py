@@ -1,65 +1,22 @@
-#!/usr/bin/env python3
-"""Simulator-kernel throughput benchmark: events/sec on the fig7 sweep.
+"""The calibrated host-speed anchor behind perfbench's host ratios.
 
-Drives the exact Figure 7 workload (both GA_Sync modes over the paper's
-process counts) through the simulation kernel, measures wall-clock
-events/sec, and writes the result to ``BENCH_simkernel.json`` at the repo
-root — the perf-trajectory artifact CI uploads on every run.
+``perfbench/run.py`` loads :func:`measure_anchor` from this file by path
+(``load_measure_anchor``) and divides a workload's simulated events per
+untraced host second by the anchor's ops/sec: ``host.events_per_anchor_op``,
+a kernel-throughput figure in which machine speed cancels out.  CI's
+perf-smoke job gates on that ratio for the ``fig7_putsync`` workload.
 
-The *simulated* event count is asserted against the workload's known
-deterministic value, so a kernel change that alters the event stream
-(breaking byte-identical results) fails here before it fails anywhere
-subtler.  Wall-clock throughput is taken as the best of ``--repeats``
-full sweeps, which filters scheduler noise on shared runners.
-
-Regression gate: raw events/sec is machine-dependent — a baseline
-recorded on a fast reference box reads as a phantom regression on a
-slower CI runner.  The gate therefore *calibrates*: each run first times
-a pinned pure-Python micro-anchor (generator resume + dict + heap loop,
-the same operation mix the kernel hot path exercises) on the same
-machine, and gates on the **ratio** ``events_per_sec /
-anchor_ops_per_sec`` against the baseline's recorded ratio.  Machine
-speed cancels out of the ratio; only genuine kernel-relative slowdowns
-trip it.  With ``--baseline`` (default: the checked-in
-``baseline_simkernel.json`` next to this script) the run fails when the
-calibrated ratio drops more than ``--max-regression`` (default 30%)
-below the baseline's.  Baselines lacking anchor fields (recorded before
-calibration existed) fall back to the legacy absolute events/sec floor.
-Re-record with ``--record`` after intentional kernel-perf changes.
-
-Run:  python benchmarks/perf/bench_simkernel.py [--iterations 100]
-      python benchmarks/perf/bench_simkernel.py --iterations 20 --repeats 2
+The anchor is a pinned pure-Python loop with the kernel's operation mix
+(generator resume, dict store, heap push/pop).  Changing ``ANCHOR_OPS``
+or the loop body invalidates every recorded ratio.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
-import sys
 import time
+from heapq import heappop, heappush
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-
-from repro.experiments.common import default_params  # noqa: E402
-from repro.experiments.fig7_sync import Fig7Config, sync_workload  # noqa: E402
-from repro.runtime.cluster import ClusterRuntime  # noqa: E402
-
-#: The fig7 sweep measured here, matching ``repro fig7``.
-MODES = ("current", "new")
-NPROCS = (2, 4, 8, 16)
-
-#: Pre-PR kernel throughput on the reference machine (commit 0a20279,
-#: iterations=100, best of 4 sweeps interleaved with the optimized kernel
-#: to cancel machine drift): the trajectory anchor every report is
-#: compared against.
-PRE_PR_EVENTS_PER_SEC = 102494.4
-
-#: Operations per anchor pass.  Pinned: changing it (or the anchor loop
-#: body) invalidates every recorded ``calibrated_ratio``.
+#: Operations per anchor pass.  Pinned: see the module docstring.
 ANCHOR_OPS = 200_000
 
 
@@ -67,7 +24,6 @@ def _anchor_pass(n: int = ANCHOR_OPS) -> int:
     """One pass of the calibration anchor: the kernel's operation mix
     (generator resume, dict store, heap push/pop) in pure Python, with a
     data-dependent accumulator so nothing is optimized away."""
-    from heapq import heappop, heappush
 
     def spin():
         acc = 0
@@ -97,145 +53,3 @@ def measure_anchor(repeats: int) -> float:
         _anchor_pass()
         best = min(best, time.perf_counter() - start)
     return ANCHOR_OPS / best
-
-
-def run_sweep(iterations: int, nprocs_list=NPROCS) -> int:
-    """One full fig7 sweep; returns simulated events processed."""
-    params = default_params(None)
-    events = 0
-    for mode in MODES:
-        for nprocs in nprocs_list:
-            cfg = Fig7Config(
-                nprocs_list=(nprocs,), iterations=iterations, params=params
-            )
-            runtime = ClusterRuntime(nprocs, params=params)
-            runtime.run_spmd(sync_workload, mode, cfg)
-            events += runtime.env.events_processed
-    return events
-
-
-def measure(iterations: int, repeats: int) -> dict:
-    # Anchor timed both before and after the sweeps (best wins): transient
-    # runner load that slows one window rarely slows both, and whichever
-    # window is clean prices the machine for the ratio.
-    anchor_ops_per_sec = measure_anchor(repeats)
-    runs = []
-    events = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        run_events = run_sweep(iterations)
-        wall_s = time.perf_counter() - start
-        if events is None:
-            events = run_events
-        elif run_events != events:  # pragma: no cover - determinism breach
-            raise AssertionError(
-                f"nondeterministic event count: {run_events} != {events}"
-            )
-        runs.append({"wall_s": round(wall_s, 4),
-                     "events_per_sec": round(run_events / wall_s, 1)})
-    anchor_ops_per_sec = max(anchor_ops_per_sec, measure_anchor(repeats))
-    best = max(runs, key=lambda r: r["events_per_sec"])
-    return {
-        "bench": "simkernel",
-        "workload": {
-            "experiment": "fig7",
-            "modes": list(MODES),
-            "nprocs": list(NPROCS),
-            "iterations": iterations,
-        },
-        "events": events,
-        "runs": runs,
-        "best_wall_s": best["wall_s"],
-        "events_per_sec": best["events_per_sec"],
-        "anchor_ops_per_sec": round(anchor_ops_per_sec, 1),
-        "calibrated_ratio": round(
-            best["events_per_sec"] / anchor_ops_per_sec, 4
-        ),
-        "pre_pr_events_per_sec": PRE_PR_EVENTS_PER_SEC,
-        "speedup_vs_pre_pr": round(
-            best["events_per_sec"] / PRE_PR_EVENTS_PER_SEC, 2
-        ),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--iterations", type=int, default=100,
-                        help="fig7 iterations per cell (default 100)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="full sweeps to run; best is reported (default 3)")
-    parser.add_argument("--out", type=pathlib.Path,
-                        default=ROOT / "BENCH_simkernel.json",
-                        help="where to write the report JSON")
-    parser.add_argument("--baseline", type=pathlib.Path,
-                        default=pathlib.Path(__file__).parent
-                        / "baseline_simkernel.json",
-                        help="baseline JSON for the regression gate")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        metavar="FRAC",
-                        help="fail if the calibrated events-per-anchor-op "
-                        "ratio drops more than this fraction below the "
-                        "baseline's (default 0.30)")
-    parser.add_argument("--record", action="store_true",
-                        help="overwrite the baseline with this run")
-    args = parser.parse_args(argv)
-
-    report = measure(args.iterations, args.repeats)
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"[bench] {report['events']} simulated events, "
-          f"best {report['best_wall_s']}s wall, "
-          f"{report['events_per_sec']:.0f} events/sec "
-          f"({report['speedup_vs_pre_pr']}x vs pre-PR kernel)")
-    print(f"[bench] report written: {args.out}")
-
-    if args.record:
-        baseline = {
-            "events_per_sec": report["events_per_sec"],
-            "anchor_ops_per_sec": report["anchor_ops_per_sec"],
-            "calibrated_ratio": report["calibrated_ratio"],
-            "iterations": args.iterations,
-            "pre_pr_events_per_sec": PRE_PR_EVENTS_PER_SEC,
-            "note": "calibrated_ratio (events/sec over same-machine anchor "
-                    "ops/sec) is what the gate compares; re-record with "
-                    "--record after intentional kernel-perf changes",
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"[bench] baseline recorded: {args.baseline}")
-        return 0
-
-    if not args.baseline.exists():
-        print(f"[bench] no baseline at {args.baseline}; gate skipped")
-        return 0
-    baseline = json.loads(args.baseline.read_text())
-    if "calibrated_ratio" in baseline:
-        ratio = report["calibrated_ratio"]
-        floor = baseline["calibrated_ratio"] * (1.0 - args.max_regression)
-        if ratio < floor:
-            print(f"[bench] FAIL: calibrated ratio {ratio:.4f} "
-                  f"(events/sec over anchor ops/sec) is below the "
-                  f"regression floor {floor:.4f} "
-                  f"(baseline {baseline['calibrated_ratio']:.4f}, "
-                  f"max regression {args.max_regression:.0%})")
-            return 1
-        print(f"[bench] gate ok: calibrated ratio {ratio:.4f} >= "
-              f"floor {floor:.4f} "
-              f"(anchor {report['anchor_ops_per_sec']:.0f} ops/sec)")
-        return 0
-    # Legacy baseline (no anchor fields): absolute machine-dependent gate.
-    floor = baseline["events_per_sec"] * (1.0 - args.max_regression)
-    if report["events_per_sec"] < floor:
-        print(f"[bench] FAIL: {report['events_per_sec']:.0f} events/sec is "
-              f"below the regression floor {floor:.0f} "
-              f"(baseline {baseline['events_per_sec']:.0f}, "
-              f"max regression {args.max_regression:.0%})")
-        return 1
-    print(f"[bench] gate ok: {report['events_per_sec']:.0f} >= "
-          f"floor {floor:.0f} events/sec (legacy absolute gate; "
-          f"re-record to calibrate)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

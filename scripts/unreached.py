@@ -8,10 +8,10 @@ entry point — each CLI command (the CI chaos/partition matrix and every
 --ce-out``), the fuzzer's self-test, corpus and a seed sweep, every
 RMCheck target and a counterexample round trip, ``check`` and its lint,
 ``validate``, ``regenerate_results.py --check``, the examples,
-``benchmarks/``, ``calibrate.py`` and the perfbench workloads — runs once
-at a small size in its own interpreter under a ``sys.setprofile`` hook
-that records function-call events for files under ``src/repro``.  What
-the union never called is printed as ``file  qualname  lines``.
+``calibrate.py`` and the perfbench workloads — runs once at a small size
+in its own interpreter under a ``sys.setprofile`` hook that records
+function-call events for files under ``src/repro``.  What the union never
+called is printed as ``file  qualname  lines``.
 
     python scripts/unreached.py                  # everything (tens of minutes)
     python scripts/unreached.py --only chaos     # entries whose name matches
@@ -77,7 +77,7 @@ def entries(out: str) -> List[Tuple[str, List[str], int]]:
         # Full size (~15 s unprofiled): the studies fix their own sweeps.
         "ablations",
         "app --procs 2 4",
-        "microbench",
+        "microbench --network quadrics",
         "fairness --procs 4 --iterations 10",
         "faults --procs 4",
         "fig7 --procs 4 --iterations 3 --drop-rate 0.05 --fault-seed 3",
@@ -125,21 +125,6 @@ def entries(out: str) -> List[Tuple[str, List[str], int]]:
         (f"examples/{path.name}", [str(path.relative_to(ROOT))], 0)
         for path in sorted((ROOT / "examples").glob("*.py"))
     ]
-    # --benchmark-disable: pytest-benchmark's timed rounds swap the profile
-    # hook out, so the bodies would run unobserved.
-    result.append(
-        ("benchmarks", ["-m", "pytest", "benchmarks", "--benchmark-disable", "-q"], 0)
-    )
-    # The throughput gate means nothing under a profile hook, and the
-    # report must not land on the checked-in BENCH_simkernel.json.
-    result.append(
-        (
-            "bench_simkernel",
-            ["benchmarks/perf/bench_simkernel.py", "--iterations", "2", "--repeats", "1",
-             "--max-regression", "1.0", "--out", os.devnull],
-            0,
-        )
-    )
     result.append(("perfbench --quick", ["perfbench/run.py", "--quick"], 0))
     return result
 
@@ -264,7 +249,6 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("sim/core.py", "ConditionValue.__repr__", REPR),
     ("sim/primitives.py", "Store.__repr__", REPR),
     ("sim/primitives.py", "FilterStore.__repr__", REPR),
-    ("sim/primitives.py", "Resource.__repr__", REPR),
     ("sim/primitives.py", "Broadcast.__repr__", REPR),
 )
 

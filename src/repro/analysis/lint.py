@@ -47,10 +47,10 @@ silently), the last two keep one spelling of a sleep and of a timer:
     ``Call`` row: ``env.call(d, callbacks, a, b)`` — same heap key, no
     event (see :mod:`repro.sim.core`).
 
-Four further *protocol-shape* rules (``send-unhandled-kind``,
-``cs-yield-no-lease``, ``credit-mutation``, ``unguarded-view-read``) live
-in :mod:`repro.analysis.protoshape` and run through the same entry
-points; see that module's docstring for their rationale.
+Three further *protocol-shape* rules (``send-unhandled-kind``,
+``cs-yield-no-lease``, ``unguarded-view-read``) live in
+:mod:`repro.analysis.protoshape` and run through the same entry points;
+see that module's docstring for their rationale.
 
 All rules operate on source text only — nothing is imported or executed.
 """

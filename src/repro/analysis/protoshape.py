@@ -1,7 +1,7 @@
 """Static protocol-shape analysis (the RMCheck companion linter).
 
 Where :mod:`repro.analysis.lint` targets simulator-contract hazards,
-these four rules target *protocol-shape* hazards: structural mistakes in
+these three rules target *protocol-shape* hazards: structural mistakes in
 message-passing code that produce schedules the dynamic checkers only
 catch if the fuzzer or model checker happens to drive the run into them.
 Shape analysis flags them on every run of ``repro check --lint``.
@@ -22,14 +22,6 @@ Shape analysis flags them on every run of ``repro check --lint``.
     recovery path: a ``view_change`` message arm or an
     ``_apply_view_change`` method.  Without one, a crash during the
     critical section strands the token forever.
-
-``credit-mutation``
-    The GM-style send-credit machinery is the flow-control ground truth.
-    The raw pool state (``_credits`` / ``_credit_pool``) may only be
-    touched by its home module ``armci/api.py``; the instrumented
-    take/return helpers may additionally be *called* from
-    ``armci/nonblocking.py`` (the split-phase paths).  Any other
-    reference can unbalance the pool and deadlock senders.
 
 ``unguarded-view-read``
     A message handler (a function dispatching on ``.kind``) that reads a
@@ -52,7 +44,6 @@ from typing import Iterable, List, Optional, Set, Tuple
 __all__ = [
     "RULE_SEND_KIND",
     "RULE_CS_LEASE",
-    "RULE_CREDIT",
     "RULE_VIEW_READ",
     "collect_handled_kinds",
     "check_tree",
@@ -60,14 +51,7 @@ __all__ = [
 
 RULE_SEND_KIND = "send-unhandled-kind"
 RULE_CS_LEASE = "cs-yield-no-lease"
-RULE_CREDIT = "credit-mutation"
 RULE_VIEW_READ = "unguarded-view-read"
-
-#: Raw credit-pool state and its instrumented setters: only the module
-#: that issues the operations (every form of them) may reference either.
-_CREDIT_RAW = {"_credits", "_credit_pool"}
-_CREDIT_HELPERS = {"_take_credit", "_return_credit"}
-_CREDIT_HOME = "armci/api.py"
 
 #: Membership-view accessors whose result can be stale inside a handler.
 _VIEW_READS = {
@@ -184,7 +168,6 @@ class _ShapeChecker(ast.NodeVisitor):
         self.path = path
         self.handled_kinds = handled_kinds
         self.findings: List[RawFinding] = []
-        self.credit_home = path.replace("\\", "/").endswith(_CREDIT_HOME)
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -210,24 +193,6 @@ class _ShapeChecker(ast.NodeVisitor):
                         f"_send(..., {kind!r}) has no matching handler: no "
                         f"dispatch compares .kind against {kind!r}",
                     )
-        self.generic_visit(node)
-
-    # credit-mutation: raw pool / helper references outside their homes.
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in _CREDIT_RAW and not self.credit_home:
-            self._add(
-                node,
-                RULE_CREDIT,
-                f"reference to {node.attr} outside armci/api.py; only the "
-                "instrumented credit setters may touch the pool state",
-            )
-        elif node.attr in _CREDIT_HELPERS and not self.credit_home:
-            self._add(
-                node,
-                RULE_CREDIT,
-                f"call to {node.attr} outside armci/api.py can unbalance "
-                "the send-credit pool",
-            )
         self.generic_visit(node)
 
     # cs-yield-no-lease: yielding daemon holds in_cs, class has no recovery.
@@ -282,7 +247,7 @@ class _ShapeChecker(ast.NodeVisitor):
 def check_tree(
     path: str, tree: ast.AST, handled_kinds: Set[str]
 ) -> List[RawFinding]:
-    """Run the four shape rules over one parsed module."""
+    """Run the three shape rules over one parsed module."""
     checker = _ShapeChecker(path, handled_kinds)
     checker.visit(tree)
     return checker.findings

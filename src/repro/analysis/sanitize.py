@@ -225,12 +225,14 @@ def _check_topo() -> List[Tuple[str, SanReport]]:
     ``coll_enter``/``coll_exit`` plus the generic barrier bracketing, so
     the happens-before engine checks every put is fenced before the
     epoch's reads regardless of which level the completing message
-    crossed.
+    crossed.  ``auto`` runs too: under a hierarchy with two ranks per
+    node it prices all five host algorithms, twolevel included, and the
+    symmetric strips workload gives every rank the same choice.
     """
     from ..fuzz.scenario import Scenario
 
     out = []
-    for algorithm in ("kary", "dissemination", "twolevel"):
+    for algorithm in ("kary", "dissemination", "twolevel", "auto"):
         scenario = Scenario(
             seed=0,
             nprocs=6,

@@ -91,8 +91,6 @@ class Armci:
         self._ack_signal = Broadcast(env, name=f"armci[{rank}].acks")
         #: Cumulative notify counts sent per peer (see armci.collective).
         self._notify_sent: Dict[int, int] = {}
-        #: GM-style send credits per destination node (params.send_credits).
-        self._credits: Dict[int, Any] = {}
         #: RMCSan monitor (installed on env before the runtime was wired);
         #: None keeps every operation on the uninstrumented fast path.
         self._monitor = getattr(env, "_sync_monitor", None)
@@ -148,52 +146,6 @@ class Armci:
     def _shm(self, cost: float):
         if cost > 0.0:
             yield cost
-
-    def _credit_pool(self, node: int):
-        from ..sim.primitives import Resource
-
-        pool = self._credits.get(node)
-        if pool is None:
-            pool = Resource(
-                self.env, capacity=self.params.send_credits,
-                name=f"credits[{self.rank}->{node}]",
-            )
-            self._credits[node] = pool
-        return pool
-
-    def _take_credit(self, node: int):
-        """Sub-generator: block until a send credit for ``node`` is free.
-
-        Models GM/LAPI/VIA sender-side flow control (§3.1.1): a limited
-        number of outstanding requests per (process, server) pair; the
-        completion acknowledgement returns the token.
-        """
-        if self.params.send_credits <= 0:
-            return
-        pool = self._credit_pool(node)
-        if pool.in_use >= pool.capacity:
-            self.stats["credit_stalls"] = self.stats.get("credit_stalls", 0) + 1
-        yield pool.acquire()
-
-    def _return_credit(self, node: int) -> None:
-        if self.params.send_credits <= 0:
-            return
-        self._credit_pool(node).release()
-
-    def _attach_credit_return(
-        self, node: int, ack: Optional[Event]
-    ) -> Optional[Event]:
-        """Ensure a write op's completion returns its send credit.
-
-        Reuses the fence-mode ack when there is one; otherwise (confirm
-        mode with credits enabled) creates a dedicated flow-control ack.
-        """
-        if self.params.send_credits <= 0:
-            return ack
-        if ack is None:
-            ack = self.env.event()
-        ack.callbacks.append(lambda _ev: self._return_credit(node))
-        return ack
 
     def _san_issue(self, op: str, req, dst_rank: int, node: int) -> None:
         """RMCSan: tag a shipped request and record its issue point."""
@@ -271,7 +223,7 @@ class Armci:
         segments = norm
         if not segments:
             return
-        # The paths below are the _api/_shm/_take_credit/fabric.send helpers
+        # The paths below are the _api/_shm/fabric.send helpers
         # inlined: every delegated sub-generator is one more frame each
         # resume must traverse.
         env = self.env
@@ -288,8 +240,6 @@ class Armci:
                 region.write_many(addr, vals)
             self.stats["puts_local"] += 1
             return
-        if p.send_credits > 0:
-            yield from self._take_credit(node)
         # In ack mode the fence-accounting ack doubles as a handle's event
         # (its bookkeeping callback was registered first, so by the time a
         # waiter resumes, the outstanding-ack counter is already settled); in
@@ -297,7 +247,6 @@ class Armci:
         ack = self._account_remote_op(dst_rank, node)
         if handle is not None and ack is None:
             ack = env.event()
-        ack = self._attach_credit_return(node, ack)
         req = PutRequest(
             src_rank=self.rank, dst_rank=dst_rank, segments=segments, ack=ack
         )
@@ -354,8 +303,7 @@ class Armci:
             for addr, count in segments:
                 values.extend(region.read_many(addr, count))
             return values
-        yield from self._take_credit(node)
-        reply = self._attach_credit_return(node, self.env.event())
+        reply = self.env.event()
         req = GetRequest(
             src_rank=self.rank, dst_rank=src_rank, segments=segments, reply=reply
         )
@@ -387,8 +335,7 @@ class Armci:
             self.stats["accs_local"] += 1
             return
         node = self.topology.node_of(dst.rank)
-        yield from self._take_credit(node)
-        ack = self._attach_credit_return(node, self._account_remote_op(dst.rank, node))
+        ack = self._account_remote_op(dst.rank, node)
         req = AccRequest(
             src_rank=self.rank,
             dst_rank=dst.rank,
@@ -423,7 +370,6 @@ class Armci:
             self.stats["rmws_local"] += 1
             return atomics.apply_rmw(region, dst.addr, op, args)
         node = self.topology.node_of(dst.rank)
-        yield from self._take_credit(node)
         reply = self.env.event()
         req = RmwRequest(
             src_rank=self.rank, dst_rank=dst.rank, addr=dst.addr, op=op, args=args, reply=reply
@@ -433,7 +379,6 @@ class Armci:
         yield from self.fabric.send(self.rank, server_endpoint(node), req)
         result = yield reply
         self._san_complete(req)
-        self._return_credit(node)
         return result
 
     # -- raw same-node access (lock fast paths) -------------------------------------

@@ -565,7 +565,7 @@ def _app(args) -> None:
     print(run_app_scaling(_sweep_config(AppScalingConfig, args)).render())
 
 
-def _faults(args) -> None:
+def _faults(args) -> int:
     from .experiments.faultbench import FaultBenchConfig, run_faultbench
 
     _check_fault_ranges(args.drop_rate, args.retry_timeout)
@@ -579,7 +579,10 @@ def _faults(args) -> None:
             fault_seed=args.fault_seed,
         ),
     )
-    print(run_faultbench(cfg).render())
+    result = run_faultbench(cfg)
+    print(result.render())
+    # A point whose final memory diverged from the fault-free run fails the command.
+    return 0 if result.all_ok() else 1
 
 
 def _chaos(args) -> int:
@@ -794,9 +797,9 @@ def _all(args) -> int:
     print()
     _app(args)
     print()
-    _faults(args)
+    rc = _faults(args)
     print()
-    rc = _chaos(_build_parser().parse_args(["chaos", "--network", args.network]))
+    rc = _chaos(_build_parser().parse_args(["chaos", "--network", args.network])) or rc
     print()
     _nic(args)
     return rc
@@ -901,7 +904,7 @@ COMMANDS: Dict[str, Command] = {
         schedule=(),
         self_test=(),
     ),
-    "validate": Command(_validate, (), "9-point reproduction self-check"),
+    "validate": Command(_validate, (), "the reproduction self-check"),
     "check": _moded(
         _check,
         "RMCSan sanitized runs, or the static lint with --lint",

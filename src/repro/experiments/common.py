@@ -71,9 +71,6 @@ class Comparison(SeriesTable):
         """Baseline / improved (the paper's "factor of improvement")."""
         return self.get(self.baseline, nprocs) / self.get(self.improved, nprocs)
 
-    def factors(self) -> Dict[int, float]:
-        return {n: self.factor(n) for n in self.nprocs_list()}
-
     def to_rows(self) -> List[List[str]]:
         header = ["procs", f"{self.baseline} (us)", f"{self.improved} (us)", "factor"]
         rows = [header]

@@ -35,7 +35,7 @@ N=16384 point a CI smoke test rather than an overnight job.
 Wall-clock numbers are machine-dependent; only the simulated µs column is
 reproducible bit-for-bit.  This experiment is therefore *not* part of
 ``scripts/regenerate_results.py`` — it is reached via ``repro scalebench``
-and the perf harness in ``benchmarks/perf/``.
+and perfbench's barrier workloads.
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ class ScaleBenchResult:
 
     def record(self, cell: ScaleCell) -> None:
         self.cells.setdefault(cell.variant, {})[cell.nprocs] = cell
-
-    def get(self, variant: str, nprocs: int) -> ScaleCell:
-        return self.cells[variant][nprocs]
 
     def nprocs_list(self) -> List[int]:
         keys = set()

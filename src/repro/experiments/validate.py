@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from ..armci.barrier import predicted_crossover_targets
+from ..net.params import myrinet2000
 from .ablations import run_crossover, run_release_opt
 from .common import format_table
 from .fig7_sync import Fig7Config, run_fig7
@@ -36,9 +38,8 @@ def run_validation(quick: bool = True) -> Tuple[List[ValidationCheck], str]:
     """Run all headline checks; returns (checks, rendered_report)."""
     checks: List[ValidationCheck] = []
 
-    fig7 = run_fig7(
-        Fig7Config(nprocs_list=(2, 16), iterations=12 if quick else 100)
-    )
+    fig7_iterations = 12 if quick else 100
+    fig7 = run_fig7(Fig7Config(nprocs_list=(2, 16), iterations=fig7_iterations))
     checks.append(
         ValidationCheck(
             "fig7 factor @16",
@@ -55,6 +56,25 @@ def run_validation(quick: bool = True) -> Tuple[List[ValidationCheck], str]:
             fig7.factor(2),
             1.0,
             4.0,
+        )
+    )
+    # A server that spins instead of sleeping skips the wake-ups, which
+    # shortens the original implementation's convoy but not its N-1 fence
+    # round trips.
+    spinning = run_fig7(
+        Fig7Config(
+            nprocs_list=(16,),
+            iterations=fig7_iterations,
+            params=myrinet2000(server_spin_us=1000.0),
+        )
+    )
+    checks.append(
+        ValidationCheck(
+            "fig7 factor @16, spinning server",
+            "linear-vs-log gap survives a spin-forever server",
+            spinning.factor(16),
+            3.0,
+            12.0,
         )
     )
 
@@ -106,13 +126,25 @@ def run_validation(quick: bool = True) -> Tuple[List[ValidationCheck], str]:
     crossover = run_crossover(
         nprocs=16, targets_list=(1, 2, 15), iterations=6 if quick else 20
     )
+    crossover_at = crossover.crossover_targets() or -1
     checks.append(
         ValidationCheck(
             "3.1.2 crossover targets",
             "linear wins below ~log2(16)/2 = 2",
-            float(crossover.crossover_targets() or -1),
+            float(crossover_at),
             1.0,
             4.0,
+        )
+    )
+    # The priced patterns behind algorithm="auto" replace a fixed threshold.
+    predicted = predicted_crossover_targets(myrinet2000(), 16)
+    checks.append(
+        ValidationCheck(
+            "3.1.2 crossover predicted",
+            "cost model predicts the crossover within one target",
+            float(abs(predicted - crossover_at)),
+            0.0,
+            1.0,
         )
     )
 

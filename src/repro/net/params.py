@@ -91,13 +91,6 @@ class NetworkParams:
         delivers in order, so this is 0 by default; tests use it for
         failure injection.  Richer misbehaviour (drops, duplicates, delay
         spikes, partitions, crashes) lives in ``faults``, on its own RNG stream.
-    send_credits:
-        GM-style sender flow control: each (process, server) pair holds
-        this many send tokens; a request consumes one and the server's
-        completion returns it (paper §3.1.1: "put messages generate
-        acknowledgement messages from the server for flow control").
-        0 disables the limit (default — the paper's GM configuration
-        relies on GM's own link-level flow control instead).
     seed:
         RNG seed for jitter (and, unless the fault plan carries its own
         seed, for the independent fault stream).
@@ -218,7 +211,6 @@ class NetworkParams:
     api_call_us: float = 1.5
     mp_call_us: float = 3.5
     jitter_us: float = 0.0
-    send_credits: int = 0
     seed: int = 12345
     faults: Optional[FaultPlan] = None
     retry_timeout_us: float = 60.0
@@ -249,7 +241,7 @@ class NetworkParams:
                 raise ValueError(
                     f"{f.name} must be non-negative and finite, got {value}"
                 )
-        for field_name in ("send_credits", "max_retries", "tree_radix"):
+        for field_name in ("max_retries", "tree_radix"):
             value = getattr(self, field_name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{field_name} must be an int, got {value!r}")

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel (generator coroutines).
 
 See :mod:`repro.sim.core` for the event loop and process model,
-:mod:`repro.sim.primitives` for stores/resources/broadcasts, and
+:mod:`repro.sim.primitives` for stores and broadcasts, and
 :mod:`repro.sim.trace` for measurement helpers.
 """
 
@@ -19,7 +19,7 @@ from .core import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
-from .primitives import Broadcast, FilterStore, Resource, Store
+from .primitives import Broadcast, FilterStore, Store
 from .trace import SampleStats, Stopwatch, Tracer
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "FilterStore",
     "Process",
-    "Resource",
     "SampleStats",
     "SimulationError",
     "Stopwatch",

@@ -7,8 +7,6 @@ These are the building blocks the cluster runtime uses:
   queues.
 * :class:`FilterStore` — a store whose ``get`` takes a predicate, used for
   tag/source matching in :mod:`repro.mp`.
-* :class:`Resource` — a counted resource with FIFO granting, used to model
-  NIC send-side serialization (one DMA engine per node).
 * :class:`Broadcast` — a re-armable "condition variable" that wakes *all*
   waiters, used by memory write-watchers to model processes polling a flag.
 """
@@ -18,9 +16,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque
 
-from .core import Environment, Event, SimulationError
+from .core import Environment, Event
 
-__all__ = ["Store", "FilterStore", "Resource", "Broadcast"]
+__all__ = ["Store", "FilterStore", "Broadcast"]
 
 
 class Store:
@@ -120,50 +118,6 @@ class FilterStore:
         self._getters.append((ev, predicate))
         return ev
 
-class Resource:
-    """A counted resource granted FIFO.
-
-    Usage from a process::
-
-        yield resource.acquire()
-        try:
-            ...
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def __repr__(self) -> str:
-        return (
-            f"<Resource {self.name} {self.in_use}/{self.capacity} "
-            f"queued={len(self._waiters)}>"
-        )
-
-    def acquire(self) -> Event:
-        ev = self.env.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle {self!r}")
-        if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed()
-        else:
-            self.in_use -= 1
 
 class Broadcast:
     """Re-armable broadcast signal.

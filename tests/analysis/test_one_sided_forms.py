@@ -143,9 +143,8 @@ def _observe(form, **runtime_kwargs):
     [
         {"params": myrinet2000()},
         {"params": myrinet2000(), "fence_mode": "ack"},
-        {"params": myrinet2000(send_credits=2)},
     ],
-    ids=["fault-free", "ack-mode", "two-credits"],
+    ids=["fault-free", "ack-mode"],
 )
 class TestFormsLeaveTheSameState:
     def test_contiguous_is_the_one_run_vector(self, runtime_kwargs):

@@ -11,7 +11,6 @@ import textwrap
 
 from repro.analysis.lint import lint_source, run_lint
 from repro.analysis.protoshape import (
-    RULE_CREDIT,
     RULE_CS_LEASE,
     RULE_SEND_KIND,
     RULE_VIEW_READ,
@@ -140,42 +139,6 @@ class TestCsYieldNoLease:
                 self.in_cs = True
         """
         assert _lint(code) == []
-
-
-class TestCreditMutation:
-    def test_raw_pool_reference_flagged(self):
-        findings = _lint(
-            """
-            def steal(armci, node):
-                armci._credits[node] = None
-            """
-        )
-        assert _rules(findings) == [RULE_CREDIT]
-
-    def test_helper_call_outside_armci_flagged(self):
-        findings = _lint(
-            """
-            def sneak(armci, node):
-                yield from armci._take_credit(node)
-            """
-        )
-        assert _rules(findings) == [RULE_CREDIT]
-
-    def test_home_modules_clean(self):
-        """One home: the module that issues every form of the operations."""
-        source = textwrap.dedent(
-            """
-            class Armci:
-                def _credit_pool(self, node):
-                    return self._credits[node]
-
-                def _get(self, node):
-                    yield from self._take_credit(node)
-            """
-        )
-        assert lint_source(source, path="src/repro/armci/api.py") == []
-        findings = lint_source(source, path="src/repro/armci/nonblocking.py")
-        assert _rules(findings) == [RULE_CREDIT] * 2
 
 
 class TestUnguardedViewRead:

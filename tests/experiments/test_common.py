@@ -33,9 +33,9 @@ class TestComparison:
         c.record("current", 8, 100.0)
         assert c.nprocs_list() == [2, 4, 8]
 
-    def test_factors(self):
+    def test_factor(self):
         c = self.make()
-        assert c.factors() == {2: 2.0, 4: 4.0}
+        assert [c.factor(n) for n in c.nprocs_list()] == [2.0, 4.0]
 
     def test_render_contains_everything(self):
         c = self.make()

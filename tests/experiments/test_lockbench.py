@@ -44,6 +44,30 @@ class TestFig9Shape:
         assert series["mcs"][1].acquire_us < series["hybrid"][1].acquire_us
 
 
+class TestDualSmp:
+    """16 processes at one and at two per node (the testbed's dual SMPs)."""
+
+    @pytest.fixture(scope="class")
+    def by_ppn(self):
+        out = {}
+        for ppn in (1, 2):
+            cfg = LockBenchConfig(iterations=60, procs_per_node=ppn)
+            out[ppn] = (
+                run_lock_point("hybrid", 16, cfg).roundtrip_us,
+                run_lock_point("mcs", 16, cfg).roundtrip_us,
+            )
+        return out
+
+    def test_mcs_wins_in_the_paper_range_at_both_placements(self, by_ppn):
+        for hybrid, mcs in by_ppn.values():
+            assert 1.1 < hybrid / mcs < 1.5
+
+    def test_placement_moves_each_lock_by_a_few_percent(self, by_ppn):
+        """One lock, a 16-deep rotation: 1 handoff in 15 becomes same-node."""
+        for column in (0, 1):
+            assert abs(by_ppn[2][column] - by_ppn[1][column]) < 0.07 * by_ppn[1][column]
+
+
 class TestFig10Shape:
     def test_release_current_wins(self, series):
         """Paper Figure 10: new release is more expensive (the CAS)."""

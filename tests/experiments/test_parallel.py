@@ -75,8 +75,8 @@ class TestScaleBench:
         assert first.nprocs_list() == [8, 16]
         for variant in SCALE_VARIANTS:
             for nprocs in (8, 16):
-                a = first.get(variant, nprocs)
-                b = second.get(variant, nprocs)
+                a = first.cells[variant][nprocs]
+                b = second.cells[variant][nprocs]
                 # Simulated time and event count are deterministic;
                 # wall-clock is not.
                 assert a.sync_us == b.sync_us
@@ -89,8 +89,8 @@ class TestScaleBench:
         result = run_scalebench(cfg)
         for variant in SCALE_VARIANTS:
             assert (
-                result.get(variant, 32).sync_us
-                > result.get(variant, 8).sync_us
+                result.cells[variant][32].sync_us
+                > result.cells[variant][8].sync_us
             )
 
     def test_render_mentions_all_variants(self):
@@ -106,10 +106,10 @@ class TestScaleBench:
         for variant in SCALE_VARIANTS:
             for nprocs in (8, 16):
                 assert (
-                    serial.get(variant, nprocs).sync_us
-                    == parallel.get(variant, nprocs).sync_us
+                    serial.cells[variant][nprocs].sync_us
+                    == parallel.cells[variant][nprocs].sync_us
                 )
                 assert (
-                    serial.get(variant, nprocs).events
-                    == parallel.get(variant, nprocs).events
+                    serial.cells[variant][nprocs].events
+                    == parallel.cells[variant][nprocs].events
                 )

@@ -39,7 +39,7 @@ class TestVariantSelection:
         result = run_scalebench(small_cfg())
         assert result.variants == HIER_SCALE_VARIANTS
         for variant in HIER_SCALE_VARIANTS:
-            assert result.get(variant, 8).sync_us > 0
+            assert result.cells[variant][8].sync_us > 0
 
     def test_explicit_variants_respected(self):
         result = run_scalebench(small_cfg(variants=("twolevel",)))
@@ -73,7 +73,7 @@ class TestWallBudget:
         result = run_scalebench(small_cfg(wall_budget_s=0.0))
         result.record(
             run_scalebench(small_cfg(nprocs_list=(8,), variants=("twolevel",)))
-            .get("twolevel", 8)
+            .cells["twolevel"][8]
         )
         rows = result.to_rows()
         assert "-" in rows[1]  # other variants missing at N=8
@@ -88,9 +88,9 @@ class TestExport:
         assert data["nprocs"] == [8, 16]
         cells = {(c["variant"], c["nprocs"]): c for c in data["cells"]}
         assert len(cells) == 4
-        assert cells[("twolevel", 16)]["sync_us"] == result.get(
-            "twolevel", 16
-        ).sync_us
+        assert (
+            cells[("twolevel", 16)]["sync_us"] == result.cells["twolevel"][16].sync_us
+        )
 
     def test_csv_rows(self):
         result = run_scalebench(small_cfg(variants=("twolevel",)))
@@ -105,5 +105,5 @@ class TestExport:
         b = run_scalebench(small_cfg(variants=("twolevel", "kary")))
         for variant in ("twolevel", "kary"):
             for n in (8, 16):
-                assert a.get(variant, n).sync_us == b.get(variant, n).sync_us
-                assert a.get(variant, n).events == b.get(variant, n).events
+                assert a.cells[variant][n].sync_us == b.cells[variant][n].sync_us
+                assert a.cells[variant][n].events == b.cells[variant][n].events

@@ -51,7 +51,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
             myrinet2000().with_(**{field: value})
 
-    @pytest.mark.parametrize("field", ["tree_radix", "send_credits", "max_retries"])
+    @pytest.mark.parametrize("field", ["tree_radix", "max_retries"])
     @pytest.mark.parametrize("value", [2.5, 4.0, True])
     def test_integer_fields_take_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):

@@ -1,9 +1,8 @@
-"""Unit tests for Store, FilterStore, Resource, and Broadcast."""
+"""Unit tests for Store, FilterStore and Broadcast."""
 
 import pytest
 
-from repro.sim.core import SimulationError
-from repro.sim.primitives import Broadcast, FilterStore, Resource, Store
+from repro.sim.primitives import Broadcast, FilterStore, Store
 
 
 class TestStore:
@@ -125,47 +124,6 @@ class TestFilterStore:
         env.process(putter())
         env.run()
         assert sorted(got) == [("any", 3), ("evens", 4)]
-
-class TestResource:
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_acquire_within_capacity_immediate(self, env):
-        res = Resource(env, capacity=2)
-        assert res.acquire().triggered
-        assert res.acquire().triggered
-        assert res.in_use == 2
-
-    def test_acquire_beyond_capacity_blocks(self, env):
-        res = Resource(env, capacity=1)
-        res.acquire()
-        second = res.acquire()
-        assert not second.triggered
-        res.release()
-        assert second.triggered
-
-    def test_release_idle_raises(self, env):
-        res = Resource(env)
-        with pytest.raises(SimulationError, match="release of idle"):
-            res.release()
-
-    def test_fifo_granting(self, env):
-        res = Resource(env, capacity=1)
-        order = []
-
-        def user(tag, hold):
-            yield res.acquire()
-            order.append((tag, env.now))
-            yield env.timeout(hold)
-            res.release()
-
-        for tag, hold in (("a", 5), ("b", 3), ("c", 1)):
-            env.process(user(tag, hold))
-        env.run()
-        assert order == [("a", 0.0), ("b", 5.0), ("c", 8.0)]
-
-
 
 
 class TestBroadcast:

@@ -270,6 +270,27 @@ class TestCrashPathsConstructFree:
         assert first == second
 
 
+class TestFaultsExitStatus:
+    """``repro faults`` judges its own table: a DIVERGED row exits 1."""
+
+    def test_clean_sweep_exits_zero(self, capsys):
+        assert main(["faults", "--procs", "2"]) == 0
+        assert "DIVERGED" not in capsys.readouterr().out
+
+    def test_diverged_point_exits_one(self, capsys, monkeypatch):
+        from repro.experiments import faultbench
+
+        real = faultbench.run_fault_point
+
+        def diverging(cfg, drop_rate):
+            epoch_us, states, runtime = real(cfg, drop_rate)
+            return epoch_us, states + (["torn"] if drop_rate else []), runtime
+
+        monkeypatch.setattr(faultbench, "run_fault_point", diverging)
+        assert main(["faults", "--procs", "2"]) == 1
+        assert "DIVERGED" in capsys.readouterr().out
+
+
 class TestCliRobustness:
     """Satellite: malformed fault/kill options exit 2 with one stderr line."""
 

@@ -63,20 +63,20 @@ class TestCoalescedRuns:
         )
 
     def test_deterministic(self):
-        a = run_scalebench(self._cfg(True)).get("twolevel", 64)
-        b = run_scalebench(self._cfg(True)).get("twolevel", 64)
+        a = run_scalebench(self._cfg(True)).cells["twolevel"][64]
+        b = run_scalebench(self._cfg(True)).cells["twolevel"][64]
         assert a.sync_us == b.sync_us and a.events == b.events
 
     def test_accuracy_vs_full_run(self):
         """Coalesced sync time within 15% of the faithful per-rank run."""
-        full = run_scalebench(self._cfg(False)).get("twolevel", 64)
-        coal = run_scalebench(self._cfg(True)).get("twolevel", 64)
+        full = run_scalebench(self._cfg(False)).cells["twolevel"][64]
+        coal = run_scalebench(self._cfg(True)).cells["twolevel"][64]
         assert coal.sync_us == pytest.approx(full.sync_us, rel=0.15)
         # The point of coalescing: far fewer simulated events.
         assert coal.events < full.events / 2
 
     def test_reports_logical_nprocs(self):
-        cell = run_scalebench(self._cfg(True)).get("twolevel", 64)
+        cell = run_scalebench(self._cfg(True)).cells["twolevel"][64]
         assert cell.nprocs == 64
 
     def test_large_n_tractable(self):
@@ -89,7 +89,7 @@ class TestCoalescedRuns:
             params=hier_params(16),
             coalesce=True,
         )
-        cell = run_scalebench(cfg).get("twolevel", 4096)
+        cell = run_scalebench(cfg).cells["twolevel"][4096]
         assert cell.sync_us > 0
         assert cell.events < 200_000
 

@@ -90,7 +90,7 @@ class TestPriceTracksSimulation:
     def test_within_bound(self, topology, ppn, nprocs, variant):
         algorithm, bound = GRID_ALGORITHMS[variant]
         params, result = simulated(topology, ppn)
-        sim = result.get(variant, nprocs).sync_us
+        sim = result.cells[variant][nprocs].sync_us
         est = price(params, nprocs, algorithm, ppn=ppn)
         assert abs(est - sim) <= bound * sim, (
             f"{algorithm} N={nprocs} ppn={ppn} {topology}: "
@@ -118,7 +118,7 @@ class TestNicPriceTracksSimulation:
     @pytest.mark.parametrize("nprocs", [8, 16, 64])
     @pytest.mark.parametrize("ppn", [1, 2])
     def test_within_bound(self, ppn, nprocs, nic_algorithm):
-        sim = simulated_nic(ppn).get(f"nic-{nic_algorithm}", nprocs).sync_us
+        sim = simulated_nic(ppn).cells[f"nic-{nic_algorithm}"][nprocs].sync_us
         params = myrinet2000(nic_algorithm=nic_algorithm)
         est = price(params, nprocs, "nic", ppn=ppn)
         assert abs(est - sim) <= 0.15 * sim, (est, sim)
@@ -139,8 +139,8 @@ class TestCrossoverGrid:
             variants=("host-exchange", "twolevel"),
         )
         result = run_scalebench(cfg)
-        sim_flat = result.get("host-exchange", nprocs).sync_us
-        sim_two = result.get("twolevel", nprocs).sync_us
+        sim_flat = result.cells["host-exchange"][nprocs].sync_us
+        sim_two = result.cells["twolevel"][nprocs].sync_us
         est_flat = price(params, nprocs, "exchange", ppn=ppn)
         est_two = price(params, nprocs, "twolevel", ppn=ppn)
         assert (est_two < est_flat) == (sim_two < sim_flat), (
@@ -152,6 +152,15 @@ class TestCrossoverGrid:
         params = hier_params()
         assert price(params, 1024, "twolevel", ppn=8) < price(
             params, 1024, "exchange", ppn=8
+        )
+
+    def test_exchange_wins_below_the_crossover(self):
+        """With test_exchange_vs_twolevel[64], the simulation's winner at
+        N=64 is the flat exchange: the crossover is real, not twolevel
+        dominating everywhere."""
+        params = hier_params()
+        assert price(params, 64, "exchange", ppn=8) < price(
+            params, 64, "twolevel", ppn=8
         )
 
     def test_exchange_wins_small_flatish(self):
