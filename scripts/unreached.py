@@ -187,10 +187,8 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     # production allreduce against it.
     ("mp/collectives.py", "allreduce_sum_fig2", REFERENCE),
     # Interface methods: abstract lock and strategy hooks, the vectors' and
-    # ConditionValue's list/mapping protocol, containers' len(), the failure
-    # half of Event, and estimate_us's price for "nic" (auto weighs it only
-    # under nic_offload, which no command sets).
-    ("armci/barrier.py", "_price.<locals>.engine", INTERFACE),
+    # ConditionValue's list/mapping protocol, containers' len() and the
+    # failure half of Event.
     ("locks/base.py", "BaseLock._acquire", INTERFACE),
     ("locks/base.py", "BaseLock._release", INTERFACE),
     ("locks/token_base.py", "TokenLockBase._daemon_loop", INTERFACE),

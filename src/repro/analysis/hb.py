@@ -21,6 +21,10 @@ Happens-before edges (see ``docs/analysis.md`` for the full model):
   (only all-to-all collectives are instrumented);
 * **lock release -> acquire** — an acquire joins the clock stored by the
   previous release of the same lock;
+* **crash declaration** — ``proc_crashed`` joins the dead rank's clock
+  into the membership actor's (crash-stop: all it did precedes its
+  declaration), and a ``barrier_exit`` reporting ``view_epoch`` joins the
+  membership clock at that view's ``view_change``;
 * **sync cells** — reads of release/acquire cells (lock words, ``op_done``
   and notify counters) join the clock of their last write;
 * **NIC offload** — a ``nic_combine`` joins what the NIC folded in (the
@@ -176,6 +180,9 @@ class HBAnalyzer:
         self._written_off_ops: Set[int] = set()
         self._lock_revoked: Dict[str, Set[int]] = {}
         self._view_epoch = 0
+        #: view epoch -> the membership actor's clock when it installed
+        #: that view (joined by barrier exits that report ``view_epoch``).
+        self._view_clocks: Dict[int, Dict[str, int]] = {}
         # Partition state (populated only by transient-fault events).
         #: Actors currently excluded from the membership view.
         self._excluded_actors: Set[str] = set()
@@ -442,6 +449,9 @@ class HBAnalyzer:
                     )
                 else:
                     self._join(actor, record.apply_snap)
+        # A survivor barrier computed over view ``view_epoch`` saw every
+        # death declared up to it: order what the dead did before the exit.
+        self._join(actor, self._view_clocks.get(data.get("view_epoch")))
         self._dead_credit_check(ev, actor, epoch, data)
 
     def _dead_credit_check(self, ev, actor, epoch, data) -> None:
@@ -480,6 +490,10 @@ class HBAnalyzer:
     def _on_proc_crashed(self, ev, actor, tick, data) -> None:
         rank = data["rank"]
         dead_actor = f"p{rank}"
+        # Crash-stop: every action of the dead rank precedes its
+        # declaration.  (Never at ``proc_excluded``: an excluded rank is
+        # alive and may still act.)
+        self._join(actor, self._clock(dead_actor))
         self._dead_actors.add(dead_actor)
         self._crashed_at[dead_actor] = data.get("crashed_at", ev.time)
         if data.get("node_crashed"):
@@ -506,6 +520,7 @@ class HBAnalyzer:
 
     def _on_view_change(self, ev, actor, tick, data) -> None:
         self._view_epoch = data["epoch"]
+        self._view_clocks[data["epoch"]] = dict(self._clock(actor))
 
     def _on_proc_excluded(self, ev, actor, tick, data) -> None:
         excluded = f"p{data['rank']}"

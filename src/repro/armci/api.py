@@ -431,7 +431,7 @@ class Armci:
         operation (``"exchange"``), the original ``allfence`` + MPI barrier
         (``"linear"``), or the programmer-selectable ``"auto"`` the paper
         suggests (§3.1.2's crossover note): the argmin of the priced
-        message patterns of every algorithm the configuration offers, the
+        message patterns of every host algorithm the configuration offers, the
         linear one priced with this rank's dirty-server count (see
         :func:`repro.armci.barrier.estimate_us`).
         """

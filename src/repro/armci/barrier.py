@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from ..mp import collectives
 from ..mp.vector import CountVector, OpCounts
-from ..net.params import SMALL_MSG_BYTES
+from ..net.params import MEMBERSHIP_POLL_US, SMALL_MSG_BYTES
 from ..net.topology import Topology
 from ..topo.algorithms import dissemination_sync, kary_sync, twolevel_sync
 from .fence import allfence_linear
@@ -96,10 +96,9 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
     :mod:`repro.nic.engine`); ``"kary"``, ``"dissemination"``, and
     ``"twolevel"`` are the topology-aware host algorithms of
     :mod:`repro.topo.algorithms`; ``"auto"`` implements the paper's closing
-    suggestion — price the candidate algorithms' own message patterns
-    (see :func:`estimate_us`) and pick the cheapest.  The NIC path joins
-    the comparison only when ``params.nic_offload`` is set; it can always
-    be requested explicitly.
+    suggestion — price the candidate host algorithms' own message patterns
+    (see :func:`estimate_us`) and pick the cheapest.  The NIC path is never
+    a candidate; it is requested explicitly.
 
     .. warning::
        ``"auto"`` decides from the *local* count of servers touched since
@@ -185,20 +184,19 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
 
 
 def estimate_us(params, topology, algorithm: str, dirty: int = 0) -> float:
-    """The price of one barrier ``algorithm`` on ``topology`` (µs).
+    """The price of one host barrier ``algorithm`` on ``topology`` (µs).
 
     Each algorithm runs its own message patterns over a
     :class:`~repro.mp.collectives.PricePort`, for the ranks as ``topology``
     places them: ``exchange``, ``kary``, ``dissemination`` and ``twolevel``
-    their stage bodies (:data:`SYNCS`) around the stage-2 poll; ``nic`` the
-    doorbell DMA, the engines' folds, their stage-1 and stage-3 patterns
-    over nodes, the mirror checks and the release DMA.  ``linear`` is the
-    API call, one serial confirmation round trip per ``dirty`` server (the
-    server wakes, dispatches and checks the client's fence), then the
-    priced barrier.  Only ``linear`` reads ``dirty``; each schedule is run
-    once per ``(params, topology)``.
+    their stage bodies (:data:`SYNCS`) around the stage-2 poll.
+    ``linear`` is the API call, one serial confirmation round trip per
+    ``dirty`` server (the server wakes, dispatches and checks the client's
+    fence), then the priced barrier.  Only ``linear`` reads ``dirty``;
+    each schedule is run once per ``(params, topology)``.  ``nic`` and
+    ``auto`` are not priced: ``auto`` never weighs the NIC path.
     """
-    if algorithm == "auto" or algorithm not in ALGORITHMS:
+    if algorithm in ("auto", "nic") or algorithm not in ALGORITHMS:
         raise ValueError(f"cannot price algorithm {algorithm!r}")
     price = _price(params, topology, algorithm)
     if algorithm != "linear":
@@ -216,31 +214,9 @@ def estimate_us(params, topology, algorithm: str, dirty: int = 0) -> float:
 def _price(params, topology, algorithm: str) -> float:
     """``algorithm``'s schedule run over a pricing port (``linear``: its
     message-passing barrier alone)."""
-    from ..nic.engine import SLOT_BYTES, STAGE_PATTERNS
-
     n = topology.nprocs
-    port = collectives.PricePort(params, topology, nic=algorithm == "nic")
+    port = collectives.PricePort(params, topology)
     clock = port.clock
-    if algorithm == "nic":
-        stage1, stage3 = STAGE_PATTERNS[params.nic_algorithm]
-        nodes = range(topology.nnodes)
-        dma = SLOT_BYTES * n * params.nic_dma_per_byte_us
-        doorbell = params.nic_doorbell_us + params.nic_dma_us + dma
-
-        def engine(node):
-            # One NIC step per hosted rank to fold its row, to check its
-            # mirror and to release it.
-            local = len(topology.ranks_on(node)) * params.nic_proc_us
-            comm = port.comm(node)
-            clock[node] += doorbell + local
-            send, recv = collectives.host_port(comm, 0, 1)
-            yield from stage1(node, nodes, send, recv, CountVector.zeros(n))
-            clock[node] += local
-            send, recv = collectives.host_port(comm, 0, 3)
-            yield from stage3(node, nodes, send, recv, None)
-            clock[node] += local + params.nic_dma_us + params.poll_detect_us
-
-        return port.run({node: engine(node) for node in nodes})
 
     def member(rank):
         comm = port.comm(rank)
@@ -270,14 +246,12 @@ def _auto_select(armci: "Armci") -> str:
 
     Only linear's price reads a local value (the dirty-server count): the
     symmetric-pattern contract of the warning on :func:`armci_barrier`.
-    ``nic`` is a candidate with ``params.nic_offload``, the topology-aware
-    algorithms under a hierarchy (twolevel once a node hosts two ranks).
+    The topology-aware algorithms are candidates under a hierarchy
+    (twolevel once a node hosts two ranks).
     """
     params = armci.params
     topology = armci.topology
     candidates = ["exchange", "linear"]
-    if params.nic_offload:
-        candidates.append("nic")
     if params.hierarchy is not None:
         candidates += ["dissemination", "kary"]
         if topology.procs_per_node > 1:
@@ -394,7 +368,7 @@ def _stage2(armci: "Armci", total: int):
     the target is ``total`` less the dead ranks' never-applied operations
     (``membership.written_off``), re-evaluated at every check since deaths
     may be declared while waiting, and a wait that sees no write for
-    ``membership_poll_us`` re-checks.
+    :data:`~repro.net.params.MEMBERSHIP_POLL_US` re-checks.
     """
     region, addr = armci.server.op_done_cell(armci.rank)
     poll_detect_us = armci.params.poll_detect_us
@@ -404,7 +378,6 @@ def _stage2(armci: "Armci", total: int):
             addr, lambda v: v >= total, poll_detect_us=poll_detect_us
         )
         return total
-    window = armci.params.membership_poll_us
     env = armci.env
     value = region.read(addr)  # every check is a monitored read
     while True:
@@ -412,7 +385,7 @@ def _stage2(armci: "Armci", total: int):
         if value >= target:
             return target
         wake = region.watcher(addr).wait()
-        deadline = env.timeout(window)
+        deadline = env.timeout(MEMBERSHIP_POLL_US)
         yield wake | deadline
         if wake.triggered and poll_detect_us > 0.0:
             yield poll_detect_us

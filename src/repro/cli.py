@@ -178,7 +178,7 @@ FLAGS = {
     ),
     "fault_seed": _flag(
         "--fault-seed", type=int, metavar="SEED",
-        help="seed for the fault-injection RNG stream (independent of jitter)",
+        help="seed for the fault-injection RNG stream",
     ),
     "retry_timeout": _flag(
         "--retry-timeout", type=float, metavar="US",

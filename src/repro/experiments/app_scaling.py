@@ -22,14 +22,15 @@ from .common import default_params, format_table
 
 __all__ = ["AppScalingConfig", "AppScalingResult", "run_app_scaling"]
 
+#: Simulated local compute per iteration (µs) — sets the comm/comp ratio.
+COMPUTE_US = 150.0
+
 
 @dataclass(frozen=True)
 class AppScalingConfig:
     nprocs_list: Tuple[int, ...] = (2, 4, 8, 16)
     iterations: int = 10
     shape: Tuple[int, int] = (128, 128)
-    #: Simulated local compute per iteration (µs) — sets the comm/comp ratio.
-    compute_us: float = 150.0
     procs_per_node: int = 1
     params: Optional[NetworkParams] = None
 
@@ -72,7 +73,7 @@ def _mini_app(ctx, mode: str, cfg: AppScalingConfig):
     # Deterministic pseudo-data (no RNG in the timed loop).
     for iteration in range(cfg.iterations):
         # Compute phase (overlappable local work).
-        yield ctx.compute(cfg.compute_us)
+        yield ctx.compute(COMPUTE_US)
         # Assembly phase: contribute a strip to every remote block.
         for peer in range(ctx.nprocs):
             if peer == ctx.rank:

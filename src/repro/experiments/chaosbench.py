@@ -44,7 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..locks import FIFO_KINDS, LockAudit, fifo_judged, make_lock
+from ..locks import (
+    CS_US,
+    FIFO_KINDS,
+    LOCK_STAGGER_US,
+    LockAudit,
+    fifo_judged,
+    make_lock,
+)
 from ..net.faults import FaultPlan
 from ..net.params import NetworkParams
 from ..runtime.cluster import ClusterRuntime
@@ -71,7 +78,6 @@ class ChaosBenchConfig:
     nprocs: int = 8
     procs_per_node: int = 1
     lock_kind: str = "hybrid"
-    lock_home: int = 0
     #: ``(rank, at_us)`` kills fired while the rank is inside the combined
     #: barrier's exchange (all ``at_us`` must precede ``barrier_hold_us``).
     #: ``None``: the stock script, rank ``nprocs - 3`` at 60us.
@@ -85,13 +91,7 @@ class ChaosBenchConfig:
     #: exchange, early enough that they are not yet *declared* dead — so
     #: survivors provably restart the exchange on the view change.
     barrier_hold_us: float = 150.0
-    #: Spacing between consecutive lock requests.  Must exceed the
-    #: local/remote transit asymmetry (a local requester reaches the home
-    #: ticket counter in ~2us, a remote one in ~30us) so that request-send
-    #: order equals queue-arrival order and the FIFO check is meaningful.
-    lock_stagger_us: float = 40.0
     lock_iters: int = 3
-    cs_us: float = 5.0
     cells: int = 4
     kill_seed: int = 20030422
     #: Partition windows ``(nodes, from_us, until_us)``: the node group is
@@ -232,8 +232,9 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, audit: LockAudit):
     slot_cells = cfg.cells
     base = ctx.region.alloc_named("chaos.slots", ctx.nprocs * slot_cells, initial=0)
     # Every rank constructs its handle up front so recovery can inspect the
-    # dead ranks' lock state (registered with the membership service).
-    lock = make_lock(cfg.lock_kind, ctx, home_rank=cfg.lock_home, name="chaos")
+    # dead ranks' lock state (registered with the membership service).  The
+    # home is rank 0, on node 0, which no partition may cut off.
+    lock = make_lock(cfg.lock_kind, ctx, home_rank=0, name="chaos")
 
     # -- Phase 1: puts + combined barrier with mid-exchange kills ---------
     for peer in range(ctx.nprocs):
@@ -260,19 +261,19 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, audit: LockAudit):
     if ctx.rank in lock_victim_order:
         idx = lock_victim_order.index(ctx.rank)
         if idx:
-            yield cfg.lock_stagger_us * idx
+            yield LOCK_STAGGER_US * idx
         audit.request(env.now, ctx.rank, -1)
         yield from lock.acquire()
         audit.enter(env.now, ctx.rank, -1, membership)
         while True:  # "compute" in the CS until the scheduled kill fires
-            yield cfg.cs_us
+            yield CS_US
 
-    yield cfg.lock_stagger_us * (len(lock_victim_order) + 1 + ctx.rank)
+    yield LOCK_STAGGER_US * (len(lock_victim_order) + 1 + ctx.rank)
     for it in range(cfg.lock_iters):
         audit.request(env.now, ctx.rank, it)
         yield from lock.acquire()
         audit.enter(env.now, ctx.rank, it, membership)
-        yield cfg.cs_us
+        yield CS_US
         audit.leave(ctx.rank, membership)
         yield from lock.release()
 

@@ -39,6 +39,10 @@ __all__ = [
     "run_faultbench",
 ]
 
+#: Duplicate-injection rate as a fraction of the drop rate (networks that
+#: lose packets usually also replay them).
+DUP_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FaultBenchConfig:
@@ -47,9 +51,6 @@ class FaultBenchConfig:
     nprocs: int = 16
     procs_per_node: int = 1
     drop_rates: Tuple[float, ...] = (0.0, 0.01, 0.02, 0.05, 0.1)
-    #: Duplicate-injection rate as a fraction of the drop rate (networks
-    #: that lose packets usually also replay them).
-    dup_fraction: float = 0.5
     epochs: int = 4
     puts_per_peer: int = 2
     cells: int = 8
@@ -158,7 +159,7 @@ def _make_params(cfg: FaultBenchConfig, drop_rate: float) -> NetworkParams:
     if drop_rate > 0.0:
         overrides["faults"] = FaultPlan.uniform(
             drop_rate=drop_rate,
-            dup_rate=drop_rate * cfg.dup_fraction,
+            dup_rate=drop_rate * DUP_FRACTION,
             seed=cfg.fault_seed,
         )
     return params.with_(**overrides) if overrides else params

@@ -32,6 +32,11 @@ __all__ = ["LockBenchConfig", "LockPoint", "run_lock_point", "run_lock_series"]
 #: Process counts of the lock figures (1 is the special two-case average).
 LOCK_NPROCS: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
+#: Benchmark-loop CPU between consecutive operations (loop control and the
+#: timer reads bracketing each op in the paper's test); charged before each
+#: acquire and each release, outside the timed window.
+OP_GAP_US = 3.0
+
 #: Figures 8-10 as projections of one lock series: the ``(metric, title)``
 #: that :func:`comparison_from_series` takes.
 LOCK_FIGURES: Dict[str, Tuple[str, str]] = {
@@ -50,10 +55,6 @@ class LockBenchConfig:
     iterations: int = 400
     #: Untimed warm-up iterations (steady-state contention).
     warmup: int = 16
-    #: Benchmark-loop CPU between consecutive operations (loop control and
-    #: the timer reads bracketing each op in the paper's test); charged
-    #: before each acquire and each release, outside the timed window.
-    op_gap_us: float = 3.0
     procs_per_node: int = 1
     params: Optional[NetworkParams] = None
     #: Extra kwargs for the new lock (e.g. optimistic_release=True).
@@ -90,11 +91,9 @@ def lock_workload(ctx, kind: str, home_rank: int, cfg: LockBenchConfig, active=N
     lock.release_sw.reset()
     lock.total_sw.reset()
     for _i in range(cfg.iterations):
-        if cfg.op_gap_us > 0.0:
-            yield cfg.op_gap_us
+        yield OP_GAP_US
         yield from lock.acquire()
-        if cfg.op_gap_us > 0.0:
-            yield cfg.op_gap_us
+        yield OP_GAP_US
         yield from lock.release()
     return (lock.acquire_sw.samples, lock.release_sw.samples)
 

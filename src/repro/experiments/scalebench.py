@@ -93,6 +93,9 @@ COALESCE_VARIANTS: Dict[str, str] = {"twolevel": "exchange"}
 #: Default process counts (matches the 1024-participant related work).
 SCALE_NPROCS: Tuple[int, ...] = (64, 128, 256, 512, 1024)
 
+#: Cells each rank puts to its ring neighbor before every sync.
+PUT_CELLS = 8
+
 
 @dataclass(frozen=True)
 class ScaleBenchConfig:
@@ -102,8 +105,6 @@ class ScaleBenchConfig:
     #: Timed GA_Sync iterations per cell (kept small: one iteration at
     #: N=1024 is ~100k simulated events).
     iterations: int = 5
-    #: Cells each rank puts to its ring neighbor before every sync.
-    put_cells: int = 8
     procs_per_node: int = 1
     params: Optional[NetworkParams] = None
     #: Compared variants; ``None`` selects :data:`SCALE_VARIANTS`, or
@@ -224,14 +225,11 @@ def scale_workload(ctx, mode: str, cfg: ScaleBenchConfig):
     from ..ga.sync import ga_sync
 
     right = (ctx.rank + 1) % ctx.nprocs
-    addr = ctx.regions[right].alloc_named(
-        "scalebench", max(cfg.put_cells, 1), initial=0.0
-    )
-    values = [float(ctx.rank)] * cfg.put_cells
+    addr = ctx.regions[right].alloc_named("scalebench", PUT_CELLS, initial=0.0)
+    values = [float(ctx.rank)] * PUT_CELLS
     sw = ctx.stopwatch("ga_sync")
     for _iteration in range(cfg.iterations):
-        if cfg.put_cells > 0:
-            yield from ctx.armci.put_segments(right, [(addr, values)])
+        yield from ctx.armci.put_segments(right, [(addr, values)])
         sw.start()
         yield from ga_sync(ctx, mode)
         sw.stop()
@@ -349,7 +347,7 @@ def run_scalebench(
         for measured in run_cells(_scale_cell, cells, jobs=jobs):
             result.record(measured)
     result.notes.append(
-        f"workload: {cfg.put_cells}-cell put to the ring neighbor, then "
+        f"workload: {PUT_CELLS}-cell put to the ring neighbor, then "
         f"GA_Sync, x{cfg.iterations} iterations per cell"
     )
     if cfg.coalesce:

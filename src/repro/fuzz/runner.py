@@ -44,11 +44,6 @@ __all__ = ["FuzzOutcome", "SIM_CAP_US", "run_scenario"]
 #: finish within a few ms).  A program still running at the cap is hung.
 SIM_CAP_US = 50_000.0
 
-#: Spacing between lock requests so request-send order equals
-#: queue-arrival order on a fault-free network (see chaosbench).
-_LOCK_STAGGER_US = 40.0
-_CS_US = 5.0
-
 
 @dataclass
 class FuzzOutcome:
@@ -169,7 +164,7 @@ def _make_params(scenario: Scenario) -> NetworkParams:
 def _fuzz_workload(ctx, scenario: Scenario, audit):
     """Per-rank program: execute the scenario's phase list, reporting each
     critical section to ``audit`` (a :class:`~repro.locks.LockAudit`)."""
-    from ..locks import make_lock
+    from ..locks import CS_US, LOCK_STAGGER_US, make_lock
     from ..runtime.memory import GlobalAddress, audit_slots
 
     env = ctx.env
@@ -195,12 +190,12 @@ def _fuzz_workload(ctx, scenario: Scenario, audit):
                     [value] * cells,
                 )
         elif phase == "lock" and lock is not None:
-            yield _LOCK_STAGGER_US * (ctx.rank + 1)
+            yield LOCK_STAGGER_US * (ctx.rank + 1)
             for it in range(scenario.lock_iters):
                 audit.request(env.now, ctx.rank, it)
                 yield from lock.acquire()
                 audit.enter(env.now, ctx.rank, it, membership)
-                yield _CS_US
+                yield CS_US
                 audit.leave(ctx.rank, membership)
                 yield from lock.release()
         elif phase == "barrier":

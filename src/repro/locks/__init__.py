@@ -24,10 +24,12 @@ from .ticket import TicketLock
 
 __all__ = [
     "BaseLock",
+    "CS_US",
     "FIFO_KINDS",
     "HybridLock",
     "LHLock",
     "LOCK_KINDS",
+    "LOCK_STAGGER_US",
     "LockAudit",
     "LockStats",
     "MCSLock",
@@ -53,6 +55,15 @@ LOCK_KINDS = {
 #: Lock algorithms whose grant order is FIFO in request-arrival order (the
 #: token algorithms serve in tree/forwarding order instead).
 FIFO_KINDS = ("ticket", "lh", "server", "hybrid", "mcs")
+
+#: Spacing between consecutive lock requests of an audited workload.  It
+#: exceeds the local/remote transit asymmetry (a local requester reaches
+#: the home ticket counter in ~2us, a remote one in ~30us) so that
+#: request-send order equals queue-arrival order on a fault-free network
+#: and :meth:`LockAudit.fifo_ok` is meaningful.
+LOCK_STAGGER_US = 40.0
+#: Time an audited workload spends inside each critical section.
+CS_US = 5.0
 
 
 class LockAudit:

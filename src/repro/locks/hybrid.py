@@ -65,7 +65,6 @@ class HybridLock(TicketFamilyLock):
             home_rank=self.home_rank,
             base_addr=self.base_addr,
         )
-        self.stats.bump("unlock_messages")
         yield from self.ctx.fabric.send(
             self.ctx.rank, server_endpoint(self.home_node), req
         )

@@ -27,6 +27,7 @@ a time; the implementation enforces this.
 
 from __future__ import annotations
 
+from ..net.params import MEMBERSHIP_POLL_US
 from ..runtime.memory import NULL_PTR, GlobalAddress
 from .base import BaseLock
 
@@ -203,7 +204,6 @@ class MCSLock(BaseLock):
         failure (a requester raced in) by waiting for the successor link
         and handing off.  The node structure stays busy until completion.
         """
-        self.stats.bump("release_cas_optimistic")
         done = self.env.event()
         self._pending_release = done
         self.env.process(self._complete_optimistic(done), name=f"{self.name}.optrel")
@@ -377,7 +377,7 @@ class MCSLock(BaseLock):
                         continue
                 if not linker_pending() or svc.node_dead(handle.home_node):
                     return  # nobody will ever link: release already done
-                yield p.membership_poll_us
+                yield MEMBERSHIP_POLL_US
         # Hand off — unless the dead rank's own handoff already landed and
         # the successor moved on (its locked flag may since be re-armed).
         succ = handles.get(next_ptr[0])

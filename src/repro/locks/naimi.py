@@ -65,7 +65,6 @@ class NaimiTrehelLock(TokenLockBase):
                 if epoch < self._view_epoch:
                     # Sent before a crash reconfiguration: the requester
                     # re-issues under the new view, so drop the stale copy.
-                    self.stats.bump("stale_requests_dropped")
                     continue
                 if self.last == me:
                     # We are the current tail of the chain.
@@ -75,7 +74,6 @@ class NaimiTrehelLock(TokenLockBase):
                     elif self.has_token:
                         # Idle token: hand it straight over.
                         self.has_token = False
-                        self.stats.bump("token_passes")
                         yield from self._send(
                             requester, "token", payload=self._view_epoch
                         )
@@ -105,7 +103,6 @@ class NaimiTrehelLock(TokenLockBase):
                 if self.next is not None:
                     successor, self.next = self.next, None
                     self.has_token = False
-                    self.stats.bump("token_passes")
                     yield from self._send(
                         successor, "token", payload=self._view_epoch
                     )

@@ -89,7 +89,6 @@ class RaymondLock(TokenLockBase):
                 self.using = True
                 self._grant_local()
             else:
-                self.stats.bump("token_passes")
                 yield from self._send(
                     self.holder, "privilege", payload=self._view_epoch
                 )
@@ -110,14 +109,12 @@ class RaymondLock(TokenLockBase):
                 if (msg.payload or 0) < self._view_epoch:
                     # Sent before a crash reconfiguration; the sender
                     # re-issues under the new (star) topology.
-                    self.stats.bump("stale_requests_dropped")
                     continue
                 self.request_q.append(msg.src)
             elif msg.kind == "privilege":
                 if (msg.payload or 0) < self._token_epoch_floor:
                     # Regenerated after a crash while this copy was still
                     # in flight; accepting it would create a second holder.
-                    self.stats.bump("stale_privileges_dropped")
                     continue
                 self.holder = Self
             elif msg.kind == "local_release":

@@ -53,7 +53,6 @@ class TicketFamilyLock(BaseLock):
         if self._home_region.read(counter_addr) == ticket:
             self.stats.uncontended_acquires += 1
             return
-        self.stats.bump("local_waits")
         yield from self._home_region.wait_until(
             counter_addr, lambda v: v == ticket, poll_detect_us=p.poll_detect_us
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, List, Sequence
 
-from ..net.params import MSG_HEADER_BYTES
+from ..net.params import MEMBERSHIP_POLL_US, MSG_HEADER_BYTES
 from .comm import ANY_SOURCE, Comm, MPMessage
 from .vector import CountVector, ValueVector
 
@@ -203,44 +203,33 @@ class PricePort:
 
     A send stamps its message with the arrival the fabric would give it and
     files it; a receive waits until a match is filed and moves the
-    receiver's clock past its arrival.  Host profile (``nic=False``, one
-    member per rank): ``mp_call_us`` + ``o_send_us`` to send,
-    ``mp_call_us`` posted before the wait and ``o_recv_us`` after it
-    (``shm_access_us`` within a node), a per-node NIC queue, and the
-    crossing level's latency and per-byte cost under a hierarchy.  NIC
-    profile (one member per node): ``nic_proc_us`` on each side,
-    ``nic_wire_latency_us`` at the flat per-byte cost, as
-    :meth:`~repro.net.fabric.Fabric.transmit` prices NIC frames.  Jitter
-    and faults are not priced.  Whatever runs over :meth:`comm` or
-    :meth:`port` — a pattern, a collective, a topology-aware barrier — is
-    priced by :meth:`run`.
+    receiver's clock past its arrival.  One member per rank:
+    ``mp_call_us`` + ``o_send_us`` to send, ``mp_call_us`` posted before
+    the wait and ``o_recv_us`` after it (``shm_access_us`` within a node),
+    a per-node NIC queue, and the crossing level's latency and per-byte
+    cost under a hierarchy.  Faults are not priced.  Whatever runs over
+    :meth:`comm` or :meth:`port` — a pattern, a collective, a
+    topology-aware barrier — is priced by :meth:`run`.
     """
 
-    def __init__(self, params, topology, nic: bool = False):
+    def __init__(self, params, topology):
         p = self.params = params
         self.topology = topology
-        self._node_of = range(topology.nnodes) if nic else topology._node_of
+        self._node_of = topology._node_of
         # The profile: CPU per send and per receive, indexed by "same
         # node"; CPU a receive posts before its wait; the inter-node wire
-        # ``(latency, per_byte)``, None when a hierarchy prices each pair;
-        # the smallest payload (a NIC control frame carries one slot).
-        self._min_bytes = 8 if nic else 0
-        if nic:
-            self._send_cpu = self._recv_cpu = (p.nic_proc_us, p.nic_proc_us)
-            self._posted = 0.0
-            self._wire = (p.nic_wire_latency_us, p.per_byte_us)
-        else:
-            self._send_cpu = (p.mp_call_us + p.o_send_us, p.mp_call_us + p.shm_access_us)
-            self._recv_cpu = (p.o_recv_us, p.shm_access_us)
-            self._posted = p.mp_call_us
-            self._wire = (
-                (p.inter_latency_us, p.per_byte_us) if p.hierarchy is None else None
-            )
+        # ``(latency, per_byte)``, None when a hierarchy prices each pair.
+        self._send_cpu = (p.mp_call_us + p.o_send_us, p.mp_call_us + p.shm_access_us)
+        self._recv_cpu = (p.o_recv_us, p.shm_access_us)
+        self._posted = p.mp_call_us
+        self._wire = (
+            (p.inter_latency_us, p.per_byte_us) if p.hierarchy is None else None
+        )
         self._nic_free = [0.0] * topology.nnodes
         #: ``(dst, key)`` -> filed ``(arrival, src, payload)``, in filing order.
         self._filed = {}
         #: Member -> simulated µs; callers add work that sends nothing.
-        self.clock = [0.0] * len(self._node_of)
+        self.clock = [0.0] * topology.nprocs
         self.sends = 0
 
     def _send(self, me, dst, key, payload, nbytes: int):
@@ -254,7 +243,7 @@ class PricePort:
             latency, per_byte = self._wire or p.hierarchy.link(
                 src_node, dst_node, p.inter_latency_us, p.per_byte_us
             )
-            xfer = (max(nbytes, self._min_bytes) + MSG_HEADER_BYTES) * per_byte
+            xfer = (nbytes + MSG_HEADER_BYTES) * per_byte
             depart = max(self._nic_free[src_node], t)
             self._nic_free[src_node] = depart + xfer
             arrival = depart + xfer + latency
@@ -466,7 +455,6 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
     ``epoch0`` — or if ``restart_check`` reports the whole instance already
     completed — while no matching message has arrived.
     """
-    poll_us = membership.params.membership_poll_us
     while True:
         for envelope in comm.mailbox.items:
             msg = envelope.payload
@@ -475,7 +463,7 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
                 return received
         if membership.epoch != epoch0 or restart_check():
             raise _EpochChanged()
-        yield poll_us
+        yield MEMBERSHIP_POLL_US
 
 
 def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):

@@ -5,8 +5,7 @@ delivery with a LogGP-style cost model:
 
 * **Inter-node** (different SMP nodes): the message departs when the sending
   node's NIC is free, occupies it for ``size * per_byte_us`` (DMA
-  serialization), then arrives ``inter_latency_us`` later (plus optional
-  reordering jitter for failure-injection tests).
+  serialization), then arrives ``inter_latency_us`` later.
 * **Intra-node** (user process to the server on its own node): delivered
   through a shared-memory queue after ``intra_latency_us``; no NIC.
 
@@ -25,13 +24,11 @@ partitions, process pauses), and — when the plan asks for it — the
 in-order delivery over the lossy links with ACKs, retransmissions, and a
 receiver-side resequencer.  With ``params.faults`` left ``None`` (the
 default) neither subsystem is constructed and the fabric is byte-identical
-to a fault-free build; the jitter RNG keeps its own stream either way so
-enabling faults never perturbs jitter sequences.
+to a fault-free build.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from heapq import heappush as _heappush
 from typing import Any, Dict, List, Optional
@@ -127,10 +124,6 @@ class Fabric:
         # Hot-path alias of the topology's rank->node table (post/send
         # resolve nodes once per message; a list index beats a method call).
         self._rank_node = topology._node_of
-        #: Jitter stream.  Seeded exactly as the historical single RNG so
-        #: jitter sequences are unchanged; the fault injector draws from
-        #: its own independent stream (see repro.net.faults).
-        self._jitter_rng = random.Random(params.seed)
         self.faults: Optional[FaultInjector] = (
             FaultInjector(params.faults, params.seed)
             if params.faults is not None
@@ -262,9 +255,9 @@ class Fabric:
         serialization time, then the wire latency (``latency_us``
         overrides it for NIC-to-NIC frames, which ride a dedicated flat
         fabric; otherwise a configured hierarchy prices the node pair's
-        crossing level, see :mod:`repro.topo.hierarchy`), plus jitter —
-        adds ``extra_us`` (receiver CPU folded into a reply), offers it to
-        the fault plan iff ``faulted`` (``fault_dst`` names the endpoint
+        crossing level, see :mod:`repro.topo.hierarchy`) — adds
+        ``extra_us`` (receiver CPU folded into a reply), offers it to the
+        fault plan iff ``faulted`` (``fault_dst`` names the endpoint
         whose pause windows apply), and schedules one
         :class:`~repro.sim.core.Call` row per surviving copy: the arrival
         ``callbacks`` with ``a`` and ``b`` on the row, ``.delay`` its
@@ -296,8 +289,6 @@ class Fabric:
             xfer = size_bytes * per_byte
             self._nic_free[src_node] = depart + xfer
             delay = (depart - now) + xfer + latency
-            if p.jitter_us > 0.0:
-                delay += self._jitter_rng.uniform(0.0, p.jitter_us)
             delay += extra_us
         faults = self.faults
         if faults is None or not faulted:
@@ -474,14 +465,13 @@ class Fabric:
             # RMCheck transition label: reply delivery to the requester.
             ordinal = self._mc_ordinal(("rep", src_node, dst_rank))
             label = ("rep", ("mp", dst_rank), (src_node, ordinal))
-        # No endpoint's pause windows hold a reply back; the link
-        # faults apply when the plan says so.  The blocked requester's
-        # receive overhead folds into the delay.
-        faulted = not intra_node and p.faults is not None and p.faults.apply_to_replies
+        # No endpoint's pause windows hold a reply back; the link faults
+        # apply.  The blocked requester's receive overhead folds into the
+        # delay.
         extra_us = p.shm_access_us if intra_node else p.o_recv_us
         self.transmit(
             src_node, dst_node, size, label, self._reply_cbs, reply_event, value,
-            None, faulted, None, extra_us,
+            None, not intra_node, None, extra_us,
         )
 
     def _reply_landed(self, row: Call) -> None:

@@ -13,7 +13,7 @@ Design rules:
 * **Disabled means absent.**  ``NetworkParams.faults`` defaults to ``None``;
   the fabric then never constructs an injector, draws no random numbers,
   and is byte-identical to a fault-free build.  Enabling faults must not
-  perturb any other stochastic stream (delivery jitter keeps its own RNG).
+  perturb any other stochastic stream: the injector draws from its own.
 
 * **Seeded and deterministic.**  All fault decisions come from one
   ``random.Random`` seeded from ``FaultPlan.seed`` (falling back to the
@@ -239,16 +239,12 @@ class FaultPlan:
         Transient process stalls (a rank pauses without dying).
     seed:
         Fault-stream RNG seed; ``None`` derives it from the network seed.
-        Independent from the jitter stream either way.
     reliable:
         Whether the fabric should run the ACK/retransmit/resequencing layer
         (:mod:`repro.net.reliable`) on top of the faulty links.  Disable it
         to expose raw faults to the runtime (e.g. to exercise the server's
-        idempotent dispatch directly).
-    apply_to_replies:
-        Whether server responses are subject to link faults too (they are
-        on a real network; disable for experiments that only perturb the
-        request direction).
+        idempotent dispatch directly).  Server responses are subject to
+        the link faults too, as they are on a real network.
     """
 
     default: LinkFaults = LinkFaults()
@@ -258,7 +254,6 @@ class FaultPlan:
     pauses: Tuple[ProcessStall, ...] = ()
     seed: Optional[int] = None
     reliable: bool = True
-    apply_to_replies: bool = True
 
     def __post_init__(self) -> None:
         for crash in self.crashes:
@@ -445,8 +440,8 @@ class FaultInjector:
         self.plan = plan
         seed = plan.seed if plan.seed is not None else fallback_seed
         # String seeding hashes via SHA-512: stable across processes and
-        # independent of PYTHONHASHSEED, and distinct from the jitter
-        # stream which seeds random.Random(seed) directly.
+        # independent of PYTHONHASHSEED, and distinct from every other
+        # stream seeded from the same number.
         self._rng = random.Random(f"faults:{seed}")
         self._links: Dict[Tuple[int, int], LinkFaults] = dict(plan.links)
         # The plan is frozen, so what an attempt consults is resolved here

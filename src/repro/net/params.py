@@ -20,12 +20,25 @@ from typing import Optional
 from .faults import FaultPlan
 from ..topo.hierarchy import Hierarchy
 
-__all__ = ["NetworkParams", "myrinet2000", "gige", "quadrics_like", "SMALL_MSG_BYTES", "MSG_HEADER_BYTES"]
+__all__ = [
+    "NetworkParams",
+    "myrinet2000",
+    "gige",
+    "quadrics_like",
+    "SMALL_MSG_BYTES",
+    "MSG_HEADER_BYTES",
+    "MEMBERSHIP_POLL_US",
+]
 
 #: Nominal size charged for small control messages (requests, grants, acks).
 SMALL_MSG_BYTES = 64
 #: Per-message header bytes added to every payload.
 MSG_HEADER_BYTES = 32
+#: Poll granularity of epoch-aware (crash-resilient) waits: collective
+#: receives and the barrier's stage-2 wait re-check the membership epoch
+#: at this interval so survivors notice a view change while blocked.
+#: Positive: a zero wait would spin forever at one simulated instant.
+MEMBERSHIP_POLL_US = 5.0
 
 
 @dataclass(frozen=True)
@@ -85,28 +98,21 @@ class NetworkParams:
         Message-passing library (MPI) per-call CPU overhead, charged on
         each send and each receive — MPICH-GM's software stack was a
         significant part of barrier latency on this hardware.
-    jitter_us:
-        If > 0, each inter-node delivery gets a uniform extra delay in
-        ``[0, jitter_us]``, which can reorder messages between a pair.  GM
-        delivers in order, so this is 0 by default; tests use it for
-        failure injection.  Richer misbehaviour (drops, duplicates, delay
-        spikes, partitions, crashes) lives in ``faults``, on its own RNG stream.
     seed:
-        RNG seed for jitter (and, unless the fault plan carries its own
-        seed, for the independent fault stream).
+        RNG seed for the fault stream when the fault plan carries none,
+        and for the membership heartbeats and the adaptive RTO's cap jitter.
     faults:
         Optional :class:`repro.net.faults.FaultPlan`.  ``None`` (default)
-        means a perfect network — the fabric takes the exact same code
-        path as before the fault subsystem existed, so all fault-free
-        results are byte-identical.  When set, the fabric injects the
-        plan's drops/duplicates/delays/partitions and (if ``plan.reliable``)
-        runs the ACK/retransmit layer of :mod:`repro.net.reliable`.
+        means a perfect, in-order network (as GM is) — the fabric takes
+        the exact same code path as before the fault subsystem existed, so
+        all fault-free results are byte-identical.  When set, the fabric
+        injects the plan's drops/duplicates/delays/reordering/partitions
+        and (if ``plan.reliable``) runs the ACK/retransmit layer of
+        :mod:`repro.net.reliable`.
     retry_timeout_us:
         Reliable layer: time to wait for an acknowledgement before the
-        first retransmission of a frame.
-    retry_backoff:
-        Reliable layer: multiplicative backoff applied to the retry
-        timeout on each successive retransmission (>= 1).
+        first retransmission of a frame; each further retransmission
+        doubles it (:data:`repro.net.reliable.RETRY_BACKOFF`).
     max_retries:
         Reliable layer: attempts after which the transport gives up and
         raises (declaring the link/server dead) instead of retrying
@@ -116,34 +122,10 @@ class NetworkParams:
         per channel from observed round-trip times (Jacobson-style EWMA of
         RTT and its variance, ``RTO = srtt + 4 * rttvar``), starting from
         ``retry_timeout_us`` until the first sample arrives and clamped to
-        ``[adaptive_rto_min_us, adaptive_rto_max_us]`` with a deterministic
-        per-channel jitter on the cap.  Off by default so existing fault
-        configurations keep the fixed schedule byte-for-byte.
-    adaptive_rto_min_us:
-        Floor of the adaptive retransmission timeout (guards against a
-        few fast ACKs collapsing the RTO under the real tail latency).
-    adaptive_rto_max_us:
-        Cap of the adaptive timeout *before* the per-channel jitter
-        (which adds up to 10%); bounds how long a backed-off channel
-        waits between probes during a long outage.
-    heartbeat_us:
-        Membership failure detector (active only when the fault plan
-        schedules ``ProcessCrash`` events): interval at which each live
-        rank refreshes its liveness with the detector.  Fabric traffic
-        piggybacks the same refresh, so heartbeats only matter for idle
-        processes.
-    suspect_timeout_us:
-        Silence threshold after which the detector declares a rank dead
-        and bumps the membership epoch.  Must comfortably exceed
-        ``heartbeat_us`` plus its jitter; larger values trade detection
-        latency for immunity to slow paths.
-    membership_check_us:
-        Period of the detector's scan over last-heard timestamps.
-    membership_poll_us:
-        Poll granularity used by epoch-aware (crash-resilient) waits:
-        collective receives and the barrier's stage-2 wait re-check the
-        membership epoch at this interval so survivors notice a view
-        change while blocked.  Must be positive.
+        ``[RTO_MIN_US, RTO_MAX_US]`` of :mod:`repro.net.reliable` with a
+        deterministic per-channel jitter on the cap.  Off by default so
+        existing fault configurations keep the fixed schedule
+        byte-for-byte.
     nic_proc_us:
         NIC co-processor (LANai-style) CPU time per protocol step of the
         offloaded barrier: folding one contribution vector, building one
@@ -172,11 +154,6 @@ class NetworkParams:
         (pairwise recursive doubling over nodes, the default) or
         ``"tree"`` (a binary combining tree — fewer total frames, more
         serialized depth).
-    nic_offload:
-        When True the ``auto`` barrier algorithm also considers the
-        NIC-offloaded path (``algorithm="nic"`` can always be requested
-        explicitly).  Off by default so existing configurations are
-        byte-identical.
     hierarchy:
         Optional :class:`repro.topo.hierarchy.Hierarchy` describing the
         multi-level network above the SMP nodes (switch/rack/cluster
@@ -210,26 +187,17 @@ class NetworkParams:
     server_lock_op_us: float = 3.5
     api_call_us: float = 1.5
     mp_call_us: float = 3.5
-    jitter_us: float = 0.0
     seed: int = 12345
     faults: Optional[FaultPlan] = None
     retry_timeout_us: float = 60.0
-    retry_backoff: float = 2.0
     max_retries: int = 12
     adaptive_retry: bool = False
-    adaptive_rto_min_us: float = 20.0
-    adaptive_rto_max_us: float = 2000.0
-    heartbeat_us: float = 25.0
-    suspect_timeout_us: float = 120.0
-    membership_check_us: float = 20.0
-    membership_poll_us: float = 5.0
     nic_proc_us: float = 2.2
     nic_doorbell_us: float = 0.6
     nic_dma_us: float = 1.5
     nic_dma_per_byte_us: float = 0.008
     nic_wire_latency_us: float = 2.6
     nic_algorithm: str = "exchange"
-    nic_offload: bool = False
     hierarchy: Optional[Hierarchy] = None
     tree_radix: int = 4
 
@@ -251,25 +219,10 @@ class NetworkParams:
             raise ValueError(
                 f"tree_radix must be >= 2, got {self.tree_radix}"
             )
-        if self.membership_poll_us <= 0.0:
-            # Every epoch-aware wait sleeps this long between checks: zero
-            # would spin forever at one simulated instant.
-            raise ValueError(
-                f"membership_poll_us must be > 0, got {self.membership_poll_us}"
-            )
         if self.nic_algorithm not in ("exchange", "tree"):
             raise ValueError(
                 f"nic_algorithm must be 'exchange' or 'tree', got "
                 f"{self.nic_algorithm!r}"
-            )
-        if self.retry_backoff < 1.0:
-            raise ValueError(
-                f"retry_backoff must be >= 1, got {self.retry_backoff}"
-            )
-        if self.adaptive_rto_max_us < self.adaptive_rto_min_us:
-            raise ValueError(
-                f"adaptive_rto_max_us ({self.adaptive_rto_max_us}) must be >= "
-                f"adaptive_rto_min_us ({self.adaptive_rto_min_us})"
             )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(

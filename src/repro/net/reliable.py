@@ -10,7 +10,7 @@ restores those guarantees the way a GM-like transport would:
 * **Sender side** — every logical message becomes a *frame* with a
   per-``(source, destination endpoint)`` sequence number.  A frame is
   retransmitted on an exponential-backoff timer (``retry_timeout_us``,
-  ``retry_backoff``) until the receiver acknowledges it; after
+  doubled per attempt) until the receiver acknowledges it; after
   ``max_retries`` unanswered attempts the transport declares the peer
   dead: the channel's backlog is discarded, the event is counted in
   ``FabricStats.links_declared_dead``, and the suspicion is reported to
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..sim.core import Call, Event, SimulationError
 from .message import Endpoint, Envelope
-from .params import MSG_HEADER_BYTES
+from .params import MEMBERSHIP_POLL_US, MSG_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fabric import Fabric
@@ -53,6 +53,17 @@ __all__ = ["ReliableDelivery", "ReliabilityError", "ACK_BYTES"]
 
 #: Wire size of an acknowledgement frame (header-only control message).
 ACK_BYTES = MSG_HEADER_BYTES
+
+#: Multiplicative backoff applied to the retry timeout on each successive
+#: retransmission of a frame.
+RETRY_BACKOFF = 2.0
+#: Floor of the adaptive retransmission timeout (guards against a few
+#: fast ACKs collapsing the RTO under the real tail latency).
+RTO_MIN_US = 20.0
+#: Cap of the adaptive timeout *before* the per-channel jitter (which adds
+#: up to 10%); bounds how long a backed-off channel waits between probes
+#: during a long outage.
+RTO_MAX_US = 2000.0
 
 #: Channel key: (logical source, destination endpoint).
 ChannelKey = Tuple[Any, Endpoint]
@@ -212,10 +223,10 @@ class ReliableDelivery:
             latency = fabric.wire_latency_override(frame.envelope.src_rank, frame.dst)
             wire = (frame.dst, True, latency)
         else:
-            # As in Fabric.post_reply: no endpoint's windows, link faults if
-            # the plan says so, and the blocked requester's receive overhead
-            # folds into the delivery delay.
-            wire = (None, self.params.faults.apply_to_replies, None, self.params.o_recv_us)
+            # As in Fabric.post_reply: no endpoint's windows, the link
+            # faults, and the blocked requester's receive overhead folded
+            # into the delivery delay.
+            wire = (None, True, None, self.params.o_recv_us)
         fabric.transmit(
             frame.src_node, frame.dst_node, frame.size_bytes, label,
             self._arrive_cbs, frame, None, *wire
@@ -228,7 +239,7 @@ class ReliableDelivery:
             key = frame.key
             timeout = self._adaptive_rto(key, self._send_channels[key], frame.attempts)
         else:
-            timeout = p.retry_timeout_us * (p.retry_backoff ** (frame.attempts - 1))
+            timeout = p.retry_timeout_us * (RETRY_BACKOFF ** (frame.attempts - 1))
         self.env.call(timeout, self._timer_cbs, frame, frame.attempts)
 
     def _adaptive_rto(self, key: ChannelKey, channel: _SendChannel, attempt: int) -> float:
@@ -245,14 +256,14 @@ class ReliableDelivery:
             base = p.retry_timeout_us
         else:
             base = channel.srtt + 4.0 * channel.rttvar
-        base = max(base, p.adaptive_rto_min_us)
-        timeout = base * (p.retry_backoff ** (attempt - 1))
+        base = max(base, RTO_MIN_US)
+        timeout = base * (RETRY_BACKOFF ** (attempt - 1))
         if channel.cap_jitter is None:
             # String seeding: stable across runs and PYTHONHASHSEED values.
             channel.cap_jitter = random.Random(
                 f"rto:{p.seed}:{key!r}"
             ).random()
-        cap = p.adaptive_rto_max_us * (1.0 + 0.1 * channel.cap_jitter)
+        cap = RTO_MAX_US * (1.0 + 0.1 * channel.cap_jitter)
         return min(timeout, cap)
 
     def _on_timer(self, row: Call) -> None:
@@ -311,7 +322,7 @@ class ReliableDelivery:
         membership = self.fabric._membership
         if membership is not None:
             membership.suspect(frame.key[1], reason="retry suspended (transient fault)")
-        resume_at = max(until - self.env.now, 0.0) + self.params.membership_poll_us
+        resume_at = max(until - self.env.now, 0.0) + MEMBERSHIP_POLL_US
         frame.attempts = 0
         self.env.call(resume_at, self._resume_cbs, frame)
 

@@ -10,8 +10,8 @@ crash-stop failure model needs on top of the existing stack:
   timestamp — implicitly with every fabric transmission it makes
   (piggybacked, zero-cost) and explicitly through a seeded, jittered
   heartbeat process that covers idle ranks.  A detector process scans the
-  timestamps every ``membership_check_us`` and declares a rank dead after
-  ``suspect_timeout_us`` of silence.  The reliable transport short-cuts
+  timestamps every :data:`CHECK_US` and declares a rank dead after
+  :data:`SUSPECT_TIMEOUT_US` of silence.  The reliable transport short-cuts
   the timeout: exhausting a frame's retry budget reports the peer
   straight to :meth:`MembershipService.suspect`.
 
@@ -68,6 +68,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..mp.vector import CountVector
 from ..net.message import Endpoint
+from ..net.params import MEMBERSHIP_POLL_US
 from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,6 +78,19 @@ __all__ = ["MembershipService", "Lease"]
 
 #: Actor label used for membership events in RMCSan traces.
 MEMBERSHIP_ACTOR = "membership"
+
+#: Interval at which each live rank refreshes its liveness with the
+#: detector (jittered ±25% from a seeded per-rank RNG).  Fabric traffic
+#: piggybacks the same refresh, so heartbeats only matter for idle
+#: processes.
+HEARTBEAT_US = 25.0
+#: Silence threshold after which the detector declares a rank dead and
+#: bumps the membership epoch.  Comfortably exceeds ``HEARTBEAT_US`` plus
+#: its jitter; a larger value trades detection latency for immunity to
+#: slow paths.
+SUSPECT_TIMEOUT_US = 120.0
+#: Period of the detector's scan over last-heard timestamps.
+CHECK_US = 20.0
 
 
 def _lock_label(key: Tuple[str, str, int]) -> str:
@@ -182,7 +196,7 @@ class MembershipService:
         self.suspicions_discarded = 0
         #: Keep the heartbeat/detector loops alive through the last
         #: transient window plus one full detection cycle.
-        cycle = self.params.suspect_timeout_us + self.params.membership_check_us
+        cycle = SUSPECT_TIMEOUT_US + CHECK_US
         self._loops_until = plan.transient_end_us + cycle if plan.transient else 0.0
 
         #: Recovery trail (chaosbench reporting + tests).
@@ -481,27 +495,20 @@ class MembershipService:
 
     def _heartbeat_loop(self, rank: int):
         rng = random.Random(f"membership:{self._seed}:{rank}")
-        interval = self.params.heartbeat_us
-        if interval <= 0.0:  # heartbeats disabled: rely on traffic + retries
-            return
         while not self._loops_done():
-            yield interval * (0.75 + 0.5 * rng.random())
+            yield HEARTBEAT_US * (0.75 + 0.5 * rng.random())
             if rank in self._dead:
                 return
             self.heartbeat(rank, self.env.now)
 
     def _detector_loop(self):
-        p = self.params
-        check = p.membership_check_us if p.membership_check_us > 0.0 else p.heartbeat_us
-        if check <= 0.0:  # pragma: no cover - degenerate configuration
-            return
         while not self._loops_done():
-            yield check
+            yield CHECK_US
             now = self.env.now
             for rank in sorted(self._alive):
                 if rank in self._excluded:
                     continue
-                if now - self._last_heard[rank] > p.suspect_timeout_us:
+                if now - self._last_heard[rank] > SUSPECT_TIMEOUT_US:
                     if self._transient_attributable(rank, now):
                         # Silence explained by an active window: transient
                         # exclusion (if a quorum exists to corroborate it),
@@ -814,7 +821,6 @@ class MembershipService:
         """Sleep until the earliest fault window covering ``rank`` can end
         (then fall back to the membership poll period for the rejoin)."""
         now = self.env.now
-        poll = self.params.membership_poll_us
         ends = [p.until_us for p in self.plan.partitions if p.covers(now)]
         ends += [
             s.until_us
@@ -822,8 +828,8 @@ class MembershipService:
             if s.rank == rank and s.covers(now)
         ]
         if ends:
-            return max(min(ends) - now, poll)
-        return poll
+            return max(min(ends) - now, MEMBERSHIP_POLL_US)
+        return MEMBERSHIP_POLL_US
 
     # -- lock registry + leases ------------------------------------------------
 

@@ -104,15 +104,15 @@ def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
     analytic intra-node phases around a real ``leaders_algorithm``
     barrier among the actors.
     """
+    from ..experiments.scalebench import PUT_CELLS
+
     params = ctx.armci.params
     nnodes = ctx.nprocs
     nprocs = nnodes * ppn
     right = (ctx.rank + 1) % nnodes
-    addr = ctx.regions[right].alloc_named(
-        "scalebench", max(cfg.put_cells, 1), initial=0.0
-    )
-    values = [float(ctx.rank)] * cfg.put_cells
-    puts_charge = intra_puts_charge_us(params, ppn, cfg.put_cells)
+    addr = ctx.regions[right].alloc_named("scalebench", PUT_CELLS, initial=0.0)
+    values = [float(ctx.rank)] * PUT_CELLS
+    puts_charge = intra_puts_charge_us(params, ppn, PUT_CELLS)
     # gather before the leaders' exchange; scatter + signal + release after
     # (the serialized leader work is the same total either side of the
     # inter-node phases, and stage 2 for virtual local ops is free: local
@@ -122,10 +122,9 @@ def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
     inflation = vector_inflation_us(params, nprocs, nnodes)
     sw = ctx.stopwatch("ga_sync")
     for _iteration in range(cfg.iterations):
-        if cfg.put_cells > 0:
-            if puts_charge > 0.0:
-                yield puts_charge
-            yield from ctx.armci.put_segments(right, [(addr, values)])
+        if puts_charge > 0.0:
+            yield puts_charge
+        yield from ctx.armci.put_segments(right, [(addr, values)])
         sw.start()
         if pre_charge > 0.0:
             yield pre_charge

@@ -265,6 +265,52 @@ class TestBarrier:
         assert report.ok()
 
 
+
+class TestCrashDeclaration:
+    """A dead rank's writes are ordered before a survivor's post-barrier
+    read by the death declaration: ``proc_crashed`` joins the dead rank's
+    clock into the membership clock, and a ``barrier_exit`` joins the
+    membership clock of the view it reports (``view_epoch``).  The clean
+    twin in the fuzz corpus is seed 362, shrunk."""
+
+    @staticmethod
+    def survivor_read(declaration, view_epoch):
+        return analyze(
+            [
+                E("view_change", "membership", epoch=1, alive=[0, 1, 3], dead=[2]),
+                mem("p3", "mem_write", 12, region="r0"),
+                *declaration,
+                E("barrier_enter", "p0", epoch=1),
+                E("barrier_exit", "p0", epoch=1, view_epoch=view_epoch),
+                mem("p0", "mem_read", 12, region="r0"),
+            ]
+        )
+
+    crashed = (
+        E("proc_crashed", "membership", rank=3, node=0, crashed_at=1.0),
+        E("view_change", "membership", epoch=2, alive=[0, 1], dead=[2, 3]),
+    )
+
+    def test_read_after_declared_view_is_ordered(self):
+        assert self.survivor_read(self.crashed, view_epoch=2).ok()
+
+    def test_read_still_races_when_writer_was_only_excluded(self):
+        # An excluded rank is alive: its exclusion orders nothing.
+        excluded = (
+            E("proc_excluded", "membership", rank=3, node=0),
+            E("view_change", "membership", epoch=2, alive=[0, 1], dead=[2]),
+        )
+        report = self.survivor_read(excluded, view_epoch=2)
+        # Reported as split-brain: the writer is out of the view right now.
+        assert [v.details["actors"] for v in report.violations] == [["p3", "p0"]]
+
+    def test_read_still_races_when_view_predates_declaration(self):
+        # The barrier ran over view 1, before the writer's death was
+        # declared: the declaration reached the trace but not this exit.
+        report = self.survivor_read(self.crashed, view_epoch=1)
+        assert report.counts == {"data-race": 1}
+        assert report.violations[0].details["actors"] == ["p3", "p0"]
+
 class TestLocks:
     def test_two_holders(self):
         report = analyze(

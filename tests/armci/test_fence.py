@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.net.faults import FaultPlan
 from repro.net.params import myrinet2000
 from repro.runtime.memory import GlobalAddress
+
+
+def jittered(window_us, seed):
+    """Every inter-node delivery delayed by a uniform ``[0, window_us]``:
+    the fault plan's reorder injector, on the raw (unsequenced) links."""
+    plan = FaultPlan.uniform(
+        reorder_rate=1.0, reorder_window_us=window_us, reliable=False
+    )
+    return myrinet2000(seed=seed, faults=plan)
 
 
 def put_fence_read(make_cluster, fence_mode):
@@ -180,7 +190,7 @@ class TestOrderingFailureInjection:
 
         early_confirms = 0
         for trial in range(trials):
-            params = myrinet2000(jitter_us=jitter, seed=seed + trial)
+            params = jittered(jitter, seed + trial) if jitter else myrinet2000()
             rt = make_cluster(nprocs=2, fence_mode="confirm", params=params)
             base = rt.regions[1].alloc(1, initial=0)
             reply = Event(rt.env)
@@ -196,6 +206,8 @@ class TestOrderingFailureInjection:
                 lambda _ev, r=rt, b=base: at_confirm.append(r.regions[1].read(b))
             )
             rt.env.run(until=reply)
+            if jitter:
+                assert rt.fabric.faults.stats.reordered > 0
             if at_confirm[0] == 0:
                 early_confirms += 1
         return early_confirms
@@ -225,9 +237,11 @@ class TestOrderingFailureInjection:
 
         trials = 40
         for trial in range(trials):
-            params = myrinet2000(jitter_us=60.0, seed=500 + trial)
-            rt = make_cluster(nprocs=2, fence_mode="ack", params=params)
+            rt = make_cluster(
+                nprocs=2, fence_mode="ack", params=jittered(60.0, 500 + trial)
+            )
             for region in rt.regions.values():
                 region.alloc(trials, initial=0)
             results = rt.run_spmd(main, trial)
+            assert rt.fabric.faults.stats.reordered > 0
             assert results[1] == 7, f"stale read in trial {trial}"

@@ -3,21 +3,33 @@
 The MP layer matches by (source, tag), so — unlike the confirm-mode fence,
 which the failure-injection tests show *does* depend on in-order delivery —
 every collective must produce correct results under arbitrary delivery
-jitter."""
+jitter.  The jitter is the fault plan's reorder injector on the raw links:
+every inter-node delivery gets a uniform extra delay in ``[0, 60]`` us, and
+each test asserts that it fired."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mp import collectives
+from repro.net.faults import FaultPlan
 from repro.net.params import myrinet2000
 from repro.runtime.cluster import ClusterRuntime
 
 
-def jittery_cluster(nprocs, seed, jitter=60.0):
-    return ClusterRuntime(
-        nprocs, params=myrinet2000(jitter_us=jitter, seed=seed)
+def jittery_cluster(nprocs, seed, jitter=60.0, **kwargs):
+    plan = FaultPlan.uniform(
+        reorder_rate=1.0, reorder_window_us=jitter, reliable=False
     )
+    return ClusterRuntime(
+        nprocs, params=myrinet2000(seed=seed, faults=plan), **kwargs
+    )
+
+
+def run_jittered(rt, main):
+    results = rt.run_spmd(main)
+    assert rt.fabric.faults.stats.reordered > 0
+    return results
 
 
 @given(seed=st.integers(0, 5000), nprocs=st.integers(2, 8))
@@ -31,7 +43,7 @@ def test_allreduce_correct_under_jitter(seed, nprocs):
 
     rt = jittery_cluster(nprocs, seed)
     expected = [sum(range(nprocs)), 2 * sum(range(nprocs))]
-    for result in rt.run_spmd(main):
+    for result in run_jittered(rt, main):
         assert result == expected
 
 
@@ -45,7 +57,7 @@ def test_barrier_holds_under_jitter(seed, nprocs):
         return (entered, ctx.now)
 
     rt = jittery_cluster(nprocs, seed)
-    results = rt.run_spmd(main)
+    results = run_jittered(rt, main)
     assert min(r[1] for r in results) >= max(r[0] for r in results)
 
 
@@ -67,7 +79,7 @@ def test_repeated_collectives_under_jitter(seed):
     nprocs = 5
     rt = jittery_cluster(nprocs, seed)
     expected = [0, 5, 10, 15, tuple(range(nprocs))]
-    for result in rt.run_spmd(main):
+    for result in run_jittered(rt, main):
         assert result == expected
 
 
@@ -85,10 +97,8 @@ def test_new_barrier_correct_under_jitter_in_ack_mode(seed):
         yield from ctx.armci.barrier()
         return ctx.region.read(base)
 
-    rt = ClusterRuntime(
-        4, params=myrinet2000(jitter_us=60.0, seed=seed), fence_mode="ack"
-    )
-    assert rt.run_spmd(main) == [4, 1, 2, 3]
+    rt = jittery_cluster(4, seed, fence_mode="ack")
+    assert run_jittered(rt, main) == [4, 1, 2, 3]
 
 
 @given(seed=st.integers(0, 5000))
@@ -108,7 +118,5 @@ def test_new_barrier_reordering_safe_even_in_confirm_mode(seed):
         yield from ctx.armci.barrier(algorithm="exchange")
         return ctx.region.read(base)
 
-    rt = ClusterRuntime(
-        4, params=myrinet2000(jitter_us=60.0, seed=seed), fence_mode="confirm"
-    )
-    assert rt.run_spmd(main) == [4, 1, 2, 3]
+    rt = jittery_cluster(4, seed, fence_mode="confirm")
+    assert run_jittered(rt, main) == [4, 1, 2, 3]

@@ -237,11 +237,9 @@ class TestPricePort:
             raise AssertionError("the pricing port built an Environment")
 
         monkeypatch.setattr(core.Environment, "__init__", refuse)
-        params = myrinet2000(
-            hierarchy=two_level(4), nic_offload=True, nic_algorithm="tree"
-        )
+        params = myrinet2000(hierarchy=two_level(4))
         topology = Topology(24, procs_per_node=4)
-        for algorithm in [a for a in ALGORITHMS if a != "auto"]:
+        for algorithm in [a for a in ALGORITHMS if a not in ("auto", "nic")]:
             assert estimate_us(params, topology, algorithm, dirty=1) > 0.0
 
     def test_deterministic(self):

@@ -4,7 +4,7 @@ With ``adaptive_retry=True`` the reliable layer estimates the RTO per
 send channel (``srtt + 4 * rttvar``, RFC 6298 gains) instead of using the
 fixed ``retry_timeout_us``.  Only first-attempt ACKs feed the estimator
 (Karn's rule), and the timeout is clamped to
-``[adaptive_rto_min_us, adaptive_rto_max_us]`` with a deterministic
+``[RTO_MIN_US, RTO_MAX_US]`` (20 us and 2000 us) with a deterministic
 per-channel jitter of up to +10% on the cap so channels backed off
 against a partitioned peer do not re-probe in lockstep at heal.
 """
@@ -13,13 +13,13 @@ from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan, LinkFaults
 from repro.net.message import server_endpoint
 from repro.net.params import NetworkParams
+from repro.net.reliable import RTO_MAX_US, RTO_MIN_US
 from repro.net.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.primitives import Store
 
 
 def make_fabric(plan, nprocs=4, **overrides):
-    overrides.setdefault("jitter_us", 0.0)
     overrides.setdefault("per_byte_us", 0.0)
     overrides.setdefault("inter_latency_us", 1.0)
     overrides.setdefault("retry_timeout_us", 20.0)
@@ -71,16 +71,16 @@ class TestEstimator:
     def test_estimated_rto_tracks_the_channel_rtt(self):
         plan = FaultPlan.uniform(seed=1)
         env, fabric, _ = make_fabric(
-            plan, inter_latency_us=30.0, retry_timeout_us=500.0,
-            adaptive_rto_min_us=1.0,
+            plan, inter_latency_us=30.0, retry_timeout_us=500.0
         )
         for i in range(10):
             fabric.post(0, server_endpoint(1), i)
         env.run()
         key, channel = channel_of(fabric, lambda k: True)
         rto = fabric.reliable._adaptive_rto(key, channel, attempt=1)
-        # srtt ~= 60us round trip; the RTO must be of that order, far from
-        # the 500us fixed setting it replaced.
+        # srtt ~= 60us round trip, above the floor; the RTO must be of that
+        # order, far from the 500us fixed setting it replaced.
+        assert channel.srtt > RTO_MIN_US
         assert rto < 500.0
         assert channel.srtt <= rto <= 8.0 * channel.srtt
 
@@ -104,20 +104,21 @@ class TestEstimator:
 class TestCap:
     def test_backoff_is_capped_with_deterministic_jitter(self):
         plan = FaultPlan.uniform(seed=3)
-        env, fabric, _ = make_fabric(plan, adaptive_rto_max_us=200.0)
+        env, fabric, _ = make_fabric(plan)
         fabric.post(0, server_endpoint(1), "x")
         fabric.post(0, server_endpoint(2), "y")
         env.run()
         reliable = fabric.reliable
+        assert RTO_MAX_US == 2000.0
         rtos = []
         for key, channel in sorted(reliable._send_channels.items()):
             rto = reliable._adaptive_rto(key, channel, attempt=30)
-            assert 200.0 <= rto <= 220.0  # cap * [1.0, 1.1)
+            assert RTO_MAX_US <= rto <= 1.1 * RTO_MAX_US
             rtos.append(rto)
         # Different channels jitter differently (no lockstep re-probe)...
         assert len(set(rtos)) == len(rtos)
         # ...but each channel's jitter is a pure function of seed + key.
-        env2, fabric2, _ = make_fabric(plan, adaptive_rto_max_us=200.0)
+        env2, fabric2, _ = make_fabric(plan)
         fabric2.post(0, server_endpoint(1), "x")
         fabric2.post(0, server_endpoint(2), "y")
         env2.run()
@@ -129,15 +130,14 @@ class TestCap:
 
     def test_floor_guards_degenerate_estimates(self):
         plan = FaultPlan.uniform(seed=4)
-        env, fabric, _ = make_fabric(
-            plan, inter_latency_us=0.001, adaptive_rto_min_us=15.0
-        )
+        env, fabric, _ = make_fabric(plan, inter_latency_us=0.001)
         for i in range(5):
             fabric.post(0, server_endpoint(1), i)
         env.run()
         key, channel = channel_of(fabric, lambda k: True)
         assert channel.srtt is not None and channel.srtt < 1.0
-        assert fabric.reliable._adaptive_rto(key, channel, attempt=1) >= 15.0
+        assert RTO_MIN_US == 20.0
+        assert fabric.reliable._adaptive_rto(key, channel, attempt=1) == 20.0
 
 
 class TestDisabledMeansAbsent:

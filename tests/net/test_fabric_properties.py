@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.fabric import Fabric
+from repro.net.faults import FaultPlan
 from repro.net.message import server_endpoint
 from repro.net.params import MSG_HEADER_BYTES, NetworkParams
 from repro.net.topology import Topology
@@ -13,7 +14,6 @@ from repro.sim.primitives import Store
 
 def rig(nprocs=2, **overrides):
     env = Environment()
-    overrides.setdefault("jitter_us", 0.0)
     params = NetworkParams(**overrides)
     topo = Topology(nprocs)
     fabric = Fabric(env, topo, params)
@@ -80,13 +80,17 @@ def _approx(x, eps=1e-6):
 )
 @settings(max_examples=60, deadline=None)
 def test_jitter_only_adds_delay(jitter, seed):
-    """Jitter may reorder but never delivers earlier than the jitter-free
-    lower bound."""
-    env, fabric, boxes = rig(jitter_us=jitter, seed=seed)
+    """The reorder injector's jitter may reorder but never delivers earlier
+    than the jitter-free lower bound."""
+    plan = FaultPlan.uniform(
+        reorder_rate=1.0, reorder_window_us=jitter, reliable=False
+    )
+    env, fabric, boxes = rig(seed=seed, faults=plan)
     params = fabric.params
     for i in range(10):
         fabric.post(0, server_endpoint(1), i, payload_bytes=0)
     env.run()
+    assert fabric.faults.stats.reordered > 0
     for envelope in boxes[1].items:
         floor = params.inter_latency_us + envelope.size_bytes * params.per_byte_us
         assert envelope.deliver_at >= envelope.sent_at + floor - 1e-9

@@ -24,7 +24,6 @@ from repro.sim.primitives import Store
 
 def make_fabric(plan, nprocs=4, ppn=1, **overrides):
     """Fabric with a fault plan and deterministic (jitter-free) timing."""
-    overrides.setdefault("jitter_us", 0.0)
     overrides.setdefault("per_byte_us", 0.0)
     overrides.setdefault("inter_latency_us", 1.0)
     env = Environment()

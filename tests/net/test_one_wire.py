@@ -122,7 +122,7 @@ def test_fabric_prices_the_level_the_hierarchy_names(arities, data):
     nnodes = 2 * hierarchy.caps[-1] + 1
     nodes = st.integers(0, nnodes - 1)
     a, b = data.draw(st.tuples(nodes, nodes).filter(lambda pair: pair[0] != pair[1]))
-    params = NetworkParams(hierarchy=hierarchy, per_byte_us=0.0, jitter_us=0.0)
+    params = NetworkParams(hierarchy=hierarchy, per_byte_us=0.0)
     fabric = Fabric(Environment(), Topology(nnodes), params)
     [delivery] = fabric.transmit(a, b, 64, None, (), None)
     level = hierarchy.crossing_level(a, b)

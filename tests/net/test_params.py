@@ -32,7 +32,6 @@ class TestValidation:
             "server_lock_op_us",
             "api_call_us",
             "mp_call_us",
-            "jitter_us",
         ],
     )
     def test_negative_values_rejected(self, field):
@@ -43,7 +42,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field",
         ["inter_latency_us", "mp_call_us", "per_byte_us", "nic_proc_us",
-         "retry_timeout_us", "retry_backoff", "adaptive_rto_max_us"],
+         "retry_timeout_us"],
     )
     def test_non_finite_costs_rejected(self, field, value):
         """NaN passes ``value < 0`` and inf is not a time: a run would die
@@ -56,13 +55,6 @@ class TestValidation:
     def test_integer_fields_take_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             myrinet2000().with_(**{field: value})
-
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_membership_poll_must_be_positive(self, value):
-        """A zero poll period spins an epoch-aware wait forever at one
-        simulated instant (``yield 0`` in the resilient receive)."""
-        with pytest.raises(ValueError, match="membership_poll_us"):
-            NetworkParams(membership_poll_us=value)
 
     def test_zero_costs_allowed(self):
         params = NetworkParams(

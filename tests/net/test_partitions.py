@@ -22,7 +22,6 @@ from repro.sim.primitives import Store
 
 
 def make_fabric(plan, nprocs=4, ppn=1, **overrides):
-    overrides.setdefault("jitter_us", 0.0)
     overrides.setdefault("per_byte_us", 0.0)
     overrides.setdefault("inter_latency_us", 1.0)
     overrides.setdefault("retry_timeout_us", 20.0)

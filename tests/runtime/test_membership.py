@@ -25,6 +25,7 @@ from repro.net.faults import FaultPlan, LinkFaults, ProcessCrash
 from repro.net.params import NetworkParams
 from repro.runtime.cluster import ClusterRuntime
 from repro.runtime.memory import GlobalAddress
+from repro.runtime.membership import CHECK_US, HEARTBEAT_US, SUSPECT_TIMEOUT_US
 from repro.sim.core import CRASHED
 
 ALL_KINDS = ("ticket", "lh", "server", "hybrid", "mcs", "naimi", "raymond")
@@ -63,11 +64,9 @@ class TestDetection:
         # Silence is noticed within the suspect timeout plus one detector
         # scan plus one heartbeat interval of slack.
         assert (
-            params.suspect_timeout_us
+            SUSPECT_TIMEOUT_US
             < latency
-            <= params.suspect_timeout_us
-            + params.membership_check_us
-            + params.heartbeat_us
+            <= SUSPECT_TIMEOUT_US + CHECK_US + HEARTBEAT_US
         )
 
     def test_view_epochs_record_each_death(self):

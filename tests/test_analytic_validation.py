@@ -32,7 +32,6 @@ def exact_params(**overrides):
         server_lock_op_us=0.0,
         api_call_us=0.0,
         mp_call_us=0.0,
-        jitter_us=0.0,
     )
     base.update(overrides)
     return NetworkParams(**base)

@@ -112,6 +112,7 @@ class TestDeterminism:
         assert times[0] == times[1]
 
     def test_seed_only_affects_jittered_runs(self, make_cluster):
+        from repro.net.faults import FaultPlan
         from repro.net.params import myrinet2000
 
         def program(ctx):
@@ -122,10 +123,17 @@ class TestDeterminism:
             return ctx.now
 
         def run(seed, jitter):
+            faults = None
+            if jitter:
+                faults = FaultPlan.uniform(
+                    reorder_rate=1.0, reorder_window_us=jitter, reliable=False
+                )
             rt = make_cluster(
-                nprocs=4, params=myrinet2000(seed=seed, jitter_us=jitter)
+                nprocs=4, params=myrinet2000(seed=seed, faults=faults)
             )
             rt.run_spmd(program)
+            if jitter:
+                assert rt.fabric.faults.stats.reordered > 0
             return rt.env.now
 
         assert run(1, 0.0) == run(2, 0.0)  # seed irrelevant without jitter
