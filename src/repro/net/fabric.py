@@ -365,7 +365,7 @@ class Fabric:
         if mailbox is None:
             raise KeyError(f"no mailbox registered for endpoint {dst}")
         if self._membership is not None:
-            self._membership.note_traffic(src_rank)
+            self._membership.heard(src_rank, now)
         seq = self._seq
         self._seq = seq + 1
         envelope = Envelope(src_rank, dst, payload, size, now, now, seq, intra_node)

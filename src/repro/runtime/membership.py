@@ -49,6 +49,14 @@ crash-stop failure model needs on top of the existing stack:
   (one counter per lock, bumped at every lease revocation) let the lock
   layer and the NIC engine reject actions by stale holders on heal.
 
+Two classes split the work.  :class:`MembershipCore` holds every fact
+and makes every decision above; it has no ``Environment``, takes the time
+as an argument, never yields, and reports through the callables given to
+its constructor.  :class:`MembershipService` is the shell: it owns the
+processes (heartbeats, detector, crash and window-end executors, lock
+recoveries, the freeze gate), the heartbeat RNG streams and the fabric,
+server, NIC and monitor handles, and feeds the core ``env.now``.
+
 **Disabled means absent**: the service is only constructed when the fault
 plan schedules :class:`~repro.net.faults.ProcessCrash` events or
 transient windows.  Every hook in the fabric, server, locks, and
@@ -64,7 +72,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..mp.vector import CountVector
 from ..net.message import Endpoint
@@ -74,7 +83,7 @@ from ..sim.core import Process
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ClusterRuntime
 
-__all__ = ["MembershipService", "Lease"]
+__all__ = ["MembershipCore", "MembershipService", "Lease"]
 
 #: Actor label used for membership events in RMCSan traces.
 MEMBERSHIP_ACTOR = "membership"
@@ -106,35 +115,35 @@ class Lease:
     ticket: Optional[int]
 
 
-class MembershipService:
-    """Per-runtime failure detector, view manager, and recovery engine."""
+class MembershipCore:
+    """Every membership fact and decision, with no ``Environment``: inputs
+    carry the time, and effects leave through the constructor's callables
+    — ``emit(kind, **fields)``, ``kill(rank)`` (fail-stop a rank just
+    marked crashed), ``issued(rank)`` (its ``op_init`` snapshot),
+    ``recover(key, rank, transient)`` and ``publish()``."""
 
-    def __init__(self, runtime: "ClusterRuntime"):
-        self.runtime = runtime
-        self.env = runtime.env
-        self.params = runtime.params
-        self.topology = runtime.topology
-        self.fabric = runtime.fabric
-        self.monitor = runtime.monitor
-        plan = self.params.faults
+    def __init__(self, topology, plan, *, emit, kill, issued, recover, publish):
+        self.topology = topology
         self.plan = plan
-        nprocs = self.topology.nprocs
-        self._seed = plan.seed if plan.seed is not None else self.params.seed
+        self._emit = emit
+        self._kill = kill
+        self._issued = issued
+        self._recover = recover
+        self._publish = publish
+        nprocs = topology.nprocs
 
-        #: Current membership epoch; bumped once per declared death.
+        #: Current membership epoch; bumped once per installed view.
         self.epoch = 0
-        self._alive: Set[int] = set(range(nprocs))
-        self._dead: Set[int] = set()
         #: Epoch -> survivor view (sorted tuple) at the time it started.
         self._views: Dict[int, Tuple[int, ...]] = {0: tuple(range(nprocs))}
         self._last_heard: Dict[int, float] = {r: 0.0 for r in range(nprocs)}
-        #: Actual kill time / declaration time per rank (detection latency).
+        #: Actual kill time per rank (detection latency).
         self.crashed_at: Dict[int, float] = {}
+        #: Declaration time per rank: the one record of who is dead (a rank
+        #: is alive exactly while it is not a key here).
         self.declared_at: Dict[int, float] = {}
         #: Nodes whose server was killed (machine crashes).
         self._killed_nodes: Set[int] = set()
-        #: Nodes whose NIC co-processor was killed (NIC-only or machine).
-        self._dead_nics: Set[int] = set()
 
         # Which ranks the plan will kill (node crashes expand to all hosted
         # ranks); heartbeats and the detector retire once every planned
@@ -144,16 +153,12 @@ class MembershipService:
             if crash.rank is not None:
                 planned.add(crash.rank)
             elif crash.node is not None:
-                planned.update(self.topology.ranks_on(crash.node))
+                planned.update(topology.ranks_on(crash.node))
             # NIC-only crashes kill no rank directly: the hosted ranks die
             # only if transport suspicion escalates the silent NIC to a
             # machine crash, so they are not *planned* deaths and must not
             # keep the heartbeat/detector loops alive waiting for them.
         self._planned_ranks = planned
-
-        #: Process ownership: rank -> processes to cancel on its death.
-        self._owned: Dict[int, List[Process]] = {}
-        self._owner_of: Dict[Process, int] = {}
 
         #: Lock registry: (kind, name, home_rank) -> {"cls", "handles"}.
         self._locks: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
@@ -173,11 +178,12 @@ class MembershipService:
 
         # -- transient-fault (partition / pause) state: all of it stays
         # empty unless the plan schedules partition or pause windows.
-        self._transient = plan.transient
-        #: Ranks transiently excluded from the view (alive, not dead).
-        self._excluded: Set[int] = set()
-        self._excluded_at: Dict[int, float] = {}
-        self._excluded_epoch: Dict[int, int] = {}
+        #: Does the plan schedule recoverable faults (partitions / pauses)?
+        self.transient = plan.transient
+        #: Ranks transiently excluded from the view (alive, not dead): the
+        #: one record of who is excluded, rank -> (excluded_at, the epoch
+        #: its exclusion installed).
+        self._excluded: Dict[int, Tuple[float, int]] = {}
         self.rejoined_at: Dict[int, float] = {}
         #: Per-lock fencing tokens, bumped at every lease revocation: a
         #: holder whose acquisition-time token no longer matches is stale.
@@ -188,82 +194,16 @@ class MembershipService:
         #: Ranks mid-rejoin: readmitted to the view but whose state resync
         #: messages are not yet posted (the freeze gate holds them).
         self._resyncing: Set[int] = set()
-        #: Tests patch this off to demonstrate the sanitizer catching an
-        #: un-resynchronized rejoin (stale token survives the heal).
-        self.resync_enabled = True
-        self.freeze_log: List[Dict[str, Any]] = []
-        self.heal_log: List[Dict[str, Any]] = []
         self.suspicions_discarded = 0
         #: Keep the heartbeat/detector loops alive through the last
         #: transient window plus one full detection cycle.
         cycle = SUSPECT_TIMEOUT_US + CHECK_US
         self._loops_until = plan.transient_end_us + cycle if plan.transient else 0.0
 
-        #: Recovery trail (chaosbench reporting + tests).
-        self.recovery_log: List[Dict[str, Any]] = []
-        self._subscribers: List[Any] = []
-
-    def __repr__(self) -> str:
-        return (
-            f"<MembershipService epoch={self.epoch} "
-            f"alive={len(self._alive)} dead={sorted(self._dead)}>"
-        )
-
-    def _emit(self, kind: str, **fields: Any) -> None:
-        """One membership event into the RMCSan trace (if one is collected)."""
-        if self.monitor is not None:
-            self.monitor.emit(kind, actor=MEMBERSHIP_ACTOR, **fields)
-
-    # -- wiring ---------------------------------------------------------------
-
-    def install(self) -> None:
-        """Wrap process creation and start executors/heartbeats/detector."""
-        env = self.env
-        # Chain through the environment's factory hook (Environment uses
-        # __slots__); an already-installed factory (e.g. the RMCSan
-        # monitor's actor inheritance) keeps working underneath ours.
-        base_factory = env.process_factory
-
-        def process_with_ownership(generator, name=None):
-            owner = self._owner_of.get(env.active_process)
-            if base_factory is not None:
-                proc = base_factory(generator, name=name)
-            else:
-                proc = Process(env, generator, name=name)
-            if owner is not None and owner not in self._dead:
-                self._owner_of[proc] = owner
-                self._owned.setdefault(owner, []).append(proc)
-            return proc
-
-        env.process_factory = process_with_ownership
-        for crash in self.plan.crashes:
-            env.process(self._crash_executor(crash), name=f"crash@{crash.at_us}")
-        for part in self.plan.partitions:
-            env.process(self._heal_executor(part), name=f"heal@{part.until_us}")
-        for pause in self.plan.pauses:
-            env.process(
-                self._resume_executor(pause),
-                name=f"resume[{pause.rank}]@{pause.until_us}",
-            )
-        for rank in sorted(self._alive):
-            proc = env.process(self._heartbeat_loop(rank), name=f"hb[{rank}]")
-            self.adopt(proc, rank)
-        env.process(self._detector_loop(), name="membership.detector")
-
-    def adopt(self, proc: Process, rank: int) -> None:
-        """Record that ``proc`` belongs to ``rank`` (killed with it)."""
-        self._owner_of[proc] = rank
-        self._owned.setdefault(rank, []).append(proc)
-
     # -- views ----------------------------------------------------------------
 
-    @property
-    def transient(self) -> bool:
-        """Does the plan schedule recoverable faults (partitions / pauses)?"""
-        return self._transient
-
     def is_alive(self, rank: int) -> bool:
-        return rank in self._alive
+        return rank not in self.declared_at
 
     def alive_ranks(self) -> Tuple[int, ...]:
         """The current survivor view (sorted)."""
@@ -277,18 +217,14 @@ class MembershipService:
         """True once a machine crash of ``node`` has been declared."""
         if node not in self._killed_nodes:
             return False
-        return all(r in self._dead for r in self.topology.ranks_on(node))
+        return all(r in self.declared_at for r in self.topology.ranks_on(node))
 
     def dead_ranks(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._dead))
+        return tuple(sorted(self.declared_at))
 
     def in_view(self, rank: int) -> bool:
         """Is ``rank`` a member of the current view (alive and included)?"""
-        return rank in self._alive and rank not in self._excluded
-
-    def subscribe(self, callback) -> None:
-        """``callback(epoch)`` fires after every view change."""
-        self._subscribers.append(callback)
+        return rank not in self.declared_at and rank not in self._excluded
 
     # -- quorum -------------------------------------------------------------------
 
@@ -312,53 +248,36 @@ class MembershipService:
                 return comp
         return ()
 
-    def _in_majority_component(self, node: int, when: float) -> bool:
-        return node in self._majority_component(when)
-
     def _majority_exists(self, when: float) -> bool:
         """Does *some* component hold a strict majority of live nodes?"""
         return not self._window_active(when) or bool(self._majority_component(when))
 
-    def quorum_ok(self, rank: int) -> bool:
-        """May ``rank`` run sync operations right now (quorum side, not
-        paused)?  Always true without transient windows."""
-        return not self._transient_attributable(rank, self.env.now)
-
-    def _transient_attributable(self, rank: int, when: float) -> bool:
+    def attributable(self, rank: int, when: float) -> bool:
         """Is ``rank``'s silence explained by an active transient window
         (paused, or cut off from the majority component)?"""
         if self.plan.stalled(rank, when):
             return True
         if not self._window_active(when):
             return False
-        return not self._in_majority_component(self.topology.node_of(rank), when)
+        return self.topology.node_of(rank) not in self._majority_component(when)
 
     # -- liveness inputs -------------------------------------------------------
 
-    def note_traffic(self, src_rank: Any) -> None:
-        """Piggybacked liveness: any accepted fabric post refreshes the rank.
+    def heard(self, rank: Any, now: float) -> None:
+        """The one liveness refresh: every accepted fabric post and every
+        idle heartbeat (NIC engines' tuple sources name no rank).
 
         During a transient window the refresh is suppressed for ranks the
         majority cannot hear (paused, or on the minority side of a cut):
         their local sends do not reach the detector's side, so letting
         them refresh would blind the failure detector to the partition.
         """
-        if src_rank in self._alive:
-            if self._transient and self._refresh_suppressed(src_rank):
-                return
-            self._last_heard[src_rank] = self.env.now
-
-    def heartbeat(self, rank: int, now: float) -> None:
-        if rank in self._alive:
-            if self._transient and self._refresh_suppressed(rank):
+        if rank in self._last_heard and rank not in self.declared_at:
+            if self.transient and self.attributable(rank, now):
                 return
             self._last_heard[rank] = now
 
-    def _refresh_suppressed(self, rank: Any) -> bool:
-        # NIC engines stamp tuple sources: no rank liveness to suppress.
-        return isinstance(rank, int) and not self.quorum_ok(rank)
-
-    def suspect(self, endpoint: Endpoint, reason: str = "suspected") -> None:
+    def suspected(self, endpoint: Endpoint, now: float, reason: str) -> None:
         """Transport-level suspicion (retry budget exhausted on a peer).
 
         With transient windows in the plan, a suspicion needs
@@ -371,7 +290,6 @@ class MembershipService:
         silence does the crash-stop declaration proceed as before.
         """
         layer, which = endpoint
-        now = self.env.now
         if layer == "mp":
             targets: Tuple[int, ...] = (which,)
             dead_reason = reason
@@ -384,11 +302,11 @@ class MembershipService:
                 # go with it.
                 self._killed_nodes.add(which)
         for rank in targets:
-            if rank not in self._alive or rank in self._excluded:
+            if not self.in_view(rank):
                 continue
-            if self._transient_attributable(rank, now):
+            if self.attributable(rank, now):
                 if self._majority_exists(now):
-                    self._exclude_rank(rank, reason=reason)
+                    self.exclude(rank, now, reason=reason)
                 else:
                     # Even split: no side has quorum, nobody may act.
                     self.suspicions_discarded += 1
@@ -398,89 +316,32 @@ class MembershipService:
                 # raiser is the partitioned one.  Discard.
                 self.suspicions_discarded += 1
             else:
-                self._declare_dead(rank, reason=dead_reason)
+                self.declare(rank, now, reason=dead_reason)
 
-    # -- crash execution -------------------------------------------------------
-
-    def _crash_executor(self, crash):
-        yield crash.at_us
-        if crash.rank is not None:
-            self._kill_rank(crash.rank)
-        elif crash.node is not None:
-            self._kill_node(crash.node)
-        else:
-            self._kill_nic(crash.nic)
-
-    def _kill_rank(self, rank: int) -> None:
-        """Fail-stop a user process: cancel generators, silence the fabric."""
+    def crash(self, rank: int, now: float) -> bool:
+        """Record ``rank``'s fail-stop and snapshot its issued credits."""
         if rank in self.crashed_at:
-            return
-        self.crashed_at[rank] = self.env.now
-        self._op_init_snapshot[rank] = CountVector(self.runtime.armcis[rank].op_init)
-        self.fabric.mark_dead(("mp", rank))
-        if self.fabric.reliable is not None:
-            # Fail-stop includes the rank's sender-side transport state:
-            # no retransmissions from beyond the grave (frames already on
-            # the wire may still land; write-off accounting is monotone).
-            self.fabric.reliable.abandon_sender(rank)
-        for proc in self._owned.get(rank, ()):
-            if proc.is_alive and proc is not self.env.active_process:
-                proc.kill()
+            return False
+        self.crashed_at[rank] = now
+        self._op_init_snapshot[rank] = self._issued(rank)
+        return True
 
-    def _kill_node(self, node: int) -> None:
-        """Machine crash: the server thread and every hosted rank die.
+    def detect(self, now: float) -> None:
+        """One detector scan: act on every in-view rank silent too long."""
+        for rank in range(self.topology.nprocs):
+            if not self.in_view(rank):
+                continue
+            if now - self._last_heard[rank] <= SUSPECT_TIMEOUT_US:
+                continue
+            if not self.attributable(rank, now):
+                self.declare(rank, now, reason="heartbeat silence")
+            elif self._majority_exists(now):
+                # Silence explained by an active window: transient
+                # exclusion (if a quorum exists to corroborate it), never
+                # a death declaration.
+                self.exclude(rank, now, reason="heartbeat silence")
 
-        Idempotent: a node crash scheduled after one of its ranks (or its
-        NIC, or the whole node) already died simply kills whatever is
-        still running — ``_kill_rank`` and ``_kill_nic`` each no-op on an
-        already-dead target.
-        """
-        self._killed_nodes.add(node)
-        self.runtime.servers[node].kill()
-        self.fabric.mark_dead(("srv", node))
-        if self.fabric.reliable is not None:
-            # The machine's own senders die with it: no reply or NIC frame
-            # is retransmitted from a crashed node.
-            self.fabric.reliable.abandon_sender(("reply", node))
-            self.fabric.reliable.abandon_sender(("nic", node))
-        # The node's NIC dies with it: refuse frames addressed to it and
-        # stop its co-processor so degraded NIC barriers terminate.
-        self._kill_nic(node)
-        for rank in self.topology.ranks_on(node):
-            self._kill_rank(rank)
-
-    def _kill_nic(self, node: int) -> None:
-        """NIC-only crash: the co-processor dies, the host side survives.
-
-        The ``("nic", node)`` endpoint is marked dead (frames from/to it
-        are refused) and any in-flight offloaded-barrier epoch on the
-        engine is abandoned.  The hosted ranks and the server stay up:
-        detection is the reliable layer's job — peer NICs exhaust their
-        retry budget against the silent endpoint and
-        :meth:`suspect` escalates the node to a machine-crash declaration.
-        Hosts that ring a doorbell on a dead local NIC degrade immediately
-        to the resilient host exchange (see :mod:`repro.armci.barrier`).
-        """
-        if node in self._dead_nics:
-            return
-        self._dead_nics.add(node)
-        if node in self._killed_nodes:
-            # Machine crash: the whole node is declared dead, so peers must
-            # stop retrying outright (mark_dead also abandons backlog).
-            self.fabric.mark_dead(("nic", node))
-        else:
-            # NIC-only crash: the device goes *silent*.  Peers' frames are
-            # swallowed unACKed so the reliable layer's retry exhaustion
-            # escalates the silence into a machine-crash suspicion.
-            self.fabric.blackhole(("nic", node))
-        engines = self.fabric.nic_engines
-        if engines is not None and node in engines:
-            engines[node].shutdown()
-        self._emit("nic_crashed", node=node, at=self.env.now)
-
-    # -- detection -------------------------------------------------------------
-
-    def _loops_done(self) -> bool:
+    def loops_done(self, now: float) -> bool:
         """May the heartbeat/detector loops retire?
 
         Once every planned death is declared, the last transient window
@@ -488,35 +349,10 @@ class MembershipService:
         no rank is still excluded (its rejoin needs a live detector epoch).
         """
         return (
-            self._planned_ranks <= self._dead
-            and self.env.now >= self._loops_until
+            self._planned_ranks.issubset(self.declared_at)
+            and now >= self._loops_until
             and not self._excluded
         )
-
-    def _heartbeat_loop(self, rank: int):
-        rng = random.Random(f"membership:{self._seed}:{rank}")
-        while not self._loops_done():
-            yield HEARTBEAT_US * (0.75 + 0.5 * rng.random())
-            if rank in self._dead:
-                return
-            self.heartbeat(rank, self.env.now)
-
-    def _detector_loop(self):
-        while not self._loops_done():
-            yield CHECK_US
-            now = self.env.now
-            for rank in sorted(self._alive):
-                if rank in self._excluded:
-                    continue
-                if now - self._last_heard[rank] > SUSPECT_TIMEOUT_US:
-                    if self._transient_attributable(rank, now):
-                        # Silence explained by an active window: transient
-                        # exclusion (if a quorum exists to corroborate it),
-                        # never a death declaration.
-                        if self._majority_exists(now):
-                            self._exclude_rank(rank, reason="heartbeat silence")
-                        continue
-                    self._declare_dead(rank, reason="heartbeat silence")
 
     # -- the view transition ------------------------------------------------------
 
@@ -524,59 +360,46 @@ class MembershipService:
         """The one view transition: next epoch, its survivor view, and the
         ``view_change`` event every RMCSan rule keys on."""
         self.epoch += 1
-        view = tuple(sorted(self._alive - self._excluded))
+        view = tuple(r for r in range(self.topology.nprocs) if self.in_view(r))
         self._views[self.epoch] = view
-        extra = {"excluded": sorted(self._excluded)} if self._transient else {}
+        extra = {"excluded": sorted(self._excluded)} if self.transient else {}
         self._emit(
             "view_change",
             epoch=self.epoch,
             alive=list(view),
-            dead=sorted(self._dead),
+            dead=sorted(self.declared_at),
             **extra,
         )
-
-    def _publish(self) -> None:
-        """Let the rest of the system observe the installed view.
-
-        Commit-or-abort for NIC barrier epochs comes *before* hosts
-        observe the view change: a host woken by its subscriber callback
-        must already see its release fired if the epoch committed anywhere.
-        """
-        self._resolve_nic_epochs()
-        for callback in list(self._subscribers):
-            callback(self.epoch)
 
     def _revoke_lease(self, key, lease: Lease, live: bool) -> None:
         """Take the lock away from a holder that left the view; the fence
         bump makes the ex-holder's own release (if it ever runs) a no-op."""
         del self._leases[key]
         self._fence_tokens[key] = self._fence_tokens.get(key, 0) + 1
+        self._revoked(key, lease.holder, lease.ticket, live)
+
+    def _revoked(self, key, rank: int, ticket: Optional[int], live=False) -> None:
         self._emit(
             "lease_revoked",
             lock=_lock_label(key),
-            rank=lease.holder,
-            ticket=lease.ticket,
+            rank=rank,
+            ticket=ticket,
             epoch=self.epoch,
             **({"live": True} if live else {}),
         )
 
-    def _declare_dead(self, rank: int, reason: str) -> None:
-        if rank not in self._alive:
+    def declare(self, rank: int, now: float, reason: str) -> None:
+        if rank in self.declared_at:
             return
-        now = self.env.now
-        if rank not in self.crashed_at:
+        if self.crash(rank, now):
             # Suspected without a scheduled kill (e.g. a fully partitioned
             # link): enforce fail-stop so the suspected rank cannot act on
             # a view that no longer contains it.
-            self._kill_rank(rank)
-        self._alive.discard(rank)
-        self._dead.add(rank)
+            self._kill(rank)
         # Death trumps transient exclusion: a rank that crashed while
         # partitioned away must not linger in the excluded set (it will
         # never rejoin, and the loops wait for exclusions to drain).
-        self._excluded.discard(rank)
-        self._excluded_at.pop(rank, None)
-        self._excluded_epoch.pop(rank, None)
+        self._excluded.pop(rank, None)
         self.declared_at[rank] = now
         node = self.topology.node_of(rank)
         self._emit(
@@ -596,55 +419,30 @@ class MembershipService:
         # Splice the dead rank out of every lock it participates in.
         for key in sorted(self._locks):
             if rank in self._locks[key]["handles"]:
-                self._start_recovery(key, rank, transient=False)
+                self._recover(key, rank, False)
         self._publish()
 
-    def _resolve_nic_epochs(self) -> None:
-        """Finish NIC barrier epochs that committed on *some* engine.
+    # -- transient exclusion, window end, and rejoin ----------------------------
 
-        A crashed NIC can wedge peers in the inter-NIC stage-3 barrier
-        after another engine already released its hosts.  Released hosts
-        have moved on, so the wedged hosts must not degrade to the
-        resilient host exchange (they would wait forever for the released
-        ones).  Commitment on any engine implies every engine entered
-        stage 3 — all remote operations drained — so completing the epoch
-        for every live host is safe; with no commitment anywhere, all
-        hosts degrade together and stay consistent.
-        """
-        engines = self.fabric.nic_engines
-        if not engines:
-            return
-        committed = set()
-        for engine in engines.values():
-            committed |= engine.committed
-        for epoch in sorted(committed):
-            for engine in engines.values():
-                engine.force_release(epoch)
-
-    # -- transient exclusion, heal, and rejoin -----------------------------------
-
-    def _exclude_rank(self, rank: int, reason: str) -> None:
+    def exclude(self, rank: int, now: float, reason: str) -> None:
         """Reversibly remove a partition/stall casualty from the view.
 
-        Unlike :meth:`_declare_dead` the rank is *not* killed: its
-        processes keep running (on the minority side they freeze at their
-        next sync operation), its memory survives, and it rejoins through
-        :meth:`_rejoin_ranks` once the fault window closes.  Any lease it
-        holds is revoked and fenced so the majority can regenerate the
-        lock — the excluded ex-holder's own release is rejected by the
+        Unlike :meth:`declare` the rank is *not* killed: its processes
+        keep running (on the minority side they freeze at their next sync
+        operation), its memory survives, and it rejoins through
+        :meth:`readmit` once the fault window closes.  Any lease it holds
+        is revoked and fenced so the majority can regenerate the lock —
+        the excluded ex-holder's own release is rejected by the
         fencing-token check when it eventually runs.
         """
-        if rank not in self._alive or rank in self._excluded:
+        if not self.in_view(rank):
             return
-        now = self.env.now
-        self._excluded.add(rank)
-        self._excluded_at[rank] = now
+        opens = self.epoch + 1  # the epoch this exclusion installs below
+        self._excluded[rank] = (now, opens)
         # Exactly as the crash path does, so majority-side barriers can
         # write off credits the excluded rank's frozen traffic will not
         # deliver until heal.
-        self._op_init_snapshot[rank] = CountVector(self.runtime.armcis[rank].op_init)
-        opens = self.epoch + 1  # the epoch this exclusion installs below
-        self._excluded_epoch[rank] = opens
+        self._op_init_snapshot[rank] = self._issued(rank)
         self._emit(
             "proc_excluded",
             rank=rank,
@@ -665,171 +463,58 @@ class MembershipService:
                 continue
             if self._locks[key]["cls"].lock_words_at_home:
                 home_node = self.topology.node_of(key[2])
-                if not self._in_majority_component(home_node, now):
+                if home_node not in self._majority_component(now):
                     continue
             self._revoke_lease(key, lease, live=True)
-            self._start_recovery(key, rank, transient=True)
+            self._recover(key, rank, True)
         self._publish()
 
-    def _heal_executor(self, part):
-        """Runs at a partition's ``until_us``: reset silence clocks and
-        rejoin every excluded rank that is back in a majority component."""
-        yield part.until_us
-        now = self.env.now
-        # The disruption is over; pre-heal silence must not be
-        # misattributed to post-heal crash suspicion.
-        for r in self._alive:
-            self._last_heard[r] = now
+    def end_window(self, scope: Iterable[int], now: float, part=None) -> list:
+        """A fault window over ``scope``'s ranks closed — a partition's heal
+        (``part``) or a stall's resume.  Readmit the excluded ranks a quorum
+        hears again under one new epoch, as ``(rank, excluded_at, exclusion
+        epoch)``; the freeze gate holds them until :meth:`resynced`.
+
+        The issued-op snapshot taken at exclusion is retired here, so
+        credit accounting re-baselines on the rank's live counters (queued
+        cross-cut traffic delivered after heal bumps ``op_done`` and the
+        applied counts monotonically).
+        """
+        scope = set(scope)
+        # The disruption is over; pre-window silence must not be
+        # misattributed to post-window crash suspicion.
+        for r in scope:
+            if r not in self.declared_at:
+                self._last_heard[r] = now
         # Excluded ranks that crashed while away will never rejoin.
         for r in sorted(self._excluded):
-            if r in self.crashed_at:
-                self._declare_dead(r, reason="crashed while excluded")
-        healing = [r for r in sorted(self._excluded) if self.quorum_ok(r)]
-        self._emit(
-            "partition_heal",
-            nodes=list(part.nodes),
-            from_us=part.from_us,
-            healed_at=now,
-            rejoining=list(healing),
-        )
-        yield from self._rejoin_ranks(healing)
-        self.heal_log.append(
-            {
-                "nodes": list(part.nodes),
-                "from_us": part.from_us,
-                "healed_at_us": now,
-                "rejoined": list(healing),
-                "epoch": self.epoch,
-            }
-        )
-
-    def _resume_executor(self, pause):
-        """Runs at a process stall's ``until_us``: the rank starts making
-        progress again, so clear its silence clock and rejoin it."""
-        yield pause.until_us
-        rank = pause.rank
-        now = self.env.now
-        if rank in self._alive:
-            self._last_heard[rank] = now
-        if rank not in self._excluded:
-            return
-        if rank in self.crashed_at:
-            self._declare_dead(rank, reason="crashed while excluded")
-            return
-        yield from self._rejoin_ranks([rank])
-
-    def _rejoin_ranks(self, ranks):
-        """Readmit excluded ranks under one new epoch and resynchronize
-        their state from the majority before the freeze gate releases them.
-
-        Resynchronization covers (a) the issued-op snapshot taken at
-        exclusion — popped here, so credit accounting re-baselines on the
-        rank's live counters (queued cross-cut traffic delivered after
-        heal bumps ``op_done`` and the applied counts monotonically) — and
-        (b) token locks regenerated while the rank was away: the recorded
-        ``view_change`` is replayed into the rank's own mailbox, intra-node
-        FIFO ahead of any acquire it could issue once unfrozen, so a stale
-        token can never grant before the daemon learns the new epoch floor.
-        """
-        eligible = [
-            r
-            for r in sorted(set(ranks))
-            if r in self._excluded
-            and r in self._alive
-            and r not in self.crashed_at
-            and self.quorum_ok(r)
-        ]
-        if not eligible:
-            return
-        now = self.env.now
-        self._resyncing.update(eligible)
-        details = []
-        for r in eligible:
-            self._excluded.discard(r)
-            excluded_at = self._excluded_at.pop(r, now)
-            exc_epoch = self._excluded_epoch.pop(r, 0)
+            if r in scope and r in self.crashed_at:
+                self.declare(r, now, reason="crashed while excluded")
+        healing = [r for r in sorted(self._excluded) if r in scope]
+        healing = [r for r in healing if not self.attributable(r, now)]
+        if part is not None:
+            self._emit(
+                "partition_heal",
+                nodes=list(part.nodes),
+                from_us=part.from_us,
+                healed_at=now,
+                rejoining=list(healing),
+            )
+        if not healing:
+            return []
+        readmitted = []
+        for r in healing:
+            readmitted.append((r, *self._excluded.pop(r)))
             self._op_init_snapshot.pop(r, None)
             self.rejoined_at[r] = now
             self._last_heard[r] = now
-            details.append((r, excluded_at, exc_epoch))
+        self._resyncing.update(healing)
         self._install_view()
-        for r, excluded_at, exc_epoch in details:
-            if self.resync_enabled:
-                yield from self._token_resync(r, exc_epoch)
-            self._emit(
-                "proc_rejoined",
-                rank=r,
-                epoch=self.epoch,
-                rejoined_at=self.env.now,
-                excluded_for_us=self.env.now - excluded_at,
-                resynced=self.resync_enabled,
-            )
-        self._resyncing.difference_update(eligible)
+        return readmitted
+
+    def resynced(self, ranks: List[int]) -> None:
+        self._resyncing.difference_update(ranks)
         self._publish()
-
-    def _token_resync(self, rank: int, exc_epoch: int):
-        """Replay token-lock regenerations the rank missed while excluded
-        (each lock builds and posts its own ``view_change`` replay)."""
-        for key in sorted(self._token_regen):
-            regen_epoch, payload = self._token_regen[key]
-            if regen_epoch < exc_epoch:
-                continue  # regenerated before this rank left: already seen
-            handle = self._locks[key]["handles"].get(rank)
-            if handle is not None:
-                yield from handle.replay_view_change(self, payload)
-
-    # -- sync freeze gate ---------------------------------------------------------
-
-    def freeze_gate(self, rank: int):
-        """Block ``rank`` while it lacks quorum or is mid-rejoin.
-
-        Sync operations (locks, barriers, fences) call this on entry: a
-        minority-side or stalled rank queues here — it does *not* fail —
-        and proceeds once it is back in a majority view and resynced.
-        No-op (and never yields) when the plan has no transient faults.
-        """
-        if not self._transient:
-            return
-
-        def clear() -> bool:
-            return (
-                self.quorum_ok(rank)
-                and rank not in self._excluded
-                and rank not in self._resyncing
-            )
-
-        if clear():
-            return
-        start = self.env.now
-        self._emit("sync_frozen", rank=rank, frozen_at=start)
-        while not clear():
-            yield self._freeze_wait_us(rank)
-        now = self.env.now
-        self.freeze_log.append(
-            {
-                "rank": rank,
-                "frozen_at_us": start,
-                "unfrozen_at_us": now,
-                "frozen_for_us": now - start,
-            }
-        )
-        self._emit(
-            "sync_unfrozen", rank=rank, unfrozen_at=now, frozen_for_us=now - start
-        )
-
-    def _freeze_wait_us(self, rank: int) -> float:
-        """Sleep until the earliest fault window covering ``rank`` can end
-        (then fall back to the membership poll period for the rejoin)."""
-        now = self.env.now
-        ends = [p.until_us for p in self.plan.partitions if p.covers(now)]
-        ends += [
-            s.until_us
-            for s in self.plan.pauses
-            if s.rank == rank and s.covers(now)
-        ]
-        if ends:
-            return max(min(ends) - now, MEMBERSHIP_POLL_US)
-        return MEMBERSHIP_POLL_US
 
     # -- lock registry + leases ------------------------------------------------
 
@@ -885,45 +570,13 @@ class MembershipService:
         revoked.add(ticket)
         # The sanitizer's FIFO check must know which ticket numbers were
         # spliced out of the queue by crash recovery.
-        self._emit(
-            "lease_revoked",
-            lock=_lock_label(key),
-            rank=rank,
-            ticket=ticket,
-            epoch=self.epoch,
-        )
+        self._revoked(key, rank, ticket)
 
     def record_token_regen(self, key, payload: Dict[str, Any]) -> None:
         """Remember a token lock's ``view_change`` so a rank excluded at
         this point can replay it when it rejoins (it never receives the
         original sends)."""
         self._token_regen[key] = (self.epoch, dict(payload))
-
-    # -- lock recovery ----------------------------------------------------------------
-
-    def _start_recovery(self, key, rank: int, transient: bool) -> None:
-        self.env.process(
-            self._recover_lock(key, rank, transient),
-            name=f"recover:{key[0]}:{key[1]}:{rank}",
-        )
-
-    def _recover_lock(self, key, dead: int, transient: bool):
-        """Run the lock's own recovery coordinator, logging its latency."""
-        info = self._locks[key]
-        started = self.env.now
-        entry = {
-            "lock": _lock_label(key),
-            "kind": key[0],
-            "dead_rank": dead,
-            "declared_at_us": started,
-            "recovered_at_us": None,
-        }
-        if transient:
-            entry["transient"] = True
-        self.recovery_log.append(entry)
-        yield from info["cls"].recover(self, info["handles"], dead, transient)
-        entry["recovered_at_us"] = self.env.now
-        entry["recovery_latency_us"] = self.env.now - started
 
     # -- write-off accounting ----------------------------------------------------
 
@@ -969,6 +622,340 @@ class MembershipService:
     def ledger_get(self, inst: Any) -> Optional[Tuple[Any, int]]:
         return self._ledger.get(inst)
 
+
+class MembershipService(MembershipCore):
+    """The shell: per-runtime processes feeding :class:`MembershipCore`."""
+
+    def __init__(self, runtime: "ClusterRuntime"):
+        self.runtime = runtime
+        self.env = runtime.env
+        self.fabric = runtime.fabric
+        monitor = runtime.monitor
+        plan = runtime.params.faults
+        super().__init__(
+            runtime.topology,
+            plan,
+            emit=(
+                partial(monitor.emit, actor=MEMBERSHIP_ACTOR)
+                if monitor is not None
+                else lambda kind, **fields: None
+            ),
+            kill=self._fail_stop,
+            issued=lambda rank: CountVector(runtime.armcis[rank].op_init),
+            recover=lambda key, rank, transient: self.env.process(
+                self._recover_lock(key, rank, transient),
+                name=f"recover:{key[0]}:{key[1]}:{rank}",
+            ),
+            publish=self._announce,
+        )
+        self._seed = plan.seed if plan.seed is not None else runtime.params.seed
+        #: Nodes whose NIC co-processor was killed (NIC-only or machine).
+        self._dead_nics: Set[int] = set()
+        #: Process ownership: rank -> processes to cancel on its death.
+        self._owned: Dict[int, List[Process]] = {}
+        self._owner_of: Dict[Process, int] = {}
+        #: Tests patch this off to demonstrate the sanitizer catching an
+        #: un-resynchronized rejoin (stale token survives the heal).
+        self.resync_enabled = True
+        self.freeze_log: List[Dict[str, Any]] = []
+        self.heal_log: List[Dict[str, Any]] = []
+        #: Recovery trail (chaosbench reporting + tests).
+        self.recovery_log: List[Dict[str, Any]] = []
+        self._subscribers: List[Any] = []
+
+    def __repr__(self) -> str:
+        return (
+            f"<MembershipService epoch={self.epoch} "
+            f"alive={self.topology.nprocs - len(self.declared_at)} "
+            f"dead={list(self.dead_ranks())}>"
+        )
+
+    # -- wiring ---------------------------------------------------------------
+
+    def install(self) -> None:
+        """Wrap process creation and start executors/heartbeats/detector."""
+        env = self.env
+        # Chain through the environment's factory hook (Environment uses
+        # __slots__); an already-installed factory (e.g. the RMCSan
+        # monitor's actor inheritance) keeps working underneath ours.
+        base_factory = env.process_factory
+
+        def process_with_ownership(generator, name=None):
+            owner = self._owner_of.get(env.active_process)
+            if base_factory is not None:
+                proc = base_factory(generator, name=name)
+            else:
+                proc = Process(env, generator, name=name)
+            if owner is not None and owner not in self.declared_at:
+                self.adopt(proc, owner)
+            return proc
+
+        env.process_factory = process_with_ownership
+        nprocs = self.topology.nprocs
+        for crash in self.plan.crashes:
+            env.process(self._crash_executor(crash), name=f"crash@{crash.at_us}")
+        for part in self.plan.partitions:
+            env.process(
+                self._window_end(part.until_us, range(nprocs), part),
+                name=f"heal@{part.until_us}",
+            )
+        for pause in self.plan.pauses:
+            env.process(
+                self._window_end(pause.until_us, (pause.rank,)),
+                name=f"resume[{pause.rank}]@{pause.until_us}",
+            )
+        for rank in range(nprocs):
+            proc = env.process(self._heartbeat_loop(rank), name=f"hb[{rank}]")
+            self.adopt(proc, rank)
+        env.process(self._detector_loop(), name="membership.detector")
+
+    def adopt(self, proc: Process, rank: int) -> None:
+        """Record that ``proc`` belongs to ``rank`` (killed with it)."""
+        self._owner_of[proc] = rank
+        self._owned.setdefault(rank, []).append(proc)
+
+    def subscribe(self, callback) -> None:
+        """``callback(epoch)`` fires after every view change."""
+        self._subscribers.append(callback)
+
+    def quorum_ok(self, rank: int) -> bool:
+        """May ``rank`` run sync operations right now (quorum side, not
+        paused)?  Always true without transient windows."""
+        return not self.attributable(rank, self.env.now)
+
+    def suspect(self, endpoint: Endpoint, reason: str = "suspected") -> None:
+        """The reliable transport's report of a silent peer, now."""
+        self.suspected(endpoint, self.env.now, reason)
+
+    # -- the core's effects -----------------------------------------------------
+
+    def _announce(self) -> None:
+        """Let the rest of the system observe the installed view, after
+        finishing NIC barrier epochs that committed on *some* engine.
+
+        A crashed NIC can wedge peers in the inter-NIC stage-3 barrier
+        after another engine already released its hosts.  Released hosts
+        have moved on, so the wedged hosts must not degrade to the
+        resilient host exchange (they would wait forever for the released
+        ones).  Commitment on any engine implies every engine entered
+        stage 3 — all remote operations drained — so completing the epoch
+        for every live host is safe; with no commitment anywhere, all
+        hosts degrade together and stay consistent.  This comes *before*
+        hosts observe the view change: a host woken by its subscriber
+        callback must already see its release fired if the epoch
+        committed anywhere.
+        """
+        engines = self.fabric.nic_engines or {}
+        committed = set().union(*(e.committed for e in engines.values()))
+        for epoch in sorted(committed):
+            for engine in engines.values():
+                engine.force_release(epoch)
+        for callback in list(self._subscribers):
+            callback(self.epoch)
+
+    def _fail_stop(self, rank: int) -> None:
+        """Silence a crashed user process: the fabric, its transport, its
+        generators."""
+        self.fabric.mark_dead(("mp", rank))
+        if self.fabric.reliable is not None:
+            # Fail-stop includes the rank's sender-side transport state:
+            # no retransmissions from beyond the grave (frames already on
+            # the wire may still land; write-off accounting is monotone).
+            self.fabric.reliable.abandon_sender(rank)
+        for proc in self._owned.get(rank, ()):
+            if proc.is_alive and proc is not self.env.active_process:
+                proc.kill()
+
+    def _recover_lock(self, key, dead: int, transient: bool):
+        """Run the lock's own recovery coordinator, logging its latency."""
+        info = self._locks[key]
+        started = self.env.now
+        entry = {
+            "lock": _lock_label(key),
+            "kind": key[0],
+            "dead_rank": dead,
+            "declared_at_us": started,
+            "recovered_at_us": None,
+        }
+        if transient:
+            entry["transient"] = True
+        self.recovery_log.append(entry)
+        yield from info["cls"].recover(self, info["handles"], dead, transient)
+        entry["recovered_at_us"] = self.env.now
+        entry["recovery_latency_us"] = self.env.now - started
+
+    # -- crash execution -------------------------------------------------------
+
+    def _crash_executor(self, crash):
+        yield crash.at_us
+        if crash.rank is not None:
+            self._kill_rank(crash.rank)
+        elif crash.node is not None:
+            self._kill_node(crash.node)
+        else:
+            self._kill_nic(crash.nic)
+
+    def _kill_rank(self, rank: int) -> None:
+        """Fail-stop a user process: cancel generators, silence the fabric."""
+        if self.crash(rank, self.env.now):
+            self._fail_stop(rank)
+
+    def _kill_node(self, node: int) -> None:
+        """Machine crash: the server thread and every hosted rank die.
+
+        Idempotent: a node crash scheduled after one of its ranks (or its
+        NIC, or the whole node) already died simply kills whatever is
+        still running — ``_kill_rank`` and ``_kill_nic`` each no-op on an
+        already-dead target.
+        """
+        self._killed_nodes.add(node)
+        self.runtime.servers[node].kill()
+        self.fabric.mark_dead(("srv", node))
+        if self.fabric.reliable is not None:
+            # The machine's own senders die with it: no reply or NIC frame
+            # is retransmitted from a crashed node.
+            self.fabric.reliable.abandon_sender(("reply", node))
+            self.fabric.reliable.abandon_sender(("nic", node))
+        # The node's NIC dies with it: refuse frames addressed to it and
+        # stop its co-processor so degraded NIC barriers terminate.
+        self._kill_nic(node)
+        for rank in self.topology.ranks_on(node):
+            self._kill_rank(rank)
+
+    def _kill_nic(self, node: int) -> None:
+        """NIC-only crash: the co-processor dies, the host side survives.
+
+        The ``("nic", node)`` endpoint is marked dead (frames from/to it
+        are refused) and any in-flight offloaded-barrier epoch on the
+        engine is abandoned.  The hosted ranks and the server stay up:
+        detection is the reliable layer's job — peer NICs exhaust their
+        retry budget against the silent endpoint and
+        :meth:`suspect` escalates the node to a machine-crash declaration.
+        Hosts that ring a doorbell on a dead local NIC degrade immediately
+        to the resilient host exchange (see :mod:`repro.armci.barrier`).
+        """
+        if node in self._dead_nics:
+            return
+        self._dead_nics.add(node)
+        if node in self._killed_nodes:
+            # Machine crash: the whole node is declared dead, so peers must
+            # stop retrying outright (mark_dead also abandons backlog).
+            self.fabric.mark_dead(("nic", node))
+        else:
+            # NIC-only crash: the device goes *silent*.  Peers' frames are
+            # swallowed unACKed so the reliable layer's retry exhaustion
+            # escalates the silence into a machine-crash suspicion.
+            self.fabric.blackhole(("nic", node))
+        engines = self.fabric.nic_engines
+        if engines is not None and node in engines:
+            engines[node].shutdown()
+        self._emit("nic_crashed", node=node, at=self.env.now)
+
+    # -- detection -------------------------------------------------------------
+
+    def _heartbeat_loop(self, rank: int):
+        rng = random.Random(f"membership:{self._seed}:{rank}")
+        while not self.loops_done(self.env.now):
+            yield HEARTBEAT_US * (0.75 + 0.5 * rng.random())
+            if rank in self.declared_at:
+                return
+            self.heard(rank, self.env.now)
+
+    def _detector_loop(self):
+        while not self.loops_done(self.env.now):
+            yield CHECK_US
+            self.detect(self.env.now)
+
+    # -- window end and rejoin ----------------------------------------------------
+
+    def _window_end(self, until_us: float, scope, part=None):
+        """Runs when a fault window closes — a partition's heal (``part``)
+        or a process stall's resume — and resynchronizes every rank the
+        core readmits from the majority before the freeze gate releases it.
+
+        Token locks regenerated while a rank was away are resynchronized
+        by replaying the recorded ``view_change`` into the rank's own
+        mailbox, intra-node FIFO ahead of any acquire it could issue once
+        unfrozen, so a stale token can never grant before the daemon
+        learns the new epoch floor.
+        """
+        yield until_us
+        now = self.env.now
+        readmitted = self.end_window(scope, now, part)
+        for r, excluded_at, exc_epoch in readmitted:
+            for key in sorted(self._token_regen) if self.resync_enabled else ():
+                regen_epoch, payload = self._token_regen[key]
+                if regen_epoch < exc_epoch:
+                    continue  # regenerated before this rank left: already seen
+                handle = self._locks[key]["handles"].get(r)
+                if handle is not None:
+                    yield from handle.replay_view_change(self, payload)
+            self._emit(
+                "proc_rejoined",
+                rank=r,
+                epoch=self.epoch,
+                rejoined_at=self.env.now,
+                excluded_for_us=self.env.now - excluded_at,
+                resynced=self.resync_enabled,
+            )
+        rejoined = [r for r, _at, _epoch in readmitted]
+        if rejoined:
+            self.resynced(rejoined)
+        if part is not None:
+            self.heal_log.append(
+                {
+                    "nodes": list(part.nodes),
+                    "from_us": part.from_us,
+                    "healed_at_us": now,
+                    "rejoined": rejoined,
+                    "epoch": self.epoch,
+                }
+            )
+
+    # -- sync freeze gate ---------------------------------------------------------
+
+    def freeze_gate(self, rank: int):
+        """Block ``rank`` while it lacks quorum or is mid-rejoin.
+
+        Sync operations (locks, barriers, fences) call this on entry: a
+        minority-side or stalled rank queues here — it does *not* fail —
+        and proceeds once it is back in a majority view and resynced.
+        No-op (and never yields) when the plan has no transient faults.
+        """
+        if not self.transient:
+            return
+
+        def clear() -> bool:
+            held = rank in self._excluded or rank in self._resyncing
+            return self.quorum_ok(rank) and not held
+
+        if clear():
+            return
+        start = self.env.now
+        self._emit("sync_frozen", rank=rank, frozen_at=start)
+        while not clear():
+            yield self._freeze_wait_us(rank)
+        now = self.env.now
+        self.freeze_log.append(
+            {
+                "rank": rank,
+                "frozen_at_us": start,
+                "unfrozen_at_us": now,
+                "frozen_for_us": now - start,
+            }
+        )
+        self._emit(
+            "sync_unfrozen", rank=rank, unfrozen_at=now, frozen_for_us=now - start
+        )
+
+    def _freeze_wait_us(self, rank: int) -> float:
+        """Sleep until the earliest fault window covering ``rank`` can end
+        (then fall back to the membership poll period for the rejoin)."""
+        now = self.env.now
+        ends = [p.until_us for p in self.plan.partitions if p.covers(now)]
+        ends += [s.until_us for s in self.plan.pauses if s.rank == rank and s.covers(now)]
+        return max(min(ends) - now, MEMBERSHIP_POLL_US) if ends else MEMBERSHIP_POLL_US
+
     # -- reporting ---------------------------------------------------------------
 
     def report(self) -> Dict[str, Any]:
@@ -984,11 +971,11 @@ class MembershipService:
         out = {
             "epoch": self.epoch,
             "alive": list(self.alive_ranks()),
-            "dead": sorted(self._dead),
+            "dead": list(self.dead_ranks()),
             "detections": detections,
             "recoveries": list(self.recovery_log),
         }
-        if self._transient:
+        if self.transient:
             out["excluded"] = sorted(self._excluded)
             out["rejoins"] = [
                 {"rank": rank, "rejoined_at_us": self.rejoined_at[rank]}

@@ -173,10 +173,10 @@ class TestStats:
         import dataclasses
 
         class Membership:
-            heard = []
+            refreshed = []
 
-            def note_traffic(self, rank):
-                self.heard.append(rank)
+            def heard(self, rank, now):
+                self.refreshed.append(rank)
 
         env, fabric, _ = make_fabric()
         fabric.attach_membership(Membership())
@@ -186,7 +186,7 @@ class TestStats:
         assert dataclasses.asdict(fabric.stats) == before
         assert fabric._seq == 0
         assert fabric._nic_free[0] == 0.0
-        assert Membership.heard == []
+        assert Membership.refreshed == []
         env.run()
         assert env.events_processed == 0
 

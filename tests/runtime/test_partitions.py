@@ -412,7 +412,7 @@ class TestCrashOnlyUnchanged:
         params = transient_params(crashes=((2, 50.0),))
         runtime = ClusterRuntime(4, params=params)
         m = runtime.membership
-        assert m is not None and not m._transient
+        assert m is not None and not m.transient
 
         def idle(ctx):
             yield ctx.env.timeout(400.0)
