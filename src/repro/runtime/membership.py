@@ -49,13 +49,10 @@ crash-stop failure model needs on top of the existing stack:
   (one counter per lock, bumped at every lease revocation) let the lock
   layer and the NIC engine reject actions by stale holders on heal.
 
-Two classes split the work.  :class:`MembershipCore` holds every fact
-and makes every decision above; it has no ``Environment``, takes the time
-as an argument, never yields, and reports through the callables given to
-its constructor.  :class:`MembershipService` is the shell: it owns the
-processes (heartbeats, detector, crash and window-end executors, lock
-recoveries, the freeze gate), the heartbeat RNG streams and the fabric,
-server, NIC and monitor handles, and feeds the core ``env.now``.
+:class:`MembershipCore` holds every fact and decision above, with no
+``Environment``: it takes the time as an argument and never yields.
+:class:`MembershipService` is the shell that owns the processes and the
+machine handles, and feeds the core ``env.now``.
 
 **Disabled means absent**: the service is only constructed when the fault
 plan schedules :class:`~repro.net.faults.ProcessCrash` events or
@@ -71,11 +68,11 @@ and to shape reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..mp.vector import CountVector
+from ..net.faults import Partition
 from ..net.message import Endpoint
 from ..net.params import MEMBERSHIP_POLL_US
 from ..sim.core import Process
@@ -83,7 +80,7 @@ from ..sim.core import Process
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import ClusterRuntime
 
-__all__ = ["MembershipCore", "MembershipService", "Lease"]
+__all__ = ["MembershipCore", "MembershipService"]
 
 #: Actor label used for membership events in RMCSan traces.
 MEMBERSHIP_ACTOR = "membership"
@@ -105,14 +102,6 @@ CHECK_US = 20.0
 def _lock_label(key: Tuple[str, str, int]) -> str:
     """``kind:name@home`` — a lock's name in events and the recovery log."""
     return f"{key[0]}:{key[1]}@{key[2]}"
-
-
-@dataclass
-class Lease:
-    """One lock acquisition recorded for crash recovery."""
-
-    holder: int
-    ticket: Optional[int]
 
 
 class MembershipCore:
@@ -162,8 +151,8 @@ class MembershipCore:
 
         #: Lock registry: (kind, name, home_rank) -> {"cls", "handles"}.
         self._locks: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
-        #: Active leases by lock key.
-        self._leases: Dict[Tuple[str, str, int], Lease] = {}
+        #: Active leases, one lock acquisition each: key -> (holder, ticket).
+        self._leases: Dict[Tuple[str, str, int], Tuple[int, Optional[int]]] = {}
         #: Revoked (dead) ticket numbers by lock cells (home_rank, base_addr).
         self._revoked_tickets: Dict[Tuple[int, int], Set[int]] = {}
 
@@ -215,9 +204,8 @@ class MembershipCore:
 
     def node_dead(self, node: int) -> bool:
         """True once a machine crash of ``node`` has been declared."""
-        if node not in self._killed_nodes:
-            return False
-        return all(r in self.declared_at for r in self.topology.ranks_on(node))
+        ranks = self.topology.ranks_on(node)
+        return node in self._killed_nodes and all(r in self.declared_at for r in ranks)
 
     def dead_ranks(self) -> Tuple[int, ...]:
         return tuple(sorted(self.declared_at))
@@ -264,14 +252,12 @@ class MembershipCore:
     # -- liveness inputs -------------------------------------------------------
 
     def heard(self, rank: Any, now: float) -> None:
-        """The one liveness refresh: every accepted fabric post and every
-        idle heartbeat (NIC engines' tuple sources name no rank).
-
-        During a transient window the refresh is suppressed for ranks the
-        majority cannot hear (paused, or on the minority side of a cut):
-        their local sends do not reach the detector's side, so letting
-        them refresh would blind the failure detector to the partition.
-        """
+        """The one liveness refresh, from fabric posts (a NIC engine's tuple
+        source names no rank) and heartbeats.  During a transient window
+        the refresh is suppressed for ranks the majority cannot hear
+        (paused, or on the minority side of a cut): their local sends do
+        not reach the detector's side, so letting them refresh would blind
+        the failure detector to the partition."""
         if rank in self._last_heard and rank not in self.declared_at:
             if self.transient and self.attributable(rank, now):
                 return
@@ -302,44 +288,42 @@ class MembershipCore:
                 # go with it.
                 self._killed_nodes.add(which)
         for rank in targets:
-            if not self.in_view(rank):
-                continue
-            if self.attributable(rank, now):
-                if self._majority_exists(now):
-                    self.exclude(rank, now, reason=reason)
-                else:
-                    # Even split: no side has quorum, nobody may act.
-                    self.suspicions_discarded += 1
-            elif self._window_active(now):
-                # A cut is active and the target sits on the majority
-                # side: a quorum of peers still hears it, so the
-                # raiser is the partitioned one.  Discard.
-                self.suspicions_discarded += 1
-            else:
-                self.declare(rank, now, reason=dead_reason)
+            if self.in_view(rank):
+                self._unheard(rank, now, reason, dead_reason, suspicion=True)
 
-    def crash(self, rank: int, now: float) -> bool:
-        """Record ``rank``'s fail-stop and snapshot its issued credits."""
+    def crash(self, rank: int, now: float) -> None:
+        """Fail-stop ``rank`` (no-op if it already crashed): record the
+        time, snapshot its issued credits, silence it."""
         if rank in self.crashed_at:
-            return False
+            return
         self.crashed_at[rank] = now
         self._op_init_snapshot[rank] = self._issued(rank)
-        return True
+        self._kill(rank)
 
     def detect(self, now: float) -> None:
         """One detector scan: act on every in-view rank silent too long."""
+        silence = "heartbeat silence"
         for rank in range(self.topology.nprocs):
-            if not self.in_view(rank):
-                continue
-            if now - self._last_heard[rank] <= SUSPECT_TIMEOUT_US:
-                continue
-            if not self.attributable(rank, now):
-                self.declare(rank, now, reason="heartbeat silence")
-            elif self._majority_exists(now):
-                # Silence explained by an active window: transient
-                # exclusion (if a quorum exists to corroborate it), never
-                # a death declaration.
-                self.exclude(rank, now, reason="heartbeat silence")
+            if self.in_view(rank) and now - self._last_heard[rank] > SUSPECT_TIMEOUT_US:
+                self._unheard(rank, now, silence, silence, suspicion=False)
+
+    def _unheard(self, rank, now, reason, dead_reason, suspicion: bool) -> None:
+        """The one decision on a rank nobody hears: silence an active window
+        explains is a transient exclusion (if a quorum exists to
+        corroborate it), never a death declaration."""
+        if self.attributable(rank, now):
+            if self._majority_exists(now):
+                self.exclude(rank, now, reason=reason)
+            elif suspicion:
+                # Even split: no side has quorum, nobody may act.
+                self.suspicions_discarded += 1
+        elif suspicion and self._window_active(now):
+            # A cut is active and the target sits on the majority side: a
+            # quorum of peers still hears it, so the raiser is the
+            # partitioned one.  Discard.
+            self.suspicions_discarded += 1
+        else:
+            self.declare(rank, now, reason=dead_reason)
 
     def loops_done(self, now: float) -> bool:
         """May the heartbeat/detector loops retire?
@@ -371,12 +355,12 @@ class MembershipCore:
             **extra,
         )
 
-    def _revoke_lease(self, key, lease: Lease, live: bool) -> None:
+    def _revoke_lease(self, key, live: bool) -> None:
         """Take the lock away from a holder that left the view; the fence
         bump makes the ex-holder's own release (if it ever runs) a no-op."""
-        del self._leases[key]
+        holder, ticket = self._leases.pop(key)
         self._fence_tokens[key] = self._fence_tokens.get(key, 0) + 1
-        self._revoked(key, lease.holder, lease.ticket, live)
+        self._revoked(key, holder, ticket, live)
 
     def _revoked(self, key, rank: int, ticket: Optional[int], live=False) -> None:
         self._emit(
@@ -391,11 +375,10 @@ class MembershipCore:
     def declare(self, rank: int, now: float, reason: str) -> None:
         if rank in self.declared_at:
             return
-        if self.crash(rank, now):
-            # Suspected without a scheduled kill (e.g. a fully partitioned
-            # link): enforce fail-stop so the suspected rank cannot act on
-            # a view that no longer contains it.
-            self._kill(rank)
+        # Suspected without a scheduled kill (e.g. a fully partitioned
+        # link): enforce fail-stop so the suspected rank cannot act on a
+        # view that no longer contains it.
+        self.crash(rank, now)
         # Death trumps transient exclusion: a rank that crashed while
         # partitioned away must not linger in the excluded set (it will
         # never rejoin, and the loops wait for exclusions to drain).
@@ -413,9 +396,9 @@ class MembershipCore:
             reason=reason,
         )
         self._install_view()
-        for key, lease in list(self._leases.items()):
-            if lease.holder == rank:
-                self._revoke_lease(key, lease, live=False)
+        for key, (holder, _ticket) in list(self._leases.items()):
+            if holder == rank:
+                self._revoke_lease(key, live=False)
         # Splice the dead rank out of every lock it participates in.
         for key in sorted(self._locks):
             if rank in self._locks[key]["handles"]:
@@ -430,7 +413,7 @@ class MembershipCore:
         Unlike :meth:`declare` the rank is *not* killed: its processes
         keep running (on the minority side they freeze at their next sync
         operation), its memory survives, and it rejoins through
-        :meth:`readmit` once the fault window closes.  Any lease it holds
+        :meth:`end_window` once the fault window closes.  Any lease it holds
         is revoked and fenced so the majority can regenerate the lock —
         the excluded ex-holder's own release is rejected by the
         fencing-token check when it eventually runs.
@@ -458,22 +441,22 @@ class MembershipCore:
         # home region on the majority side — when the home node is cut off
         # too, the lease stays put and majority requesters simply queue
         # until heal (safe: nobody can reach the lock words either way).
-        for key, lease in list(self._leases.items()):
-            if lease.holder != rank:
+        for key, (holder, _ticket) in list(self._leases.items()):
+            if holder != rank:
                 continue
             if self._locks[key]["cls"].lock_words_at_home:
                 home_node = self.topology.node_of(key[2])
                 if home_node not in self._majority_component(now):
                     continue
-            self._revoke_lease(key, lease, live=True)
+            self._revoke_lease(key, live=True)
             self._recover(key, rank, True)
         self._publish()
 
     def end_window(self, scope: Iterable[int], now: float, part=None) -> list:
-        """A fault window over ``scope``'s ranks closed — a partition's heal
-        (``part``) or a stall's resume.  Readmit the excluded ranks a quorum
-        hears again under one new epoch, as ``(rank, excluded_at, exclusion
-        epoch)``; the freeze gate holds them until :meth:`resynced`.
+        """A window over ``scope`` closed (a heal of ``part``, or a resume):
+        readmit, under one new epoch, the excluded ranks a quorum hears
+        again, as ``(rank, excluded_at, exclusion epoch)``, held until
+        :meth:`resynced`.
 
         The issued-op snapshot taken at exclusion is retired here, so
         credit accounting re-baselines on the rank's live counters (queued
@@ -500,16 +483,14 @@ class MembershipCore:
                 healed_at=now,
                 rejoining=list(healing),
             )
-        if not healing:
-            return []
-        readmitted = []
+        readmitted = [(r, *self._excluded.pop(r)) for r in healing]
         for r in healing:
-            readmitted.append((r, *self._excluded.pop(r)))
             self._op_init_snapshot.pop(r, None)
             self.rejoined_at[r] = now
             self._last_heard[r] = now
-        self._resyncing.update(healing)
-        self._install_view()
+        if healing:
+            self._resyncing.update(healing)
+            self._install_view()
         return readmitted
 
     def resynced(self, ranks: List[int]) -> None:
@@ -529,17 +510,15 @@ class MembershipCore:
         info["handles"][handle.ctx.rank] = handle
 
     def lease_acquire(self, handle, ticket: Optional[int]) -> None:
-        self._leases[self.lock_key(handle)] = Lease(handle.ctx.rank, ticket)
+        self._leases[self.lock_key(handle)] = (handle.ctx.rank, ticket)
 
     def lease_release(self, handle) -> None:
         key = self.lock_key(handle)
-        lease = self._leases.get(key)
-        if lease is not None and lease.holder == handle.ctx.rank:
+        if self.lease_holder(key) == handle.ctx.rank:
             del self._leases[key]
 
     def lease_holder(self, key: Tuple[str, str, int]) -> Optional[int]:
-        lease = self._leases.get(key)
-        return lease.holder if lease is not None else None
+        return self._leases.get(key, (None, None))[0]
 
     def fence_token(self, key: Tuple[str, str, int]) -> int:
         """Monotonic per-lock fencing counter; bumped at every revocation.
@@ -651,8 +630,7 @@ class MembershipService(MembershipCore):
         self._seed = plan.seed if plan.seed is not None else runtime.params.seed
         #: Nodes whose NIC co-processor was killed (NIC-only or machine).
         self._dead_nics: Set[int] = set()
-        #: Process ownership: rank -> processes to cancel on its death.
-        self._owned: Dict[int, List[Process]] = {}
+        #: Process ownership: process -> the rank whose death cancels it.
         self._owner_of: Dict[Process, int] = {}
         #: Tests patch this off to demonstrate the sanitizer catching an
         #: un-resynchronized rejoin (stale token survives the heal).
@@ -678,33 +656,24 @@ class MembershipService(MembershipCore):
         # Chain through the environment's factory hook (Environment uses
         # __slots__); an already-installed factory (e.g. the RMCSan
         # monitor's actor inheritance) keeps working underneath ours.
-        base_factory = env.process_factory
+        base_factory = env.process_factory or partial(Process, env)
 
         def process_with_ownership(generator, name=None):
             owner = self._owner_of.get(env.active_process)
-            if base_factory is not None:
-                proc = base_factory(generator, name=name)
-            else:
-                proc = Process(env, generator, name=name)
+            proc = base_factory(generator, name=name)
             if owner is not None and owner not in self.declared_at:
                 self.adopt(proc, owner)
             return proc
 
         env.process_factory = process_with_ownership
-        nprocs = self.topology.nprocs
         for crash in self.plan.crashes:
             env.process(self._crash_executor(crash), name=f"crash@{crash.at_us}")
         for part in self.plan.partitions:
-            env.process(
-                self._window_end(part.until_us, range(nprocs), part),
-                name=f"heal@{part.until_us}",
-            )
+            env.process(self._window_end(part), name=f"heal@{part.until_us}")
         for pause in self.plan.pauses:
-            env.process(
-                self._window_end(pause.until_us, (pause.rank,)),
-                name=f"resume[{pause.rank}]@{pause.until_us}",
-            )
-        for rank in range(nprocs):
+            name = f"resume[{pause.rank}]@{pause.until_us}"
+            env.process(self._window_end(pause), name=name)
+        for rank in range(self.topology.nprocs):
             proc = env.process(self._heartbeat_loop(rank), name=f"hb[{rank}]")
             self.adopt(proc, rank)
         env.process(self._detector_loop(), name="membership.detector")
@@ -712,7 +681,6 @@ class MembershipService(MembershipCore):
     def adopt(self, proc: Process, rank: int) -> None:
         """Record that ``proc`` belongs to ``rank`` (killed with it)."""
         self._owner_of[proc] = rank
-        self._owned.setdefault(rank, []).append(proc)
 
     def subscribe(self, callback) -> None:
         """``callback(epoch)`` fires after every view change."""
@@ -754,16 +722,16 @@ class MembershipService(MembershipCore):
             callback(self.epoch)
 
     def _fail_stop(self, rank: int) -> None:
-        """Silence a crashed user process: the fabric, its transport, its
-        generators."""
+        """Silence a crashed user process: cancel its generators, cut it off
+        the fabric and its transport."""
         self.fabric.mark_dead(("mp", rank))
         if self.fabric.reliable is not None:
             # Fail-stop includes the rank's sender-side transport state:
             # no retransmissions from beyond the grave (frames already on
             # the wire may still land; write-off accounting is monotone).
             self.fabric.reliable.abandon_sender(rank)
-        for proc in self._owned.get(rank, ()):
-            if proc.is_alive and proc is not self.env.active_process:
+        for proc, owner in list(self._owner_of.items()):
+            if owner == rank and proc.is_alive and proc is not self.env.active_process:
                 proc.kill()
 
     def _recover_lock(self, key, dead: int, transient: bool):
@@ -789,23 +757,18 @@ class MembershipService(MembershipCore):
     def _crash_executor(self, crash):
         yield crash.at_us
         if crash.rank is not None:
-            self._kill_rank(crash.rank)
+            self.crash(crash.rank, self.env.now)
         elif crash.node is not None:
             self._kill_node(crash.node)
         else:
             self._kill_nic(crash.nic)
-
-    def _kill_rank(self, rank: int) -> None:
-        """Fail-stop a user process: cancel generators, silence the fabric."""
-        if self.crash(rank, self.env.now):
-            self._fail_stop(rank)
 
     def _kill_node(self, node: int) -> None:
         """Machine crash: the server thread and every hosted rank die.
 
         Idempotent: a node crash scheduled after one of its ranks (or its
         NIC, or the whole node) already died simply kills whatever is
-        still running — ``_kill_rank`` and ``_kill_nic`` each no-op on an
+        still running — ``crash`` and ``_kill_nic`` each no-op on an
         already-dead target.
         """
         self._killed_nodes.add(node)
@@ -820,7 +783,7 @@ class MembershipService(MembershipCore):
         # stop its co-processor so degraded NIC barriers terminate.
         self._kill_nic(node)
         for rank in self.topology.ranks_on(node):
-            self._kill_rank(rank)
+            self.crash(rank, self.env.now)
 
     def _kill_nic(self, node: int) -> None:
         """NIC-only crash: the co-processor dies, the host side survives.
@@ -868,10 +831,10 @@ class MembershipService(MembershipCore):
 
     # -- window end and rejoin ----------------------------------------------------
 
-    def _window_end(self, until_us: float, scope, part=None):
-        """Runs when a fault window closes — a partition's heal (``part``)
-        or a process stall's resume — and resynchronizes every rank the
-        core readmits from the majority before the freeze gate releases it.
+    def _window_end(self, window):
+        """Runs when a fault window closes — a partition's heal or a process
+        stall's resume — and resynchronizes every rank the core readmits
+        from the majority before the freeze gate releases it.
 
         Token locks regenerated while a rank was away are resynchronized
         by replaying the recorded ``view_change`` into the rank's own
@@ -879,8 +842,10 @@ class MembershipService(MembershipCore):
         unfrozen, so a stale token can never grant before the daemon
         learns the new epoch floor.
         """
-        yield until_us
+        yield window.until_us
         now = self.env.now
+        part = window if isinstance(window, Partition) else None
+        scope = range(self.topology.nprocs) if part else (window.rank,)
         readmitted = self.end_window(scope, now, part)
         for r, excluded_at, exc_epoch in readmitted:
             for key in sorted(self._token_regen) if self.resync_enabled else ():
@@ -952,8 +917,8 @@ class MembershipService(MembershipCore):
         """Sleep until the earliest fault window covering ``rank`` can end
         (then fall back to the membership poll period for the rejoin)."""
         now = self.env.now
-        ends = [p.until_us for p in self.plan.partitions if p.covers(now)]
-        ends += [s.until_us for s in self.plan.pauses if s.rank == rank and s.covers(now)]
+        mine = [s for s in self.plan.pauses if s.rank == rank]
+        ends = [w.until_us for w in (*self.plan.partitions, *mine) if w.covers(now)]
         return max(min(ends) - now, MEMBERSHIP_POLL_US) if ends else MEMBERSHIP_POLL_US
 
     # -- reporting ---------------------------------------------------------------

@@ -65,7 +65,9 @@ class TestCoreIsPure:
         events = []
         core = _core(Topology(4), plan, events)
 
-        assert core.crash(2, 50.0)
+        core.crash(2, 50.0)
+        assert events == [("kill", {"rank": 2})]
+        events.clear()
         for rank in (0, 1, 3):
             core.heard(rank, 60.0)
         core.heard(3, 150.0)  # minority side: the refresh is suppressed
