@@ -25,8 +25,8 @@ The workload runs two phases over one shared lock:
 2. **Lock phase.**  Lock victims acquire first and "compute" until their
    kill fires mid-critical-section; survivors then contend for
    ``lock_iters`` acquire/compute/release rounds each.  A shared
-   :class:`~repro.locks.LockAudit` records request order, grant order and
-   the critical-section owner cell — a survivor that is granted the lock
+   :class:`~repro.locks.LockAudit` records grant order, the order the lock
+   linearised the requests and the critical-section owner cell — a survivor that is granted the lock
    while the cell still names a rank the view has dropped has *evidence*
    the holder died inside its CS and the lease was revoked (recorded as a
    preemption, not a violation).
@@ -262,17 +262,15 @@ def chaos_workload(ctx, cfg: ChaosBenchConfig, audit: LockAudit):
         idx = lock_victim_order.index(ctx.rank)
         if idx:
             yield LOCK_STAGGER_US * idx
-        audit.request(env.now, ctx.rank, -1)
         yield from lock.acquire()
-        audit.enter(env.now, ctx.rank, -1, membership)
+        audit.enter(env.now, lock, -1, membership)
         while True:  # "compute" in the CS until the scheduled kill fires
             yield CS_US
 
     yield LOCK_STAGGER_US * (len(lock_victim_order) + 1 + ctx.rank)
     for it in range(cfg.lock_iters):
-        audit.request(env.now, ctx.rank, it)
         yield from lock.acquire()
-        audit.enter(env.now, ctx.rank, it, membership)
+        audit.enter(env.now, lock, it, membership)
         yield CS_US
         audit.leave(ctx.rank, membership)
         yield from lock.release()

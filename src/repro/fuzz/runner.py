@@ -192,9 +192,8 @@ def _fuzz_workload(ctx, scenario: Scenario, audit):
         elif phase == "lock" and lock is not None:
             yield LOCK_STAGGER_US * (ctx.rank + 1)
             for it in range(scenario.lock_iters):
-                audit.request(env.now, ctx.rank, it)
                 yield from lock.acquire()
-                audit.enter(env.now, ctx.rank, it, membership)
+                audit.enter(env.now, lock, it, membership)
                 yield CS_US
                 audit.leave(ctx.rank, membership)
                 yield from lock.release()
@@ -397,9 +396,10 @@ def run_scenario(
     ):
         outcome.add(
             "lock-fifo",
-            f"{scenario.lock_kind} grant order diverged from request "
-            "order among survivors on an order-preserving network",
-            requests=audit.requested(alive),
+            f"{scenario.lock_kind} grant order diverged from the order the "
+            "lock linearised the requests among survivors on an "
+            "order-preserving network",
+            linearized=audit.linearized(alive),
             grants=audit.granted(alive),
         )
 

@@ -52,15 +52,17 @@ LOCK_KINDS = {
     "naimi": NaimiTrehelLock,
 }
 
-#: Lock algorithms whose grant order is FIFO in request-arrival order (the
-#: token algorithms serve in tree/forwarding order instead).
+#: Lock algorithms that grant in the order they linearise requests: the
+#: ticket fetch-add (``hybrid`` takes one ``[ticket, counter]`` pair for
+#: local and remote requesters alike) or the swap on a queue's tail word.
+#: The token algorithms serve in tree/forwarding order instead.
 FIFO_KINDS = ("ticket", "lh", "server", "hybrid", "mcs")
 
-#: Spacing between consecutive lock requests of an audited workload.  It
-#: exceeds the local/remote transit asymmetry (a local requester reaches
-#: the home ticket counter in ~2us, a remote one in ~30us) so that
-#: request-send order equals queue-arrival order on a fault-free network
-#: and :meth:`LockAudit.fifo_ok` is meaningful.
+#: Spacing between consecutive lock requests of an audited workload.  FIFO
+#: is judged against the order the lock linearised the requests, not the
+#: order they were sent, so the stagger is not needed for the verdict; it
+#: stays because every audited event stream (the chaos goldens, the fuzz
+#: corpus and its digest) was built with it.
 LOCK_STAGGER_US = 40.0
 #: Time an audited workload spends inside each critical section.
 CS_US = 5.0
@@ -69,27 +71,28 @@ CS_US = 5.0
 class LockAudit:
     """Cross-rank record of one lock's critical sections.
 
-    Ranks report ``request`` before ``acquire()``, ``enter`` once granted
-    and ``leave`` at the end of the critical section, as ``(now, rank,
-    it)``.  A grant while the owner cell names a rank in the current view
-    breaks mutual exclusion; over an out-of-view holder (dead or fenced;
-    ``in_view`` implies alive) it is a recorded preemption, and that
-    holder's stale exit is not a breach.  Auditing yields nothing, so it
-    never changes a run's event stream.
+    Ranks report ``enter`` with their lock handle once granted and
+    ``leave`` at the end of the critical section.  A grant while the owner
+    cell names a rank in the current view breaks mutual exclusion; over
+    an out-of-view holder (dead or fenced; ``in_view`` implies alive) it
+    is a recorded preemption, and that holder's stale exit is not a
+    breach.  Each grant also records the handle's
+    :meth:`~repro.locks.base.BaseLock.queue_link`, from which
+    :meth:`linearized` rebuilds the order the lock took the requests in.
+    Auditing yields nothing, so it never changes a run's event stream.
     """
 
     def __init__(self) -> None:
-        self.requests: List[Tuple[float, int, int]] = []
+        #: ``(now, rank, it)`` per grant, and its ``(predecessor, own)``.
         self.grants: List[Tuple[float, int, int]] = []
+        self.links: List[Tuple[Any, Any]] = []
         #: ``{"at_us", "dead_holder", "granted_to"}`` per preemption.
         self.preemptions: List[Dict[str, Any]] = []
         self.cs_owner: Optional[int] = None
         self.mutex_ok = True
 
-    def request(self, now: float, rank: int, it: int) -> None:
-        self.requests.append((now, rank, it))
-
-    def enter(self, now: float, rank: int, it: int, membership) -> None:
+    def enter(self, now: float, lock, it: int, membership) -> None:
+        rank = lock.ctx.rank
         prev = self.cs_owner
         if prev is not None:
             if membership is not None and not membership.in_view(prev):
@@ -100,6 +103,7 @@ class LockAudit:
                 self.mutex_ok = False
         self.cs_owner = rank
         self.grants.append((now, rank, it))
+        self.links.append(lock.queue_link())
 
     def leave(self, rank: int, membership) -> None:
         if self.cs_owner == rank:
@@ -108,17 +112,43 @@ class LockAudit:
             self.mutex_ok = False  # someone entered our CS
             self.cs_owner = None
 
-    def requested(self, ranks) -> List[Tuple[int, int]]:
-        """``(rank, it)`` of every request by a rank in ``ranks``, in order."""
-        return [(rank, it) for _t, rank, it in self.requests if rank in ranks]
-
     def granted(self, ranks) -> List[Tuple[int, int]]:
         """``(rank, it)`` of every grant to a rank in ``ranks``, in order."""
         return [(rank, it) for _t, rank, it in self.grants if rank in ranks]
 
+    def linearized(self, ranks) -> List[Tuple[int, int]]:
+        """``(rank, it)`` of every grant to a rank in ``ranks``, in the
+        order the lock linearised the requests: each grant right behind
+        the one whose token its request returned, even one granted later
+        (the inversion :meth:`fifo_ok` catches).  A token is taken once,
+        from its last publisher; a claim on a token the claimant's own
+        rank publishes is void (a recycled LH cell)."""
+        behind: Dict[int, int] = {}  # grant -> the grant queued right behind it
+        published: Dict[Any, int] = {}
+        claims: Dict[Any, int] = {}  # token -> a grant that came before its owner
+        for j, (pred, own) in enumerate(self.links):
+            i = published.pop(pred, None)
+            if i is not None:
+                behind[i] = j
+            elif pred is not None:
+                claims[pred] = j
+            k = claims.pop(own, None)
+            if k is not None and self.grants[k][1] != self.grants[j][1]:
+                behind[j] = k
+            elif own is not None:
+                published[own] = j
+        order: List[int] = []
+        seen = set(behind.values())  # chains start at the other grants
+        for j in [j for j in range(len(self.links)) if j not in seen] + sorted(seen):
+            while j is not None and j not in order:
+                order.append(j)
+                j = behind.get(j)
+        return [self.grants[j][1:] for j in order if self.grants[j][1] in ranks]
+
     def fifo_ok(self, ranks) -> bool:
-        """Were ``ranks``' requests granted in the order they were issued?"""
-        return self.requested(ranks) == self.granted(ranks)
+        """Were ``ranks``' requests granted in the order the lock
+        linearised them?"""
+        return self.linearized(ranks) == self.granted(ranks)
 
 
 def fifo_judged(kind: str, plan, stuck) -> bool:

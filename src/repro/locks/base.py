@@ -188,6 +188,11 @@ class BaseLock:
         """FIFO-checkable grant number (ticket-based algorithms only)."""
         return None
 
+    def queue_link(self):
+        """``(predecessor, own)`` tokens of this handle's last request where
+        the lock orders requests (``None``: empty queue, or no queue)."""
+        return (None, None)
+
     # -- crash recovery ------------------------------------------------------------
 
     #: Do the lock's protocol words live in the home process's region (so

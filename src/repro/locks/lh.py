@@ -103,6 +103,10 @@ class LHLock(BaseLock):
         self.my_cell = prev
         self._phase = "held"
 
+    def queue_link(self):
+        # The swap on the tail word orders requests.
+        return (self._prev_cell, self._published_cell)
+
     def _release(self):
         # GRANTED into the cell my successor spins on (the one I published).
         yield self.params.shm_access_us

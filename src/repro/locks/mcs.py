@@ -100,6 +100,11 @@ class MCSLock(BaseLock):
         """This process's node structure as a global pointer pair."""
         return (self.ctx.rank, self.node_struct.base)
 
+    def queue_link(self):
+        # The swap on the tail word orders requests (NULL: queue empty).
+        prev = self._prev_ptr
+        return (None if prev == NULL_PTR else prev, self._my_ptr)
+
     def _next_ga(self) -> GlobalAddress:
         return GlobalAddress(self.ctx.rank, self.node_struct.base + _OFF_NEXT)
 

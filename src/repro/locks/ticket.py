@@ -39,6 +39,10 @@ class TicketFamilyLock(BaseLock):
     def _san_ticket(self):
         return self._my_ticket if self._my_ticket >= 0 else None
 
+    def queue_link(self):
+        # The fetch-add (at the home, or its server) orders requests.
+        return (self._my_ticket - 1, self._my_ticket)
+
     def _acquire_local(self):
         """Figure 3, left: direct fetch&increment, then poll the counter."""
         p = self.params

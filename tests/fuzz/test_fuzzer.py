@@ -21,6 +21,9 @@ from repro.fuzz.campaign import (
     run_campaign,
 )
 from repro.fuzz.runner import run_scenario
+from repro.locks.lh import LHLock
+from repro.locks.mcs import MCSLock
+from repro.locks.ticket import TicketFamilyLock
 from repro.fuzz.scenario import (
     Scenario,
     generate,
@@ -164,9 +167,16 @@ class TestKnownFailingRatchet:
             and getattr(node.targets[0], "id", "").startswith("FUZZ_")
         }
         end = constants["FUZZ_POOL_END"]
-        assert sorted(s for s in known if s < end) == list(constants["FUZZ_KNOWN_FAILING"])
+        listed = {s for s in known if s < end}
+        excluded = set(constants["FUZZ_KNOWN_FAILING"])
+        # 62, 146 and 249 turned green when lock FIFO came to be judged at
+        # the linearisation point.  The benchmark's pool is fixed between
+        # benchmark-correcting changes, so it still leaves them out until
+        # the next such change returns them; every listed seed stays out.
+        assert sorted(excluded - listed) == [62, 146, 249]
+        assert listed <= excluded
 
-    @pytest.mark.parametrize("seed", [39, 62, 291, 714, 989])
+    @pytest.mark.parametrize("seed", [39, 689, 291, 714, 989])
     def test_listed_seeds_still_fail_with_the_listed_kinds(self, known, seed):
         assert list(replay_seed(seed).kinds()) == known[seed]
 
@@ -175,7 +185,7 @@ class TestKnownFailingRatchet:
         assert result.seeds_run == 50 and not result.ok()
         assert result.failure is None and result.shrunk is None
         expected = {str(s): k for s, k in sorted(known.items()) if 30 <= s < 80}
-        assert result.failing() == expected and len(expected) == 4
+        assert result.failing() == expected and len(expected) == 3
         data = json.loads(result.to_json())
         assert data["failing"] == expected and data["ok"] is False
         counted = {(kind, lock, barrier): n for kind, lock, barrier, n in data["histogram"]}
@@ -185,7 +195,7 @@ class TestKnownFailingRatchet:
                 assert counted[(kind, sc.lock_kind or "-", outcome.barrier_body)] >= 1
         assert sum(counted.values()) == sum(len(k) for k in expected.values())
         text = result.render()
-        assert "4 failing seed(s): 39 62 72 77" in text
+        assert "3 failing seed(s): 39 72 77" in text
         assert text.splitlines()[2].split() == ["kind", "lock", "barrier", "seeds"]
 
 
@@ -349,7 +359,14 @@ class TestShrinkAxes:
             (418, {"barrier_algorithm": "kary", "hier_arity": 2, "nprocs": 5}),
         ],
     )
-    def test_cluster_a_seeds_shrink_structurally(self, seed, parent_minimum):
+    def test_cluster_a_seeds_shrink_structurally(self, seed, parent_minimum, monkeypatch):
+        # Cluster A was an artefact of judging FIFO against send order, and
+        # these seeds are green since FIFO is judged where the lock orders
+        # requests.  Fed every queue link reversed, the judge sees each
+        # handoff inverted, which fails them again with nothing injected.
+        for cls in (TicketFamilyLock, MCSLock, LHLock):
+            reversed_link = lambda self, link=cls.queue_link: link(self)[::-1]  # noqa: E731
+            monkeypatch.setattr(cls, "queue_link", reversed_link)
         scenario = generate(seed)
         result = shrink(scenario, run_scenario(scenario), max_runs=120)
         shrunk = result.scenario
@@ -491,10 +508,10 @@ def test_event_stream_digest():
         outcome = run_scenario(generate(seed))
         digest.update(outcome.to_json().encode())
         digest.update(str(outcome.end_state_hash).encode())
-    # Re-pinned when a machine crash started abandoning the node's own
-    # sender channels (server replies and NIC frames): in seeds 211 and 243
-    # a crashed node's NIC stops retransmitting barrier frames
-    # (events_analyzed 260 -> 275, 446 -> 447); both stay green.
+    # Re-pinned when lock FIFO came to be judged against the order the
+    # lock linearised the requests instead of the order they were sent:
+    # seeds 62, 146 and 249 lose their lock-fifo violation (all three turn
+    # green); no other seed moves.
     assert digest.hexdigest() == (
-        "6eb24400d7783c7d2554a3a1d1b6af6a4ca5428d50a291a95d0044f4267c1241"
+        "97c46f560fe03d21dfc04905ab427ad918f364936ec46798a00af24cefa3e2f0"
     )
