@@ -26,10 +26,10 @@ The workload runs two phases over one shared lock:
    kill fires mid-critical-section; survivors then contend for
    ``lock_iters`` acquire/compute/release rounds each.  A shared
    :class:`~repro.locks.LockAudit` records grant order, the order the lock
-   linearised the requests and the critical-section owner cell — a survivor that is granted the lock
-   while the cell still names a rank the view has dropped has *evidence*
-   the holder died inside its CS and the lease was revoked (recorded as a
-   preemption, not a violation).
+   linearised the requests and the critical-section owner cell — a
+   survivor granted the lock while the cell still names a rank the view
+   has dropped has *evidence* the holder died inside its CS and the lease
+   was revoked (recorded as a preemption, not a violation).
 
 The checks are the workload oracle the fuzzer runs too: the lock rules in
 :mod:`repro.locks`, the slot rule in :func:`~repro.runtime.memory.audit_slots`

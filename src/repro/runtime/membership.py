@@ -204,8 +204,9 @@ class MembershipCore:
 
     def node_dead(self, node: int) -> bool:
         """True once a machine crash of ``node`` has been declared."""
-        ranks = self.topology.ranks_on(node)
-        return node in self._killed_nodes and all(r in self.declared_at for r in ranks)
+        if node not in self._killed_nodes:
+            return False
+        return all(r in self.declared_at for r in self.topology.ranks_on(node))
 
     def dead_ranks(self) -> Tuple[int, ...]:
         return tuple(sorted(self.declared_at))
@@ -303,8 +304,8 @@ class MembershipCore:
     def detect(self, now: float) -> None:
         """One detector scan: act on every in-view rank silent too long."""
         silence = "heartbeat silence"
-        for rank in range(self.topology.nprocs):
-            if self.in_view(rank) and now - self._last_heard[rank] > SUSPECT_TIMEOUT_US:
+        for rank, heard_at in self._last_heard.items():
+            if now - heard_at > SUSPECT_TIMEOUT_US and self.in_view(rank):
                 self._unheard(rank, now, silence, silence, suspicion=False)
 
     def _unheard(self, rank, now, reason, dead_reason, suspicion: bool) -> None:
@@ -362,7 +363,7 @@ class MembershipCore:
         self._fence_tokens[key] = self._fence_tokens.get(key, 0) + 1
         self._revoked(key, holder, ticket, live)
 
-    def _revoked(self, key, rank: int, ticket: Optional[int], live=False) -> None:
+    def _revoked(self, key, rank: int, ticket: Optional[int], live: bool) -> None:
         self._emit(
             "lease_revoked",
             lock=_lock_label(key),
@@ -452,11 +453,11 @@ class MembershipCore:
             self._recover(key, rank, True)
         self._publish()
 
-    def end_window(self, scope: Iterable[int], now: float, part=None) -> list:
-        """A window over ``scope`` closed (a heal of ``part``, or a resume):
-        readmit, under one new epoch, the excluded ranks a quorum hears
-        again, as ``(rank, excluded_at, exclusion epoch)``, held until
-        :meth:`resynced`.
+    def end_window(self, scope: Iterable[int], now: float, part) -> list:
+        """A window over ``scope`` closed (partition ``part`` healed, or a
+        stall with ``part`` None resumed): readmit, under one new epoch,
+        the excluded ranks a quorum hears again, as ``(rank, excluded_at,
+        exclusion epoch)``, held until :meth:`resynced`.
 
         The issued-op snapshot taken at exclusion is retired here, so
         credit accounting re-baselines on the rank's live counters (queued
@@ -549,7 +550,7 @@ class MembershipCore:
         revoked.add(ticket)
         # The sanitizer's FIFO check must know which ticket numbers were
         # spliced out of the queue by crash recovery.
-        self._revoked(key, rank, ticket)
+        self._revoked(key, rank, ticket, False)
 
     def record_token_regen(self, key, payload: Dict[str, Any]) -> None:
         """Remember a token lock's ``view_change`` so a rank excluded at

@@ -4,7 +4,7 @@ The core takes the time as an argument and reports through callables, so
 a view change is a few method calls.  A plain walk through crash →
 declare → heal → rejoin guards that the core stays pure; a
 ``hypothesis.stateful`` machine then drives crash, partition, heal,
-stall, resume, suspect and heard on a fixed six-rank, three-node
+stall, resume, suspect and heard on a fixed eight-rank, four-node
 topology and checks the invariants ``docs/fault_model.md`` states in
 prose after every step.
 """
@@ -124,7 +124,7 @@ class TestCoreIsPure:
         assert core.dead_ranks() == (0, 1)
 
 
-NPROCS, PPN = 6, 2
+NPROCS, PPN = 8, 2
 TOPOLOGY = Topology(NPROCS, procs_per_node=PPN)
 NODES = tuple(range(NPROCS // PPN))
 
@@ -198,7 +198,7 @@ class MembershipMachine(RuleBasedStateMachine):
     # -- effects, checked as the core makes them --------------------------------
 
     def _issued(self, rank):
-        vector = CountVector([rank + 1 + r for r in range(NPROCS)])
+        vector = CountVector([(rank + r) % 3 for r in range(NPROCS)])
         self.snapshots[rank] = vector
         return vector
 
@@ -250,10 +250,10 @@ class MembershipMachine(RuleBasedStateMachine):
             when, _order, kind, index = self.ends.pop(0)
             self.now = when
             if kind == "heal":
-                scope = range(NPROCS)
+                scope, part = range(NPROCS), self.plan.partitions[index]
             else:
-                scope = (self.plan.pauses[index].rank,)
-            healing = [r for r, _at, _epoch in self.core.end_window(scope, when)]
+                scope, part = (self.plan.pauses[index].rank,), None
+            healing = [r for r, _at, _epoch in self.core.end_window(scope, when, part)]
             if healing:
                 self.core.resynced(healing)
             for rank in healing:
