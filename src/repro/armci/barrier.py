@@ -22,9 +22,10 @@ Total communication: ``2 * log2(N)`` one-way latencies, versus the original
 ``2(N-1) + log2(N)``.
 
 Every host algorithm but ``linear`` is these three stages:
-:func:`armci_barrier` runs its stage bodies (:data:`SYNCS`, or the
-exchange's over the survivor view under a membership service) around the
-one stage 2, :func:`_stage2`.
+:func:`armci_barrier` runs its stage bodies (:data:`SYNCS`) around the one
+stage 2, :func:`_stage2` — over every rank and the host port, or under a
+membership service over the survivor view and the survivor port (see
+:func:`~repro.mp.collectives.barrier_stages`).
 
 Both counters are *cumulative* over the process lifetime, so repeated
 barriers need no reset protocol and the comparison in stage 2 is monotone
@@ -37,7 +38,7 @@ import functools
 from typing import TYPE_CHECKING
 
 from ..mp import collectives
-from ..mp.vector import CountVector, OpCounts
+from ..mp.vector import CountVector
 from ..net.params import MEMBERSHIP_POLL_US, SMALL_MSG_BYTES
 from ..net.topology import Topology
 from ..topo.algorithms import dissemination_sync, kary_sync, twolevel_sync
@@ -59,28 +60,13 @@ ALGORITHMS = (
 )
 
 
-def exchange_sync(comm, counts):
-    """The paper's stages: the binary-exchange allreduce of ``op_init``
-    (Figure 2), then the binary-exchange barrier.
-
-    Both are whole collectives of :mod:`repro.mp.collectives`, which emit
-    their own RMCSan enter/exit pairs and number themselves.
-    """
-    rank = comm.rank
-
-    def stage1(seq):
-        totals = yield from collectives.allreduce_vector(comm, CountVector(counts))
-        return totals[rank]
-
-    return stage1, lambda seq: collectives.barrier(comm)
-
-
 #: Every three-stage algorithm by ``ARMCI_Barrier`` name:
-#: ``sync(comm, counts) -> (stage1, stage3)`` for one rank, ``comm`` its
-#: Comm or PricePort member and ``counts`` its live ``op_init`` (the
-#: topology-aware ones are in :mod:`repro.topo.algorithms`).
+#: ``sync(me, view, port, counts) -> (stage1, stage3)`` for one rank (the
+#: paper's exchange is the message-passing layer's, the others are in
+#: :mod:`repro.topo.algorithms`), run fault-free, over the survivor view and
+#: by the pricing port alike.
 SYNCS = {
-    "exchange": exchange_sync,
+    "exchange": collectives.exchange_sync,
     "kary": kary_sync,
     "dissemination": dissemination_sync,
     "twolevel": twolevel_sync,
@@ -144,17 +130,16 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
     elif algorithm == "nic" and (yield from _nic(armci)):
         pass  # the NIC engines ran all three stages
     else:
-        # The three stages.  Under a membership service every host
-        # algorithm (and a NIC barrier that degraded) runs the exchange's
-        # patterns over the survivor view: the linear path's MPI barrier
-        # and the tree algorithms' fixed roles have no survivor handling.
         seq = armci._barrier_seq
         armci._barrier_seq = seq + 1
-        if membership is None:
-            stage1, stage3 = SYNCS[algorithm](comm, armci.op_init)
-        else:
-            survivors = _Survivors(armci)
-            stage1, stage3 = survivors.stage1, survivors.stage3
+        # The degrade: under a membership service every host algorithm (and
+        # a NIC barrier that degraded) runs the exchange.  ROADMAP item 4's
+        # follow-up runs ``algorithm if algorithm in SYNCS else "exchange"``.
+        sync = SYNCS[algorithm if membership is None else "exchange"]
+        stage1, stage3 = collectives.barrier_stages(
+            sync, comm, membership, seq, armci.op_init,
+            functools.partial(allfence_linear, armci),
+        )
         # A topology-aware algorithm is one collective to the
         # happens-before engine (all-to-all dependence, so joining every
         # enter at each exit is sound); the exchange's stages are two
@@ -162,17 +147,14 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
         coll = monitor is not None and membership is None and algorithm != "exchange"
         if coll:
             monitor.emit("coll_enter", coll=algorithm, epoch=seq)
-        target = yield from stage1(seq)
+        target, _totals = yield from stage1()
         counted = yield from _stage2(armci, target)
-        yield from stage3(seq)
+        epochs = yield from stage3()
         if coll:
             monitor.emit("coll_exit", coll=algorithm, epoch=seq)
-        if membership is not None:
+        if epochs is not None:
             armci._chaos_barrier_info = {
-                "view_epoch": membership.epoch,
-                "result_epoch": survivors.result_epoch,
-                "counted": counted,
-                "written_off": target - counted,
+                **epochs, "counted": counted, "written_off": target - counted
             }
     # After stage 3 every operation in the system has completed; all fence
     # state is clean.
@@ -213,22 +195,21 @@ def estimate_us(params, topology, algorithm: str, dirty: int = 0) -> float:
 @functools.lru_cache(maxsize=64)
 def _price(params, topology, algorithm: str) -> float:
     """``algorithm``'s schedule run over a pricing port (``linear``: its
-    message-passing barrier alone)."""
+    message-passing barrier alone, the exchange's stage 3)."""
     n = topology.nprocs
-    port = collectives.PricePort(params, topology)
-    clock = port.clock
+    sync = "exchange" if algorithm == "linear" else algorithm
+    price = collectives.PricePort(params, topology)
+    clock = price.clock
 
     def member(rank):
-        comm = port.comm(rank)
-        if algorithm == "linear":
-            yield from collectives.barrier(comm)
-            return
-        stage1, stage3 = SYNCS[algorithm](comm, OpCounts(n))
-        yield from stage1(0)
-        clock[rank] += params.poll_detect_us  # stage 2
-        yield from stage3(0)
+        port = price.port(rank)
+        stage1, stage3 = SYNCS[sync](rank, range(n), port, CountVector.zeros(n))
+        if algorithm != "linear":
+            yield from stage1()
+            clock[rank] += params.poll_detect_us  # stage 2
+        yield from stage3()
 
-    return port.run({rank: member(rank) for rank in range(n)})
+    return price.run({rank: member(rank) for rank in range(n)})
 
 
 def predicted_crossover_targets(params, nprocs: int) -> int:
@@ -305,15 +286,12 @@ def _nic(armci: "Armci"):
         yield released
     elif released is not None:
         view_changed = armci.env.event()
-
-        def _on_view(_epoch=None):
-            if not view_changed.triggered:
-                view_changed.succeed()
-
-        membership.subscribe(_on_view)
         if membership.epoch > 0:  # declared between entry check and here
-            _on_view()
+            view_changed.succeed()
+        waiters = membership.view_waiters
+        waiters.append(view_changed)
         yield released | view_changed
+        waiters.remove(view_changed)
         if not released.triggered:
             released = None
     if released is None:
@@ -321,42 +299,6 @@ def _nic(armci: "Armci"):
         return False
     armci._chaos_barrier_info = {"nic_epoch": epoch}
     return True
-
-
-class _Survivors:
-    """The exchange's stage 1 and stage 3 over the survivor view: both
-    :func:`~repro.mp.collectives.resilient_exchange`, restarted on view
-    changes and recorded in the membership ledger.  ``result_epoch`` is
-    the view epoch stage 1's totals were computed under."""
-
-    def __init__(self, armci: "Armci"):
-        self.armci = armci
-        self.result_epoch = None
-
-    def stage1(self, inst: int):
-        armci = self.armci
-        membership = armci.membership
-        # Entered both directly and as the degrade target of the NIC path,
-        # so the freeze gate runs here too: an excluded rank must rejoin
-        # before it may participate in (or adopt results of) the collective.
-        yield from membership.freeze_gate(armci.rank)
-        if membership.transient:
-            entry = membership.ledger_get(("allreduce", inst))
-            if entry is not None and entry[1] < membership.epoch:
-                # This instance completed in the majority while we were cut
-                # off: we will adopt its recorded result instead of
-                # re-running the exchange, so the collective cannot
-                # transitively fence *our* outstanding operations (nobody
-                # waits on our op_init).  Fence them explicitly to keep the
-                # barrier's fence-inclusion guarantee for the rejoined rank.
-                yield from allfence_linear(armci)
-        totals, self.result_epoch = yield from collectives.resilient_exchange(
-            armci.comm, membership, inst, armci.op_init
-        )
-        return totals[armci.rank]
-
-    def stage3(self, inst: int):
-        return collectives.resilient_exchange(self.armci.comm, self.armci.membership, inst)
 
 
 def _stage2(armci: "Armci", total: int):

@@ -425,8 +425,9 @@ def run_scenario(
 
 def _barrier_body(algorithm: str, runtime) -> str:
     """Which barrier body ``runtime``'s ranks ran for ``algorithm``: under a
-    membership service every host algorithm is the survivor-view exchange,
-    and a NIC barrier may degrade to it."""
+    membership service every host algorithm runs the exchange's body over
+    the survivor view (the one degrade line in ``armci_barrier``), and a NIC
+    barrier may degrade to it."""
     if algorithm == "nic":
         degraded = any(a.stats.get("nic_degraded") for a in runtime.armcis.values())
         return "nic→resilient" if degraded else "nic"

@@ -11,18 +11,19 @@ The paper's new ``ARMCI_Barrier()`` leans on two collectives:
 Both, and the combining tree the topology-aware and NIC barriers use, are
 written once as transport-agnostic *patterns* (:func:`sum_pattern`,
 :func:`dissemination_pattern`, :func:`tree_pattern`) and run over a *port*
-(see :func:`host_port`).
+(see :class:`HostPort`).
 
 All collectives are sub-generators over a :class:`~repro.mp.comm.Comm` and
 assume SPMD call order (every rank invokes the same collectives in the same
 order); a per-communicator sequence number keeps concurrent invocations'
-messages from cross-matching.  :class:`PricePort` runs the same collectives
-without a simulator, to price them.
+messages from cross-matching.  :func:`exchange_sync` is the paper's
+combined barrier's stage bodies, these two collectives over any view and
+port; :class:`PricePort` runs the patterns without a simulator, to price
+them, and :func:`barrier_stages` runs a stage body over the survivor view.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Any, List, Sequence
 
 from ..net.params import MEMBERSHIP_POLL_US, MSG_HEADER_BYTES
@@ -30,79 +31,105 @@ from .comm import ANY_SOURCE, Comm, MPMessage
 from .vector import CountVector, ValueVector
 
 __all__ = [
-    "host_port",
+    "HostPort",
     "PricePort",
     "sum_pattern",
     "dissemination_pattern",
     "tree_pattern",
+    "exchange_sync",
     "barrier",
-    "allreduce_vector",
     "allreduce_sum",
     "allreduce_sum_fig2",
     "allgather",
-    "resilient_exchange",
+    "barrier_stages",
 ]
 
-_TAG_BARRIER = 1 << 24
-_TAG_ALLREDUCE = 2 << 24
-_TAG_ALLGATHER = 5 << 24
+#: The tag base of each whole collective a port opens.
+_COLL_TAGS = {"barrier": 1 << 24, "allreduce": 2 << 24, "allgather": 5 << 24}
 _ROUND_STRIDE = 64
-
-
-def _next_seq(comm: Comm) -> int:
-    seq = getattr(comm, "_coll_seq", 0)
-    comm._coll_seq = seq + 1
-    return seq
-
-
-def _san_monitor(comm: Comm):
-    """RMCSan monitor, if one is installed on the communicator's env.
-
-    Only collectives with *all-to-all* dependence (every rank's exit
-    transitively depends on every rank's enter) emit enter/exit events —
-    joining all enters at an exit would be unsound for rooted collectives
-    like a broadcast or a gather.
-    """
-    return getattr(comm.env, "_sync_monitor", None)
 
 
 def _tag(base: int, seq: int, round_no: int) -> int:
     return base + (seq % 4096) * _ROUND_STRIDE + round_no
 
 
-def host_port(comm: Comm, base: int, seq: int, round0: int = 0):
-    """The blocking host port: ``(send, recv)`` over ``comm``.
+class HostPort:
+    """The blocking host port: one rank's messages over its ``comm``.
 
-    A *port* is how a pattern below moves one message: ``send(dst, vector,
-    round_no)`` and ``recv(src, round_no)`` each return a sub-generator,
-    and what ``recv`` delivers carries the sender's vector as ``.payload``.
-    Both are plain functions handing back ``comm``'s own generators, so a
-    pattern's ``yield from`` delegates straight into the communicator (every
-    generator frame in between is paid again on each resume of the rank).
-    Round ``r`` of the pattern travels under tag round ``round0 + r``.
+    A *port* is how a stage body or a pattern below moves messages.
+    ``channel(base, round0)`` is ``(send, recv)`` on channel ``base`` of
+    barrier instance ``seq``: ``send(dst, vector, round_no)`` and
+    ``recv(src, round_no)`` each return a sub-generator, what ``recv``
+    delivers carries the sender's vector as ``.payload``, and round ``r``
+    travels as round ``round0 + r``.  ``open(coll)`` is the channel of one
+    whole collective (``"allreduce"``, ``"barrier"``, ``"allgather"``),
+    numbered by the communicator in SPMD call order and, under an RMCSan
+    monitor, bracketed by ``coll_enter`` and, at ``close()``, ``coll_exit``
+    (all-to-all dependence only: joining every enter at an exit would be
+    unsound for a rooted collective).  ``params`` and ``topology`` are what
+    the bodies read.  ``send`` and ``recv`` hand back ``comm``'s own
+    generators, so a pattern's ``yield from`` delegates straight into the
+    communicator (every generator frame in between is paid again on each
+    resume of the rank).
     """
 
-    def send(dst, vector, round_no):
-        return comm.send(
-            dst, vector, tag=_tag(base, seq, round0 + round_no),
-            payload_bytes=0 if vector is None else 8 * len(vector),
-        )
+    __slots__ = ("comm", "seq", "params", "topology", "_opened")
 
-    def recv(src, round_no):
-        return comm.recv(source=src, tag=_tag(base, seq, round0 + round_no))
+    def __init__(self, comm: Comm, seq: int = 0):
+        self.comm = comm
+        self.seq = seq
+        self.params = comm.params
+        self.topology = comm.topology
+        self._opened = None
 
-    return send, recv
+    def channel(self, base, round0: int = 0):
+        comm, receive = self.comm, self._recv
+        first = self._tag(base, round0)  # round r travels as tag first + r
+
+        def send(dst, vector, round_no):
+            return comm.send(
+                dst, vector, tag=first + round_no,
+                payload_bytes=0 if vector is None else 8 * len(vector),
+            )
+
+        def recv(src, round_no):
+            return receive(src, first + round_no)
+
+        return send, recv
+
+    def _tag(self, base: int, round0: int) -> int:
+        return _tag(base, self.seq, round0)
+
+    @property
+    def _recv(self):
+        return self.comm.recv  # ``(source, tag)``: no call in between
+
+    def open(self, coll: str):
+        comm = self.comm
+        if comm.nprocs == 1:  # nothing to send: not numbered, not monitored
+            return self.channel(0)
+        seq = getattr(comm, "_coll_seq", 0)
+        comm._coll_seq = seq + 1
+        monitor = getattr(comm.env, "_sync_monitor", None)
+        if monitor is not None:
+            self._opened = (monitor, coll, seq)
+            monitor.emit("coll_enter", coll=coll, epoch=seq)
+        return HostPort(comm, seq).channel(_COLL_TAGS[coll])
+
+    def close(self) -> None:
+        if self._opened is not None:
+            monitor, coll, seq = self._opened
+            monitor.emit("coll_exit", coll=coll, epoch=seq)
 
 
 # -- the three message patterns ----------------------------------------------------
 #
 # Every combined fence+barrier in the repo is built from these three
-# schedules: the host algorithms of repro.topo.algorithms (the exchange
-# among them), the exchange over the survivor view under a membership
-# service (resilient_exchange below) and the NIC offload.  Each is written
-# once, as a sub-generator for member ``vrank`` of the agreed list
-# ``ranks``, and is run over a port: the blocking host port above, the
-# resilient host port (receives that raise ``_EpochChanged``), the NIC engine's
+# schedules: the stage bodies of repro.topo.algorithms (the exchange among
+# them), fault-free or over the survivor view, and the NIC offload.  Each
+# is written once, as a sub-generator for member ``vrank`` of the agreed
+# list ``ranks``, and is run over a port: the blocking host port above, the
+# survivor port (receives that raise ``_EpochChanged``), the NIC engine's
 # frame port, or the pricing port below.  ``acc`` and every payload are
 # vectors of one kind (see :mod:`repro.mp.vector`): immutable, so nothing
 # here copies one, and combined only with ``+``.
@@ -208,8 +235,8 @@ class PricePort:
     the wait and ``o_recv_us`` after it (``shm_access_us`` within a node),
     a per-node NIC queue, and the crossing level's latency and per-byte
     cost under a hierarchy.  Faults are not priced.  Whatever runs over
-    :meth:`comm` or :meth:`port` — a pattern, a collective, a
-    topology-aware barrier — is priced by :meth:`run`.
+    the members' :meth:`port` — a pattern or a barrier's stage bodies — is
+    priced by :meth:`run`.
     """
 
     def __init__(self, params, topology):
@@ -268,17 +295,10 @@ class PricePort:
         self.clock[me] = max(ready, arrival) + self._recv_cpu[same_node]
         return MPMessage(sender, me, key, payload)
 
-    def comm(self, rank: int) -> SimpleNamespace:
-        """Member ``rank`` with the shape of its :class:`~repro.mp.comm.Comm`
-        (``env=None``: no simulator, so no RMCSan monitor either)."""
-        return SimpleNamespace(
-            rank=rank, nprocs=self.topology.nprocs, topology=self.topology,
-            params=self.params, env=None,
-            send=lambda dst, payload, tag, payload_bytes: self._send(
-                rank, dst, tag, payload, payload_bytes
-            ),
-            recv=lambda source, tag: self._recv(rank, source, tag),
-        )
+    def port(self, member: int) -> "_PricePort":
+        """Member ``member``'s port (a :class:`HostPort`'s shape; no
+        simulator, so no RMCSan monitor either)."""
+        return _PricePort(self, member)
 
     def run(self, members) -> float:
         """Drive ``{member: generator}`` in lockstep; the latest clock.
@@ -302,43 +322,68 @@ class PricePort:
         return max((self.clock[m] for m in members), default=0.0)
 
 
+class _PricePort:
+    """One member of a :class:`PricePort`; a message's key is its channel
+    and round, and a whole collective is one more channel."""
+
+    __slots__ = ("price", "me", "params", "topology")
+
+    def __init__(self, price: PricePort, me: int):
+        self.price = price
+        self.me = me
+        self.params = price.params
+        self.topology = price.topology
+
+    def channel(self, base, round0: int = 0):
+        price, me = self.price, self.me
+
+        def send(dst, vector, round_no):
+            nbytes = 0 if vector is None else 8 * len(vector)
+            return price._send(me, dst, (base, round0 + round_no), vector, nbytes)
+
+        def recv(src, round_no):
+            return price._recv(me, src, (base, round0 + round_no))
+
+        return send, recv
+
+    open = channel
+
+    def close(self) -> None:
+        pass
+
+
+def exchange_sync(me, view, port, counts):
+    """The paper's stages: the binary-exchange sum (Figure 2), then the
+    binary-exchange barrier, each one whole collective of the port."""
+    vrank = view.index(me)
+
+    def stage1():
+        send, recv = port.open("allreduce")
+        totals = yield from sum_pattern(vrank, view, send, recv, counts)
+        port.close()
+        return totals[me], totals
+
+    def stage3():
+        yield from dissemination_pattern(vrank, view, *port.open("barrier"))
+        port.close()
+
+    return stage1, stage3
+
+
 def barrier(comm: Comm):
-    """The message-passing barrier: :func:`dissemination_pattern` over all ranks."""
-    n = comm.nprocs
-    if n == 1:
-        return
-    seq = _next_seq(comm)
-    monitor = _san_monitor(comm)
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="barrier", epoch=seq)
-    send, recv = host_port(comm, _TAG_BARRIER, seq)
-    yield from dissemination_pattern(comm.rank, range(n), send, recv)
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="barrier", epoch=seq)
-
-
-def allreduce_vector(comm: Comm, vector):
-    """Elementwise-sum allreduce of a vector: :func:`sum_pattern` over all ranks.
-
-    Returns the fully reduced vector, of the kind it was given.
-    """
-    n = comm.nprocs
-    if n == 1:
-        return vector
-    seq = _next_seq(comm)
-    monitor = _san_monitor(comm)
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="allreduce", epoch=seq)
-    send, recv = host_port(comm, _TAG_ALLREDUCE, seq)
-    total = yield from sum_pattern(comm.rank, range(n), send, recv, vector)
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="allreduce", epoch=seq)
-    return total
+    """The message-passing barrier: the exchange's stage 3 over all ranks."""
+    return exchange_sync(comm.rank, range(comm.nprocs), HostPort(comm), None)[1]()
 
 
 def allreduce_sum(comm: Comm, values: Sequence[Any]) -> List[Any]:
-    """:func:`allreduce_vector` of any sequence of numbers; returns a new list."""
-    total = yield from allreduce_vector(comm, ValueVector(values))
+    """Elementwise-sum allreduce of any sequence of numbers:
+    :func:`sum_pattern` over all ranks; returns a new list."""
+    port = HostPort(comm)
+    send, recv = port.open("allreduce")
+    total = yield from sum_pattern(
+        comm.rank, range(comm.nprocs), send, recv, ValueVector(values)
+    )
+    port.close()
     return total.tolist()
 
 
@@ -365,24 +410,18 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> List[Any]:
     acc = ValueVector(values)
     if n == 1:
         return acc.tolist()
-    seq = _next_seq(comm)
-    monitor = _san_monitor(comm)
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="allreduce", epoch=seq)
-    nbytes = 8 * len(acc)
+    port = HostPort(comm)
+    send, recv = port.open("allreduce")
     x = n // 2
     round_no = 0
     while x > 0:
         partner = comm.rank ^ x
-        msg = yield from comm.sendrecv(
-            partner, acc, tag=_tag(_TAG_ALLREDUCE, seq, round_no),
-            payload_bytes=nbytes,
-        )
+        yield from send(partner, acc, round_no)
+        msg = yield from recv(partner, round_no)
         acc = acc + msg.payload
         x //= 2
         round_no += 1
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="allreduce", epoch=seq)
+    port.close()
     return acc.tolist()
 
 
@@ -393,35 +432,32 @@ def allgather(comm: Comm, value: Any) -> List[Any]:
     result[comm.rank] = value
     if n == 1:
         return result
-    seq = _next_seq(comm)
-    monitor = _san_monitor(comm)
-    if monitor is not None:
-        monitor.emit("coll_enter", coll="allgather", epoch=seq)
+    port = HostPort(comm)
+    send, recv = port.open("allgather")
     right = (comm.rank + 1) % n
     left = (comm.rank - 1) % n
     carried = (comm.rank, value)
     for step in range(n - 1):
-        tag = _tag(_TAG_ALLGATHER, seq, step)
-        msg = yield from comm.sendrecv(right, carried, source=left, tag=tag)
+        yield from send(right, carried, step)
+        msg = yield from recv(left, step)
         src_rank, src_value = msg.payload
         result[src_rank] = src_value
         carried = (src_rank, src_value)
-    if monitor is not None:
-        monitor.emit("coll_exit", coll="allgather", epoch=seq)
+    port.close()
     return result
 
 
-# -- the exchange over the survivor view -------------------------------------------
+# -- the stage bodies over the survivor view ---------------------------------------
 #
 # What every host ARMCI_Barrier runs once a fault plan installs a
 # MembershipService (see repro.runtime.membership); fault-free runs never
 # construct any of this.  The protocol per stage of one barrier instance:
 #
-# 1. run the exchange's pattern, but *compacted over the survivor view*
-#    and with the membership epoch encoded in the tag;
+# 1. run the stage body over the survivor view, with the membership epoch
+#    encoded in the tag;
 # 2. every receive is a peek-poll loop, so a partner's death cannot wedge
 #    the collective — when the view changes, all blocked survivors abandon
-#    the exchange and restart it under the new view (stale pre-crash
+#    the attempt and restart it under the new view (stale pre-crash
 #    messages no longer match: different epoch bits in the tag);
 # 3. a survivor that *completes* the instance records the result in the
 #    membership's completion ledger.  Restarting peers adopt the recorded
@@ -433,7 +469,7 @@ _TAG_CHAOS = 7 << 24
 
 
 class _EpochChanged(Exception):
-    """The membership view moved while blocked in a resilient collective."""
+    """The membership view moved while blocked in a survivor-view stage."""
 
 
 def _chaos_tag(inst: int, epoch: int, round_no: int) -> int:
@@ -448,97 +484,124 @@ def _chaos_tag(inst: int, epoch: int, round_no: int) -> int:
     return _TAG_CHAOS | ((inst % 1024) << 14) | ((epoch % 256) << 6) | (round_no % 64)
 
 
-def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, restart_check):
-    """Receive that polls liveness instead of blocking indefinitely.
+class _SurvivorPort(HostPort):
+    """The survivor port: one attempt at one stage over ``epoch0``'s view.
 
-    Raises :class:`_EpochChanged` if the membership epoch moves past
-    ``epoch0`` — or if ``restart_check`` reports the whole instance already
-    completed — while no matching message has arrived.
+    A :class:`HostPort`, but a stage is one tag channel ``chan`` whatever
+    channels its body names, every tag carries the epoch, and a receive
+    polls instead of blocking on a dead partner: it raises
+    :class:`_EpochChanged` once the epoch moves past ``epoch0``, or once
+    the ledger shows the stage ``key`` completed under an older epoch,
+    while no matching message has arrived.
     """
-    while True:
-        for envelope in comm.mailbox.items:
-            msg = envelope.payload
-            if getattr(msg, "tag", None) == tag and getattr(msg, "src", None) == source:
-                received = yield from comm.recv(source=source, tag=tag)
-                return received
-        if membership.epoch != epoch0 or restart_check():
-            raise _EpochChanged()
-        yield MEMBERSHIP_POLL_US
+
+    __slots__ = ("membership", "key", "chan", "epoch0")
+
+    def __init__(self, comm: Comm, membership, key, chan: int, epoch0: int):
+        super().__init__(comm)
+        self.membership = membership
+        self.key = key
+        self.chan = chan
+        self.epoch0 = epoch0
+
+    def _tag(self, base, round0: int) -> int:
+        # Every body's rounds stay below 64: no round carries into the epoch.
+        return _chaos_tag(self.chan, self.epoch0, round0)
+
+    def _recv(self, source: int, tag: int):
+        comm, membership = self.comm, self.membership
+        while True:
+            for envelope in comm.mailbox.items:
+                msg = envelope.payload
+                if getattr(msg, "tag", None) == tag and (
+                    source == ANY_SOURCE or getattr(msg, "src", None) == source
+                ):
+                    received = yield from comm.recv(source=source, tag=tag)
+                    return received
+            entry = membership.ledger_get(self.key)
+            if membership.epoch != self.epoch0 or (entry and entry[1] < self.epoch0):
+                raise _EpochChanged()
+            yield MEMBERSHIP_POLL_US
+
+    open = HostPort.channel  # unnumbered, unmonitored: ``close`` does nothing
 
 
-def _survivor_port(comm: Comm, membership, key, chan: int, epoch0: int):
-    """The resilient host port: ``(vrank, ranks, send, recv)`` over the view.
+def barrier_stages(sync, comm: Comm, membership, inst: int, op_init, fence):
+    """``(stage1, stage3)`` of stage body ``sync`` for one rank, barrier ``inst``.
 
-    Same shape as :func:`host_port`, but compacted over ``epoch0``'s
-    survivor view, tagged with the epoch, and with receives that abandon
-    the attempt instead of blocking on a dead partner.
+    Without a membership service: ``sync`` over every rank and the
+    :class:`HostPort`, on a snapshot of ``op_init``.  Under one, each stage
+    is attempted over one epoch's survivor view through a
+    :class:`_SurvivorPort`, with ``sync`` built afresh, until an attempt
+    completes.  Completing records the stage in the ledger (stage 1 its
+    totals under ``("allreduce", inst)``, stage 3 ``None`` under
+    ``("barrier", inst)``); a rank that finds its stage recorded under an
+    older epoch adopts it instead of waiting for peers that have moved on.
+    The lowest survivor folds the dead ranks' kill-time snapshots into its
+    counts, so the totals stay cumulative over the original universe (the
+    caller subtracts ``membership.written_off``).  Stage 3 returns the
+    epochs the barrier reports: the one it ends in and the one stage 1's
+    totals were computed under.
     """
-    ranks = membership.view(epoch0)
-    if comm.rank not in ranks:  # pragma: no cover - dead ranks' processes are killed
-        raise _EpochChanged()
+    me = comm.rank
+    if membership is None:
+        return sync(me, range(comm.nprocs), HostPort(comm, inst), CountVector(op_init))
+    result_epoch = None
 
-    def restart() -> bool:
-        # True once the instance completed under an epoch older than ours.
-        entry = membership.ledger_get(key)
-        return entry is not None and entry[1] < epoch0
+    def stage(index: int):
+        nonlocal result_epoch
+        key = (("allreduce", "barrier")[index], inst)
+        if index == 0:
+            # Entered both directly and as the degrade target of the NIC
+            # path, so the freeze gate runs here too: an excluded rank must
+            # rejoin before it may participate in (or adopt results of) the
+            # collective.
+            yield from membership.freeze_gate(me)
+            if membership.transient:
+                entry = membership.ledger_get(key)
+                if entry is not None and entry[1] < membership.epoch:
+                    # This instance completed in the majority while we were
+                    # cut off: we will adopt its recorded result instead of
+                    # re-running the stage, so the collective cannot
+                    # transitively fence *our* outstanding operations
+                    # (nobody waits on our op_init).  Fence them explicitly
+                    # to keep the barrier's fence-inclusion guarantee for the
+                    # rejoined rank.
+                    yield from fence()
+        while True:
+            if not membership.in_view(me):
+                # Excluded (partition minority): wait out the freeze instead
+                # of spinning on a view that omits us.  The rejoin advances
+                # the epoch, so the adoption check below picks up the
+                # instance the majority completed in the meantime.  No-op
+                # for crash plans — a dead rank's process never runs.
+                yield from membership.freeze_gate(me)
+                continue
+            epoch0 = membership.epoch
+            entry = membership.ledger_get(key)
+            if entry is not None and entry[1] < epoch0:
+                totals, epoch0 = entry
+                result = None if index else (totals[me], totals)
+                break
+            view = membership.view(epoch0)
+            counts = None
+            if index == 0:
+                counts = CountVector(op_init)
+                if view[0] == me:
+                    counts = counts + membership.dead_contribution(epoch0)
+            port = _SurvivorPort(comm, membership, key, 2 * inst + index, epoch0)
+            try:
+                result = yield from sync(me, view, port, counts)[index]()
+            except _EpochChanged:
+                continue
+            if index:
+                membership.ledger_put(key, None, epoch=epoch0)
+            elif result[1] is not None:  # a two-level follower knows only its slot
+                membership.ledger_put(key, result[1], epoch=epoch0)
+            break
+        if index:
+            return {"view_epoch": membership.epoch, "result_epoch": result_epoch}
+        result_epoch = epoch0
+        return result
 
-    def send(dst, vector, round_no):
-        return comm.send(
-            dst, vector, tag=_chaos_tag(chan, epoch0, round_no),
-            payload_bytes=0 if vector is None else 8 * len(vector),
-        )
-
-    def recv(src, round_no):
-        return _resilient_recv(
-            comm, membership, src, _chaos_tag(chan, epoch0, round_no), epoch0, restart
-        )
-
-    return ranks.index(comm.rank), ranks, send, recv
-
-
-def resilient_exchange(comm: Comm, membership, inst: int, counts=None):
-    """One stage of the exchange over the survivor view; ``(value, epoch)``.
-
-    With ``counts`` (the caller's live ``op_init``, snapshotted at each
-    attempt) stage 1, :func:`sum_pattern`: totals cumulative over the
-    *original* universe (the lowest survivor folds in dead ranks' kill-time
-    snapshots; the caller subtracts ``membership.written_off``).  Without,
-    stage 3, :func:`dissemination_pattern`.  ``inst`` is agreed by SPMD
-    call order.  An attempt over one epoch's view is retried when the view
-    changes (:class:`_EpochChanged`); the value goes into the membership
-    ledger, and a rank that finds it there under an older epoch adopts it.
-    ``epoch`` is the view epoch the value was computed under.
-    """
-    if counts is None:
-        # Tag channel 2*inst+1: distinct from this instance's allreduce.
-        key, chan, pattern = ("barrier", inst), 2 * inst + 1, dissemination_pattern
-    else:
-        key, chan, pattern = ("allreduce", inst), 2 * inst, sum_pattern
-    while True:
-        if not membership.in_view(comm.rank):
-            # Excluded (partition minority): wait out the freeze instead of
-            # spinning on a view that omits us.  The rejoin advances the
-            # epoch, so the adoption check below picks up the instance the
-            # majority completed in the meantime.  No-op for crash plans —
-            # a dead rank's process never runs.
-            yield from membership.freeze_gate(comm.rank)
-            continue
-        epoch0 = membership.epoch
-        entry = membership.ledger_get(key)
-        if entry is not None and entry[1] < epoch0:
-            return entry
-        try:
-            vrank, ranks, send, recv = _survivor_port(comm, membership, key, chan, epoch0)
-            acc = None
-            if counts is not None:
-                acc = CountVector(counts)
-                if vrank == 0:
-                    # The lowest survivor contributes the dead ranks'
-                    # snapshots so the totals remain comparable with the
-                    # targets' cumulative op_done.
-                    acc = acc + membership.dead_contribution(epoch0)
-            value = yield from pattern(vrank, ranks, send, recv, acc)
-        except _EpochChanged:
-            continue
-        membership.ledger_put(key, value, epoch=epoch0)
-        return value, epoch0
+    return (lambda: stage(0)), (lambda: stage(1))

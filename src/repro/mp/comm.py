@@ -4,9 +4,10 @@ ARMCI is designed to coexist with a message-passing library (MPI or PVM);
 the paper's combined barrier explicitly reuses the message-passing layer's
 binary-exchange communication.  :class:`Comm` provides the two-sided
 primitives those algorithms need: tagged ``send``/``recv`` with
-source/tag matching (MPI semantics: arrival order within a matching set),
-plus ``sendrecv`` whose send and receive overlap — the property that makes a
-binary-exchange phase cost one latency instead of two (paper §3.1.2).
+source/tag matching (MPI semantics: arrival order within a matching set).
+A send completes locally, so a send followed by a receive overlaps the two —
+the property that makes a binary-exchange phase cost one latency instead of
+two (paper §3.1.2).
 """
 
 from __future__ import annotations
@@ -117,25 +118,6 @@ class Comm:
             yield cost
         self.received += 1
         return envelope.payload
-
-    def sendrecv(
-        self,
-        dst: int,
-        payload: Any,
-        source: Optional[int] = None,
-        tag: int = 0,
-        payload_bytes: Optional[int] = None,
-    ):
-        """Sub-generator: overlapped send + receive (one latency per phase).
-
-        Sends to ``dst`` and receives from ``source`` (default: ``dst``).
-        Returns the received :class:`MPMessage`.
-        """
-        if source is None:
-            source = dst
-        yield from self.send(dst, payload, tag=tag, payload_bytes=payload_bytes)
-        msg = yield from self.recv(source=source, tag=tag)
-        return msg
 
 
 def _estimate_bytes(payload: Any) -> int:

@@ -640,7 +640,9 @@ class MembershipService(MembershipCore):
         self.heal_log: List[Dict[str, Any]] = []
         #: Recovery trail (chaosbench reporting + tests).
         self.recovery_log: List[Dict[str, Any]] = []
-        self._subscribers: List[Any] = []
+        #: Events a host's NIC barrier waits on while in flight; the next
+        #: view change succeeds them (the host removes its own).
+        self.view_waiters: List[Any] = []
 
     def __repr__(self) -> str:
         return (
@@ -683,10 +685,6 @@ class MembershipService(MembershipCore):
         """Record that ``proc`` belongs to ``rank`` (killed with it)."""
         self._owner_of[proc] = rank
 
-    def subscribe(self, callback) -> None:
-        """``callback(epoch)`` fires after every view change."""
-        self._subscribers.append(callback)
-
     def quorum_ok(self, rank: int) -> bool:
         """May ``rank`` run sync operations right now (quorum side, not
         paused)?  Always true without transient windows."""
@@ -705,13 +703,13 @@ class MembershipService(MembershipCore):
         A crashed NIC can wedge peers in the inter-NIC stage-3 barrier
         after another engine already released its hosts.  Released hosts
         have moved on, so the wedged hosts must not degrade to the
-        resilient host exchange (they would wait forever for the released
+        survivor-view exchange (they would wait forever for the released
         ones).  Commitment on any engine implies every engine entered
         stage 3 — all remote operations drained — so completing the epoch
         for every live host is safe; with no commitment anywhere, all
         hosts degrade together and stay consistent.  This comes *before*
-        hosts observe the view change: a host woken by its subscriber
-        callback must already see its release fired if the epoch
+        hosts observe the view change: a host woken by its view-change
+        event must already see its release fired if the epoch
         committed anywhere.
         """
         engines = self.fabric.nic_engines or {}
@@ -719,8 +717,9 @@ class MembershipService(MembershipCore):
         for epoch in sorted(committed):
             for engine in engines.values():
                 engine.force_release(epoch)
-        for callback in list(self._subscribers):
-            callback(self.epoch)
+        for event in self.view_waiters:
+            if not event.triggered:
+                event.succeed()
 
     def _fail_stop(self, rank: int) -> None:
         """Silence a crashed user process: cancel its generators, cut it off

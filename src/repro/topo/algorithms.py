@@ -1,11 +1,12 @@
-"""The stage bodies of the topology-aware combined fence+barriers.
+"""The stage bodies of the combined fence+barrier.
 
-Three alternatives to the paper's flat binary exchange.
+Three topology-aware alternatives to the paper's flat binary exchange
+(:func:`repro.mp.collectives.exchange_sync`).
 :func:`repro.armci.barrier.armci_barrier` runs each, as it runs the
-exchange, as the paper's three stages (§3.1.2): ``stage1(seq)``
-distributes the ``op_init[]`` totals and returns this rank's stage-2
-target, the one ``op_done`` wait follows, ``stage3(seq)`` synchronizes —
-so all share one fence-inclusion guarantee:
+exchange, as the paper's three stages (§3.1.2): ``stage1()`` distributes
+the ``op_init[]`` totals and returns this rank's stage-2 target, the one
+``op_done`` wait follows, ``stage3()`` synchronizes — so all share one
+fence-inclusion guarantee:
 
 * ``kary`` — a k-ary combining tree (radix ``params.tree_radix``).
   Stage 1 reduces the ``op_init`` vectors up the tree and broadcasts the
@@ -32,23 +33,28 @@ so all share one fence-inclusion guarantee:
   Stage 2 stays per-rank: every rank polls its own server's
   ``op_done`` counter.
 
-All three run the shared message patterns of :mod:`repro.mp.collectives` over
-the :class:`~repro.mp.comm.Comm` point-to-point layer (so link faults and
-the reliable delivery layer apply unchanged) — or, when ``auto`` prices
-them, over a :class:`~repro.mp.collectives.PricePort` member: the same
-bodies either way.  Under a membership service none of them runs: every
-host algorithm takes the exchange's patterns over the survivor view (see
-``docs/fault_model.md``).  SPMD call order is assumed; the barrier
-sequence number ``seq`` keeps successive barriers' messages from
-cross-matching, with distinct round offsets per stage inside one barrier.
+Each, like the exchange, is ``sync(me, view, port, counts) -> (stage1,
+stage3)`` for rank ``me``: ``view`` is the agreed, sorted list of
+participating ranks, the port (see :class:`~repro.mp.collectives.HostPort`)
+moves its messages and ``counts`` is its stage-1 vector; ``stage1()``
+returns ``(target, totals)``, ``totals`` ``None`` where the body learns
+only this rank's slot.
+All run the shared message patterns of :mod:`repro.mp.collectives`:
+fault-free over every rank and the host port (so link faults and the
+reliable delivery layer apply unchanged), over the survivor view and port
+(:func:`~repro.mp.collectives.barrier_stages`), and over a
+:class:`~repro.mp.collectives.PricePort` member when ``auto`` prices them.
+SPMD call order is assumed; the port keeps successive barriers' messages
+from cross-matching, with distinct round offsets per stage inside one
+barrier.
 """
 
 from __future__ import annotations
 
-from ..mp import collectives
-from ..mp.collectives import dissemination_pattern, host_port, sum_pattern, tree_pattern
+import functools
+
+from ..mp.collectives import dissemination_pattern, exchange_sync, sum_pattern, tree_pattern
 from ..mp.comm import ANY_SOURCE
-from ..mp.vector import CountVector
 
 __all__ = ["kary_sync", "dissemination_sync", "twolevel_sync"]
 
@@ -67,104 +73,107 @@ _R_STAGE3 = 34
 _R_RELEASE = 63
 
 
-# Each algorithm is ``sync(comm, counts) -> (stage1, stage3)`` for one rank:
-# ``comm`` its Comm or PricePort member, ``counts`` its live ``op_init``.
-
-
-def kary_sync(comm, counts):
-    """Three-stage barrier over a k-ary combining tree rooted at rank 0.
+def kary_sync(me, view, port, counts):
+    """Three-stage barrier over a k-ary combining tree in ``view``'s heap
+    order, rooted at its lowest rank.
 
     Stage 1 reduces the ``op_init`` vectors up the tree and hands the
     totals back down; stage 3 is the same tree with zero-byte messages.
     """
-    rank = comm.rank
-    ranks = range(comm.nprocs)
-    radix = comm.params.tree_radix
+    vrank = view.index(me)
+    radix = port.params.tree_radix
 
-    def stage1(seq):
-        send, recv = host_port(comm, _TAG_KARY, seq, _R_GATHER)
-        totals = yield from tree_pattern(
-            rank, ranks, send, recv, CountVector(counts), radix
-        )
-        return totals[rank]
+    def stage1():
+        send, recv = port.channel(_TAG_KARY, _R_GATHER)
+        totals = yield from tree_pattern(vrank, view, send, recv, counts, radix)
+        return totals[me], totals
 
-    def stage3(seq):
-        send, recv = host_port(comm, _TAG_KARY, seq, _R_STAGE3)
-        return tree_pattern(rank, ranks, send, recv, None, radix)
+    def stage3():
+        send, recv = port.channel(_TAG_KARY, _R_STAGE3)
+        return tree_pattern(vrank, view, send, recv, None, radix)
 
     return stage1, stage3
 
 
-def dissemination_sync(comm, counts):
+def dissemination_sync(me, view, port, counts):
     """Three-stage barrier with a dissemination-sum stage 1.
 
     For power-of-two N the dissemination pattern computes the exact
     elementwise sum in ``log2 N`` rounds with no separate broadcast; any
-    other N falls back to the binary exchange with the standard fold
-    (same asymptotics, two extra latencies).
+    other N falls back to the exchange's stage 1, the binary exchange with
+    the standard fold (same asymptotics, two extra latencies).  Stage 3 is
+    the exchange's.
     """
-    rank = comm.rank
-    n = comm.nprocs
+    n = len(view)
+    exchange1, exchange3 = exchange_sync(me, view, port, counts)
+    if n & (n - 1):
+        return exchange1, exchange3
+    vrank = view.index(me)
 
-    def stage1(seq):
-        if n & (n - 1):
-            totals = yield from collectives.allreduce_vector(comm, CountVector(counts))
-        else:
-            send, recv = host_port(comm, _TAG_DISSEM, seq, _R_ALLREDUCE)
-            totals = yield from dissemination_pattern(
-                rank, range(n), send, recv, CountVector(counts)
-            )
-        return totals[rank]
+    def stage1():
+        send, recv = port.channel(_TAG_DISSEM, _R_ALLREDUCE)
+        totals = yield from dissemination_pattern(vrank, view, send, recv, counts)
+        return totals[me], totals
 
-    return stage1, lambda seq: collectives.barrier(comm)
+    return stage1, exchange3
 
 
-def twolevel_sync(comm, counts):
+@functools.lru_cache(maxsize=16)
+def _leaders(topology, view):
+    """The lowest ``view`` rank on each node that hosts one, in node order
+    (computed once per view: every leader of a barrier asks)."""
+    first = {}
+    for rank in view:
+        first.setdefault(topology.node_of(rank), rank)
+    return tuple(first[node] for node in sorted(first))
+
+
+def twolevel_sync(me, view, port, counts):
     """Node-leader gathers locally, leaders exchange, leaders release.
 
-    Stage 1: non-leaders ship ``op_init`` to their node leader over the
-    intra-node queue; leaders sum and run a recursive-doubling exchange
-    among themselves (one vector per node on the wire), then hand each
-    local rank its own slot of the totals.  Stage 2 is per-rank.  Stage
-    3: locals signal the leader, leaders run a dissemination barrier,
-    leaders release locals.  The leader takes its locals' messages in
-    arrival order (any-source receives).
+    A node's leader is its lowest ``view`` rank, its followers the rest of
+    its ``view`` ranks.  Stage 1: followers ship ``op_init`` to their
+    leader over the intra-node queue; leaders sum and run a
+    recursive-doubling exchange among themselves (one vector per node on
+    the wire), then hand each follower its own slot of the totals.  Stage 2
+    is per-rank.  Stage 3: followers signal the leader, leaders run a
+    dissemination barrier, leaders release followers.  The leader takes its
+    followers' messages in arrival order (any-source receives).
     """
-    rank = comm.rank
-    topology = comm.topology
-    node = topology.node_of(rank)
-    leaders = topology.leaders
-    leader = leaders[node]
-    followers = topology.ranks_on(node)[1:]
+    topology = port.topology
+    local = [rank for rank in topology.ranks_on(topology.node_of(me)) if rank in view]
+    leader, followers = local[0], local[1:]
+    if me == leader:
+        leaders = _leaders(topology, view)
+        vrank = leaders.index(me)
 
-    def stage1(seq):
-        send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
-        if rank != leader:
-            yield from send(leader, CountVector(counts), _R_GATHER)
+    def stage1():
+        send, recv = port.channel(_TAG_TWOLEVEL)
+        if me != leader:
+            yield from send(leader, counts, _R_GATHER)
             msg = yield from recv(leader, _R_SCATTER)
-            return msg.payload[0]
-        acc = CountVector(counts)
+            return msg.payload[0], None
+        acc = counts
         for _ in followers:
             msg = yield from recv(ANY_SOURCE, _R_GATHER)
             acc = acc + msg.payload
-        exchange = host_port(comm, _TAG_TWOLEVEL, seq, _R_ALLREDUCE)
-        totals = yield from sum_pattern(node, leaders, *exchange, acc)
-        for r in followers:
-            yield from send(r, [totals[r]], _R_SCATTER)
-        return totals[rank]
+        exchange = port.channel(_TAG_TWOLEVEL, _R_ALLREDUCE)
+        totals = yield from sum_pattern(vrank, leaders, *exchange, acc)
+        for rank in followers:
+            yield from send(rank, [totals[rank]], _R_SCATTER)
+        return totals[me], totals
 
-    def stage3(seq):
-        send, recv = host_port(comm, _TAG_TWOLEVEL, seq)
-        if rank != leader:
+    def stage3():
+        send, recv = port.channel(_TAG_TWOLEVEL)
+        if me != leader:
             yield from send(leader, None, _R_SIGNAL)
             yield from recv(leader, _R_RELEASE)
             return
         for _ in followers:
             yield from recv(ANY_SOURCE, _R_SIGNAL)
-        exchange = host_port(comm, _TAG_TWOLEVEL, seq, _R_STAGE3)
-        yield from dissemination_pattern(node, leaders, *exchange)
-        for r in followers:
-            yield from send(r, None, _R_RELEASE)
+        exchange = port.channel(_TAG_TWOLEVEL, _R_STAGE3)
+        yield from dissemination_pattern(vrank, leaders, *exchange)
+        for rank in followers:
+            yield from send(rank, None, _R_RELEASE)
 
     return stage1, stage3
-

@@ -95,7 +95,7 @@ class TestNicAndResilient:
             for release in state.release.values():
                 assert release.value == 6 and type(release.value) is int
 
-    def test_resilient_exchange_reports_plain_ints(self, sent):
+    def test_survivor_stages_report_plain_ints(self, sent):
         # A membership service whose one crash lies beyond the end of the run.
         never = FaultPlan(crashes=(ProcessCrash(at_us=1e12, rank=1),), seed=7)
         rt = ClusterRuntime(6, params=myrinet2000(faults=never))

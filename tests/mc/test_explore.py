@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,33 @@ from repro.mc import explore, get_target, load_counterexample, replay_counterexa
 from repro.mc.strategy import RecordingStrategy, canonical_trace_hash, label_key
 from repro.mc.explore import COUNTEREXAMPLE_FORMAT
 from repro.mc.selftest import MC_MUTANT_PINS, _mutant, pin_scenario
+
+
+#: Every target's pinned row, which CI's mc-smoke job checks against a whole
+#: ``repro mc --json-out`` report (``scripts/check_mc_pins.py``).
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
+
+
+def assert_pinned(result, name):
+    """An exhausted target's row is exactly its pin: judged runs, runs whose
+    trace was already judged, sleep-pruned runs and distinct end states."""
+    assert result.exhausted
+    assert {key: getattr(result, key) for key in PINS[name]} == PINS[name]
+
+
+def test_pin_checker_names_every_moved_or_missing_row():
+    spec = importlib.util.spec_from_file_location(
+        "check_mc_pins", Path(__file__).parents[2] / "scripts" / "check_mc_pins.py"
+    )
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    report = [{"target": name, **row} for name, row in sorted(PINS.items())]
+    assert list(checker.mismatches(report, PINS)) == []
+    report[0] = {**report[0], "pruned": report[0]["pruned"] + 1}
+    missing = report.pop()["target"]
+    assert [line.split(":")[0] for line in checker.mismatches(report, PINS)] == sorted(
+        [report[0]["target"], missing]
+    )
 
 
 def _explore_target(name, **overrides):
@@ -34,6 +63,7 @@ class TestExhaustion:
         assert result.reduction_factor() >= 10.0
         assert result.schedules_run > 100  # genuinely explored, not degenerate
         assert result.distinct_end_states == 1  # protocol is schedule-oblivious
+        assert_pinned(result, "nic-barrier")
 
     def test_mcs_handoff_exhausts(self):
         result = _explore_target("mcs-handoff")
@@ -41,6 +71,12 @@ class TestExhaustion:
         assert result.exhausted
         assert result.reduction_factor() >= 10.0
         assert result.distinct_end_states == 1
+        assert_pinned(result, "mcs-handoff")
+
+    def test_reliable_exhausts(self):
+        result = _explore_target("reliable")
+        assert result.ok()
+        assert_pinned(result, "reliable")
 
     def test_ticket_handoff_is_degenerate_single_schedule(self):
         # The ticket lock is pure shared memory: no labeled deliveries,
@@ -51,6 +87,7 @@ class TestExhaustion:
         assert result.exhausted
         assert result.schedules_run == 1
         assert result.max_depth == 0
+        assert_pinned(result, "ticket-handoff")
 
     def test_exploration_is_deterministic(self):
         a = _explore_target("mcs-handoff")

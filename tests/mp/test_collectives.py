@@ -175,9 +175,9 @@ class TestChaosTag:
 
 
 class TestCrossPortParity:
-    """One schedule, three ports: the blocking host port, the resilient
-    host port under a view that never changes, and the NIC frame port
-    (one rank per node) move the same vectors along the same edges."""
+    """One schedule, three ports: the blocking host port, the survivor
+    port under a view that never changes, and the NIC frame port (one rank
+    per node) move the same vectors along the same edges."""
 
     @staticmethod
     def _puts_then(ctx, collect):
@@ -224,19 +224,25 @@ class TestCrossPortParity:
             lambda ctx: collectives.barrier(ctx.comm),
         )
 
-        def resilient_sum(ctx):
-            totals, epoch = yield from collectives.resilient_exchange(
-                ctx.comm, ctx.membership, 0, ctx.armci.op_init
+        # A membership service exists, but its one planned crash lies far
+        # beyond the end of the run: the survivor view stays range(nprocs).
+        stage3s = {}
+
+        def survivor_sum(ctx):
+            stage1, stage3s[ctx.rank] = collectives.barrier_stages(
+                collectives.exchange_sync, ctx.comm, ctx.membership, 0,
+                ctx.armci.op_init, None,
             )
-            assert epoch == 0
+            _target, totals = yield from stage1()
             return totals
 
-        # A membership service exists, but its one planned crash lies far
-        # beyond the end of the run: the view stays range(nprocs).
+        def survivor_barrier(ctx):
+            epochs = yield from stage3s[ctx.rank]()
+            assert epochs == {"view_epoch": 0, "result_epoch": 0}
+
         never = FaultPlan(crashes=(ProcessCrash(at_us=1e12, rank=1),), seed=7)
         resilient = self._host_run(
-            nprocs, myrinet2000(faults=never), resilient_sum,
-            lambda ctx: collectives.resilient_exchange(ctx.comm, ctx.membership, 0),
+            nprocs, myrinet2000(faults=never), survivor_sum, survivor_barrier
         )
 
         nic_edges = {"s1": Counter(), "s3": Counter()}

@@ -4,8 +4,10 @@ Every member of a pattern runs against an in-memory recording port: ``send``
 files the vector under ``(src, dst, round)`` and returns at once, ``recv``
 yields until a matching vector is filed.  No ``Environment``, no ``Comm``:
 what is checked is the schedule itself — who sends what to whom in which
-round — which is the same for every port the patterns run over.  The last
-class checks the pricing port, the one production port that runs without a
+round — which is the same for every port the patterns run over.  The
+stage bodies built from the patterns run the same way, over views that are
+not every rank, as a survivor view is.  The last class checks the pricing
+port, the one production port that runs without a
 simulator either.
 
 Each class runs with the packed stage-1 counts; its ``...Generic`` subclass
@@ -19,11 +21,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.armci.barrier import ALGORITHMS, estimate_us
+from repro.armci.barrier import ALGORITHMS, SYNCS, estimate_us
 from repro.mp.collectives import (
     PricePort,
     dissemination_pattern,
-    host_port,
     sum_pattern,
     tree_pattern,
 )
@@ -38,28 +39,73 @@ RADICES = range(2, 6)
 
 
 class RecordingPort:
-    """Mailboxes keyed ``(src, dst, round)`` plus a log of every send."""
+    """Mailboxes keyed ``(src, dst, channel, round)`` plus a log of every
+    send as ``(round, src, dst)``."""
 
     def __init__(self):
         self.queued = {}
         self.sent = []
 
-    def port(self, me):
+    def port(self, me, chan=None, round0=0):
         def send(dst, vector, round_no):
             self.sent.append((round_no, me, dst))
-            self.queued.setdefault((me, dst, round_no), deque()).append(vector)
+            key = (me, dst, chan, round0 + round_no)
+            self.queued.setdefault(key, deque()).append(vector)
             return ()
 
         def recv(src, round_no):
-            box = self.queued.setdefault((src, me, round_no), deque())
-            while not box:
+            while True:
+                for (s, d, c, r), box in self.queued.items():
+                    if box and (d, c, r) == (me, chan, round0 + round_no) and (
+                        src in (ANY_SOURCE, s)
+                    ):
+                        return SimpleNamespace(src=s, payload=box.popleft())
                 yield
-            return SimpleNamespace(payload=box.popleft())
 
         return send, recv
 
+    def member(self, me, params, topology):
+        """A stage body's port for ``me``: a whole collective is a channel."""
+        rec = self
+
+        class Member:
+            def channel(self, base, round0=0):
+                return rec.port(me, base, round0)
+
+            def open(self, coll):
+                return rec.port(me, coll)
+
+            def close(self):
+                pass
+
+        port = Member()
+        port.params, port.topology = params, topology
+        return port
+
     def undelivered(self):
         return {key: list(box) for key, box in self.queued.items() if box}
+
+
+def drive(members, rec):
+    """Run ``{member: generator}`` to completion, round-robin; the results.
+
+    Fails on deadlock: a sweep in which nobody sent and nobody finished can
+    never unblock.
+    """
+    members = dict(members)
+    results = {}
+    while members:
+        sent_before, left_before = len(rec.sent), len(members)
+        for v, gen in list(members.items()):
+            try:
+                next(gen)
+            except StopIteration as stop:
+                results[v] = stop.value
+                del members[v]
+        assert (len(rec.sent), len(members)) != (sent_before, left_before), (
+            f"deadlock: members {sorted(members)} blocked"
+        )
+    return results
 
 
 def run_members(pattern, ranks, vectors, *extra):
@@ -72,20 +118,7 @@ def run_members(pattern, ranks, vectors, *extra):
         v: pattern(v, ranks, *rec.port(ranks[v]), vectors[v], *extra)
         for v in range(len(ranks))
     }
-    results = {}
-    while members:
-        sent_before, left_before = len(rec.sent), len(members)
-        for v, gen in list(members.items()):
-            try:
-                next(gen)
-            except StopIteration as stop:
-                results[v] = stop.value
-                del members[v]
-        # A sweep in which nobody sent and nobody finished can never unblock.
-        assert (len(rec.sent), len(members)) != (sent_before, left_before), (
-            f"deadlock: members {sorted(members)} blocked"
-        )
-    return results, rec
+    return drive(members, rec), rec
 
 
 def spread(n):
@@ -219,12 +252,51 @@ class TestTreePatternGeneric(TestTreePattern):
     kind = staticmethod(halves)
 
 
+#: Proper-subset views of N=8 at two ranks per node (node k hosts 2k, 2k+1).
+VIEWS = {
+    "without rank 0": (1, 2, 3, 4, 5, 6, 7),
+    "a node lost its first rank": (0, 1, 3, 4, 5, 6, 7),
+    "a node keeps only its first rank": (0, 1, 2, 4, 5, 6, 7),
+    "a node has no rank": (0, 1, 4, 5, 6, 7),
+    "four ranks, one node empty": (1, 3, 4, 5),
+}
+
+
+class TestStageBodiesOverAView:
+    """Every stage body over a view that is not every rank: what the survivor
+    view hands it under a membership service."""
+
+    @pytest.mark.parametrize("radix", [2, 3])
+    @pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS.keys())
+    @pytest.mark.parametrize("algorithm", sorted(SYNCS))
+    def test_sums_the_view_and_stays_inside_it(self, algorithm, view, radix):
+        topology = Topology(8, procs_per_node=2)
+        params = myrinet2000(tree_radix=radix)
+        counts = {me: CountVector([10 * me + slot + 1 for slot in range(8)]) for me in view}
+        expected = elementwise_sum([counts[me].tolist() for me in view])
+        rec = RecordingPort()
+
+        def member(me):
+            port = rec.member(me, params, topology)
+            stage1, stage3 = SYNCS[algorithm](me, view, port, counts[me])
+            result = yield from stage1()
+            yield from stage3()
+            return result
+
+        results = drive({me: member(me) for me in view}, rec)
+        for me, (target, totals) in results.items():
+            assert target == expected[me]
+            assert totals is None or totals.tolist() == expected
+        assert rec.undelivered() == {}
+        assert {rank for _round, src, dst in rec.sent for rank in (src, dst)} <= set(view)
+
+
 def price_pattern(pattern, nprocs, vectors, params=None, procs_per_node=1):
     """Run ``pattern`` for every rank over one pricing port; the port."""
     port = PricePort(params or myrinet2000(), Topology(nprocs, procs_per_node))
     ranks = range(nprocs)
     port.run(
-        {v: pattern(v, ranks, *host_port(port.comm(v), 0, 0), vectors[v]) for v in ranks}
+        {v: pattern(v, ranks, *port.port(v).channel(0), vectors[v]) for v in ranks}
     )
     return port
 
@@ -256,7 +328,7 @@ class TestPricePort:
         port = PricePort(myrinet2000(), Topology(3))
 
         def waits_for(me, src):
-            msg = yield from host_port(port.comm(me), 0, 0)[1](src, 0)
+            msg = yield from port.port(me).channel(0)[1](src, 0)
             return msg
 
         members = {0: waits_for(0, 1), 1: waits_for(1, 0), 2: iter(())}
@@ -265,20 +337,20 @@ class TestPricePort:
 
     def test_any_source_takes_the_earliest_arrival(self):
         port = PricePort(myrinet2000(), Topology(3, procs_per_node=3))
-        comm = {rank: port.comm(rank) for rank in range(3)}
+        send, recv = zip(*(port.port(rank).channel(5) for rank in range(3)))
         got = []
 
         def leader():
             for _ in range(2):
-                msg = yield from comm[0].recv(ANY_SOURCE, tag=5)
+                msg = yield from recv[0](ANY_SOURCE, 0)
                 got.append(msg.src)
 
         def late():  # files first, arrives last
             port.clock[1] += 10.0
-            yield from comm[1].send(0, None, tag=5, payload_bytes=0)
+            yield from send[1](0, None, 0)
 
         def early():
-            yield from comm[2].send(0, None, tag=5, payload_bytes=0)
+            yield from send[2](0, None, 0)
 
         port.run({0: leader(), 1: late(), 2: early()})
         assert got == [2, 1]
