@@ -22,7 +22,9 @@ Every function a full pass leaves unreached must be named in
 function is not in ``KEPT``, when a ``KEPT`` entry no longer exists, when
 a ``KEPT`` entry is now reached, or when an entry point exits with a code
 other than the one it declares.  ``--only`` prints the report and judges
-only the exit codes.  Standard library plus ``repro.cli.COMMANDS`` (every
+only the exit codes.  Any pass exits 1, with one line naming the files, when
+a file under ``src/repro`` changed while it ran (the function spans are
+read before the first entry point).  Standard library plus ``repro.cli.COMMANDS`` (every
 command must have an entry).
 """
 
@@ -37,7 +39,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -316,6 +318,11 @@ def functions(path: Path) -> Iterator[Tuple[int, str, int, int]]:
     yield from walk(tree, "")
 
 
+def _sources() -> Dict[Path, bytes]:
+    """Every ``.py`` file under ``src/repro`` and its bytes, in path order."""
+    return {path: path.read_bytes() for path in sorted(PACKAGE.rglob("*.py"))}
+
+
 def judge(unreached: Set[Tuple[str, str]], inventory: Set[Tuple[str, str]]) -> List[str]:
     """What the full pass fails on: one line per unreached function missing
     from :data:`KEPT`, per ``KEPT`` entry that no longer exists and per
@@ -344,6 +351,11 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
+    # The inventory is read before the first entry runs, and the sources
+    # must not change until the last one ends: an edit made during the pass
+    # moves the lines the recorded calls are matched against.
+    sources = _sources()
+    spans = {path: sorted(functions(path)) for path in sources}
     called: Set[Tuple[str, int]] = set()
     failed: List[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,12 +380,19 @@ def main() -> int:
                         filename, lineno = line.rstrip("\n").split("\t")
                         called.add((filename, int(lineno)))
 
+    after = _sources()
+    changed = sorted(p for p in sources.keys() | after.keys() if sources.get(p) != after.get(p))
+    if changed:
+        names = ", ".join(str(path.relative_to(ROOT)) for path in changed)
+        print(f"unreached.py: changed during the pass, run it again: {names}", file=sys.stderr)
+        return 1
+
     lines: List[str] = []
     unreached: Set[Tuple[str, str]] = set()
     inventory: Set[Tuple[str, str]] = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path, found in spans.items():
         rel = path.relative_to(PACKAGE).as_posix()
-        for first, qualname, start, end in sorted(functions(path)):
+        for first, qualname, start, end in found:
             inventory.add((rel, qualname))
             if (str(path), first) not in called:
                 unreached.add((rel, qualname))

@@ -28,23 +28,14 @@ Quickstart::
     print(ClusterRuntime(nprocs=4).run_spmd(main))
 """
 
-from .net.params import NetworkParams, gige, myrinet2000, quadrics_like
-from .net.topology import Topology
-from .runtime.cluster import ClusterRuntime, DeadlockError
-from .runtime.memory import NULL_PTR, GlobalAddress, Region
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClusterRuntime",
-    "DeadlockError",
-    "GlobalAddress",
-    "NULL_PTR",
-    "NetworkParams",
-    "Region",
-    "Topology",
-    "__version__",
-    "gige",
-    "myrinet2000",
-    "quadrics_like",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".net.params": "NetworkParams, gige, myrinet2000, quadrics_like",
+    ".net.topology": "Topology",
+    ".runtime.cluster": "ClusterRuntime, DeadlockError",
+    ".runtime.memory": "NULL_PTR, GlobalAddress, Region",
+})
+__all__.append("__version__")

@@ -17,21 +17,12 @@ Both are wired into the ``repro check`` CLI subcommand; see
 ``docs/analysis.md`` for the model and the violation taxonomy.
 """
 
-from .events import ProtoEvent
-from .hb import HBAnalyzer, SanReport, Violation
-from .lint import LintFinding, lint_paths, lint_source, run_lint
-from .monitor import SyncMonitor
-from .sanitize import run_sanitized_target
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProtoEvent",
-    "HBAnalyzer",
-    "SanReport",
-    "Violation",
-    "LintFinding",
-    "lint_paths",
-    "lint_source",
-    "run_lint",
-    "SyncMonitor",
-    "run_sanitized_target",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".events": "ProtoEvent",
+    ".hb": "HBAnalyzer, SanReport, Violation",
+    ".lint": "LintFinding, lint_paths, lint_source, run_lint",
+    ".monitor": "SyncMonitor",
+    ".sanitize": "run_sanitized_target",
+})

@@ -7,6 +7,10 @@ dispatching the experiment; every runtime constructed while capture is
 enabled attaches a fresh :class:`~repro.analysis.monitor.SyncMonitor`, and
 the CLI flushes all collected events to one JSONL file afterwards.
 
+The monitor module is imported by :func:`attach` once capture is enabled,
+not here: every runtime asks this module whether to attach, and a run
+without ``--trace-out`` loads no part of RMCSan but this file.
+
 Capture is process-global and intended for the CLI only; tests and the
 sanitizer pass monitors explicitly.
 """
@@ -14,9 +18,10 @@ sanitizer pass monitors explicitly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .monitor import SyncMonitor
+if TYPE_CHECKING:
+    from .monitor import SyncMonitor
 
 __all__ = ["enable", "disable", "discard", "attach", "flush"]
 
@@ -55,6 +60,8 @@ def attach(env) -> Optional[SyncMonitor]:
     """
     if _path is None:
         return None
+    from .monitor import SyncMonitor
+
     monitor = SyncMonitor().install(env)
     _captures.append((len(_captures) + 1, monitor))
     return monitor

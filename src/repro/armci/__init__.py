@@ -1,32 +1,12 @@
 """ARMCI core: client API, request protocol, fence and barrier algorithms."""
 
-from .api import FENCE_MODES, Armci
-from .barrier import ALGORITHMS as BARRIER_ALGORITHMS
-from .nonblocking import NbHandle
-from .strided import stride_runs
-from .requests import (
-    AccRequest,
-    FenceRequest,
-    GetRequest,
-    LockRequest,
-    PutRequest,
-    RmwRequest,
-    UnlockRequest,
-    RMW_OPS,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Armci",
-    "AccRequest",
-    "BARRIER_ALGORITHMS",
-    "FENCE_MODES",
-    "FenceRequest",
-    "GetRequest",
-    "LockRequest",
-    "NbHandle",
-    "stride_runs",
-    "PutRequest",
-    "RMW_OPS",
-    "RmwRequest",
-    "UnlockRequest",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".api": "Armci, FENCE_MODES",
+    ".barrier": "ALGORITHMS as BARRIER_ALGORITHMS",
+    ".nonblocking": "NbHandle",
+    ".strided": "stride_runs",
+    ".requests": "AccRequest, FenceRequest, GetRequest, LockRequest, PutRequest, "
+    "RmwRequest, UnlockRequest, RMW_OPS",
+})

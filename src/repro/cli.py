@@ -62,8 +62,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .experiments import Fig7Config, LockBenchConfig, run_fig7, run_lock_series
-from .experiments.lockbench import LOCK_FIGURES, comparison_from_series
 from .net.params import _preset
 from .sim.trace import TraceOverflow
 
@@ -513,6 +511,8 @@ def _print_verdicts(results, summary=lambda result: "") -> int:
 
 
 def _fig7(args) -> None:
+    from .experiments.fig7_sync import Fig7Config, run_fig7
+
     comparison = run_fig7(_sweep_config(Fig7Config, args), jobs=args.jobs)
     print(comparison.render())
     _write_csv(args, comparison, "fig7_ga_sync")
@@ -520,6 +520,13 @@ def _fig7(args) -> None:
 
 def _locks(args) -> None:
     """Figures 8-10 from one run; ``fig8``/``fig9``/``fig10`` print their own."""
+    from .experiments.lockbench import (
+        LOCK_FIGURES,
+        LockBenchConfig,
+        comparison_from_series,
+        run_lock_series,
+    )
+
     series = run_lock_series(_sweep_config(LockBenchConfig, args))
     for name in [args.command] if args.command in LOCK_FIGURES else LOCK_FIGURES:
         print(comparison_from_series(series, *LOCK_FIGURES[name]).render())
@@ -529,6 +536,7 @@ def _locks(args) -> None:
 
 def _ablations(args) -> None:
     from .experiments import ablations as ab
+    from .experiments.lockbench import LockBenchConfig
 
     params = _network_params(args)
     locks = LockBenchConfig(iterations=300, params=params)

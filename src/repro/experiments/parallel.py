@@ -18,8 +18,8 @@ few numbers.  Cells share no mutable state, so they can be farmed out to
   never from a worker-local or global counter, which would make the
   result depend on how cells were sharded.
 * **Fallback.** ``jobs <= 1`` runs the exact serial path (a plain loop in
-  this process, no pool, no pickling), so the runner adds nothing to
-  single-core environments.
+  this process, no pool, no pickling, and ``multiprocessing`` is not even
+  imported), so the runner adds nothing to single-core environments.
 
 ``evaluate`` must be picklable — a function defined at module top level —
 for ``jobs > 1``; each experiment module defines its own ``_*_cell``
@@ -28,7 +28,6 @@ worker function next to its ``run_*`` entry point.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Iterable, List, Optional, TypeVar
 
@@ -60,6 +59,8 @@ def run_cells(
         jobs = default_jobs()
     if jobs <= 1 or len(cells) <= 1:
         return [evaluate(cell) for cell in cells]
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -19,29 +19,16 @@ Layering:
 * :mod:`.campaign` — the fuzz loop, replay, and corpus management.
 """
 
-from .campaign import (
-    CampaignResult,
-    replay_corpus,
-    replay_seed,
-    run_campaign,
-)
-from .runner import FuzzOutcome, run_scenario
-from .scenario import Scenario, generate, scenario_from_json, scenario_to_json
-from .selftest import MUTANTS, run_self_test
+from .._lazy import lazy_exports
+
+# Eager: the function shares its submodule's name, and importing the
+# submodule later would rebind ``repro.fuzz.shrink`` to the module.
 from .shrink import shrink
 
-__all__ = [
-    "CampaignResult",
-    "FuzzOutcome",
-    "MUTANTS",
-    "Scenario",
-    "generate",
-    "replay_corpus",
-    "replay_seed",
-    "run_campaign",
-    "run_scenario",
-    "run_self_test",
-    "scenario_from_json",
-    "scenario_to_json",
-    "shrink",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".campaign": "CampaignResult, replay_corpus, replay_seed, run_campaign",
+    ".runner": "FuzzOutcome, run_scenario",
+    ".scenario": "Scenario, generate, scenario_from_json, scenario_to_json",
+    ".selftest": "MUTANTS, run_self_test",
+})
+__all__.append("shrink")

@@ -1,16 +1,10 @@
 """Global Arrays layer: block-distributed 2-D arrays and GA_Sync."""
 
-from .array import SYNC_MODES, GlobalArray
-from .distribution import BlockDistribution, Section, default_pgrid
-from .operations import dot
-from .sync import ga_sync
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlockDistribution",
-    "GlobalArray",
-    "SYNC_MODES",
-    "Section",
-    "default_pgrid",
-    "dot",
-    "ga_sync",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".array": "SYNC_MODES, GlobalArray",
+    ".distribution": "BlockDistribution, Section, default_pgrid",
+    ".operations": "dot",
+    ".sync": "ga_sync",
+})

@@ -9,48 +9,26 @@ single-node), ``server`` (pure server queue), ``raymond`` [18] and
 The workload oracle's lock rules live here too, for ``repro chaos``, the
 fuzzer and ``repro check`` alike: :class:`LockAudit` (mutual exclusion,
 preemption) and :func:`fifo_judged` (when grant order must be FIFO).
+They import no lock algorithm: the classes, ``LOCK_KINDS`` and
+:func:`make_lock` (:mod:`repro.locks.registry`) load on first use.
 """
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .base import BaseLock, LockStats
-from .hybrid import HybridLock
-from .lh import LHLock
-from .mcs import MCSLock
-from .naimi import NaimiTrehelLock
-from .raymond import RaymondLock
-from .server_queue import ServerQueueLock
-from .ticket import TicketLock
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaseLock",
-    "CS_US",
-    "FIFO_KINDS",
-    "HybridLock",
-    "LHLock",
-    "LOCK_KINDS",
-    "LOCK_STAGGER_US",
-    "LockAudit",
-    "LockStats",
-    "MCSLock",
-    "NaimiTrehelLock",
-    "RaymondLock",
-    "ServerQueueLock",
-    "TicketLock",
-    "fifo_judged",
-    "make_lock",
-]
-
-#: Registry of lock algorithms by short name (see module docstring).
-LOCK_KINDS = {
-    "ticket": TicketLock,
-    "lh": LHLock,
-    "server": ServerQueueLock,
-    "hybrid": HybridLock,
-    "mcs": MCSLock,
-    "raymond": RaymondLock,
-    "naimi": NaimiTrehelLock,
-}
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".base": "BaseLock, LockStats",
+    ".hybrid": "HybridLock",
+    ".lh": "LHLock",
+    ".mcs": "MCSLock",
+    ".naimi": "NaimiTrehelLock",
+    ".raymond": "RaymondLock",
+    ".server_queue": "ServerQueueLock",
+    ".ticket": "TicketLock",
+    ".registry": "LOCK_KINDS, make_lock",
+})
+__all__ += ["CS_US", "FIFO_KINDS", "LOCK_STAGGER_US", "LockAudit", "fifo_judged"]
 
 #: Lock algorithms that grant in the order they linearise requests: the
 #: ticket fetch-add (``hybrid`` takes one ``[ticket, counter]`` pair for
@@ -156,19 +134,3 @@ def fifo_judged(kind: str, plan, stuck) -> bool:
     FIFO, no transient window queues a frozen rank's requests across it, no
     link fault reorders request arrival, and no rank is ``stuck``."""
     return kind in FIFO_KINDS and not (plan.transient or plan.reorders or stuck)
-
-
-def make_lock(kind: str, ctx: Any, home_rank: int, name: str = "lock", **kwargs) -> BaseLock:
-    """Construct a lock handle by algorithm name.
-
-    ``kind`` is one of ``"ticket"``, ``"server"``, ``"hybrid"`` (the
-    original ARMCI algorithm), or ``"mcs"`` (the paper's optimized
-    software queuing lock).
-    """
-    try:
-        cls = LOCK_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown lock kind {kind!r}; choose from {sorted(LOCK_KINDS)}"
-        ) from None
-    return cls(ctx, home_rank, name=name, **kwargs)

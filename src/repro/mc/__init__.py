@@ -27,22 +27,11 @@ See ``docs/model_checking.md`` for the exploration semantics and the
 dependence relation.
 """
 
-from .explore import MCResult, explore, load_counterexample, replay_counterexample
-from .selftest import MC_MUTANT_PINS, run_mc_self_test
-from .strategy import RecordingStrategy, canonical_trace_hash, independent, label_key
-from .targets import TARGETS, get_target
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MCResult",
-    "MC_MUTANT_PINS",
-    "RecordingStrategy",
-    "TARGETS",
-    "canonical_trace_hash",
-    "explore",
-    "get_target",
-    "independent",
-    "label_key",
-    "load_counterexample",
-    "replay_counterexample",
-    "run_mc_self_test",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".explore": "MCResult, explore, load_counterexample, replay_counterexample",
+    ".selftest": "MC_MUTANT_PINS, run_mc_self_test",
+    ".strategy": "RecordingStrategy, canonical_trace_hash, independent, label_key",
+    ".targets": "TARGETS, get_target",
+})

@@ -1,14 +1,8 @@
 """MPI-like message passing over the simulated fabric."""
 
-from .collectives import allgather, allreduce_sum, barrier
-from .comm import ANY_SOURCE, ANY_TAG, Comm, MPMessage
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Comm",
-    "MPMessage",
-    "allgather",
-    "allreduce_sum",
-    "barrier",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".collectives": "allgather, allreduce_sum, barrier",
+    ".comm": "ANY_SOURCE, ANY_TAG, Comm, MPMessage",
+})

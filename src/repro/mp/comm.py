@@ -62,9 +62,6 @@ class Comm:
         self.params = params
         self.mailbox = FilterStore(env, name=f"mp[{rank}]")
         fabric.register(mp_endpoint(rank), self.mailbox)
-        #: Messages sent / received (diagnostics).
-        self.sent = 0
-        self.received = 0
 
     def __repr__(self) -> str:
         return f"<Comm rank={self.rank}/{self.nprocs}>"
@@ -83,7 +80,6 @@ class Comm:
         if payload_bytes is None:
             payload_bytes = _estimate_bytes(payload)
         msg = MPMessage(src=self.rank, dst=dst, tag=tag, payload=payload)
-        self.sent += 1
         p = self.params
         if p.mp_call_us > 0.0:
             yield p.mp_call_us
@@ -116,7 +112,6 @@ class Comm:
         cost = p.shm_access_us if envelope.intra_node else p.o_recv_us
         if cost > 0.0:
             yield cost
-        self.received += 1
         return envelope.payload
 
 

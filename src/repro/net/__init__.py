@@ -1,37 +1,13 @@
 """Simulated cluster network: parameters, topology, fabric, faults, reliability."""
 
-from .fabric import Fabric, FabricStats
-from .faults import FaultInjector, FaultPlan, FaultStats, LinkFaults
-from .message import Endpoint, Envelope, mp_endpoint, server_endpoint
-from .params import (
-    MSG_HEADER_BYTES,
-    SMALL_MSG_BYTES,
-    NetworkParams,
-    gige,
-    myrinet2000,
-    quadrics_like,
-)
-from .reliable import ReliabilityError, ReliableDelivery
-from .topology import Topology
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "Envelope",
-    "Fabric",
-    "FabricStats",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "LinkFaults",
-    "MSG_HEADER_BYTES",
-    "NetworkParams",
-    "ReliabilityError",
-    "ReliableDelivery",
-    "SMALL_MSG_BYTES",
-    "Topology",
-    "gige",
-    "mp_endpoint",
-    "myrinet2000",
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".fabric": "Fabric, FabricStats",
+    ".faults": "FaultInjector, FaultPlan, FaultStats, LinkFaults",
+    ".message": "Endpoint, Envelope, mp_endpoint, server_endpoint",
+    ".params": "MSG_HEADER_BYTES, SMALL_MSG_BYTES, NetworkParams, gige, myrinet2000, "
     "quadrics_like",
-    "server_endpoint",
-]
+    ".reliable": "ReliabilityError, ReliableDelivery",
+    ".topology": "Topology",
+})

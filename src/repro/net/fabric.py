@@ -23,23 +23,25 @@ partitions, process pauses), and — when the plan asks for it — the
 :class:`~repro.net.reliable.ReliableDelivery` layer restores exactly-once,
 in-order delivery over the lossy links with ACKs, retransmissions, and a
 receiver-side resequencer.  With ``params.faults`` left ``None`` (the
-default) neither subsystem is constructed and the fabric is byte-identical
-to a fault-free build.
+default) neither subsystem is imported or constructed and the fabric is
+byte-identical to a fault-free build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from heapq import heappush as _heappush
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..sim.core import PRIORITY_NORMAL, Call, Environment, Event, _bad_delay
 from ..sim.primitives import FilterStore, Store
-from .faults import FaultInjector
 from .message import Endpoint, Envelope
 from .params import MSG_HEADER_BYTES, SMALL_MSG_BYTES, NetworkParams
-from .reliable import ReliableDelivery
 from .topology import Topology
+
+if TYPE_CHECKING:
+    from .faults import FaultInjector
+    from .reliable import ReliableDelivery
 
 __all__ = ["Fabric", "FabricStats"]
 
@@ -124,16 +126,15 @@ class Fabric:
         # Hot-path alias of the topology's rank->node table (post/send
         # resolve nodes once per message; a list index beats a method call).
         self._rank_node = topology._node_of
-        self.faults: Optional[FaultInjector] = (
-            FaultInjector(params.faults, params.seed)
-            if params.faults is not None
-            else None
-        )
-        self.reliable: Optional[ReliableDelivery] = (
-            ReliableDelivery(self)
-            if params.faults is not None and params.faults.reliable
-            else None
-        )
+        self.faults: Optional[FaultInjector] = None
+        self.reliable: Optional[ReliableDelivery] = None
+        if params.faults is not None:  # the fault stack loads only here
+            from .faults import FaultInjector
+            from .reliable import ReliableDelivery
+
+            self.faults = FaultInjector(params.faults, params.seed)
+            if params.faults.reliable:
+                self.reliable = ReliableDelivery(self)
         self.stats = FabricStats()
         #: Endpoints of crashed processes/servers: transmissions from and
         #: to them are silently refused.  Empty unless the fault plan

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .faults import FaultPlan
-from ..topo.hierarchy import Hierarchy
+if TYPE_CHECKING:  # imported where set: a fault-free flat run loads neither
+    from .faults import FaultPlan
+    from ..topo.hierarchy import Hierarchy
 
 __all__ = [
     "NetworkParams",
@@ -224,14 +225,20 @@ class NetworkParams:
                 f"nic_algorithm must be 'exchange' or 'tree', got "
                 f"{self.nic_algorithm!r}"
             )
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise TypeError(
-                f"faults must be a FaultPlan or None, got {self.faults!r}"
-            )
-        if self.hierarchy is not None and not isinstance(self.hierarchy, Hierarchy):
-            raise TypeError(
-                f"hierarchy must be a Hierarchy or None, got {self.hierarchy!r}"
-            )
+        if self.faults is not None:
+            from .faults import FaultPlan
+
+            if not isinstance(self.faults, FaultPlan):
+                raise TypeError(
+                    f"faults must be a FaultPlan or None, got {self.faults!r}"
+                )
+        if self.hierarchy is not None:
+            from ..topo.hierarchy import Hierarchy
+
+            if not isinstance(self.hierarchy, Hierarchy):
+                raise TypeError(
+                    f"hierarchy must be a Hierarchy or None, got {self.hierarchy!r}"
+                )
 
     def with_(self, **changes) -> "NetworkParams":
         """Return a copy with the given fields replaced."""

@@ -12,6 +12,8 @@ Engines are constructed lazily, on the first ``armci.barrier(algorithm=
 stay byte-identical.
 """
 
-from .engine import NicEngine, NicFrame, ensure_engines
+from .._lazy import lazy_exports
 
-__all__ = ["NicEngine", "NicFrame", "ensure_engines"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".engine": "NicEngine, NicFrame, ensure_engines",
+})

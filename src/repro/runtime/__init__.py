@@ -5,7 +5,9 @@ for the fully wired system; this package root stays lightweight to keep the
 ``armci`` <-> ``runtime`` import graph acyclic.
 """
 
-from . import atomics
-from .memory import NULL_PTR, GlobalAddress, Region
+from .._lazy import lazy_exports
 
-__all__ = ["GlobalAddress", "NULL_PTR", "Region", "atomics"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".memory": "GlobalAddress, NULL_PTR, Region",
+    ".": "atomics",
+})

@@ -5,40 +5,11 @@ See :mod:`repro.sim.core` for the event loop and process model,
 :mod:`repro.sim.trace` for measurement helpers.
 """
 
-from .core import (
-    AllOf,
-    Call,
-    Condition,
-    ConditionValue,
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-    PRIORITY_LAZY,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-)
-from .primitives import Broadcast, FilterStore, Store
-from .trace import SampleStats, Stopwatch, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "Broadcast",
-    "Call",
-    "Condition",
-    "ConditionValue",
-    "Environment",
-    "Event",
-    "FilterStore",
-    "Process",
-    "SampleStats",
-    "SimulationError",
-    "Stopwatch",
-    "Store",
-    "Timeout",
-    "Tracer",
-    "PRIORITY_LAZY",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".core": "AllOf, Call, Condition, ConditionValue, Environment, Event, Process, "
+    "SimulationError, Timeout, PRIORITY_LAZY, PRIORITY_NORMAL, PRIORITY_URGENT",
+    ".primitives": "Broadcast, FilterStore, Store",
+    ".trace": "SampleStats, Stopwatch, Tracer",
+})

@@ -12,7 +12,9 @@ topology-aware synchronization algorithms.
   runs at N=16384.
 """
 
-from .hierarchy import Hierarchy, LevelSpec, two_level
-from .spec import parse_topo_spec
+from .._lazy import lazy_exports
 
-__all__ = ["Hierarchy", "LevelSpec", "two_level", "parse_topo_spec"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".hierarchy": "Hierarchy, LevelSpec, two_level",
+    ".spec": "parse_topo_spec",
+})

@@ -77,18 +77,6 @@ class TestSendRecv:
         with pytest.raises(ValueError, match="out of range"):
             rt.run_spmd(main)
 
-    def test_counters(self, make_cluster):
-        def main(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(1, "a")
-            else:
-                yield from ctx.comm.recv(source=0)
-
-        rt = make_cluster(nprocs=2)
-        rt.run_spmd(main)
-        assert rt.comms[0].sent == 1
-        assert rt.comms[1].received == 1
-
 
 class TestSendrecvOverlap:
     def test_exchange_costs_one_latency(self, make_cluster):

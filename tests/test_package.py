@@ -171,6 +171,109 @@ class TestNumpyFreeCore:
         )
 
 
+class TestImportBoundary:
+    """A fault-free run imports no fault, oracle, lock or multiprocessing
+    module, and no experiment it does not run: package ``__init__``s resolve
+    their exports on first access (``repro._lazy``), and the fabric, the
+    trace capture, the sweep runner and the command line import a layer
+    where it is first used.  The converse cases show the layers are
+    deferred, not lost."""
+
+    DEFERRED = (
+        "repro.net.faults",
+        "repro.net.reliable",
+        "repro.runtime.membership",
+        "repro.analysis.hb",
+        "repro.analysis.lint",
+        "repro.analysis.monitor",
+        "repro.locks",
+        "repro.fuzz",
+        "repro.mc",
+        "repro.experiments.chaosbench",
+        "repro.experiments.faultbench",
+        "multiprocessing",
+    )
+    PUT_THEN_BARRIER = (
+        "def main(ctx):",
+        "    addr = ctx.region.alloc(4, initial=0)",
+        "    peer = (ctx.rank + 1) % ctx.nprocs",
+        "    yield from ctx.armci.put(ctx.ga(peer, addr), [ctx.rank] * 4)",
+        "    yield from ctx.armci.barrier()",
+        "    return ctx.region.read_many(addr, 4)",
+    )
+
+    @staticmethod
+    def _fresh(*lines, expect=0, watch=DEFERRED):
+        """Run ``lines`` in a fresh interpreter; returns ``(loaded, stderr)``
+        where ``loaded`` lists the imported modules named by a prefix in
+        ``watch``."""
+        code = "\n".join(
+            (
+                "import sys",
+                f"sys.path.insert(0, {str(pathlib.Path(repro.__file__).parents[1])!r})",
+                "try:",
+                *(f"    {line}" for line in lines),
+                "finally:",
+                f"    print(sorted(m for m in sys.modules if m.startswith({watch!r})))",
+            )
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == expect, done.stderr
+        return ast.literal_eval(done.stdout.splitlines()[-1]), done.stderr
+
+    def test_fault_free_put_and_barrier_import_no_deferred_layer(self):
+        loaded, _err = self._fresh(
+            "import repro.experiments.fig7_sync",
+            "from repro import ClusterRuntime",
+            *self.PUT_THEN_BARRIER,
+            "assert ClusterRuntime(4).run_spmd(main) == [[3] * 4, [0] * 4, [1] * 4, [2] * 4]",
+        )
+        assert loaded == []
+
+    def test_a_drop_rate_imports_the_reliable_layer(self):
+        loaded, _err = self._fresh(
+            "from repro import ClusterRuntime, myrinet2000",
+            "from repro.net.faults import FaultPlan",
+            *self.PUT_THEN_BARRIER,
+            "plan = FaultPlan.uniform(drop_rate=0.2, seed=1)",
+            "rt = ClusterRuntime(4, params=myrinet2000().with_(faults=plan))",
+            "assert rt.run_spmd(main) == [[3] * 4, [0] * 4, [1] * 4, [2] * 4]",
+            "assert rt.fabric.stats.retransmits > 0",
+        )
+        assert "repro.net.reliable" in loaded
+        assert "repro.runtime.membership" not in loaded  # no crash, no window
+
+    def test_trace_out_still_writes_the_jsonl(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        argv = ["fig7", "--procs", "2", "--iterations", "2", "--trace-out", str(path)]
+        loaded, _err = self._fresh(
+            "import repro.cli", f"assert repro.cli.main({argv!r}) == 0"
+        )
+        assert "repro.analysis.monitor" in loaded
+        lines = path.read_text().splitlines()
+        assert lines and all(line.startswith("{") for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv, rc, error",
+        [
+            (["locks", "--bogus"], 2, ["armci-repro: error: unrecognized arguments: --bogus"]),
+            (["--help"], 0, []),
+        ],
+        ids=["bad-flag", "help"],
+    )
+    def test_cli_refusal_and_help_load_no_experiment(self, argv, rc, error):
+        loaded, err = self._fresh(
+            "import repro.cli",
+            f"repro.cli.main({argv!r})",
+            expect=rc,
+            watch=("repro.experiments", "repro.fuzz", "repro.mc", "repro.analysis.hb"),
+        )
+        assert loaded == []
+        assert [line for line in err.splitlines() if "error:" in line] == error
+
+
 class TestMembershipKeepsToItself:
     """``runtime/membership.py`` knows no lock layout and reaches into no
     other module's private state (lock recovery lives with each lock; the
