@@ -21,9 +21,11 @@ def lazy_exports(
 
     ``sources`` maps a relative submodule to the names it exports, spelled
     as in an import statement: ``{".fabric": "Fabric, FabricStats",
-    ".barrier": "ALGORITHMS as BARRIER_ALGORITHMS"}``.  The submodule ``"."``
-    exports submodules themselves (``{".": "atomics"}``).  A name read once
-    is bound on the package, so later reads are plain attribute reads.
+    ".barrier": "ALGORITHMS as BARRIER_ALGORITHMS"}``.  A name read once is
+    bound on the package, so later reads are plain attribute reads.  A name
+    that is also a submodule's must be imported eagerly instead: importing
+    that submodule binds the module on the package first, and this hook is
+    then never asked.
     """
     where: Dict[str, Tuple[str, str]] = {}
     for module, names in sources.items():
@@ -39,10 +41,7 @@ def lazy_exports(
         # ``__import__`` takes an import statement's path, so ``python -X
         # importtime`` lists what loads here; a non-empty fromlist returns
         # the submodule itself.
-        if module == ".":
-            value = __import__(f"{package}.{attr}", fromlist=["__name__"])
-        else:
-            value = getattr(__import__(package + module, fromlist=["__name__"]), attr)
+        value = getattr(__import__(package + module, fromlist=["__name__"]), attr)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -29,9 +29,14 @@ dependence relation.
 
 from .._lazy import lazy_exports
 
+# Eager: the function shares its submodule's name, and importing the
+# submodule later would rebind ``repro.mc.explore`` to the module.
+from .explore import explore
+
 __all__, __getattr__ = lazy_exports(__name__, {
-    ".explore": "MCResult, explore, load_counterexample, replay_counterexample",
+    ".explore": "MCResult, load_counterexample, replay_counterexample",
     ".selftest": "MC_MUTANT_PINS, run_mc_self_test",
     ".strategy": "RecordingStrategy, canonical_trace_hash, independent, label_key",
     ".targets": "TARGETS, get_target",
 })
+__all__.append("explore")

@@ -6,8 +6,9 @@ for the fully wired system; this package root stays lightweight to keep the
 """
 
 from .._lazy import lazy_exports
+from . import atomics
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".memory": "GlobalAddress, NULL_PTR, Region",
-    ".": "atomics",
 })
+__all__.append("atomics")

@@ -38,6 +38,22 @@ class TestTopLevelExports:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
 
+    def test_no_lazy_export_shares_a_submodule_name(self):
+        """Importing a submodule binds it on its package, after which the
+        package's ``__getattr__`` is never asked for that name; so a name
+        shared with a submodule is imported eagerly, not listed lazily."""
+        for init in sorted(pathlib.Path(repro.__file__).parent.rglob("__init__.py")):
+            package = init.parent
+            submodules = {p.stem for p in package.glob("*.py")}
+            submodules |= {p.parent.name for p in package.glob("*/__init__.py")}
+            for node in ast.walk(ast.parse(init.read_text())):
+                if getattr(getattr(node, "func", None), "id", None) != "lazy_exports":
+                    continue
+                for names in ast.literal_eval(node.args[1]).values():
+                    for spec in names.split(","):
+                        attr, _, alias = spec.strip().partition(" as ")
+                        assert (alias or attr) not in submodules, f"{package.name}.{alias or attr}"
+
 
 class TestLockRegistry:
     def test_every_kind_constructs_and_runs(self, make_cluster):
@@ -254,6 +270,14 @@ class TestImportBoundary:
         assert "repro.analysis.monitor" in loaded
         lines = path.read_text().splitlines()
         assert lines and all(line.startswith("{") for line in lines)
+
+    def test_a_function_named_like_its_submodule_survives_that_import(self):
+        self._fresh(
+            "import repro.mc.selftest, repro.mc.explore, repro.fuzz.campaign, repro.fuzz.shrink",
+            "from repro.mc import explore",
+            "from repro.fuzz import shrink",
+            "assert callable(explore) and callable(shrink), (explore, shrink)",
+        )
 
     @pytest.mark.parametrize(
         "argv, rc, error",
