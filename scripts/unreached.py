@@ -152,19 +152,14 @@ STOP = "test-harness stop condition"
 KEPT: Tuple[Tuple[str, str, str], ...] = (
     # Fault handling: lock recovery and fencing after a declared death, the
     # transport's transient suspension, the server's reply replay, RMCSan's
-    # rejected-fence and lock-cycle paths.
-    ("analysis/hb.py", "HBAnalyzer._on_lock_fence_rejected", FAULT),
+    # lock-cycle path.
     ("analysis/hb.py", "HBAnalyzer._deadlock_check.<locals>.visit", FAULT),
-    ("locks/base.py", "BaseLock._fence_reset", FAULT),
     ("locks/base.py", "BaseLock.recover", FAULT),
-    ("locks/lh.py", "LHLock._fence_reset", FAULT),
     ("locks/lh.py", "LHLock.recover.<locals>.<lambda>", FAULT),
-    ("locks/mcs.py", "MCSLock._fence_reset", FAULT),
     ("locks/mcs.py", "MCSLock.recover.<locals>.<lambda>", FAULT),
     ("locks/mcs.py", "MCSLock._ghost_release.<locals>.linker_pending", FAULT),
     ("locks/naimi.py", "NaimiTrehelLock._fence_reset", FAULT),
     ("locks/raymond.py", "RaymondLock._fence_reset", FAULT),
-    ("locks/ticket.py", "TicketFamilyLock._fence_reset", FAULT),
     ("net/faults.py", "FaultPlan.partition_until", FAULT),
     ("net/reliable.py", "ReliableDelivery._suspend", FAULT),
     ("net/reliable.py", "ReliableDelivery._resume", FAULT),

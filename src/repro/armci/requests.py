@@ -153,3 +153,5 @@ class UnlockRequest:
     src_rank: int
     home_rank: int
     base_addr: int
+    #: The home drops an unlock for a ticket its counter no longer serves.
+    ticket: int

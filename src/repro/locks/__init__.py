@@ -131,6 +131,6 @@ class LockAudit:
 
 def fifo_judged(kind: str, plan, stuck) -> bool:
     """Whether :meth:`LockAudit.fifo_ok` is a verdict: the kind promises
-    FIFO, no transient window queues a frozen rank's requests across it, no
-    link fault reorders request arrival, and no rank is ``stuck``."""
-    return kind in FIFO_KINDS and not (plan.transient or plan.reorders or stuck)
+    FIFO, no transient window queues a frozen rank's requests across it,
+    and no rank is ``stuck``."""
+    return kind in FIFO_KINDS and not (plan.transient or stuck)

@@ -69,10 +69,10 @@ class BaseLock:
         #: registers the handle for lease tracking and holder-death
         #: recovery.  Every hook below is a single ``is None`` check.
         self._membership_svc = getattr(ctx, "membership", None)
-        #: Fencing token snapshotted at grant time; a mismatch at release
-        #: means the lease was revoked (crash recovery or partition
-        #: exclusion regenerated the lock) and the release is rejected.
+        #: Fencing token snapshotted at grant time; a mismatch where the
+        #: release commits means the lease was revoked (:meth:`_fenced`).
         self._acq_fence = 0
+        self._rejected = False  # the last release was fenced
         if self._membership_svc is not None:
             self._membership_svc.register_lock(self)
 
@@ -129,43 +129,21 @@ class BaseLock:
             raise RuntimeError(f"{self!r}: release without acquire")
         if self.params.api_call_us > 0.0:
             yield self.params.api_call_us
-        if self._membership_svc is not None:
-            current = self._membership_svc.fence_token(
-                self._membership_svc.lock_key(self)
-            )
-            if current != self._acq_fence:
-                # Fenced: our lease was revoked while we held the lock —
-                # we were excluded by a partition (or stalled past the
-                # suspicion window) and the view regenerated the lock for
-                # the survivors.  Touching the protocol again would hand
-                # a second grant into a chain that has moved on, so the
-                # release is rejected and local state reset to idle.
-                self._held = False
-                self.stats.bump("fenced_releases")
-                self._fence_reset()
-                self.release_sw.start()
-                self.release_sw.stop()
-                self.total_sw.stop()
-                if self._monitor is not None:
-                    self._monitor.emit(
-                        "lock_fence_rejected",
-                        lock=self._san_key,
-                        expected=self._acq_fence,
-                        current=current,
-                    )
-                return
         self.release_sw.start()
         self._held = False
         yield from self._release()
+        self.release_sw.stop()
+        self.total_sw.stop()
         if self._membership_svc is not None:
+            if self._rejected:
+                self._rejected = False
+                return
             # Only after the handoff landed: a holder that dies *inside*
             # ``_release()`` must still be covered by its lease, so the
             # declaration revokes it and recovery finishes the handoff
             # (releasing up front left mid-release deaths unrecoverable).
             # ``lease_release`` no-ops if a successor already re-leased.
             self._membership_svc.lease_release(self)
-        self.release_sw.stop()
-        self.total_sw.stop()
         self.stats.releases += 1
         if self._monitor is not None:
             # Emitted before any successor can run: the segment from the
@@ -175,14 +153,29 @@ class BaseLock:
             # acquire in the event stream.
             self._monitor.emit("lock_rel", lock=self._san_key)
 
-    def _fence_reset(self) -> None:
-        """Drop local grant state after a fenced (rejected) release.
-
-        The survivors' regeneration already handed the lock onward; this
-        handle must land back in its idle state without touching shared
-        words or sending protocol messages.  Each flavor resets its own
-        queue-position fields.
-        """
+    def _fenced(self) -> bool:
+        """The fence check (membership only), made once per release just
+        before the first write or message that hands the lock on.  True:
+        the lease was revoked since the grant, so the release is rejected
+        and hands nothing on.  False: the release commits, and an exclusion
+        now leaves the lease alone (``MembershipCore.lease_commit``).  Made
+        earlier, it would miss a revocation landing while ``_release()`` is
+        in flight."""
+        svc = self._membership_svc
+        current = svc.fence_token(svc.lock_key(self))
+        if current == self._acq_fence:
+            svc.lease_commit(self)
+            return False
+        self._rejected = True
+        self.stats.bump("fenced_releases")
+        if self._monitor is not None:
+            self._monitor.emit(
+                "lock_fence_rejected",
+                lock=self._san_key,
+                expected=self._acq_fence,
+                current=current,
+            )
+        return True
 
     def _san_ticket(self):
         """FIFO-checkable grant number (ticket-based algorithms only)."""
@@ -212,7 +205,7 @@ class BaseLock:
         stall exclusion: ``dead`` is alive, held the lock, and will rejoin.
         What a coordinator may ask of ``svc``: ``is_alive``, ``in_view``,
         ``epoch``, ``node_dead``, ``alive_ranks``, ``lease_holder``,
-        ``lock_key``, ``revoke_ticket`` and ``record_token_regen``.
+        ``lock_key``, ``revoked`` and ``record_token_regen``.
         """
         return
         yield  # make it a generator

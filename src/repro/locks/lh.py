@@ -110,12 +110,11 @@ class LHLock(BaseLock):
     def _release(self):
         # GRANTED into the cell my successor spins on (the one I published).
         yield self.params.shm_access_us
+        self._phase = "idle"
+        if self._membership_svc is not None and self._fenced():
+            return
         self._region.write(self._spin_cell, _GRANTED)
-        self._phase = "idle"
         self.stats.handoffs += 1
-
-    def _fence_reset(self) -> None:
-        self._phase = "idle"
 
     @classmethod
     def recover(cls, svc, handles, dead: int, transient: bool):

@@ -159,6 +159,10 @@ class MCSLock(BaseLock):
         struct = self.node_struct
         self._phase = "releasing"
         next_ptr = yield from armci.load_pair(self._next_ga())
+        if self._membership_svc is not None and self._fenced():
+            struct.in_use_by = None
+            self._phase = "idle"
+            return
         if next_ptr == NULL_PTR:
             if self.optimistic_release:
                 self._release_optimistic()
@@ -234,9 +238,6 @@ class MCSLock(BaseLock):
         return None
 
     # -- crash recovery ------------------------------------------------------------
-
-    def _fence_reset(self) -> None:
-        self._phase = "idle"
 
     @classmethod
     def recover(cls, svc, handles, dead: int, transient: bool):

@@ -20,9 +20,9 @@ __all__ = ["TicketLock", "TicketFamilyLock"]
 
 class TicketFamilyLock(BaseLock):
     """What the ticket, hybrid and server locks share: the ``[ticket,
-    counter]`` pair at the home process, this handle's ticket number, and
-    — because recovery is a function of exactly that layout — one crash
-    recovery coordinator.
+    counter]`` pair at the home process and this handle's ticket number.
+    The home — the pair and its server's queue — owns the queue's crash
+    recovery (``docs/fault_model.md``, "The recovery protocol").
     """
 
     def __init__(self, ctx, home_rank: int, name: str, cells: str):
@@ -32,12 +32,16 @@ class TicketFamilyLock(BaseLock):
         self.base_addr = self._home_region.alloc_named(cells, 2, initial=0)
         self._mark_sync_cells(self._home_region, self.base_addr, 2)
         self._my_ticket = -1
-
-    def _fence_reset(self) -> None:
-        self._my_ticket = -1
+        #: The home node's server: its queue and its ticket -> owner record.
+        self._home = ctx.runtime.servers[self.home_node]
+        self._owners = None  # that record, under a membership service
+        if self._membership_svc is not None:
+            self._owners = self._home.ticket_owners.setdefault(
+                (home_rank, self.base_addr), (self._membership_svc.lock_key(self), {})
+            )[1]
 
     def _san_ticket(self):
-        return self._my_ticket if self._my_ticket >= 0 else None
+        return self._my_ticket
 
     def queue_link(self):
         # The fetch-add (at the home, or its server) orders requests.
@@ -51,6 +55,8 @@ class TicketFamilyLock(BaseLock):
         ticket = self._home_region.read(self.base_addr)
         self._home_region.write(self.base_addr, ticket + 1)
         self._my_ticket = ticket
+        if self._owners is not None:
+            self._owners[ticket] = self.ctx.rank
         # Spin on counter.
         yield p.shm_access_us
         counter_addr = self.base_addr + 1
@@ -63,55 +69,25 @@ class TicketFamilyLock(BaseLock):
 
     @classmethod
     def recover(cls, svc, handles, dead: int, transient: bool):
-        """Skip dead ticket numbers; ghost-advance if the dead rank held it.
-
-        A ticket from ``counter`` upward that no *live* handle owns and no
-        live waiter is queued for belongs to a dead requester (or to a
-        grant lost on its way to one): it is revoked and skipped.
-        """
+        """Ghost-advance: pass the lock on if the ticket the counter serves
+        is ``dead``'s (it held the lock, or its grant was on its way).  The
+        home skips a dead rank's other tickets when the counter reaches
+        them, and a live waiter's request lives at the home: nothing to
+        re-send."""
         lock = next(iter(handles.values()))
-        key = svc.lock_key(lock)
-        home_rank, base_addr = lock.home_rank, lock.base_addr
-        cells = (home_rank, base_addr)
-        p, region = lock.params, lock._home_region
-        server = lock.ctx.runtime.servers[lock.home_node]
-        waiters = server.lock_waiters(home_rank, base_addr)
-        # Drop queued requests from dead ranks.
-        for ticket, req in list(waiters.items()):
-            if not svc.is_alive(req.src_rank):
-                svc.revoke_ticket(key, cells, ticket, req.src_rank)
-                del waiters[ticket]
+        p, owners = lock.params, lock._owners
         if p.server_lock_op_us > 0.0:
             yield p.server_lock_op_us
-        counter = region.read(base_addr + 1)
-        next_ticket = region.read(base_addr)
-        # A dead shm-spinner's ticket may sit *behind* a live holder or
-        # waiter, where the contiguous head scan below cannot reach (it
-        # stops at the first live ticket, and no later declaration re-runs
-        # it).  Revoke every not-yet-served ticket owned by a dead rank
-        # here so skip_revoked can hop over it when the survivor ahead of
-        # it eventually releases.
-        for rank, h in handles.items():
-            if not svc.is_alive(rank) and h._my_ticket >= counter:
-                svc.revoke_ticket(key, cells, h._my_ticket, rank)
-        # ``rank != dead`` matters only for a transient exclusion (the
-        # excluded holder is alive, but its at-head ticket must be ghost-
-        # advanced past).  Excluded *waiters* keep their tickets — the
-        # head scan stops at them and they are served after they rejoin.
-        live_tickets = {
-            h._my_ticket
-            for rank, h in handles.items()
-            if svc.is_alive(rank) and rank != dead and h._my_ticket >= 0
-        }
-        new = counter
-        while new < next_ticket and new not in live_tickets and new not in waiters:
-            svc.revoke_ticket(key, cells, new, dead)
-            new += 1
-        if new == counter:
+        counter = lock._home_region.read(lock.base_addr + 1)
+        if owners.get(counter) != dead:
             return
         if p.shm_access_us > 0.0:
             yield p.shm_access_us
-        yield from server.advance_lock_counter(home_rank, base_addr, new)
+        if owners.get(counter) == dead:  # its own unlock did not land meanwhile
+            svc.revoked(svc.lock_key(lock), dead, counter)
+            yield from lock._home.advance_lock_counter(
+                lock.home_rank, lock.base_addr, counter + 1
+            )
 
 
 class TicketLock(TicketFamilyLock):
@@ -133,11 +109,12 @@ class TicketLock(TicketFamilyLock):
     def _release(self):
         # Write ticket+1 into counter, passing the lock to the next waiter.
         yield self.params.shm_access_us
-        new_counter = self._my_ticket + 1
-        if self._membership_svc is not None:
-            # Skip ticket numbers revoked by crash recovery (dead waiters).
-            new_counter = self._membership_svc.skip_revoked(
-                self.home_rank, self.base_addr, new_counter
+        if self._membership_svc is None:
+            self._home_region.write(self.base_addr + 1, self._my_ticket + 1)
+        elif self._fenced():
+            return
+        else:  # the home's grant path, which skips a dead owner's ticket
+            yield from self._home.advance_lock_counter(
+                self.home_rank, self.base_addr, self._my_ticket + 1
             )
-        self._home_region.write(self.base_addr + 1, new_counter)
         self.stats.handoffs += 1

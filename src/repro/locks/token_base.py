@@ -113,6 +113,11 @@ class TokenLockBase(BaseLock):
     def _release(self):
         # Fire-and-forget, like the hybrid's unlock: the daemon performs the
         # token passing asynchronously.
+        if self._membership_svc is not None and self._fenced():
+            # The survivors regenerated the token: the daemon must not pass
+            # on the stale one, only forget that it is in use.
+            self._fence_reset()
+            return
         yield from self._send(self.ctx.rank, "local_release")
 
     def _grant_local(self) -> None:

@@ -29,6 +29,9 @@ that make its schedule space both interesting and exhaustible:
   leaders' inter-node exchange, scatter, and release signals race with
   the outstanding put's completion across two fabric levels.  The
   four-rank space does not exhaust tractably; budget-bounded.
+* ``lock-recovery-remote`` / ``-waiter`` — the hybrid lock's recovery at
+  N=3, one rank per node, with the holder crashing in its critical
+  section or a queued waiter crashing; recovery runs in every run.
 * ``partition-heal`` — a two-node cut across a token-lock workload: the
   minority holder is excluded, its lease fenced and the token
   regenerated in the majority, then the cut heals and the rank rejoins
@@ -48,7 +51,7 @@ smaller window to contain the schedule tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..fuzz.scenario import Scenario
 
@@ -69,6 +72,22 @@ class MCTarget:
     #: Whether exhaustion inside the budget is expected (and asserted in
     #: tests / CI).
     expect_exhaustive: bool
+
+
+def _locks(kind, procs_per_node=1, lock_iters=1, crashes=()):
+    """The lock targets' scenario: N=3, one lock phase, then a barrier."""
+    return Scenario(
+        seed=0,
+        nprocs=3,
+        procs_per_node=procs_per_node,
+        workload="locks",
+        barrier_algorithm="exchange",
+        lock_kind=kind,
+        phases=("lock", "barrier"),
+        cells=1,
+        lock_iters=lock_iters,
+        crashes=crashes,
+    )
 
 
 def _t(name, description, scenario, window, budget, sim_cap_us, exhaustive):
@@ -128,17 +147,7 @@ TARGETS: Dict[str, MCTarget] = {
         _t(
             "ticket-handoff",
             "ticket lock grant handoff, single node, N=3",
-            Scenario(
-                seed=0,
-                nprocs=3,
-                procs_per_node=3,
-                workload="locks",
-                barrier_algorithm="exchange",
-                lock_kind="ticket",
-                phases=("lock", "barrier"),
-                cells=1,
-                lock_iters=1,
-            ),
+            _locks("ticket", procs_per_node=3),
             window=2.0,
             budget=50,
             sim_cap_us=5_000.0,
@@ -147,17 +156,7 @@ TARGETS: Dict[str, MCTarget] = {
         _t(
             "mcs-handoff",
             "MCS queue lock handoff across nodes, N=3",
-            Scenario(
-                seed=0,
-                nprocs=3,
-                procs_per_node=1,
-                workload="locks",
-                barrier_algorithm="exchange",
-                lock_kind="mcs",
-                phases=("lock", "barrier"),
-                cells=1,
-                lock_iters=2,
-            ),
+            _locks("mcs", lock_iters=2),
             window=2.0,
             budget=500,
             sim_cap_us=5_000.0,
@@ -204,6 +203,22 @@ TARGETS: Dict[str, MCTarget] = {
             budget=400,
             sim_cap_us=5_000.0,
             exhaustive=False,
+        ),
+        *(
+            _t(
+                name,
+                f"hybrid lock recovery with the {role} crashing, N=3",
+                _locks("hybrid", crashes=(("rank", rank, at_us),)),
+                window=1.0,
+                budget=50,
+                sim_cap_us=8_000.0,
+                exhaustive=True,
+            )
+            # Rank 1 holds from 120.4 to 125.4 us; rank 2 is queued behind it.
+            for name, role, rank, at_us in (
+                ("lock-recovery-remote", "holder", 1, 122.0),
+                ("lock-recovery-remote-waiter", "waiter", 2, 130.0),
+            )
         ),
         _t(
             "partition-heal",

@@ -367,11 +367,6 @@ class FaultPlan:
         return bool(self.partitions or self.pauses)
 
     @property
-    def reorders(self) -> bool:
-        """Can a link fault reorder message arrival (any active link)?"""
-        return self.default.active or any(f.active for _l, f in self.links)
-
-    @property
     def transient_end_us(self) -> float:
         """When the last transient window closes (0.0 without any)."""
         ends = [p.until_us for p in self.partitions]

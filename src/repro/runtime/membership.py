@@ -151,10 +151,8 @@ class MembershipCore:
 
         #: Lock registry: (kind, name, home_rank) -> {"cls", "handles"}.
         self._locks: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
-        #: Active leases, one lock acquisition each: key -> (holder, ticket).
-        self._leases: Dict[Tuple[str, str, int], Tuple[int, Optional[int]]] = {}
-        #: Revoked (dead) ticket numbers by lock cells (home_rank, base_addr).
-        self._revoked_tickets: Dict[Tuple[int, int], Set[int]] = {}
+        #: Active leases: key -> (holder, ticket, release committed).
+        self._leases: Dict[Tuple[str, str, int], Tuple[int, Optional[int], bool]] = {}
 
         #: Per-(src, dst) count of remote write ops applied at the server.
         self._applied: Dict[Tuple[int, int], int] = {}
@@ -359,11 +357,13 @@ class MembershipCore:
     def _revoke_lease(self, key, live: bool) -> None:
         """Take the lock away from a holder that left the view; the fence
         bump makes the ex-holder's own release (if it ever runs) a no-op."""
-        holder, ticket = self._leases.pop(key)
+        holder, ticket, _committed = self._leases.pop(key)
         self._fence_tokens[key] = self._fence_tokens.get(key, 0) + 1
-        self._revoked(key, holder, ticket, live)
+        self.revoked(key, holder, ticket, live)
 
-    def _revoked(self, key, rank: int, ticket: Optional[int], live: bool) -> None:
+    def revoked(self, key, rank: int, ticket: Optional[int], live: bool = False) -> None:
+        """Report that ``rank`` lost its lease on lock ``key``, or (from a
+        ticket lock's home) a ticket passed over because its owner died."""
         self._emit(
             "lease_revoked",
             lock=_lock_label(key),
@@ -397,7 +397,7 @@ class MembershipCore:
             reason=reason,
         )
         self._install_view()
-        for key, (holder, _ticket) in list(self._leases.items()):
+        for key, (holder, _ticket, _committed) in list(self._leases.items()):
             if holder == rank:
                 self._revoke_lease(key, live=False)
         # Splice the dead rank out of every lock it participates in.
@@ -442,8 +442,9 @@ class MembershipCore:
         # home region on the majority side — when the home node is cut off
         # too, the lease stays put and majority requesters simply queue
         # until heal (safe: nobody can reach the lock words either way).
-        for key, (holder, _ticket) in list(self._leases.items()):
-            if holder != rank:
+        for key, (holder, _ticket, committed) in list(self._leases.items()):
+            if holder != rank or committed:
+                # A committed release hands the lock on by itself.
                 continue
             if self._locks[key]["cls"].lock_words_at_home:
                 home_node = self.topology.node_of(key[2])
@@ -511,7 +512,14 @@ class MembershipCore:
         info["handles"][handle.ctx.rank] = handle
 
     def lease_acquire(self, handle, ticket: Optional[int]) -> None:
-        self._leases[self.lock_key(handle)] = (handle.ctx.rank, ticket)
+        self._leases[self.lock_key(handle)] = (handle.ctx.rank, ticket, False)
+
+    def lease_commit(self, handle) -> None:
+        """``handle``'s release commits: an exclusion now leaves the lease
+        alone, a declaration still revokes it (recovery ends the handoff)."""
+        key = self.lock_key(handle)
+        holder, ticket, _committed = self._leases[key]
+        self._leases[key] = (holder, ticket, True)
 
     def lease_release(self, handle) -> None:
         key = self.lock_key(handle)
@@ -519,7 +527,7 @@ class MembershipCore:
             del self._leases[key]
 
     def lease_holder(self, key: Tuple[str, str, int]) -> Optional[int]:
-        return self._leases.get(key, (None, None))[0]
+        return self._leases.get(key, (None,))[0]
 
     def fence_token(self, key: Tuple[str, str, int]) -> int:
         """Monotonic per-lock fencing counter; bumped at every revocation.
@@ -530,27 +538,6 @@ class MembershipCore:
         its release must not touch the lock protocol again.
         """
         return self._fence_tokens.get(key, 0)
-
-    def skip_revoked(self, home_rank: int, base_addr: int, value: int) -> int:
-        """Advance a ticket counter value past revoked (dead) tickets."""
-        revoked = self._revoked_tickets.get((home_rank, base_addr))
-        if not revoked:
-            return value
-        while value in revoked:
-            value += 1
-        return value
-
-    def revoke_ticket(self, key, cells: Tuple[int, int], ticket: int, rank: int) -> None:
-        """Splice ``rank``'s ticket out of the queue of the ticket-family
-        lock ``key`` whose ``[ticket, counter]`` pair lives at ``cells``
-        (no-op for a ticket already spliced out)."""
-        revoked = self._revoked_tickets.setdefault(cells, set())
-        if ticket in revoked:
-            return
-        revoked.add(ticket)
-        # The sanitizer's FIFO check must know which ticket numbers were
-        # spliced out of the queue by crash recovery.
-        self._revoked(key, rank, ticket, False)
 
     def record_token_regen(self, key, payload: Dict[str, Any]) -> None:
         """Remember a token lock's ``view_change`` so a rank excluded at

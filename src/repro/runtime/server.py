@@ -122,8 +122,12 @@ class ServerThread:
             rank: self.counters.alloc(1, initial=0)
             for rank in topology.ranks_on(node)
         }
-        #: Hybrid-lock wait queues: (home_rank, base_addr) -> ticket -> waiter.
+        #: Ticket-lock wait queues: (home_rank, base_addr) -> ticket -> the
+        #: queued remote request.
         self._lock_waiters: Dict[Tuple[int, int], Dict[int, LockRequest]] = {}
+        #: Under a membership service, who took each ticket the counter has
+        #: not passed: (home_rank, base_addr) -> (lock key, ticket -> rank).
+        self.ticket_owners: Dict[Tuple[int, int], Tuple[Any, Dict[int, int]]] = {}
         #: Idempotent dispatch (only when faults can duplicate requests):
         #: envelopes are deduplicated by (src_rank, fabric seq) so a
         #: retransmitted put/acc never double-applies or double-bumps
@@ -395,7 +399,7 @@ class ServerThread:
             yield self.params.server_fence_check_us
         yield from self._reply(req.src_rank, req.reply, value=True)
 
-    # -- hybrid lock server side ------------------------------------------------
+    # -- ticket lock: the home's side ------------------------------------------
 
     def _handle_lock(self, req: LockRequest):
         """Take a ticket on behalf of a remote requester (paper Figure 3)."""
@@ -405,11 +409,18 @@ class ServerThread:
             yield self.params.server_lock_op_us
         ticket = atomics.fetch_and_add(region, req.base_addr, 1)
         counter = region.read(req.base_addr + 1)
-        if ticket == counter:
+        cells = (req.home_rank, req.base_addr)
+        if self._membership is not None:
+            self.ticket_owners[cells][1][ticket] = req.src_rank
+        if ticket != counter:
+            self._lock_waiters.setdefault(cells, {})[ticket] = req
+        elif self._membership is None or self._membership.is_alive(req.src_rank):
             self.stats.grants += 1
             yield from self._reply(req.src_rank, req.reply, value=ticket)
         else:
-            self.lock_waiters(req.home_rank, req.base_addr)[ticket] = req
+            # The request outlived its sender's declaration and found the
+            # lock free: the ticket is passed on at once.
+            yield from self.advance_lock_counter(req.home_rank, req.base_addr, ticket)
 
     def _handle_unlock(self, req: UnlockRequest):
         """Increment the counter; grant the queued head if it now holds it."""
@@ -417,22 +428,33 @@ class ServerThread:
         self.stats.unlocks += 1
         if self.params.server_lock_op_us > 0.0:
             yield self.params.server_lock_op_us
-        counter_addr = req.base_addr + 1
-        new_counter = region.read(counter_addr) + 1
-        if self._membership is not None:
-            # Skip ticket numbers revoked by crash recovery (dead waiters).
-            new_counter = self._membership.skip_revoked(
-                req.home_rank, req.base_addr, new_counter
-            )
-        yield from self.advance_lock_counter(req.home_rank, req.base_addr, new_counter)
+        counter = region.read(req.base_addr + 1)
+        if self._membership is not None and req.ticket != counter:
+            # Stale: recovery already passed this ticket on (its holder
+            # left the view with this unlock in flight).
+            return
+        yield from self.advance_lock_counter(req.home_rank, req.base_addr, counter + 1)
 
     def advance_lock_counter(self, home_rank: int, base_addr: int, new_counter: int):
         """Pass the lock on: write ``counter``, grant the queued head if it
-        now holds it.  The one grant path — a release and crash recovery's
-        ghost-advance past dead tickets both end here."""
+        now holds it.  The one grant path — a release, a request that
+        outlived its sender and a departed holder's ghost-advance all end
+        here.  Under a membership service it first skips each ticket whose
+        owner has died, drops its queued request and reports the skip (the
+        sanitizer's FIFO check must know which numbers never come)."""
+        waiters = self._lock_waiters.get((home_rank, base_addr), {})
+        if self._membership is not None:
+            key, owners = self.ticket_owners[(home_rank, base_addr)]
+            owners.pop(new_counter - 1, None)  # the ticket passed on
+            while new_counter in owners and not self._membership.is_alive(
+                owners[new_counter]
+            ):
+                self._membership.revoked(key, owners.pop(new_counter), new_counter)
+                waiters.pop(new_counter, None)
+                new_counter += 1
         # The write wakes local pollers through the region watcher.
         self.regions[home_rank].write(base_addr + 1, new_counter)
-        pending = self.lock_waiters(home_rank, base_addr).pop(new_counter, None)
+        pending = waiters.pop(new_counter, None)
         if pending is not None:
             self.stats.grants += 1
             if self.env.active_process is not self._proc:
@@ -440,9 +462,3 @@ class ServerThread:
                 # dispatched, so there is no key to cache this reply under.
                 self._current_key = None
             yield from self._reply(pending.src_rank, pending.reply, value=new_counter)
-
-    # -- introspection -----------------------------------------------------------
-
-    def lock_waiters(self, home_rank: int, base_addr: int) -> Dict[int, LockRequest]:
-        """The live wait queue of one lock: ticket -> queued request."""
-        return self._lock_waiters.setdefault((home_rank, base_addr), {})

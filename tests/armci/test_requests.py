@@ -64,7 +64,7 @@ class TestControlRequests:
 
     def test_lock_unlock_pairing(self):
         lock = LockRequest(src_rank=1, home_rank=0, base_addr=8)
-        unlock = UnlockRequest(src_rank=1, home_rank=0, base_addr=8)
+        unlock = UnlockRequest(src_rank=1, home_rank=0, base_addr=8, ticket=0)
         assert (lock.home_rank, lock.base_addr) == (
             unlock.home_rank, unlock.base_addr
         )

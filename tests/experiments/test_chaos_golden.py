@@ -2,16 +2,22 @@
 
 A chaos run is deterministic, so its RMCSan event stream — which
 ``view_change`` / ``lease_revoked`` / ``proc_crashed`` is emitted when,
-with which fields in which order — can be pinned byte for byte.  The
-hashes below were captured at the commit *before* crash handling was
-restructured (one view transition in ``runtime/membership.py``, recovery
-owned by each lock); a reordered emit fails here, not in a nightly.
+with which fields in which order — can be pinned byte for byte; a
+reordered emit fails here, not in a nightly.
 
-Cases: the default kill script under each of the seven ``--lock`` kinds,
-plus the seven command lines of the CI ``chaos`` / ``chaos-partition``
-jobs.  To re-pin after an *intended* change of the event stream, print
-the new digests with ``pytest -q tests/experiments/test_chaos_golden.py``
-(the assertion message carries them) and say why in the commit.
+Cases: the default kill script under each of the seven ``--lock`` kinds
+(the default is ``--lock hybrid``, so the two rows carry the same
+digests), plus the chaos/partition/stall command lines that
+``scripts/unreached.py`` also drives.  To re-pin after an *intended*
+change of the event stream, print the new digests with ``pytest -q
+tests/experiments/test_chaos_golden.py`` (the assertion message carries
+them) and say why in the commit.
+
+The ticket, server and hybrid rows were re-pinned when the ticket lock's
+home came to own its queue's recovery: the recovery coordinator no longer
+reads the ticket cell (one ``mem_read`` fewer per declaration), and a
+dead waiter's ticket is reported revoked when the counter reaches it
+instead of at the declaration.
 """
 
 import hashlib
@@ -24,9 +30,9 @@ from repro.cli import main
 GOLDEN = [
     (
         "--lock ticket",
-        "741d57c859c440a27459c62bf1611d63db338447f342e3171bfb386be5b90871",
-        "7158996e47ded3e59deb2ae68da4b88245b355eaf3c321ed83d9b13f21a0963d",
-        306,
+        "d7587250af47d0938018608c70ca617985b615f8f9993519c1308bdd3ccbf419",
+        "c08600059a504382243ab024769aed87f04bdeb820c757098c62d739f84994d7",
+        304,
     ),
     (
         "--lock lh",
@@ -36,15 +42,15 @@ GOLDEN = [
     ),
     (
         "--lock server",
-        "0252976c71b6155996c61958aed8f6a20da8529dfbef28bb52e8977333c7fa27",
-        "cb85ec76231c683e30575c70edf57655d77eea9c25a3bfdae2030c9a80d8692a",
-        642,
+        "ede6452be1e861bae697a1c5cdfcbd96821a4a8af80790dc4c7ef78c49bb1e87",
+        "d7fb5a84a7ae7481f419eaa9843f45b1e05a6a3006a6d53c50a6417fd59dfdaf",
+        640,
     ),
     (
         "--lock hybrid",
-        "07e94aeffedfe0696c49a0b9f2dfb6fb8fd96d64227367a0a9bceb5d80797d0b",
-        "29962a8d6c45d46bd38b48c1466faeb735eb766009946f0da4b1e2055920dfd5",
-        645,
+        "850526b1aad9ee826c0446de16a88ed38aad75b789d975d6a71d0c3075c5c772",
+        "a5c54efd54702a0c864c38912a63f240ec9b506011ca3df1c2255e058717530b",
+        643,
     ),
     (
         "--lock mcs",
@@ -66,9 +72,9 @@ GOLDEN = [
     ),
     (
         "",
-        "07e94aeffedfe0696c49a0b9f2dfb6fb8fd96d64227367a0a9bceb5d80797d0b",
-        "29962a8d6c45d46bd38b48c1466faeb735eb766009946f0da4b1e2055920dfd5",
-        645,
+        "850526b1aad9ee826c0446de16a88ed38aad75b789d975d6a71d0c3075c5c772",
+        "a5c54efd54702a0c864c38912a63f240ec9b506011ca3df1c2255e058717530b",
+        643,
     ),
     (
         "--procs 6 --lock mcs --kill 4:60 --kill 5:900 --kill-seed 7",

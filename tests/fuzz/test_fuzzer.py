@@ -170,13 +170,16 @@ class TestKnownFailingRatchet:
         listed = {s for s in known if s < end}
         excluded = set(constants["FUZZ_KNOWN_FAILING"])
         # 62, 146 and 249 turned green when lock FIFO came to be judged at
-        # the linearisation point.  The benchmark's pool is fixed between
-        # benchmark-correcting changes, so it still leaves them out until
-        # the next such change returns them; every listed seed stays out.
-        assert sorted(excluded - listed) == [62, 146, 249]
+        # the linearisation point; 77 and 267 (hybrid) when the ticket
+        # lock's home came to own its queue's recovery, and 291 (MCS) when
+        # the fence came to be checked where a release commits.  The
+        # benchmark's pool is fixed between benchmark-correcting changes,
+        # so it still leaves them out until the next such change returns
+        # them; every listed seed stays out.
+        assert sorted(excluded - listed) == [62, 77, 146, 249, 267, 291]
         assert listed <= excluded
 
-    @pytest.mark.parametrize("seed", [39, 689, 291, 714, 989])
+    @pytest.mark.parametrize("seed", [39, 651, 247, 714, 932])
     def test_listed_seeds_still_fail_with_the_listed_kinds(self, known, seed):
         assert list(replay_seed(seed).kinds()) == known[seed]
 
@@ -185,7 +188,7 @@ class TestKnownFailingRatchet:
         assert result.seeds_run == 50 and not result.ok()
         assert result.failure is None and result.shrunk is None
         expected = {str(s): k for s, k in sorted(known.items()) if 30 <= s < 80}
-        assert result.failing() == expected and len(expected) == 3
+        assert result.failing() == expected and len(expected) == 2
         data = json.loads(result.to_json())
         assert data["failing"] == expected and data["ok"] is False
         counted = {(kind, lock, barrier): n for kind, lock, barrier, n in data["histogram"]}
@@ -195,7 +198,7 @@ class TestKnownFailingRatchet:
                 assert counted[(kind, sc.lock_kind or "-", outcome.barrier_body)] >= 1
         assert sum(counted.values()) == sum(len(k) for k in expected.values())
         text = result.render()
-        assert "3 failing seed(s): 39 72 77" in text
+        assert "2 failing seed(s): 39 72" in text
         assert text.splitlines()[2].split() == ["kind", "lock", "barrier", "seeds"]
 
 
@@ -508,10 +511,13 @@ def test_event_stream_digest():
         outcome = run_scenario(generate(seed))
         digest.update(outcome.to_json().encode())
         digest.update(str(outcome.end_state_hash).encode())
-    # Re-pinned when lock FIFO came to be judged against the order the
-    # lock linearised the requests instead of the order they were sent:
-    # seeds 62, 146 and 249 lose their lock-fifo violation (all three turn
-    # green); no other seed moves.
+    # Re-pinned (from 97c46f56…) when the ticket lock's home came to own
+    # its queue's recovery and the fence came to be checked where a
+    # release commits: 41 seeds that recover a ticket, server or hybrid
+    # lock move (77 and 267 turn green; in the rest the coordinator no
+    # longer reads the ticket cell, and a dead waiter's skipped ticket is
+    # reported when the counter reaches it), and MCS seed 291 turns green.
+    # No seed without a membership service moves.
     assert digest.hexdigest() == (
-        "97c46f560fe03d21dfc04905ab427ad918f364936ec46798a00af24cefa3e2f0"
+        "8bc2dce6e5d6e42c56c5134f4ea5f50ec41300e02b85a75e842baa1ffb8478c3"
     )

@@ -6,15 +6,22 @@ whose process is killed, a half-finished enqueue), a stub stands in for
 the membership service — exactly the reads and two writes a coordinator
 may use — and the test runs ``Cls.recover(svc, handles, dead, transient)``
 as one more simulated process.
+
+The ticket family is the exception: its queue lives at the home, which
+records who took each ticket only under a membership service, so its
+tests declare or exclude a rank on a real one (a crash-stop plan whose one
+crash never comes) at a chosen instant.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.locks import make_lock
 from repro.locks.lh import LHLock
 from repro.locks.mcs import MCSLock
-from repro.locks.ticket import TicketFamilyLock
 from repro.locks.token_base import TokenLockBase
+from repro.net.faults import FaultPlan, ProcessCrash
 from repro.net.params import myrinet2000
 from repro.runtime.memory import NULL_PTR
 
@@ -29,8 +36,6 @@ class StubService:
         self.excluded = set(excluded)
         self.dead_nodes = set(dead_nodes)
         self.leases = {}
-        self.revoked = {}
-        self.revocations = []
         self.regens = {}
 
     def is_alive(self, rank):
@@ -50,11 +55,6 @@ class StubService:
 
     def lease_holder(self, key):
         return self.leases.get(key)
-
-    def revoke_ticket(self, key, cells, ticket, rank):
-        if ticket not in self.revoked.setdefault(cells, set()):
-            self.revoked[cells].add(ticket)
-            self.revocations.append((key, ticket, rank))
 
     def record_token_regen(self, key, payload):
         self.regens[key] = (self.epoch, dict(payload))
@@ -86,6 +86,15 @@ class Scenario:
         yield from lock.acquire()
         self.granted[ctx.rank] = ctx.now
 
+    def hold_until(self, when):
+        def script(ctx, lock):
+            yield from lock.acquire()
+            self.granted[ctx.rank] = ctx.now
+            yield ctx.env.timeout(when - ctx.now)
+            yield from lock.release()
+
+        return script
+
     def acquire_at(self, when, then_release=True):
         def script(ctx, lock):
             yield ctx.env.timeout(when)
@@ -112,6 +121,20 @@ class Scenario:
         self.env.process(coordinator(), name="recover")
         return done
 
+    def leave_at(self, when, rank, transient=False):
+        """Declare ``rank`` dead (or exclude it) on the runtime's membership
+        service at ``when``: the service runs the lock's recovery."""
+        svc = self.rt.membership
+
+        def leave():
+            yield self.env.timeout(when)
+            if transient:
+                svc.exclude(rank, self.env.now, "test")
+            else:
+                svc.declare(rank, self.env.now, "test")
+
+        self.env.process(leave(), name="leave")
+
     def kill_at(self, when, *procs):
         def killer():
             yield self.env.timeout(when)
@@ -130,83 +153,116 @@ class Scenario:
 TICKET_FAMILY = [("ticket", 3), ("hybrid", 1), ("server", 1)]
 
 
+def membership_cluster(make_cluster):
+    """``make_cluster`` with a membership service whose one planned crash
+    never comes, so only the test's own declarations change the view."""
+    plan = FaultPlan(crashes=(ProcessCrash(at_us=1e9, rank=2),), seed=7)
+
+    def make(**kwargs):
+        return make_cluster(params=dataclasses.replace(myrinet2000(), faults=plan), **kwargs)
+
+    return make
+
+
+def counter(lock):
+    return lock._home_region.read(lock.base_addr + 1)
+
+
+def recoveries(sc):
+    return [(r["dead_rank"], r.get("transient", False)) for r in sc.rt.membership.recovery_log]
+
+
 @pytest.mark.parametrize("kind, ppn", TICKET_FAMILY)
 class TestTicketFamilyRecover:
     def test_dead_holder_is_ghost_advanced_past(self, make_cluster, kind, ppn):
-        sc = Scenario(make_cluster, kind, 3, ppn)
+        sc = Scenario(membership_cluster(make_cluster), kind, 3, ppn)
         sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0), 2: sc.idle})
-        svc = StubService(3, dead={0})
-        done = sc.recover_at(200.0, TicketFamilyLock, svc, dead=0)
+        sc.leave_at(200.0, 0)
         sc.run()
-        lock = sc.handles[0]
-        key = svc.lock_key(lock)
-        assert svc.revocations == [(key, 0, 0)]
-        assert lock._home_region.read(lock.base_addr + 1) == 2  # 1 served too
-        assert sc.granted[1] > 200.0 and done["at"] >= 200.0
+        lock = sc.handles[1]
+        assert recoveries(sc) == [(0, False)]
+        assert counter(lock) == 2  # 0 ghost-advanced, 1 served and released
+        assert sc.granted[1] > 200.0
 
     def test_dead_waiter_behind_live_holder_is_revoked(
         self, make_cluster, kind, ppn
     ):
-        sc = Scenario(make_cluster, kind, 3, ppn)
+        sc = Scenario(membership_cluster(make_cluster), kind, 3, ppn)
         sc.start(
             {
-                0: sc.hold_forever,
+                0: sc.hold_until(300.0),
                 1: sc.acquire_at(50.0, then_release=False),
-                2: sc.acquire_at(100.0, then_release=False),
+                2: sc.acquire_at(100.0),
             }
         )
-        sc.kill_at(150.0, sc.procs[1])
-        svc = StubService(3, dead={1})
-        sc.recover_at(200.0, TicketFamilyLock, svc, dead=1)
+        sc.leave_at(200.0, 1)
         sc.run()
         lock = sc.handles[0]
-        # The head scan stops at the live holder's ticket 0, so the counter
-        # stays put — but ticket 1 is spliced out for the eventual release.
-        assert [(t, r) for _k, t, r in svc.revocations] == [(1, 1)]
-        assert lock._home_region.read(lock.base_addr + 1) == 0
-        assert svc.revoked == {(0, lock.base_addr): {1}}
-        assert 1 not in sc.rt.servers[0].lock_waiters(0, lock.base_addr)
-        assert 2 not in sc.granted
+        # The declaration finds the live holder's ticket 0 at the counter
+        # and writes nothing; the holder's release skips the dead rank's
+        # ticket 1 at the home and serves rank 2's ticket 2.
+        assert 1 not in sc.granted
+        assert sc.granted[2] > 300.0
+        assert counter(lock) == 3
+        assert sc.rt.servers[0].ticket_owners[(0, lock.base_addr)][1] == {}
 
     def test_excluded_holder_is_advanced_past_but_keeps_running(
         self, make_cluster, kind, ppn
     ):
-        sc = Scenario(make_cluster, kind, 3, ppn)
-        sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0), 2: sc.idle})
-        svc = StubService(3, excluded={0})
-        sc.recover_at(200.0, TicketFamilyLock, svc, dead=0, transient=True)
+        sc = Scenario(membership_cluster(make_cluster), kind, 3, ppn)
+        sc.start({0: sc.hold_until(400.0), 1: sc.acquire_at(50.0), 2: sc.idle})
+        sc.leave_at(200.0, 0, transient=True)
         sc.run()
-        # Alive, so only ``rank != dead`` tells the scan to skip its ticket.
-        assert [(t, r) for _k, t, r in svc.revocations] == [(0, 0)]
+        holder = sc.handles[0]
+        # Alive, so the exclusion's ghost-advance passes its ticket on, and
+        # its own release, fenced, hands nothing on a second time.
+        assert recoveries(sc) == [(0, True)]
         assert sc.granted[1] > 200.0
+        assert holder.stats.counters["fenced_releases"] == 1
+        assert holder.stats.releases == 0
+        assert counter(holder) == 2
 
     def test_nothing_to_do_writes_nothing(self, make_cluster, kind, ppn):
-        sc = Scenario(make_cluster, kind, 3, ppn)
+        sc = Scenario(membership_cluster(make_cluster), kind, 3, ppn)
         sc.start({0: sc.hold_forever, 1: sc.idle, 2: sc.idle})
-        svc = StubService(3, dead={2})
-        sc.recover_at(200.0, TicketFamilyLock, svc, dead=2)
+        sc.leave_at(200.0, 2)
         sc.run()
         lock = sc.handles[0]
-        assert svc.revocations == []
-        assert lock._home_region.read(lock.base_addr + 1) == 0
+        assert recoveries(sc) == [(2, False)]
+        assert counter(lock) == 0
 
 
 @pytest.mark.parametrize("kind", ["hybrid", "server"])
 def test_queued_waiter_is_granted_through_the_server(make_cluster, kind):
-    sc = Scenario(make_cluster, kind, 3)
+    sc = Scenario(membership_cluster(make_cluster), kind, 3)
     sc.start(
         {0: sc.hold_forever, 1: sc.acquire_at(50.0, then_release=False), 2: sc.idle}
     )
-    sc.recover_at(200.0, TicketFamilyLock, StubService(3, dead={0}), dead=0)
+    sc.leave_at(200.0, 0)
     sc.run()
     server = sc.rt.servers[0]
-    lock = sc.handles[0]
+    lock = sc.handles[1]
     # One grant for the holder's own request (server kind) or none (hybrid
     # local fast path), plus the recovery's grant: the same counter-advance
     # path a release takes.
     assert server.stats.grants == (2 if kind == "server" else 1)
-    assert sorted(server.lock_waiters(0, lock.base_addr)) == []
-    assert sc.handles[1]._my_ticket == 1 and 1 in sc.granted
+    assert server._lock_waiters[(0, lock.base_addr)] == {}
+    assert lock._my_ticket == 1 and sc.granted[1] > 200.0
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "server"])
+def test_a_request_that_outlives_its_sender_is_never_granted(make_cluster, kind):
+    # Rank 1's request is on the wire when rank 1 is declared; it lands at
+    # the home afterwards, takes ticket 0 and finds the lock free.  The
+    # home passes that ticket on at once instead of granting a dead rank.
+    sc = Scenario(membership_cluster(make_cluster), kind, 3)
+    sc.start({0: sc.idle, 1: sc.acquire_at(50.0), 2: sc.acquire_at(300.0)})
+    p = myrinet2000()
+    sc.leave_at(50.0 + p.api_call_us + p.o_send_us + 0.01, 1)
+    sc.run()
+    lock = sc.handles[2]
+    assert 1 not in sc.granted and sc.granted[2] >= 300.0
+    assert lock._my_ticket == 1 and counter(lock) == 2
 
 
 # -- LH -------------------------------------------------------------------------------

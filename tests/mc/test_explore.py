@@ -89,6 +89,30 @@ class TestExhaustion:
         assert result.max_depth == 0
         assert_pinned(result, "ticket-handoff")
 
+    @pytest.mark.parametrize(
+        "name", ["lock-recovery-remote", "lock-recovery-remote-waiter"]
+    )
+    def test_remote_queue_recovery_exhausts_with_recovery_in_every_run(
+        self, monkeypatch, name
+    ):
+        from repro.runtime.membership import MembershipService
+
+        recoveries = []
+        recover = MembershipService._recover_lock
+
+        def counted(svc, key, dead, transient):
+            recoveries.append(dead)
+            return recover(svc, key, dead, transient)
+
+        monkeypatch.setattr(MembershipService, "_recover_lock", counted)
+        result = _explore_target(name)
+        assert result.ok()
+        assert result.exhausted
+        assert recoveries == [get_target(name).scenario.crashes[0][1]] * (
+            result.schedules_run
+        )
+        assert_pinned(result, name)
+
     def test_exploration_is_deterministic(self):
         a = _explore_target("mcs-handoff")
         b = _explore_target("mcs-handoff")

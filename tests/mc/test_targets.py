@@ -17,6 +17,8 @@ def test_expected_targets_present():
         "reliable",
         "partition-heal",
         "twolevel-barrier",
+        "lock-recovery-remote",
+        "lock-recovery-remote-waiter",
     }
 
 

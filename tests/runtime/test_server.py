@@ -267,12 +267,12 @@ class TestHybridLockServerSide:
                     LockRequest(src_rank=2, home_rank=0, base_addr=base, reply=r2))
         env.run()
         assert r1.processed and not r2.triggered
-        assert sorted(servers[0].lock_waiters(0, base)) == [1]
+        assert sorted(servers[0]._lock_waiters[(0, base)]) == [1]
         fabric.post(1, server_endpoint(0),
-                    UnlockRequest(src_rank=1, home_rank=0, base_addr=base))
+                    UnlockRequest(src_rank=1, home_rank=0, base_addr=base, ticket=0))
         env.run()
         assert r2.processed and r2.value == 1
-        assert sorted(servers[0].lock_waiters(0, base)) == []
+        assert sorted(servers[0]._lock_waiters[(0, base)]) == []
 
     def test_unlock_wakes_local_pollers_via_counter(self):
         env, fabric, regions, _servers, base = self.make_lock_rig()
@@ -284,7 +284,7 @@ class TestHybridLockServerSide:
 
         env.process(poller())
         fabric.post(1, server_endpoint(0),
-                    UnlockRequest(src_rank=1, home_rank=0, base_addr=base))
+                    UnlockRequest(src_rank=1, home_rank=0, base_addr=base, ticket=0))
         env.run()
         assert len(seen) == 1
 
