@@ -158,8 +158,6 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("locks/lh.py", "LHLock.recover.<locals>.<lambda>", FAULT),
     ("locks/mcs.py", "MCSLock.recover.<locals>.<lambda>", FAULT),
     ("locks/mcs.py", "MCSLock._ghost_release.<locals>.linker_pending", FAULT),
-    ("locks/naimi.py", "NaimiTrehelLock._fence_reset", FAULT),
-    ("locks/raymond.py", "RaymondLock._fence_reset", FAULT),
     ("net/faults.py", "FaultPlan.partition_until", FAULT),
     ("net/reliable.py", "ReliableDelivery._suspend", FAULT),
     ("net/reliable.py", "ReliableDelivery._resume", FAULT),
@@ -191,6 +189,7 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("locks/token_base.py", "TokenLockBase._daemon_loop", INTERFACE),
     ("locks/token_base.py", "TokenLockBase._holds_token", INTERFACE),
     ("locks/token_base.py", "TokenLockBase._wants_token", INTERFACE),
+    ("locks/token_base.py", "TokenLockBase._leave_cs", INTERFACE),
     ("mp/vector.py", "OpCounts.tolist", INTERFACE),
     ("mp/vector.py", "OpCounts.__iter__", INTERFACE),
     ("mp/vector.py", "OpCounts.__eq__", INTERFACE),

@@ -72,7 +72,6 @@ class BaseLock:
         #: Fencing token snapshotted at grant time; a mismatch where the
         #: release commits means the lease was revoked (:meth:`_fenced`).
         self._acq_fence = 0
-        self._rejected = False  # the last release was fenced
         if self._membership_svc is not None:
             self._membership_svc.register_lock(self)
 
@@ -131,13 +130,12 @@ class BaseLock:
             yield self.params.api_call_us
         self.release_sw.start()
         self._held = False
-        yield from self._release()
+        rejected = yield from self._release()
         self.release_sw.stop()
         self.total_sw.stop()
+        if rejected:  # fenced: the lease is no longer this handle's
+            return
         if self._membership_svc is not None:
-            if self._rejected:
-                self._rejected = False
-                return
             # Only after the handoff landed: a holder that dies *inside*
             # ``_release()`` must still be covered by its lease, so the
             # declaration revokes it and recovery finishes the handoff
@@ -156,17 +154,16 @@ class BaseLock:
     def _fenced(self) -> bool:
         """The fence check (membership only), made once per release just
         before the first write or message that hands the lock on.  True:
-        the lease was revoked since the grant, so the release is rejected
-        and hands nothing on.  False: the release commits, and an exclusion
-        now leaves the lease alone (``MembershipCore.lease_commit``).  Made
-        earlier, it would miss a revocation landing while ``_release()`` is
-        in flight."""
+        the lease was revoked since the grant, so the release is rejected:
+        ``_release()`` hands nothing on and returns True.  False: the
+        release commits, and an exclusion now leaves the lease alone
+        (``MembershipCore.lease_commit``).  Made earlier, it would miss a
+        revocation landing while ``_release()`` is in flight."""
         svc = self._membership_svc
         current = svc.fence_token(svc.lock_key(self))
         if current == self._acq_fence:
             svc.lease_commit(self)
             return False
-        self._rejected = True
         self.stats.bump("fenced_releases")
         if self._monitor is not None:
             self._monitor.emit(

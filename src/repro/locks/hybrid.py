@@ -60,20 +60,14 @@ class HybridLock(TicketFamilyLock):
 
     def _release(self):
         """Figure 4: local or remote, contact the home server; no reply."""
-        # fabric.send, inlined: the fence check sits between the send
-        # overhead and the post, where the release commits.
-        p = self.params
-        overhead = p.shm_access_us if self.is_home_local else p.o_send_us
-        if overhead > 0.0:
-            yield overhead
         if self._membership_svc is not None and self._fenced():
-            return
+            return True
         req = UnlockRequest(
             src_rank=self.ctx.rank,
             home_rank=self.home_rank,
             base_addr=self.base_addr,
             ticket=self._my_ticket,
         )
-        self.ctx.fabric.post(
-            self.ctx.rank, server_endpoint(self.home_node), req, src_node=self.ctx.node
+        yield from self.ctx.fabric.send(
+            self.ctx.rank, server_endpoint(self.home_node), req
         )

@@ -112,7 +112,7 @@ class LHLock(BaseLock):
         yield self.params.shm_access_us
         self._phase = "idle"
         if self._membership_svc is not None and self._fenced():
-            return
+            return True
         self._region.write(self._spin_cell, _GRANTED)
         self.stats.handoffs += 1
 

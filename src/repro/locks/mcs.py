@@ -162,7 +162,7 @@ class MCSLock(BaseLock):
         if self._membership_svc is not None and self._fenced():
             struct.in_use_by = None
             self._phase = "idle"
-            return
+            return True
         if next_ptr == NULL_PTR:
             if self.optimistic_release:
                 self._release_optimistic()

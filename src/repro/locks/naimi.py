@@ -98,8 +98,7 @@ class NaimiTrehelLock(TokenLockBase):
                 self.in_cs = True
                 self._grant_local()
             elif msg.kind == "local_release":
-                self.in_cs = False
-                self.requesting = False
+                self._leave_cs()
                 if self.next is not None:
                     successor, self.next = self.next, None
                     self.has_token = False
@@ -121,7 +120,7 @@ class NaimiTrehelLock(TokenLockBase):
     def _wants_token(self) -> bool:
         return self.requesting
 
-    def _fence_reset(self) -> None:
+    def _leave_cs(self) -> None:
         self.in_cs = False
         self.requesting = False
 

@@ -118,7 +118,7 @@ class RaymondLock(TokenLockBase):
                     continue
                 self.holder = Self
             elif msg.kind == "local_release":
-                self.using = False
+                self._leave_cs()
             elif msg.kind == "view_change":
                 self._apply_view_change(msg.payload)
             else:  # pragma: no cover - protocol bug
@@ -136,7 +136,7 @@ class RaymondLock(TokenLockBase):
     def _wants_token(self) -> bool:
         return Self in self.request_q or self.using
 
-    def _fence_reset(self) -> None:
+    def _leave_cs(self) -> None:
         self.using = False
 
     def _apply_view_change(self, info) -> None:

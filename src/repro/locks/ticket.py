@@ -109,12 +109,9 @@ class TicketLock(TicketFamilyLock):
     def _release(self):
         # Write ticket+1 into counter, passing the lock to the next waiter.
         yield self.params.shm_access_us
-        if self._membership_svc is None:
-            self._home_region.write(self.base_addr + 1, self._my_ticket + 1)
-        elif self._fenced():
-            return
-        else:  # the home's grant path, which skips a dead owner's ticket
-            yield from self._home.advance_lock_counter(
-                self.home_rank, self.base_addr, self._my_ticket + 1
-            )
+        if self._membership_svc is not None and self._fenced():
+            return True
+        yield from self._home.advance_lock_counter(
+            self.home_rank, self.base_addr, self._my_ticket + 1
+        )
         self.stats.handoffs += 1

@@ -116,8 +116,8 @@ class TokenLockBase(BaseLock):
         if self._membership_svc is not None and self._fenced():
             # The survivors regenerated the token: the daemon must not pass
             # on the stale one, only forget that it is in use.
-            self._fence_reset()
-            return
+            self._leave_cs()
+            return True
         yield from self._send(self.ctx.rank, "local_release")
 
     def _grant_local(self) -> None:
@@ -214,4 +214,9 @@ class TokenLockBase(BaseLock):
 
     def _wants_token(self) -> bool:  # pragma: no cover - abstract
         """Is a local request outstanding (or being served)?"""
+        raise NotImplementedError
+
+    def _leave_cs(self) -> None:  # pragma: no cover - abstract
+        """The application left its critical section: on a ``local_release``
+        at the daemon, or on a fenced release, which passes nothing on."""
         raise NotImplementedError

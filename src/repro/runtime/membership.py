@@ -414,10 +414,13 @@ class MembershipCore:
         Unlike :meth:`declare` the rank is *not* killed: its processes
         keep running (on the minority side they freeze at their next sync
         operation), its memory survives, and it rejoins through
-        :meth:`end_window` once the fault window closes.  Any lease it holds
-        is revoked and fenced so the majority can regenerate the lock —
-        the excluded ex-holder's own release is rejected by the
-        fencing-token check when it eventually runs.
+        :meth:`end_window` once the fault window closes.  A lease it holds
+        whose release has not committed yet is revoked and fenced so the
+        majority can regenerate the lock, and the ex-holder's own release
+        is rejected by the fence check where it would commit; a committed
+        release (:meth:`lease_commit`) hands the lock on by itself and
+        keeps its lease (``docs/fault_model.md``, "The recovery protocol",
+        step 3).
         """
         if not self.in_view(rank):
             return
