@@ -156,8 +156,6 @@ KEPT: Tuple[Tuple[str, str, str], ...] = (
     ("analysis/hb.py", "HBAnalyzer._deadlock_check.<locals>.visit", FAULT),
     ("locks/base.py", "BaseLock.recover", FAULT),
     ("locks/lh.py", "LHLock.recover.<locals>.<lambda>", FAULT),
-    ("locks/mcs.py", "MCSLock.recover.<locals>.<lambda>", FAULT),
-    ("locks/mcs.py", "MCSLock._ghost_release.<locals>.linker_pending", FAULT),
     ("net/faults.py", "FaultPlan.partition_until", FAULT),
     ("net/reliable.py", "ReliableDelivery._suspend", FAULT),
     ("net/reliable.py", "ReliableDelivery._resume", FAULT),

@@ -11,8 +11,9 @@ The monitor module is imported by :func:`attach` once capture is enabled,
 not here: every runtime asks this module whether to attach, and a run
 without ``--trace-out`` loads no part of RMCSan but this file.
 
-Capture is process-global and intended for the CLI only; tests and the
-sanitizer pass monitors explicitly.
+Capture is process-global and intended for the CLI only.  A runtime
+built with its own monitor (the sanitizer's targets, the fuzzer's and
+RMCheck's runs) keeps it, and capture records that one instead.
 """
 
 from __future__ import annotations
@@ -53,17 +54,22 @@ def discard() -> None:
         Path(path).unlink(missing_ok=True)
 
 
-def attach(env) -> Optional[SyncMonitor]:
-    """Install a monitor on ``env`` if capture is enabled (else ``None``).
+def attach(env, monitor: Optional[SyncMonitor] = None) -> Optional[SyncMonitor]:
+    """Install ``monitor`` on ``env`` — or, if capture is enabled and none
+    was given, a fresh one — and record it while capture is enabled.
+    Returns the installed monitor (``None``: none).
 
     Called by :class:`~repro.runtime.cluster.ClusterRuntime` during wiring.
     """
-    if _path is None:
-        return None
-    from .monitor import SyncMonitor
+    if monitor is None:
+        if _path is None:
+            return None
+        from .monitor import SyncMonitor
 
-    monitor = SyncMonitor().install(env)
-    _captures.append((len(_captures) + 1, monitor))
+        monitor = SyncMonitor()
+    monitor.install(env)
+    if _path is not None:
+        _captures.append((len(_captures) + 1, monitor))
     return monitor
 
 

@@ -368,7 +368,7 @@ class Armci:
             region = self.regions[dst.rank]
             yield from self._shm(p.shm_atomic_us)
             self.stats["rmws_local"] += 1
-            return atomics.apply_rmw(region, dst.addr, op, args)
+            return atomics.apply_rmw(region, dst.addr, op, args, self.rank)
         node = self.topology.node_of(dst.rank)
         reply = self.env.event()
         req = RmwRequest(

@@ -72,6 +72,8 @@ class BaseLock:
         #: Fencing token snapshotted at grant time; a mismatch where the
         #: release commits means the lease was revoked (:meth:`_fenced`).
         self._acq_fence = 0
+        #: Has a release's commit point work to do (:meth:`_commit`)?
+        self._commits = self._monitor is not None or self._membership_svc is not None
         if self._membership_svc is not None:
             self._membership_svc.register_lock(self)
 
@@ -143,22 +145,28 @@ class BaseLock:
             # ``lease_release`` no-ops if a successor already re-leased.
             self._membership_svc.lease_release(self)
         self.stats.releases += 1
+
+    def _commit(self) -> bool:
+        """A release's commit point: each family's ``_release`` calls it
+        once (when ``_commits``), just before the first write or message
+        that hands the lock on.  True: the fence rejected the release
+        (:meth:`_fenced`), so ``_release()`` hands nothing on and returns
+        True.  A committed release is announced to RMCSan here, not when
+        ``_release()`` returns: the handoff may wake the next holder first
+        (an uncontended MCS release CAS applies at the home long before its
+        delayed reply lands)."""
+        if self._membership_svc is not None and self._fenced():
+            return True
         if self._monitor is not None:
-            # Emitted before any successor can run: the segment from the
-            # end of _release() to here has no yields, and every handoff
-            # path (counter write, MCS flag put, server grant) wakes the
-            # next holder strictly later, so release precedes the matching
-            # acquire in the event stream.
             self._monitor.emit("lock_rel", lock=self._san_key)
+        return False
 
     def _fenced(self) -> bool:
-        """The fence check (membership only), made once per release just
-        before the first write or message that hands the lock on.  True:
-        the lease was revoked since the grant, so the release is rejected:
-        ``_release()`` hands nothing on and returns True.  False: the
-        release commits, and an exclusion now leaves the lease alone
-        (``MembershipCore.lease_commit``).  Made earlier, it would miss a
-        revocation landing while ``_release()`` is in flight."""
+        """The fence check (membership only) at the commit point.  True:
+        the lease was revoked since the grant, so the release is rejected.
+        False: the release commits, and an exclusion now leaves the lease
+        alone (``MembershipCore.lease_commit``).  Made earlier, it would
+        miss a revocation landing while ``_release()`` is in flight."""
         svc = self._membership_svc
         current = svc.fence_token(svc.lock_key(self))
         if current == self._acq_fence:
@@ -201,8 +209,8 @@ class BaseLock:
         splices or regenerates its own.  ``transient`` marks a partition /
         stall exclusion: ``dead`` is alive, held the lock, and will rejoin.
         What a coordinator may ask of ``svc``: ``is_alive``, ``in_view``,
-        ``epoch``, ``node_dead``, ``alive_ranks``, ``lease_holder``,
-        ``lock_key``, ``revoked`` and ``record_token_regen``.
+        ``epoch``, ``alive_ranks``, ``lease_holder``, ``lock_key``,
+        ``revoked``, ``record_token_regen`` and ``env`` (to wait on).
         """
         return
         yield  # make it a generator

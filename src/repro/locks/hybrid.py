@@ -60,7 +60,7 @@ class HybridLock(TicketFamilyLock):
 
     def _release(self):
         """Figure 4: local or remote, contact the home server; no reply."""
-        if self._membership_svc is not None and self._fenced():
+        if self._commits and self._commit():
             return True
         req = UnlockRequest(
             src_rank=self.ctx.rank,

@@ -111,7 +111,7 @@ class LHLock(BaseLock):
         # GRANTED into the cell my successor spins on (the one I published).
         yield self.params.shm_access_us
         self._phase = "idle"
-        if self._membership_svc is not None and self._fenced():
+        if self._commits and self._commit():
             return True
         self._region.write(self._spin_cell, _GRANTED)
         self.stats.handoffs += 1

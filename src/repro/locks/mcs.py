@@ -27,7 +27,7 @@ a time; the implementation enforces this.
 
 from __future__ import annotations
 
-from ..net.params import MEMBERSHIP_POLL_US
+from ..runtime.atomics import compare_and_swap_pair, swap_pair
 from ..runtime.memory import NULL_PTR, GlobalAddress
 from .base import BaseLock
 
@@ -87,11 +87,18 @@ class MCSLock(BaseLock):
         self.optimistic_release = optimistic_release
         #: Event tracking an in-flight optimistic release (None when idle).
         self._pending_release = None
-        # Crash-recovery bookkeeping: queue position ("idle" | "waiting" |
-        # "held" | "releasing") and the predecessor this handle enqueued
-        # behind (needed to repair a half-finished enqueue).
-        self._phase = "idle"
+        #: The node this request's swap returned (None until its reply
+        #: lands; ``queue_link`` without a membership service).
         self._prev_ptr = None
+        #: The home's record of this lock's queue (membership only).
+        self._queue = None
+        if self._membership_svc is not None:
+            if home_region.rmw_hooks is None:
+                home_region.rmw_hooks = {}
+            self._queue = home_region.rmw_hooks.setdefault(
+                self.lock_addr,
+                _QueueRecord(self._membership_svc, home_region, self.lock_addr),
+            )
 
     # -- helpers ---------------------------------------------------------------
 
@@ -102,6 +109,11 @@ class MCSLock(BaseLock):
 
     def queue_link(self):
         # The swap on the tail word orders requests (NULL: queue empty).
+        # The home's record names each request once: a node pointer is
+        # reused, so a dead waiter's request would take its rank's last
+        # grant's name.
+        if self._queue is not None:
+            return self._queue.last[self.ctx.rank].link
         prev = self._prev_ptr
         return (None if prev == NULL_PTR else prev, self._my_ptr)
 
@@ -127,7 +139,6 @@ class MCSLock(BaseLock):
                 "MCS lock at a time (paper: one node structure per process)"
             )
         struct.in_use_by = self.name
-        self._phase = "waiting"
         self._prev_ptr = None
         armci = self.armci
         # mynode->next = NULL
@@ -137,12 +148,14 @@ class MCSLock(BaseLock):
         prev = tuple(prev)
         self._prev_ptr = prev
         if prev == NULL_PTR:
-            self._phase = "held"
             self.stats.uncontended_acquires += 1
             return
         # Contended: enqueue behind prev and spin on our locked flag.
         self.stats.bump("contended_acquires")
         yield from armci.store(self._locked_ga(), _TRUE)
+        if self._queue is not None and self._queue.last[self.ctx.rank].owed:
+            # Recovery granted this request before the flag was armed.
+            self.ctx.region.write(struct.base + _OFF_LOCKED, _FALSE)
         yield from armci.store_pair(
             GlobalAddress(prev[0], prev[1] + _OFF_NEXT), self._my_ptr
         )
@@ -152,16 +165,13 @@ class MCSLock(BaseLock):
             lambda v: v == _FALSE,
             poll_detect_us=self.params.poll_detect_us,
         )
-        self._phase = "held"
 
     def _release(self):
         armci = self.armci
         struct = self.node_struct
-        self._phase = "releasing"
         next_ptr = yield from armci.load_pair(self._next_ga())
-        if self._membership_svc is not None and self._fenced():
+        if self._commits and self._commit():
             struct.in_use_by = None
-            self._phase = "idle"
             return True
         if next_ptr == NULL_PTR:
             if self.optimistic_release:
@@ -172,7 +182,6 @@ class MCSLock(BaseLock):
             self.stats.bump("release_cas")
             if ok:
                 struct.in_use_by = None
-                self._phase = "idle"
                 return
             # A requester swapped the Lock but has not linked itself yet;
             # wait for our next pointer, then hand off.
@@ -180,7 +189,13 @@ class MCSLock(BaseLock):
             next_ptr = yield from self._wait_for_successor()
         yield from self._handoff(next_ptr)
         struct.in_use_by = None
-        self._phase = "idle"
+
+    def _commit(self) -> bool:
+        if super()._commit():
+            return True
+        if self._queue is not None:
+            self._queue.last[self.ctx.rank].commit()
+        return False
 
     def _wait_for_successor(self):
         region = self.ctx.region
@@ -231,7 +246,6 @@ class MCSLock(BaseLock):
                 yield from self._handoff(next_ptr)
         finally:
             struct.in_use_by = None
-            self._phase = "idle"
             if self._pending_release is done:
                 self._pending_release = None
             done.succeed()
@@ -241,155 +255,93 @@ class MCSLock(BaseLock):
 
     @classmethod
     def recover(cls, svc, handles, dead: int, transient: bool):
-        """Splice a departed rank out of the chain by direct region surgery.
-
-        An excluded (``transient``) waiter keeps its chain position and
-        resumes after heal; only a holder is ghost-released."""
-        handle = handles[dead]
-        if handle._phase in ("held", "releasing"):
-            # "releasing": killed mid-release — after entering _release()
-            # but before the handoff put / tail CAS completed.  The ghost
-            # release observes the region first and only repairs what is
-            # still missing, so it is safe for every partial outcome.
-            yield from cls._ghost_release(svc, handles, handle)
-            return
-        if transient or handle._phase != "waiting":
-            return
-        prev = handle._prev_ptr
-        if prev is None or prev == NULL_PTR:
-            return  # died before entering the queue
-        prev_rank, prev_base = prev
-        p, regions = handle.params, handle.ctx.regions
-        prev_region, dead_region = regions[prev_rank], regions[dead]
-        nbase = handle.node_struct.base
+        """Pass ``dead``'s place in the queue on, as the home's record has
+        it (never a handle's view, which lags its swap reply).  Behind an
+        unfinished release, wait until that release commits; then give
+        a releaser still waiting for ``dead``'s link the link it is owed
+        (it hands off into the dead node), and grant the recorded
+        successor, or clear the tail if ``dead`` is still the tail.  (The
+        service recovers an excluded, ``transient``, rank only as a
+        holder.)"""
+        lock = next(iter(handles.values()))
+        queue, p = lock._queue, lock.params
+        entry = queue.last.get(dead)
+        if entry is None:
+            return  # no swap of ``dead``'s ever applied
         if p.shm_access_us > 0.0:
             yield p.shm_access_us
-        link = (
-            prev_region.read(prev_base + _OFF_NEXT),
-            prev_region.read(prev_base + _OFF_NEXT + 1),
-        )
-        if link != handle._my_ptr:
-            # The dead rank swapped the tail but never finished linking:
-            # complete its enqueue so the predecessor's release can find a
-            # successor (and arm the locked flag the handoff will clear).
-            dead_region.write(nbase + _OFF_LOCKED, _TRUE)
-            prev_region.write(prev_base + _OFF_NEXT, dead)
-            prev_region.write(prev_base + _OFF_NEXT + 1, nbase)
-        # Wait for the predecessor's (eventual) handoff, then pass it on.
-        yield from dead_region.wait_until(
-            nbase + _OFF_LOCKED,
-            lambda v: v == _FALSE,
-            poll_detect_us=p.poll_detect_us,
-        )
-        yield from cls._ghost_release(svc, handles, handle)
+        pred = entry.pred
+        if pred is not None and not pred.committed:
+            pred.on_commit = svc.env.event()
+            yield pred.on_commit
+        regions = lock.ctx.regions
+        if pred is not None and svc.lease_holder(svc.lock_key(lock)) == pred.rank:
+            region, cell = regions[pred.rank], pred.ptr[1] + _OFF_NEXT
+            if (region.read(cell), region.read(cell + 1)) == NULL_PTR:
+                region.write(cell, entry.ptr[0])
+                region.write(cell + 1, entry.ptr[1])
+        succ = entry.succ
+        if succ is None:
+            compare_and_swap_pair(queue.region, queue.addr, entry.ptr, NULL_PTR)
+        elif not succ.committed and svc.is_alive(succ.rank):
+            region, cell = regions[succ.rank], succ.ptr[1] + _OFF_LOCKED
+            if region.read(cell) == _TRUE:
+                region.write(cell, _FALSE)
+            else:
+                succ.owed = True  # not armed yet: it reads this after arming
+        entry.commit()
 
-    @staticmethod
-    def _lost_linker(svc, handles, dead_handle):
-        """The live waiter whose enqueue link targeted the dead node, if its
-        locked flag is already armed (so a ghost handoff cannot race the
-        arming store).  At most one waiter can have swapped the tail to
-        find the dead node as its predecessor."""
-        for rank, h in handles.items():
-            if h is dead_handle or h._phase != "waiting":
-                continue
-            if h._prev_ptr != dead_handle._my_ptr or not svc.is_alive(rank):
-                continue
-            base = h.node_struct.base
-            if h.ctx.region.read(base + _OFF_LOCKED) == _TRUE:
-                return (rank, base)
-        return None
 
-    @classmethod
-    def _ghost_release(cls, svc, handles, handle):
-        """Perform (or finish) the departed rank's release on its behalf.
+class _Entry:
+    """One applied swap on the tail word: who swapped, behind whom."""
 
-        Idempotent against a release the dead rank had already begun: every
-        branch observes the region state first and only repairs what is
-        still missing — a handoff put or tail CAS that was applied before
-        the crash is never redone (rewriting a successor's ``locked`` flag
-        after it moved on would grant a later acquisition spuriously).
-        """
-        p, topology = handle.params, handle.ctx.topology
-        dead = handle.ctx.rank
-        dead_region = handle.ctx.region
-        nbase = handle.node_struct.base
-        my_ptr = handle._my_ptr
-        home_region = handle.ctx.regions[handle.home_rank]
-        lock_addr = handle.lock_addr
+    __slots__ = (
+        "rank", "ptr", "link", "pred", "succ", "committed", "owed", "on_commit"
+    )
 
-        def read_next():
-            return (
-                dead_region.read(nbase + _OFF_NEXT),
-                dead_region.read(nbase + _OFF_NEXT + 1),
-            )
+    def __init__(self, ptr, pred, serial):
+        self.rank, self.ptr = ptr[0], ptr
+        #: ``queue_link``'s tokens: the swap numbers of pred and self.
+        self.link = (None if pred is None else pred.link[1], serial)
+        self.pred = pred
+        self.succ = None
+        #: Its release committed (or recovery passed its place on).
+        self.committed = False
+        #: Granted by recovery before it armed its ``locked`` flag.
+        self.owed = False
+        #: A coordinator waiting for the commit (None: nobody).
+        self.on_commit = None
 
-        def linker_pending() -> bool:
-            """Will anyone still write a link into the dead node's next?
+    def commit(self):
+        self.committed = True
+        self.pred = None  # its successor needs only this flag
+        if self.on_commit is not None:
+            self.on_commit.succeed()
+            self.on_commit = None
 
-            True for a waiter that enqueued directly behind the dead node
-            (its own spin code or crash recovery will complete the link),
-            and for a live waiter whose tail swap has not resolved yet —
-            it may still turn out to have swapped behind the dead node.
-            """
-            for rank, h in handles.items():
-                if h is handle or h._phase != "waiting":
-                    continue
-                if h._prev_ptr == my_ptr:
-                    return True
-                if h._prev_ptr is None and svc.is_alive(rank):
-                    return True
-            return False
 
-        if p.shm_access_us > 0.0:
-            yield p.shm_access_us
-        next_ptr = read_next()
-        if next_ptr == NULL_PTR:
-            if p.shm_atomic_us > 0.0:
-                yield p.shm_atomic_us
-            tail = (home_region.read(lock_addr), home_region.read(lock_addr + 1))
-            if tail == my_ptr:
-                # Still the tail with no successor: the dead rank's release
-                # CAS never applied (or was never issued); perform it.
-                home_region.write(lock_addr, NULL_PTR[0])
-                home_region.write(lock_addr + 1, NULL_PTR[1])
-                return
-            if tail == NULL_PTR:
-                # The dead rank's own release CAS already applied.
-                return
-            # The tail moved past the dead node.  Either a successor
-            # swapped in behind it and has not linked yet (the link will
-            # come), or the dead rank completed its release CAS before
-            # crashing and the tail belongs to a fresh chain that owes the
-            # dead node nothing.  Resolve by watching the link cell and
-            # the waiting handles until one of the two becomes certain.
-            dead_node = topology.node_of(dead)
-            while True:
-                next_ptr = read_next()
-                if next_ptr != NULL_PTR:
-                    break
-                if svc.node_dead(dead_node):
-                    # The dead rank's whole node is down, so a live
-                    # successor's link write — routed through that node's
-                    # server — can never be applied; waiting for it would
-                    # spin forever.  Complete the enqueue on the linker's
-                    # behalf (idempotent: the original write is provably
-                    # lost).  Only once the linker has armed its own
-                    # locked flag, or the handoff below could race the
-                    # arming store and be overwritten.
-                    linker = cls._lost_linker(svc, handles, handle)
-                    if linker is not None:
-                        dead_region.write(nbase + _OFF_NEXT, linker[0])
-                        dead_region.write(nbase + _OFF_NEXT + 1, linker[1])
-                        continue
-                if not linker_pending() or svc.node_dead(handle.home_node):
-                    return  # nobody will ever link: release already done
-                yield MEMBERSHIP_POLL_US
-        # Hand off — unless the dead rank's own handoff already landed and
-        # the successor moved on (its locked flag may since be re-armed).
-        succ = handles.get(next_ptr[0])
-        if succ is not None and succ._phase != "waiting":
-            return
-        if p.shm_access_us > 0.0:
-            yield p.shm_access_us
-        next_rank, next_base = next_ptr
-        handle.ctx.regions[next_rank].write(next_base + _OFF_LOCKED, _FALSE)
+class _QueueRecord:
+    """The home's record of one MCS lock's queue, under a membership
+    service: every swap on the tail word in the order it applies, and
+    which entries' releases committed.  It is the tail word's rmw hook
+    (``Region.rmw_hooks``), so the server's and a home-node requester's
+    swaps both pass through it; an operation that outlives its declared
+    sender never applies."""
+
+    def __init__(self, svc, region, addr):
+        self.svc, self.region, self.addr = svc, region, addr
+        #: rank -> its latest entry.
+        self.last = {}
+        self.swaps = 0
+
+    def __call__(self, src, fn, args):
+        if not self.svc.is_alive(src):
+            return None
+        result = fn(self.region, self.addr, *args)
+        if fn is swap_pair:
+            pred = None if tuple(result) == NULL_PTR else self.last[result[0]]
+            self.swaps += 1
+            entry = self.last[src] = _Entry(tuple(args[0]), pred, self.swaps)
+            if pred is not None:
+                pred.succ = entry
+        return result

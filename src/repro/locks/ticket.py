@@ -109,7 +109,7 @@ class TicketLock(TicketFamilyLock):
     def _release(self):
         # Write ticket+1 into counter, passing the lock to the next waiter.
         yield self.params.shm_access_us
-        if self._membership_svc is not None and self._fenced():
+        if self._commits and self._commit():
             return True
         yield from self._home.advance_lock_counter(
             self.home_rank, self.base_addr, self._my_ticket + 1

@@ -113,7 +113,7 @@ class TokenLockBase(BaseLock):
     def _release(self):
         # Fire-and-forget, like the hybrid's unlock: the daemon performs the
         # token passing asynchronously.
-        if self._membership_svc is not None and self._fenced():
+        if self._commits and self._commit():
             # The survivors regenerated the token: the daemon must not pass
             # on the stale one, only forget that it is in use.
             self._leave_cs()

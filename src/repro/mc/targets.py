@@ -32,6 +32,9 @@ that make its schedule space both interesting and exhaustible:
 * ``lock-recovery-remote`` / ``-waiter`` — the hybrid lock's recovery at
   N=3, one rank per node, with the holder crashing in its critical
   section or a queued waiter crashing; recovery runs in every run.
+* ``lock-recovery-mcs`` / ``-waiter`` — the same for MCS; its waiter
+  crashes after its swap applied at the home and before the reply landed
+  (the lagging handle), while the holder's release waits for its link.
 * ``partition-heal`` — a two-node cut across a token-lock workload: the
   minority holder is excluded, its lease fenced and the token
   regenerated in the majority, then the cut heals and the rank rejoins
@@ -207,17 +210,24 @@ TARGETS: Dict[str, MCTarget] = {
         *(
             _t(
                 name,
-                f"hybrid lock recovery with the {role} crashing, N=3",
-                _locks("hybrid", crashes=(("rank", rank, at_us),)),
-                window=1.0,
+                f"{kind} lock recovery with the {role} crashing, N=3",
+                _locks(kind, crashes=(("rank", rank, at_us),)),
+                window=window,
                 budget=50,
                 sim_cap_us=8_000.0,
                 exhaustive=True,
             )
-            # Rank 1 holds from 120.4 to 125.4 us; rank 2 is queued behind it.
-            for name, role, rank, at_us in (
-                ("lock-recovery-remote", "holder", 1, 122.0),
-                ("lock-recovery-remote-waiter", "waiter", 2, 130.0),
+            for name, kind, role, rank, at_us, window in (
+                # Rank 1 holds from 120.4 to 125.4 us; rank 2 is queued
+                # behind it.
+                ("lock-recovery-remote", "hybrid", "holder", 1, 122.0, 1.0),
+                ("lock-recovery-remote-waiter", "hybrid", "waiter", 2, 130.0, 1.0),
+                # Rank 1 holds from 118.6 to 125.1 us; rank 2's swap applies
+                # at the home at 150.5 us, its reply lands at 158.6 us, and
+                # rank 1's release CAS fails at 153.0 us.  mcs-handoff's
+                # window: at 1 us the holder's space is one schedule.
+                ("lock-recovery-mcs", "mcs", "holder", 1, 122.0, 2.0),
+                ("lock-recovery-mcs-waiter", "mcs", "waiter", 2, 154.0, 2.0),
             )
         ),
         _t(

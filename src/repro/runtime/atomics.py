@@ -144,10 +144,18 @@ RMW = {
 }
 
 
-def apply_rmw(region: Region, addr: int, op: str, args: Tuple[Any, ...] = ()):
-    """Execute rmw opcode ``op`` on ``region`` at ``addr``; returns its result."""
+def apply_rmw(
+    region: Region, addr: int, op: str, args: Tuple[Any, ...] = (), src: int = -1
+):
+    """Execute rmw opcode ``op`` on ``region`` at ``addr`` for rank ``src``;
+    returns its result.  A cell with a hook (``Region.rmw_hooks``) is
+    handed to it instead: the hook applies the operation, or refuses it
+    (``None``), and records what it did."""
     try:
         fn = RMW[op]
     except KeyError:
         raise ValueError(f"unknown rmw op {op!r}; known: {tuple(RMW)}") from None
+    hooks = region.rmw_hooks
+    if hooks is not None and addr in hooks:
+        return hooks[addr](src, fn, args)
     return fn(region, addr, *args)

@@ -52,15 +52,11 @@ class ClusterRuntime:
         self.params = params if params is not None else myrinet2000()
         self.env = Environment()
         # RMCSan: install the monitor before regions/servers are built so
-        # every layer picks it up; with no explicit monitor, an ambient
-        # trace capture (``repro ... --trace-out``) may attach one.
-        if monitor is not None:
-            monitor.install(self.env)
-        else:
-            from ..analysis import capture
+        # every layer picks it up; an ambient trace capture (``repro ...
+        # --trace-out``) records it, or attaches one when none was given.
+        from ..analysis import capture
 
-            monitor = capture.attach(self.env)
-        self.monitor = monitor
+        self.monitor = capture.attach(self.env, monitor)
         self.topology = Topology(
             nprocs,
             procs_per_node=procs_per_node,

@@ -67,6 +67,10 @@ class Region:
         #: this region was built (see repro.analysis.monitor); None keeps
         #: every access on the uninstrumented fast path.
         self._monitor = getattr(env, "_sync_monitor", None)
+        #: Cells whose read-modify-writes a lock's home record sees (an MCS
+        #: tail word under a membership service): addr -> hook; None when
+        #: no cell has one (see :func:`repro.runtime.atomics.apply_rmw`).
+        self.rmw_hooks: Optional[Dict[int, Any]] = None
 
     def __repr__(self) -> str:
         return f"<Region {self.name} cells={len(self._cells)}>"

@@ -385,7 +385,7 @@ class ServerThread:
     def _handle_rmw(self, req: RmwRequest):
         region = self._hosted_region(req.dst_rank)
         self.stats.rmws += 1
-        result = atomics.apply_rmw(region, req.addr, req.op, req.args)
+        result = atomics.apply_rmw(region, req.addr, req.op, req.args, req.src_rank)
         yield from self._reply(req.src_rank, req.reply, value=result, payload_cells=2)
 
     def _handle_fence(self, req: FenceRequest):

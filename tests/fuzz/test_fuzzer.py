@@ -171,15 +171,16 @@ class TestKnownFailingRatchet:
         excluded = set(constants["FUZZ_KNOWN_FAILING"])
         # 62, 146 and 249 turned green when lock FIFO came to be judged at
         # the linearisation point; 77 and 267 (hybrid) when the ticket
-        # lock's home came to own its queue's recovery, and 291 (MCS) when
-        # the fence came to be checked where a release commits.  The
-        # benchmark's pool is fixed between benchmark-correcting changes,
-        # so it still leaves them out until the next such change returns
-        # them; every listed seed stays out.
-        assert sorted(excluded - listed) == [62, 77, 146, 249, 267, 291]
+        # lock's home came to own its queue's recovery, 291 (MCS) when
+        # the fence came to be checked where a release commits, and 194,
+        # 199 and 247 (MCS) when the MCS home came to own its queue's
+        # order.  The benchmark's pool is fixed between benchmark-correcting
+        # changes, so it still leaves them out until the next such change
+        # returns them; every listed seed stays out.
+        assert sorted(excluded - listed) == [62, 77, 146, 194, 199, 247, 249, 267, 291]
         assert listed <= excluded
 
-    @pytest.mark.parametrize("seed", [39, 651, 247, 714, 932])
+    @pytest.mark.parametrize("seed", [39, 651, 219, 714, 932])
     def test_listed_seeds_still_fail_with_the_listed_kinds(self, known, seed):
         assert list(replay_seed(seed).kinds()) == known[seed]
 
@@ -517,7 +518,12 @@ def test_event_stream_digest():
     # lock move (77 and 267 turn green; in the rest the coordinator no
     # longer reads the ticket cell, and a dead waiter's skipped ticket is
     # reported when the counter reaches it), and MCS seed 291 turns green.
-    # No seed without a membership service moves.
+    # No seed without a membership service moves.  Re-pinned again (from
+    # 8bc2dce6…) when the MCS home came to own its queue's order: 11 MCS
+    # seeds under a membership service move (2 16 25 59 80 186 194 199 224
+    # 247 250; 194, 199 and 247 turn green), because recovery reads the
+    # home's record and waits on no flag; moving ``lock_rel`` to the
+    # commit point moves no seed here.
     assert digest.hexdigest() == (
-        "8bc2dce6e5d6e42c56c5134f4ea5f50ec41300e02b85a75e842baa1ffb8478c3"
+        "24a94e9edd6916603600009363edfd9cb5a0e49283ef2da28308ce97875859bb"
     )

@@ -7,16 +7,20 @@ the membership service — exactly the reads and two writes a coordinator
 may use — and the test runs ``Cls.recover(svc, handles, dead, transient)``
 as one more simulated process.
 
-The ticket family is the exception: its queue lives at the home, which
-records who took each ticket only under a membership service, so its
-tests declare or exclude a rank on a real one (a crash-stop plan whose one
-crash never comes) at a chosen instant.
+The ticket family and MCS are the exceptions: the home records their
+queue order (who took each ticket, each swap on the MCS tail word) only
+under a membership service, so their tests declare or exclude a rank on a
+real one (a crash-stop plan whose one crash never comes) at a chosen
+instant.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
+from repro.fuzz.campaign import load_corpus_entry
+from repro.fuzz.runner import run_scenario
 from repro.locks import make_lock
 from repro.locks.lh import LHLock
 from repro.locks.mcs import MCSLock
@@ -29,12 +33,11 @@ from repro.runtime.memory import NULL_PTR
 class StubService:
     """The slice of ``MembershipService`` a recovery coordinator may use."""
 
-    def __init__(self, nprocs, dead=(), excluded=(), dead_nodes=(), epoch=1):
+    def __init__(self, nprocs, dead=(), excluded=(), epoch=1):
         self.nprocs = nprocs
         self.epoch = epoch
         self.dead = set(dead)
         self.excluded = set(excluded)
-        self.dead_nodes = set(dead_nodes)
         self.leases = {}
         self.regens = {}
 
@@ -46,9 +49,6 @@ class StubService:
 
     def alive_ranks(self):
         return tuple(r for r in range(self.nprocs) if self.in_view(r))
-
-    def node_dead(self, node):
-        return node in self.dead_nodes
 
     def lock_key(self, handle):
         return (handle.kind, handle.name, handle.home_rank)
@@ -319,73 +319,116 @@ def _tail(lock):
 
 
 class TestMCSRecover:
+    """MCS's queue order is the home's record (``_QueueRecord``), kept only
+    under a membership service: these declare or exclude ranks on a real
+    one, like the ticket family's."""
+
     def test_dead_holder_hands_off_to_linked_successor(self, make_cluster):
-        sc = Scenario(make_cluster, "mcs", 3)
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3)
         sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0), 2: sc.idle})
-        sc.recover_at(200.0, MCSLock, StubService(3, dead={0}), dead=0)
+        sc.leave_at(200.0, 0)
         sc.run()
+        assert recoveries(sc) == [(0, False)]
         assert sc.granted[1] > 200.0
         assert _tail(sc.handles[0]) == NULL_PTR  # rank 1 released normally
 
     def test_dead_holder_without_successor_resets_the_tail(self, make_cluster):
-        sc = Scenario(make_cluster, "mcs", 3, home=1)
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3, home=1)
         sc.start({0: sc.hold_forever, 1: sc.acquire_at(400.0), 2: sc.idle})
-        done = sc.recover_at(200.0, MCSLock, StubService(3, dead={0}), dead=0)
+        sc.leave_at(200.0, 0)
         sc.run()
-        assert done["at"] < 400.0
+        (entry,) = sc.rt.membership.recovery_log
+        assert entry["recovered_at_us"] < 400.0
         assert sc.handles[1].stats.uncontended_acquires == 1
 
     def test_half_linked_enqueue_is_completed_then_passed_on(self, make_cluster):
         """The dead rank swapped the tail but never wrote its predecessor's
-        ``next``: recovery links it, waits for the predecessor's handoff,
-        and ghost-releases straight on to the rank queued behind it."""
-        sc = Scenario(make_cluster, "mcs", 3)
-
-        def holder(ctx, lock):
-            yield from lock.acquire()
-            yield ctx.env.timeout(600.0)
-            yield from lock.release()
-
-        sc.start({0: holder, 1: sc.acquire_at(50.0), 2: sc.acquire_at(300.0)})
+        ``next``: recovery waits for the predecessor's release to commit,
+        gives it the link it is owed (its tail CAS failed, so it waits for
+        one), and grants the rank queued behind the dead one."""
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3)
+        sc.start({0: sc.hold_until(600.0), 1: sc.acquire_at(50.0), 2: sc.acquire_at(300.0)})
         seen = {}
 
-        def kill_between_swap_and_link():
+        def declare_between_swap_and_link():
             victim = None
             while victim is None or victim._prev_ptr is None:
                 yield sc.env.timeout(0.05)
                 victim = sc.handles.get(1)
-            sc.procs[1].kill()
+            sc.rt.membership.declare(1, sc.env.now, "test")
             holder_next = sc.handles[0]._next_ga()
             region = sc.rt.regions[0]
             seen["link"] = (region.read(holder_next.addr), region.read(holder_next.addr + 1))
             seen["tail"] = _tail(victim)
 
-        sc.env.process(kill_between_swap_and_link(), name="kill")
-        svc = StubService(3, dead={1})
-        done = sc.recover_at(200.0, MCSLock, svc, dead=1)
+        sc.env.process(declare_between_swap_and_link(), name="declare")
         sc.run()
         # Precondition: this really was the half-finished enqueue.
         assert seen == {"link": NULL_PTR, "tail": sc.handles[1]._my_ptr}
-        assert sc.handles[1]._phase == "waiting"
         assert 1 not in sc.granted
-        assert sc.granted[2] > 600.0 and done["at"] > 600.0
+        assert sc.granted[2] > 600.0
+        (entry,) = sc.rt.membership.recovery_log
+        assert entry["recovered_at_us"] > 600.0
+
+    def test_waiter_whose_swap_reply_is_in_flight_is_passed_over(self, make_cluster):
+        """Declared after its swap applied at the home but before the reply
+        landed, the dead rank's handle knows nothing of its place; the
+        record does, so the holder's release is not left waiting for a
+        link that never comes."""
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3)
+        sc.start({0: sc.hold_until(400.0), 1: sc.acquire_at(50.0), 2: sc.acquire_at(300.0)})
+        seen = {}
+
+        def declare_with_the_reply_in_flight():
+            while sc.handles.get(1) is None or _tail(sc.handles[1]) != sc.handles[1]._my_ptr:
+                yield sc.env.timeout(0.05)
+            seen["prev"] = sc.handles[1]._prev_ptr
+            sc.rt.membership.declare(1, sc.env.now, "test")
+
+        sc.env.process(declare_with_the_reply_in_flight(), name="declare")
+        sc.run()
+        assert seen == {"prev": None}
+        assert 1 not in sc.granted and sc.granted[2] > 400.0
+        assert sc.handles[0].stats.releases == 1 and sc.handles[2].stats.releases == 1
+        assert _tail(sc.handles[0]) == NULL_PTR
 
     def test_excluded_waiter_keeps_its_chain_position(self, make_cluster):
-        sc = Scenario(make_cluster, "mcs", 2)
-        sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0, then_release=False)})
-        svc = StubService(2, excluded={1})
-        done = sc.recover_at(200.0, MCSLock, svc, dead=1, transient=True)
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3)
+        sc.start(
+            {0: sc.hold_forever, 1: sc.acquire_at(50.0, then_release=False), 2: sc.idle}
+        )
+        sc.leave_at(200.0, 1, transient=True)
         sc.run()
-        assert done["at"] == 200.0
+        assert recoveries(sc) == []  # it holds no lease: nothing to recover
         assert _tail(sc.handles[0]) == sc.handles[1]._my_ptr
 
     def test_excluded_holder_is_ghost_released(self, make_cluster):
-        sc = Scenario(make_cluster, "mcs", 2)
-        sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0)})
-        svc = StubService(2, excluded={0})
-        sc.recover_at(200.0, MCSLock, svc, dead=0, transient=True)
+        sc = Scenario(membership_cluster(make_cluster), "mcs", 3)
+        sc.start({0: sc.hold_forever, 1: sc.acquire_at(50.0), 2: sc.idle})
+        sc.leave_at(200.0, 0, transient=True)
         sc.run()
+        assert recoveries(sc) == [(0, True)]
         assert sc.granted[1] > 200.0
+
+
+def test_the_record_not_the_handle_places_a_dead_waiter(monkeypatch):
+    """Clean twin and mutant on corpus entry ``seed-608-swap-reply-in-flight``:
+    a coordinator that reads the dead rank's handle — ``_prev_ptr`` None,
+    its swap reply still in flight — takes it for a rank that never entered
+    the queue, and the live releaser behind whom it swapped waits for its
+    link forever."""
+    path = pathlib.Path(__file__).parent.parent / "fuzz" / "corpus"
+    _note, scenario = load_corpus_entry(path / "seed-608-swap-reply-in-flight.json")
+    assert run_scenario(scenario).ok()
+    recover = MCSLock.recover.__func__
+
+    def recover_from_the_handle(cls, svc, handles, dead, transient):
+        if handles[dead]._prev_ptr is None:
+            return  # "died before entering the queue"
+        yield from recover(cls, svc, handles, dead, transient)
+
+    monkeypatch.setattr(MCSLock, "recover", classmethod(recover_from_the_handle))
+    assert run_scenario(scenario).kinds() == ("deadlock",)
 
 
 # -- Naimi-Trehel / Raymond ----------------------------------------------------------

@@ -52,6 +52,27 @@ def _explore_target(name, **overrides):
     return explore(t.scenario, **kwargs)
 
 
+def _exhausts_with_recovery_in_every_run(monkeypatch, name):
+    from repro.runtime.membership import MembershipService
+
+    recoveries = []
+    recover = MembershipService._recover_lock
+
+    def counted(svc, key, dead, transient):
+        recoveries.append(dead)
+        return recover(svc, key, dead, transient)
+
+    monkeypatch.setattr(MembershipService, "_recover_lock", counted)
+    result = _explore_target(name)
+    assert result.ok()
+    assert result.exhausted
+    # Every judged run recovers, and so did each sleep-pruned one before
+    # it was abandoned.
+    runs = result.schedules_run + result.pruned
+    assert recoveries == [get_target(name).scenario.crashes[0][1]] * runs
+    assert_pinned(result, name)
+
+
 class TestExhaustion:
     def test_nic_barrier_exhausts_with_large_reduction(self):
         # Acceptance criterion: the crash-free NIC fence+barrier at N=3
@@ -95,23 +116,11 @@ class TestExhaustion:
     def test_remote_queue_recovery_exhausts_with_recovery_in_every_run(
         self, monkeypatch, name
     ):
-        from repro.runtime.membership import MembershipService
+        _exhausts_with_recovery_in_every_run(monkeypatch, name)
 
-        recoveries = []
-        recover = MembershipService._recover_lock
-
-        def counted(svc, key, dead, transient):
-            recoveries.append(dead)
-            return recover(svc, key, dead, transient)
-
-        monkeypatch.setattr(MembershipService, "_recover_lock", counted)
-        result = _explore_target(name)
-        assert result.ok()
-        assert result.exhausted
-        assert recoveries == [get_target(name).scenario.crashes[0][1]] * (
-            result.schedules_run
-        )
-        assert_pinned(result, name)
+    @pytest.mark.parametrize("name", ["lock-recovery-mcs", "lock-recovery-mcs-waiter"])
+    def test_mcs_recovery_exhausts_with_recovery_in_every_run(self, monkeypatch, name):
+        _exhausts_with_recovery_in_every_run(monkeypatch, name)
 
     def test_exploration_is_deterministic(self):
         a = _explore_target("mcs-handoff")

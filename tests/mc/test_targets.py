@@ -19,6 +19,8 @@ def test_expected_targets_present():
         "twolevel-barrier",
         "lock-recovery-remote",
         "lock-recovery-remote-waiter",
+        "lock-recovery-mcs",
+        "lock-recovery-mcs-waiter",
     }
 
 

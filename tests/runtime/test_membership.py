@@ -211,8 +211,9 @@ class TestMcsMidReleaseRecovery:
         m = runtime.membership
         assert results[0] is CRASHED
         # The victim died inside its release, not while holding or idle.
-        handles = m._locks[("mcs", "mx", 0)]["handles"]
-        assert handles[0]._phase == "releasing"
+        victim = m._locks[("mcs", "mx", 0)]["handles"][0]
+        assert victim.stats.acquires == 1 and not victim._held
+        assert victim.stats.releases == 0
         # The successor was granted by crash recovery, after declaration.
         assert results[1] > m.declared_at[0]
 
@@ -242,8 +243,9 @@ class TestMcsMidReleaseRecovery:
         results = runtime.run_spmd(program)
         m = runtime.membership
         assert results[0] is CRASHED
-        handles = m._locks[("mcs", "mx", 1)]["handles"]
-        assert handles[0]._phase == "releasing"
+        victim = m._locks[("mcs", "mx", 1)]["handles"][0]
+        assert victim.stats.acquires == 1 and not victim._held
+        assert victim.stats.releases == 0
         assert isinstance(results[1], float)
 
 

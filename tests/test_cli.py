@@ -526,6 +526,16 @@ class TestFuzzCommand:
         assert main(argv + ["--seeds", "3"]) == 0
         assert "no invariant violations found" in capsys.readouterr().out
 
+    def test_trace_out_captures_the_replayed_run(self, capsys, tmp_path):
+        # The fuzzer installs its own monitor; the trace records that one.
+        import json
+
+        path = tmp_path / "t.jsonl"
+        assert main(["fuzz", "--replay", "2", "--trace-out", str(path)]) == 0
+        assert "(1 run(s), " in capsys.readouterr().out
+        kinds = [json.loads(line).get("kind") for line in path.read_text().splitlines()]
+        assert "lock_req" in kinds
+
 
 class TestLintStrict:
     def test_clean_repo_passes_strict(self, capsys):
