@@ -23,11 +23,12 @@ __all__ = ["GlobalArray", "PreparedPut", "SYNC_MODES"]
 
 @cache
 def _numpy():
-    """numpy, loaded by the first call that builds or returns an array.
+    """numpy, loaded by the first call that returns an array.
 
     Importing :mod:`repro.ga` — and with it every experiment module and the
-    command line — stays free of numpy's ~12 MiB and ~0.13 s; a program pays
-    them when it first moves array data.
+    command line — stays free of numpy's ~12 MiB and ~0.13 s, and so does a
+    put, which reads its data as float rows in plain Python: a program pays
+    them at its first ``get`` or ``local_block``.
     """
     import numpy
 
@@ -91,9 +92,9 @@ class GlobalArray:
     def put(self, section: Section, data):
         """Non-blocking one-sided write of ``data`` into ``section``.
 
-        ``data`` is array-like of shape ``(r1-r0, c1-c0)``.  One ARMCI
-        vector put per owning process.  Completion is observed via
-        :meth:`sync` (or an explicit fence).
+        ``data`` is ``r1-r0`` rows of ``c1-c0`` numbers (a nested sequence or
+        a numpy array).  One ARMCI vector put per owning process.
+        Completion is observed via :meth:`sync` (or an explicit fence).
         """
         for rank, segments in self._prepared_transfers(section, data):
             yield from self.ctx.armci.put_segments(rank, segments)
@@ -136,18 +137,27 @@ class GlobalArray:
         return plan
 
     def _prepared_transfers(self, section: Section, data):
-        """The per-owner ``(rank, segments)`` list a put of ``data`` ships."""
+        """The per-owner ``(rank, segments)`` list a put of ``data`` ships.
+
+        ``data`` is a sequence of rows of numbers, or anything with
+        ``tolist()`` that returns one (a numpy array); it is read as floats
+        in plain Python, so a put loads no numpy.
+        """
         plan = self._plan(section)
         r0, r1, c0, c1 = section
-        data = _numpy().asarray(data, dtype=float)
+        if hasattr(data, "tolist"):
+            data = data.tolist()
+        try:
+            rows = [list(map(float, row)) for row in data]
+        except TypeError:  # a scalar where a row or a number belongs
+            rows = None
         expected = (r1 - r0, c1 - c0)
-        if data.shape != expected:
-            raise ValueError(f"data shape {data.shape} != section shape {expected}")
+        if rows is None or len(rows) != expected[0] or any(
+            len(row) != expected[1] for row in rows
+        ):
+            raise ValueError(f"data is not of section shape {expected}")
         return [
-            (
-                rank,
-                [(addr, data[li, lj0:lj1].tolist()) for addr, li, lj0, lj1 in runs],
-            )
+            (rank, [(addr, rows[li][lj0:lj1]) for addr, li, lj0, lj1 in runs])
             for rank, runs in plan
         ]
 

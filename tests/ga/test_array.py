@@ -87,6 +87,55 @@ class TestPutGet:
         with pytest.raises(ValueError, match="shape"):
             rt.run_spmd(make_ga_program((4, 4), body))
 
+    def test_an_ndarray_ships_the_segments_of_the_equal_nested_list(self, make_cluster):
+        section = (2, 6, 1, 7)
+        data = np.arange(24).reshape(4, 6) * 1.5
+
+        def body(ctx, ga):
+            yield ctx.compute(0)
+            shipped = [
+                ga.prepare_put(section, form).transfers
+                for form in (data, data.tolist(), data.astype(object))
+            ]
+            ints = ga.prepare_put(section, np.arange(24).reshape(4, 6)).transfers
+            as_floats = ga.prepare_put(section, np.arange(24.0).reshape(4, 6)).transfers
+            return shipped, ints, as_floats
+
+        rt = make_cluster(nprocs=4)
+        shipped, ints, as_floats = rt.run_spmd(make_ga_program((8, 8), body))[0]
+        assert shipped[0] == shipped[1] == shipped[2]
+        assert ints == as_floats
+        assert len(shipped[0]) == 4  # the section crosses every block
+        for transfers in (shipped[0], ints):
+            for _rank, segments in transfers:
+                for _addr, values in segments:
+                    assert all(type(value) is float for value in values)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1.0, 2.0], [3.0]],
+            [1.0, 2.0],
+            np.zeros(2),
+            np.zeros((2, 2, 1)),
+            [[[1.0], [2.0]], [[3.0], [4.0]]],
+            np.zeros((3, 3)),
+            [[1.0, 2.0]],
+            5.0,
+        ],
+        ids=[
+            "ragged", "1-D", "1-D-ndarray", "3-D-ndarray", "3-D", "too-big",
+            "too-few-rows", "scalar",
+        ],
+    )
+    def test_data_not_of_the_section_shape_is_refused(self, make_cluster, data):
+        def body(ctx, ga):
+            yield from ga.put((0, 2, 0, 2), data)
+
+        rt = make_cluster(nprocs=1)
+        with pytest.raises(ValueError, match="shape"):
+            rt.run_spmd(make_ga_program((4, 4), body))
+
     def test_section_bounds_checked(self, make_cluster):
         def body(ctx, ga):
             result = yield from ga.get((0, 99, 0, 1))

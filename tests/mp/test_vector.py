@@ -1,12 +1,20 @@
 """The stage-1 vector kinds against the list-of-numbers loop they replaced."""
 
+from array import array
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mp import collectives
 from repro.mp.comm import _estimate_bytes
-from repro.mp.vector import CountVector, OpCounts, ValueVector
+from repro.mp.vector import (
+    _LANE_CODES,
+    CountVector,
+    OpCounts,
+    ValueVector,
+    _lanes_to_bits,
+)
 from repro.net.params import myrinet2000
 from repro.runtime.cluster import ClusterRuntime
 from repro.runtime.memory import GlobalAddress
@@ -123,6 +131,100 @@ class TestCountVector:
 
     def test_repr_shows_the_slots(self):
         assert repr(CountVector([3, 0, 4])) == "CountVector([3, 0, 4])"
+
+
+#: Slot values at and around the lane widths' edges.
+EDGES = [0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63, LANE_MAX]
+
+
+@st.composite
+def mixed_width_pair(draw):
+    """Two rows of one length whose vectors pack in different lane widths;
+    ``b`` mostly fits beside ``a``, with slots that reach ``2**64 - 1``."""
+    n = draw(st.integers(1, 12))
+    a = draw(rows(n, st.sampled_from(EDGES) | st.integers(0, LANE_MAX)))
+    room = LANE_MAX - max(a)
+    fits = st.sampled_from([0, room, min(room, 2**16 - 1), min(room, 2**16)])
+    b = draw(rows(n, fits | st.integers(0, room) | st.sampled_from(EDGES)))
+    return a, b
+
+
+def repacked(vector):
+    """``vector`` at every lane width that holds its slots, its own first."""
+    return [vector] + [
+        CountVector._packed(
+            _lanes_to_bits(array(_LANE_CODES[width], vector.tolist())),
+            len(vector),
+            vector._bound,
+            width,
+        )
+        for width in (16, 32, 64)
+        if width > vector._width and vector._bound < 2**width
+    ]
+
+
+class TestLaneWidths:
+    """What a vector reads as does not depend on how wide its lanes are."""
+
+    @given(mixed_width_pair())
+    @example(([2**16 - 1, 0], [1, 2**16]))
+    @example(([2**32 - 1], [1]))
+    @example(([2**32, 2**64 - 2**32 - 1], [2**64 - 2**32 - 1, 2**32]))
+    @example(([LANE_MAX, 0], [1, 0]))
+    def test_mixed_widths_add_as_the_elementwise_loop(self, pair):
+        a, b = pair
+        expected = [x + y for x, y in zip(a, b)]
+        for left in repacked(CountVector(a)):
+            for right in repacked(CountVector(b)):
+                if max(a) + max(b) > LANE_MAX:
+                    with pytest.raises(OverflowError, match="overflow 64 bits"):
+                        left + right
+                    continue
+                total = left + right
+                assert total.tolist() == expected
+                assert total._bound < 2**total._width
+                for same in repacked(total) + repacked(CountVector(expected)):
+                    assert same == total and total == same and same == expected
+                    assert same.tolist() == expected
+                    assert [same[-i] for i in range(1, len(a) + 1)] == expected[::-1]
+                    assert repr(same) == f"CountVector({expected})"
+
+    @given(rows(6, st.sampled_from(EDGES)))
+    def test_width_follows_the_count_the_slots_could_sum_to(self, values):
+        vector = CountVector(values)
+        top = 6 * max(values)
+        assert vector._width == (16 if top < 2**16 else 32 if top < 2**32 else 64)
+
+    def test_a_sum_that_outgrows_its_lanes_widens_them(self):
+        vector, widths = CountVector([1, 0, 3]), []
+        for _doubling in range(62):
+            widths.append(vector._width)
+            vector = vector + vector
+            assert vector[0] * 3 == vector[2] == vector._bound
+        assert vector.tolist() == [2**62, 0, 3 * 2**62]
+        assert widths == sorted(widths) and set(widths) == {16, 32, 64}
+        with pytest.raises(OverflowError, match="overflow 64 bits"):
+            vector + vector
+
+    def test_stage1_totals_of_unit_counts_take_two_bytes_a_slot(self):
+        # N=1024 ranks each put to two peers, rank 0 to every one; the
+        # totals are folded pairwise, as the exchange's rounds do.  At 64-bit
+        # lanes they would take 8 bytes a slot.
+        n = 1024
+        dense = [[0] * n for _rank in range(n)]
+        vectors = []
+        for rank in range(n):
+            op_init = OpCounts(n)
+            for peer in range(n) if rank == 0 else {(rank + 1) % n, (7 * rank + 3) % n}:
+                op_init[peer] += 1
+                dense[rank][peer] += 1
+            vectors.append(CountVector(op_init))
+        while len(vectors) > 1:
+            vectors = [a + b for a, b in zip(vectors[::2], vectors[1::2])]
+            assert all(v._bits.bit_length() <= 16 * n for v in vectors)
+        [totals] = vectors
+        assert totals == loop_sum(dense)
+        assert totals._bits.bit_length() <= 16 * n
 
 
 @st.composite

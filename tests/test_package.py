@@ -133,9 +133,10 @@ class TestNumpyFreeCore:
     """Everything starts without numpy (it costs ~12 MiB and ~0.13 s per
     process): the barrier, NIC, topology, fuzz and model-checker stacks, and
     also the command line, every experiment module and ``repro.ga`` itself.
-    Only a program that moves array data through a ``GlobalArray`` (fig7,
-    ``ablations``, ``app``, the GA examples) loads it, at its first
-    put/get."""
+    A ``GlobalArray`` put reads its data as float rows in plain Python, so
+    fig7 and ``ablations``, which only put, run without it too; only a
+    program that reads array data back (``GlobalArray.get``/``local_block``:
+    ``app``'s ``GA_Ddot``, the GA examples) loads it, at its first read."""
 
     @staticmethod
     def _numpy_loaded_after(*lines):
@@ -178,12 +179,25 @@ class TestNumpyFreeCore:
             "import repro.cli", f"assert repro.cli.main({argv!r}) == 0"
         )
 
-    def test_fig7_loads_numpy_when_it_fills_its_blocks(self):
+    def test_fig7_runs_without_numpy(self):
         argv = ["fig7", "--procs", "2", "--iterations", "2"]
+        assert not self._numpy_loaded_after(
+            "import repro.cli", f"assert repro.cli.main({argv!r}) == 0"
+        )
+
+    def test_a_global_array_get_loads_numpy_and_returns_an_ndarray(self):
         assert self._numpy_loaded_after(
-            "import repro.cli",
-            "assert 'numpy' not in sys.modules",
-            f"assert repro.cli.main({argv!r}) == 0",
+            "from repro.ga import GlobalArray",
+            "from repro.runtime.cluster import ClusterRuntime",
+            "def main(ctx):",
+            "    ga = GlobalArray(ctx, 'g', (2, 2))",
+            "    yield from ga.put((0, 2, 0, 2), [[1, 2], [3, 4]])",
+            "    assert 'numpy' not in sys.modules",
+            "    yield from ga.sync('new')",
+            "    got = yield from ga.get((0, 2, 0, 2))",
+            "    return type(got).__name__, got.tolist()",
+            "got = ClusterRuntime(1).run_spmd(main)",
+            "assert got == [('ndarray', [[1.0, 2.0], [3.0, 4.0]])], got",
         )
 
 
