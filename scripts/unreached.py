@@ -100,6 +100,8 @@ def entries(out: str) -> List[Tuple[str, List[str], int]]:
         # What CI's ratchet runs; seed 39 is red, so the exit is 1.
         (f"fuzz --seeds 60 --keep-going --json-out {out}/fuzz.json", 1),
         f"mc --ce-out {ce_dir}",
+        # A spent --time-budget: every target is listed as skipped.
+        "mc --time-budget 0",
         "mc --self-test",
         # A red seed explored to a counterexample, then replayed from its file.
         (f"mc --scenario 39 --budget 20 --ce-out {ce_dir}", 1),

@@ -1,7 +1,7 @@
 """Static lint for simulation-specific hazards (``repro check --lint``).
 
-Six ``ast``-based rules; the first four each target a bug class that the
-dynamic checker cannot see (the buggy run never happens, or happens
+Seven ``ast``-based rules; the first five each target a bug class that
+the dynamic checker cannot see (the buggy run never happens, or happens
 silently), the last two keep one spelling of a sleep and of a timer:
 
 ``missing-yield-from``
@@ -33,6 +33,17 @@ silently), the last two keep one spelling of a sleep and of a timer:
     the invariant lives in one function.  Any reference to
     ``op_done_cell`` outside ``runtime/server.py`` and that function is
     flagged.
+
+``sum-over-set``
+    ``sum()`` over a set adds in the set's iteration order, which follows
+    hashing: floats summed in another order round differently, and a set
+    of strings iterates in an order that changes with ``PYTHONHASHSEED``
+    from one interpreter to the next.  Flagged when ``sum``'s first
+    argument is a set display, a set comprehension, a ``set()`` /
+    ``frozenset()`` call, or a generator (or list comprehension) that
+    iterates one of these directly.  Dicts are left alone: a dict, its
+    keys, values and items iterate in insertion order, which the
+    deterministic program that filled it fixes.
 
 ``self-sleep-as-event``
     ``yield env.timeout(cost)`` as a statement allocates a ``Timeout``, a
@@ -70,6 +81,7 @@ __all__ = [
     "RULE_UNSEEDED",
     "RULE_OP_DONE",
     "RULE_OP_DONE_WAIT",
+    "RULE_SET_SUM",
     "RULE_SELF_SLEEP",
     "RULE_TIMER_EVENT",
     "collect_generator_names",
@@ -83,6 +95,7 @@ RULE_YIELD_FROM = "missing-yield-from"
 RULE_UNSEEDED = "unseeded-nondeterminism"
 RULE_OP_DONE = "op-done-mutation"
 RULE_OP_DONE_WAIT = "op-done-wait"
+RULE_SET_SUM = "sum-over-set"
 RULE_SELF_SLEEP = "self-sleep-as-event"
 RULE_TIMER_EVENT = "timer-as-event"
 
@@ -104,11 +117,13 @@ _OP_DONE_ATTRS = {"_bump_op_done", "_op_done_addr"}
 
 #: Files exempt from the nondeterminism rule (path suffix match):
 #: ``net/params.py`` is the one place allowed to mint default seeds;
-#: ``experiments/scalebench.py`` and ``fuzz/campaign.py`` read the wall
-#: clock only *around* whole simulation runs (throughput reporting and
-#: the campaign time budget — their simulated outputs stay deterministic).
+#: ``experiments/scalebench.py``, ``experiments/parallel.py`` and
+#: ``fuzz/campaign.py`` read the wall clock only *around* whole simulation
+#: runs (throughput reporting and the ``--time-budget`` deadlines — their
+#: simulated outputs stay deterministic).
 _RNG_EXEMPT_SUFFIX = (
     "net/params.py",
+    "experiments/parallel.py",
     "experiments/scalebench.py",
     "fuzz/campaign.py",
     "mc/explore.py",
@@ -280,6 +295,18 @@ class _Checker(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "sum"
+            and node.args
+            and _iterates_set(node.args[0])
+        ):
+            self._add(
+                node,
+                RULE_SET_SUM,
+                "sum() over a set adds in hash order; sum an ordered "
+                "sequence (sorted(...), a list or a dict) instead",
+            )
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             base, attr = func.value.id, func.attr
             if not self.rng_exempt:
@@ -327,6 +354,22 @@ class _Checker(ast.NodeVisitor):
                 "written once",
             )
         self.generic_visit(node)
+
+
+def _is_set(node: ast.AST) -> bool:
+    """A set display, a set comprehension or a ``set()``/``frozenset()`` call."""
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _iterates_set(node: ast.AST) -> bool:
+    """A set (:func:`_is_set`), or a comprehension iterating one directly."""
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        return any(_is_set(clause.iter) for clause in node.generators)
+    return _is_set(node)
 
 
 def _makes_timeout(value: ast.AST) -> bool:

@@ -234,8 +234,9 @@ FLAGS = {
     ),
     "time_budget": _flag(
         "--time-budget", type=_ranged(float, 0), metavar="S",
-        help="fuzz: stop starting new seeds after S wall-clock seconds; scalebench: "
-        "skip remaining cells once S seconds have elapsed",
+        help="stop starting new work after S wall-clock seconds and list what was "
+        "skipped (exit 0): fuzz seeds, mc targets, faults drop-rate points, "
+        "nic/scalebench cells, the chaos scenario",
     ),
     "replay": _flag(
         "--replay", type=_ranged(int, 0), metavar="SEED",
@@ -587,7 +588,7 @@ def _faults(args) -> int:
             fault_seed=args.fault_seed,
         ),
     )
-    result = run_faultbench(cfg)
+    result = run_faultbench(cfg, budget_s=args.time_budget)
     print(result.render())
     # A point whose final memory diverged from the fault-free run fails the command.
     return 0 if result.all_ok() else 1
@@ -595,6 +596,7 @@ def _faults(args) -> int:
 
 def _chaos(args) -> int:
     from .experiments.chaosbench import ChaosBenchConfig, run_chaosbench
+    from .experiments.parallel import budget_note, within_budget
 
     overrides = _given(
         nprocs=args.procs and args.procs[0],
@@ -627,17 +629,22 @@ def _chaos(args) -> int:
     # Topology-level legality (node 0 stays, strict majority, rank 0 never
     # stalled) is checked by chaosbench against --procs/--ppn.
     with _user_input():
-        result = run_chaosbench(
-            ChaosBenchConfig(procs_per_node=args.ppn, params=params, **overrides)
-        )
-    print(result.render())
-    return 0 if result.all_ok() else 1
+        config = ChaosBenchConfig(procs_per_node=args.ppn, params=params, **overrides)
+    skipped: list = []
+    for config in within_budget([config], args.time_budget, skipped):
+        result = run_chaosbench(config)
+        print(result.render())
+        return 0 if result.all_ok() else 1
+    print(budget_note(args.time_budget, ["the chaos scenario"]))
+    return 0
 
 
 def _nic(args) -> None:
     from .experiments.nicbench import NicBenchConfig, run_nicbench
 
-    result = run_nicbench(_sweep_config(NicBenchConfig, args), jobs=args.jobs)
+    result = run_nicbench(
+        _sweep_config(NicBenchConfig, args), jobs=args.jobs, budget_s=args.time_budget
+    )
     print(result.render())
     _write_csv(args, result, "ablation_nic")
 
@@ -698,6 +705,7 @@ def _fuzz(args) -> int:
 
 def _mc(args) -> int:
     """``repro mc``: RMCheck schedule exploration over named targets."""
+    from .experiments.parallel import budget_note, within_budget
     from .mc import (
         TARGETS,
         explore,
@@ -738,8 +746,11 @@ def _mc(args) -> int:
 
     rc = 0
     results = []
+    skipped: list = []
     given = _given(window=args.window, budget=args.budget, sim_cap_us=args.cap)
-    for name, scenario, knobs, expect_exhaustive in jobs:
+    for name, scenario, knobs, expect_exhaustive in within_budget(
+        jobs, args.time_budget, skipped
+    ):
         knobs.update(given)
         result = explore(scenario, target=name, **knobs)
         results.append(result)
@@ -758,6 +769,8 @@ def _mc(args) -> int:
                 f"budget ({knobs['budget']}) — schedule space regression",
                 file=sys.stderr,
             )
+    if skipped:
+        print(budget_note(args.time_budget, (job[0] for job in skipped)))
     _write_json(args, json.dumps([json.loads(r.to_json()) for r in results], indent=2))
     return rc
 
@@ -805,12 +818,18 @@ def _all(args) -> int:
     print()
     _app(args)
     print()
-    rc = _faults(args)
+    rc = _faults(_unbudgeted(args))
     print()
     rc = _chaos(_build_parser().parse_args(["chaos", "--network", args.network])) or rc
     print()
-    _nic(args)
+    _nic(_unbudgeted(args))
     return rc
+
+
+def _unbudgeted(args) -> argparse.Namespace:
+    """``args`` for a section of ``all`` that takes ``--time-budget``, which
+    ``all`` does not: every section runs in full."""
+    return argparse.Namespace(**vars(args), time_budget=None)
 
 
 class Command(NamedTuple):
@@ -880,16 +899,19 @@ COMMANDS: Dict[str, Command] = {
     ),
     "faults": Command(
         _faults,
-        ("nprocs", "ppn", "network", "drop_rate", "fault_seed", "retry_timeout"),
+        ("nprocs", "ppn", "network", "drop_rate", "fault_seed", "retry_timeout",
+         "time_budget"),
         "sync cost + retry volume vs drop rate",
     ),
     "chaos": Command(
         _chaos,
         ("nprocs", "ppn", "network", "retry_timeout", "lock", "kill",
-         "kill_seed", "partition", "stall"),
+         "kill_seed", "partition", "stall", "time_budget"),
         "crash-stop kills, partitions and stalls + membership recovery",
     ),
-    "nic": Command(_nic, _FIG7_FLAGS, "host vs NIC-offloaded barrier ablation"),
+    "nic": Command(
+        _nic, _FIG7_FLAGS + ("time_budget",), "host vs NIC-offloaded barrier ablation"
+    ),
     "scalebench": Command(
         _scalebench,
         SWEEP + COST_MODEL + ("coalesce", "jobs", "time_budget", "csv", "json_out"),
@@ -907,7 +929,7 @@ COMMANDS: Dict[str, Command] = {
     "mc": _moded(
         _mc,
         "RMCheck: schedule exploration of the named targets",
-        default=("target",) + _MC_KNOBS,
+        default=("target", "time_budget") + _MC_KNOBS,
         scenario=_MC_KNOBS,
         schedule=(),
         self_test=(),

@@ -111,6 +111,7 @@ class ChaosBenchConfig:
             object.__setattr__(self, "barrier_kills", ((self.nprocs - 3, 60.0),))
         if self.lock_kills is None:
             object.__setattr__(self, "lock_kills", ((self.nprocs - 2, 900.0),))
+        _validate(self)
 
     def victims(self) -> Tuple[int, ...]:
         return tuple(r for r, _t in self.barrier_kills) + tuple(
@@ -357,7 +358,6 @@ def run_chaosbench(
 ) -> ChaosBenchResult:
     """Run one chaos scenario and evaluate the survivor-correctness checks."""
     cfg = cfg or ChaosBenchConfig()
-    _validate(cfg)
     procs_per_node = cfg.procs_per_node
     if cfg.lock_kind in _LOCAL_KINDS:
         procs_per_node = cfg.nprocs  # these algorithms need a single node

@@ -29,6 +29,7 @@ from ..net.params import NetworkParams
 from ..runtime.cluster import ClusterRuntime
 from ..runtime.memory import GlobalAddress
 from .common import default_params, format_table
+from .parallel import budget_note, within_budget
 
 __all__ = [
     "FaultBenchConfig",
@@ -178,7 +179,11 @@ def run_fault_point(cfg: FaultBenchConfig, drop_rate: float):
     return sum(epochs) / len(epochs), states, runtime
 
 
-def run_faultbench(cfg: Optional[FaultBenchConfig] = None) -> FaultBenchResult:
+def run_faultbench(
+    cfg: Optional[FaultBenchConfig] = None, budget_s: Optional[float] = None
+) -> FaultBenchResult:
+    """The drop-rate sweep.  ``budget_s`` starts no point once that many
+    wall-clock seconds have passed; the skipped points are noted."""
     cfg = cfg or FaultBenchConfig()
     rates = list(cfg.drop_rates)
     if not rates or rates[0] != 0.0:
@@ -190,7 +195,8 @@ def run_faultbench(cfg: Optional[FaultBenchConfig] = None) -> FaultBenchResult:
         )
     )
     baseline_states: Optional[List[Any]] = None
-    for rate in rates:
+    skipped: List[float] = []
+    for rate in within_budget(rates, budget_s, skipped):
         epoch_us, states, runtime = run_fault_point(cfg, rate)
         if baseline_states is None:
             baseline_states = states
@@ -219,4 +225,6 @@ def run_faultbench(cfg: Optional[FaultBenchConfig] = None) -> FaultBenchResult:
         "state column compares final memory and op_done against the "
         "fault-free run (must be ok at every drop rate)"
     )
+    if skipped:
+        result.notes.append(budget_note(budget_s, (f"drop {r:.2f}" for r in skipped)))
     return result

@@ -20,11 +20,11 @@ exceeds the doorbell + DMA cost of shipping the ``op_init`` row down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .common import SeriesTable, default_params
 from .fig7_sync import Fig7Config, _fig7_cell
-from .parallel import run_cells
+from .parallel import budget_note, run_cells
 
 __all__ = ["NicBenchConfig", "NicBenchResult", "run_nicbench", "VARIANTS"]
 
@@ -61,22 +61,33 @@ class NicBenchResult(SeriesTable):
         header += ["best", "factor"]
         rows = [header]
         for n in self.nprocs_list():
+            means = [self.values.get(v, {}).get(n) for v in VARIANTS]
+            if None in means:  # a wall budget stopped this row part-way
+                rows.append(
+                    [str(n)] + ["-" if m is None else f"{m:.1f}" for m in means]
+                    + ["-", "-"]
+                )
+                continue
             rows.append(
                 [str(n)]
-                + [f"{self.get(v, n):.1f}" for v in VARIANTS]
+                + [f"{m:.1f}" for m in means]
                 + [self.best(n), f"{self.factor(n):.2f}"]
             )
         return rows
 
 
 def run_nicbench(
-    cfg: NicBenchConfig = NicBenchConfig(), jobs: int = 1
+    cfg: NicBenchConfig = NicBenchConfig(),
+    jobs: int = 1,
+    budget_s: Optional[float] = None,
 ) -> NicBenchResult:
     """Run the three-way host vs. NIC barrier comparison.
 
     ``jobs > 1`` shards the (variant, nprocs) cells over worker processes;
     results are identical to a serial run (each cell is an independent
-    simulation — see :mod:`repro.experiments.parallel`).
+    simulation — see :mod:`repro.experiments.parallel`).  ``budget_s``
+    runs the cells serially in ascending-N order and starts none once that
+    many wall-clock seconds have passed; the skipped cells are noted.
     """
     result = NicBenchResult(
         title="NIC ablation: GA_Sync() time (host vs NIC offload)",
@@ -88,16 +99,20 @@ def run_nicbench(
         ("nic-exchange", "nic", base.with_(nic_algorithm="exchange")),
         ("nic-tree", "nic", base.with_(nic_algorithm="tree")),
     )
-    cells = [
-        (replace(cfg, params=params), mode, nprocs)
-        for _variant, mode, params in plans
+    # Ascending-N row-major order, so a budget completes rows in order.
+    labels, cells = zip(*(
+        ((variant, nprocs), (replace(cfg, params=params), mode, nprocs))
         for nprocs in cfg.nprocs_list
-    ]
-    means = run_cells(_fig7_cell, cells, jobs=jobs)
-    flat = iter(means)
-    for variant, _mode, _params in plans:
-        for nprocs in cfg.nprocs_list:
-            result.record(variant, nprocs, next(flat))
+        for variant, mode, params in plans
+    ))
+    skipped: List[tuple] = []
+    means = run_cells(_fig7_cell, cells, jobs=jobs, budget_s=budget_s, skipped=skipped)
+    for (variant, nprocs), mean in zip(labels, means):
+        result.record(variant, nprocs, mean)
+    if skipped:
+        result.notes.append(
+            budget_note(budget_s, (f"{v}@N={n}" for v, n in labels[len(means):]))
+        )
     result.notes.append(
         f"workload: {cfg.shape} array, {cfg.strip_rows}-row strips to every "
         f"remote block, {cfg.iterations} iterations"

@@ -29,9 +29,10 @@ worker function next to its ``run_*`` entry point.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, TypeVar
+import time
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
-__all__ = ["default_jobs", "run_cells"]
+__all__ = ["budget_note", "default_jobs", "run_cells", "within_budget"]
 
 C = TypeVar("C")
 R = TypeVar("R")
@@ -42,10 +43,35 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def within_budget(
+    items: Iterable[C], budget_s: Optional[float], skipped: List[C]
+) -> Iterator[C]:
+    """``items`` in order until ``budget_s`` wall-clock seconds have passed
+    since the first was asked for; the rest are appended to ``skipped``.
+
+    The budget stops only the *starting* of work: whatever the caller does
+    with an item before asking for the next one finishes, and a budget of 0
+    starts nothing.  ``budget_s=None`` yields every item.
+    """
+    deadline = None if budget_s is None else time.perf_counter() + budget_s
+    for item in items:
+        if deadline is not None and time.perf_counter() >= deadline:
+            skipped.append(item)
+        else:
+            yield item
+
+
+def budget_note(budget_s: float, skipped: Iterable[str]) -> str:
+    """The line a budgeted run prints to list what it did not start."""
+    return f"wall budget {budget_s:g}s exhausted; skipped {', '.join(skipped)}"
+
+
 def run_cells(
     evaluate: Callable[[C], R],
     cells: Iterable[C],
     jobs: Optional[int] = 1,
+    budget_s: Optional[float] = None,
+    skipped: Optional[List[C]] = None,
 ) -> List[R]:
     """Evaluate every cell, optionally across ``jobs`` worker processes.
 
@@ -53,7 +79,13 @@ def run_cells(
     finished first, and each cell is evaluated exactly once — the parallel
     path is observationally identical to ``[evaluate(c) for c in cells]``.
     ``jobs=None`` or ``jobs=0`` means "one worker per core".
+
+    With ``budget_s`` the cells run serially, in order, through
+    :func:`within_budget`: the result holds the cells that started, and
+    the ones that did not are appended to ``skipped``.
     """
+    if budget_s is not None:
+        return [evaluate(cell) for cell in within_budget(cells, budget_s, skipped)]
     cells = list(cells)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from ..net.params import NetworkParams
 from ..runtime.cluster import ClusterRuntime
 from .common import default_params, format_table
-from .parallel import run_cells
+from .parallel import budget_note, run_cells
 
 __all__ = [
     "ScaleBenchConfig",
@@ -330,22 +330,15 @@ def run_scalebench(
         for nprocs in cfg.nprocs_list
         for variant, mode, params in plans
     ]
-    if cfg.wall_budget_s is not None:
-        deadline = time.perf_counter() + cfg.wall_budget_s
-        skipped: List[Tuple[str, int]] = []
-        for cell in cells:
-            if time.perf_counter() >= deadline:
-                skipped.append((cell[1], cell[4]))
-                continue
-            result.record(_scale_cell(cell))
-        if skipped:
-            result.notes.append(
-                f"wall budget {cfg.wall_budget_s:.0f}s exhausted; skipped "
-                + ", ".join(f"{v}@N={n}" for v, n in skipped)
-            )
-    else:
-        for measured in run_cells(_scale_cell, cells, jobs=jobs):
-            result.record(measured)
+    skipped: List[tuple] = []
+    for measured in run_cells(
+        _scale_cell, cells, jobs=jobs, budget_s=cfg.wall_budget_s, skipped=skipped
+    ):
+        result.record(measured)
+    if skipped:
+        result.notes.append(
+            budget_note(cfg.wall_budget_s, (f"{c[1]}@N={c[4]}" for c in skipped))
+        )
     result.notes.append(
         f"workload: {PUT_CELLS}-cell put to the ring neighbor, then "
         f"GA_Sync, x{cfg.iterations} iterations per cell"

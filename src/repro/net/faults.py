@@ -241,10 +241,12 @@ class FaultPlan:
         Fault-stream RNG seed; ``None`` derives it from the network seed.
     reliable:
         Whether the fabric should run the ACK/retransmit/resequencing layer
-        (:mod:`repro.net.reliable`) on top of the faulty links.  Disable it
-        to expose raw faults to the runtime (e.g. to exercise the server's
-        idempotent dispatch directly).  Server responses are subject to
-        the link faults too, as they are on a real network.
+        (:mod:`repro.net.reliable`) on top of the faulty links.  When on,
+        the transport owns exactly-once delivery and the server keeps no
+        per-request record.  Disable it to expose raw faults to the
+        runtime: only then can a duplicate reach the server, which then
+        runs its idempotent dispatch.  Server responses are subject to the
+        link faults too, as they are on a real network.
     """
 
     default: LinkFaults = LinkFaults()

@@ -27,7 +27,7 @@ remote requesters lives here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..armci.requests import (
@@ -76,8 +76,6 @@ class ServerStats:
     #: copies + replies); divide by elapsed time for utilization.
     busy_us: float = 0.0
     puts: int = 0
-    gets: int = 0
-    accs: int = 0
     rmws: int = 0
     fences: int = 0
     locks: int = 0
@@ -88,7 +86,6 @@ class ServerStats:
     dup_requests: int = 0
     #: Cached responses re-sent for duplicates whose original reply was lost.
     replayed_replies: int = 0
-    by_type: Dict[str, int] = field(default_factory=dict)
 
 
 class ServerThread:
@@ -128,13 +125,18 @@ class ServerThread:
         #: Under a membership service, who took each ticket the counter has
         #: not passed: (home_rank, base_addr) -> (lock key, ticket -> rank).
         self.ticket_owners: Dict[Tuple[int, int], Tuple[Any, Dict[int, int]]] = {}
-        #: Idempotent dispatch (only when faults can duplicate requests):
-        #: envelopes are deduplicated by (src_rank, fabric seq) so a
-        #: retransmitted put/acc never double-applies or double-bumps
-        #: ``op_done`` — a double bump silently corrupts stage 2 of the
-        #: combined ARMCI_Barrier.
-        self._dedup = params.faults is not None
-        self._applied: set = set()
+        #: Idempotent dispatch, only where a duplicate can reach the server:
+        #: under a fault plan with the reliable layer off.  Envelopes are
+        #: then deduplicated by (src_rank, fabric seq) so a network copy of
+        #: a put/acc never double-applies or double-bumps ``op_done`` — a
+        #: double bump silently corrupts stage 2 of the combined
+        #: ARMCI_Barrier.  Under the reliable layer the transport owns
+        #: exactly-once (frame dedup, resequencing, single-trigger replies)
+        #: and a served request leaves no record here; intra-node traffic is
+        #: never faulted.
+        faults = params.faults
+        self._dedup = faults is not None and not faults.reliable
+        self._applied: Optional[set] = set() if self._dedup else None
         #: NIC co-processor on this node (None until the NIC-offloaded
         #: barrier is first requested; see :mod:`repro.nic.engine`).  When
         #: attached, every op_done bump is DMA'd down to the NIC's mirror.
@@ -150,10 +152,10 @@ class ServerThread:
             # the combined barrier polls them; they are not data cells.
             for addr in self._op_done_addr.values():
                 self._monitor.mark_sync(self.counters, addr)
-        #: At-most-once reply cache: dedup key -> (src_rank, event, value,
-        #: payload_cells), used to re-send a response whose original was
-        #: lost on the way back.
-        self._reply_cache: Dict[Tuple[int, int], Tuple[int, Any, Any, int]] = {}
+        #: At-most-once reply cache (idempotent dispatch only): dedup key ->
+        #: (src_rank, event, value, payload_cells), used to re-send a
+        #: response whose original was lost on the way back.
+        self._reply_cache: Optional[dict] = {} if self._dedup else None
         self._current_key: Optional[Tuple[int, int]] = None
         self._proc = None
 
@@ -255,8 +257,6 @@ class ServerThread:
             stats.requests += 1
             req = envelope.payload
             kind = type(req)
-            name = kind.__name__
-            stats.by_type[name] = stats.by_type.get(name, 0) + 1
             key = (envelope.src_rank, envelope.seq) if dedup else None
             if key is not None and key in self._applied:
                 stats.dup_requests += 1
@@ -363,7 +363,6 @@ class ServerThread:
                 values.extend(region.read_many(addr, count))
         else:
             values = region.read_many(req.addr, req.count)
-        self.stats.gets += 1
         yield from self._reply(
             req.src_rank, req.reply, value=values, payload_cells=ncells
         )
@@ -378,7 +377,6 @@ class ServerThread:
         self._bump_op_done(req.dst_rank)
         if self._membership is not None:
             self._membership.note_apply(req.src_rank, req.dst_rank)
-        self.stats.accs += 1
         if req.ack is not None:
             yield from self._reply(req.src_rank, req.ack, value=len(req.values))
 

@@ -7,6 +7,7 @@ import textwrap
 from repro.analysis.lint import (
     RULE_OP_DONE,
     RULE_OP_DONE_WAIT,
+    RULE_SET_SUM,
     RULE_TIMER_EVENT,
     RULE_UNSEEDED,
     RULE_YIELD_FROM,
@@ -239,6 +240,39 @@ class TestTimerAsEvent:
 
     def test_env_call_is_clean(self):
         assert _lint("def arm(env, cbs, frame):\n    env.call(5.0, cbs, frame)\n") == []
+
+
+class TestSumOverSet:
+    def test_sum_over_sets_flagged(self):
+        findings = _lint(
+            """
+            def totals(costs, ranks):
+                a = sum({1.5, 2.5})
+                b = sum({c * 2 for c in costs})
+                c = sum(set(costs))
+                d = sum(frozenset(costs), 0.0)
+                e = sum(costs[r] for r in set(ranks))
+                return a + b + c + d + e
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            (RULE_SET_SUM, line) for line in range(3, 8)
+        ]
+
+    def test_ordered_sums_are_clean(self):
+        # Dicts iterate in insertion order; sorted() fixes a set's order.
+        findings = _lint(
+            """
+            def totals(costs, by_rank, ranks):
+                a = sum(costs)
+                b = sum(by_rank.values())
+                c = sum(by_rank[r] for r in sorted(set(ranks)))
+                d = sum(len(s) for s in [set(ranks)])
+                e = len(set(ranks))
+                return a + b + c + d + e
+            """
+        )
+        assert findings == []
 
 
 class TestRepoIsClean:

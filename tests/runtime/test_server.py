@@ -352,11 +352,46 @@ class TestIdempotentDispatch:
         assert fabric.stats.dup_suppressed >= 1  # extra reply copies suppressed
 
     def test_no_dedup_state_without_faults(self):
-        _env, _fabric, _regions, servers, _ = make_node()
-        assert not servers[0]._dedup
-        assert servers[0].stats.dup_requests == 0
+        from repro.net.faults import FaultPlan
+
+        # No plan, or a plan under the reliable layer (which owns
+        # exactly-once): no duplicate can reach the server.
+        for faults in (None, FaultPlan.uniform(drop_rate=0.1, dup_rate=0.1)):
+            _env, _fabric, _regions, servers, _ = make_node(faults=faults)
+            assert not servers[0]._dedup
+            assert servers[0]._applied is None and servers[0]._reply_cache is None
+            assert servers[0].stats.dup_requests == 0
 
     def test_reply_rejects_negative_payload_cells(self):
         env, _fabric, _regions, servers, _ = make_node()
         with pytest.raises(ValueError, match="payload_cells"):
             next(servers[0]._reply(1, Event(env), None, payload_cells=-1))
+
+
+class TestReliableTransportOwnsExactlyOnce:
+    """Under the reliable layer the server keeps no per-request record."""
+
+    def test_faulty_run_leaves_no_per_request_entry(self):
+        from repro.net.faults import FaultPlan
+
+        plan = FaultPlan.uniform(drop_rate=0.2, dup_rate=0.2, seed=7)
+        env, fabric, regions, servers, _ = make_node(faults=plan)
+        base = regions[0].alloc(60)
+        replies = []
+        for i in range(60):
+            fabric.post(1, server_endpoint(0),
+                        PutRequest(src_rank=1, dst_rank=0, addr=base + i, values=[i]))
+            reply = Event(env)
+            replies.append(reply)
+            fabric.post(1, server_endpoint(0),
+                        GetRequest(src_rank=1, dst_rank=0, addr=base + i, count=1,
+                                   reply=reply))
+        env.run()
+        assert fabric.faults.stats.dropped > 0 and fabric.faults.stats.duplicated > 0
+        assert regions[0].read_many(base, 60) == list(range(60))
+        assert [r.value for r in replies] == [[i] for i in range(60)]
+        assert servers[0].op_done(0) == 60
+        assert servers[0].stats.requests == 120
+        for server in servers.values():
+            assert not server._applied and not server._reply_cache
+            assert server.stats.dup_requests == 0

@@ -682,6 +682,49 @@ class TestScalebenchCommand:
         assert "wall budget" in capsys.readouterr().out
 
 
+class TestTimeBudget:
+    """A spent budget starts nothing, lists what it skipped and exits 0."""
+
+    def test_faults_skips_points(self, capsys):
+        assert main(["faults", "--procs", "4", "--time-budget", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "wall budget 0s exhausted; skipped drop 0.00, drop 0.01" in out
+        assert "ok" not in out.split("note:")[0]  # no point ran
+
+    def test_chaos_skips_its_scenario(self, capsys):
+        assert main(["chaos", "--time-budget", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out == "wall budget 0s exhausted; skipped the chaos scenario\n"
+
+    def test_chaos_bad_script_is_still_bad_input(self, capsys):
+        assert main(["chaos", "--time-budget", "0", "--kill", "99:10"]) == 2
+        assert "victim rank 99 out of range" in capsys.readouterr().err
+
+    def test_nic_skips_cells(self, capsys):
+        assert main(["nic", "--procs", "2", "4", "--iterations", "1",
+                     "--time-budget", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped host-exchange@N=2, nic-exchange@N=2, nic-tree@N=2, " in out
+
+    def test_mc_skips_targets(self, capsys, tmp_path):
+        import json
+
+        from repro.mc import TARGETS
+
+        out_json = tmp_path / "mc.json"
+        assert main(["mc", "--time-budget", "0", "--json-out", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert f"skipped {', '.join(sorted(TARGETS))}\n" in out
+        assert json.loads(out_json.read_text()) == []
+
+    def test_nic_row_stopped_part_way_renders_dashes(self):
+        from repro.experiments.nicbench import NicBenchResult
+
+        result = NicBenchResult(title="t", metric="m")
+        result.record("host-exchange", 2, 35.6)
+        assert result.to_rows()[1] == ["2", "35.6", "-", "-", "-", "-"]
+
+
 def _spelling(key: str) -> str:
     return FLAGS[key][0][0]
 
@@ -906,6 +949,10 @@ class TestTableIsTheContract:
             ("fuzz --start-seed -1", "must be >= 0"),
             ("fuzz --replay -1", "must be >= 0"),
             ("scalebench --time-budget -1", "must be >= 0"),
+            ("faults --time-budget -1", "must be >= 0"),
+            ("chaos --time-budget -0.5", "must be >= 0"),
+            ("nic --time-budget -1", "must be >= 0"),
+            ("mc --time-budget -1", "must be >= 0"),
             ("fuzz --time-budget nan", "must be >= 0"),
             ("mc --window -0.5", "must be >= 0"),
             ("mc --cap 0", "must be > 0"),
